@@ -1,0 +1,186 @@
+"""Golden hashes: fixed configs must reproduce their recorded output exactly.
+
+Each config's trials are run in-process and folded into one SHA-256 over,
+per trial, the CSV row, the adversary's `distribution_changes` and the
+sorted `first_delivery` map.  The configs cover every adversary kind on
+each engine that accepts it, both problems on the materialized engine, and
+a deterministic walk whose degrees pass 2^53 (the analytic engine's
+arbitrary-precision path).
+
+A refactor that keeps behaviour keeps every hash.  A change that is meant
+to alter the random streams re-records them:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+
+import pytest
+
+from dualradio.engine import TrialConfig, derived_receivers, run_trials, trial_csv_row
+from dualradio.gadgets import (Gadget, build_gadget, chained_gadgets, double_star,
+                               star_gadget)
+from dualradio.model import DualGraph
+from dualradio.schedules import (decay_schedule, frlb_schedule, rlb_schedule,
+                                 rlbc_schedule)
+
+
+def _custom(n, reliable, unreliable):
+    return Gadget(kind="chained", graph=DualGraph.from_parts(n, reliable, unreliable),
+                  delta=2, broadcasters=frozenset(), receivers=frozenset(), source=0)
+
+
+def _configs():
+    star64 = star_gadget(64, 66)
+    star16 = star_gadget(16, 18)
+    ds16 = double_star(16)
+    ds64 = double_star(64)
+    ds256 = double_star(256)
+    gap_star = star_gadget(2 ** 10 + 1, 2 ** 10 + 3)
+    gap_star_big = star_gadget(2 ** 12 + 1, 2 ** 12 + 3)
+    virtual = build_gadget("star", 2 ** 24 + 1)
+    huge = build_gadget("star", 2 ** 200)
+    chain10 = chained_gadgets(10, 24)
+    chain257 = chained_gadgets(2 ** 8 + 1, 24)
+
+    def local(gadget, schedule, adversary, max_rounds, engine, **kw):
+        return TrialConfig(problem="local", gadget=gadget, schedule=schedule,
+                           adversary=adversary, seed=1000, max_rounds=max_rounds,
+                           engine_mode=engine, **kw)
+
+    def glob(gadget, schedule, adversary, max_rounds, **kw):
+        return TrialConfig(problem="global", gadget=gadget, schedule=schedule,
+                           adversary=adversary, seed=2000, max_rounds=max_rounds, **kw)
+
+    a, m = "analytic_star", "materialized"
+    return {
+        # analytic engine, local broadcast
+        "a-static": (local(star64, rlb_schedule(64, 3),
+                           {"kind": "static", "tau": 3, "extra_degree": 5}, 300, a), 200),
+        "a-iid-random-q": (local(star64, rlb_schedule(64, 2),
+                                 {"kind": "iid_subset", "tau": 2}, 500, a), 300),
+        "a-iid-fixed-q": (local(star64, frlb_schedule(64, 3),
+                                {"kind": "iid_subset", "tau": 3, "edge_prob": 0.3}, 500, a), 300),
+        "a-iid-tau-inf": (local(star64, rlb_schedule(64, 6),
+                                {"kind": "iid_subset", "tau": None}, 500, a), 300),
+        "a-gap": (local(gap_star_big, rlb_schedule(2 ** 12 + 1, 2),
+                        {"kind": "gap", "tau": 2}, 3000, a), 40),
+        "a-gap-virtual": (local(virtual, rlb_schedule(2 ** 24 + 1, 2),
+                                {"kind": "gap", "tau": 2}, 2000, a), 10),
+        "a-argmin": (local(star64, frlb_schedule(64, 2),
+                           {"kind": "argmin", "tau": 2}, 2000, a), 200),
+        "a-argmin-virtual": (local(virtual, frlb_schedule(2 ** 24 + 1, 3),
+                                   {"kind": "argmin", "tau": 3}, 2000, a), 10),
+        "a-shift": (local(ds256, decay_schedule(256),
+                          {"kind": "correlated_shift"}, 2000, a), 200),
+        "a-walk-deterministic": (local(star64, rlb_schedule(64, 4),
+                                       {"kind": "degree_walk_deterministic", "tau": 4,
+                                        "l": 3, "start_degree": 20}, 2000, a), 100),
+        "a-walk-restricted-random": (local(star64, rlb_schedule(64, 4),
+                                           {"kind": "degree_walk_restricted", "tau": 4,
+                                            "l": 2, "walk_mode": "random"}, 2000, a), 100),
+        "a-walk-restricted-dodging": (local(huge,
+                                            rlbc_schedule(2 ** 200, 40),
+                                            {"kind": "degree_walk_restricted", "tau": 40,
+                                             "l": 2 ** 20, "walk_mode": "dodging"},
+                                            3000, a), 12),
+        "a-walk-deterministic-long": (local(huge, rlbc_schedule(2 ** 200, 40),
+                                            {"kind": "degree_walk_deterministic", "tau": 7,
+                                             "l": 2 ** 20}, 1500, a), 8),
+        "a-walk-beyond-2^53": (local(huge, rlb_schedule(2 ** 200, 4),
+                                     {"kind": "degree_walk_deterministic", "tau": 5,
+                                      "l": 2 ** 54, "start_degree": 2 ** 60}, 600, a), 5),
+        # materialized engine, local broadcast
+        "m-static": (local(star16, rlb_schedule(16, 4),
+                           {"kind": "static", "tau": 4, "edges": [0, 2, 5]}, 300, m), 200),
+        "m-iid": (local(star16, rlb_schedule(16, 2),
+                        {"kind": "iid_subset", "tau": 2}, 300, m), 200),
+        "m-iid-all-receivers": (local(ds16, frlb_schedule(16, 2),
+                                      {"kind": "iid_subset", "tau": 2}, 2000, m,
+                                      receivers=derived_receivers(ds16)), 60),
+        "m-gap": (local(gap_star, rlb_schedule(2 ** 10 + 1, 1),
+                        {"kind": "gap", "tau": 1}, 1500, m), 10),
+        "m-argmin": (local(star64, frlb_schedule(64, 2),
+                           {"kind": "argmin", "tau": 2}, 1000, m), 60),
+        "m-shift": (local(ds64, decay_schedule(64),
+                          {"kind": "correlated_shift"}, 1000, m), 60),
+        "m-walk-deterministic": (local(star64, rlb_schedule(64, 4),
+                                       {"kind": "degree_walk_deterministic", "tau": 4,
+                                        "l": 3, "start_degree": 20}, 1000, m), 60),
+        "m-walk-restricted": (local(star64, rlb_schedule(64, 4),
+                                    {"kind": "degree_walk_restricted", "tau": 4,
+                                     "l": 2, "walk_mode": "random"}, 1000, m), 60),
+        "m-walk-restricted-dodging": (local(gap_star, rlb_schedule(2 ** 10 + 1, 10),
+                                            {"kind": "degree_walk_restricted", "tau": 10,
+                                             "l": 32, "start_degree": 600}, 1000, m), 20),
+        # materialized engine, global broadcast
+        "g-static": (glob(chain10, frlb_schedule(10, 4),
+                          {"kind": "static", "tau": 4}, 50_000), 10),
+        "g-iid": (glob(chain10, frlb_schedule(10, 2),
+                       {"kind": "iid_subset", "tau": 2, "edge_prob": 0.5}, 50_000), 10),
+        "g-chained-gap": (glob(chain257, frlb_schedule(2 ** 8 + 1, 1),
+                               {"kind": "chained_gap", "tau": 1}, 100_000,
+                               rgb_reps=4000), 4),
+        "g-line": (glob(_custom(3, [(0, 1), (1, 2)], []), frlb_schedule(2, 1),
+                        {"kind": "static", "tau": 1}, 500, rgb_reps=200), 200),
+        "g-budget-exhausted": (glob(_custom(3, [(0, 1)], [(1, 2)]), frlb_schedule(2, 1),
+                                    {"kind": "static", "tau": 1}, 10 ** 6, rgb_reps=5), 20),
+    }
+
+
+def golden_digest(config: TrialConfig, trials: int) -> str:
+    h = hashlib.sha256()
+    for i, res in enumerate(run_trials(config, trials).results):
+        h.update(trial_csv_row(i, config, res).encode())
+        h.update(repr(res.distribution_changes).encode())
+        h.update(repr(sorted(res.first_delivery.items())).encode())
+    return h.hexdigest()
+
+
+GOLDEN = {
+    'a-static': '402491f41d07cad2609f8bbc744743f4ede92e2605f9cd03630463edb539e3de',
+    'a-iid-random-q': 'aaafc84d629a5867703cdc898022f552a71f2227d0bc17cda1559facdc04ebbf',
+    'a-iid-fixed-q': '773355e133f94456fd28737f2750e50e14bf3557f5362dd1e70e77f1efce86e4',
+    'a-iid-tau-inf': '57d1cd8505fde59592e4272df68bf156f3cd856df76f1aa13f879a2d589830fb',
+    'a-gap': '8867a78320ecf7a8cc425da60cf194ce366cbe9efdd2404d23ccb5e03d54c5ef',
+    'a-gap-virtual': 'dffedd0d110bd94e55a502889272d41712c13bc06ed44175f0042aea0e38fe05',
+    'a-argmin': 'e408e533e8250717e5968dc9d34d2b39ce98c1f2115bf09eb0fb396ce6cffda6',
+    'a-argmin-virtual': 'f2637e3f1c17d15d8fef433e07851118e44fe247f485a547fe7062bbce3ebcbd',
+    'a-shift': '0a11bc0825d28e4118c14afe2bc31ff0f9ba23fa03b785422982d154e242c46c',
+    'a-walk-deterministic': '480030b3be34c71ff5f4fd9a3bf19f220449a5ac75de32c02ea0f8437aebf51a',
+    'a-walk-restricted-random': 'c843562e894f8820801540cc27a2db70bdfe4d268726da9b1c0d5d0cdcd419fc',
+    'a-walk-restricted-dodging': 'bfe80f49af2cbfffd95917712077e84f95df29fc08c2551f0421d132a92a1de8',
+    'a-walk-deterministic-long': '5a4af610f8501a2f5e8f38389f5ac34fe25e38ff5c3f6cd81f00746f09cb78b2',
+    'a-walk-beyond-2^53': '9f6f82d72ad6100c449d74667bd0f5d8b3b5168336f108b3cf1cef25736edafa',
+    'm-static': 'd1853816db70d394a5f444861bdfe573b70b0e95c85dd79f2d75fa62d7b3ebbe',
+    'm-iid': '71bb3ff8805b3032b81451b2ad89d60f29bdd74b968a58f39a7d763f563705db',
+    'm-iid-all-receivers': '5f9ead23051c02de00dc4519ad8682e8ae869bf6ac8f5180db465ea7d015db0e',
+    'm-gap': '7117c5af9a81017dc24bbe348f1a852d496afdf71fd05642634812a472c46b9c',
+    'm-argmin': 'f8e7ec8d968a55687d9a882cc8ae06a5de907fbfaae40dbd0cfc971486dd4b32',
+    'm-shift': '14b217e5e9875fb9db42c90e28eef3b218871917493203298ba30a0c57d5ae02',
+    'm-walk-deterministic': 'efa3758b3e4302ee591a26d5014a65a44e5e415d0b4e7d49c7761f73b96b5537',
+    'm-walk-restricted': '688b19f4194e290380bd901df8e5c1323d9da9ea0df40613535f36f9718029fa',
+    'm-walk-restricted-dodging': '4308afe7d0206c0b64c1c3fa178fe50f87da2fbe1fb4b0fbc09c06263cd85cc1',
+    'g-static': '019be678a64831aa12800e3ee579f3b7d58ba4c24a2f71604fa60b3325692a85',
+    'g-iid': 'ba604526442d5987776b237835679f2725b2ef33eb9b257ea69e3ac5dab66d09',
+    'g-chained-gap': '73d70937c93e2f378b3164928d062c8fb708adcb70fb0056660805224027f6ad',
+    'g-line': '224d597f92c4799b5949ea74230999874a064b13596cee2d1a150711cfda7af3',
+    'g-budget-exhausted': '766792e811536def5fd8e733ce1aaf7d7867a9eacbcf20c8b645cd7cf07e526e',
+}
+
+CONFIGS = _configs()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_hash(name):
+    config, trials = CONFIGS[name]
+    assert golden_digest(config, trials) == GOLDEN[name]
+
+
+def test_every_config_is_pinned():
+    assert sorted(GOLDEN) == sorted(CONFIGS)
+
+
+if __name__ == "__main__":
+    for name, (config, trials) in CONFIGS.items():
+        print(f"    {name!r}: {golden_digest(config, trials)!r},")
