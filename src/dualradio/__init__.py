@@ -2,19 +2,17 @@
 
 from .model import (DualGraph, RoundTopology, DeliveryOutcome,
                     build_round_topology, deliver, graph_from_text, graph_to_text)
-from .schedules import (Schedule, SchedulePosition, probability_at,
-                        decay_schedule, rlb_schedule, frlb_schedule,
-                        rlbc_schedule, build_schedule)
+from .schedules import (Schedule, SchedulePosition, decay_schedule, rlb_schedule,
+                        frlb_schedule, rlbc_schedule, build_schedule)
 from .oracle import (exact_success_prob, exact_success_logprob, prosing_bound,
                      interval_min_bound, weierstrass_bounds, phase_success_sum,
                      brute_force_delivery_prob)
 from .adversary import (AdversaryPolicy, ObservableHistory, GapPhasePlan,
                         ShiftPlan, DegreeWalkState, gap_plan, argmin_degree,
-                        shift_plan, degree_walk_step, chained_gap_controller,
-                        make_policy)
+                        shift_plan, walk_degrees, make_policy)
 from .gadgets import Gadget, star_gadget, double_star, chained_gadgets, build_gadget
 from .engine import (TrialConfig, TrialResult, Stats, run_trial, run_trials,
-                     run_local_trial, run_global_trial, run_analytic_star_trial,
+                     run_materialized_trial, run_analytic_star_trial,
                      split_seed, aggregate, wilson_interval)
 
 __version__ = "0.1.0"

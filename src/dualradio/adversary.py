@@ -7,6 +7,8 @@ they draw from at most once every `tau` rounds; policies declared
 `correlated` commit to a joint distribution over whole blocks instead of
 independent per-round draws.  Every distribution-identity change is
 appended to `change_log` so the engine can audit the stability contract.
+The degree walk has one step rule, `walk_degrees`, which both engines'
+calls (`sample_edges` and `degrees`) go through.
 
 Policies see only public information: the schedule, past transmission and
 delivery outcomes (ObservableHistory).  Node coin flips are structurally
@@ -275,36 +277,47 @@ class DegreeWalkState:
             raise ValueError(f"unknown walk mode {self.mode!r}")
 
 
-def degree_walk_step(state: DegreeWalkState, next_prob: float, rng) -> DegreeWalkState:
-    """Advance the walk one round against the probability the nodes use next.
+def walk_degrees(state: DegreeWalkState, log_probs: Sequence[float], rng) -> list:
+    """Advance the walk one round per entry of `log_probs` (ln of the
+    probability the nodes use in that round); the degree after each step.
 
     Dodging picks whichever reachable extreme has the lower exact success
-    at next_prob (success is unimodal in the degree, so the interval
-    minimum sits at an endpoint); random picks a direction by coin.
+    (success is unimodal in the degree, so the interval minimum sits at an
+    endpoint); random picks a direction by coin.  Degrees are plain ints.
     """
-    mag = state.step_budget
-    if state.restricted:
-        mag = int(rng.integers(0, 2 * state.step_budget + 1))
-    if mag == 0:
-        return state
-    lo = max(1, state.degree - mag)
-    hi = min(state.max_degree, state.degree + mag)
-    if lo == hi:
-        return replace(state, degree=lo)
-    if state.mode == "random":
-        nxt = hi if rng.random() < 0.5 else lo
-        return replace(state, degree=nxt)
-    peak = success_peak_degree(next_prob) if next_prob > 0.0 else math.inf
-    if hi < peak:
-        nxt = lo
-    elif lo > peak:
-        nxt = hi
-    else:
-        log_p = math.log(next_prob)
-        s_lo = exact_success_logprob(lo, log_p, state.receiver_has_message)
-        s_hi = exact_success_logprob(hi, log_p, state.receiver_has_message)
-        nxt = lo if s_lo <= s_hi else hi
-    return replace(state, degree=nxt)
+    budget, cap = state.step_budget, state.max_degree
+    restricted, dodging = state.restricted, state.mode == "dodging"
+    flag = state.receiver_has_message
+    randint, coin = rng.integers, rng.random
+    d = state.degree
+    out = []
+    for lp in log_probs:
+        mag = int(randint(0, 2 * budget + 1)) if restricted else budget
+        if mag:
+            lo = d - mag
+            if lo < 1:
+                lo = 1
+            hi = d + mag
+            if hi > cap:
+                hi = cap
+            if lo == hi:
+                d = lo
+            elif not dodging:
+                d = hi if coin() < 0.5 else lo
+            else:
+                p = math.exp(lp)
+                # underflowed p: the peak (1-p)/p is beyond any degree
+                peak = success_peak_degree(p) if p > 0.0 else math.inf
+                if hi < peak:
+                    d = lo
+                elif lo > peak:
+                    d = hi
+                else:
+                    s_lo = exact_success_logprob(lo, lp, flag)
+                    s_hi = exact_success_logprob(hi, lp, flag)
+                    d = lo if s_lo <= s_hi else hi
+        out.append(d)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +480,18 @@ class IidSubsetPolicy(AdversaryPolicy):
         return 1.0 + np_rng.binomial(m, qs[blocks])
 
 
+def phase_cycle_probs(schedule: Schedule, tau: int, phase: int) -> list[float]:
+    """The tau cycle probabilities the nodes use in (0-based) phase `phase`."""
+    k = schedule.cycle_length
+    return [math.exp(schedule.log_probs[(phase * tau + j) % k]) for j in range(tau)]
+
+
 class _PhasePlanPolicy(AdversaryPolicy):
     """Shared machinery for gap/argmin: a fixed degree per phase realized as
     a fresh uniform subset of the receiver's unreliable arms each round.
 
-    The degree depends only on where the phase sits in the probability
-    cycle, so plans are cached by that position tuple."""
+    The degree depends only on where the phase starts in the probability
+    cycle, so degrees are cached by that position."""
 
     def __init__(self, tau: int, schedule: Schedule, delta: int,
                  receiver_edge_indices: Sequence[int]):
@@ -483,14 +502,13 @@ class _PhasePlanPolicy(AdversaryPolicy):
         self.delta = delta
         self.receiver_edge_indices = np.asarray(receiver_edge_indices, dtype=np.int64)
         self.degree = 1
-        self._degree_cache: dict[tuple[int, ...], int] = {}
+        self._degree_cache: dict[int, int] = {}
 
     def _degree_for_block(self, block: int) -> int:
-        k = self.schedule.cycle_length
-        key = tuple((block * self.tau + j) % k for j in range(self.tau))
+        key = block * self.tau % self.schedule.cycle_length
         deg = self._degree_cache.get(key)
         if deg is None:
-            deg = self._pick_degree([math.exp(self.schedule.log_probs[i]) for i in key])
+            deg = self._pick_degree(phase_cycle_probs(self.schedule, self.tau, block))
             self._degree_cache[key] = deg
         return deg
 
@@ -527,12 +545,9 @@ class GapPolicy(_PhasePlanPolicy):
     def __init__(self, tau, schedule, delta, receiver_edge_indices, strict=False):
         super().__init__(tau, schedule, delta, receiver_edge_indices)
         self.strict = strict
-        self.plans: list[GapPhasePlan] = []
 
     def _pick_degree(self, probs):
-        plan = gap_plan(probs, self.delta, strict=self.strict)
-        self.plans.append(plan)
-        return plan.degree
+        return gap_plan(probs, self.delta, strict=self.strict).degree
 
 
 class ArgminPolicy(_PhasePlanPolicy):
@@ -600,15 +615,21 @@ class DegreeWalkPolicy(AdversaryPolicy):
     def _new_block(self, block, round_index, history, np_rng, py_rng):
         return ("walk-block", block)
 
-    def _advance_to(self, round_index: int, np_rng) -> None:
-        while self._stepped_for < round_index:
-            nxt = self._stepped_for + 1
-            p = math.exp(self.schedule.log_probs[(nxt - 1) % self.schedule.cycle_length])
-            self.state = degree_walk_step(self.state, p, np_rng)
-            self._stepped_for = nxt
+    def _walk_to(self, round_index: int, np_rng) -> list:
+        """Step the walk through `round_index`; the degrees of the rounds stepped."""
+        log_probs = self.schedule.log_probs
+        k = self.schedule.cycle_length
+        steps = walk_degrees(self.state,
+                             [log_probs[(r - 1) % k]
+                              for r in range(self._stepped_for + 1, round_index + 1)],
+                             np_rng)
+        if steps:
+            self.state = replace(self.state, degree=steps[-1])
+            self._stepped_for = round_index
+        return steps
 
     def sample_edges(self, round_index, history, np_rng, py_rng):
-        self._advance_to(round_index, np_rng)
+        self._walk_to(round_index, np_rng)
         extra = self.state.degree - 1
         if extra <= 0:
             return np.empty(0, dtype=np.int64)
@@ -617,53 +638,11 @@ class DegreeWalkPolicy(AdversaryPolicy):
 
     def degrees(self, start_round, count, history, np_rng, py_rng):
         self.pre_round(start_round, history, np_rng, py_rng)
-        log_probs = self.schedule.log_probs
-        k = self.schedule.cycle_length
-        budget = self.state.step_budget
-        restricted = self.state.restricted
-        dodging = self.state.mode == "dodging"
-        cap = self.state.max_degree
-        flag = self.state.receiver_has_message
-
-        self._advance_to(start_round, np_rng)
-        d = self.state.degree
-        out: list = [0] * count
-        out[0] = d
-        # tight inline walk; semantics identical to degree_walk_step
-        randint = np_rng.integers
-        coin = np_rng.random
-        for j in range(1, count):
-            r = start_round + j
-            if self.tau is not None and (r - 1) % self.tau == 0:
+        if self.tau is not None:  # block starts; the walk's blocks draw nothing
+            first = start_round + self.tau - (start_round - 1) % self.tau
+            for r in range(first, start_round + count, self.tau):
                 self.pre_round(r, history, np_rng, py_rng)
-            mag = budget if not restricted else int(randint(0, 2 * budget + 1))
-            if mag:
-                lo = d - mag
-                if lo < 1:
-                    lo = 1
-                hi = d + mag
-                if hi > cap:
-                    hi = cap
-                if lo == hi:
-                    d = lo
-                elif not dodging:
-                    d = hi if coin() < 0.5 else lo
-                else:
-                    p = math.exp(log_probs[(r - 1) % k])
-                    # underflowed p: the peak (1-p)/p is beyond any degree
-                    peak = (1.0 - p) / p if p > 0.0 else math.inf
-                    if hi < peak:
-                        d = lo
-                    elif lo > peak:
-                        d = hi
-                    else:
-                        lp = log_probs[(r - 1) % k]
-                        s_lo = exact_success_logprob(lo, lp, flag)
-                        s_hi = exact_success_logprob(hi, lp, flag)
-                        d = lo if s_lo <= s_hi else hi
-            out[j] = d
-        self.state = replace(self.state, degree=d)
-        self._stepped_for = start_round + count - 1
+        out = ([self.state.degree] + self._walk_to(start_round + count - 1, np_rng))[-count:]
         if max(out) < 2 ** 53:
             return np.asarray(out, dtype=np.float64)
         return out
@@ -700,10 +679,8 @@ class ChainedGapPolicy(AdversaryPolicy):
     def _plan_for_phase(self, phase: int) -> GapPhasePlan:
         plan = self._plan_cache.get(phase)
         if plan is None:
-            k = self.schedule.cycle_length
-            probs = [math.exp(self.schedule.log_probs[((phase - 1) * self.tau + j) % k])
-                     for j in range(self.tau)]
-            plan = gap_plan(probs, self.gadget.delta, strict=self.strict)
+            plan = gap_plan(phase_cycle_probs(self.schedule, self.tau, phase - 1),
+                            self.gadget.delta, strict=self.strict)
             self._plan_cache[phase] = plan
         return plan
 
@@ -736,36 +713,6 @@ class ChainedGapPolicy(AdversaryPolicy):
         if not picks:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(picks)
-
-
-def chained_gap_controller(gadget: Gadget, message_front: int,
-                           section_phases: Sequence[int], schedule: Schedule,
-                           tau: int, strict: bool = False) -> list[GapPhasePlan]:
-    """Pure view of the chained rule: per-gadget plans given the frontier.
-
-    Sections beyond `message_front` get the phase-1 plan; the section at the
-    frontier gets the plan for its recorded phase; earlier (delivered)
-    sections keep theirs too.  Used by tests; the engine drives the stateful
-    ChainedGapPolicy, which implements the same rule incrementally.
-    """
-    k = schedule.cycle_length
-    plans = []
-    for i in range(len(gadget.sections)):
-        phase = section_phases[i] if i <= message_front else 1
-        probs = [math.exp(schedule.log_probs[((phase - 1) * tau + j) % k])
-                 for j in range(tau)]
-        plans.append(gap_plan(probs, gadget.delta, strict=strict))
-    return plans
-
-
-def sample_round(policy: AdversaryPolicy, graph, round_index: int,
-                 history: ObservableHistory, np_rng, py_rng=None):
-    """One adversary round: honor block boundaries, then draw the extra
-    edge subset (as edges of E' \\ E).  Convenience wrapper over the policy
-    interface for callers that want edge pairs rather than dense indices."""
-    policy.pre_round(round_index, history, np_rng, py_rng)
-    idx = policy.sample_edges(round_index, history, np_rng, py_rng)
-    return [graph.unreliable_edges[i] for i in idx]
 
 
 # ---------------------------------------------------------------------------
@@ -803,6 +750,10 @@ def make_policy(spec: dict, gadget: Gadget, schedule: Schedule) -> AdversaryPoli
         return ArgminPolicy(tau=tau, schedule=schedule, delta=gadget.delta,
                             receiver_edge_indices=recv_edges)
     if kind == "correlated_shift":
+        if gadget.kind != "double_star":
+            raise ValueError(
+                f"correlated_shift needs a double_star gadget, where the receiver can "
+                f"reach degree delta; got a {gadget.kind} gadget")
         return CorrelatedShiftPolicy(schedule=schedule, delta=gadget.delta,
                                      receiver_edge_indices=recv_edges,
                                      forced_shift=spec.get("shift"))

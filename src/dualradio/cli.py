@@ -32,7 +32,6 @@ ALGOS = ("decay", "rlb", "frlb", "rlbc")
 ADVERSARY_KINDS = ("static", "iid_subset", "gap", "argmin", "chained_gap",
                    "correlated_shift", "degree_walk_deterministic",
                    "degree_walk_restricted")
-JOBS_ENV = "DUALRADIO_JOBS"
 
 
 class ConfigError(ValueError):
@@ -218,6 +217,8 @@ def _run_point(point: dict):
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
     cfg = normalize_config(load_config(args.config))
     if args.seed is not None:
         cfg["seed"] = args.seed
@@ -228,9 +229,8 @@ def cmd_run(args) -> int:
         print(yaml.safe_dump(cfg, sort_keys=True), end="")
         return 0
 
-    jobs = args.jobs or int(os.environ.get(JOBS_ENV, "1"))
-    if jobs > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1 and len(points) > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outputs = list(pool.map(_run_point, points))
     else:
         outputs = [_run_point(p) for p in points]
@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--jobs", type=int, default=None)
+    p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--print-config", action="store_true")
     p_run.set_defaults(func=cmd_run)
 

@@ -1,10 +1,13 @@
 """Trial execution: round loops tying schedules, adversaries, and delivery.
 
 Two engines share one contract.  The materialized engine simulates every
-node and edge of the dual graph; the analytic engine exploits the star
-gadgets' structure and tracks only the designated receiver's effective
-degree, sampling its per-round success from the closed-form probability
-(in log space, so degree bounds given as log2 values keep working).
+node and edge of the dual graph in one round loop for both problems: local
+and global broadcast differ only in who starts transmitting, for how long,
+who must be reached, and whether a reached node relays.  The analytic
+engine exploits the star gadgets' structure and tracks only the designated
+receiver's effective degree, sampling its per-round success from the
+closed-form probability (in log space, so degree bounds given as log2
+values keep working).
 
 Randomness: each trial t uses seed `config.seed + t`.  Inside a trial,
 streams are derived by `split_seed` (SHA-256 over the labeled seed), with
@@ -18,11 +21,11 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .adversary import AdversaryPolicy, ObservableHistory, make_policy
+from .adversary import ObservableHistory, make_policy
 from .gadgets import Gadget
 from .model import DualGraph
 from .oracle import exact_success_logprob, log_one_minus_p
@@ -90,13 +93,17 @@ class TrialResult:
 
 
 def verify_stability(result: TrialResult, tau: int | None) -> None:
-    """Assert consecutive distribution changes are >= tau rounds apart."""
+    """Raise ValueError unless consecutive distribution changes are >= tau
+    rounds apart (at most one change when tau is None)."""
     if tau is None:
-        assert len(result.distribution_changes) <= 1
+        if len(result.distribution_changes) > 1:
+            raise ValueError(f"distribution changed {len(result.distribution_changes)} "
+                             "times with tau = infinity")
         return
     rounds = [r for r, _ in result.distribution_changes]
     for a, b in zip(rounds, rounds[1:]):
-        assert b - a >= tau, f"distribution changed after {b - a} < tau={tau} rounds"
+        if b - a < tau:
+            raise ValueError(f"distribution changed after {b - a} < tau={tau} rounds")
 
 
 # ---------------------------------------------------------------------------
@@ -227,82 +234,51 @@ def derived_receivers(gadget: Gadget) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def run_local_trial(config: TrialConfig) -> TrialResult:
+def run_materialized_trial(config: TrialConfig) -> TrialResult:
+    """Simulate every node and edge round by round, for either problem.
+
+    The problems differ only in data.  Local broadcast starts every
+    broadcaster with no budget and must reach the receivers; global
+    broadcast starts the source with `rgb_reps` double cycles and must reach
+    every node, and a reached node relays from the next double-cycle
+    boundary with the same budget.
+    """
     gadget = config.gadget
     graph = gadget.graph
     schedule = config.schedule
-    np_nodes, np_adv, py_adv = trial_rngs(config.seed)
-
-    b_arr = np.array(sorted(gadget.broadcasters), dtype=np.int64)
-    if config.receivers is not None:
-        receivers = tuple(config.receivers)
-    elif gadget.receivers:
-        receivers = tuple(sorted(gadget.receivers))
-    else:
-        receivers = derived_receivers(gadget)
-    r_arr = np.array(receivers, dtype=np.int64)
-    done = np.zeros(len(receivers), dtype=bool)
-
-    history = ObservableHistory(schedule, active_from={int(b): 1 for b in b_arr})
-    policy = make_policy(config.adversary, gadget, schedule)
-    cycle = np.exp(np.array(schedule.log_probs))
-    k = schedule.cycle_length
-    first_delivery: dict[int, int] = history.first_delivery
-
-    completion = None
-    r = 0
-    for r in range(1, config.max_rounds + 1):
-        history.round = r
-        policy.pre_round(r, history, np_adv, py_adv)
-        extra = policy.sample_edges(r, history, np_adv, py_adv)
-        p = cycle[(r - 1) % k]
-        tx = b_arr[np_nodes.random(len(b_arr)) < p]
-        counts = round_counts(graph, extra, tx)
-        txf = np.zeros(graph.node_count, dtype=bool)
-        txf[tx] = True
-        newly = ~done & (counts[r_arr] == 1) & ~txf[r_arr]
-        if newly.any():
-            for v in r_arr[newly]:
-                first_delivery[int(v)] = r
-            done |= newly
-            if done.all():
-                completion = r
-                break
-
-    return TrialResult(
-        completed=completion is not None,
-        completion_round=completion,
-        first_delivery=dict(first_delivery),
-        rounds_executed=r,
-        seed=config.seed,
-        distribution_changes=tuple(policy.change_log),
-    )
-
-
-def run_global_trial(config: TrialConfig) -> TrialResult:
-    gadget = config.gadget
-    graph = gadget.graph
-    schedule = config.schedule
-    if gadget.source is None:
-        raise ValueError("global broadcast needs a gadget with a source")
-    np_nodes, np_adv, py_adv = trial_rngs(config.seed)
-
     n = graph.node_count
     k = schedule.cycle_length
     align = 2 * k
-    reps = config.rgb_reps
-    if reps is None:
-        reps = rgb_repetitions(gadget.delta, config.adversary.get("tau") or k,
-                               config.epsilon, n)
-    budget = reps * align
+    if config.problem == "local":
+        starters = sorted(gadget.broadcasters)
+        if config.receivers is not None:
+            targets = tuple(config.receivers)
+        elif gadget.receivers:
+            targets = tuple(sorted(gadget.receivers))
+        else:
+            targets = derived_receivers(gadget)
+        budget = config.max_rounds
+        relay = False
+    else:
+        if gadget.source is None:
+            raise ValueError("global broadcast needs a gadget with a source")
+        starters = [gadget.source]
+        targets = tuple(v for v in range(n) if v != gadget.source)
+        reps = config.rgb_reps
+        if reps is None:
+            reps = rgb_repetitions(gadget.delta, config.adversary.get("tau") or k,
+                                   config.epsilon, n)
+        budget = reps * align
+        relay = True
+    np_nodes, np_adv, py_adv = trial_rngs(config.seed)
 
-    has_msg = np.zeros(n, dtype=bool)
-    has_msg[gadget.source] = True
+    # node v transmits in rounds act[v] < r <= act[v] + budget
     never = np.iinfo(np.int64).max
     act = np.full(n, never, dtype=np.int64)
-    act[gadget.source] = 0  # activation at round 0, transmits from round 1
+    act[starters] = 0
+    pending = np.array(targets, dtype=np.int64)
 
-    history = ObservableHistory(schedule, active_from={gadget.source: 1})
+    history = ObservableHistory(schedule, active_from={int(v): 1 for v in starters})
     policy = make_policy(config.adversary, gadget, schedule)
     cycle = np.exp(np.array(schedule.log_probs))
     first_delivery = history.first_delivery
@@ -323,16 +299,19 @@ def run_global_trial(config: TrialConfig) -> TrialResult:
         p = cycle[(r - 1) % k]
         tx = cand[np_nodes.random(len(cand)) < p]
         counts = round_counts(graph, extra, tx)
-        newly = np.flatnonzero(~has_msg & (counts == 1))
-        if len(newly):
-            has_msg[newly] = True
-            activation = align * math.ceil(r / align)
-            assert activation % align == 0
-            act[newly] = activation
+        counts[tx] = 0  # half duplex: a transmitter hears nothing
+        heard = counts[pending] == 1
+        if heard.any():
+            newly = pending[heard]
+            pending = pending[~heard]
             for v in newly:
                 first_delivery[int(v)] = r
-                history.active_from[int(v)] = activation + 1
-            if has_msg.all():
+            if relay:
+                activation = align * math.ceil(r / align)
+                act[newly] = activation
+                for v in newly:
+                    history.active_from[int(v)] = activation + 1
+            if len(pending) == 0:
                 completion = r
                 break
 
@@ -429,9 +408,7 @@ def run_trial(config: TrialConfig) -> TrialResult:
         if config.problem != "local":
             raise ValueError("analytic engine only runs local broadcast")
         return run_analytic_star_trial(config)
-    if config.problem == "local":
-        return run_local_trial(config)
-    return run_global_trial(config)
+    return run_materialized_trial(config)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ success events by comparing log-probabilities against log(uniform).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -28,59 +27,6 @@ LOG_2E = math.log(2.0 * math.e)
 # below this, exp() underflows double precision
 _EXP_UNDERFLOW = -745.0
 _EXP_OVERFLOW = 709.0
-
-
-@dataclass(frozen=True)
-class RoundSuccessQuery:
-    """One receiver-round: effective degree, transmit probability, and
-    whether the receiver holds a message (and so must stay silent)."""
-
-    active_neighbors: int
-    transmit_prob: float
-    receiver_has_message: bool = False
-
-    @property
-    def probability(self) -> float:
-        return exact_success_prob(self.active_neighbors, self.transmit_prob,
-                                  self.receiver_has_message)
-
-
-@dataclass(frozen=True)
-class DegreeDistribution:
-    """Distribution of a receiver's effective degree within one stable block.
-
-    `support` maps degree -> probability; masses must sum to 1, and a
-    receiver with a reliable message-holding neighbor has no mass at 0.
-    """
-
-    support: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        total = math.fsum(pr for _, pr in self.support)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"degree masses sum to {total}, not 1")
-        for d, pr in self.support:
-            if d < 0 or pr < 0.0:
-                raise ValueError("degrees and masses must be nonnegative")
-
-    def require_reliable_neighbor(self) -> None:
-        if any(d == 0 and pr > 0.0 for d, pr in self.support):
-            raise ValueError("a receiver in R cannot have degree 0")
-
-    def bucket_masses(self, delta: int, tau: int) -> list[float]:
-        """q_i = P(delta^((i-1)/tau) < degree <= delta^(i/tau)) for i = 1..tau
-        (degree 1 counts toward the first bucket)."""
-        masses = [0.0] * tau
-        for d, pr in self.support:
-            if d < 1 or pr == 0.0:
-                continue
-            i = max(1, math.ceil(tau * math.log(d) / math.log(delta) - 1e-12))
-            masses[min(tau, i) - 1] += pr
-        return masses
-
-    def success_probability(self, p: float, receiver_has_message: bool = False) -> float:
-        return math.fsum(pr * exact_success_prob(d, p, receiver_has_message)
-                         for d, pr in self.support if pr > 0.0)
 
 
 def log1mexp(x: float) -> float:

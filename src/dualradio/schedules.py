@@ -74,18 +74,9 @@ class Schedule:
     def cycle_length(self) -> int:
         return len(self.log_probs)
 
-    def log_probability_at(self, position: "SchedulePosition | int") -> float:
-        t = position.local_round if isinstance(position, SchedulePosition) else position
-        return self.log_probs[t % len(self.log_probs)]
-
     def probability_at(self, position: "SchedulePosition | int") -> float:
         t = position.local_round if isinstance(position, SchedulePosition) else position
         return self.cycle[t % len(self.log_probs)]
-
-
-def probability_at(schedule: Schedule, position: SchedulePosition | int) -> float:
-    """Probability served at a cycle position (wraps modulo cycle length)."""
-    return schedule.probability_at(position)
 
 
 def decay_schedule(delta: int) -> Schedule:

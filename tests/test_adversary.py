@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from dualradio.adversary import (CorrelatedShiftPolicy, DegreeWalkState,
                                  GapPolicy, IidSubsetPolicy, ObservableHistory,
-                                 argmin_degree, chained_gap_controller,
-                                 degree_walk_step, gap_plan, make_policy,
-                                 shift_plan)
+                                 argmin_degree, gap_plan, make_policy,
+                                 phase_cycle_probs, shift_plan, walk_degrees)
 from dualradio.engine import trial_rngs
 from dualradio.gadgets import chained_gadgets, double_star, star_gadget
 from dualradio.oracle import exact_success_prob, phase_success_sum
@@ -166,31 +165,27 @@ class TestDegreeWalk:
     def test_moves_away_from_peak(self):
         np_rng, _ = rngs()
         state = DegreeWalkState(degree=100, step_budget=10, max_degree=10 ** 6)
-        nxt = degree_walk_step(state, 0.01, np_rng)
-        assert nxt.degree in (90, 110)
+        [nxt] = walk_degrees(state, [math.log(0.01)], np_rng)
+        assert nxt in (90, 110)
         worse = min((90, 110), key=lambda d: exact_success_prob(d, 0.01))
-        assert nxt.degree == worse
+        assert nxt == worse
 
     def test_zero_budget_is_constant(self):
         np_rng, _ = rngs()
         state = DegreeWalkState(degree=5, step_budget=0, max_degree=100)
-        assert degree_walk_step(state, 0.2, np_rng).degree == 5
+        assert walk_degrees(state, [math.log(0.2)] * 3, np_rng) == [5, 5, 5]
 
     def test_deterministic_budget_respected(self):
         np_rng, _ = rngs(5)
         state = DegreeWalkState(degree=50, step_budget=7, max_degree=1000)
-        for _ in range(200):
-            nxt = degree_walk_step(state, 0.03, np_rng)
-            assert abs(nxt.degree - state.degree) <= 7
-            state = nxt
+        path = [50] + walk_degrees(state, [math.log(0.03)] * 200, np_rng)
+        assert all(abs(b - a) <= 7 for a, b in zip(path, path[1:]))
 
     def test_clamped_to_range(self):
         np_rng, _ = rngs()
         state = DegreeWalkState(degree=2, step_budget=10, max_degree=6,
                                 mode="random", restricted=True)
-        for _ in range(100):
-            state = degree_walk_step(state, 0.5, np_rng)
-            assert 1 <= state.degree <= 6
+        assert all(1 <= d <= 6 for d in walk_degrees(state, [math.log(0.5)] * 100, np_rng))
 
     def test_restricted_mean_step_budget(self):
         # sampler check: mean |change| for the unclamped random walk is ~l
@@ -198,11 +193,8 @@ class TestDegreeWalk:
         l = 5
         state = DegreeWalkState(degree=500_000, step_budget=l, max_degree=10 ** 9,
                                 mode="random", restricted=True)
-        steps = []
-        for _ in range(100_000):
-            nxt = degree_walk_step(state, 0.001, np_rng)
-            steps.append(abs(nxt.degree - state.degree))
-            state = nxt
+        path = [500_000] + walk_degrees(state, [math.log(0.001)] * 100_000, np_rng)
+        steps = [abs(b - a) for a, b in zip(path, path[1:])]
         mean = sum(steps) / len(steps)
         sigma = np.std(steps) / math.sqrt(len(steps))
         assert abs(mean - l) <= 4 * sigma
@@ -354,13 +346,19 @@ class TestChainedController:
         assert policy.section_frozen[0]
         assert policy.section_phase[0] == frozen_phase
 
-    def test_functional_view_matches_rule(self):
-        g = chained_gadgets(2 ** 8 + 1, 24)
-        sched = frlb_schedule(2 ** 8 + 1, 1)
-        plans = chained_gap_controller(g, message_front=2,
-                                       section_phases=[3, 2, 4, 1, 1, 1, 1, 1],
-                                       schedule=sched, tau=1)
-        base = gap_plan([sched.cycle[0]], g.delta)
-        # unreached sections (beyond the frontier) hold the phase-1 plan
-        for plan in plans[3:]:
-            assert plan.degree == base.degree
+    def test_sections_follow_their_own_phase(self):
+        # frontier sections take the plan of their phase; unreached ones
+        # hold the phase-1 plan
+        g = chained_gadgets(2 ** 12 + 1, 24)
+        sched = frlb_schedule(2 ** 12 + 1, 3)
+        policy = make_policy({"kind": "chained_gap", "tau": 2}, g, sched)
+        hist = ObservableHistory(sched)
+        np_rng, py_rng = rngs()
+        hist.active_from = {g.sections[0].arms[0]: 1, g.sections[1].arms[0]: 5}
+        for r in range(1, 11):
+            policy.pre_round(r, hist, np_rng, py_rng)
+        assert policy.section_phase[:3] == [5, 3, 1]
+        for phase, plan in zip(policy.section_phase, policy.section_plan):
+            assert plan == gap_plan(phase_cycle_probs(sched, 2, phase - 1), g.delta)
+        degrees = [plan.degree for plan in policy.section_plan]
+        assert degrees[:2] == [256, 16] and set(degrees[2:]) == {4096}

@@ -132,6 +132,23 @@ class TestRunCommand:
         assert main(["run", path]) == 1
         assert "trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        out = tmp_path / "t.csv"
+        path = write_config(tmp_path, base_config(out=str(out)))
+        assert main(["run", path, "--jobs", jobs]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("engine", ["materialized", "analytic_star"])
+    def test_correlated_shift_on_star_rejected(self, tmp_path, capsys, engine):
+        out = tmp_path / "t.csv"
+        path = write_config(tmp_path, base_config(
+            out=str(out), engine=engine, adversary={"kind": "correlated_shift"}))
+        assert main(["run", path]) == 1
+        assert "star gadget" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_partial_left_behind(self, tmp_path):
         out = tmp_path / "t.csv"
         path = write_config(tmp_path, base_config(out=str(out)))

@@ -6,13 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dualradio.engine import (CSV_COLUMNS, Stats, TrialConfig, aggregate,
-                              csv_header, default_max_rounds, derived_receivers,
-                              frlb_repetitions, rlb_repetitions, round_counts,
-                              run_analytic_star_trial, run_global_trial,
-                              run_local_trial, run_trial, run_trials, split_seed,
-                              trial_csv_row, trial_rngs, verify_stability,
-                              wilson_interval)
+from dualradio.engine import (CSV_COLUMNS, Stats, TrialConfig, TrialResult,
+                              aggregate, csv_header, default_max_rounds,
+                              derived_receivers, frlb_repetitions, rlb_repetitions,
+                              round_counts, run_analytic_star_trial, run_trial,
+                              run_trials, split_seed, trial_csv_row, trial_rngs,
+                              verify_stability, wilson_interval)
 from dualradio.gadgets import Gadget, chained_gadgets, double_star, star_gadget
 from dualradio.model import DualGraph, build_round_topology, transmit_counts
 from dualradio.oracle import exact_success_prob
@@ -150,6 +149,16 @@ class TestStabilityAudit:
         res = run_trial(cfg)
         verify_stability(res, None)
 
+    @pytest.mark.parametrize("changes,tau", [
+        (((1, "a"), (2, "b")), 3),
+        (((1, "a"), (4, "b")), None),
+    ])
+    def test_violation_raises(self, changes, tau):
+        res = TrialResult(completed=False, completion_round=None, first_delivery={},
+                          rounds_executed=10, seed=0, distribution_changes=changes)
+        with pytest.raises(ValueError, match="tau"):
+            verify_stability(res, tau)
+
     def test_chained_gap_audit(self):
         g = chained_gadgets(2 ** 8 + 1, 24)
         cfg = TrialConfig(problem="global", gadget=g,
@@ -159,6 +168,16 @@ class TestStabilityAudit:
         res = run_trial(cfg)
         assert res.completed
         verify_stability(res, 1)
+
+
+class TestAdversaryFit:
+    @pytest.mark.parametrize("engine", ["materialized", "analytic_star"])
+    def test_correlated_shift_needs_double_star(self, engine):
+        # on a star the receiver's potential degree is delta - 1, so the
+        # shift's degree-delta response cannot be realized
+        cfg = star_config(64, 2, engine=engine, adversary={"kind": "correlated_shift"})
+        with pytest.raises(ValueError, match="star gadget"):
+            run_trial(cfg)
 
 
 class TestGlobalTrial:

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dualradio.model import DualGraph, build_round_topology
-from dualradio.oracle import (DegreeDistribution, RoundSuccessQuery,
-                              brute_force_delivery_prob, exact_success_logprob,
+from dualradio.oracle import (brute_force_delivery_prob, exact_success_logprob,
                               exact_success_prob, interval_min_bound, log1mexp,
                               phase_success_sum, prosing_bound,
                               success_peak_degree, weierstrass_bounds)
@@ -254,36 +253,6 @@ class TestBruteForce:
         # with the unreliable edge active, two coins must not collide
         assert brute_force_delivery_prob(g, full, probs, 0) == pytest.approx(
             2 * 0.5 * 0.5, abs=1e-13)
-
-
-class TestQueryAndDistribution:
-    def test_query_delegates(self):
-        q = RoundSuccessQuery(active_neighbors=4, transmit_prob=0.25)
-        assert q.probability == exact_success_prob(4, 0.25)
-        silent = RoundSuccessQuery(4, 0.25, receiver_has_message=True)
-        assert silent.probability == exact_success_prob(4, 0.25, True)
-
-    def test_distribution_masses_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum"):
-            DegreeDistribution(((1, 0.5), (2, 0.4)))
-
-    def test_reliable_neighbor_excludes_degree_zero(self):
-        dist = DegreeDistribution(((0, 0.5), (1, 0.5)))
-        with pytest.raises(ValueError, match="degree 0"):
-            dist.require_reliable_neighbor()
-        DegreeDistribution(((1, 1.0),)).require_reliable_neighbor()
-
-    def test_bucket_masses(self):
-        # delta = 16, tau = 2: buckets (0,4] and (4,16]
-        dist = DegreeDistribution(((1, 0.25), (4, 0.25), (5, 0.25), (16, 0.25)))
-        q = dist.bucket_masses(16, 2)
-        assert q == pytest.approx([0.5, 0.5])
-        assert math.fsum(q) == pytest.approx(1.0)
-
-    def test_mixture_success(self):
-        dist = DegreeDistribution(((1, 0.5), (3, 0.5)))
-        expected = 0.5 * exact_success_prob(1, 0.25) + 0.5 * exact_success_prob(3, 0.25)
-        assert dist.success_probability(0.25) == pytest.approx(expected, rel=1e-12)
 
 
 class TestLogHelpers:

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from dualradio.schedules import (Schedule, SchedulePosition, build_schedule,
                                  ceil_log2, decay_schedule, format_probability,
-                                 frlb_schedule, log2e_of, probability_at,
+                                 frlb_schedule, log2e_of,
                                  rlb_schedule, rlbc_schedule, schedule_csv)
 
 LN_2E = math.log(2 * math.e)
@@ -126,13 +126,13 @@ class TestRlbc:
 class TestPositions:
     def test_probability_at_wraps(self):
         s = rlb_schedule(16, 4)
-        assert probability_at(s, SchedulePosition(0)) == pytest.approx(0.5)
-        assert probability_at(s, SchedulePosition(4)) == pytest.approx(0.5)
-        assert probability_at(s, SchedulePosition(6)) == pytest.approx(0.125)
+        assert s.probability_at(SchedulePosition(0)) == pytest.approx(0.5)
+        assert s.probability_at(SchedulePosition(4)) == pytest.approx(0.5)
+        assert s.probability_at(SchedulePosition(6)) == pytest.approx(0.125)
 
     def test_plain_int_positions(self):
         s = decay_schedule(8)
-        assert probability_at(s, 5) == s.cycle[2]
+        assert s.probability_at(5) == s.cycle[2]
 
     def test_negative_position_rejected(self):
         with pytest.raises(ValueError):
