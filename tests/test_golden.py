@@ -42,6 +42,9 @@ def _configs():
     huge = build_gadget("star", 2 ** 200)
     chain10 = chained_gadgets(10, 24)
     chain257 = chained_gadgets(2 ** 8 + 1, 24)
+    path8 = _custom(8, [(i, i + 1) for i in range(7)], [])
+    mesh = _custom(10, [(i, i + 1) for i in range(9)],
+                   [(i, i + 2) for i in range(8)] + [(0, 9), (2, 7)])
 
     def local(gadget, schedule, adversary, max_rounds, engine, **kw):
         return TrialConfig(problem="local", gadget=gadget, schedule=schedule,
@@ -125,6 +128,19 @@ def _configs():
                         {"kind": "static", "tau": 1}, 500, rgb_reps=200), 200),
         "g-budget-exhausted": (glob(_custom(3, [(0, 1)], [(1, 2)]), frlb_schedule(2, 1),
                                     {"kind": "static", "tau": 1}, 10 ** 6, rgb_reps=5), 20),
+        # transmitter-window event boundaries: at cycle length 1 relays start
+        # on every even round; tiny budgets make expiries and activations
+        # share rounds, and most runs stop once no activation is pending
+        "g-path-k1": (glob(path8, rlb_schedule(2, 1),
+                           {"kind": "static", "tau": 1}, 2000, rgb_reps=3), 200),
+        "g-path-k1-reps1": (glob(path8, rlb_schedule(2, 1),
+                                 {"kind": "static", "tau": 1}, 2000, rgb_reps=1), 200),
+        "g-mesh-small-reps": (glob(mesh, rlb_schedule(4, 2),
+                                   {"kind": "iid_subset", "tau": 2, "edge_prob": 0.5},
+                                   5000, rgb_reps=2), 200),
+        "g-chained-small-reps": (glob(chain10, frlb_schedule(10, 4),
+                                      {"kind": "iid_subset", "tau": 4}, 50_000,
+                                      rgb_reps=3), 100),
     }
 
 
@@ -166,6 +182,10 @@ GOLDEN = {
     'g-chained-gap': '73d70937c93e2f378b3164928d062c8fb708adcb70fb0056660805224027f6ad',
     'g-line': '224d597f92c4799b5949ea74230999874a064b13596cee2d1a150711cfda7af3',
     'g-budget-exhausted': '766792e811536def5fd8e733ce1aaf7d7867a9eacbcf20c8b645cd7cf07e526e',
+    'g-path-k1': 'ffb987e143fd847a04e8f49474763a2f7ccf57dc1e80b83499566b2566bd8294',
+    'g-path-k1-reps1': '96de54510c3e6932a9c03cf570b81b0f98b3574ec2ddb1745bb87a49d599ccf6',
+    'g-mesh-small-reps': '2d8a87ec72f334d22f1ca242aba12ecd0cc19b4ab9cc11829ecb7fdb49a4d94e',
+    'g-chained-small-reps': 'f404ebfdf442072d5d9d9af67bcb434bcb90eca541c01c7bf5da10a80c16e201',
 }
 
 CONFIGS = _configs()
