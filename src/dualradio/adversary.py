@@ -8,7 +8,8 @@ they draw from at most once every `tau` rounds; policies declared
 independent per-round draws.  Every distribution-identity change is
 appended to `change_log` so the engine can audit the stability contract.
 The degree walk has one step rule, `walk_degrees`, which both engines'
-calls (`sample_edges` and `degrees`) go through.
+calls (`sample_edges` and `degrees`) go through, and every random edge
+subset comes from `uniform_subsets`, one generator call per round.
 
 Policies see only public information: the schedule, past transmission and
 delivery outcomes (ObservableHistory).  Node coin flips are structurally
@@ -17,9 +18,10 @@ unreachable, and adversary randomness comes from its own rng substreams.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,21 +68,74 @@ class GapPhasePlan:
     hypothesis_ok: bool
 
 
-def _uniform_subset(np_rng, m: int, size: int) -> np.ndarray:
-    """Uniform size-subset of range(m) without replacement (Floyd's partial
-    shuffle; one vectorized draw plus a small insertion loop)."""
-    if size < 0 or size > m:
-        raise ValueError(f"cannot pick {size} of {m}")
-    if size == 0:
-        return np.empty(0, dtype=np.int64)
-    if size == m:
-        return np.arange(m, dtype=np.int64)
-    us = np_rng.random(size)
-    chosen: set[int] = set()
-    for j, u in zip(range(m - size, m), us):
-        t = int(u * (j + 1))
-        chosen.add(j if t in chosen else t)
-    return np.fromiter(chosen, dtype=np.int64, count=size)
+class _FloydLayout(NamedTuple):
+    """Where each subset of one `uniform_subsets` call sits in its draw."""
+
+    total: int            # uniforms drawn
+    span: np.ndarray      # j + 1 for each uniform, as a float
+    base: np.ndarray      # offset of each uniform's pool among the concatenated pools
+    owner: np.ndarray     # index into `drawn` of each uniform's subset
+    drawn: tuple[tuple[int, int, int, int], ...]  # (first uniform, pool offset, m, k)
+    whole: np.ndarray     # positions of the pools taken whole
+
+
+@functools.lru_cache(maxsize=256)
+def _floyd_layout(sizes: tuple[int, ...], picks: tuple[int, ...]) -> _FloydLayout:
+    span, base, owner, drawn, whole = [], [], [], [], []
+    offset = first = 0
+    for m, k in zip(sizes, picks):
+        if not 0 <= k <= m:
+            raise ValueError(f"cannot pick {k} of {m}")
+        if k == m:
+            whole.append(np.arange(offset, offset + m, dtype=np.int64))
+        elif k:
+            span.append(np.arange(m - k + 1, m + 1, dtype=np.float64))
+            base.append(np.full(k, offset, dtype=np.int64))
+            owner.append(np.full(k, len(drawn), dtype=np.int64))
+            drawn.append((first, offset, m, k))
+            first += k
+        offset += m
+
+    def frozen(parts, dtype):
+        arr = np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+        arr.flags.writeable = False  # shared by every call with this layout
+        return arr
+
+    return _FloydLayout(first, frozen(span, np.float64), frozen(base, np.int64),
+                        frozen(owner, np.int64), tuple(drawn), frozen(whole, np.int64))
+
+
+def uniform_subsets(np_rng, sizes: Sequence[int], picks: Sequence[int]) -> np.ndarray:
+    """Uniform picks[i]-subsets of range(sizes[i]) without replacement, for
+    every i, as positions into the concatenated pools (pool i starts at
+    sum(sizes[:i])).  The order of the positions carries no meaning.
+
+    Floyd's algorithm picks k of m with one uniform u_j per j = m-k..m-1:
+    it takes t_j = floor(u_j (j+1)), or j itself when t_j is already taken.
+    Every subset's uniforms come from one `random(total)` call, which
+    consumes the stream exactly as one `random(k)` call per subset, in
+    order, would.  A subset whose t's are distinct took them all; only a
+    subset whose t's collide replays the insertion loop on its own
+    uniforms.  A subset with k == m is its whole pool and draws nothing.
+    """
+    layout = _floyd_layout(tuple(sizes), tuple(picks))
+    if not layout.total:
+        return layout.whole
+    u = np_rng.random(layout.total)
+    keys = (u * layout.span).astype(np.int64)
+    keys += layout.base
+    taken = np.bincount(keys)
+    if taken.max() > 1:
+        for s in set(layout.owner[taken[keys] > 1].tolist()):
+            first, offset, m, k = layout.drawn[s]
+            chosen: set[int] = set()
+            for j, x in zip(range(m - k, m), u[first:first + k].tolist()):
+                t = int(x * (j + 1))
+                chosen.add(j if t in chosen else t)
+            keys[first:first + k] = np.fromiter(chosen, dtype=np.int64, count=k) + offset
+    if len(layout.whole):
+        return np.concatenate((keys, layout.whole))
+    return keys
 
 
 def _circular_runs(occupied: set[int], n_bins: int) -> list[tuple[int, int]]:
@@ -471,13 +526,17 @@ class IidSubsetPolicy(AdversaryPolicy):
         else:
             qs = np.array([self._q_by_block[b] for b in range(b0, b1 + 1)])
             start_b = b0 if self._block is None or self._block < b0 else self._block + 1
-            self.change_log.extend(
-                (b * tau + 1, ("iid", self._q_by_block[b])) for b in range(start_b, b1 + 1))
+            for b in range(start_b, b1 + 1):
+                self._record(b * tau + 1, ("iid", self._q_by_block[b]))
             self._block = b1
             self._q = self._q_by_block[b1]
-            self._fingerprint = ("iid", self._q)
         blocks = (np.arange(start_round - 1, start_round - 1 + count) // tau) - b0
         return 1.0 + np_rng.binomial(m, qs[blocks])
+
+
+def _receiver_subset(np_rng, receiver_edges: np.ndarray, degree: int) -> np.ndarray:
+    """A uniform (degree - 1)-subset of the receiver's unreliable edges."""
+    return receiver_edges[uniform_subsets(np_rng, (len(receiver_edges),), (degree - 1,))]
 
 
 def phase_cycle_probs(schedule: Schedule, tau: int, phase: int) -> list[float]:
@@ -520,13 +579,7 @@ class _PhasePlanPolicy(AdversaryPolicy):
         return ("fixed-degree", self.degree)
 
     def sample_edges(self, round_index, history, np_rng, py_rng):
-        extra = self.degree - 1
-        if extra <= 0:
-            return np.empty(0, dtype=np.int64)
-        if extra > len(self.receiver_edge_indices):
-            raise ValueError("degree exceeds the receiver's unreliable arms")
-        pick = _uniform_subset(np_rng, len(self.receiver_edge_indices), extra)
-        return self.receiver_edge_indices[pick]
+        return _receiver_subset(np_rng, self.receiver_edge_indices, self.degree)
 
     def degrees(self, start_round, count, history, np_rng, py_rng):
         b0 = (start_round - 1) // self.tau
@@ -581,11 +634,8 @@ class CorrelatedShiftPolicy(AdversaryPolicy):
         return ("shift", self.plan.shift)
 
     def sample_edges(self, round_index, history, np_rng, py_rng):
-        extra = self.plan.degree_at(round_index) - 1
-        if extra <= 0:
-            return np.empty(0, dtype=np.int64)
-        pick = _uniform_subset(np_rng, len(self.receiver_edge_indices), extra)
-        return self.receiver_edge_indices[pick]
+        return _receiver_subset(np_rng, self.receiver_edge_indices,
+                                self.plan.degree_at(round_index))
 
     def degrees(self, start_round, count, history, np_rng, py_rng):
         self.pre_round(start_round, history, np_rng, py_rng)
@@ -630,11 +680,7 @@ class DegreeWalkPolicy(AdversaryPolicy):
 
     def sample_edges(self, round_index, history, np_rng, py_rng):
         self._walk_to(round_index, np_rng)
-        extra = self.state.degree - 1
-        if extra <= 0:
-            return np.empty(0, dtype=np.int64)
-        pick = _uniform_subset(np_rng, len(self.receiver_edge_indices), extra)
-        return self.receiver_edge_indices[pick]
+        return _receiver_subset(np_rng, self.receiver_edge_indices, self.state.degree)
 
     def degrees(self, start_round, count, history, np_rng, py_rng):
         self.pre_round(start_round, history, np_rng, py_rng)
@@ -649,13 +695,15 @@ class DegreeWalkPolicy(AdversaryPolicy):
 
 
 class ChainedGapPolicy(AdversaryPolicy):
-    """Per-gadget gap plans for the chained graph.
+    """Per-gadget gap degrees for the chained graph.
 
-    Gadgets the message has not reached hold their first-phase plan; the
-    frontier gadget advances to the next plan only after its relay arms
-    have transmitted a full phase of probabilities; a gadget whose local
-    receiver has the message keeps its final plan forever.  Advancement is
-    therefore never faster than once per tau rounds.
+    Gadgets the message has not reached hold their first-phase degree; the
+    frontier gadget advances to the next phase's degree only after its
+    relay arms have transmitted a full phase of probabilities; a gadget
+    whose local receiver has the message keeps its final degree forever.
+    Advancement is therefore never faster than once per tau rounds.  Each
+    round draws a fresh uniform subset of every gadget's unreliable arms,
+    all from one generator call.
     """
 
     kind = "chained_gap"
@@ -665,31 +713,25 @@ class ChainedGapPolicy(AdversaryPolicy):
         super().__init__(tau)
         if gadget.kind != "chained":
             raise ValueError("chained_gap needs a chained gadget")
-        self.schedule = schedule
         self.gadget = gadget
-        self.strict = strict
-        self._plan_cache: dict[int, GapPhasePlan] = {}
-        first = self._plan_for_phase(1)
-        self.section_phase = [1] * len(gadget.sections)
-        self.section_plan = [first] * len(gadget.sections)
-        self.section_frozen = [False] * len(gadget.sections)
-        self._section_edge_arrays = [np.asarray(s.unreliable_indices, dtype=np.int64)
-                                     for s in gadget.sections]
-
-    def _plan_for_phase(self, phase: int) -> GapPhasePlan:
-        plan = self._plan_cache.get(phase)
-        if plan is None:
-            plan = gap_plan(phase_cycle_probs(self.schedule, self.tau, phase - 1),
-                            self.gadget.delta, strict=self.strict)
-            self._plan_cache[phase] = plan
-        return plan
+        # one section's degree per phase is the single-receiver gap rule
+        self._gap = GapPolicy(tau, schedule, gadget.delta, (), strict=strict)
+        count = len(gadget.sections)
+        self.section_phase = [1] * count
+        self.section_degree = [self._gap._degree_for_block(0)] * count
+        self.section_frozen = [False] * count
+        self._edges = np.array([e for s in gadget.sections for e in s.unreliable_indices],
+                               dtype=np.int64)
+        self._sizes = tuple(len(s.unreliable_indices) for s in gadget.sections)
+        self._picks = tuple(d - 1 for d in self.section_degree)
 
     def pre_round(self, round_index, history, np_rng, py_rng):
+        changed = self._fingerprint is None
         for i, section in enumerate(self.gadget.sections):
             if self.section_frozen[i]:
                 continue
             if section.receiver in history.first_delivery:
-                self.section_frozen[i] = True
+                self.section_frozen[i] = changed = True
                 continue
             start = history.active_from.get(section.arms[0])
             if start is None or round_index <= start:
@@ -697,22 +739,15 @@ class ChainedGapPolicy(AdversaryPolicy):
             phase = 1 + (round_index - start) // self.tau
             if phase != self.section_phase[i]:
                 self.section_phase[i] = phase
-                self.section_plan[i] = self._plan_for_phase(phase)
-        fp = tuple((self.section_plan[i].degree, self.section_frozen[i])
-                   for i in range(len(self.gadget.sections)))
-        self._record(round_index, ("chained", fp))
+                self.section_degree[i] = self._gap._degree_for_block(phase - 1)
+                changed = True
+        if changed:
+            self._picks = tuple(d - 1 for d in self.section_degree)
+            self._record(round_index, ("chained", tuple(zip(self.section_degree,
+                                                            self.section_frozen))))
 
     def sample_edges(self, round_index, history, np_rng, py_rng):
-        picks = []
-        for i, arr in enumerate(self._section_edge_arrays):
-            extra = self.section_plan[i].degree - 1
-            if extra <= 0:
-                continue
-            sel = _uniform_subset(np_rng, len(arr), extra)
-            picks.append(arr[sel])
-        if not picks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(picks)
+        return self._edges[uniform_subsets(np_rng, self._sizes, self._picks)]
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +765,17 @@ def make_policy(spec: dict, gadget: Gadget, schedule: Schedule) -> AdversaryPoli
         recv_edges = graph.unreliable_incident(recv)
 
     if kind == "static":
-        return StaticPolicy(tau=tau, edge_indices=spec.get("edges", ()),
+        edges = list(spec.get("edges", ()))
+        n_unreliable = len(graph.unreliable_edges)
+        bad = [e for e in edges
+               if not isinstance(e, (int, np.integer)) or not 0 <= e < n_unreliable]
+        if bad:
+            raise ValueError(f"static edges {bad} are not unreliable edge indices "
+                             f"0..{n_unreliable - 1} of the {gadget.kind} gadget")
+        repeated = sorted({e for e in edges if edges.count(e) > 1})
+        if repeated:
+            raise ValueError(f"static edges {repeated} are listed more than once")
+        return StaticPolicy(tau=tau, edge_indices=edges,
                             extra_degree=spec.get("extra_degree", 0))
     if kind == "iid_subset":
         if gadget.meta.get("virtual"):
@@ -742,6 +787,10 @@ def make_policy(spec: dict, gadget: Gadget, schedule: Schedule) -> AdversaryPoli
             edge_prob=spec.get("edge_prob"),
             n_unreliable=len(graph.unreliable_edges),
             receiver_unreliable=recv_unrel)
+    if kind in ("gap", "argmin", "degree_walk_deterministic", "degree_walk_restricted") \
+            and recv is None:
+        raise ValueError(f"{kind} acts on a designated receiver's unreliable arms; "
+                         f"a {gadget.kind} gadget has no designated receiver")
     if kind == "gap":
         return GapPolicy(tau=tau, schedule=schedule, delta=gadget.delta,
                          receiver_edge_indices=recv_edges,
@@ -762,10 +811,8 @@ def make_policy(spec: dict, gadget: Gadget, schedule: Schedule) -> AdversaryPoli
         if max_degree is None:
             if gadget.meta.get("virtual"):
                 max_degree = gadget.delta - 1  # receiver's potential star degree
-            elif recv is not None:
-                max_degree = len(recv_edges) + 1
             else:
-                max_degree = gadget.delta
+                max_degree = len(recv_edges) + 1
         return DegreeWalkPolicy(
             tau=tau, schedule=schedule,
             step_budget=spec["l"], max_degree=max_degree,

@@ -3,11 +3,17 @@
 Two engines share one contract.  The materialized engine simulates every
 node and edge of the dual graph in one round loop for both problems: local
 and global broadcast differ only in who starts transmitting, for how long,
-who must be reached, and whether a reached node relays.  The analytic
-engine exploits the star gadgets' structure and tracks only the designated
-receiver's effective degree, sampling its per-round success from the
-closed-form probability (in log space, so degree bounds given as log2
-values keep working).
+who must be reached, and whether a reached node relays.  It counts
+collisions from per-node neighbor lists cached on the graph: each node
+lists its reliable and unreliable neighbors with the unreliable edge each
+goes through, and a round's counts are one `bincount` over the
+transmitters' lists, keeping an unreliable neighbor only when the adversary
+activated that edge this round.  The set of nodes that may transmit is
+recomputed only in rounds where some node starts or exhausts its budget.
+The analytic engine exploits the star gadgets' structure and tracks only
+the designated receiver's effective degree, sampling its per-round success
+from the closed-form probability (in log space, so degree bounds given as
+log2 values keep working).
 
 Randomness: each trial t uses seed `config.seed + t`.  Inside a trial,
 streams are derived by `split_seed` (SHA-256 over the labeled seed), with
@@ -32,6 +38,7 @@ from .oracle import exact_success_logprob, log_one_minus_p
 from .schedules import Schedule, ceil_log2, log2e_of
 
 _CHUNK = 4096
+_NEVER = np.iinfo(np.int64).max  # activation round of a node never reached
 
 
 def split_seed(root: int, *labels) -> int:
@@ -158,71 +165,41 @@ def default_max_rounds(problem: str, schedule: Schedule, delta: int, tau: int,
 # materialized engine
 
 
-class _FlatAdj:
-    """CSR-style reliable adjacency for vectorized neighbor counting."""
-
-    def __init__(self, graph: DualGraph):
-        n = graph.node_count
-        self.n = n
-        lens = np.array([len(graph.reliable_neighbors(v)) for v in range(n)],
-                        dtype=np.int64)
-        self.ptr = np.concatenate(([0], np.cumsum(lens)))
-        self.idx = np.array(
-            [w for v in range(n) for w in graph.reliable_neighbors(v)],
-            dtype=np.int64) if lens.sum() else np.empty(0, dtype=np.int64)
-
-    def counts(self, tx: np.ndarray) -> np.ndarray:
-        """Per node, how many of its reliable neighbors are in tx."""
-        if len(tx) == 0:
-            return np.zeros(self.n, dtype=np.int64)
-        starts = self.ptr[tx]
-        lens = self.ptr[tx + 1] - starts
-        total = int(lens.sum())
-        if total == 0:
-            return np.zeros(self.n, dtype=np.int64)
-        cum = np.concatenate(([0], np.cumsum(lens)))
-        pos = np.arange(total) - np.repeat(cum[:-1], lens) + np.repeat(starts, lens)
-        return np.bincount(self.idx[pos], minlength=self.n)
-
-
-def _flat_adj(graph: DualGraph) -> _FlatAdj:
-    adj = graph.__dict__.get("_flat_adj_cache")
-    if adj is None:
-        adj = _FlatAdj(graph)
-        graph.__dict__["_flat_adj_cache"] = adj
-    return adj
-
-
-def _unreliable_endpoint_arrays(graph: DualGraph):
-    arrays = graph.__dict__.get("_unreliable_arrays_cache")
-    if arrays is None:
-        if graph.unreliable_edges:
-            arr = np.array(graph.unreliable_edges, dtype=np.int64)
-            arrays = (np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1]))
-        else:
-            arrays = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        graph.__dict__["_unreliable_arrays_cache"] = arrays
-    return arrays
+def _neighbor_pairs(graph: DualGraph) -> list[np.ndarray]:
+    """Per node v, a 2-row array: v's neighbors in the potential graph and,
+    for each, the unreliable edge it goes through, or the extra slot
+    len(graph.unreliable_edges) for a reliable neighbor.  Cached on the graph."""
+    pairs = graph.__dict__.get("_neighbor_pairs_cache")
+    if pairs is None:
+        m = len(graph.unreliable_edges)
+        rel = np.array(sorted(graph.reliable_edges), dtype=np.int64).reshape(-1, 2)
+        unr = np.array(graph.unreliable_edges, dtype=np.int64).reshape(-1, 2)
+        ends = np.concatenate((rel, rel[:, ::-1], unr, unr[:, ::-1]))
+        through = np.concatenate((np.full(2 * len(rel), m, dtype=np.int64),
+                                  np.arange(m, dtype=np.int64),
+                                  np.arange(m, dtype=np.int64)))
+        order = np.argsort(ends[:, 0], kind="stable")
+        table = np.stack((ends[order, 1], through[order]))
+        bounds = np.cumsum(np.bincount(ends[:, 0], minlength=graph.node_count)).tolist()
+        pairs = [table[:, a:b] for a, b in zip([0] + bounds, bounds)]
+        graph.__dict__["_neighbor_pairs_cache"] = pairs
+    return pairs
 
 
 def round_counts(graph: DualGraph, extra_edge_indices: np.ndarray,
                  transmitters: np.ndarray) -> np.ndarray:
     """Transmitting active-topology neighbors per node (reliable edges plus
-    the chosen unreliable ones).  Mirrors model.deliver's counting rule."""
-    counts = _flat_adj(graph).counts(transmitters)
-    if len(extra_edge_indices):
-        ua, ub = _unreliable_endpoint_arrays(graph)
-        a = ua[extra_edge_indices]
-        b = ub[extra_edge_indices]
-        txf = np.zeros(graph.node_count, dtype=bool)
-        txf[transmitters] = True
-        heard_a = a[txf[b]]
-        heard_b = b[txf[a]]
-        if len(heard_a):
-            counts += np.bincount(heard_a, minlength=graph.node_count)
-        if len(heard_b):
-            counts += np.bincount(heard_b, minlength=graph.node_count)
-    return counts
+    the chosen unreliable ones, each counted once however often it is
+    named).  Mirrors model.deliver's counting rule."""
+    tx = transmitters.tolist()
+    if not tx:
+        return np.zeros(graph.node_count, dtype=np.int64)
+    pairs = _neighbor_pairs(graph)
+    active = np.zeros(len(graph.unreliable_edges) + 1, dtype=bool)
+    active[-1] = True
+    active[extra_edge_indices] = True
+    heard, through = np.concatenate([pairs[v] for v in tx], axis=1)
+    return np.bincount(heard[active[through]], minlength=graph.node_count)
 
 
 def derived_receivers(gadget: Gadget) -> tuple[int, ...]:
@@ -232,6 +209,16 @@ def derived_receivers(gadget: Gadget) -> tuple[int, ...]:
     for b in gadget.broadcasters:
         out.update(graph.reliable_neighbors(b))
     return tuple(sorted(out))
+
+
+def _transmitter_window(act: np.ndarray, r: int, budget: int):
+    """(nodes that transmit in round r, in order; the next round after r in
+    which that set changes, or _NEVER if it never does)."""
+    cand = np.flatnonzero((act < r) & (act >= r - budget))
+    later = act[(act >= r) & (act != _NEVER)]
+    starts = int(later.min()) + 1 if len(later) else _NEVER
+    ends = int(act[cand].min()) + budget + 1 if len(cand) else _NEVER
+    return cand, min(starts, ends)
 
 
 def run_materialized_trial(config: TrialConfig) -> TrialResult:
@@ -273,45 +260,55 @@ def run_materialized_trial(config: TrialConfig) -> TrialResult:
     np_nodes, np_adv, py_adv = trial_rngs(config.seed)
 
     # node v transmits in rounds act[v] < r <= act[v] + budget
-    never = np.iinfo(np.int64).max
-    act = np.full(n, never, dtype=np.int64)
+    act = np.full(n, _NEVER, dtype=np.int64)
     act[starters] = 0
-    pending = np.array(targets, dtype=np.int64)
+    waiting = np.zeros(n, dtype=bool)
+    waiting[list(targets)] = True
+    left = int(waiting.sum())
 
     history = ObservableHistory(schedule, active_from={int(v): 1 for v in starters})
     policy = make_policy(config.adversary, gadget, schedule)
     cycle = np.exp(np.array(schedule.log_probs))
     first_delivery = history.first_delivery
 
+    # The transmitter window `cand` changes only in a round where some
+    # node starts (act[v] + 1) or runs out of budget (act[v] + budget + 1),
+    # so it is recomputed only then; `next_event` is the next such round.
     completion = None
+    cand = np.empty(0, dtype=np.int64)
+    next_event = 1
     r = 0
     for r in range(1, config.max_rounds + 1):
         history.round = r
         policy.pre_round(r, history, np_adv, py_adv)
         extra = policy.sample_edges(r, history, np_adv, py_adv)
-        cand = np.flatnonzero((act < r) & (act >= r - budget))
+        if r >= next_event:
+            cand, next_event = _transmitter_window(act, r, budget)
         if len(cand) == 0:
             # no transmitter now; stop when no activation is pending either
             # (every node is unreached forever or past its budget)
-            if ((act == never) | (act < r - budget)).all():
+            if next_event == _NEVER:
                 break
             continue
         p = cycle[(r - 1) % k]
         tx = cand[np_nodes.random(len(cand)) < p]
+        if len(tx) == 0:
+            continue
         counts = round_counts(graph, extra, tx)
         counts[tx] = 0  # half duplex: a transmitter hears nothing
-        heard = counts[pending] == 1
-        if heard.any():
-            newly = pending[heard]
-            pending = pending[~heard]
-            for v in newly:
-                first_delivery[int(v)] = r
+        newly = np.flatnonzero((counts == 1) & waiting)
+        if len(newly):
+            waiting[newly] = False
+            left -= len(newly)
+            for v in newly.tolist():
+                first_delivery[v] = r
             if relay:
                 activation = align * math.ceil(r / align)
                 act[newly] = activation
-                for v in newly:
-                    history.active_from[int(v)] = activation + 1
-            if len(pending) == 0:
+                for v in newly.tolist():
+                    history.active_from[v] = activation + 1
+                next_event = min(next_event, activation + 1)
+            if left == 0:
                 completion = r
                 break
 

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from dualradio.adversary import (CorrelatedShiftPolicy, DegreeWalkState,
                                  GapPolicy, IidSubsetPolicy, ObservableHistory,
                                  argmin_degree, gap_plan, make_policy,
-                                 phase_cycle_probs, shift_plan, walk_degrees)
+                                 phase_cycle_probs, shift_plan, uniform_subsets,
+                                 walk_degrees)
 from dualradio.engine import trial_rngs
 from dualradio.gadgets import chained_gadgets, double_star, star_gadget
 from dualradio.oracle import exact_success_prob, phase_success_sum
@@ -201,6 +202,24 @@ class TestDegreeWalk:
 
 
 class TestPolicies:
+    @pytest.mark.parametrize("edges, message", [
+        ([3, 3], r"\[3\] are listed more than once"),
+        ([-1], r"\[-1\] are not unreliable edge indices 0\.\.5"),
+        ([0, 6], r"\[6\] are not unreliable edge indices 0\.\.5"),
+        ([1.5], r"\[1\.5\] are not unreliable edge indices 0\.\.5"),
+    ])
+    def test_static_rejects_bad_edges(self, edges, message):
+        g = star_gadget(8, 10)  # six unreliable arms
+        with pytest.raises(ValueError, match=message):
+            make_policy({"kind": "static", "tau": 3, "edges": edges}, g, rlb_schedule(8, 3))
+
+    @pytest.mark.parametrize("kind", ["gap", "argmin", "degree_walk_deterministic",
+                                      "degree_walk_restricted"])
+    def test_receiver_kinds_rejected_on_chained_gadget(self, kind):
+        g = chained_gadgets(2 ** 8 + 1, 24)
+        with pytest.raises(ValueError, match="chained gadget has no designated receiver"):
+            make_policy({"kind": kind, "tau": 1, "l": 2}, g, frlb_schedule(2 ** 8 + 1, 1))
+
     def test_static_empty_keeps_reliable_graph(self):
         g = star_gadget(8, 10)
         sched = rlb_schedule(8, 3)
@@ -299,6 +318,51 @@ class TestPolicies:
         assert len(whole) == len(parts)
 
 
+def floyd_subset(np_rng, m, k):
+    """Reference: Floyd's algorithm for one subset, one uniform per step."""
+    if k == m:
+        return set(range(m))
+    chosen = set()
+    for j, u in zip(range(m - k, m), np_rng.random(k)):
+        t = int(u * (j + 1))
+        chosen.add(j if t in chosen else t)
+    return chosen
+
+
+subset_specs = st.lists(
+    st.one_of(
+        st.integers(1, 400).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
+        # k close to m: t's collide for certain
+        st.integers(2, 60).flatmap(
+            lambda m: st.tuples(st.just(m), st.integers(max(0, m - 3), m))),
+        st.tuples(st.integers(1, 4), st.integers(0, 1)),
+    ),
+    min_size=1, max_size=40)
+
+
+class TestUniformSubsets:
+    @settings(max_examples=300, deadline=None)
+    @given(subset_specs, st.integers(0, 2 ** 32))
+    def test_matches_sequential_floyd(self, specs, seed):
+        sizes = [m for m, _ in specs]
+        picks = [k for _, k in specs]
+        batched = np.random.Generator(np.random.PCG64(seed))
+        sequential = np.random.Generator(np.random.PCG64(seed))
+        got = uniform_subsets(batched, sizes, picks).tolist()
+        assert len(got) == len(set(got)) == sum(picks)
+        offset = 0
+        for m, k in specs:
+            mine = {p - offset for p in got if offset <= p < offset + m}
+            assert mine == floyd_subset(sequential, m, k)
+            offset += m
+        assert batched.bit_generator.state == sequential.bit_generator.state
+
+    def test_more_than_the_pool_raises(self):
+        np_rng = np.random.Generator(np.random.PCG64(0))
+        with pytest.raises(ValueError, match="cannot pick 6 of 5"):
+            uniform_subsets(np_rng, (3, 5), (1, 6))
+
+
 class TestChainedController:
     @staticmethod
     def setup_policy(tau=1, delta=2 ** 8 + 1):
@@ -313,8 +377,8 @@ class TestChainedController:
         np_rng, py_rng = rngs()
         policy.pre_round(1, hist, np_rng, py_rng)
         assert policy.section_phase == [1] * 8
-        first = policy.section_plan[0]
-        assert all(p is first for p in policy.section_plan)
+        first = gap_plan(phase_cycle_probs(sched, 1, 0), g.delta).degree
+        assert policy.section_degree == [first] * 8
 
     def test_frontier_advances_once_per_tau(self):
         tau = 2
@@ -347,8 +411,8 @@ class TestChainedController:
         assert policy.section_phase[0] == frozen_phase
 
     def test_sections_follow_their_own_phase(self):
-        # frontier sections take the plan of their phase; unreached ones
-        # hold the phase-1 plan
+        # frontier sections take the degree of their phase; unreached ones
+        # hold the phase-1 degree
         g = chained_gadgets(2 ** 12 + 1, 24)
         sched = frlb_schedule(2 ** 12 + 1, 3)
         policy = make_policy({"kind": "chained_gap", "tau": 2}, g, sched)
@@ -358,7 +422,7 @@ class TestChainedController:
         for r in range(1, 11):
             policy.pre_round(r, hist, np_rng, py_rng)
         assert policy.section_phase[:3] == [5, 3, 1]
-        for phase, plan in zip(policy.section_phase, policy.section_plan):
-            assert plan == gap_plan(phase_cycle_probs(sched, 2, phase - 1), g.delta)
-        degrees = [plan.degree for plan in policy.section_plan]
+        for phase, degree in zip(policy.section_phase, policy.section_degree):
+            assert degree == gap_plan(phase_cycle_probs(sched, 2, phase - 1), g.delta).degree
+        degrees = policy.section_degree
         assert degrees[:2] == [256, 16] and set(degrees[2:]) == {4096}

@@ -149,6 +149,30 @@ class TestRunCommand:
         assert "star gadget" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("adversary, message", [
+        ({"kind": "static", "edges": [3, 3]}, "listed more than once"),
+        ({"kind": "static", "edges": [-1]}, "not unreliable edge indices"),
+    ])
+    def test_bad_static_edges_rejected(self, tmp_path, capsys, adversary, message):
+        out = tmp_path / "t.csv"
+        path = write_config(tmp_path, base_config(
+            out=str(out), engine="materialized", gadget={"kind": "star", "delta": 16},
+            adversary=adversary))
+        assert main(["run", path]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("problem", ["local", "global"])
+    def test_receiver_kind_on_chained_gadget_rejected(self, tmp_path, capsys, problem):
+        out = tmp_path / "t.csv"
+        path = write_config(tmp_path, base_config(
+            out=str(out), problem=problem, engine="materialized", algo="frlb", tau=1,
+            gadget={"kind": "chained", "delta": 257, "diameter": 24},
+            adversary={"kind": "gap"}))
+        assert main(["run", path]) == 1
+        assert "chained gadget has no designated receiver" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_partial_left_behind(self, tmp_path):
         out = tmp_path / "t.csv"
         path = write_config(tmp_path, base_config(out=str(out)))

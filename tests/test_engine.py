@@ -6,12 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dualradio.engine import (CSV_COLUMNS, Stats, TrialConfig, TrialResult,
-                              aggregate, csv_header, default_max_rounds,
-                              derived_receivers, frlb_repetitions, rlb_repetitions,
-                              round_counts, run_analytic_star_trial, run_trial,
-                              run_trials, split_seed, trial_csv_row, trial_rngs,
-                              verify_stability, wilson_interval)
+from dualradio.engine import (_NEVER, CSV_COLUMNS, Stats, TrialConfig, TrialResult,
+                              _transmitter_window, aggregate, csv_header,
+                              default_max_rounds, derived_receivers, frlb_repetitions,
+                              rlb_repetitions, round_counts, run_analytic_star_trial,
+                              run_trial, run_trials, split_seed, trial_csv_row,
+                              trial_rngs, verify_stability, wilson_interval)
 from dualradio.gadgets import Gadget, chained_gadgets, double_star, star_gadget
 from dualradio.model import DualGraph, build_round_topology, transmit_counts
 from dualradio.oracle import exact_success_prob
@@ -206,6 +206,20 @@ class TestGlobalTrial:
         for node, round_ in res.first_delivery.items():
             assert round_ >= 1
 
+    @pytest.mark.parametrize("problem, engine, message", [
+        ("global", "materialized", "chained gadget has no designated receiver"),
+        ("local", "materialized", "chained gadget has no designated receiver"),
+        ("local", "analytic_star", "analytic engine needs a star or double-star gadget"),
+    ])
+    @pytest.mark.parametrize("kind", ["gap", "argmin", "degree_walk_restricted"])
+    def test_receiver_kinds_rejected_on_chained_gadget(self, problem, engine, message, kind):
+        g = chained_gadgets(2 ** 8 + 1, 24)
+        cfg = TrialConfig(problem=problem, gadget=g, schedule=frlb_schedule(2 ** 8 + 1, 1),
+                          adversary={"kind": kind, "tau": 1, "l": 2}, seed=3,
+                          max_rounds=100, engine_mode=engine)
+        with pytest.raises(ValueError, match=message):
+            run_trial(cfg)
+
     def test_budget_exhaustion_halts(self):
         g = DualGraph.from_parts(3, [(0, 1)], [(1, 2)])  # node 2 unreachable
         gadget = custom_gadget(g, broadcasters=set(), receivers=set(),
@@ -229,13 +243,35 @@ class TestEngineEquivalence:
             rel = [e for e, t in zip(pairs, take) if t < 0.3]
             unr = [e for e, t in zip(pairs, take) if 0.3 <= t < 0.6]
             g = DualGraph.from_parts(n, rel, unr)
-            extra_idx = np.flatnonzero(rng.random(len(g.unreliable_edges)) < 0.5)
+            # with repeats: an edge named twice is still one active edge
+            m = len(g.unreliable_edges)
+            extra_idx = rng.integers(0, m, size=int(rng.integers(0, 2 * m + 1))) if m \
+                else np.empty(0, dtype=np.int64)
             tx = np.flatnonzero(rng.random(n) < 0.4)
             topo = build_round_topology(
                 g, [g.unreliable_edges[i] for i in extra_idx], 1)
             expected = transmit_counts(topo, tx.tolist())
             got = round_counts(g, extra_idx, tx)
             assert got.tolist() == expected
+
+    def test_transmitter_window_holds_until_next_event(self):
+        # the window at r stays exact through next_event - 1 and changes at
+        # next_event; a window that never changes reports _NEVER
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            budget = int(rng.integers(1, 6))
+            act = np.where(rng.random(n) < 0.3, _NEVER, rng.integers(0, 20, size=n))
+            r = int(rng.integers(1, 20))
+
+            def window(t):
+                return [v for v in range(n) if act[v] < t <= act[v] + budget]
+
+            cand, next_event = _transmitter_window(act, r, budget)
+            assert cand.tolist() == window(r)
+            assert all(window(t) == window(r) for t in range(r, min(next_event, 40)))
+            if next_event != _NEVER:
+                assert window(next_event) != window(r)
 
     def test_cross_engine_success_rates_agree(self):
         # same configuration measured by both engines over one-round trials
