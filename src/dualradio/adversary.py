@@ -9,7 +9,7 @@ independent per-round draws.  Every distribution-identity change is
 appended to `change_log` so the engine can audit the stability contract.
 The degree walk has one step rule, `walk_degrees`, which both engines'
 calls (`sample_edges` and `degrees`) go through, and every random edge
-subset comes from `uniform_subsets`, one generator call per round.
+subset comes from `draw_subsets`, one generator call per round.
 
 Policies see only public information: the schedule, past transmission and
 delivery outcomes (ObservableHistory).  Node coin flips are structurally
@@ -18,10 +18,9 @@ unreachable, and adversary randomness comes from its own rng substreams.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,20 +67,21 @@ class GapPhasePlan:
     hypothesis_ok: bool
 
 
-class _FloydLayout(NamedTuple):
-    """Where each subset of one `uniform_subsets` call sits in its draw."""
+class SubsetLayout(NamedTuple):
+    """Where each subset of a `draw_subsets` call sits in its draw."""
 
     total: int            # uniforms drawn
     span: np.ndarray      # j + 1 for each uniform, as a float
     base: np.ndarray      # offset of each uniform's pool among the concatenated pools
-    owner: np.ndarray     # index into `drawn` of each uniform's subset
+    offsets: np.ndarray   # pool offset of each subset that draws
     drawn: tuple[tuple[int, int, int, int], ...]  # (first uniform, pool offset, m, k)
     whole: np.ndarray     # positions of the pools taken whole
 
 
-@functools.lru_cache(maxsize=256)
-def _floyd_layout(sizes: tuple[int, ...], picks: tuple[int, ...]) -> _FloydLayout:
-    span, base, owner, drawn, whole = [], [], [], [], []
+def subset_layout(sizes: Sequence[int], picks: Sequence[int]) -> SubsetLayout:
+    """The layout of drawing a uniform picks[i]-subset of range(sizes[i])
+    for every i; pool i starts at sum(sizes[:i])."""
+    span, base, drawn, whole = [], [], [], []
     offset = first = 0
     for m, k in zip(sizes, picks):
         if not 0 <= k <= m:
@@ -91,24 +91,21 @@ def _floyd_layout(sizes: tuple[int, ...], picks: tuple[int, ...]) -> _FloydLayou
         elif k:
             span.append(np.arange(m - k + 1, m + 1, dtype=np.float64))
             base.append(np.full(k, offset, dtype=np.int64))
-            owner.append(np.full(k, len(drawn), dtype=np.int64))
             drawn.append((first, offset, m, k))
             first += k
         offset += m
 
-    def frozen(parts, dtype):
-        arr = np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
-        arr.flags.writeable = False  # shared by every call with this layout
-        return arr
+    def joined(parts, dtype):
+        return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
-    return _FloydLayout(first, frozen(span, np.float64), frozen(base, np.int64),
-                        frozen(owner, np.int64), tuple(drawn), frozen(whole, np.int64))
+    return SubsetLayout(first, joined(span, np.float64), joined(base, np.int64),
+                        np.array([d[1] for d in drawn], dtype=np.int64), tuple(drawn),
+                        joined(whole, np.int64))
 
 
-def uniform_subsets(np_rng, sizes: Sequence[int], picks: Sequence[int]) -> np.ndarray:
-    """Uniform picks[i]-subsets of range(sizes[i]) without replacement, for
-    every i, as positions into the concatenated pools (pool i starts at
-    sum(sizes[:i])).  The order of the positions carries no meaning.
+def draw_subsets(np_rng, layout: SubsetLayout) -> np.ndarray:
+    """One uniform subset per pool of `layout`, as positions into the
+    concatenated pools.  The order of the positions carries no meaning.
 
     Floyd's algorithm picks k of m with one uniform u_j per j = m-k..m-1:
     it takes t_j = floor(u_j (j+1)), or j itself when t_j is already taken.
@@ -118,15 +115,17 @@ def uniform_subsets(np_rng, sizes: Sequence[int], picks: Sequence[int]) -> np.nd
     subset whose t's collide replays the insertion loop on its own
     uniforms.  A subset with k == m is its whole pool and draws nothing.
     """
-    layout = _floyd_layout(tuple(sizes), tuple(picks))
     if not layout.total:
         return layout.whole
     u = np_rng.random(layout.total)
     keys = (u * layout.span).astype(np.int64)
     keys += layout.base
-    taken = np.bincount(keys)
-    if taken.max() > 1:
-        for s in set(layout.owner[taken[keys] > 1].tolist()):
+    ordered = np.sort(keys)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if len(repeated):
+        # pools are disjoint ranges, so a repeated key names its subset
+        owners = np.searchsorted(layout.offsets, repeated, side="right") - 1
+        for s in set(owners.tolist()):
             first, offset, m, k = layout.drawn[s]
             chosen: set[int] = set()
             for j, x in zip(range(m - k, m), u[first:first + k].tolist()):
@@ -136,6 +135,12 @@ def uniform_subsets(np_rng, sizes: Sequence[int], picks: Sequence[int]) -> np.nd
     if len(layout.whole):
         return np.concatenate((keys, layout.whole))
     return keys
+
+
+def uniform_subsets(np_rng, sizes: Sequence[int], picks: Sequence[int]) -> np.ndarray:
+    """Uniform picks[i]-subsets of range(sizes[i]) without replacement, for
+    every i, from one generator call (see `draw_subsets`)."""
+    return draw_subsets(np_rng, subset_layout(sizes, picks))
 
 
 def _circular_runs(occupied: set[int], n_bins: int) -> list[tuple[int, int]]:
@@ -545,12 +550,26 @@ def phase_cycle_probs(schedule: Schedule, tau: int, phase: int) -> list[float]:
     return [math.exp(schedule.log_probs[(phase * tau + j) % k]) for j in range(tau)]
 
 
+def phase_degrees(schedule: Schedule, tau: int,
+                  rule: Callable[[list[float]], int]) -> Callable[[int], int]:
+    """phase -> rule(phase_cycle_probs(schedule, tau, phase)) for 0-based
+    phases, cached by where the phase starts in the probability cycle (the
+    only thing the degree depends on)."""
+    cache: dict[int, int] = {}
+
+    def degree(phase: int) -> int:
+        key = phase * tau % schedule.cycle_length
+        deg = cache.get(key)
+        if deg is None:
+            deg = cache[key] = rule(phase_cycle_probs(schedule, tau, phase))
+        return deg
+
+    return degree
+
+
 class _PhasePlanPolicy(AdversaryPolicy):
     """Shared machinery for gap/argmin: a fixed degree per phase realized as
-    a fresh uniform subset of the receiver's unreliable arms each round.
-
-    The degree depends only on where the phase starts in the probability
-    cycle, so degrees are cached by that position."""
+    a fresh uniform subset of the receiver's unreliable arms each round."""
 
     def __init__(self, tau: int, schedule: Schedule, delta: int,
                  receiver_edge_indices: Sequence[int]):
@@ -561,15 +580,7 @@ class _PhasePlanPolicy(AdversaryPolicy):
         self.delta = delta
         self.receiver_edge_indices = np.asarray(receiver_edge_indices, dtype=np.int64)
         self.degree = 1
-        self._degree_cache: dict[int, int] = {}
-
-    def _degree_for_block(self, block: int) -> int:
-        key = block * self.tau % self.schedule.cycle_length
-        deg = self._degree_cache.get(key)
-        if deg is None:
-            deg = self._pick_degree(phase_cycle_probs(self.schedule, self.tau, block))
-            self._degree_cache[key] = deg
-        return deg
+        self._degree_for_block = phase_degrees(schedule, tau, self._pick_degree)
 
     def _pick_degree(self, probs: Sequence[float]) -> int:
         raise NotImplementedError
@@ -715,15 +726,17 @@ class ChainedGapPolicy(AdversaryPolicy):
             raise ValueError("chained_gap needs a chained gadget")
         self.gadget = gadget
         # one section's degree per phase is the single-receiver gap rule
-        self._gap = GapPolicy(tau, schedule, gadget.delta, (), strict=strict)
+        self._phase_degree = phase_degrees(
+            schedule, tau,
+            lambda probs: gap_plan(probs, gadget.delta, strict=strict).degree)
         count = len(gadget.sections)
         self.section_phase = [1] * count
-        self.section_degree = [self._gap._degree_for_block(0)] * count
+        self.section_degree = [self._phase_degree(0)] * count
         self.section_frozen = [False] * count
         self._edges = np.array([e for s in gadget.sections for e in s.unreliable_indices],
                                dtype=np.int64)
-        self._sizes = tuple(len(s.unreliable_indices) for s in gadget.sections)
-        self._picks = tuple(d - 1 for d in self.section_degree)
+        self._sizes = [len(s.unreliable_indices) for s in gadget.sections]
+        self._layout: SubsetLayout | None = None
 
     def pre_round(self, round_index, history, np_rng, py_rng):
         changed = self._fingerprint is None
@@ -739,15 +752,15 @@ class ChainedGapPolicy(AdversaryPolicy):
             phase = 1 + (round_index - start) // self.tau
             if phase != self.section_phase[i]:
                 self.section_phase[i] = phase
-                self.section_degree[i] = self._gap._degree_for_block(phase - 1)
+                self.section_degree[i] = self._phase_degree(phase - 1)
                 changed = True
         if changed:
-            self._picks = tuple(d - 1 for d in self.section_degree)
+            self._layout = subset_layout(self._sizes, [d - 1 for d in self.section_degree])
             self._record(round_index, ("chained", tuple(zip(self.section_degree,
                                                             self.section_frozen))))
 
     def sample_edges(self, round_index, history, np_rng, py_rng):
-        return self._edges[uniform_subsets(np_rng, self._sizes, self._picks)]
+        return self._edges[draw_subsets(np_rng, self._layout)]
 
 
 # ---------------------------------------------------------------------------

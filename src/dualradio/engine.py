@@ -4,12 +4,14 @@ Two engines share one contract.  The materialized engine simulates every
 node and edge of the dual graph in one round loop for both problems: local
 and global broadcast differ only in who starts transmitting, for how long,
 who must be reached, and whether a reached node relays.  It counts
-collisions from per-node neighbor lists cached on the graph: each node
-lists its reliable and unreliable neighbors with the unreliable edge each
-goes through, and a round's counts are one `bincount` over the
-transmitters' lists, keeping an unreliable neighbor only when the adversary
-activated that edge this round.  The set of nodes that may transmit is
-recomputed only in rounds where some node starts or exhausts its budget.
+collisions from a neighbor table in CSR form cached on the graph: each
+node's slice lists its reliable and unreliable neighbors with the
+unreliable edge each goes through.  A round gathers the transmitters'
+slices with a fixed number of numpy calls, however many transmit, and
+its counts are one `bincount` over them, keeping an unreliable neighbor
+only when the adversary activated that edge this round.  The set of
+nodes that may transmit is recomputed only in rounds where some node
+starts or exhausts its budget.
 The analytic engine exploits the star gadgets' structure and tracks only
 the designated receiver's effective degree, sampling its per-round success
 from the closed-form probability (in log space, so degree bounds given as
@@ -27,7 +29,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -165,12 +167,21 @@ def default_max_rounds(problem: str, schedule: Schedule, delta: int, tau: int,
 # materialized engine
 
 
-def _neighbor_pairs(graph: DualGraph) -> list[np.ndarray]:
-    """Per node v, a 2-row array: v's neighbors in the potential graph and,
-    for each, the unreliable edge it goes through, or the extra slot
-    len(graph.unreliable_edges) for a reliable neighbor.  Cached on the graph."""
-    pairs = graph.__dict__.get("_neighbor_pairs_cache")
-    if pairs is None:
+class _Neighbors(NamedTuple):
+    """Potential-graph adjacency in CSR form: node v's deg[v] neighbors are
+    heard[ptr[v]:ptr[v] + deg[v]], and through[i] is the unreliable edge
+    that heard[i] is reached by, or the extra slot len(graph.unreliable_edges)
+    for a reliable neighbor."""
+
+    ptr: np.ndarray
+    deg: np.ndarray
+    heard: np.ndarray
+    through: np.ndarray
+
+
+def _neighbors(graph: DualGraph) -> _Neighbors:
+    table = graph.__dict__.get("_neighbors_cache")
+    if table is None:
         m = len(graph.unreliable_edges)
         rel = np.array(sorted(graph.reliable_edges), dtype=np.int64).reshape(-1, 2)
         unr = np.array(graph.unreliable_edges, dtype=np.int64).reshape(-1, 2)
@@ -179,11 +190,10 @@ def _neighbor_pairs(graph: DualGraph) -> list[np.ndarray]:
                                   np.arange(m, dtype=np.int64),
                                   np.arange(m, dtype=np.int64)))
         order = np.argsort(ends[:, 0], kind="stable")
-        table = np.stack((ends[order, 1], through[order]))
-        bounds = np.cumsum(np.bincount(ends[:, 0], minlength=graph.node_count)).tolist()
-        pairs = [table[:, a:b] for a, b in zip([0] + bounds, bounds)]
-        graph.__dict__["_neighbor_pairs_cache"] = pairs
-    return pairs
+        deg = np.bincount(ends[:, 0], minlength=graph.node_count)
+        table = _Neighbors(np.cumsum(deg) - deg, deg, ends[order, 1], through[order])
+        graph.__dict__["_neighbors_cache"] = table
+    return table
 
 
 def round_counts(graph: DualGraph, extra_edge_indices: np.ndarray,
@@ -191,15 +201,19 @@ def round_counts(graph: DualGraph, extra_edge_indices: np.ndarray,
     """Transmitting active-topology neighbors per node (reliable edges plus
     the chosen unreliable ones, each counted once however often it is
     named).  Mirrors model.deliver's counting rule."""
-    tx = transmitters.tolist()
-    if not tx:
-        return np.zeros(graph.node_count, dtype=np.int64)
-    pairs = _neighbor_pairs(graph)
+    ptr, deg, heard, through = _neighbors(graph)
+    lens = deg[transmitters]
+    ends = np.cumsum(lens)
+    # table positions of the transmitters' slices, concatenated: slice i
+    # starts at ptr[tx[i]] and sits at ends[i] - lens[i] in `pos`
+    shift = ptr[transmitters] - ends
+    shift += lens
+    pos = np.repeat(shift, lens)
+    pos += np.arange(len(pos))
     active = np.zeros(len(graph.unreliable_edges) + 1, dtype=bool)
     active[-1] = True
     active[extra_edge_indices] = True
-    heard, through = np.concatenate([pairs[v] for v in tx], axis=1)
-    return np.bincount(heard[active[through]], minlength=graph.node_count)
+    return np.bincount(heard[pos[active[through[pos]]]], minlength=graph.node_count)
 
 
 def derived_receivers(gadget: Gadget) -> tuple[int, ...]:
