@@ -295,27 +295,40 @@ class TestPolicies:
             outs.append(seq)
         assert outs[0] == outs[1]
 
-    def test_degrees_independent_of_chunking(self):
-        g = star_gadget(64, 66)
-        sched = rlb_schedule(64, 4)
+    @pytest.mark.parametrize("spec", [
+        {"kind": "static", "tau": 3, "extra_degree": 5},
+        {"kind": "iid_subset", "tau": 4},
+        {"kind": "iid_subset", "tau": 3, "edge_prob": 0.3},
+        {"kind": "iid_subset", "tau": None},
+        {"kind": "gap", "tau": 2},
+        {"kind": "argmin", "tau": 2},
+        {"kind": "correlated_shift"},
+        {"kind": "degree_walk_deterministic", "tau": 4, "l": 3, "start_degree": 20},
+        {"kind": "degree_walk_restricted", "tau": 4, "l": 2, "walk_mode": "random"},
+    ], ids=["static", "iid-random-q", "iid-fixed-q", "iid-tau-inf", "gap", "argmin",
+            "shift", "walk-deterministic", "walk-restricted"])
+    def test_degrees_independent_of_chunking(self, spec):
+        # one call and split calls over the same rounds give the same
+        # degrees and the same change log
+        if spec["kind"] == "gap":
+            delta = 2 ** 12 + 1
+            g, sched = star_gadget(delta, delta + 2), rlb_schedule(delta, 2)
+        elif spec["kind"] == "correlated_shift":
+            g, sched = double_star(64), decay_schedule(64)
+        else:
+            g, sched = star_gadget(64, 66), rlb_schedule(64, 4)
         hist = ObservableHistory(sched)
-        import random
 
-        spec = {"kind": "iid_subset", "tau": 4}
-        a = make_policy(spec, g, sched)
-        np_a = np.random.Generator(np.random.PCG64(7))
-        whole = a.degrees(1, 64, hist, np_a, random.Random(3))
-        b = make_policy(spec, g, sched)
-        np_b = np.random.Generator(np.random.PCG64(7))
-        py_b = random.Random(3)
-        parts = np.concatenate([b.degrees(1, 10, hist, np_b, py_b),
-                                b.degrees(11, 30, hist, np_b, py_b),
-                                b.degrees(41, 24, hist, np_b, py_b)])
-        # block q values match even though binomial batching differs
-        qa = [fp for _, fp in a.change_log]
-        qb = [fp for _, fp in b.change_log]
-        assert qa == qb
-        assert len(whole) == len(parts)
+        whole = make_policy(spec, g, sched)
+        degs = whole.degrees(1, 200, hist, *rngs(7))
+        split = make_policy(spec, g, sched)
+        np_rng, py_rng = rngs(7)
+        parts, start = [], 1
+        for count in (7, 50, 1, 64, 78):
+            parts.append(split.degrees(start, count, hist, np_rng, py_rng))
+            start += count
+        assert np.array_equal(degs, np.concatenate(parts))
+        assert whole.change_log == split.change_log
 
 
 def floyd_subset(np_rng, m, k):
