@@ -1,15 +1,13 @@
 """Fading-adversary policies and the worst-case constructions.
 
 A policy supplies, for each round, the subset of unreliable edges to
-activate (materialized engines) or the designated receiver's effective
+activate (materialized engine) or the designated receiver's effective
 degree (the analytic fast path).  Policies may change the distribution
-they draw from at most once every `tau` rounds; policies declared
-`correlated` commit to a joint distribution over whole blocks instead of
-independent per-round draws.  Every distribution-identity change is
-appended to `change_log` so the engine can audit the stability contract.
-The degree walk has one step rule, `walk_degrees`, which both engines'
-calls (`sample_edges` and `degrees`) go through, and every random edge
-subset comes from `draw_subsets`, one generator call per round.
+they draw from at most once every `tau` rounds: the rule lives in
+`AdversaryPolicy.pre_round`, which both engines' calls go through, and
+every distribution change is appended to `change_log` so the engine can
+audit it.  The degree walk has one step rule, `walk_degrees`, and every
+random edge subset comes from `draw_subsets`, one generator call per round.
 
 Policies see only public information: the schedule, past transmission and
 delivery outcomes (ObservableHistory).  Node coin flips are structurally
@@ -37,7 +35,6 @@ class ObservableHistory:
     schedule: Schedule
     first_delivery: dict[int, int] = field(default_factory=dict)
     active_from: dict[int, int] = field(default_factory=dict)
-    round: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -385,25 +382,31 @@ def walk_degrees(state: DegreeWalkState, log_probs: Sequence[float], rng) -> lis
 
 
 class AdversaryPolicy:
-    """Per-trial mutable policy instance.  Subclasses implement
-    `_new_block` (draw the block's distribution) plus one or both of
-    `_sample_block_edges` / `_block_degrees`."""
+    """Per-trial mutable policy instance.
+
+    The distribution may change only where a tau-round block starts (tau
+    None: the whole run is one block).  `pre_round` enters a round's block;
+    on a new block `_new_block` draws the block's distribution, sets
+    `block_value` to its parameter and returns a fingerprint, which
+    `change_log` records whenever it differs from the last.  The
+    materialized engine then calls `sample_edges` every round.  The
+    analytic engine calls `degrees`, which enters every block of the
+    requested rounds in order and maps their values to per-round receiver
+    degrees through `_degrees`.
+    """
 
     kind = "abstract"
-    correlated = False
 
     def __init__(self, tau: int | None):
         if tau is not None and tau < 1:
             raise ValueError("tau must be >= 1 (or None for infinity)")
         self.tau = tau
         self.change_log: list[tuple[int, object]] = []
+        self.block_value: object = None
         self._fingerprint: object = None
         self._block: int | None = None
 
     # -- stability bookkeeping
-
-    def block_index(self, round_index: int) -> int:
-        return 0 if self.tau is None else (round_index - 1) // self.tau
 
     def _record(self, round_index: int, fingerprint: object) -> None:
         if fingerprint != self._fingerprint:
@@ -412,11 +415,29 @@ class AdversaryPolicy:
 
     def pre_round(self, round_index: int, history: ObservableHistory,
                   np_rng, py_rng) -> None:
-        blk = self.block_index(round_index)
+        blk = 0 if self.tau is None else (round_index - 1) // self.tau
         if blk != self._block:
             self._block = blk
             fp = self._new_block(blk, round_index, history, np_rng, py_rng)
             self._record(round_index, fp)
+
+    def degrees(self, start_round: int, count: int, history: ObservableHistory,
+                np_rng, py_rng):
+        """Receiver effective degrees for rounds start..start+count-1."""
+        tau = self.tau
+        rounds = np.arange(start_round, start_round + count)
+        if tau is None:
+            starts = (start_round,)
+            blocks = np.zeros(count, dtype=np.intp)
+        else:
+            first = (start_round - 1) // tau
+            starts = [start_round, *range(first * tau + tau + 1, start_round + count, tau)]
+            blocks = (rounds - 1) // tau - first
+        values = []
+        for r in starts:
+            self.pre_round(r, history, np_rng, py_rng)
+            values.append(self.block_value)
+        return self._degrees(rounds, values, blocks, np_rng)
 
     # -- hooks
 
@@ -428,35 +449,21 @@ class AdversaryPolicy:
         """Indices into graph.unreliable_edges active this round."""
         raise NotImplementedError(f"{self.kind} has no materialized mode")
 
-    def degrees(self, start_round: int, count: int, history: ObservableHistory,
-                np_rng, py_rng):
-        """Receiver effective degrees for rounds start..start+count-1."""
-        out = np.empty(count, dtype=np.float64)
-        pos = 0
-        r = start_round
-        while pos < count:
-            if self.tau is None:
-                seg = count - pos
-            else:
-                block_end = self.block_index(r) * self.tau + self.tau  # last round of block
-                seg = min(count - pos, block_end - r + 1)
-            self.pre_round(r, history, np_rng, py_rng)
-            out[pos:pos + seg] = self._block_degrees(r, seg, np_rng)
-            pos += seg
-            r += seg
-        return out
-
-    def _block_degrees(self, round_index, count, np_rng):
+    def _degrees(self, rounds: np.ndarray, values: list, blocks: np.ndarray, np_rng):
+        """Degrees for `rounds`, where round rounds[i] lies in the block whose
+        value is values[blocks[i]]."""
         raise NotImplementedError(f"{self.kind} has no analytic mode")
 
 
 class StaticPolicy(AdversaryPolicy):
-    """Point distribution on one fixed subset (empty by default)."""
+    """Point distribution on one fixed subset (empty by default).  A fixed
+    distribution is one block whatever tau is."""
 
     kind = "static"
 
     def __init__(self, tau=None, edge_indices: Sequence[int] = (), extra_degree: int = 0):
         super().__init__(tau)
+        self.tau = None
         self.edge_indices = np.asarray(sorted(edge_indices), dtype=np.int64)
         self.extra_degree = extra_degree
 
@@ -466,16 +473,18 @@ class StaticPolicy(AdversaryPolicy):
     def sample_edges(self, round_index, history, np_rng, py_rng):
         return self.edge_indices
 
-    def degrees(self, start_round, count, history, np_rng, py_rng):
-        self.pre_round(start_round, history, np_rng, py_rng)
-        return np.full(count, 1.0 + self.extra_degree)
+    def _degrees(self, rounds, values, blocks, np_rng):
+        return np.full(len(rounds), 1.0 + self.extra_degree)
 
 
 class IidSubsetPolicy(AdversaryPolicy):
     """Each unreliable edge independently present with probability q.
 
     With `edge_prob=None` a fresh q ~ U(0,1) is drawn at every block
-    boundary, which is the strongest re-randomizing member of the family.
+    boundary, which is the strongest re-randomizing member of the family;
+    q comes from the scalar adversary stream, one draw per block in block
+    order, so it does not depend on how the numpy draws are batched.  A
+    fixed q is one block whatever tau is.
     """
 
     kind = "iid_subset"
@@ -483,60 +492,28 @@ class IidSubsetPolicy(AdversaryPolicy):
     def __init__(self, tau, edge_prob: float | None, n_unreliable: int,
                  receiver_unreliable: int | None = None):
         super().__init__(tau)
-        if edge_prob is not None and not 0.0 <= edge_prob <= 1.0:
-            raise ValueError("edge_prob must lie in [0,1]")
+        if edge_prob is not None:
+            if not 0.0 <= edge_prob <= 1.0:
+                raise ValueError("edge_prob must lie in [0,1]")
+            self.tau = None
         self.edge_prob = edge_prob
         self.n_unreliable = n_unreliable
         self.receiver_unreliable = receiver_unreliable
-        self._q = 0.0
-        self._q_by_block: dict[int, float] = {}
-        self._drawn_through = -1
-
-    def _q_for_block(self, block: int, py_rng) -> float:
-        """Block inclusion probabilities, drawn in block order exactly once.
-
-        Drawn from the scalar adversary stream, separate from the numpy
-        stream used for subset/binomial sampling, so the q sequence does
-        not depend on how callers batch those draws."""
-        if self.edge_prob is not None:
-            return self.edge_prob
-        while self._drawn_through < block:
-            self._drawn_through += 1
-            self._q_by_block[self._drawn_through] = py_rng.random()
-        return self._q_by_block[block]
 
     def _new_block(self, block, round_index, history, np_rng, py_rng):
-        self._q = self._q_for_block(block, py_rng)
-        return ("iid", self._q)
+        q = self.edge_prob if self.edge_prob is not None else py_rng.random()
+        self.block_value = q
+        return ("iid", q)
 
     def sample_edges(self, round_index, history, np_rng, py_rng):
-        mask = np_rng.random(self.n_unreliable) < self._q
+        mask = np_rng.random(self.n_unreliable) < self.block_value
         return np.flatnonzero(mask)
 
-    def degrees(self, start_round, count, history, np_rng, py_rng):
+    def _degrees(self, rounds, values, blocks, np_rng):
         m = self.receiver_unreliable
         if m is None:
             raise ValueError("iid analytic mode needs the receiver's unreliable arm count")
-        if self.tau is None:
-            self.pre_round(start_round, history, np_rng, py_rng)
-            return 1.0 + np_rng.binomial(m, self._q, size=count)
-        tau = self.tau
-        b0 = (start_round - 1) // tau
-        b1 = (start_round + count - 2) // tau
-        self._q_for_block(b1, py_rng)  # draw any missing blocks, in order
-        if self.edge_prob is not None:
-            qs = np.full(b1 - b0 + 1, self.edge_prob)
-            self.pre_round(b0 * tau + 1, history, np_rng, py_rng)
-            self._block = b1
-        else:
-            qs = np.array([self._q_by_block[b] for b in range(b0, b1 + 1)])
-            start_b = b0 if self._block is None or self._block < b0 else self._block + 1
-            for b in range(start_b, b1 + 1):
-                self._record(b * tau + 1, ("iid", self._q_by_block[b]))
-            self._block = b1
-            self._q = self._q_by_block[b1]
-        blocks = (np.arange(start_round - 1, start_round - 1 + count) // tau) - b0
-        return 1.0 + np_rng.binomial(m, qs[blocks])
+        return 1.0 + np_rng.binomial(m, np.array(values)[blocks])
 
 
 def _receiver_subset(np_rng, receiver_edges: np.ndarray, degree: int) -> np.ndarray:
@@ -579,28 +556,20 @@ class _PhasePlanPolicy(AdversaryPolicy):
         self.schedule = schedule
         self.delta = delta
         self.receiver_edge_indices = np.asarray(receiver_edge_indices, dtype=np.int64)
-        self.degree = 1
         self._degree_for_block = phase_degrees(schedule, tau, self._pick_degree)
 
     def _pick_degree(self, probs: Sequence[float]) -> int:
         raise NotImplementedError
 
     def _new_block(self, block, round_index, history, np_rng, py_rng):
-        self.degree = self._degree_for_block(block)
-        return ("fixed-degree", self.degree)
+        self.block_value = self._degree_for_block(block)
+        return ("fixed-degree", self.block_value)
 
     def sample_edges(self, round_index, history, np_rng, py_rng):
-        return _receiver_subset(np_rng, self.receiver_edge_indices, self.degree)
+        return _receiver_subset(np_rng, self.receiver_edge_indices, self.block_value)
 
-    def degrees(self, start_round, count, history, np_rng, py_rng):
-        b0 = (start_round - 1) // self.tau
-        b1 = (start_round + count - 2) // self.tau
-        degs = np.empty(b1 - b0 + 1)
-        for b in range(b0, b1 + 1):
-            self.pre_round(b * self.tau + 1, history, np_rng, py_rng)
-            degs[b - b0] = self.degree
-        blocks = (np.arange(start_round - 1, start_round - 1 + count) // self.tau) - b0
-        return degs[blocks]
+    def _degrees(self, rounds, values, blocks, np_rng):
+        return np.array(values, dtype=np.float64)[blocks]
 
 
 class GapPolicy(_PhasePlanPolicy):
@@ -626,7 +595,6 @@ class CorrelatedShiftPolicy(AdversaryPolicy):
     degrees become deterministic once the shift is drawn."""
 
     kind = "correlated_shift"
-    correlated = True
 
     def __init__(self, schedule: Schedule, delta: int,
                  receiver_edge_indices: Sequence[int],
@@ -648,17 +616,12 @@ class CorrelatedShiftPolicy(AdversaryPolicy):
         return _receiver_subset(np_rng, self.receiver_edge_indices,
                                 self.plan.degree_at(round_index))
 
-    def degrees(self, start_round, count, history, np_rng, py_rng):
-        self.pre_round(start_round, history, np_rng, py_rng)
-        idx = (np.arange(start_round, start_round + count) - 1 + self.plan.shift) \
-            % self.plan.cycle_length
-        return self._responses[idx]
+    def _degrees(self, rounds, values, blocks, np_rng):
+        return self._responses[(rounds - 1 + self.plan.shift) % self.plan.cycle_length]
 
 
 class DegreeWalkPolicy(AdversaryPolicy):
     """Correlated walk on the receiver degree with a per-round change budget."""
-
-    correlated = True
 
     def __init__(self, tau, schedule: Schedule, step_budget: int, max_degree: int,
                  receiver_edge_indices: Sequence[int] = (),
@@ -693,13 +656,10 @@ class DegreeWalkPolicy(AdversaryPolicy):
         self._walk_to(round_index, np_rng)
         return _receiver_subset(np_rng, self.receiver_edge_indices, self.state.degree)
 
-    def degrees(self, start_round, count, history, np_rng, py_rng):
-        self.pre_round(start_round, history, np_rng, py_rng)
-        if self.tau is not None:  # block starts; the walk's blocks draw nothing
-            first = start_round + self.tau - (start_round - 1) % self.tau
-            for r in range(first, start_round + count, self.tau):
-                self.pre_round(r, history, np_rng, py_rng)
-        out = ([self.state.degree] + self._walk_to(start_round + count - 1, np_rng))[-count:]
+    def _degrees(self, rounds, values, blocks, np_rng):
+        # the walk's blocks draw nothing; its rounds step one at a time
+        count = len(rounds)
+        out = ([self.state.degree] + self._walk_to(int(rounds[-1]), np_rng))[-count:]
         if max(out) < 2 ** 53:
             return np.asarray(out, dtype=np.float64)
         return out

@@ -293,7 +293,6 @@ def run_materialized_trial(config: TrialConfig) -> TrialResult:
     next_event = 1
     r = 0
     for r in range(1, config.max_rounds + 1):
-        history.round = r
         policy.pre_round(r, history, np_adv, py_adv)
         extra = policy.sample_edges(r, history, np_adv, py_adv)
         if r >= next_event:
@@ -383,7 +382,6 @@ def run_analytic_star_trial(config: TrialConfig) -> TrialResult:
     while r <= config.max_rounds and completion is None:
         cnt = min(chunk, config.max_rounds - r + 1)
         chunk = min(chunk * 4, _CHUNK)
-        history.round = r
         degs = policy.degrees(r, cnt, history, np_adv, py_adv)
         u = np_nodes.random(cnt)
         if isinstance(degs, np.ndarray):

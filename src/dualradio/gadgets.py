@@ -33,7 +33,6 @@ class Gadget:
     receivers: frozenset[int]
     source: int | None = None
     receiver: int | None = None
-    receiver_arms: tuple[int, ...] = ()
     sections: tuple[GadgetSection, ...] = ()
     meta: dict = field(default_factory=dict)
 
@@ -74,7 +73,6 @@ def star_gadget(delta: int, n: int) -> Gadget:
         broadcasters=frozenset({hub, *arms}),
         receivers=frozenset({recv}),
         receiver=recv,
-        receiver_arms=arms,
         meta={"hub": hub, "tail": tuple(tail)},
     )
 
@@ -104,7 +102,6 @@ def double_star(delta: int) -> Gadget:
         broadcasters=frozenset(range(delta + 1)),
         receivers=frozenset({v}),
         receiver=v,
-        receiver_arms=arms,
         meta={"hub": u},
     )
 
@@ -184,7 +181,6 @@ def virtual_star(delta: int) -> Gadget:
         broadcasters=frozenset({0}),
         receivers=frozenset({1}),
         receiver=1,
-        receiver_arms=(),
         meta={"virtual": True},
     )
 
