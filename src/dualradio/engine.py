@@ -402,13 +402,15 @@ def run_analytic_star_trial(config: TrialConfig) -> TrialResult:
 
     if completion is not None:
         history.first_delivery[recv] = completion
+    # degrees() covers whole chunks; changes past the last round run are not
+    # part of the trial
     return TrialResult(
         completed=completion is not None,
         completion_round=completion,
         first_delivery=dict(history.first_delivery),
         rounds_executed=rounds_executed,
         seed=config.seed,
-        distribution_changes=tuple(policy.change_log),
+        distribution_changes=tuple(c for c in policy.change_log if c[0] <= rounds_executed),
     )
 
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dualradio import engine
 from dualradio.engine import (_NEVER, CSV_COLUMNS, Stats, TrialConfig, TrialResult,
                               _transmitter_window, aggregate, csv_header,
                               default_max_rounds, derived_receivers, frlb_repetitions,
@@ -168,6 +169,37 @@ class TestStabilityAudit:
         res = run_trial(cfg)
         assert res.completed
         verify_stability(res, 1)
+
+
+    @pytest.mark.parametrize("adversary", [
+        {"kind": "static", "tau": 3, "extra_degree": 5},
+        {"kind": "iid_subset", "tau": 2},
+        {"kind": "iid_subset", "tau": 3, "edge_prob": 0.3},
+        {"kind": "iid_subset", "tau": None},
+        {"kind": "gap", "tau": 2},
+        {"kind": "argmin", "tau": 2},
+        {"kind": "correlated_shift"},
+        {"kind": "degree_walk_deterministic", "tau": 4, "l": 3, "start_degree": 20},
+        {"kind": "degree_walk_restricted", "tau": 4, "l": 2, "walk_mode": "random"},
+    ], ids=["static", "iid-random-q", "iid-fixed-q", "iid-tau-inf", "gap", "argmin",
+            "shift", "walk-deterministic", "walk-restricted"])
+    def test_analytic_result_independent_of_chunk_cap(self, adversary, monkeypatch):
+        # a schedule built for a far larger degree bound keeps most trials
+        # running past the first 64-round chunk, after which the cap decides
+        # how many rounds each degrees() call covers
+        if adversary["kind"] == "gap":
+            g = star_gadget(2 ** 12 + 1, 2 ** 12 + 3)
+        elif adversary["kind"] == "correlated_shift":
+            g = double_star(64)
+        else:
+            g = star_gadget(64, 66)
+        cfg = TrialConfig(problem="local", gadget=g, schedule=rlb_schedule(2 ** 24, 2),
+                          adversary=adversary, seed=0, max_rounds=2000,
+                          engine_mode="analytic_star")
+        default = [run_trial(replace(cfg, seed=s)) for s in range(20)]
+        monkeypatch.setattr(engine, "_CHUNK", 100)
+        capped = [run_trial(replace(cfg, seed=s)) for s in range(20)]
+        assert capped == default
 
 
 class TestAdversaryFit:

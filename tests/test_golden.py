@@ -155,7 +155,7 @@ def golden_digest(config: TrialConfig, trials: int) -> str:
 
 GOLDEN = {
     'a-static': '402491f41d07cad2609f8bbc744743f4ede92e2605f9cd03630463edb539e3de',
-    'a-iid-random-q': 'aaafc84d629a5867703cdc898022f552a71f2227d0bc17cda1559facdc04ebbf',
+    'a-iid-random-q': '8855f884e0534eaa6ce61ba92ed1a2aef5593a74ae591929e4de288165d3db88',
     'a-iid-fixed-q': '773355e133f94456fd28737f2750e50e14bf3557f5362dd1e70e77f1efce86e4',
     'a-iid-tau-inf': '57d1cd8505fde59592e4272df68bf156f3cd856df76f1aa13f879a2d589830fb',
     'a-gap': '8867a78320ecf7a8cc425da60cf194ce366cbe9efdd2404d23ccb5e03d54c5ef',
@@ -163,8 +163,8 @@ GOLDEN = {
     'a-argmin': 'e408e533e8250717e5968dc9d34d2b39ce98c1f2115bf09eb0fb396ce6cffda6',
     'a-argmin-virtual': 'f2637e3f1c17d15d8fef433e07851118e44fe247f485a547fe7062bbce3ebcbd',
     'a-shift': '0a11bc0825d28e4118c14afe2bc31ff0f9ba23fa03b785422982d154e242c46c',
-    'a-walk-deterministic': '480030b3be34c71ff5f4fd9a3bf19f220449a5ac75de32c02ea0f8437aebf51a',
-    'a-walk-restricted-random': 'c843562e894f8820801540cc27a2db70bdfe4d268726da9b1c0d5d0cdcd419fc',
+    'a-walk-deterministic': 'c888601dc6ca99b74aab206053de7f601662e0558c245c1b8ae639507805ca69',
+    'a-walk-restricted-random': 'ab562d722c865b20784e8532940eb308550cc8bb04c00c68491bcf54bacf5fb6',
     'a-walk-restricted-dodging': 'bfe80f49af2cbfffd95917712077e84f95df29fc08c2551f0421d132a92a1de8',
     'a-walk-deterministic-long': '5a4af610f8501a2f5e8f38389f5ac34fe25e38ff5c3f6cd81f00746f09cb78b2',
     'a-walk-beyond-2^53': '9f6f82d72ad6100c449d74667bd0f5d8b3b5168336f108b3cf1cef25736edafa',
