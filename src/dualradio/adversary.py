@@ -456,25 +456,29 @@ class AdversaryPolicy:
 
 
 class StaticPolicy(AdversaryPolicy):
-    """Point distribution on one fixed subset (empty by default).  A fixed
-    distribution is one block whatever tau is."""
+    """Point distribution on one fixed subset of unreliable edges, under
+    which the receiver has effective degree `degree`.  A fixed distribution
+    is one block whatever tau is; `named` is the subset as configured, its
+    change-log fingerprint."""
 
     kind = "static"
 
-    def __init__(self, tau=None, edge_indices: Sequence[int] = (), extra_degree: int = 0):
+    def __init__(self, edge_indices: Sequence[int], degree: int, named: object,
+                 tau: int | None = None):
         super().__init__(tau)
         self.tau = None
         self.edge_indices = np.asarray(sorted(edge_indices), dtype=np.int64)
-        self.extra_degree = extra_degree
+        self.degree = degree
+        self.named = named
 
     def _new_block(self, block, round_index, history, np_rng, py_rng):
-        return ("static", tuple(self.edge_indices.tolist()), self.extra_degree)
+        return self.named
 
     def sample_edges(self, round_index, history, np_rng, py_rng):
         return self.edge_indices
 
     def _degrees(self, rounds, values, blocks, np_rng):
-        return np.full(len(rounds), 1.0 + self.extra_degree)
+        return np.full(len(rounds), float(self.degree))
 
 
 class IidSubsetPolicy(AdversaryPolicy):
@@ -738,6 +742,10 @@ def make_policy(spec: dict, gadget: Gadget, schedule: Schedule) -> AdversaryPoli
         recv_edges = graph.unreliable_incident(recv)
 
     if kind == "static":
+        # one subset for both engines: the listed `edges`, or the receiver's
+        # first `extra_degree` unreliable arms
+        if "edges" in spec and "extra_degree" in spec:
+            raise ValueError("static takes either edges or extra_degree, not both")
         edges = list(spec.get("edges", ()))
         n_unreliable = len(graph.unreliable_edges)
         bad = [e for e in edges
@@ -748,8 +756,16 @@ def make_policy(spec: dict, gadget: Gadget, schedule: Schedule) -> AdversaryPoli
         repeated = sorted({e for e in edges if edges.count(e) > 1})
         if repeated:
             raise ValueError(f"static edges {repeated} are listed more than once")
-        return StaticPolicy(tau=tau, edge_indices=edges,
-                            extra_degree=spec.get("extra_degree", 0))
+        extra = spec.get("extra_degree", 0)
+        if "extra_degree" in spec:
+            arms = math.inf if gadget.meta.get("virtual") else len(recv_edges)
+            if not isinstance(extra, int) or not 0 <= extra <= arms:
+                raise ValueError(f"static extra_degree {extra!r} is not in 0..{arms}, the "
+                                 f"receiver's unreliable arm count on the {gadget.kind} gadget")
+            subset, degree = recv_edges[:extra], 1 + extra
+        else:
+            subset, degree = edges, 1 + len(set(edges).intersection(recv_edges))
+        return StaticPolicy(subset, degree, ("static", tuple(sorted(edges)), extra), tau=tau)
     if kind == "iid_subset":
         if gadget.meta.get("virtual"):
             recv_unrel = gadget.delta - 2

@@ -213,6 +213,28 @@ class TestPolicies:
         with pytest.raises(ValueError, match=message):
             make_policy({"kind": "static", "tau": 3, "edges": edges}, g, rlb_schedule(8, 3))
 
+    @pytest.mark.parametrize("spec", [{"edges": list(range(10))}, {"extra_degree": 10}],
+                             ids=["edges", "extra-degree"])
+    def test_static_subset_is_the_same_on_both_engines(self, spec):
+        g = star_gadget(16, 18)
+        sched = rlb_schedule(16, 4)
+        policy = make_policy(dict(spec, kind="static", tau=4), g, sched)
+        hist = ObservableHistory(sched)
+        np_rng, py_rng = rngs()
+        assert policy.degrees(1, 9, hist, np_rng, py_rng).tolist() == [11.0] * 9
+        active = set(policy.sample_edges(1, hist, np_rng, py_rng).tolist())
+        assert len(active & set(g.graph.unreliable_incident(g.receiver))) == 10
+
+    @pytest.mark.parametrize("gadget, spec, message", [
+        (star_gadget(16, 18), {"edges": [0], "extra_degree": 1}, "either edges or extra_degree"),
+        (star_gadget(16, 18), {"extra_degree": 15}, r"extra_degree 15 is not in 0\.\.14"),
+        (star_gadget(16, 18), {"extra_degree": -1}, r"extra_degree -1 is not in"),
+        (chained_gadgets(10, 24), {"extra_degree": 1}, r"extra_degree 1 is not in 0\.\.0"),
+    ], ids=["both-keys", "above-arms", "negative", "no-receiver"])
+    def test_static_rejects_bad_extra_degree(self, gadget, spec, message):
+        with pytest.raises(ValueError, match=message):
+            make_policy(dict(spec, kind="static", tau=4), gadget, rlb_schedule(16, 4))
+
     @pytest.mark.parametrize("kind", ["gap", "argmin", "degree_walk_deterministic",
                                       "degree_walk_restricted"])
     def test_receiver_kinds_rejected_on_chained_gadget(self, kind):
