@@ -22,6 +22,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 
 import yaml
 
@@ -196,10 +197,11 @@ def build_trial_config(point: dict) -> tuple[TrialConfig, int]:
     return config, point["trials"]
 
 
-def _run_point(point: dict):
+def _run_point(point: dict, first_id: int):
+    """CSV rows (trial ids from `first_id` on) and summary of one sweep point."""
     config, trials = build_trial_config(point)
     stats = engine.run_trials(config, trials)
-    rows = [trial_csv_row(i, config, res) for i, res in enumerate(stats.results)]
+    rows = [trial_csv_row(first_id + i, config, res) for i, res in enumerate(stats.results)]
     summary = {
         "algo": point["algo"],
         "delta_log2": f"{math.log2(parse_delta(point['gadget']['delta'])):.6g}",
@@ -229,23 +231,19 @@ def cmd_run(args) -> int:
         print(yaml.safe_dump(cfg, sort_keys=True), end="")
         return 0
 
+    first_ids = list(accumulate((p["trials"] for p in points[:-1]), initial=0))
     if args.jobs > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outputs = list(pool.map(_run_point, points))
+            outputs = list(pool.map(_run_point, points, first_ids))
     else:
-        outputs = [_run_point(p) for p in points]
+        outputs = list(map(_run_point, points, first_ids))
 
     out_path = cfg["out"]
     partial = out_path + ".partial"
     with open(partial, "w") as fh:
         fh.write(csv_header() + "\n")
-        trial_id = 0
         for rows, _ in outputs:
-            for row in rows:
-                parts = row.split(",")
-                parts[0] = str(trial_id)
-                fh.write(",".join(parts) + "\n")
-                trial_id += 1
+            fh.writelines(row + "\n" for row in rows)
     os.replace(partial, out_path)
 
     print(f"wrote {out_path}")
