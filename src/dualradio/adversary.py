@@ -424,20 +424,15 @@ class AdversaryPolicy:
     def degrees(self, start_round: int, count: int, history: ObservableHistory,
                 np_rng, py_rng):
         """Receiver effective degrees for rounds start..start+count-1."""
-        tau = self.tau
-        rounds = np.arange(start_round, start_round + count)
-        if tau is None:
-            starts = (start_round,)
-            blocks = np.zeros(count, dtype=np.intp)
-        else:
-            first = (start_round - 1) // tau
-            starts = [start_round, *range(first * tau + tau + 1, start_round + count, tau)]
-            blocks = (rounds - 1) // tau - first
+        # tau None is one block, as is any tau past the last round asked for
+        tau = self.tau or start_round + count
+        first = (start_round - 1) // tau
         values = []
-        for r in starts:
+        for r in (start_round, *range(first * tau + tau + 1, start_round + count, tau)):
             self.pre_round(r, history, np_rng, py_rng)
             values.append(self.block_value)
-        return self._degrees(rounds, values, blocks, np_rng)
+        rounds = np.arange(start_round, start_round + count)
+        return self._degrees(rounds, values, (rounds - 1) // tau - first, np_rng)
 
     # -- hooks
 
@@ -451,8 +446,8 @@ class AdversaryPolicy:
 
     def _degrees(self, rounds: np.ndarray, values: list, blocks: np.ndarray, np_rng):
         """Degrees for `rounds`, where round rounds[i] lies in the block whose
-        value is values[blocks[i]]."""
-        raise NotImplementedError(f"{self.kind} has no analytic mode")
+        value is values[blocks[i]]; by default that value is the degree."""
+        return np.array(values, dtype=np.float64)[blocks]
 
 
 class StaticPolicy(AdversaryPolicy):
@@ -468,7 +463,7 @@ class StaticPolicy(AdversaryPolicy):
         super().__init__(tau)
         self.tau = None
         self.edge_indices = np.asarray(sorted(edge_indices), dtype=np.int64)
-        self.degree = degree
+        self.block_value = float(degree)
         self.named = named
 
     def _new_block(self, block, round_index, history, np_rng, py_rng):
@@ -476,9 +471,6 @@ class StaticPolicy(AdversaryPolicy):
 
     def sample_edges(self, round_index, history, np_rng, py_rng):
         return self.edge_indices
-
-    def _degrees(self, rounds, values, blocks, np_rng):
-        return np.full(len(rounds), float(self.degree))
 
 
 class IidSubsetPolicy(AdversaryPolicy):
@@ -496,18 +488,17 @@ class IidSubsetPolicy(AdversaryPolicy):
     def __init__(self, tau, edge_prob: float | None, n_unreliable: int,
                  receiver_unreliable: int | None = None):
         super().__init__(tau)
+        if edge_prob is not None and not 0.0 <= edge_prob <= 1.0:
+            raise ValueError("edge_prob must lie in [0,1]")
         if edge_prob is not None:
-            if not 0.0 <= edge_prob <= 1.0:
-                raise ValueError("edge_prob must lie in [0,1]")
             self.tau = None
         self.edge_prob = edge_prob
         self.n_unreliable = n_unreliable
         self.receiver_unreliable = receiver_unreliable
 
     def _new_block(self, block, round_index, history, np_rng, py_rng):
-        q = self.edge_prob if self.edge_prob is not None else py_rng.random()
-        self.block_value = q
-        return ("iid", q)
+        self.block_value = self.edge_prob if self.edge_prob is not None else py_rng.random()
+        return ("iid", self.block_value)
 
     def sample_edges(self, round_index, history, np_rng, py_rng):
         mask = np_rng.random(self.n_unreliable) < self.block_value
@@ -571,9 +562,6 @@ class _PhasePlanPolicy(AdversaryPolicy):
 
     def sample_edges(self, round_index, history, np_rng, py_rng):
         return _receiver_subset(np_rng, self.receiver_edge_indices, self.block_value)
-
-    def _degrees(self, rounds, values, blocks, np_rng):
-        return np.array(values, dtype=np.float64)[blocks]
 
 
 class GapPolicy(_PhasePlanPolicy):
@@ -662,8 +650,7 @@ class DegreeWalkPolicy(AdversaryPolicy):
 
     def _degrees(self, rounds, values, blocks, np_rng):
         # the walk's blocks draw nothing; its rounds step one at a time
-        count = len(rounds)
-        out = ([self.state.degree] + self._walk_to(int(rounds[-1]), np_rng))[-count:]
+        out = ([self.state.degree] + self._walk_to(int(rounds[-1]), np_rng))[-len(rounds):]
         if max(out) < 2 ** 53:
             return np.asarray(out, dtype=np.float64)
         return out
