@@ -74,6 +74,14 @@ def _configs():
                            {"kind": "argmin", "tau": 2}, 2000, a), 200),
         "a-argmin-virtual": (local(virtual, frlb_schedule(2 ** 24 + 1, 3),
                                    {"kind": "argmin", "tau": 3}, 2000, a), 10),
+        "a-iid-random-q-virtual": (local(virtual, rlb_schedule(2 ** 24 + 1, 2),
+                                         {"kind": "iid_subset", "tau": 2}, 2000, a), 100),
+        "a-iid-fixed-q-virtual": (local(virtual, frlb_schedule(2 ** 24 + 1, 3),
+                                        {"kind": "iid_subset", "tau": 3, "edge_prob": 0.3},
+                                        2000, a), 100),
+        "a-static-virtual": (local(virtual, rlb_schedule(2 ** 24 + 1, 3),
+                                   {"kind": "static", "tau": 3, "extra_degree": 5}, 2000, a),
+                             100),
         "a-shift": (local(ds256, decay_schedule(256),
                           {"kind": "correlated_shift"}, 2000, a), 200),
         "a-walk-deterministic": (local(star64, rlb_schedule(64, 4),
@@ -162,6 +170,9 @@ GOLDEN = {
     'a-gap-virtual': 'dffedd0d110bd94e55a502889272d41712c13bc06ed44175f0042aea0e38fe05',
     'a-argmin': 'e408e533e8250717e5968dc9d34d2b39ce98c1f2115bf09eb0fb396ce6cffda6',
     'a-argmin-virtual': 'f2637e3f1c17d15d8fef433e07851118e44fe247f485a547fe7062bbce3ebcbd',
+    'a-iid-random-q-virtual': 'b95921d2973c2a9d49c37091b18eff92eab6458e18c8269441d0363b430a53d4',
+    'a-iid-fixed-q-virtual': '11aa7f1a8fda7649299ad9a7acc507ff9c1400eef407db3f4bbaeb16fc808c88',
+    'a-static-virtual': '7ae11f2acdfdff309a09fd522e7c7e4995eadae9686bd65e92ba985f68d3c5d3',
     'a-shift': '0a11bc0825d28e4118c14afe2bc31ff0f9ba23fa03b785422982d154e242c46c',
     'a-walk-deterministic': 'c888601dc6ca99b74aab206053de7f601662e0558c245c1b8ae639507805ca69',
     'a-walk-restricted-random': 'ab562d722c865b20784e8532940eb308550cc8bb04c00c68491bcf54bacf5fb6',
