@@ -1,13 +1,20 @@
 """Fading-adversary policies and the worst-case constructions.
 
-A policy supplies, for each round, the subset of unreliable edges to
-activate (materialized engine) or the designated receiver's effective
-degree (the analytic fast path).  Policies may change the distribution
-they draw from at most once every `tau` rounds: the rule lives in
-`AdversaryPolicy.pre_round`, which both engines' calls go through, and
-every distribution change is appended to `change_log` so the engine can
-audit it.  The degree walk has one step rule, `walk_degrees`, and every
-random edge subset comes from `draw_subsets`, one generator call per round.
+In the star gadgets an adversary acts only through the designated
+receiver's effective degree: 1 plus the unreliable arms it activates.
+Each receiver-degree policy states that degree once, in `_degrees`.  The
+analytic engine reads it through `AdversaryPolicy.degrees`; the
+materialized engine calls `AdversaryPolicy.sample_edges`, the one way of
+turning a degree d into edges: a uniform (d-1)-subset of the receiver's
+unreliable arms.  Only `static`, `iid_subset` and `chained_gap`, which
+name edges beyond one receiver's arms, pick their edges themselves.
+
+Policies may change the distribution they draw from at most once every
+`tau` rounds: the rule lives in `AdversaryPolicy.pre_round`, which both
+engines' calls go through, and every distribution change is appended to
+`change_log` so the engine can audit it.  The degree walk has one step
+rule, `walk_degrees`, and every random edge subset comes from
+`draw_subsets`, one generator call per round.
 
 Policies see only public information: the schedule, past transmission and
 delivery outcomes (ObservableHistory).  Node coin flips are structurally
@@ -323,7 +330,6 @@ class DegreeWalkState:
     max_degree: int
     mode: str = "dodging"  # or "random"
     restricted: bool = False
-    receiver_has_message: bool = False
 
     def __post_init__(self):
         if not 1 <= self.degree <= self.max_degree:
@@ -344,7 +350,6 @@ def walk_degrees(state: DegreeWalkState, log_probs: Sequence[float], rng) -> lis
     """
     budget, cap = state.step_budget, state.max_degree
     restricted, dodging = state.restricted, state.mode == "dodging"
-    flag = state.receiver_has_message
     randint, coin = rng.integers, rng.random
     d = state.degree
     out = []
@@ -370,8 +375,8 @@ def walk_degrees(state: DegreeWalkState, log_probs: Sequence[float], rng) -> lis
                 elif lo > peak:
                     d = hi
                 else:
-                    s_lo = exact_success_logprob(lo, lp, flag)
-                    s_hi = exact_success_logprob(hi, lp, flag)
+                    s_lo = exact_success_logprob(lo, lp)
+                    s_hi = exact_success_logprob(hi, lp)
                     d = lo if s_lo <= s_hi else hi
         out.append(d)
     return out
@@ -381,6 +386,9 @@ def walk_degrees(state: DegreeWalkState, log_probs: Sequence[float], rng) -> lis
 # policies
 
 
+_ONE_BLOCK = np.zeros(1, dtype=np.int64)  # the block index of `sample_edges`' one round
+
+
 class AdversaryPolicy:
     """Per-trial mutable policy instance.
 
@@ -388,19 +396,18 @@ class AdversaryPolicy:
     None: the whole run is one block).  `pre_round` enters a round's block;
     on a new block `_new_block` draws the block's distribution, sets
     `block_value` to its parameter and returns a fingerprint, which
-    `change_log` records whenever it differs from the last.  The
-    materialized engine then calls `sample_edges` every round.  The
-    analytic engine calls `degrees`, which enters every block of the
-    requested rounds in order and maps their values to per-round receiver
-    degrees through `_degrees`.
+    `change_log` records whenever it differs from the last.  `_degrees`
+    maps block values to per-round receiver degrees.  The analytic engine
+    calls `degrees`, which enters every block of the requested rounds in
+    order; the materialized engine calls `pre_round` and then
+    `sample_edges` every round.
     """
 
-    kind = "abstract"
-
-    def __init__(self, tau: int | None):
+    def __init__(self, tau: int | None, receiver_edges: Sequence[int] = ()):
         if tau is not None and tau < 1:
             raise ValueError("tau must be >= 1 (or None for infinity)")
         self.tau = tau
+        self.receiver_edges = np.asarray(receiver_edges, dtype=np.int64)
         self.change_log: list[tuple[int, object]] = []
         self.block_value: object = None
         self._fingerprint: object = None
@@ -434,15 +441,19 @@ class AdversaryPolicy:
         rounds = np.arange(start_round, start_round + count)
         return self._degrees(rounds, values, (rounds - 1) // tau - first, np_rng)
 
+    def sample_edges(self, round_index: int, history: ObservableHistory,
+                     np_rng, py_rng) -> np.ndarray:
+        """Indices into graph.unreliable_edges active this round: a uniform
+        (d-1)-subset of the receiver's unreliable arms for the round's
+        degree d.  `pre_round` has entered the round's block."""
+        [d] = self._degrees(np.array([round_index]), [self.block_value], _ONE_BLOCK, np_rng)
+        arms = self.receiver_edges
+        return arms[uniform_subsets(np_rng, (len(arms),), (int(d) - 1,))]
+
     # -- hooks
 
     def _new_block(self, block, round_index, history, np_rng, py_rng) -> object:
         raise NotImplementedError
-
-    def sample_edges(self, round_index: int, history: ObservableHistory,
-                     np_rng, py_rng) -> np.ndarray:
-        """Indices into graph.unreliable_edges active this round."""
-        raise NotImplementedError(f"{self.kind} has no materialized mode")
 
     def _degrees(self, rounds: np.ndarray, values: list, blocks: np.ndarray, np_rng):
         """Degrees for `rounds`, where round rounds[i] lies in the block whose
@@ -455,8 +466,6 @@ class StaticPolicy(AdversaryPolicy):
     which the receiver has effective degree `degree`.  A fixed distribution
     is one block whatever tau is; `named` is the subset as configured, its
     change-log fingerprint."""
-
-    kind = "static"
 
     def __init__(self, edge_indices: Sequence[int], degree: int, named: object,
                  tau: int | None = None):
@@ -483,10 +492,8 @@ class IidSubsetPolicy(AdversaryPolicy):
     fixed q is one block whatever tau is.
     """
 
-    kind = "iid_subset"
-
     def __init__(self, tau, edge_prob: float | None, n_unreliable: int,
-                 receiver_unreliable: int | None = None):
+                 receiver_unreliable: int):
         super().__init__(tau)
         if edge_prob is not None and not 0.0 <= edge_prob <= 1.0:
             raise ValueError("edge_prob must lie in [0,1]")
@@ -505,15 +512,7 @@ class IidSubsetPolicy(AdversaryPolicy):
         return np.flatnonzero(mask)
 
     def _degrees(self, rounds, values, blocks, np_rng):
-        m = self.receiver_unreliable
-        if m is None:
-            raise ValueError("iid analytic mode needs the receiver's unreliable arm count")
-        return 1.0 + np_rng.binomial(m, np.array(values)[blocks])
-
-
-def _receiver_subset(np_rng, receiver_edges: np.ndarray, degree: int) -> np.ndarray:
-    """A uniform (degree - 1)-subset of the receiver's unreliable edges."""
-    return receiver_edges[uniform_subsets(np_rng, (len(receiver_edges),), (degree - 1,))]
+        return 1.0 + np_rng.binomial(self.receiver_unreliable, np.array(values)[blocks])
 
 
 def phase_cycle_probs(schedule: Schedule, tau: int, phase: int) -> list[float]:
@@ -527,6 +526,8 @@ def phase_degrees(schedule: Schedule, tau: int,
     """phase -> rule(phase_cycle_probs(schedule, tau, phase)) for 0-based
     phases, cached by where the phase starts in the probability cycle (the
     only thing the degree depends on)."""
+    if tau is None:
+        raise ValueError("phase degrees need a finite tau")
     cache: dict[int, int] = {}
 
     def degree(phase: int) -> int:
@@ -539,62 +540,29 @@ def phase_degrees(schedule: Schedule, tau: int,
     return degree
 
 
-class _PhasePlanPolicy(AdversaryPolicy):
-    """Shared machinery for gap/argmin: a fixed degree per phase realized as
-    a fresh uniform subset of the receiver's unreliable arms each round."""
+class PhaseDegreePolicy(AdversaryPolicy):
+    """One receiver degree per tau-round phase: `rule` of the phase's
+    probabilities (the gap or the argmin construction)."""
 
-    def __init__(self, tau: int, schedule: Schedule, delta: int,
-                 receiver_edge_indices: Sequence[int]):
-        if tau is None:
-            raise ValueError("phase-plan policies need a finite tau")
-        super().__init__(tau)
-        self.schedule = schedule
-        self.delta = delta
-        self.receiver_edge_indices = np.asarray(receiver_edge_indices, dtype=np.int64)
-        self._degree_for_block = phase_degrees(schedule, tau, self._pick_degree)
-
-    def _pick_degree(self, probs: Sequence[float]) -> int:
-        raise NotImplementedError
+    def __init__(self, tau: int, schedule: Schedule, rule: Callable[[list[float]], int],
+                 receiver_edges: Sequence[int]):
+        super().__init__(tau, receiver_edges)
+        self._phase_degree = phase_degrees(schedule, tau, rule)
 
     def _new_block(self, block, round_index, history, np_rng, py_rng):
-        self.block_value = self._degree_for_block(block)
+        self.block_value = self._phase_degree(block)
         return ("fixed-degree", self.block_value)
-
-    def sample_edges(self, round_index, history, np_rng, py_rng):
-        return _receiver_subset(np_rng, self.receiver_edge_indices, self.block_value)
-
-
-class GapPolicy(_PhasePlanPolicy):
-    kind = "gap"
-
-    def __init__(self, tau, schedule, delta, receiver_edge_indices, strict=False):
-        super().__init__(tau, schedule, delta, receiver_edge_indices)
-        self.strict = strict
-
-    def _pick_degree(self, probs):
-        return gap_plan(probs, self.delta, strict=self.strict).degree
-
-
-class ArgminPolicy(_PhasePlanPolicy):
-    kind = "argmin"
-
-    def _pick_degree(self, probs):
-        return 1 << argmin_degree(probs, self.delta)
 
 
 class CorrelatedShiftPolicy(AdversaryPolicy):
     """One distribution for the whole run (tau = infinity) whose per-round
     degrees become deterministic once the shift is drawn."""
 
-    kind = "correlated_shift"
-
-    def __init__(self, schedule: Schedule, delta: int,
-                 receiver_edge_indices: Sequence[int],
+    def __init__(self, schedule: Schedule, delta: int, receiver_edges: Sequence[int],
                  forced_shift: int | None = None):
-        super().__init__(None)
+        super().__init__(None, receiver_edges)
         self.schedule = schedule
         self.delta = delta
-        self.receiver_edge_indices = np.asarray(receiver_edge_indices, dtype=np.int64)
         self.forced_shift = forced_shift
         self.plan: ShiftPlan | None = None
 
@@ -604,10 +572,6 @@ class CorrelatedShiftPolicy(AdversaryPolicy):
         self._responses = np.array(self.plan.responses, dtype=np.float64)
         return ("shift", self.plan.shift)
 
-    def sample_edges(self, round_index, history, np_rng, py_rng):
-        return _receiver_subset(np_rng, self.receiver_edge_indices,
-                                self.plan.degree_at(round_index))
-
     def _degrees(self, rounds, values, blocks, np_rng):
         return self._responses[(rounds - 1 + self.plan.shift) % self.plan.cycle_length]
 
@@ -616,13 +580,11 @@ class DegreeWalkPolicy(AdversaryPolicy):
     """Correlated walk on the receiver degree with a per-round change budget."""
 
     def __init__(self, tau, schedule: Schedule, step_budget: int, max_degree: int,
-                 receiver_edge_indices: Sequence[int] = (),
+                 receiver_edges: Sequence[int] = (),
                  mode: str = "dodging", restricted: bool = True,
                  start_degree: int = 1):
-        super().__init__(tau)
-        self.kind = "degree_walk_restricted" if restricted else "degree_walk_deterministic"
+        super().__init__(tau, receiver_edges)
         self.schedule = schedule
-        self.receiver_edge_indices = np.asarray(receiver_edge_indices, dtype=np.int64)
         self.state = DegreeWalkState(
             degree=start_degree, step_budget=step_budget, max_degree=max_degree,
             mode=mode, restricted=restricted)
@@ -644,10 +606,6 @@ class DegreeWalkPolicy(AdversaryPolicy):
             self._stepped_for = round_index
         return steps
 
-    def sample_edges(self, round_index, history, np_rng, py_rng):
-        self._walk_to(round_index, np_rng)
-        return _receiver_subset(np_rng, self.receiver_edge_indices, self.state.degree)
-
     def _degrees(self, rounds, values, blocks, np_rng):
         # the walk's blocks draw nothing; its rounds step one at a time
         out = ([self.state.degree] + self._walk_to(int(rounds[-1]), np_rng))[-len(rounds):]
@@ -657,7 +615,7 @@ class DegreeWalkPolicy(AdversaryPolicy):
 
 
 class ChainedGapPolicy(AdversaryPolicy):
-    """Per-gadget gap degrees for the chained graph.
+    """Per-gadget phase degrees for the chained graph.
 
     Gadgets the message has not reached hold their first-phase degree; the
     frontier gadget advances to the next phase's degree only after its
@@ -668,18 +626,14 @@ class ChainedGapPolicy(AdversaryPolicy):
     all from one generator call.
     """
 
-    kind = "chained_gap"
-
     def __init__(self, tau: int, schedule: Schedule, gadget: Gadget,
-                 strict: bool = False):
+                 rule: Callable[[list[float]], int]):
         super().__init__(tau)
         if gadget.kind != "chained":
             raise ValueError("chained_gap needs a chained gadget")
         self.gadget = gadget
-        # one section's degree per phase is the single-receiver gap rule
-        self._phase_degree = phase_degrees(
-            schedule, tau,
-            lambda probs: gap_plan(probs, gadget.delta, strict=strict).degree)
+        # one section's degree per phase is the single-receiver rule
+        self._phase_degree = phase_degrees(schedule, tau, rule)
         count = len(gadget.sections)
         self.section_phase = [1] * count
         self.section_degree = [self._phase_degree(0)] * count
@@ -724,9 +678,12 @@ def make_policy(spec: dict, gadget: Gadget, schedule: Schedule) -> AdversaryPoli
     tau = spec.get("tau")
     graph = gadget.graph
     recv = gadget.receiver
-    recv_edges: tuple[int, ...] = ()
-    if recv is not None:
-        recv_edges = graph.unreliable_incident(recv)
+    recv_edges = () if recv is None else graph.unreliable_incident(recv)
+    # a virtual star keeps no edges; its receiver has delta - 2 unreliable arms
+    arms = gadget.delta - 2 if gadget.meta.get("virtual") else len(recv_edges)
+
+    def gap_rule(probs):
+        return gap_plan(probs, gadget.delta, strict=spec.get("strict", False)).degree
 
     if kind == "static":
         # one subset for both engines: the listed `edges`, or the receiver's
@@ -745,7 +702,6 @@ def make_policy(spec: dict, gadget: Gadget, schedule: Schedule) -> AdversaryPoli
             raise ValueError(f"static edges {repeated} are listed more than once")
         extra = spec.get("extra_degree", 0)
         if "extra_degree" in spec:
-            arms = math.inf if gadget.meta.get("virtual") else len(recv_edges)
             if not isinstance(extra, int) or not 0 <= extra <= arms:
                 raise ValueError(f"static extra_degree {extra!r} is not in 0..{arms}, the "
                                  f"receiver's unreliable arm count on the {gadget.kind} gadget")
@@ -754,49 +710,35 @@ def make_policy(spec: dict, gadget: Gadget, schedule: Schedule) -> AdversaryPoli
             subset, degree = edges, 1 + len(set(edges).intersection(recv_edges))
         return StaticPolicy(subset, degree, ("static", tuple(sorted(edges)), extra), tau=tau)
     if kind == "iid_subset":
-        if gadget.meta.get("virtual"):
-            recv_unrel = gadget.delta - 2
-        else:
-            recv_unrel = len(recv_edges) if recv is not None else None
-        return IidSubsetPolicy(
-            tau=tau,
-            edge_prob=spec.get("edge_prob"),
-            n_unreliable=len(graph.unreliable_edges),
-            receiver_unreliable=recv_unrel)
+        return IidSubsetPolicy(tau=tau, edge_prob=spec.get("edge_prob"),
+                               n_unreliable=len(graph.unreliable_edges),
+                               receiver_unreliable=arms)
     if kind in ("gap", "argmin", "degree_walk_deterministic", "degree_walk_restricted") \
             and recv is None:
         raise ValueError(f"{kind} acts on a designated receiver's unreliable arms; "
                          f"a {gadget.kind} gadget has no designated receiver")
     if kind == "gap":
-        return GapPolicy(tau=tau, schedule=schedule, delta=gadget.delta,
-                         receiver_edge_indices=recv_edges,
-                         strict=spec.get("strict", False))
+        return PhaseDegreePolicy(tau, schedule, gap_rule, recv_edges)
     if kind == "argmin":
-        return ArgminPolicy(tau=tau, schedule=schedule, delta=gadget.delta,
-                            receiver_edge_indices=recv_edges)
+        return PhaseDegreePolicy(tau, schedule,
+                                 lambda probs: 1 << argmin_degree(probs, gadget.delta),
+                                 recv_edges)
     if kind == "correlated_shift":
         if gadget.kind != "double_star":
             raise ValueError(
                 f"correlated_shift needs a double_star gadget, where the receiver can "
                 f"reach degree delta; got a {gadget.kind} gadget")
         return CorrelatedShiftPolicy(schedule=schedule, delta=gadget.delta,
-                                     receiver_edge_indices=recv_edges,
+                                     receiver_edges=recv_edges,
                                      forced_shift=spec.get("shift"))
     if kind in ("degree_walk_deterministic", "degree_walk_restricted"):
-        max_degree = spec.get("max_degree")
-        if max_degree is None:
-            if gadget.meta.get("virtual"):
-                max_degree = gadget.delta - 1  # receiver's potential star degree
-            else:
-                max_degree = len(recv_edges) + 1
         return DegreeWalkPolicy(
             tau=tau, schedule=schedule,
-            step_budget=spec["l"], max_degree=max_degree,
-            receiver_edge_indices=recv_edges,
+            step_budget=spec["l"], max_degree=arms + 1,
+            receiver_edges=recv_edges,
             mode=spec.get("walk_mode", "dodging"),
             restricted=(kind == "degree_walk_restricted"),
             start_degree=spec.get("start_degree", 1))
     if kind == "chained_gap":
-        return ChainedGapPolicy(tau=tau, schedule=schedule, gadget=gadget,
-                                strict=spec.get("strict", False))
+        return ChainedGapPolicy(tau=tau, schedule=schedule, gadget=gadget, rule=gap_rule)
     raise ValueError(f"unknown adversary kind {kind!r}")

@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualradio.adversary import (CorrelatedShiftPolicy, DegreeWalkState,
-                                 GapPolicy, IidSubsetPolicy, ObservableHistory,
-                                 argmin_degree, gap_plan, make_policy,
-                                 phase_cycle_probs, shift_plan, uniform_subsets,
-                                 walk_degrees)
+from dualradio.adversary import (DegreeWalkState, ObservableHistory, argmin_degree,
+                                 gap_plan, make_policy, phase_cycle_probs, shift_plan,
+                                 uniform_subsets, walk_degrees)
 from dualradio.engine import trial_rngs
-from dualradio.gadgets import chained_gadgets, double_star, star_gadget
+from dualradio.gadgets import build_gadget, chained_gadgets, double_star, star_gadget
 from dualradio.oracle import exact_success_prob, phase_success_sum
 from dualradio.schedules import (decay_schedule, frlb_schedule, rlb_schedule)
 
@@ -230,10 +228,21 @@ class TestPolicies:
         (star_gadget(16, 18), {"extra_degree": 15}, r"extra_degree 15 is not in 0\.\.14"),
         (star_gadget(16, 18), {"extra_degree": -1}, r"extra_degree -1 is not in"),
         (chained_gadgets(10, 24), {"extra_degree": 1}, r"extra_degree 1 is not in 0\.\.0"),
-    ], ids=["both-keys", "above-arms", "negative", "no-receiver"])
+        (build_gadget("star", 2 ** 30), {"extra_degree": 2 ** 40},
+         rf"extra_degree {2 ** 40} is not in 0\.\.{2 ** 30 - 2}"),
+    ], ids=["both-keys", "above-arms", "negative", "no-receiver", "virtual-above-arms"])
     def test_static_rejects_bad_extra_degree(self, gadget, spec, message):
         with pytest.raises(ValueError, match=message):
             make_policy(dict(spec, kind="static", tau=4), gadget, rlb_schedule(16, 4))
+
+    @pytest.mark.parametrize("kind, gadget", [
+        ("gap", star_gadget(2 ** 8 + 1, 2 ** 8 + 3)),
+        ("argmin", star_gadget(2 ** 8 + 1, 2 ** 8 + 3)),
+        ("chained_gap", chained_gadgets(2 ** 8 + 1, 24)),
+    ], ids=["gap", "argmin", "chained-gap"])
+    def test_phase_kinds_need_finite_tau(self, kind, gadget):
+        with pytest.raises(ValueError, match="finite tau"):
+            make_policy({"kind": kind, "tau": None}, gadget, frlb_schedule(2 ** 8 + 1, 1))
 
     @pytest.mark.parametrize("kind", ["gap", "argmin", "degree_walk_deterministic",
                                       "degree_walk_restricted"])
