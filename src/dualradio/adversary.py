@@ -710,6 +710,10 @@ def make_policy(spec: dict, gadget: Gadget, schedule: Schedule) -> AdversaryPoli
             subset, degree = edges, 1 + len(set(edges).intersection(recv_edges))
         return StaticPolicy(subset, degree, ("static", tuple(sorted(edges)), extra), tau=tau)
     if kind == "iid_subset":
+        if arms >= 2 ** 63:
+            raise ValueError(f"iid_subset draws the receiver's active arm count as a 64-bit "
+                             f"binomial, so its {arms} unreliable arms (delta - 2 on a "
+                             f"virtual star) must be fewer than 2^63")
         return IidSubsetPolicy(tau=tau, edge_prob=spec.get("edge_prob"),
                                n_unreliable=len(graph.unreliable_edges),
                                receiver_unreliable=arms)

@@ -235,6 +235,16 @@ class TestPolicies:
         with pytest.raises(ValueError, match=message):
             make_policy(dict(spec, kind="static", tau=4), gadget, rlb_schedule(16, 4))
 
+    def test_iid_arm_count_must_fit_a_binomial(self):
+        # a virtual star's receiver has delta - 2 arms, drawn as an int64 count
+        sched = rlb_schedule(16, 2)
+        fits = make_policy({"kind": "iid_subset", "tau": 2}, build_gadget("star", 2 ** 63 + 1),
+                           sched)
+        assert (fits.degrees(1, 4, ObservableHistory(sched), *rngs()) >= 1).all()
+        with pytest.raises(ValueError, match=r"fewer than 2\^63"):
+            make_policy({"kind": "iid_subset", "tau": 2}, build_gadget("star", 2 ** 63 + 2),
+                        sched)
+
     @pytest.mark.parametrize("kind, gadget", [
         ("gap", star_gadget(2 ** 8 + 1, 2 ** 8 + 3)),
         ("argmin", star_gadget(2 ** 8 + 1, 2 ** 8 + 3)),
