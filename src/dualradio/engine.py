@@ -81,6 +81,9 @@ class TrialConfig:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.engine_mode not in ("materialized", "analytic_star"):
             raise ValueError(f"unknown engine {self.engine_mode!r}")
+        if self.engine_mode == "materialized" and self.gadget.meta.get("virtual"):
+            raise ValueError("a virtual star (delta >= 2^24) has no edges to simulate; "
+                             "run it on the analytic_star engine")
         if self.problem == "local" and not self.gadget.broadcasters:
             raise ValueError("local broadcast needs a nonempty broadcaster set")
         if self.max_rounds < 1:

@@ -173,6 +173,15 @@ class TestRunCommand:
         assert "chained gadget has no designated receiver" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_virtual_star_on_materialized_engine_rejected(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        path = write_config(tmp_path, base_config(
+            out=str(out), engine="materialized", gadget={"kind": "star", "delta": "log2:30"},
+            adversary={"kind": "iid_subset", "edge_prob": 1.0}))
+        assert main(["run", path]) == 1
+        assert "run it on the analytic_star engine" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_partial_left_behind(self, tmp_path):
         out = tmp_path / "t.csv"
         path = write_config(tmp_path, base_config(out=str(out)))

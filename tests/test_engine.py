@@ -13,7 +13,8 @@ from dualradio.engine import (_NEVER, CSV_COLUMNS, Stats, TrialConfig, TrialResu
                               rlb_repetitions, round_counts, run_analytic_star_trial,
                               run_trial, run_trials, split_seed, trial_csv_row,
                               trial_rngs, verify_stability, wilson_interval)
-from dualradio.gadgets import Gadget, chained_gadgets, double_star, star_gadget
+from dualradio.gadgets import (Gadget, build_gadget, chained_gadgets, double_star,
+                               star_gadget)
 from dualradio.model import DualGraph, build_round_topology, transmit_counts
 from dualradio.oracle import exact_success_prob
 from dualradio.schedules import Schedule, decay_schedule, frlb_schedule, rlb_schedule
@@ -210,6 +211,16 @@ class TestAdversaryFit:
         cfg = star_config(64, 2, engine=engine, adversary={"kind": "correlated_shift"})
         with pytest.raises(ValueError, match="star gadget"):
             run_trial(cfg)
+
+    def test_virtual_star_rejected_on_materialized_engine(self):
+        delta = 2 ** 30
+        point = dict(problem="local", gadget=build_gadget("star", delta),
+                     schedule=rlb_schedule(delta, 2),
+                     adversary={"kind": "iid_subset", "tau": 2, "edge_prob": 1.0},
+                     seed=0, max_rounds=2000)
+        with pytest.raises(ValueError, match="virtual star .* analytic_star engine"):
+            run_trial(TrialConfig(**point))
+        assert run_trial(TrialConfig(**point, engine_mode="analytic_star")).completed
 
 
 class TestGlobalTrial:
