@@ -40,6 +40,7 @@ def _configs():
     gap_star_big = star_gadget(2 ** 12 + 1, 2 ** 12 + 3)
     virtual = build_gadget("star", 2 ** 24 + 1)
     huge = build_gadget("star", 2 ** 200)
+    extreme = build_gadget("star", 2 ** 4885)
     chain10 = chained_gadgets(10, 24)
     chain257 = chained_gadgets(2 ** 8 + 1, 24)
     path8 = _custom(8, [(i, i + 1) for i in range(7)], [])
@@ -101,6 +102,23 @@ def _configs():
         "a-walk-beyond-2^53": (local(huge, rlb_schedule(2 ** 200, 4),
                                      {"kind": "degree_walk_deterministic", "tau": 5,
                                       "l": 2 ** 54, "start_degree": 2 ** 60}, 600, a), 5),
+        # gap degrees that change every block (cycle length 3 at tau 1, 7 at
+        # tau 3) and one that never changes (cycle length 1 at tau 1)
+        "a-gap-tau1": (local(gap_star, rlb_schedule(2 ** 10 + 1, 3),
+                             {"kind": "gap", "tau": 1}, 2000, a), 40),
+        "a-gap-tau1-constant": (local(gap_star, rlb_schedule(2 ** 10 + 1, 1),
+                                      {"kind": "gap", "tau": 1}, 3000, a), 40),
+        "a-gap-tau3-virtual": (local(virtual, rlb_schedule(2 ** 24 + 1, 7),
+                                     {"kind": "gap", "tau": 3}, 3000, a), 20),
+        # a restricted dodging walk that crosses the success peak inside a
+        # degree chunk, and criterion 10's walk cut to 5,000 rounds
+        "a-walk-restricted-dodging-cross": (local(star64, rlb_schedule(64, 4),
+                                                  {"kind": "degree_walk_restricted",
+                                                   "tau": 4, "l": 2, "start_degree": 20},
+                                                  2000, a), 100),
+        "a-walk-criterion-10": (local(extreme, rlbc_schedule(2 ** 4885, 1000),
+                                      {"kind": "degree_walk_restricted", "tau": 1000,
+                                       "l": 22, "walk_mode": "dodging"}, 5000, a), 4),
         # materialized engine, local broadcast
         "m-static": (local(star16, rlb_schedule(16, 4),
                            {"kind": "static", "tau": 4, "edges": [0, 2, 5]}, 300, m), 200),
@@ -179,6 +197,12 @@ GOLDEN = {
     'a-walk-restricted-dodging': 'bfe80f49af2cbfffd95917712077e84f95df29fc08c2551f0421d132a92a1de8',
     'a-walk-deterministic-long': '5a4af610f8501a2f5e8f38389f5ac34fe25e38ff5c3f6cd81f00746f09cb78b2',
     'a-walk-beyond-2^53': '9f6f82d72ad6100c449d74667bd0f5d8b3b5168336f108b3cf1cef25736edafa',
+    'a-gap-tau1': 'a79a45ff08d04200da54387a600629d9615396659f5e47e211eb4b7755105f06',
+    'a-gap-tau1-constant': '4ae92a578c7eaacca875b052b23842cf1734234ef1672ea0df38e1ca0f11e1c4',
+    'a-gap-tau3-virtual': 'b3418259e935c1a1ac525fbd5331c63f2ae515f81ffa7c8a358aa6a9960c3d93',
+    'a-walk-restricted-dodging-cross':
+        '86c557695f47497fb99c2780b94909064fb5e6bf40dd9024b6129d0c8d5ca82b',
+    'a-walk-criterion-10': '5ba1154e97502bf92736a942541a64344e19c6aa6768d825574bd224b940a26c',
     'm-static': 'd1853816db70d394a5f444861bdfe573b70b0e95c85dd79f2d75fa62d7b3ebbe',
     'm-iid': '71bb3ff8805b3032b81451b2ad89d60f29bdd74b968a58f39a7d763f563705db',
     'm-iid-all-receivers': '5f9ead23051c02de00dc4519ad8682e8ae869bf6ac8f5180db465ea7d015db0e',
