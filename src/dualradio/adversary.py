@@ -23,6 +23,7 @@ unreachable, and adversary randomness comes from its own rng substreams.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
@@ -340,21 +341,57 @@ class DegreeWalkState:
             raise ValueError(f"unknown walk mode {self.mode!r}")
 
 
-def walk_degrees(state: DegreeWalkState, log_probs: Sequence[float], rng) -> list:
+_EXACT = 2 ** 53      # integers below this are exact as float64
+_NEAR_PEAK = 1e-6     # relative margin that sends a round near the peak to the scalar rule
+_VECTOR_MIN = 16      # shorter calls step by the scalar rule, drawing round by round
+
+
+def walk_degrees(state: DegreeWalkState, log_probs: Sequence[float], rng):
     """Advance the walk one round per entry of `log_probs` (ln of the
-    probability the nodes use in that round); the degree after each step.
+    probability the nodes use in that round); the degree after each step,
+    as a float64 array, or as a list of ints when some degree is 2^53 or
+    more.
 
     Dodging picks whichever reachable extreme has the lower exact success
     (success is unimodal in the degree, so the interval minimum sits at an
-    endpoint); random picks a direction by coin.  Degrees are plain ints.
+    endpoint); random picks a direction by coin.
+
+    A dodging walk draws nothing but its magnitudes (all of them in one
+    `integers` call, which consumes the generator exactly as one call per
+    round does), so the rounds where it must go down, at the lower end d -
+    mag clipped at 1, are found for the whole call at once: mag 0, lo ==
+    hi, or hi clearly below the peak (1-p)/p.  Up to the first other round
+    the path is max(1, d - cumsum(mags)); from there the scalar rule steps
+    each round.
     """
     budget, cap = state.step_budget, state.max_degree
     restricted, dodging = state.restricted, state.mode == "dodging"
     randint, coin = rng.integers, rng.random
     d = state.degree
+    n = len(log_probs)
+    head = ()
+    if dodging and n >= _VECTOR_MIN and d + 2 * budget < _EXACT:
+        mags = rng.integers(0, 2 * budget + 1, size=n) if restricted else np.full(n, budget)
+        lps = np.asarray(log_probs, dtype=np.float64)
+        path = np.maximum(1.0, d - np.cumsum(mags, dtype=np.float64))
+        prev = np.concatenate(([float(d)], path[:-1]))
+        hi = np.minimum(prev + mags, float(min(cap, _EXACT)))
+        p = np.exp(lps)
+        # hi * p < 1 - p is hi < (1-p)/p without the overflow at subnormal p
+        down = (mags == 0) | (path == hi) | (hi * p < (1.0 - p) * (1.0 - _NEAR_PEAK))
+        stop = n if down.all() else int(np.argmin(down))
+        if stop == n:
+            return path
+        head, d = path[:stop], int(prev[stop])
+        mags, log_probs = mags[stop:].tolist(), lps[stop:]
+    elif restricted:  # drawn round by round: random mode draws its coins in between
+        mags = (int(randint(0, 2 * budget + 1)) for _ in range(n))
+    else:
+        mags = itertools.repeat(budget, n)
+    if isinstance(log_probs, np.ndarray):
+        log_probs = log_probs.tolist()
     out = []
-    for lp in log_probs:
-        mag = int(randint(0, 2 * budget + 1)) if restricted else budget
+    for lp, mag in zip(log_probs, mags):
         if mag:
             lo = d - mag
             if lo < 1:
@@ -379,28 +416,31 @@ def walk_degrees(state: DegreeWalkState, log_probs: Sequence[float], rng) -> lis
                     s_hi = exact_success_logprob(hi, lp)
                     d = lo if s_lo <= s_hi else hi
         out.append(d)
-    return out
+    if out and max(out) >= _EXACT:
+        return [int(x) for x in head] + out
+    return np.concatenate((head, out)) if len(head) else np.array(out, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
 # policies
 
 
-_ONE_BLOCK = np.zeros(1, dtype=np.int64)  # the block index of `sample_edges`' one round
+_WHOLE_RUN = 2 ** 62  # block length standing for tau = infinity
 
 
 class AdversaryPolicy:
     """Per-trial mutable policy instance.
 
     The distribution may change only where a tau-round block starts (tau
-    None: the whole run is one block).  `pre_round` enters a round's block;
-    on a new block `_new_block` draws the block's distribution, sets
-    `block_value` to its parameter and returns a fingerprint, which
-    `change_log` records whenever it differs from the last.  `_degrees`
-    maps block values to per-round receiver degrees.  The analytic engine
-    calls `degrees`, which enters every block of the requested rounds in
-    order; the materialized engine calls `pre_round` and then
-    `sample_edges` every round.
+    None: the whole run is one block).  `pre_round` enters the blocks of a
+    range of rounds, in order, through one hook, `_blocks`: given the new
+    blocks' indices it draws their distributions and returns their values
+    (kept in `block_values`) and their fingerprints, which `change_log`
+    records wherever they differ from the last.  `_degrees` maps rounds to
+    the receiver's degrees.  The analytic engine calls `degrees`, which
+    enters every block of a chunk of rounds at once; the materialized
+    engine calls `pre_round` and then `sample_edges` every round.  Rounds
+    are asked for in order.
     """
 
     def __init__(self, tau: int | None, receiver_edges: Sequence[int] = ()):
@@ -409,9 +449,10 @@ class AdversaryPolicy:
         self.tau = tau
         self.receiver_edges = np.asarray(receiver_edges, dtype=np.int64)
         self.change_log: list[tuple[int, object]] = []
-        self.block_value: object = None
+        self.block_values: np.ndarray | None = None  # of blocks _values_from.._block
+        self._values_from = 0
         self._fingerprint: object = None
-        self._block: int | None = None
+        self._block = -1  # the last block entered
 
     # -- stability bookkeeping
 
@@ -421,44 +462,53 @@ class AdversaryPolicy:
             self._fingerprint = fingerprint
 
     def pre_round(self, round_index: int, history: ObservableHistory,
-                  np_rng, py_rng) -> None:
-        blk = 0 if self.tau is None else (round_index - 1) // self.tau
-        if blk != self._block:
-            self._block = blk
-            fp = self._new_block(blk, round_index, history, np_rng, py_rng)
-            self._record(round_index, fp)
+                  np_rng, py_rng, through: int | None = None) -> None:
+        """Enter the blocks of rounds round_index..through (by default
+        round_index alone) that were not entered yet."""
+        span = self.tau or _WHOLE_RUN
+        last = ((through or round_index) - 1) // span
+        if last <= self._block:
+            return
+        start = (round_index - 1) // span
+        first = max(start, self._block + 1)
+        values, changes = self._blocks(range(first, last + 1), np_rng, py_rng)
+        for i, fp in changes:
+            self._record(max(round_index, (first + i) * span + 1), fp)
+        if values is not None and start < first:  # round_index's block was entered before
+            values = np.concatenate((self.block_values[-1:], values))
+            first -= 1
+        self.block_values, self._values_from, self._block = values, first, last
 
     def degrees(self, start_round: int, count: int, history: ObservableHistory,
                 np_rng, py_rng):
         """Receiver effective degrees for rounds start..start+count-1."""
-        # tau None is one block, as is any tau past the last round asked for
-        tau = self.tau or start_round + count
-        first = (start_round - 1) // tau
-        values = []
-        for r in (start_round, *range(first * tau + tau + 1, start_round + count, tau)):
-            self.pre_round(r, history, np_rng, py_rng)
-            values.append(self.block_value)
-        rounds = np.arange(start_round, start_round + count)
-        return self._degrees(rounds, values, (rounds - 1) // tau - first, np_rng)
+        self.pre_round(start_round, history, np_rng, py_rng, through=start_round + count - 1)
+        return self._degrees(np.arange(start_round, start_round + count), np_rng)
 
     def sample_edges(self, round_index: int, history: ObservableHistory,
                      np_rng, py_rng) -> np.ndarray:
         """Indices into graph.unreliable_edges active this round: a uniform
         (d-1)-subset of the receiver's unreliable arms for the round's
         degree d.  `pre_round` has entered the round's block."""
-        [d] = self._degrees(np.array([round_index]), [self.block_value], _ONE_BLOCK, np_rng)
+        d = int(self._degrees(round_index, np_rng))
         arms = self.receiver_edges
-        return arms[uniform_subsets(np_rng, (len(arms),), (int(d) - 1,))]
+        return arms[uniform_subsets(np_rng, (len(arms),), (d - 1,))]
 
     # -- hooks
 
-    def _new_block(self, block, round_index, history, np_rng, py_rng) -> object:
+    def _blocks(self, blocks: range, np_rng, py_rng) -> tuple[np.ndarray | None, list]:
+        """Enter `blocks`, in order: their values (None if the degrees do
+        not need them), and (i, fingerprint) for block blocks[i] wherever
+        the fingerprint may differ from the block before (always for i = 0)."""
         raise NotImplementedError
 
-    def _degrees(self, rounds: np.ndarray, values: list, blocks: np.ndarray, np_rng):
-        """Degrees for `rounds`, where round rounds[i] lies in the block whose
-        value is values[blocks[i]]; by default that value is the degree."""
-        return np.array(values, dtype=np.float64)[blocks]
+    def _block_value(self, rounds):
+        return self.block_values[(rounds - 1) // (self.tau or _WHOLE_RUN) - self._values_from]
+
+    def _degrees(self, rounds, np_rng):
+        """Degrees for an int64 array of rounds, or for one int round (then
+        one degree); by default a round's block value is its degree."""
+        return self._block_value(rounds)
 
 
 class StaticPolicy(AdversaryPolicy):
@@ -472,11 +522,11 @@ class StaticPolicy(AdversaryPolicy):
         super().__init__(tau)
         self.tau = None
         self.edge_indices = np.asarray(sorted(edge_indices), dtype=np.int64)
-        self.block_value = float(degree)
+        self.degree = float(degree)
         self.named = named
 
-    def _new_block(self, block, round_index, history, np_rng, py_rng):
-        return self.named
+    def _blocks(self, blocks, np_rng, py_rng):
+        return np.array([self.degree]), [(0, self.named)]
 
     def sample_edges(self, round_index, history, np_rng, py_rng):
         return self.edge_indices
@@ -503,16 +553,19 @@ class IidSubsetPolicy(AdversaryPolicy):
         self.n_unreliable = n_unreliable
         self.receiver_unreliable = receiver_unreliable
 
-    def _new_block(self, block, round_index, history, np_rng, py_rng):
-        self.block_value = self.edge_prob if self.edge_prob is not None else py_rng.random()
-        return ("iid", self.block_value)
+    def _blocks(self, blocks, np_rng, py_rng):
+        if self.edge_prob is not None:
+            qs = [self.edge_prob]
+        else:
+            qs = [py_rng.random() for _ in range(len(blocks))]
+        return np.array(qs, dtype=np.float64), [(i, ("iid", q)) for i, q in enumerate(qs)]
 
     def sample_edges(self, round_index, history, np_rng, py_rng):
-        mask = np_rng.random(self.n_unreliable) < self.block_value
+        mask = np_rng.random(self.n_unreliable) < self.block_values[-1]
         return np.flatnonzero(mask)
 
-    def _degrees(self, rounds, values, blocks, np_rng):
-        return 1.0 + np_rng.binomial(self.receiver_unreliable, np.array(values)[blocks])
+    def _degrees(self, rounds, np_rng):
+        return 1.0 + np_rng.binomial(self.receiver_unreliable, self._block_value(rounds))
 
 
 def phase_cycle_probs(schedule: Schedule, tau: int, phase: int) -> list[float]:
@@ -521,37 +574,57 @@ def phase_cycle_probs(schedule: Schedule, tau: int, phase: int) -> list[float]:
     return [math.exp(schedule.log_probs[(phase * tau + j) % k]) for j in range(tau)]
 
 
-def phase_degrees(schedule: Schedule, tau: int,
-                  rule: Callable[[list[float]], int]) -> Callable[[int], int]:
-    """phase -> rule(phase_cycle_probs(schedule, tau, phase)) for 0-based
-    phases, cached by where the phase starts in the probability cycle (the
-    only thing the degree depends on)."""
-    if tau is None:
-        raise ValueError("phase degrees need a finite tau")
-    cache: dict[int, int] = {}
+class PhaseDegrees:
+    """rule(phase_cycle_probs(schedule, tau, phase)) for 0-based phases.
 
-    def degree(phase: int) -> int:
-        key = phase * tau % schedule.cycle_length
-        deg = cache.get(key)
-        if deg is None:
-            deg = cache[key] = rule(phase_cycle_probs(schedule, tau, phase))
-        return deg
+    A phase's degree depends only on where it starts in the probability
+    cycle, phase * tau mod k, so the degrees repeat every k / gcd(tau, k)
+    phases: phase p has degree `ints[p % period]`, and `floats` holds the
+    same as float64.  Each is computed once, in phase order, when first
+    asked for.
+    """
 
-    return degree
+    def __init__(self, schedule: Schedule, tau: int, rule: Callable[[list[float]], int]):
+        if tau is None:
+            raise ValueError("phase degrees need a finite tau")
+        k = schedule.cycle_length
+        self.period = k // math.gcd(tau, k)
+        self._probs = lambda phase: phase_cycle_probs(schedule, tau, phase)
+        self._rule = rule
+        self.ints: list[int] = []
+        self.floats = np.empty(0)
+
+    def __call__(self, phase: int) -> int:
+        if len(self.ints) < min(phase + 1, self.period):
+            for ph in range(len(self.ints), min(phase + 1, self.period)):
+                self.ints.append(self._rule(self._probs(ph)))
+            self.floats = np.array(self.ints, dtype=np.float64)
+        return self.ints[phase % self.period]
 
 
 class PhaseDegreePolicy(AdversaryPolicy):
     """One receiver degree per tau-round phase: `rule` of the phase's
-    probabilities (the gap or the argmin construction)."""
+    probabilities (the gap or the argmin construction).  The degrees are a
+    function of the round, so the blocks keep no values."""
 
     def __init__(self, tau: int, schedule: Schedule, rule: Callable[[list[float]], int],
                  receiver_edges: Sequence[int]):
         super().__init__(tau, receiver_edges)
-        self._phase_degree = phase_degrees(schedule, tau, rule)
+        self._phase_degree = PhaseDegrees(schedule, tau, rule)
 
-    def _new_block(self, block, round_index, history, np_rng, py_rng):
-        self.block_value = self._phase_degree(block)
-        return ("fixed-degree", self.block_value)
+    def _blocks(self, blocks, np_rng, py_rng):
+        table = self._phase_degree
+        table(blocks[-1])
+        changed = [0]
+        if len(blocks) > 1:
+            values = table.floats[np.arange(blocks.start, blocks.stop) % table.period]
+            changed += (np.flatnonzero(values[1:] != values[:-1]) + 1).tolist()
+        return None, [(i, ("fixed-degree", table.ints[blocks[i] % table.period]))
+                      for i in changed]
+
+    def _degrees(self, rounds, np_rng):
+        table = self._phase_degree
+        return table.floats[(rounds - 1) // self.tau % table.period]
 
 
 class CorrelatedShiftPolicy(AdversaryPolicy):
@@ -566,13 +639,13 @@ class CorrelatedShiftPolicy(AdversaryPolicy):
         self.forced_shift = forced_shift
         self.plan: ShiftPlan | None = None
 
-    def _new_block(self, block, round_index, history, np_rng, py_rng):
+    def _blocks(self, blocks, np_rng, py_rng):
         self.plan = shift_plan(self.schedule.cycle, self.delta, np_rng,
                                forced_shift=self.forced_shift)
         self._responses = np.array(self.plan.responses, dtype=np.float64)
-        return ("shift", self.plan.shift)
+        return None, [(0, ("shift", self.plan.shift))]
 
-    def _degrees(self, rounds, values, blocks, np_rng):
+    def _degrees(self, rounds, np_rng):
         return self._responses[(rounds - 1 + self.plan.shift) % self.plan.cycle_length]
 
 
@@ -588,30 +661,34 @@ class DegreeWalkPolicy(AdversaryPolicy):
         self.state = DegreeWalkState(
             degree=start_degree, step_budget=step_budget, max_degree=max_degree,
             mode=mode, restricted=restricted)
-        self._stepped_for = 1  # state currently valid for round 1
+        self._round = 1  # the round whose degree `state` holds
 
-    def _new_block(self, block, round_index, history, np_rng, py_rng):
-        return ("walk-block", block)
+    def _blocks(self, blocks, np_rng, py_rng):
+        # the walk's blocks draw nothing
+        return None, [(i, ("walk-block", b)) for i, b in enumerate(blocks)]
 
-    def _walk_to(self, round_index: int, np_rng) -> list:
-        """Step the walk through `round_index`; the degrees of the rounds stepped."""
-        log_probs = self.schedule.log_probs
+    def _degrees(self, rounds, np_rng):
+        # round r's degree is the walk after r - 1 steps; rounds come in order
+        one = not isinstance(rounds, np.ndarray)
+        last = int(rounds) if one else int(rounds[-1])
+        before = self.state.degree
         k = self.schedule.cycle_length
-        steps = walk_degrees(self.state,
-                             [log_probs[(r - 1) % k]
-                              for r in range(self._stepped_for + 1, round_index + 1)],
-                             np_rng)
-        if steps:
-            self.state = replace(self.state, degree=steps[-1])
-            self._stepped_for = round_index
-        return steps
-
-    def _degrees(self, rounds, values, blocks, np_rng):
-        # the walk's blocks draw nothing; its rounds step one at a time
-        out = ([self.state.degree] + self._walk_to(int(rounds[-1]), np_rng))[-len(rounds):]
-        if max(out) < 2 ** 53:
-            return np.asarray(out, dtype=np.float64)
-        return out
+        if one:  # the materialized engine steps one round per call
+            log_p = [self.schedule.log_probs[r % k] for r in range(self._round, last)]
+        else:
+            log_p = self.schedule.log_prob_array[np.arange(self._round, last) % k]
+        steps = walk_degrees(self.state, log_p, np_rng)
+        if len(steps):
+            self.state = replace(self.state, degree=int(steps[-1]))
+            self._round = last
+        if one:
+            return self.state.degree
+        if len(rounds) == len(steps):
+            return steps
+        # the first call also asks for round 1, which no step reaches
+        if isinstance(steps, list) or before >= _EXACT:
+            return [before, *map(int, steps)]
+        return np.concatenate(([float(before)], steps))
 
 
 class ChainedGapPolicy(AdversaryPolicy):
@@ -633,7 +710,7 @@ class ChainedGapPolicy(AdversaryPolicy):
             raise ValueError("chained_gap needs a chained gadget")
         self.gadget = gadget
         # one section's degree per phase is the single-receiver rule
-        self._phase_degree = phase_degrees(schedule, tau, rule)
+        self._phase_degree = PhaseDegrees(schedule, tau, rule)
         count = len(gadget.sections)
         self.section_phase = [1] * count
         self.section_degree = [self._phase_degree(0)] * count

@@ -346,7 +346,7 @@ def _schedule_arrays(schedule: Schedule):
     """(log p, ln(1-p)) cycle arrays, cached on the schedule instance."""
     cached = schedule.__dict__.get("_np_cache")
     if cached is None:
-        log_p = np.array(schedule.log_probs)
+        log_p = schedule.log_prob_array
         l1mp = np.array([log_one_minus_p(lp) for lp in schedule.log_probs])
         if not np.isfinite(l1mp).all():
             raise ValueError("analytic engine requires every cycle entry < 1")

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
+
+import numpy as np
 
 LN2 = math.log(2.0)
 LN_2E = math.log(2.0 * math.e)
@@ -73,6 +76,11 @@ class Schedule:
     @property
     def cycle_length(self) -> int:
         return len(self.log_probs)
+
+    @cached_property
+    def log_prob_array(self) -> np.ndarray:
+        """`log_probs` as a float64 array, built once per schedule."""
+        return np.array(self.log_probs, dtype=np.float64)
 
     def probability_at(self, position: "SchedulePosition | int") -> float:
         t = position.local_round if isinstance(position, SchedulePosition) else position

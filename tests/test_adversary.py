@@ -1,6 +1,7 @@
 """Adversary constructions and policy behavior."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,10 @@ from dualradio.adversary import (DegreeWalkState, ObservableHistory, argmin_degr
                                  uniform_subsets, walk_degrees)
 from dualradio.engine import trial_rngs
 from dualradio.gadgets import build_gadget, chained_gadgets, double_star, star_gadget
-from dualradio.oracle import exact_success_prob, phase_success_sum
-from dualradio.schedules import (decay_schedule, frlb_schedule, rlb_schedule)
+from dualradio.oracle import (exact_success_logprob, exact_success_prob, phase_success_sum,
+                              success_peak_degree)
+from dualradio.schedules import (decay_schedule, frlb_schedule, rlb_schedule,
+                                 rlbc_schedule)
 
 
 def rngs(seed=0):
@@ -172,12 +175,12 @@ class TestDegreeWalk:
     def test_zero_budget_is_constant(self):
         np_rng, _ = rngs()
         state = DegreeWalkState(degree=5, step_budget=0, max_degree=100)
-        assert walk_degrees(state, [math.log(0.2)] * 3, np_rng) == [5, 5, 5]
+        assert list(walk_degrees(state, [math.log(0.2)] * 3, np_rng)) == [5, 5, 5]
 
     def test_deterministic_budget_respected(self):
         np_rng, _ = rngs(5)
         state = DegreeWalkState(degree=50, step_budget=7, max_degree=1000)
-        path = [50] + walk_degrees(state, [math.log(0.03)] * 200, np_rng)
+        path = [50, *walk_degrees(state, [math.log(0.03)] * 200, np_rng)]
         assert all(abs(b - a) <= 7 for a, b in zip(path, path[1:]))
 
     def test_clamped_to_range(self):
@@ -192,11 +195,136 @@ class TestDegreeWalk:
         l = 5
         state = DegreeWalkState(degree=500_000, step_budget=l, max_degree=10 ** 9,
                                 mode="random", restricted=True)
-        path = [500_000] + walk_degrees(state, [math.log(0.001)] * 100_000, np_rng)
+        path = [500_000, *walk_degrees(state, [math.log(0.001)] * 100_000, np_rng)]
         steps = [abs(b - a) for a, b in zip(path, path[1:])]
         mean = sum(steps) / len(steps)
         sigma = np.std(steps) / math.sqrt(len(steps))
         assert abs(mean - l) <= 4 * sigma
+
+
+def scalar_walk(state, log_probs, rng):
+    """Reference: the walk stepped one round at a time, one magnitude draw
+    per round, the direction coin after it."""
+    d, cap, budget = state.degree, state.max_degree, state.step_budget
+    out = []
+    for lp in log_probs:
+        mag = int(rng.integers(0, 2 * budget + 1)) if state.restricted else budget
+        if mag:
+            lo, hi = max(1, d - mag), min(cap, d + mag)
+            if lo == hi:
+                d = lo
+            elif state.mode == "random":
+                d = hi if rng.random() < 0.5 else lo
+            else:
+                p = math.exp(lp)
+                peak = success_peak_degree(p) if p > 0.0 else math.inf
+                if hi < peak:
+                    d = lo
+                elif lo > peak:
+                    d = hi
+                else:
+                    d = lo if exact_success_logprob(lo, lp) <= exact_success_logprob(hi, lp) \
+                        else hi
+        out.append(d)
+    return out
+
+
+SAFE_LP = -40.0   # p = 4e-18: the peak (1-p)/p is far above every degree here
+NEAR_ONE = math.log(0.4)  # peak 1.5: every step with mag > 0 and lo < hi crosses it
+
+
+def assert_walk_matches(state, log_probs, seed):
+    fast = np.random.Generator(np.random.PCG64(seed))
+    slow = np.random.Generator(np.random.PCG64(seed))
+    got = walk_degrees(state, np.array(log_probs), fast)
+    want = scalar_walk(state, log_probs, slow)
+    assert [int(x) for x in got] == want
+    # float64 exactly when every degree is below 2^53, else plain ints
+    assert isinstance(got, np.ndarray) == (not want or max(want) < 2 ** 53)
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def crossing_at(n, *positions):
+    return [NEAR_ONE if i in positions else SAFE_LP for i in range(n)]
+
+
+class TestVectorWalk:
+    """`walk_degrees` against `scalar_walk`: degrees and generator state."""
+
+    @pytest.mark.parametrize("state, log_probs", [
+        (DegreeWalkState(40, 0, 100), crossing_at(64, 3)),  # mag 0 every round
+        (DegreeWalkState(1, 3, 1), crossing_at(64, 0, 10)),  # lo == hi at cap 1
+        (DegreeWalkState(1, 3, 1, restricted=True), crossing_at(64, 5)),
+        (DegreeWalkState(98, 4, 100, restricted=True), [SAFE_LP] * 64),  # cap binds
+        (DegreeWalkState(300, 2, 10 ** 6, restricted=True), crossing_at(64, 0)),
+        (DegreeWalkState(300, 2, 10 ** 6, restricted=True), crossing_at(64, 31)),
+        (DegreeWalkState(300, 2, 10 ** 6, restricted=True), crossing_at(64, 63)),
+        (DegreeWalkState(300, 2, 10 ** 6), crossing_at(64, 0)),  # deterministic walk
+        (DegreeWalkState(300, 2, 10 ** 6), crossing_at(64, 31)),
+        (DegreeWalkState(300, 2, 10 ** 6), crossing_at(64, 63)),
+        (DegreeWalkState(50, 5, 2 ** 4885, restricted=True), [-800.0] * 64),  # p == 0
+        (DegreeWalkState(50, 5, 2 ** 4885, restricted=True), [-744.0] * 64),  # subnormal p
+        (DegreeWalkState(2 ** 53 - 9, 4, 2 ** 60, restricted=True), crossing_at(64, 40)),
+        (DegreeWalkState(2 ** 53 - 8, 4, 2 ** 60, restricted=True), crossing_at(64, 40)),
+        (DegreeWalkState(2 ** 53 - 3, 1, 2 ** 60), crossing_at(64, 0, 1, 2, 3, 4, 5)),
+        (DegreeWalkState(20, 2, 65, restricted=True),
+         [math.log(p) for p in (0.354, 1 / 8, 1 / 22.6, 1 / 64)] * 16),
+        (DegreeWalkState(20, 2, 65, mode="random", restricted=True), crossing_at(64, 7)),
+        # from below the peak (99) a long step up lands where success is lowest
+        (DegreeWalkState(50, 600, 10 ** 6, restricted=True), crossing_at(64, 2)[:2]
+         + [math.log(0.01)] * 62),
+    ], ids=["mag-0", "lo-eq-hi", "lo-eq-hi-restricted", "cap-binds", "cross-first",
+            "cross-middle", "cross-last", "det-cross-first", "det-cross-middle",
+            "det-cross-last", "p-underflows", "p-subnormal", "just-below-2^53",
+            "at-2^53", "past-2^53", "near-peak-cycle", "random-mode", "long-step-over-peak"])
+    def test_cases(self, state, log_probs):
+        for seed in range(5):
+            assert_walk_matches(state, log_probs, seed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_scalar_walk(self, data):
+        budget = data.draw(st.sampled_from([0, 1, 2, 5, 22, 2 ** 20]))
+        degree = data.draw(st.one_of(st.integers(1, 400),
+                                     st.integers(2 ** 53 - 2 * budget - 4, 2 ** 53 - 1)))
+        cap = data.draw(st.sampled_from([degree, degree + 1, degree + 7, 2 ** 4885]))
+        n = data.draw(st.integers(0, 150))
+        crossings = data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=4))
+        lp = st.one_of(st.just(SAFE_LP), st.sampled_from([-800.0, -744.0, -3000.0]),
+                       st.floats(-12.0, -1e-3))
+        log_probs = [data.draw(lp) if i in crossings else SAFE_LP for i in range(n)]
+        if data.draw(st.booleans()):
+            log_probs = data.draw(st.lists(lp, min_size=n, max_size=n))
+        state = DegreeWalkState(degree, budget, cap,
+                                mode=data.draw(st.sampled_from(["dodging", "random"])),
+                                restricted=data.draw(st.booleans()))
+        assert_walk_matches(state, log_probs, data.draw(st.integers(0, 2 ** 32)))
+
+    @pytest.mark.parametrize("high", [3, 45, 2 ** 20 + 1, 2 ** 40])
+    def test_batched_integers_match_scalar_draws(self, high):
+        # the vector walk draws a call's magnitudes at once on this premise
+        batched = np.random.Generator(np.random.PCG64(11))
+        scalar = np.random.Generator(np.random.PCG64(11))
+        got = batched.integers(0, high, size=1000).tolist()
+        assert got == [int(scalar.integers(0, high)) for _ in range(1000)]
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+    def test_criterion_10_walk_warns_nothing(self):
+        # subnormal and underflowed p at delta = 2^4885 must not warn
+        sched = rlbc_schedule(2 ** 4885, 1000)
+        policy = make_policy({"kind": "degree_walk_restricted", "tau": 1000, "l": 22,
+                              "walk_mode": "dodging"}, build_gadget("star", 2 ** 4885), sched)
+        hist = ObservableHistory(sched)
+        np_rng, py_rng = rngs(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            start = 1
+            for count in (64, 256, 1024, 4096, 4096, 1, 7):
+                degs = policy.degrees(start, count, hist, np_rng, py_rng)
+                assert len(degs) == count and (degs >= 1).all()
+                start += count
+            walk_degrees(DegreeWalkState(2 ** 40, 22, 2 ** 4885, restricted=True),
+                         sched.log_prob_array, np_rng)
 
 
 class TestPolicies:
