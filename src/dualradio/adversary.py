@@ -472,8 +472,9 @@ class AdversaryPolicy:
         start = (round_index - 1) // span
         first = max(start, self._block + 1)
         values, changes = self._blocks(range(first, last + 1), np_rng, py_rng)
+        begin = first * span + 1  # block `first` may have begun before round_index
         for i, fp in changes:
-            self._record(max(round_index, (first + i) * span + 1), fp)
+            self._record(begin + i * span if i else max(round_index, begin), fp)
         if values is not None and start < first:  # round_index's block was entered before
             values = np.concatenate((self.block_values[-1:], values))
             first -= 1
