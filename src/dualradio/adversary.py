@@ -16,16 +16,16 @@ engines' calls go through, and every distribution change is appended to
 rule, `walk_degrees`, and every random edge subset comes from
 `draw_subsets`, one generator call per round.
 
-Policies see only public information: the schedule, past transmission and
-delivery outcomes (ObservableHistory).  Node coin flips are structurally
-unreachable, and adversary randomness comes from its own rng substreams.
+`make_policy` binds a policy to its trial's adversary streams, so node
+coins cannot reach it.  Every kind but the adaptive `chained_gap` is
+oblivious; that one also keeps the engine's public `ObservableHistory`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -37,12 +37,12 @@ from .schedules import Schedule
 
 @dataclass
 class ObservableHistory:
-    """What an adaptive adversary may condition on: the public schedule and
-    per-node transmit-activity/delivery facts.  Contains no private coins."""
+    """The materialized engine's public state, held by reference: each
+    node's first delivery round, and `act`, the round after which each node
+    transmits (int64 max while unreached).  Contains no private coins."""
 
-    schedule: Schedule
-    first_delivery: dict[int, int] = field(default_factory=dict)
-    active_from: dict[int, int] = field(default_factory=dict)
+    first_delivery: dict[int, int]
+    act: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +429,8 @@ _WHOLE_RUN = 2 ** 62  # block length standing for tau = infinity
 
 
 class AdversaryPolicy:
-    """Per-trial mutable policy instance.
+    """Per-trial mutable policy instance; it draws only from the adversary
+    streams `np_rng` and `py_rng` that `make_policy` binds.
 
     The distribution may change only where a tau-round block starts (tau
     None: the whole run is one block).  `pre_round` enters the blocks of a
@@ -447,7 +448,7 @@ class AdversaryPolicy:
         if tau is not None and tau < 1:
             raise ValueError("tau must be >= 1 (or None for infinity)")
         self.tau = tau
-        self.receiver_edges = np.asarray(receiver_edges, dtype=np.int64)
+        self.receiver_edges = receiver_edges  # an array from the first sample_edges on
         self.change_log: list[tuple[int, object]] = []
         self.block_values: np.ndarray | None = None  # of blocks _values_from.._block
         self._values_from = 0
@@ -461,8 +462,7 @@ class AdversaryPolicy:
             self.change_log.append((round_index, fingerprint))
             self._fingerprint = fingerprint
 
-    def pre_round(self, round_index: int, history: ObservableHistory,
-                  np_rng, py_rng, through: int | None = None) -> None:
+    def pre_round(self, round_index: int, through: int | None = None) -> None:
         """Enter the blocks of rounds round_index..through (by default
         round_index alone) that were not entered yet."""
         span = self.tau or _WHOLE_RUN
@@ -471,7 +471,7 @@ class AdversaryPolicy:
             return
         start = (round_index - 1) // span
         first = max(start, self._block + 1)
-        values, changes = self._blocks(range(first, last + 1), np_rng, py_rng)
+        values, changes = self._blocks(range(first, last + 1))
         begin = first * span + 1  # block `first` may have begun before round_index
         for i, fp in changes:
             self._record(begin + i * span if i else max(round_index, begin), fp)
@@ -480,24 +480,22 @@ class AdversaryPolicy:
             first -= 1
         self.block_values, self._values_from, self._block = values, first, last
 
-    def degrees(self, start_round: int, count: int, history: ObservableHistory,
-                np_rng, py_rng):
+    def degrees(self, start_round: int, count: int):
         """Receiver effective degrees for rounds start..start+count-1."""
-        self.pre_round(start_round, history, np_rng, py_rng, through=start_round + count - 1)
-        return self._degrees(np.arange(start_round, start_round + count), np_rng)
+        self.pre_round(start_round, through=start_round + count - 1)
+        return self._degrees(np.arange(start_round, start_round + count))
 
-    def sample_edges(self, round_index: int, history: ObservableHistory,
-                     np_rng, py_rng) -> np.ndarray:
+    def sample_edges(self, round_index: int) -> np.ndarray:
         """Indices into graph.unreliable_edges active this round: a uniform
         (d-1)-subset of the receiver's unreliable arms for the round's
         degree d.  `pre_round` has entered the round's block."""
-        d = int(self._degrees(round_index, np_rng))
-        arms = self.receiver_edges
-        return arms[uniform_subsets(np_rng, (len(arms),), (d - 1,))]
+        d = int(self._degrees(round_index))
+        arms = self.receiver_edges = np.asarray(self.receiver_edges, dtype=np.int64)
+        return arms[uniform_subsets(self.np_rng, (len(arms),), (d - 1,))]
 
     # -- hooks
 
-    def _blocks(self, blocks: range, np_rng, py_rng) -> tuple[np.ndarray | None, list]:
+    def _blocks(self, blocks: range) -> tuple[np.ndarray | None, list]:
         """Enter `blocks`, in order: their values (None if the degrees do
         not need them), and (i, fingerprint) for block blocks[i] wherever
         the fingerprint may differ from the block before (always for i = 0)."""
@@ -506,7 +504,7 @@ class AdversaryPolicy:
     def _block_value(self, rounds):
         return self.block_values[(rounds - 1) // (self.tau or _WHOLE_RUN) - self._values_from]
 
-    def _degrees(self, rounds, np_rng):
+    def _degrees(self, rounds):
         """Degrees for an int64 array of rounds, or for one int round (then
         one degree); by default a round's block value is its degree."""
         return self._block_value(rounds)
@@ -526,10 +524,10 @@ class StaticPolicy(AdversaryPolicy):
         self.degree = float(degree)
         self.named = named
 
-    def _blocks(self, blocks, np_rng, py_rng):
+    def _blocks(self, blocks):
         return np.array([self.degree]), [(0, self.named)]
 
-    def sample_edges(self, round_index, history, np_rng, py_rng):
+    def sample_edges(self, round_index):
         return self.edge_indices
 
 
@@ -554,19 +552,19 @@ class IidSubsetPolicy(AdversaryPolicy):
         self.n_unreliable = n_unreliable
         self.receiver_unreliable = receiver_unreliable
 
-    def _blocks(self, blocks, np_rng, py_rng):
+    def _blocks(self, blocks):
         if self.edge_prob is not None:
             qs = [self.edge_prob]
         else:
-            qs = [py_rng.random() for _ in range(len(blocks))]
+            qs = [self.py_rng.random() for _ in range(len(blocks))]
         return np.array(qs, dtype=np.float64), [(i, ("iid", q)) for i, q in enumerate(qs)]
 
-    def sample_edges(self, round_index, history, np_rng, py_rng):
-        mask = np_rng.random(self.n_unreliable) < self.block_values[-1]
+    def sample_edges(self, round_index):
+        mask = self.np_rng.random(self.n_unreliable) < self.block_values[-1]
         return np.flatnonzero(mask)
 
-    def _degrees(self, rounds, np_rng):
-        return 1.0 + np_rng.binomial(self.receiver_unreliable, self._block_value(rounds))
+    def _degrees(self, rounds):
+        return 1.0 + self.np_rng.binomial(self.receiver_unreliable, self._block_value(rounds))
 
 
 def phase_cycle_probs(schedule: Schedule, tau: int, phase: int) -> list[float]:
@@ -613,7 +611,7 @@ class PhaseDegreePolicy(AdversaryPolicy):
         super().__init__(tau, receiver_edges)
         self._phase_degree = PhaseDegrees(schedule, tau, rule)
 
-    def _blocks(self, blocks, np_rng, py_rng):
+    def _blocks(self, blocks):
         table = self._phase_degree
         table(blocks[-1])
         changed = [0]
@@ -623,7 +621,7 @@ class PhaseDegreePolicy(AdversaryPolicy):
         return None, [(i, ("fixed-degree", table.ints[blocks[i] % table.period]))
                       for i in changed]
 
-    def _degrees(self, rounds, np_rng):
+    def _degrees(self, rounds):
         table = self._phase_degree
         return table.floats[(rounds - 1) // self.tau % table.period]
 
@@ -640,13 +638,13 @@ class CorrelatedShiftPolicy(AdversaryPolicy):
         self.forced_shift = forced_shift
         self.plan: ShiftPlan | None = None
 
-    def _blocks(self, blocks, np_rng, py_rng):
-        self.plan = shift_plan(self.schedule.cycle, self.delta, np_rng,
+    def _blocks(self, blocks):
+        self.plan = shift_plan(self.schedule.cycle, self.delta, self.np_rng,
                                forced_shift=self.forced_shift)
         self._responses = np.array(self.plan.responses, dtype=np.float64)
         return None, [(0, ("shift", self.plan.shift))]
 
-    def _degrees(self, rounds, np_rng):
+    def _degrees(self, rounds):
         return self._responses[(rounds - 1 + self.plan.shift) % self.plan.cycle_length]
 
 
@@ -664,11 +662,11 @@ class DegreeWalkPolicy(AdversaryPolicy):
             mode=mode, restricted=restricted)
         self._round = 1  # the round whose degree `state` holds
 
-    def _blocks(self, blocks, np_rng, py_rng):
+    def _blocks(self, blocks):
         # the walk's blocks draw nothing
         return None, [(i, ("walk-block", b)) for i, b in enumerate(blocks)]
 
-    def _degrees(self, rounds, np_rng):
+    def _degrees(self, rounds):
         # round r's degree is the walk after r - 1 steps; rounds come in order
         one = not isinstance(rounds, np.ndarray)
         last = int(rounds) if one else int(rounds[-1])
@@ -678,7 +676,7 @@ class DegreeWalkPolicy(AdversaryPolicy):
             log_p = [self.schedule.log_probs[r % k] for r in range(self._round, last)]
         else:
             log_p = self.schedule.log_prob_array[np.arange(self._round, last) % k]
-        steps = walk_degrees(self.state, log_p, np_rng)
+        steps = walk_degrees(self.state, log_p, self.np_rng)
         if len(steps):
             self.state = replace(self.state, degree=int(steps[-1]))
             self._round = last
@@ -705,11 +703,12 @@ class ChainedGapPolicy(AdversaryPolicy):
     """
 
     def __init__(self, tau: int, schedule: Schedule, gadget: Gadget,
-                 rule: Callable[[list[float]], int]):
+                 rule: Callable[[list[float]], int], history: ObservableHistory | None):
         super().__init__(tau)
-        if gadget.kind != "chained":
-            raise ValueError("chained_gap needs a chained gadget")
+        if gadget.kind != "chained" or history is None:
+            raise ValueError("chained_gap needs a chained gadget and the engine's history")
         self.gadget = gadget
+        self.history = history
         # one section's degree per phase is the single-receiver rule
         self._phase_degree = PhaseDegrees(schedule, tau, rule)
         count = len(gadget.sections)
@@ -719,18 +718,20 @@ class ChainedGapPolicy(AdversaryPolicy):
         self._edges = np.array([e for s in gadget.sections for e in s.unreliable_indices],
                                dtype=np.int64)
         self._sizes = [len(s.unreliable_indices) for s in gadget.sections]
+        self._heads = np.array([s.arms[0] for s in gadget.sections], dtype=np.int64)
         self._layout: SubsetLayout | None = None
 
-    def pre_round(self, round_index, history, np_rng, py_rng):
+    def pre_round(self, round_index):
         changed = self._fingerprint is None
-        for i, section in enumerate(self.gadget.sections):
+        # in Python ints: an unreached head's int64 max + 1 must not wrap
+        starts = [a + 1 for a in self.history.act[self._heads].tolist()]
+        for i, (section, start) in enumerate(zip(self.gadget.sections, starts)):
             if self.section_frozen[i]:
                 continue
-            if section.receiver in history.first_delivery:
+            if section.receiver in self.history.first_delivery:
                 self.section_frozen[i] = changed = True
                 continue
-            start = history.active_from.get(section.arms[0])
-            if start is None or round_index <= start:
+            if round_index <= start:
                 continue
             phase = 1 + (round_index - start) // self.tau
             if phase != self.section_phase[i]:
@@ -742,16 +743,18 @@ class ChainedGapPolicy(AdversaryPolicy):
             self._record(round_index, ("chained", tuple(zip(self.section_degree,
                                                             self.section_frozen))))
 
-    def sample_edges(self, round_index, history, np_rng, py_rng):
-        return self._edges[draw_subsets(np_rng, self._layout)]
+    def sample_edges(self, round_index):
+        return self._edges[draw_subsets(self.np_rng, self._layout)]
 
 
 # ---------------------------------------------------------------------------
 # construction from config
 
 
-def make_policy(spec: dict, gadget: Gadget, schedule: Schedule) -> AdversaryPolicy:
-    """Fresh per-trial policy from a config mapping (`kind` plus parameters)."""
+def make_policy(spec: dict, gadget: Gadget, schedule: Schedule, np_rng, py_rng,
+                history: ObservableHistory | None = None) -> AdversaryPolicy:
+    """Fresh per-trial policy from a config mapping (`kind` plus parameters),
+    bound to the trial's adversary streams; only `chained_gap` reads `history`."""
     kind = spec.get("kind", "static")
     tau = spec.get("tau")
     graph = gadget.graph
@@ -763,6 +766,10 @@ def make_policy(spec: dict, gadget: Gadget, schedule: Schedule) -> AdversaryPoli
     def gap_rule(probs):
         return gap_plan(probs, gadget.delta, strict=spec.get("strict", False)).degree
 
+    if kind in ("gap", "argmin", "degree_walk_deterministic", "degree_walk_restricted") \
+            and recv is None:
+        raise ValueError(f"{kind} acts on a designated receiver's unreliable arms; "
+                         f"a {gadget.kind} gadget has no designated receiver")
     if kind == "static":
         # one subset for both engines: the listed `edges`, or the receiver's
         # first `extra_degree` unreliable arms
@@ -786,41 +793,40 @@ def make_policy(spec: dict, gadget: Gadget, schedule: Schedule) -> AdversaryPoli
             subset, degree = recv_edges[:extra], 1 + extra
         else:
             subset, degree = edges, 1 + len(set(edges).intersection(recv_edges))
-        return StaticPolicy(subset, degree, ("static", tuple(sorted(edges)), extra), tau=tau)
-    if kind == "iid_subset":
+        policy = StaticPolicy(subset, degree, ("static", tuple(sorted(edges)), extra), tau=tau)
+    elif kind == "iid_subset":
         if arms >= 2 ** 63:
             raise ValueError(f"iid_subset draws the receiver's active arm count as a 64-bit "
                              f"binomial, so its {arms} unreliable arms (delta - 2 on a "
                              f"virtual star) must be fewer than 2^63")
-        return IidSubsetPolicy(tau=tau, edge_prob=spec.get("edge_prob"),
-                               n_unreliable=len(graph.unreliable_edges),
-                               receiver_unreliable=arms)
-    if kind in ("gap", "argmin", "degree_walk_deterministic", "degree_walk_restricted") \
-            and recv is None:
-        raise ValueError(f"{kind} acts on a designated receiver's unreliable arms; "
-                         f"a {gadget.kind} gadget has no designated receiver")
-    if kind == "gap":
-        return PhaseDegreePolicy(tau, schedule, gap_rule, recv_edges)
-    if kind == "argmin":
-        return PhaseDegreePolicy(tau, schedule,
-                                 lambda probs: 1 << argmin_degree(probs, gadget.delta),
-                                 recv_edges)
-    if kind == "correlated_shift":
+        policy = IidSubsetPolicy(tau=tau, edge_prob=spec.get("edge_prob"),
+                                 n_unreliable=len(graph.unreliable_edges),
+                                 receiver_unreliable=arms)
+    elif kind == "gap":
+        policy = PhaseDegreePolicy(tau, schedule, gap_rule, recv_edges)
+    elif kind == "argmin":
+        policy = PhaseDegreePolicy(tau, schedule,
+                                   lambda probs: 1 << argmin_degree(probs, gadget.delta),
+                                   recv_edges)
+    elif kind == "correlated_shift":
         if gadget.kind != "double_star":
             raise ValueError(
                 f"correlated_shift needs a double_star gadget, where the receiver can "
                 f"reach degree delta; got a {gadget.kind} gadget")
-        return CorrelatedShiftPolicy(schedule=schedule, delta=gadget.delta,
-                                     receiver_edges=recv_edges,
-                                     forced_shift=spec.get("shift"))
-    if kind in ("degree_walk_deterministic", "degree_walk_restricted"):
-        return DegreeWalkPolicy(
+        policy = CorrelatedShiftPolicy(schedule=schedule, delta=gadget.delta,
+                                       receiver_edges=recv_edges,
+                                       forced_shift=spec.get("shift"))
+    elif kind in ("degree_walk_deterministic", "degree_walk_restricted"):
+        policy = DegreeWalkPolicy(
             tau=tau, schedule=schedule,
             step_budget=spec["l"], max_degree=arms + 1,
             receiver_edges=recv_edges,
             mode=spec.get("walk_mode", "dodging"),
             restricted=(kind == "degree_walk_restricted"),
             start_degree=spec.get("start_degree", 1))
-    if kind == "chained_gap":
-        return ChainedGapPolicy(tau=tau, schedule=schedule, gadget=gadget, rule=gap_rule)
-    raise ValueError(f"unknown adversary kind {kind!r}")
+    elif kind == "chained_gap":
+        policy = ChainedGapPolicy(tau, schedule, gadget, gap_rule, history)
+    else:
+        raise ValueError(f"unknown adversary kind {kind!r}")
+    policy.np_rng, policy.py_rng = np_rng, py_rng
+    return policy

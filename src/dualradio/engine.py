@@ -274,19 +274,18 @@ def run_materialized_trial(config: TrialConfig) -> TrialResult:
                                    config.epsilon, n)
         budget = reps * align
         relay = True
-    np_nodes, np_adv, py_adv = trial_rngs(config.seed)
-
     # node v transmits in rounds act[v] < r <= act[v] + budget
     act = np.full(n, _NEVER, dtype=np.int64)
     act[starters] = 0
     waiting = np.zeros(n, dtype=bool)
     waiting[list(targets)] = True
     left = int(waiting.sum())
+    first_delivery: dict[int, int] = {}
 
-    history = ObservableHistory(schedule, active_from={int(v): 1 for v in starters})
-    policy = make_policy(config.adversary, gadget, schedule)
+    np_nodes, np_adv, py_adv = trial_rngs(config.seed)
+    policy = make_policy(config.adversary, gadget, schedule, np_adv, py_adv,
+                         ObservableHistory(first_delivery, act))
     cycle = np.exp(np.array(schedule.log_probs))
-    first_delivery = history.first_delivery
 
     # The transmitter window `cand` changes only in a round where some
     # node starts (act[v] + 1) or runs out of budget (act[v] + budget + 1),
@@ -296,8 +295,8 @@ def run_materialized_trial(config: TrialConfig) -> TrialResult:
     next_event = 1
     r = 0
     for r in range(1, config.max_rounds + 1):
-        policy.pre_round(r, history, np_adv, py_adv)
-        extra = policy.sample_edges(r, history, np_adv, py_adv)
+        policy.pre_round(r)
+        extra = policy.sample_edges(r)
         if r >= next_event:
             cand, next_event = _transmitter_window(act, r, budget)
         if len(cand) == 0:
@@ -321,8 +320,6 @@ def run_materialized_trial(config: TrialConfig) -> TrialResult:
             if relay:
                 activation = align * math.ceil(r / align)
                 act[newly] = activation
-                for v in newly.tolist():
-                    history.active_from[v] = activation + 1
                 next_event = min(next_event, activation + 1)
             if left == 0:
                 completion = r
@@ -367,12 +364,10 @@ def run_analytic_star_trial(config: TrialConfig) -> TrialResult:
         raise ValueError("analytic engine needs a star or double-star gadget")
     schedule = config.schedule
     np_nodes, np_adv, py_adv = trial_rngs(config.seed)
+    policy = make_policy(config.adversary, gadget, schedule, np_adv, py_adv)
 
     recv = gadget.receiver
     flag = recv in gadget.broadcasters
-    history = ObservableHistory(schedule,
-                                active_from={int(b): 1 for b in gadget.broadcasters})
-    policy = make_policy(config.adversary, gadget, schedule)
 
     k = schedule.cycle_length
     log_p, l1mp = _schedule_arrays(schedule)
@@ -385,7 +380,7 @@ def run_analytic_star_trial(config: TrialConfig) -> TrialResult:
     while r <= config.max_rounds and completion is None:
         cnt = min(chunk, config.max_rounds - r + 1)
         chunk = min(chunk * 4, _CHUNK)
-        degs = policy.degrees(r, cnt, history, np_adv, py_adv)
+        degs = policy.degrees(r, cnt)
         u = np_nodes.random(cnt)
         if isinstance(degs, np.ndarray):
             idx = (np.arange(r - 1, r - 1 + cnt)) % k
@@ -403,14 +398,12 @@ def run_analytic_star_trial(config: TrialConfig) -> TrialResult:
         rounds_executed = completion if completion is not None else r + cnt - 1
         r += cnt
 
-    if completion is not None:
-        history.first_delivery[recv] = completion
     # degrees() covers whole chunks; changes past the last round run are not
     # part of the trial
     return TrialResult(
         completed=completion is not None,
         completion_round=completion,
-        first_delivery=dict(history.first_delivery),
+        first_delivery={} if completion is None else {recv: completion},
         rounds_executed=rounds_executed,
         seed=config.seed,
         distribution_changes=tuple(c for c in policy.change_log if c[0] <= rounds_executed),

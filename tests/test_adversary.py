@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from dualradio.adversary import (DegreeWalkState, ObservableHistory, argmin_degree,
                                  gap_plan, make_policy, phase_cycle_probs, shift_plan,
                                  uniform_subsets, walk_degrees)
-from dualradio.engine import trial_rngs
+from dualradio.engine import _NEVER, trial_rngs
 from dualradio.gadgets import build_gadget, chained_gadgets, double_star, star_gadget
 from dualradio.oracle import (exact_success_logprob, exact_success_prob, phase_success_sum,
                               success_peak_degree)
@@ -21,6 +21,11 @@ from dualradio.schedules import (decay_schedule, frlb_schedule, rlb_schedule,
 
 def rngs(seed=0):
     return trial_rngs(seed)[1], trial_rngs(seed)[2]
+
+
+def unreached(gadget):
+    """A materialized engine's history before any node is reached."""
+    return ObservableHistory({}, np.full(gadget.graph.node_count, _NEVER, dtype=np.int64))
 
 
 class TestGapPlan:
@@ -312,15 +317,15 @@ class TestVectorWalk:
     def test_criterion_10_walk_warns_nothing(self):
         # subnormal and underflowed p at delta = 2^4885 must not warn
         sched = rlbc_schedule(2 ** 4885, 1000)
-        policy = make_policy({"kind": "degree_walk_restricted", "tau": 1000, "l": 22,
-                              "walk_mode": "dodging"}, build_gadget("star", 2 ** 4885), sched)
-        hist = ObservableHistory(sched)
         np_rng, py_rng = rngs(3)
+        policy = make_policy({"kind": "degree_walk_restricted", "tau": 1000, "l": 22,
+                              "walk_mode": "dodging"}, build_gadget("star", 2 ** 4885), sched,
+                             np_rng, py_rng)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             start = 1
             for count in (64, 256, 1024, 4096, 4096, 1, 7):
-                degs = policy.degrees(start, count, hist, np_rng, py_rng)
+                degs = policy.degrees(start, count)
                 assert len(degs) == count and (degs >= 1).all()
                 start += count
             walk_degrees(DegreeWalkState(2 ** 40, 22, 2 ** 4885, restricted=True),
@@ -337,18 +342,17 @@ class TestPolicies:
     def test_static_rejects_bad_edges(self, edges, message):
         g = star_gadget(8, 10)  # six unreliable arms
         with pytest.raises(ValueError, match=message):
-            make_policy({"kind": "static", "tau": 3, "edges": edges}, g, rlb_schedule(8, 3))
+            make_policy({"kind": "static", "tau": 3, "edges": edges}, g, rlb_schedule(8, 3),
+                        *rngs())
 
     @pytest.mark.parametrize("spec", [{"edges": list(range(10))}, {"extra_degree": 10}],
                              ids=["edges", "extra-degree"])
     def test_static_subset_is_the_same_on_both_engines(self, spec):
         g = star_gadget(16, 18)
         sched = rlb_schedule(16, 4)
-        policy = make_policy(dict(spec, kind="static", tau=4), g, sched)
-        hist = ObservableHistory(sched)
-        np_rng, py_rng = rngs()
-        assert policy.degrees(1, 9, hist, np_rng, py_rng).tolist() == [11.0] * 9
-        active = set(policy.sample_edges(1, hist, np_rng, py_rng).tolist())
+        policy = make_policy(dict(spec, kind="static", tau=4), g, sched, *rngs())
+        assert policy.degrees(1, 9).tolist() == [11.0] * 9
+        active = set(policy.sample_edges(1).tolist())
         assert len(active & set(g.graph.unreliable_incident(g.receiver))) == 10
 
     @pytest.mark.parametrize("gadget, spec, message", [
@@ -361,17 +365,18 @@ class TestPolicies:
     ], ids=["both-keys", "above-arms", "negative", "no-receiver", "virtual-above-arms"])
     def test_static_rejects_bad_extra_degree(self, gadget, spec, message):
         with pytest.raises(ValueError, match=message):
-            make_policy(dict(spec, kind="static", tau=4), gadget, rlb_schedule(16, 4))
+            make_policy(dict(spec, kind="static", tau=4), gadget, rlb_schedule(16, 4),
+                        *rngs())
 
     def test_iid_arm_count_must_fit_a_binomial(self):
         # a virtual star's receiver has delta - 2 arms, drawn as an int64 count
         sched = rlb_schedule(16, 2)
         fits = make_policy({"kind": "iid_subset", "tau": 2}, build_gadget("star", 2 ** 63 + 1),
-                           sched)
-        assert (fits.degrees(1, 4, ObservableHistory(sched), *rngs()) >= 1).all()
+                           sched, *rngs())
+        assert (fits.degrees(1, 4) >= 1).all()
         with pytest.raises(ValueError, match=r"fewer than 2\^63"):
             make_policy({"kind": "iid_subset", "tau": 2}, build_gadget("star", 2 ** 63 + 2),
-                        sched)
+                        sched, *rngs())
 
     @pytest.mark.parametrize("kind, gadget", [
         ("gap", star_gadget(2 ** 8 + 1, 2 ** 8 + 3)),
@@ -380,42 +385,40 @@ class TestPolicies:
     ], ids=["gap", "argmin", "chained-gap"])
     def test_phase_kinds_need_finite_tau(self, kind, gadget):
         with pytest.raises(ValueError, match="finite tau"):
-            make_policy({"kind": kind, "tau": None}, gadget, frlb_schedule(2 ** 8 + 1, 1))
+            make_policy({"kind": kind, "tau": None}, gadget, frlb_schedule(2 ** 8 + 1, 1),
+                        *rngs(), unreached(gadget))
 
     @pytest.mark.parametrize("kind", ["gap", "argmin", "degree_walk_deterministic",
                                       "degree_walk_restricted"])
     def test_receiver_kinds_rejected_on_chained_gadget(self, kind):
         g = chained_gadgets(2 ** 8 + 1, 24)
         with pytest.raises(ValueError, match="chained gadget has no designated receiver"):
-            make_policy({"kind": kind, "tau": 1, "l": 2}, g, frlb_schedule(2 ** 8 + 1, 1))
+            make_policy({"kind": kind, "tau": 1, "l": 2}, g, frlb_schedule(2 ** 8 + 1, 1),
+                        *rngs())
 
     def test_static_empty_keeps_reliable_graph(self):
         g = star_gadget(8, 10)
         sched = rlb_schedule(8, 3)
-        policy = make_policy({"kind": "static", "tau": 3}, g, sched)
-        hist = ObservableHistory(sched)
-        np_rng, py_rng = rngs()
-        policy.pre_round(1, hist, np_rng, py_rng)
-        assert len(policy.sample_edges(1, hist, np_rng, py_rng)) == 0
+        policy = make_policy({"kind": "static", "tau": 3}, g, sched, *rngs())
+        policy.pre_round(1)
+        assert len(policy.sample_edges(1)) == 0
 
     def test_iid_full_probability_gives_potential_graph(self):
         g = star_gadget(8, 10)
         sched = rlb_schedule(8, 3)
-        policy = make_policy({"kind": "iid_subset", "tau": 3, "edge_prob": 1.0}, g, sched)
-        hist = ObservableHistory(sched)
-        np_rng, py_rng = rngs()
-        policy.pre_round(1, hist, np_rng, py_rng)
-        got = policy.sample_edges(1, hist, np_rng, py_rng)
+        policy = make_policy({"kind": "iid_subset", "tau": 3, "edge_prob": 1.0}, g, sched,
+                             *rngs())
+        policy.pre_round(1)
+        got = policy.sample_edges(1)
         assert len(got) == len(g.graph.unreliable_edges)
 
     def test_iid_binomial_mean(self):
         # receiver with 4 unreliable arms at inclusion probability 1/2
         g = star_gadget(6, 8)
         sched = rlb_schedule(6, 2)
-        policy = make_policy({"kind": "iid_subset", "tau": 2, "edge_prob": 0.5}, g, sched)
-        hist = ObservableHistory(sched)
-        np_rng, py_rng = rngs(23)
-        degs = policy.degrees(1, 100_000, hist, np_rng, py_rng)
+        policy = make_policy({"kind": "iid_subset", "tau": 2, "edge_prob": 0.5}, g, sched,
+                             *rngs(23))
+        degs = policy.degrees(1, 100_000)
         extra = degs - 1.0
         assert extra.mean() == pytest.approx(2.0, abs=4 * extra.std() / math.sqrt(len(extra)))
 
@@ -423,44 +426,39 @@ class TestPolicies:
         delta = 2 ** 12 + 1
         g = star_gadget(delta, delta + 2)
         sched = rlb_schedule(delta, 1)
-        policy = make_policy({"kind": "gap", "tau": 1}, g, sched)
-        hist = ObservableHistory(sched)
-        np_rng, py_rng = rngs(2)
-        policy.pre_round(1, hist, np_rng, py_rng)
-        edges = policy.sample_edges(1, hist, np_rng, py_rng)
+        policy = make_policy({"kind": "gap", "tau": 1}, g, sched, *rngs(2))
+        policy.pre_round(1)
+        edges = policy.sample_edges(1)
         plan = gap_plan([sched.cycle[0]], delta)
         assert len(edges) == plan.degree - 1
 
     def test_stability_bookkeeping_every_tau(self):
         g = star_gadget(64, 66)
         sched = rlb_schedule(64, 3)
-        policy = make_policy({"kind": "iid_subset", "tau": 3}, g, sched)
-        hist = ObservableHistory(sched)
-        np_rng, py_rng = rngs(9)
+        policy = make_policy({"kind": "iid_subset", "tau": 3}, g, sched, *rngs(9))
         for r in range(1, 31):
-            policy.pre_round(r, hist, np_rng, py_rng)
-            policy.sample_edges(r, hist, np_rng, py_rng)
+            policy.pre_round(r)
+            policy.sample_edges(r)
         rounds = [r for r, _ in policy.change_log]
         assert rounds == [1, 4, 7, 10, 13, 16, 19, 22, 25, 28]
 
     def test_oblivious_to_node_coins(self):
-        # identical adversary streams and histories -> identical choices,
-        # regardless of node randomness (which the API never exposes)
+        # identical adversary streams -> identical choices, regardless of
+        # node randomness (which the API never exposes)
         g = star_gadget(32, 34)
         sched = rlb_schedule(32, 2)
-        hist = ObservableHistory(sched)
         import random
 
         outs = []
         for node_seed in (1, 999):  # node seed must be irrelevant
             _ = trial_rngs(node_seed)  # node streams exist but never reach policies
-            policy = make_policy({"kind": "iid_subset", "tau": 2}, g, sched)
             np_adv = np.random.Generator(np.random.PCG64(1234))
             py_adv = random.Random(1234)
+            policy = make_policy({"kind": "iid_subset", "tau": 2}, g, sched, np_adv, py_adv)
             seq = []
             for r in range(1, 13):
-                policy.pre_round(r, hist, np_adv, py_adv)
-                seq.append(policy.sample_edges(r, hist, np_adv, py_adv).tolist())
+                policy.pre_round(r)
+                seq.append(policy.sample_edges(r).tolist())
             outs.append(seq)
         assert outs[0] == outs[1]
 
@@ -486,15 +484,13 @@ class TestPolicies:
             g, sched = double_star(64), decay_schedule(64)
         else:
             g, sched = star_gadget(64, 66), rlb_schedule(64, 4)
-        hist = ObservableHistory(sched)
 
-        whole = make_policy(spec, g, sched)
-        degs = whole.degrees(1, 200, hist, *rngs(7))
-        split = make_policy(spec, g, sched)
-        np_rng, py_rng = rngs(7)
+        whole = make_policy(spec, g, sched, *rngs(7))
+        degs = whole.degrees(1, 200)
+        split = make_policy(spec, g, sched, *rngs(7))
         parts, start = [], 1
         for count in (7, 50, 1, 64, 78):
-            parts.append(split.degrees(start, count, hist, np_rng, py_rng))
+            parts.append(split.degrees(start, count))
             start += count
         assert np.array_equal(degs, np.concatenate(parts))
         assert whole.change_log == split.change_log
@@ -550,14 +546,13 @@ class TestChainedController:
     def setup_policy(tau=1, delta=2 ** 8 + 1):
         g = chained_gadgets(delta, 24)
         sched = frlb_schedule(delta, tau)
-        policy = make_policy({"kind": "chained_gap", "tau": tau}, g, sched)
-        hist = ObservableHistory(sched)
+        hist = unreached(g)
+        policy = make_policy({"kind": "chained_gap", "tau": tau}, g, sched, *rngs(), hist)
         return g, sched, policy, hist
 
     def test_all_sections_start_at_first_plan(self):
         g, sched, policy, hist = self.setup_policy()
-        np_rng, py_rng = rngs()
-        policy.pre_round(1, hist, np_rng, py_rng)
+        policy.pre_round(1)
         assert policy.section_phase == [1] * 8
         first = gap_plan(phase_cycle_probs(sched, 1, 0), g.delta).degree
         assert policy.section_degree == [first] * 8
@@ -565,11 +560,10 @@ class TestChainedController:
     def test_frontier_advances_once_per_tau(self):
         tau = 2
         g, sched, policy, hist = self.setup_policy(tau, delta=2 ** 12 + 1)
-        np_rng, py_rng = rngs()
         arms0 = g.sections[0].arms
-        hist.active_from = {arms0[0]: 5}
+        hist.act[arms0[0]] = 4  # transmits from round 5
         for r in range(1, 20):
-            policy.pre_round(r, hist, np_rng, py_rng)
+            policy.pre_round(r)
             if r < 5 + tau:
                 assert policy.section_phase[0] == 1
         # after tau transmission rounds the frontier moved one phase
@@ -580,15 +574,14 @@ class TestChainedController:
 
     def test_delivered_section_freezes(self):
         g, sched, policy, hist = self.setup_policy()
-        np_rng, py_rng = rngs()
         arms0 = g.sections[0].arms
-        hist.active_from = {arms0[0]: 1}
+        hist.act[arms0[0]] = 0
         for r in range(1, 6):
-            policy.pre_round(r, hist, np_rng, py_rng)
+            policy.pre_round(r)
         frozen_phase = policy.section_phase[0]
         hist.first_delivery[g.sections[0].receiver] = 5
         for r in range(6, 30):
-            policy.pre_round(r, hist, np_rng, py_rng)
+            policy.pre_round(r)
         assert policy.section_frozen[0]
         assert policy.section_phase[0] == frozen_phase
 
@@ -597,14 +590,30 @@ class TestChainedController:
         # hold the phase-1 degree
         g = chained_gadgets(2 ** 12 + 1, 24)
         sched = frlb_schedule(2 ** 12 + 1, 3)
-        policy = make_policy({"kind": "chained_gap", "tau": 2}, g, sched)
-        hist = ObservableHistory(sched)
-        np_rng, py_rng = rngs()
-        hist.active_from = {g.sections[0].arms[0]: 1, g.sections[1].arms[0]: 5}
+        hist = unreached(g)
+        policy = make_policy({"kind": "chained_gap", "tau": 2}, g, sched, *rngs(), hist)
+        hist.act[[g.sections[0].arms[0], g.sections[1].arms[0]]] = [0, 4]
         for r in range(1, 11):
-            policy.pre_round(r, hist, np_rng, py_rng)
+            policy.pre_round(r)
         assert policy.section_phase[:3] == [5, 3, 1]
         for phase, degree in zip(policy.section_phase, policy.section_degree):
             assert degree == gap_plan(phase_cycle_probs(sched, 2, phase - 1), g.delta).degree
         degrees = policy.section_degree
         assert degrees[:2] == [256, 16] and set(degrees[2:]) == {4096}
+
+    def test_unreached_sections_do_not_overflow(self):
+        # an unreached head holds int64 max; its start must not wrap around
+        g, sched, policy, hist = self.setup_policy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in range(1, 40):
+                policy.pre_round(r)
+                policy.sample_edges(r)
+        assert policy.section_phase == [1] * 8
+        assert len(policy.change_log) == 1
+
+    def test_needs_the_history(self):
+        g = chained_gadgets(2 ** 8 + 1, 24)
+        with pytest.raises(ValueError, match="history"):
+            make_policy({"kind": "chained_gap", "tau": 1}, g, frlb_schedule(2 ** 8 + 1, 1),
+                        *rngs())
