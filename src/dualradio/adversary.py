@@ -271,10 +271,14 @@ class ShiftPlan:
     def cycle_length(self) -> int:
         return len(self.cycle_probs)
 
-    def degree_at(self, t: int) -> int:
-        """Receiver degree in (1-based) step t; s = cycle_length pairs p_i
-        with its own response."""
-        return self.responses[(t - 1 + self.shift) % self.cycle_length]
+    def degree_at(self, t):
+        """Receiver degree in (1-based) step t, or a float64 array of them
+        for an int64 array of steps; s = cycle_length pairs p_i with its own
+        response."""
+        step = (t - 1 + self.shift) % self.cycle_length
+        if isinstance(step, np.ndarray):
+            return np.array(self.responses, dtype=np.float64)[step]
+        return self.responses[step]
 
 
 def shift_plan(cycle_probs: Sequence[float], delta: int, rng,
@@ -641,11 +645,10 @@ class CorrelatedShiftPolicy(AdversaryPolicy):
     def _blocks(self, blocks):
         self.plan = shift_plan(self.schedule.cycle, self.delta, self.np_rng,
                                forced_shift=self.forced_shift)
-        self._responses = np.array(self.plan.responses, dtype=np.float64)
         return None, [(0, ("shift", self.plan.shift))]
 
     def _degrees(self, rounds):
-        return self._responses[(rounds - 1 + self.plan.shift) % self.plan.cycle_length]
+        return self.plan.degree_at(rounds)
 
 
 class DegreeWalkPolicy(AdversaryPolicy):

@@ -157,6 +157,14 @@ class TestShiftPlan:
         seq2 = [plan.degree_at(t) for t in range(1, 10)]
         assert seq1 == seq2
 
+    def test_degree_at_an_array_of_steps(self):
+        # one rule for both engines: an int64 array of steps gives the same
+        # degrees as float64
+        plan = shift_plan([0.5, 0.25, 0.125], 64, rngs(3)[0])
+        got = plan.degree_at(np.arange(1, 10))
+        assert got.dtype == np.float64
+        assert got.tolist() == [plan.degree_at(t) for t in range(1, 10)]
+
     def test_shift_uniform_over_cycle(self):
         np_rng, _ = rngs(11)
         seen = {shift_plan([0.5, 0.25], 16, np_rng).shift for _ in range(200)}
