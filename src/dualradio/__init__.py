@@ -2,8 +2,8 @@
 
 from .model import (DualGraph, RoundTopology, DeliveryOutcome,
                     build_round_topology, deliver, graph_from_text, graph_to_text)
-from .schedules import (Schedule, SchedulePosition, decay_schedule, rlb_schedule,
-                        frlb_schedule, rlbc_schedule, build_schedule)
+from .schedules import (Schedule, decay_schedule, rlb_schedule, frlb_schedule,
+                        rlbc_schedule, build_schedule)
 from .oracle import (exact_success_prob, exact_success_logprob, prosing_bound,
                      interval_min_bound, weierstrass_bounds, phase_success_sum,
                      brute_force_delivery_prob)

@@ -33,17 +33,6 @@ def log2e_of(value) -> float:
 
 
 @dataclass(frozen=True)
-class SchedulePosition:
-    """Rounds elapsed since a node's (cycle-aligned) activation."""
-
-    local_round: int
-
-    def __post_init__(self):
-        if self.local_round < 0:
-            raise ValueError("local_round must be >= 0")
-
-
-@dataclass(frozen=True)
 class Schedule:
     """A repeating probability cycle plus the parameters that built it.
 
@@ -81,10 +70,6 @@ class Schedule:
     def log_prob_array(self) -> np.ndarray:
         """`log_probs` as a float64 array, built once per schedule."""
         return np.array(self.log_probs, dtype=np.float64)
-
-    def probability_at(self, position: "SchedulePosition | int") -> float:
-        t = position.local_round if isinstance(position, SchedulePosition) else position
-        return self.cycle[t % len(self.log_probs)]
 
 
 def decay_schedule(delta: int) -> Schedule:

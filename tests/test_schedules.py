@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from dualradio.schedules import (Schedule, SchedulePosition, build_schedule,
+from dualradio.schedules import (Schedule, build_schedule,
                                  ceil_log2, decay_schedule, format_probability,
                                  frlb_schedule, log2e_of,
                                  rlb_schedule, rlbc_schedule, schedule_csv)
@@ -121,22 +121,6 @@ class TestRlbc:
     def test_small_config_rejected(self):
         with pytest.raises(ValueError, match="tau_bar - 2a"):
             rlbc_schedule(16, 10)
-
-
-class TestPositions:
-    def test_probability_at_wraps(self):
-        s = rlb_schedule(16, 4)
-        assert s.probability_at(SchedulePosition(0)) == pytest.approx(0.5)
-        assert s.probability_at(SchedulePosition(4)) == pytest.approx(0.5)
-        assert s.probability_at(SchedulePosition(6)) == pytest.approx(0.125)
-
-    def test_plain_int_positions(self):
-        s = decay_schedule(8)
-        assert s.probability_at(5) == s.cycle[2]
-
-    def test_negative_position_rejected(self):
-        with pytest.raises(ValueError):
-            SchedulePosition(-1)
 
 
 class TestValidation:
