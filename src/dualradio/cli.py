@@ -305,13 +305,19 @@ def predictor_value(name: str, delta_log2: float, tau: float, algo: str,
 
 
 def read_trials_csv(path: str) -> list[dict]:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != csv_header():
+    try:
+        with open(path) as fh:
+            lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, 1) if ln.strip()]
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
+    if not lines or lines[0][1] != csv_header():
         raise ConfigError(f"{path}: not a dualradio trials CSV")
     rows = []
-    for ln in lines[1:]:
+    for i, ln in lines[1:]:
         vals = ln.split(",")
+        if len(vals) != len(engine.CSV_COLUMNS):
+            raise ConfigError(f"{path}: line {i} has {len(vals)} fields, "
+                              f"expected {len(engine.CSV_COLUMNS)}")
         rows.append(dict(zip(engine.CSV_COLUMNS, vals)))
     return rows
 
@@ -376,9 +382,31 @@ def _parse_flag(text: str) -> bool:
     raise ConfigError(f"expected true/false, got {text!r}")
 
 
+# subcommand -> (fewest values, most values or None, usage)
+ORACLE_VALUES = {
+    "exact": (2, 3, "<d> <p> [flag]"),
+    "prosing": (2, 2, "<d> <p>"),
+    "interval": (3, 4, "<d1> <d2> <p> [flag]"),
+    "wpi": (1, None, "<x>..."),
+    "phase-sum": (3, None, "<degree> <flag> <p>..."),
+}
+GADGET_VALUES = {
+    "star": (2, 2, "<delta> <n>"),
+    "double_star": (1, 1, "<delta>"),
+    "chained": (2, 2, "<delta> <diameter>"),
+}
+
+
+def _check_values(command: str, values: list[str], spec: tuple) -> None:
+    least, most, usage = spec
+    if len(values) < least or (most is not None and len(values) > most):
+        raise ConfigError(f"{command} takes {usage}, got {len(values)} value(s)")
+
+
 def cmd_oracle(args) -> int:
     sub = args.subcommand
     vals = args.values
+    _check_values(f"oracle {sub}", vals, ORACLE_VALUES[sub])
     if sub == "exact":
         d, p = int(vals[0]), float(vals[1])
         flag = _parse_flag(vals[2]) if len(vals) > 2 else False
@@ -417,6 +445,7 @@ def cmd_gadget(args) -> int:
     from .model import graph_to_text
 
     kind = args.kind
+    _check_values(f"gadget {kind}", args.values, GADGET_VALUES[kind])
     if kind == "star":
         g = gadgets.star_gadget(int(args.values[0]), int(args.values[1]))
     elif kind == "double_star":
@@ -457,13 +486,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=cmd_fit)
 
     p_or = sub.add_parser("oracle", help="closed-form probability calculators")
-    p_or.add_argument("subcommand",
-                      choices=("exact", "prosing", "interval", "wpi", "phase-sum"))
+    p_or.add_argument("subcommand", choices=tuple(ORACLE_VALUES))
     p_or.add_argument("values", nargs="+")
     p_or.set_defaults(func=cmd_oracle)
 
     p_g = sub.add_parser("gadget", help="print a benchmark topology")
-    p_g.add_argument("kind", choices=("star", "double_star", "chained"))
+    p_g.add_argument("kind", choices=tuple(GADGET_VALUES))
     p_g.add_argument("values", nargs="+")
     p_g.set_defaults(func=cmd_gadget)
 

@@ -225,6 +225,21 @@ class TestFitCommand:
         path.write_text("\n".join(rows) + "\n")
         assert main(["fit", str(path), "--predictor", "local-tau"]) == 1
 
+    def test_missing_file_is_an_error(self, tmp_path, capsys):
+        assert main(["fit", str(tmp_path / "absent.csv"), "--predictor", "local-tau"]) == 1
+        assert "absent.csv: No such file or directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, count", [
+        ("0,0,local,rlb,analytic_star,4,1,iid_subset,1,5", 10),
+        ("0,0,local,rlb,analytic_star,4,1,iid_subset,1,5,5,7", 12),
+    ], ids=["short", "long"])
+    def test_wrong_field_count_names_the_line(self, tmp_path, capsys, row, count):
+        good = "1,1,local,rlb,analytic_star,4,1,iid_subset,1,5,5"
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([csv_header(), good, "", row]) + "\n")
+        assert main(["fit", str(path), "--predictor", "local-tau"]) == 1
+        assert f"line 4 has {count} fields, expected 11" in capsys.readouterr().err
+
     def test_global_predictor_needs_diameter(self, tmp_path):
         rows = read_trials_csv(self.synthetic_csv(tmp_path))
         with pytest.raises(ConfigError, match="--param D"):
@@ -314,6 +329,18 @@ class TestCalculators:
         out = capsys.readouterr().out
         assert out.startswith("n 6\n")
         assert out.count("U ") == 2
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["oracle", "exact", "4"], "oracle exact takes <d> <p> [flag], got 1"),
+        (["oracle", "interval", "1", "2"], "oracle interval takes <d1> <d2> <p> [flag], got 2"),
+        (["oracle", "phase-sum", "4"], "oracle phase-sum takes <degree> <flag> <p>..., got 1"),
+        (["oracle", "prosing", "2", "0.5", "1"], "oracle prosing takes <d> <p>, got 3"),
+        (["gadget", "star", "4"], "gadget star takes <delta> <n>, got 1"),
+        (["gadget", "double_star", "8", "9"], "gadget double_star takes <delta>, got 2"),
+    ], ids=["exact", "interval", "phase-sum", "prosing-extra", "star", "double-star-extra"])
+    def test_wrong_value_count_is_an_error(self, capsys, argv, usage):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {usage} value(s)\n"
 
     def test_schedule_dump(self, capsys):
         assert main(["schedule", "rlb", "--delta", "16", "--tau", "2"]) == 0
