@@ -721,19 +721,18 @@ class ChainedGapPolicy(AdversaryPolicy):
         self._edges = np.array([e for s in gadget.sections for e in s.unreliable_indices],
                                dtype=np.int64)
         self._sizes = [len(s.unreliable_indices) for s in gadget.sections]
-        self._heads = np.array([s.arms[0] for s in gadget.sections], dtype=np.int64)
         self._layout: SubsetLayout | None = None
 
     def pre_round(self, round_index):
         changed = self._fingerprint is None
-        # in Python ints: an unreached head's int64 max + 1 must not wrap
-        starts = [a + 1 for a in self.history.act[self._heads].tolist()]
-        for i, (section, start) in enumerate(zip(self.gadget.sections, starts)):
+        for i, section in enumerate(self.gadget.sections):
             if self.section_frozen[i]:
                 continue
             if section.receiver in self.history.first_delivery:
                 self.section_frozen[i] = changed = True
                 continue
+            # a Python int: an unreached head's int64 max + 1 must not wrap
+            start = self.history.act.item(section.arms[0]) + 1
             if round_index <= start:
                 continue
             phase = 1 + (round_index - start) // self.tau
