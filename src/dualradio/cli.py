@@ -108,6 +108,8 @@ def normalize_config(doc: dict) -> dict:
         raise ConfigError("seed: must be an integer")
     if not (isinstance(cfg["epsilon"], (int, float)) and 0 < cfg["epsilon"] < 1):
         raise ConfigError(f"epsilon: must be in (0,1), got {cfg['epsilon']!r}")
+    if not isinstance(cfg["adversary"], dict):
+        raise ConfigError(f"adversary: must be a mapping, got {cfg['adversary']!r}")
     sweep = cfg["sweep"]
     if not isinstance(sweep, dict):
         raise ConfigError("sweep: must be a mapping of axis lists")
@@ -116,6 +118,9 @@ def normalize_config(doc: dict) -> dict:
             raise ConfigError(f"sweep.{axis}: unknown sweep axis")
         if not isinstance(sweep[axis], list) or not sweep[axis]:
             raise ConfigError(f"sweep.{axis}: must be a nonempty list")
+    for i, adv in enumerate(sweep.get("adversary", ())):
+        if not isinstance(adv, dict):
+            raise ConfigError(f"sweep.adversary[{i}]: must be a mapping, got {adv!r}")
     return cfg
 
 
@@ -161,6 +166,9 @@ def validate_point(point: dict) -> None:
         raise ConfigError(f"adversary.kind: unknown kind {kind!r}")
     if kind.startswith("degree_walk") and "l" not in adv:
         raise ConfigError("adversary.l: required for degree walks")
+    q = adv.get("edge_prob")
+    if q is not None and (isinstance(q, bool) or not isinstance(q, (int, float))):
+        raise ConfigError(f"adversary.edge_prob: must be a number or null, got {q!r}")
     mr = point["max_rounds"]
     if mr != "auto" and (not isinstance(mr, int) or mr < 1):
         raise ConfigError(f"max_rounds: must be 'auto' or a positive integer, got {mr!r}")
@@ -318,7 +326,14 @@ def read_trials_csv(path: str) -> list[dict]:
         if len(vals) != len(engine.CSV_COLUMNS):
             raise ConfigError(f"{path}: line {i} has {len(vals)} fields, "
                               f"expected {len(engine.CSV_COLUMNS)}")
-        rows.append(dict(zip(engine.CSV_COLUMNS, vals)))
+        row = dict(zip(engine.CSV_COLUMNS, vals))
+        if row["completed"] not in ("0", "1"):
+            raise ConfigError(f"{path}: line {i}: completed must be 0 or 1, "
+                              f"got {row['completed']!r}")
+        if row["completed"] == "1" and not row["completion_round"].isdecimal():
+            raise ConfigError(f"{path}: line {i}: completion_round of a completed trial "
+                              f"must be an integer, got {row['completion_round']!r}")
+        rows.append(row)
     return rows
 
 

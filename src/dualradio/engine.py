@@ -20,7 +20,10 @@ log2 values keep working).
 Randomness: each trial t uses seed `config.seed + t`.  Inside a trial,
 streams are derived by `split_seed` (SHA-256 over the labeled seed), with
 disjoint labels for node coins ("nodes") and adversary draws ("adversary"),
-so adversary outputs cannot depend on node coins even accidentally.
+so adversary outputs cannot depend on node coins even accidentally.  The
+node and adversary generators are `PCG64(split_seed(...))`; `run_trials`
+turns a point's stream seeds into PCG64 seed words in one batch
+(`seed_words`), which gives the same generators as seeding each alone.
 """
 
 from __future__ import annotations
@@ -28,10 +31,11 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .adversary import ObservableHistory, make_policy
 from .gadgets import Gadget
@@ -39,6 +43,10 @@ from .model import DualGraph
 from .oracle import exact_success_logprob, log_one_minus_p
 from .schedules import Schedule, ceil_log2, log2e_of
 
+# analytic degree chunks: the first covers _FIRST_CHUNK rounds, each next
+# one 4x more up to _CHUNK; a short first chunk spares the many trials that
+# end within a few rounds from drawing degrees for rounds they never run
+_FIRST_CHUNK = 16
 _CHUNK = 4096
 _NEVER = np.iinfo(np.int64).max  # activation round of a node never reached
 
@@ -51,10 +59,94 @@ def split_seed(root: int, *labels) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def trial_rngs(seed: int):
-    """(node-coin generator, adversary generator, adversary python Random)."""
-    np_nodes = np.random.Generator(np.random.PCG64(split_seed(seed, "nodes")))
-    np_adv = np.random.Generator(np.random.PCG64(split_seed(seed, "adversary")))
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_consts(value: int, mult: int, count: int) -> np.ndarray:
+    """A SeedSequence hash constant's first count + 1 values, mod 2^32."""
+    out = [value]
+    for _ in range(count):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+# SeedSequence hashes its 4 pool words, then each word s into the other 3
+# words d (12 calls, s-major), each call with the next constant
+_HASH_A = _hash_consts(_INIT_A, _MULT_A, 16)
+# lane d of row s: the call that mixes word s into word d; lane s keeps its
+# word and reads call 0
+_CROSS_CALL = np.array([[0 if d == s else 4 + 3 * s + d - (d > s) for d in range(4)]
+                        for s in range(4)])
+_CROSS_XOR, _CROSS_MUL = _HASH_A[_CROSS_CALL], _HASH_A[_CROSS_CALL + 1]
+_HASH_B = _hash_consts(_INIT_B, _MULT_B, 8)  # one per 32-bit output word
+
+
+def _hashed(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = value ^ xor
+    value *= mult
+    value ^= value >> 16
+    return value
+
+
+def pcg64_seed_words(seeds) -> np.ndarray:
+    """`SeedSequence(s).generate_state(4, np.uint64)` for every 64-bit seed
+    s in `seeds`, in one vectorized pass; shape `seeds.shape + (4,)`.
+
+    A seed's entropy is its 32-bit words (lo, hi).  SeedSequence pads
+    entropy shorter than its 4-word pool with hashed zeros, so a seed below
+    2^32 (entropy (lo,)) takes the same path as (lo, 0, 0, 0).
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    entropy = np.zeros(seeds.shape + (4,), dtype=np.uint32)
+    entropy[..., 0] = seeds & 0xFFFFFFFF
+    entropy[..., 1] = seeds >> 32
+    pool = _hashed(entropy, _HASH_A[:4], _HASH_A[1:5])
+    for src in range(4):
+        mixed = _MIX_MULT_L * pool
+        hashed = _hashed(pool[..., src:src + 1], _CROSS_XOR[src], _CROSS_MUL[src])
+        mixed -= _MIX_MULT_R * hashed
+        mixed ^= mixed >> 16
+        mixed[..., src] = pool[..., src]
+        pool = mixed
+    # 32-bit output word i hashes pool word i % 4; 64-bit word j is 32-bit
+    # words 2j (low half) and 2j + 1
+    out = _hashed(np.concatenate((pool, pool), axis=-1), _HASH_B[:8], _HASH_B[1:])
+    out = out.astype(np.uint64)
+    return out[..., 0::2] | out[..., 1::2] << 32
+
+
+def seed_words(first_seed: int, count: int) -> np.ndarray:
+    """PCG64 seed words of the node and adversary streams of the trials
+    seeded first_seed, ..., first_seed + count - 1: shape (count, 2, 4)."""
+    stream_seeds = [split_seed(first_seed + t, label)
+                    for t in range(count) for label in ("nodes", "adversary")]
+    return pcg64_seed_words(np.array(stream_seeds, dtype=np.uint64).reshape(count, 2))
+
+
+class _SeedWords(ISeedSequence):
+    """Seeds a PCG64 with four precomputed SeedSequence words, skipping the
+    SeedSequence that PCG64(seed) would build, most of its seeding cost."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError(f"holds 4 uint64 PCG64 seed words, asked for {n_words} {dtype}")
+        return self.words
+
+
+def trial_rngs(seed: int, trial: int = 0, words: np.ndarray | None = None):
+    """(node-coin generator, adversary generator, adversary python Random)
+    of trial `trial` of a point whose first seed is `seed`.  `words` is the
+    point's `seed_words`; a lone call derives its trial's row alone."""
+    seed += trial
+    row = seed_words(seed, 1)[0] if words is None else words[trial]
+    np_nodes = np.random.Generator(np.random.PCG64(_SeedWords(row[0])))
+    np_adv = np.random.Generator(np.random.PCG64(_SeedWords(row[1])))
     py_adv = random.Random(split_seed(seed, "adversary", "py"))
     return np_nodes, np_adv, py_adv
 
@@ -238,8 +330,10 @@ def _transmitter_window(act: np.ndarray, r: int, budget: int):
     return cand, min(starts, ends)
 
 
-def run_materialized_trial(config: TrialConfig) -> TrialResult:
-    """Simulate every node and edge round by round, for either problem.
+def run_materialized_trial(config: TrialConfig, trial: int = 0,
+                           words: np.ndarray | None = None) -> TrialResult:
+    """Simulate every node and edge round by round, for either problem
+    (trial and words as in `run_trial`).
 
     The problems differ only in data.  Local broadcast starts every
     broadcaster with no budget and must reach the receivers; global
@@ -282,7 +376,7 @@ def run_materialized_trial(config: TrialConfig) -> TrialResult:
     left = int(waiting.sum())
     first_delivery: dict[int, int] = {}
 
-    np_nodes, np_adv, py_adv = trial_rngs(config.seed)
+    np_nodes, np_adv, py_adv = trial_rngs(config.seed, trial, words)
     policy = make_policy(config.adversary, gadget, schedule, np_adv, py_adv,
                          ObservableHistory(first_delivery, act))
     cycle = np.exp(np.array(schedule.log_probs))
@@ -330,7 +424,7 @@ def run_materialized_trial(config: TrialConfig) -> TrialResult:
         completion_round=completion,
         first_delivery=dict(first_delivery),
         rounds_executed=r,
-        seed=config.seed,
+        seed=config.seed + trial,
         distribution_changes=tuple(policy.change_log),
     )
 
@@ -352,8 +446,10 @@ def _schedule_arrays(schedule: Schedule):
     return cached
 
 
-def run_analytic_star_trial(config: TrialConfig) -> TrialResult:
-    """Degree-only fast path for a single-receiver star or double star.
+def run_analytic_star_trial(config: TrialConfig, trial: int = 0,
+                            words: np.ndarray | None = None) -> TrialResult:
+    """Degree-only fast path for a single-receiver star or double star
+    (trial and words as in `run_trial`).
 
     The adversary supplies the receiver's effective degree per round; the
     round succeeds with the exact closed-form probability, sampled by
@@ -363,7 +459,7 @@ def run_analytic_star_trial(config: TrialConfig) -> TrialResult:
     if gadget.kind not in ("star", "double_star") or gadget.receiver is None:
         raise ValueError("analytic engine needs a star or double-star gadget")
     schedule = config.schedule
-    np_nodes, np_adv, py_adv = trial_rngs(config.seed)
+    np_nodes, np_adv, py_adv = trial_rngs(config.seed, trial, words)
     policy = make_policy(config.adversary, gadget, schedule, np_adv, py_adv)
 
     recv = gadget.receiver
@@ -376,7 +472,7 @@ def run_analytic_star_trial(config: TrialConfig) -> TrialResult:
     completion = None
     rounds_executed = 0
     r = 1
-    chunk = 64
+    chunk = _FIRST_CHUNK
     while r <= config.max_rounds and completion is None:
         cnt = min(chunk, config.max_rounds - r + 1)
         chunk = min(chunk * 4, _CHUNK)
@@ -392,7 +488,8 @@ def run_analytic_star_trial(config: TrialConfig) -> TrialResult:
             for j, d in enumerate(degs):
                 lp = schedule.log_probs[(r - 1 + j) % k]
                 log_s = exact_success_logprob(d, lp, flag)
-                if math.log(u[j]) < log_s:
+                # a zero uniform is a hit, as np.log(0) = -inf is on the float path
+                if u[j] == 0.0 or math.log(u[j]) < log_s:
                     completion = r + j
                     break
         rounds_executed = completion if completion is not None else r + cnt - 1
@@ -405,17 +502,20 @@ def run_analytic_star_trial(config: TrialConfig) -> TrialResult:
         completion_round=completion,
         first_delivery={} if completion is None else {recv: completion},
         rounds_executed=rounds_executed,
-        seed=config.seed,
+        seed=config.seed + trial,
         distribution_changes=tuple(c for c in policy.change_log if c[0] <= rounds_executed),
     )
 
 
-def run_trial(config: TrialConfig) -> TrialResult:
+def run_trial(config: TrialConfig, trial: int = 0,
+              words: np.ndarray | None = None) -> TrialResult:
+    """Trial `trial` of `config`'s point, seeded config.seed + trial.
+    `words` is the point's `seed_words`; a lone trial derives its own."""
     if config.engine_mode == "analytic_star":
         if config.problem != "local":
             raise ValueError("analytic engine only runs local broadcast")
-        return run_analytic_star_trial(config)
-    return run_materialized_trial(config)
+        return run_analytic_star_trial(config, trial, words)
+    return run_materialized_trial(config, trial, words)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +578,8 @@ def run_trials(config: TrialConfig, trial_count: int) -> Stats:
     """Run trials under seeds seed, seed+1, ... and fold deterministically."""
     if trial_count < 1:
         raise ValueError("trial_count must be >= 1")
-    results = [run_trial(replace(config, seed=config.seed + i))
-               for i in range(trial_count)]
+    words = seed_words(config.seed, trial_count)
+    results = [run_trial(config, t, words) for t in range(trial_count)]
     return aggregate(results)
 
 

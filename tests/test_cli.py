@@ -182,6 +182,21 @@ class TestRunCommand:
         assert "run it on the analytic_star engine" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"adversary": ["kind", "static"]}, "adversary: must be a mapping"),
+        ({"sweep": {"adversary": [{"kind": "static"}, "gap"]}},
+         "sweep.adversary[1]: must be a mapping"),
+        ({"adversary": {"kind": "iid_subset", "edge_prob": "0.5"}},
+         "adversary.edge_prob: must be a number or null, got '0.5'"),
+    ], ids=["adversary", "sweep-adversary", "edge-prob-string"])
+    def test_bad_adversary_is_a_config_error(self, tmp_path, capsys, overrides, message):
+        out = tmp_path / "t.csv"
+        path = write_config(tmp_path, base_config(out=str(out), **overrides))
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
     def test_no_partial_left_behind(self, tmp_path):
         out = tmp_path / "t.csv"
         path = write_config(tmp_path, base_config(out=str(out)))
@@ -239,6 +254,22 @@ class TestFitCommand:
         path.write_text("\n".join([csv_header(), good, "", row]) + "\n")
         assert main(["fit", str(path), "--predictor", "local-tau"]) == 1
         assert f"line 4 has {count} fields, expected 11" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, message", [
+        ("0,0,local,rlb,analytic_star,4,1,iid_subset,yes,5,5",
+         "line 4: completed must be 0 or 1, got 'yes'"),
+        ("0,0,local,rlb,analytic_star,4,1,iid_subset,1,,5",
+         "line 4: completion_round of a completed trial must be an integer, got ''"),
+        ("0,0,local,rlb,analytic_star,4,1,iid_subset,1,4.5,5",
+         "line 4: completion_round of a completed trial must be an integer, got '4.5'"),
+    ], ids=["completed", "empty-round", "fractional-round"])
+    def test_bad_completion_fields_name_the_line(self, tmp_path, capsys, row, message):
+        good = "1,1,local,rlb,analytic_star,4,1,iid_subset,1,5,5"
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([csv_header(), good, "", row]) + "\n")
+        assert main(["fit", str(path), "--predictor", "local-tau"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_global_predictor_needs_diameter(self, tmp_path):
         rows = read_trials_csv(self.synthetic_csv(tmp_path))

@@ -1,6 +1,7 @@
 """Trial execution: reproducibility, oracle cross-checks, and aggregation."""
 
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -8,11 +9,12 @@ import pytest
 
 from dualradio import engine
 from dualradio.engine import (_NEVER, CSV_COLUMNS, Stats, TrialConfig, TrialResult,
-                              _transmitter_window, aggregate, csv_header,
+                              _SeedWords, _transmitter_window, aggregate, csv_header,
                               default_max_rounds, derived_receivers, frlb_repetitions,
-                              rlb_repetitions, round_counts, run_analytic_star_trial,
-                              run_trial, run_trials, split_seed, trial_csv_row,
-                              trial_rngs, verify_stability, wilson_interval)
+                              pcg64_seed_words, rlb_repetitions, round_counts,
+                              run_analytic_star_trial, run_trial, run_trials, seed_words,
+                              split_seed, trial_csv_row, trial_rngs, verify_stability,
+                              wilson_interval)
 from dualradio.gadgets import (Gadget, build_gadget, chained_gadgets, double_star,
                                star_gadget)
 from dualradio.model import DualGraph, build_round_topology, transmit_counts
@@ -46,6 +48,29 @@ class TestSeeding:
         n1, a1, p1 = trial_rngs(5)
         assert n1.random() != a1.random()
 
+    def test_batched_seed_words_match_seed_sequence(self):
+        rng = np.random.default_rng(20261018)
+        seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
+        seeds += rng.integers(0, 2 ** 64, 1000, dtype=np.uint64).tolist()
+        words = pcg64_seed_words(np.array(seeds, dtype=np.uint64))
+        assert words.shape == (len(seeds), 4)
+        for s, w in zip(seeds, words):
+            assert (w == np.random.SeedSequence(s).generate_state(4, np.uint64)).all(), s
+            assert np.random.PCG64(_SeedWords(w)).state == np.random.PCG64(s).state, s
+
+    def test_trial_streams_are_seeded_from_split_seeds(self):
+        # a point's batch and a lone call give every trial the same streams
+        words = seed_words(40, 3)
+        cases = [(40 + t, trial_rngs(40, t, words)) for t in range(3)]
+        cases += [(42, trial_rngs(42)), (42, trial_rngs(40, 2))]
+        for seed, (nodes, adv, py_adv) in cases:
+            assert nodes.bit_generator.state == \
+                np.random.PCG64(split_seed(seed, "nodes")).state
+            assert adv.bit_generator.state == \
+                np.random.PCG64(split_seed(seed, "adversary")).state
+            assert py_adv.getstate() == \
+                random.Random(split_seed(seed, "adversary", "py")).getstate()
+
 
 class TestReproducibility:
     def test_identical_config_identical_result(self):
@@ -64,6 +89,21 @@ class TestReproducibility:
                           adversary={"kind": "static", "tau": 4},
                           seed=3, max_rounds=50_000)
         assert run_trial(cfg) == run_trial(cfg)
+
+    @pytest.mark.parametrize("make", [
+        lambda: star_config(engine="analytic_star", adversary={"kind": "iid_subset", "tau": 2}),
+        lambda: star_config(adversary={"kind": "iid_subset", "tau": 2}),
+        lambda: TrialConfig(problem="global", gadget=chained_gadgets(65, 24),
+                            schedule=frlb_schedule(65, 1),
+                            adversary={"kind": "chained_gap", "tau": 1},
+                            seed=5, max_rounds=100_000),
+    ], ids=["analytic", "materialized-local", "materialized-global-chained-gap"])
+    def test_batched_trials_match_lone_trials(self, make):
+        cfg = make()
+        batched = list(run_trials(cfg, 5).results)
+        assert batched == [run_trial(cfg, t) for t in range(5)]
+        assert batched == [run_trial(replace(cfg, seed=cfg.seed + t)) for t in range(5)]
+        assert [r.seed for r in batched] == [cfg.seed + t for t in range(5)]
 
     def test_different_seeds_differ(self):
         cfg = star_config(adversary={"kind": "iid_subset", "tau": 4})
@@ -186,8 +226,9 @@ class TestStabilityAudit:
             "shift", "walk-deterministic", "walk-restricted"])
     def test_analytic_result_independent_of_chunk_cap(self, adversary, monkeypatch):
         # a schedule built for a far larger degree bound keeps most trials
-        # running past the first 64-round chunk, after which the cap decides
-        # how many rounds each degrees() call covers
+        # running past the first chunk, after which the growth from the
+        # first chunk and the cap decide how many rounds each degrees()
+        # call covers
         if adversary["kind"] == "gap":
             g = star_gadget(2 ** 12 + 1, 2 ** 12 + 3)
         elif adversary["kind"] == "correlated_shift":
@@ -197,10 +238,34 @@ class TestStabilityAudit:
         cfg = TrialConfig(problem="local", gadget=g, schedule=rlb_schedule(2 ** 24, 2),
                           adversary=adversary, seed=0, max_rounds=2000,
                           engine_mode="analytic_star")
-        default = [run_trial(replace(cfg, seed=s)) for s in range(20)]
-        monkeypatch.setattr(engine, "_CHUNK", 100)
-        capped = [run_trial(replace(cfg, seed=s)) for s in range(20)]
-        assert capped == default
+        default = [run_trial(cfg, s) for s in range(20)]
+        for first, cap in ((1, 100), (64, 4096)):
+            monkeypatch.setattr(engine, "_FIRST_CHUNK", first)
+            monkeypatch.setattr(engine, "_CHUNK", cap)
+            assert [run_trial(cfg, s) for s in range(20)] == default, (first, cap)
+
+
+class TestZeroUniform:
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
+    @pytest.mark.parametrize("delta, start_degree", [(64, 20), (2 ** 60, 2 ** 55)],
+                             ids=["float-degrees", "integer-degrees"])
+    def test_zero_uniform_is_a_hit(self, monkeypatch, delta, start_degree):
+        # a node generator may return exactly 0.0; ln 0 = -inf lies below
+        # every success log-probability, whether degrees are floats or, from
+        # 2^53 up, Python ints
+        class Zeros:
+            def random(self, size):
+                return np.zeros(size)
+
+        real = engine.trial_rngs
+        monkeypatch.setattr(engine, "trial_rngs", lambda *a: (Zeros(), *real(*a)[1:]))
+        cfg = TrialConfig(problem="local", gadget=build_gadget("star", delta),
+                          schedule=rlb_schedule(delta, 2),
+                          adversary={"kind": "degree_walk_deterministic", "tau": 2, "l": 1,
+                                     "start_degree": start_degree},
+                          seed=0, max_rounds=50, engine_mode="analytic_star")
+        res = run_trial(cfg)
+        assert res.completed and res.completion_round == 1
 
 
 class TestAdversaryFit:
