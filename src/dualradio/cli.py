@@ -35,6 +35,13 @@ ADVERSARY_KINDS = ("static", "iid_subset", "gap", "argmin", "chained_gap",
                    "degree_walk_restricted")
 
 
+# adversary keys whose values the policies compute with, so that a string
+# there would otherwise fail mid-run with a TypeError
+_ADVERSARY_NUMBERS = (("edge_prob", (int, float), "a number or null"),
+                      ("l", int, "an integer"),
+                      ("start_degree", int, "an integer"))
+
+
 class ConfigError(ValueError):
     pass
 
@@ -166,9 +173,10 @@ def validate_point(point: dict) -> None:
         raise ConfigError(f"adversary.kind: unknown kind {kind!r}")
     if kind.startswith("degree_walk") and "l" not in adv:
         raise ConfigError("adversary.l: required for degree walks")
-    q = adv.get("edge_prob")
-    if q is not None and (isinstance(q, bool) or not isinstance(q, (int, float))):
-        raise ConfigError(f"adversary.edge_prob: must be a number or null, got {q!r}")
+    for key, types, what in _ADVERSARY_NUMBERS:
+        value = adv.get(key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
+            raise ConfigError(f"adversary.{key}: must be {what}, got {value!r}")
     mr = point["max_rounds"]
     if mr != "auto" and (not isinstance(mr, int) or mr < 1):
         raise ConfigError(f"max_rounds: must be 'auto' or a positive integer, got {mr!r}")

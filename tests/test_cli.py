@@ -188,7 +188,13 @@ class TestRunCommand:
          "sweep.adversary[1]: must be a mapping"),
         ({"adversary": {"kind": "iid_subset", "edge_prob": "0.5"}},
          "adversary.edge_prob: must be a number or null, got '0.5'"),
-    ], ids=["adversary", "sweep-adversary", "edge-prob-string"])
+        ({"adversary": {"kind": "degree_walk_restricted", "l": "2"}},
+         "adversary.l: must be an integer, got '2'"),
+        ({"sweep": {"adversary": [{"kind": "degree_walk_deterministic", "l": 2,
+                                   "start_degree": "5"}]}},
+         "adversary.start_degree: must be an integer, got '5'"),
+    ], ids=["adversary", "sweep-adversary", "edge-prob-string", "l-string",
+            "start-degree-string"])
     def test_bad_adversary_is_a_config_error(self, tmp_path, capsys, overrides, message):
         out = tmp_path / "t.csv"
         path = write_config(tmp_path, base_config(out=str(out), **overrides))
