@@ -169,6 +169,27 @@ class TestLocalTrial:
         res = run_trial(cfg)
         assert set(res.first_delivery) <= {cfg.gadget.receiver}
 
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
+    @pytest.mark.parametrize("delta, start_degree", [(64, 20), (2 ** 60, 2 ** 55)],
+                             ids=["float-degrees", "integer-degrees"])
+    def test_zero_uniform_is_a_hit(self, monkeypatch, delta, start_degree):
+        # a node generator may return exactly 0.0; ln 0 = -inf lies below
+        # every success log-probability, whether degrees are floats or, from
+        # 2^53 up, Python ints
+        class Zeros:
+            def random(self, size):
+                return np.zeros(size)
+
+        real = engine.trial_rngs
+        monkeypatch.setattr(engine, "trial_rngs", lambda *a: (Zeros(), *real(*a)[1:]))
+        cfg = TrialConfig(problem="local", gadget=build_gadget("star", delta),
+                          schedule=rlb_schedule(delta, 2),
+                          adversary={"kind": "degree_walk_deterministic", "tau": 2, "l": 1,
+                                     "start_degree": start_degree},
+                          seed=0, max_rounds=50, engine_mode="analytic_star")
+        res = run_trial(cfg)
+        assert res.completed and res.completion_round == 1
+
 
 class TestStabilityAudit:
     @pytest.mark.parametrize("adversary", [
@@ -243,29 +264,6 @@ class TestStabilityAudit:
             monkeypatch.setattr(engine, "_FIRST_CHUNK", first)
             monkeypatch.setattr(engine, "_CHUNK", cap)
             assert [run_trial(cfg, s) for s in range(20)] == default, (first, cap)
-
-
-class TestZeroUniform:
-    @pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
-    @pytest.mark.parametrize("delta, start_degree", [(64, 20), (2 ** 60, 2 ** 55)],
-                             ids=["float-degrees", "integer-degrees"])
-    def test_zero_uniform_is_a_hit(self, monkeypatch, delta, start_degree):
-        # a node generator may return exactly 0.0; ln 0 = -inf lies below
-        # every success log-probability, whether degrees are floats or, from
-        # 2^53 up, Python ints
-        class Zeros:
-            def random(self, size):
-                return np.zeros(size)
-
-        real = engine.trial_rngs
-        monkeypatch.setattr(engine, "trial_rngs", lambda *a: (Zeros(), *real(*a)[1:]))
-        cfg = TrialConfig(problem="local", gadget=build_gadget("star", delta),
-                          schedule=rlb_schedule(delta, 2),
-                          adversary={"kind": "degree_walk_deterministic", "tau": 2, "l": 1,
-                                     "start_degree": start_degree},
-                          seed=0, max_rounds=50, engine_mode="analytic_star")
-        res = run_trial(cfg)
-        assert res.completed and res.completion_round == 1
 
 
 class TestAdversaryFit:
