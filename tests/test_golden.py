@@ -25,9 +25,10 @@ from dualradio.schedules import (decay_schedule, frlb_schedule, rlb_schedule,
                                  rlbc_schedule)
 
 
-def _custom(n, reliable, unreliable):
+def _custom(n, reliable, unreliable, broadcasters=(), receivers=()):
     return Gadget(kind="chained", graph=DualGraph.from_parts(n, reliable, unreliable),
-                  delta=2, broadcasters=frozenset(), receivers=frozenset(), source=0)
+                  delta=2, broadcasters=frozenset(broadcasters),
+                  receivers=frozenset(receivers), source=0)
 
 
 def _configs():
@@ -46,6 +47,14 @@ def _configs():
     path8 = _custom(8, [(i, i + 1) for i in range(7)], [])
     mesh = _custom(10, [(i, i + 1) for i in range(9)],
                    [(i, i + 2) for i in range(8)] + [(0, 9), (2, 7)])
+    # broadcasters 0 and 3 reach no receiver, even unreliably, and 1 reaches
+    # only receiver 4, so it turns inert once 4 is reached
+    inert = _custom(8, [(0, 6), (1, 4), (2, 4), (2, 5), (3, 7)],
+                    [(0, 7), (2, 7), (3, 6)], broadcasters=(0, 1, 2, 3), receivers=(4, 5))
+    # receiver 1 also broadcasts, so a transmission of its own hides its
+    # neighbors' from it (half duplex)
+    duplex = _custom(6, [(0, 1), (1, 3), (2, 3), (2, 4), (0, 5)], [(0, 3), (1, 4)],
+                     broadcasters=(0, 1, 2), receivers=(1, 3, 4))
 
     def local(gadget, schedule, adversary, max_rounds, engine, **kw):
         return TrialConfig(problem="local", gadget=gadget, schedule=schedule,
@@ -142,6 +151,12 @@ def _configs():
         "m-walk-restricted-dodging": (local(gap_star, rlb_schedule(2 ** 10 + 1, 10),
                                             {"kind": "degree_walk_restricted", "tau": 10,
                                              "l": 32, "start_degree": 600}, 1000, m), 20),
+        "m-inert-broadcasters": (local(inert, frlb_schedule(4, 2),
+                                       {"kind": "iid_subset", "tau": 2, "edge_prob": 0.5},
+                                       500, m), 200),
+        "m-receiver-broadcasts": (local(duplex, frlb_schedule(4, 2),
+                                        {"kind": "static", "tau": 2, "edges": [1]}, 500, m),
+                                  200),
         # materialized engine, global broadcast
         "g-static": (glob(chain10, frlb_schedule(10, 4),
                           {"kind": "static", "tau": 4}, 50_000), 10),
@@ -150,6 +165,8 @@ def _configs():
         "g-chained-gap": (glob(chain257, frlb_schedule(2 ** 8 + 1, 1),
                                {"kind": "chained_gap", "tau": 1}, 100_000,
                                rgb_reps=4000), 4),
+        "g-chained-static": (glob(chain257, frlb_schedule(2 ** 8 + 1, 1),
+                                  {"kind": "static", "tau": 1}, 100_000), 3),
         "g-line": (glob(_custom(3, [(0, 1), (1, 2)], []), frlb_schedule(2, 1),
                         {"kind": "static", "tau": 1}, 500, rgb_reps=200), 200),
         "g-budget-exhausted": (glob(_custom(3, [(0, 1)], [(1, 2)]), frlb_schedule(2, 1),
@@ -212,9 +229,12 @@ GOLDEN = {
     'm-walk-deterministic': 'efa3758b3e4302ee591a26d5014a65a44e5e415d0b4e7d49c7761f73b96b5537',
     'm-walk-restricted': '688b19f4194e290380bd901df8e5c1323d9da9ea0df40613535f36f9718029fa',
     'm-walk-restricted-dodging': '4308afe7d0206c0b64c1c3fa178fe50f87da2fbe1fb4b0fbc09c06263cd85cc1',
+    'm-inert-broadcasters': '4f36bbb601b091f3e7701af070fff33da2fa6acfb016c88ae39e0419207011ec',
+    'm-receiver-broadcasts': 'b7ffcb881e3a07a6d534471dccdc76e858f72c8973cc1a8a3616a37e6a61b551',
     'g-static': '019be678a64831aa12800e3ee579f3b7d58ba4c24a2f71604fa60b3325692a85',
     'g-iid': 'ba604526442d5987776b237835679f2725b2ef33eb9b257ea69e3ac5dab66d09',
     'g-chained-gap': '73d70937c93e2f378b3164928d062c8fb708adcb70fb0056660805224027f6ad',
+    'g-chained-static': '4ea631603f5fb1b6a3b41184b43f2cab34cf9a3fe67ea21ad80302bc8cd80ed4',
     'g-line': '224d597f92c4799b5949ea74230999874a064b13596cee2d1a150711cfda7af3',
     'g-budget-exhausted': '766792e811536def5fd8e733ce1aaf7d7867a9eacbcf20c8b645cd7cf07e526e',
     'g-path-k1': 'ffb987e143fd847a04e8f49474763a2f7ccf57dc1e80b83499566b2566bd8294',
