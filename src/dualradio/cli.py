@@ -39,7 +39,9 @@ ADVERSARY_KINDS = ("static", "iid_subset", "gap", "argmin", "chained_gap",
 # there would otherwise fail mid-run with a TypeError
 _ADVERSARY_NUMBERS = (("edge_prob", (int, float), "a number or null"),
                       ("l", int, "an integer"),
-                      ("start_degree", int, "an integer"))
+                      ("start_degree", int, "an integer"),
+                      ("extra_degree", int, "an integer"),
+                      ("shift", int, "an integer"))
 
 
 class ConfigError(ValueError):
@@ -177,6 +179,14 @@ def validate_point(point: dict) -> None:
         value = adv.get(key)
         if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
             raise ConfigError(f"adversary.{key}: must be {what}, got {value!r}")
+    # a string is truthy, and a string of digits iterates as a list of them
+    strict = adv.get("strict")
+    if strict is not None and not isinstance(strict, bool):
+        raise ConfigError(f"adversary.strict: must be true or false, got {strict!r}")
+    edges = adv.get("edges", [])
+    if not isinstance(edges, list) or any(isinstance(e, bool) or not isinstance(e, int)
+                                          for e in edges):
+        raise ConfigError(f"adversary.edges: must be a list of integers, got {edges!r}")
     mr = point["max_rounds"]
     if mr != "auto" and (not isinstance(mr, int) or mr < 1):
         raise ConfigError(f"max_rounds: must be 'auto' or a positive integer, got {mr!r}")

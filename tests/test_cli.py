@@ -193,8 +193,20 @@ class TestRunCommand:
         ({"sweep": {"adversary": [{"kind": "degree_walk_deterministic", "l": 2,
                                    "start_degree": "5"}]}},
          "adversary.start_degree: must be an integer, got '5'"),
+        ({"adversary": {"kind": "gap", "strict": "no"}},
+         "adversary.strict: must be true or false, got 'no'"),
+        ({"adversary": {"kind": "static", "edges": "12"}},
+         "adversary.edges: must be a list of integers, got '12'"),
+        ({"adversary": {"kind": "static", "edges": [0, True]}},
+         "adversary.edges: must be a list of integers, got [0, True]"),
+        ({"adversary": {"kind": "static", "extra_degree": "2"}},
+         "adversary.extra_degree: must be an integer, got '2'"),
+        ({"gadget": {"kind": "double_star", "delta": 64},
+          "adversary": {"kind": "correlated_shift", "shift": True}},
+         "adversary.shift: must be an integer, got True"),
     ], ids=["adversary", "sweep-adversary", "edge-prob-string", "l-string",
-            "start-degree-string"])
+            "start-degree-string", "strict-string", "edges-string", "edges-bool",
+            "extra-degree-string", "shift-bool"])
     def test_bad_adversary_is_a_config_error(self, tmp_path, capsys, overrides, message):
         out = tmp_path / "t.csv"
         path = write_config(tmp_path, base_config(out=str(out), **overrides))
