@@ -9,7 +9,9 @@ node's slice lists its reliable and unreliable neighbors with the
 unreliable edge each goes through.  A round gathers the transmitters'
 slices with a fixed number of numpy calls, however many transmit, and
 its counts are one `bincount` over them, keeping an unreliable neighbor
-only when the adversary activated that edge this round.  The set of
+only when the adversary activated that edge this round.  It counts only
+the relevant transmitters, those that wait themselves or have a waiting
+potential neighbor: the others cannot change a delivery.  The set of
 nodes that may transmit is recomputed only in rounds where some node
 starts or exhausts its budget.
 The analytic engine exploits the star gadgets' structure and tracks only
@@ -24,6 +26,11 @@ so adversary outputs cannot depend on node coins even accidentally.  The
 node and adversary generators are `PCG64(split_seed(...))`; `run_trials`
 turns a point's stream seeds into PCG64 seed words in one batch
 (`seed_words`), which gives the same generators as seeding each alone.
+Every node that may transmit owns one node-stream double per round, in
+node order.  The materialized engine draws only the relevant ones (see
+above) and skips the coins of the others by advancing the stream one
+64-bit output per coin, which is what a PCG64 `random()` double consumes,
+so the stream and every result are the same as when all coins are drawn.
 """
 
 from __future__ import annotations
@@ -291,24 +298,35 @@ def _neighbors(graph: DualGraph) -> _Neighbors:
     return table
 
 
+def _slice_positions(table: _Neighbors, nodes: np.ndarray):
+    """(table positions of the nodes' slices, concatenated in order; the end
+    of each node's slice in that concatenation)."""
+    lens = table.deg[nodes]
+    ends = np.cumsum(lens)
+    # slice i starts at ptr[nodes[i]] and sits at ends[i] - lens[i] in `pos`
+    shift = table.ptr[nodes] - ends
+    shift += lens
+    pos = np.repeat(shift, lens)
+    pos += np.arange(len(pos))
+    return pos, ends
+
+
 def round_counts(graph: DualGraph, extra_edge_indices: np.ndarray,
                  transmitters: np.ndarray) -> np.ndarray:
     """Transmitting active-topology neighbors per node (reliable edges plus
     the chosen unreliable ones, each counted once however often it is
-    named).  Mirrors model.deliver's counting rule."""
-    ptr, deg, heard, through = _neighbors(graph)
-    lens = deg[transmitters]
-    ends = np.cumsum(lens)
-    # table positions of the transmitters' slices, concatenated: slice i
-    # starts at ptr[tx[i]] and sits at ends[i] - lens[i] in `pos`
-    shift = ptr[transmitters] - ends
-    shift += lens
-    pos = np.repeat(shift, lens)
-    pos += np.arange(len(pos))
+    named).  Mirrors model.deliver's counting rule.
+
+    The round loop passes only the transmitters that wait or have a waiting
+    potential neighbor, so its counts are exact at every waiting node, the
+    only nodes it reads them at."""
+    table = _neighbors(graph)
+    pos, _ = _slice_positions(table, transmitters)
     active = np.zeros(len(graph.unreliable_edges) + 1, dtype=bool)
     active[-1] = True
     active[extra_edge_indices] = True
-    return np.bincount(heard[pos[active[through[pos]]]], minlength=graph.node_count)
+    return np.bincount(table.heard[pos[active[table.through[pos]]]],
+                       minlength=graph.node_count)
 
 
 def derived_receivers(gadget: Gadget) -> tuple[int, ...]:
@@ -328,6 +346,16 @@ def _transmitter_window(act: np.ndarray, r: int, budget: int):
     starts = int(later.min()) + 1 if len(later) else _NEVER
     ends = int(act[cand].min()) + budget + 1 if len(cand) else _NEVER
     return cand, min(starts, ends)
+
+
+def _relevant_span(table: _Neighbors, cand: np.ndarray, waiting: np.ndarray):
+    """(lo, hi): the first and last positions in `cand` of a candidate that
+    waits or has a waiting potential neighbor; lo > hi when none does.  The
+    other candidates cannot change a delivery, whether they transmit or not."""
+    pos, ends = _slice_positions(table, cand)
+    seen = np.concatenate(([0], np.cumsum(waiting[table.heard[pos]])))[ends]
+    relevant = np.flatnonzero(waiting[cand] | (np.diff(seen, prepend=0) > 0))
+    return (int(relevant[0]), int(relevant[-1])) if len(relevant) else (0, -1)
 
 
 def run_materialized_trial(config: TrialConfig, trial: int = 0,
@@ -384,8 +412,14 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     # The transmitter window `cand` changes only in a round where some
     # node starts (act[v] + 1) or runs out of budget (act[v] + budget + 1),
     # so it is recomputed only then; `next_event` is the next such round.
+    # Only candidates cand[lo:hi + 1] draw coins and are counted (see
+    # `_relevant_span`), recomputed when the window or `waiting` changes;
+    # `skip` is the coins owed to the others, one 64-bit output each, taken
+    # by advancing the stream before the next draw.
+    table = _neighbors(graph)
     completion = None
     cand = np.empty(0, dtype=np.int64)
+    lo, hi, skip = 0, -1, 0
     next_event = 1
     r = 0
     for r in range(1, config.max_rounds + 1):
@@ -393,14 +427,21 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
         extra = policy.sample_edges(r)
         if r >= next_event:
             cand, next_event = _transmitter_window(act, r, budget)
+            lo, hi = _relevant_span(table, cand, waiting)
         if len(cand) == 0:
             # no transmitter now; stop when no activation is pending either
             # (every node is unreached forever or past its budget)
             if next_event == _NEVER:
                 break
             continue
+        if hi < lo:
+            skip += len(cand)
+            continue
+        if skip + lo:
+            np_nodes.bit_generator.advance(skip + lo)
+        skip = len(cand) - 1 - hi
         p = cycle[(r - 1) % k]
-        tx = cand[np_nodes.random(len(cand)) < p]
+        tx = cand[lo:hi + 1][np_nodes.random(hi + 1 - lo) < p]
         if len(tx) == 0:
             continue
         counts = round_counts(graph, extra, tx)
@@ -418,6 +459,7 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
             if left == 0:
                 completion = r
                 break
+            lo, hi = _relevant_span(table, cand, waiting)
 
     return TrialResult(
         completed=completion is not None,

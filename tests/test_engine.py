@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dualradio import engine
+from dualradio.adversary import ObservableHistory, make_policy
 from dualradio.engine import (_NEVER, CSV_COLUMNS, Stats, TrialConfig, TrialResult,
                               _SeedWords, _transmitter_window, aggregate, csv_header,
                               default_max_rounds, derived_receivers, frlb_repetitions,
@@ -17,7 +18,7 @@ from dualradio.engine import (_NEVER, CSV_COLUMNS, Stats, TrialConfig, TrialResu
                               wilson_interval)
 from dualradio.gadgets import (Gadget, build_gadget, chained_gadgets, double_star,
                                star_gadget)
-from dualradio.model import DualGraph, build_round_topology, transmit_counts
+from dualradio.model import DualGraph, build_round_topology, deliver, transmit_counts
 from dualradio.oracle import exact_success_prob
 from dualradio.schedules import Schedule, decay_schedule, frlb_schedule, rlb_schedule
 
@@ -339,7 +340,123 @@ class TestGlobalTrial:
         assert res.rounds_executed < 10 ** 6
 
 
+def reference_trial(config: TrialConfig, trial: int = 0) -> TrialResult:
+    """The materialized engine's contract stated plainly: every node in its
+    transmit window draws a coin every round, and `model.deliver` on the
+    round's topology decides who hears whom."""
+    gadget, graph, schedule = config.gadget, config.gadget.graph, config.schedule
+    n, k = graph.node_count, schedule.cycle_length
+    if config.problem == "local":
+        starters, targets, budget = sorted(gadget.broadcasters), config.receivers, \
+            config.max_rounds
+    else:
+        starters, budget = [gadget.source], config.rgb_reps * 2 * k
+        targets = [v for v in range(n) if v != gadget.source]
+    act = np.full(n, _NEVER, dtype=np.int64)
+    act[starters] = 0
+    waiting = set(targets)
+    first_delivery = {}
+    np_nodes, np_adv, py_adv = trial_rngs(config.seed, trial)
+    policy = make_policy(config.adversary, gadget, schedule, np_adv, py_adv,
+                         ObservableHistory(first_delivery, act))
+    completion, r = None, 0
+    for r in range(1, config.max_rounds + 1):
+        policy.pre_round(r)
+        extra = policy.sample_edges(r)
+        window = [v for v in range(n) if act[v] != _NEVER and act[v] < r <= act[v] + budget]
+        if not window:
+            if not any(r <= a < _NEVER for a in act.tolist()):
+                break
+            continue
+        coins = np_nodes.random(len(window))
+        p = math.exp(schedule.log_probs[(r - 1) % k])
+        tx = [v for v, c in zip(window, coins) if c < p]
+        topology = build_round_topology(graph, [graph.unreliable_edges[i] for i in extra], r)
+        newly = sorted(set(deliver(topology, tx).receivers()) & waiting)
+        waiting.difference_update(newly)
+        for v in newly:
+            first_delivery[v] = r
+            if config.problem == "global":
+                act[v] = 2 * k * math.ceil(r / (2 * k))
+        if newly and not waiting:
+            completion = r
+            break
+    return TrialResult(completed=completion is not None, completion_round=completion,
+                       first_delivery=first_delivery, rounds_executed=r,
+                       seed=config.seed + trial,
+                       distribution_changes=tuple(policy.change_log))
+
+
+def random_trial_config(rng, problem, kind, seed):
+    """A random small dual graph and a trial on it.  Gap needs a designated
+    receiver with enough unreliable arms, so it runs on a 33-star with a
+    random tail, broadcaster set and receiver set instead."""
+    if kind == "gap":
+        gadget = star_gadget(33, int(rng.integers(35, 39)))
+        n = gadget.node_count
+        schedule = decay_schedule(33)
+        adversary = {"kind": "gap", "tau": 1}
+    else:
+        n = int(rng.integers(2, 11))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        take = rng.random(len(pairs))
+        graph = DualGraph.from_parts(n, [e for e, t in zip(pairs, take) if t < 0.3],
+                                     [e for e, t in zip(pairs, take) if 0.3 <= t < 0.7])
+        gadget = custom_gadget(graph, (), (), delta=4)
+        tau = int(rng.integers(1, 4))
+        schedule = rlb_schedule(4, tau)
+        m = len(graph.unreliable_edges)
+        if kind == "static":
+            adversary = {"kind": "static", "tau": tau,
+                         "edges": np.flatnonzero(rng.random(m) < 0.5).tolist()}
+        else:
+            adversary = {"kind": "iid_subset", "tau": tau,
+                         "edge_prob": None if rng.random() < 0.5 else float(rng.random())}
+
+    def subset(share):
+        return tuple(np.flatnonzero(rng.random(n) < share).tolist() or [int(rng.integers(n))])
+
+    if problem == "local":
+        gadget = replace(gadget, broadcasters=frozenset(subset(0.4)))
+        return TrialConfig(problem="local", gadget=gadget, schedule=schedule,
+                           adversary=adversary, seed=seed, max_rounds=int(rng.integers(1, 300)),
+                           receivers=subset(0.3))
+    gadget = replace(gadget, source=int(rng.integers(n)))
+    return TrialConfig(problem="global", gadget=gadget, schedule=schedule,
+                       adversary=adversary, seed=seed, max_rounds=int(rng.integers(1, 2000)),
+                       rgb_reps=int(rng.integers(1, 4)))
+
+
 class TestEngineEquivalence:
+    @pytest.mark.parametrize("kind", ["static", "iid_subset", "gap"])
+    @pytest.mark.parametrize("problem", ["local", "global"])
+    def test_materialized_trial_matches_reference(self, problem, kind, monkeypatch):
+        # the engine draws coins only for candidates cand[lo:hi + 1] that can
+        # change a delivery and advances the node stream past the rest; the
+        # reference draws every coin.  Record the spans it used: each case
+        # must see spans that start past the first candidate, end before the
+        # last, end at the last, and hold no candidate
+        spans = []
+        relevant_span = engine._relevant_span
+
+        def recording(table, cand, waiting):
+            lo, hi = relevant_span(table, cand, waiting)
+            if len(cand):
+                spans.append((lo, hi, len(cand)))
+            return lo, hi
+
+        monkeypatch.setattr(engine, "_relevant_span", recording)
+        rng = np.random.default_rng([20261018, len(problem), len(kind)])
+        for case in range(60):
+            cfg = random_trial_config(rng, problem, kind, seed=1000 * case)
+            for trial in range(3):
+                assert run_trial(cfg, trial) == reference_trial(cfg, trial), (case, trial)
+        seen = {"starts later": any(lo > 0 for lo, hi, _ in spans if lo <= hi),
+                "ends early": any(lo <= hi < last - 1 for lo, hi, last in spans),
+                "ends at last": any(lo <= hi == last - 1 for lo, hi, last in spans),
+                "empty": any(hi < lo for lo, hi, _ in spans)}
+        assert all(seen.values()), seen
+
     def test_round_counts_match_model(self):
         rng = np.random.default_rng(5)
         for _ in range(100):

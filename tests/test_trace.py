@@ -54,3 +54,6 @@ def test_tracer_wraps_the_policy_api(tmp_path, config):
     else:
         assert counts["adversary.sample_edges.calls"] == counts["engine.rounds_executed"] > 0
         assert counts["adversary.pre_round.calls"] == counts["engine.rounds_executed"]
+        # bench/run.py requires collision counting to be seen, however few
+        # transmitters the round loop counts
+        assert counts["engine.round_counts.calls"] > 0
