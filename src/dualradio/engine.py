@@ -437,8 +437,7 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
         if hi < lo:
             skip += len(cand)
             continue
-        if skip + lo:
-            np_nodes.bit_generator.advance(skip + lo)
+        np_nodes.bit_generator.advance(skip + lo)
         skip = len(cand) - 1 - hi
         p = cycle[(r - 1) % k]
         tx = cand[lo:hi + 1][np_nodes.random(hi + 1 - lo) < p]
