@@ -347,8 +347,8 @@ def reference_trial(config: TrialConfig, trial: int = 0) -> TrialResult:
     gadget, graph, schedule = config.gadget, config.gadget.graph, config.schedule
     n, k = graph.node_count, schedule.cycle_length
     if config.problem == "local":
-        starters, targets, budget = sorted(gadget.broadcasters), config.receivers, \
-            config.max_rounds
+        starters, targets = sorted(gadget.broadcasters), config.receivers
+        budget = config.max_rounds
     else:
         starters, budget = [gadget.source], config.rgb_reps * 2 * k
         targets = [v for v in range(n) if v != gadget.source]
