@@ -1,7 +1,7 @@
 """Broadcast on dual-graph radio networks under fading adversaries."""
 
 from .model import (DualGraph, RoundTopology, DeliveryOutcome,
-                    build_round_topology, deliver, graph_from_text, graph_to_text)
+                    build_round_topology, deliver, graph_to_text)
 from .schedules import (Schedule, decay_schedule, rlb_schedule, frlb_schedule,
                         rlbc_schedule, build_schedule)
 from .oracle import (exact_success_prob, exact_success_logprob, prosing_bound,

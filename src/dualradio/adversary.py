@@ -753,6 +753,60 @@ class ChainedGapPolicy(AdversaryPolicy):
 # construction from config
 
 
+def is_int(value) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# what each adversary key must hold: (test, description for messages)
+_KEY_TYPES = {
+    "tau": (lambda v: v is None or is_int(v) and v >= 1, "a positive integer or null"),
+    "edges": (lambda v: isinstance(v, list) and all(map(is_int, v)), "a list of integers"),
+    "extra_degree": (is_int, "an integer"),
+    "edge_prob": (lambda v: v is None or is_int(v) or isinstance(v, float),
+                  "a number or null"),
+    "strict": (lambda v: isinstance(v, bool), "true or false"),
+    "shift": (is_int, "an integer"),
+    "l": (is_int, "an integer"),
+    "walk_mode": (lambda v: v in ("dodging", "random"), "dodging or random"),
+    "start_degree": (is_int, "an integer"),
+}
+_WALK_KEYS = ("l", "walk_mode", "start_degree")
+# the keys each kind reads besides `kind` and `tau`
+ADVERSARY_KEYS = {
+    "static": ("edges", "extra_degree"),
+    "iid_subset": ("edge_prob",),
+    "gap": ("strict",),
+    "chained_gap": ("strict",),
+    "argmin": (),
+    "correlated_shift": ("shift",),
+    "degree_walk_deterministic": _WALK_KEYS,
+    "degree_walk_restricted": _WALK_KEYS,
+}
+
+
+def check_spec(spec: dict) -> None:
+    """Raise ValueError naming the key unless `spec` has a known kind
+    (default static), only keys that kind reads, each holding its type, a
+    positive integer or None as `tau`, and `l` for a walk.  Checks that
+    depend on the gadget are left to `make_policy`."""
+    kind = spec.get("kind", "static")
+    if not isinstance(kind, str) or kind not in ADVERSARY_KEYS:
+        raise ValueError(f"adversary.kind: unknown kind {kind!r}")
+    reads = ADVERSARY_KEYS[kind]
+    for key, value in spec.items():
+        if key == "kind":
+            continue
+        if key != "tau" and key not in reads:
+            raise ValueError(f"adversary.{key}: {kind} reads only "
+                             f"{', '.join(('tau',) + reads)}")
+        test, what = _KEY_TYPES[key]
+        if not test(value):
+            raise ValueError(f"adversary.{key}: must be {what}, got {value!r}")
+    if "l" in reads and "l" not in spec:
+        raise ValueError("adversary.l: required for degree walks")
+
+
 def make_policy(spec: dict, gadget: Gadget, schedule: Schedule, np_rng, py_rng,
                 history: ObservableHistory | None = None) -> AdversaryPolicy:
     """Fresh per-trial policy from a config mapping (`kind` plus parameters),

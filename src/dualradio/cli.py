@@ -27,21 +27,15 @@ from itertools import accumulate
 import yaml
 
 from . import engine, gadgets, oracle, schedules
+from .adversary import check_spec, is_int
 from .engine import TrialConfig, csv_header, trial_csv_row
 
 ALGOS = ("decay", "rlb", "frlb", "rlbc")
-ADVERSARY_KINDS = ("static", "iid_subset", "gap", "argmin", "chained_gap",
-                   "correlated_shift", "degree_walk_deterministic",
-                   "degree_walk_restricted")
-
-
-# adversary keys whose values the policies compute with, so that a string
-# there would otherwise fail mid-run with a TypeError
-_ADVERSARY_NUMBERS = (("edge_prob", (int, float), "a number or null"),
-                      ("l", int, "an integer"),
-                      ("start_degree", int, "an integer"),
-                      ("extra_degree", int, "an integer"),
-                      ("shift", int, "an integer"))
+_DEFAULTS = {"problem": "local", "engine": "materialized", "algo": "frlb", "tau": 1,
+             "epsilon": 0.1, "trials": 100, "seed": 0, "max_rounds": "auto",
+             "adversary": {"kind": "static"}, "sweep": {}, "out": "trials.csv"}
+# the integer keys each gadget kind takes besides kind and delta
+_GADGET_KEYS = {"star": ("n",), "double_star": (), "chained": ("diameter",)}
 
 
 class ConfigError(ValueError):
@@ -85,19 +79,10 @@ def load_config(path: str) -> dict:
 
 def normalize_config(doc: dict) -> dict:
     """Fill defaults and validate everything that does not need expansion."""
-    cfg = dict(doc)
-    cfg.setdefault("problem", "local")
-    cfg.setdefault("engine", "materialized")
-    cfg.setdefault("algo", "frlb")
-    cfg.setdefault("tau", 1)
-    cfg.setdefault("epsilon", 0.1)
-    cfg.setdefault("trials", 100)
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("max_rounds", "auto")
-    cfg.setdefault("adversary", {"kind": "static"})
-    cfg.setdefault("sweep", {})
-    cfg.setdefault("out", "trials.csv")
-
+    for key in doc:
+        if key != "gadget" and key not in _DEFAULTS:
+            raise ConfigError(f"{key}: unknown config key")
+    cfg = {**_DEFAULTS, **doc}
     if cfg["problem"] not in ("local", "global"):
         raise ConfigError(f"problem: must be local or global, got {cfg['problem']!r}")
     if cfg["engine"] not in ("materialized", "analytic_star"):
@@ -105,16 +90,22 @@ def normalize_config(doc: dict) -> dict:
     gadget = cfg.get("gadget")
     if not isinstance(gadget, dict) or "kind" not in gadget:
         raise ConfigError("gadget.kind: required")
-    if gadget["kind"] not in ("star", "double_star", "chained"):
-        raise ConfigError(f"gadget.kind: unknown kind {gadget['kind']!r}")
-    if gadget["kind"] == "chained" and "diameter" not in gadget:
+    kind = gadget["kind"]
+    if not isinstance(kind, str) or kind not in _GADGET_KEYS:
+        raise ConfigError(f"gadget.kind: unknown kind {kind!r}")
+    for key, value in gadget.items():
+        if key not in ("kind", "delta") + _GADGET_KEYS[kind]:
+            raise ConfigError(f"gadget.{key}: not a key of {kind} gadgets")
+        if key not in ("kind", "delta") and not is_int(value):
+            raise ConfigError(f"gadget.{key}: must be an integer, got {value!r}")
+    if kind == "chained" and "diameter" not in gadget:
         raise ConfigError("gadget.diameter: required for chained gadgets")
     if "delta" not in gadget and "delta" not in cfg["sweep"]:
         raise ConfigError("gadget.delta: required (directly or as a sweep axis)")
-    if not isinstance(cfg["trials"], int) or cfg["trials"] < 1:
+    if not is_int(cfg["trials"]) or cfg["trials"] < 1:
         raise ConfigError(f"trials: must be a positive integer, got {cfg['trials']!r}")
-    if not isinstance(cfg["seed"], int):
-        raise ConfigError("seed: must be an integer")
+    if not is_int(cfg["seed"]):
+        raise ConfigError(f"seed: must be an integer, got {cfg['seed']!r}")
     if not (isinstance(cfg["epsilon"], (int, float)) and 0 < cfg["epsilon"] < 1):
         raise ConfigError(f"epsilon: must be in (0,1), got {cfg['epsilon']!r}")
     if not isinstance(cfg["adversary"], dict):
@@ -167,28 +158,14 @@ def validate_point(point: dict) -> None:
     if point["algo"] not in ALGOS:
         raise ConfigError(f"algo: unknown algorithm {point['algo']!r}")
     tau = point["tau"]
-    if tau is not None and (not isinstance(tau, int) or tau < 1):
+    if tau is not None and (not is_int(tau) or tau < 1):
         raise ConfigError(f"tau: must be a positive integer or null, got {tau!r}")
-    adv = point["adversary"]
-    kind = adv.get("kind", "static")
-    if kind not in ADVERSARY_KINDS:
-        raise ConfigError(f"adversary.kind: unknown kind {kind!r}")
-    if kind.startswith("degree_walk") and "l" not in adv:
-        raise ConfigError("adversary.l: required for degree walks")
-    for key, types, what in _ADVERSARY_NUMBERS:
-        value = adv.get(key)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
-            raise ConfigError(f"adversary.{key}: must be {what}, got {value!r}")
-    # a string is truthy, and a string of digits iterates as a list of them
-    strict = adv.get("strict")
-    if strict is not None and not isinstance(strict, bool):
-        raise ConfigError(f"adversary.strict: must be true or false, got {strict!r}")
-    edges = adv.get("edges", [])
-    if not isinstance(edges, list) or any(isinstance(e, bool) or not isinstance(e, int)
-                                          for e in edges):
-        raise ConfigError(f"adversary.edges: must be a list of integers, got {edges!r}")
+    try:
+        check_spec(point["adversary"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     mr = point["max_rounds"]
-    if mr != "auto" and (not isinstance(mr, int) or mr < 1):
+    if mr != "auto" and (not is_int(mr) or mr < 1):
         raise ConfigError(f"max_rounds: must be 'auto' or a positive integer, got {mr!r}")
 
 

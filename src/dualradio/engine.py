@@ -44,10 +44,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .adversary import ObservableHistory, make_policy
+from .adversary import ObservableHistory, check_spec, make_policy
 from .gadgets import Gadget
 from .model import DualGraph
-from .oracle import exact_success_logprob, log_one_minus_p
+from .oracle import exact_success_logprob
 from .schedules import Schedule, ceil_log2, log2e_of
 
 # analytic degree chunks: the first covers _FIRST_CHUNK rounds, each next
@@ -180,10 +180,21 @@ class TrialConfig:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.engine_mode not in ("materialized", "analytic_star"):
             raise ValueError(f"unknown engine {self.engine_mode!r}")
-        if self.engine_mode == "materialized" and self.gadget.meta.get("virtual"):
+        check_spec(self.adversary)
+        gadget = self.gadget
+        if self.engine_mode == "materialized" and gadget.meta.get("virtual"):
             raise ValueError("a virtual star (delta >= 2^24) has no edges to simulate; "
                              "run it on the analytic_star engine")
-        if self.problem == "local" and not self.gadget.broadcasters:
+        if self.engine_mode == "analytic_star":
+            if self.problem != "local":
+                raise ValueError("analytic engine only runs local broadcast")
+            if gadget.kind not in ("star", "double_star") or gadget.receiver is None:
+                raise ValueError("analytic engine needs a star or double-star gadget")
+            if not np.isfinite(self.schedule.log1m_prob_array).all():
+                raise ValueError("analytic engine requires every cycle entry < 1")
+        if self.problem == "global" and gadget.source is None:
+            raise ValueError("global broadcast needs a gadget with a source")
+        if self.problem == "local" and not gadget.broadcasters:
             raise ValueError("local broadcast needs a nonempty broadcaster set")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
@@ -386,8 +397,6 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
         budget = config.max_rounds
         relay = False
     else:
-        if gadget.source is None:
-            raise ValueError("global broadcast needs a gadget with a source")
         starters = [gadget.source]
         targets = tuple(v for v in range(n) if v != gadget.source)
         reps = config.rgb_reps
@@ -407,7 +416,7 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     np_nodes, np_adv, py_adv = trial_rngs(config.seed, trial, words)
     policy = make_policy(config.adversary, gadget, schedule, np_adv, py_adv,
                          ObservableHistory(first_delivery, act))
-    cycle = np.exp(np.array(schedule.log_probs))
+    cycle = schedule.prob_array
 
     # The transmitter window `cand` changes only in a round where some
     # node starts (act[v] + 1) or runs out of budget (act[v] + budget + 1),
@@ -474,19 +483,6 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
 # analytic engine
 
 
-def _schedule_arrays(schedule: Schedule):
-    """(log p, ln(1-p)) cycle arrays, cached on the schedule instance."""
-    cached = schedule.__dict__.get("_np_cache")
-    if cached is None:
-        log_p = schedule.log_prob_array
-        l1mp = np.array([log_one_minus_p(lp) for lp in schedule.log_probs])
-        if not np.isfinite(l1mp).all():
-            raise ValueError("analytic engine requires every cycle entry < 1")
-        cached = (log_p, l1mp)
-        schedule.__dict__["_np_cache"] = cached
-    return cached
-
-
 def run_analytic_star_trial(config: TrialConfig, trial: int = 0,
                             words: np.ndarray | None = None) -> TrialResult:
     """Degree-only fast path for a single-receiver star or double star
@@ -497,8 +493,6 @@ def run_analytic_star_trial(config: TrialConfig, trial: int = 0,
     comparing log-probability against the log of a uniform draw.
     """
     gadget = config.gadget
-    if gadget.kind not in ("star", "double_star") or gadget.receiver is None:
-        raise ValueError("analytic engine needs a star or double-star gadget")
     schedule = config.schedule
     np_nodes, np_adv, py_adv = trial_rngs(config.seed, trial, words)
     policy = make_policy(config.adversary, gadget, schedule, np_adv, py_adv)
@@ -507,7 +501,7 @@ def run_analytic_star_trial(config: TrialConfig, trial: int = 0,
     flag = recv in gadget.broadcasters
 
     k = schedule.cycle_length
-    log_p, l1mp = _schedule_arrays(schedule)
+    log_p, l1mp = schedule.log_prob_array, schedule.log1m_prob_array
     exp_off = 0.0 if flag else 1.0
 
     completion = None
@@ -553,8 +547,6 @@ def run_trial(config: TrialConfig, trial: int = 0,
     """Trial `trial` of `config`'s point, seeded config.seed + trial.
     `words` is the point's `seed_words`; a lone trial derives its own."""
     if config.engine_mode == "analytic_star":
-        if config.problem != "local":
-            raise ValueError("analytic engine only runs local broadcast")
         return run_analytic_star_trial(config, trial, words)
     return run_materialized_trial(config, trial, words)
 

@@ -9,8 +9,9 @@ message iff exactly one of its active-topology neighbors transmits.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 Edge = tuple[int, int]
 
@@ -54,15 +55,10 @@ class DualGraph:
         self.unreliable_edges: tuple[Edge, ...] = tuple(sorted(pot - rel))
 
         adj_rel: list[list[int]] = [[] for _ in range(node_count)]
-        adj_pot: list[list[int]] = [[] for _ in range(node_count)]
         for u, v in rel:
             adj_rel[u].append(v)
             adj_rel[v].append(u)
-        for u, v in pot:
-            adj_pot[u].append(v)
-            adj_pot[v].append(u)
         self._adj_rel = tuple(tuple(sorted(a)) for a in adj_rel)
-        self._adj_pot = tuple(tuple(sorted(a)) for a in adj_pot)
 
         incident: list[list[int]] = [[] for _ in range(node_count)]
         for idx, (u, v) in enumerate(self.unreliable_edges):
@@ -70,7 +66,7 @@ class DualGraph:
             incident[v].append(idx)
         self._unreliable_incident = tuple(tuple(a) for a in incident)
 
-        self.max_degree = max((len(a) for a in self._adj_pot), default=0)
+        self.max_degree = max(Counter(v for e in pot for v in e).values(), default=0)
 
     @classmethod
     def from_parts(cls, node_count: int,
@@ -86,15 +82,9 @@ class DualGraph:
     def reliable_neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj_rel[v]
 
-    def potential_neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj_pot[v]
-
     def unreliable_incident(self, v: int) -> tuple[int, ...]:
         """Dense indices into unreliable_edges of the edges touching v."""
         return self._unreliable_incident[v]
-
-    def reliable_degree(self, v: int) -> int:
-        return len(self._adj_rel[v])
 
     def __eq__(self, other):
         return (isinstance(other, DualGraph)
@@ -217,39 +207,6 @@ def graph_to_text(graph: DualGraph) -> str:
     for u, v in graph.unreliable_edges:
         lines.append(f"U {u} {v}")
     return "\n".join(lines) + "\n"
-
-
-def graph_from_text(text: str) -> DualGraph:
-    """Parse the text format; rejects duplicates and E/U conflicts."""
-    n = None
-    rel: list[Edge] = []
-    unr: list[Edge] = []
-    seen: dict[Edge, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "n":
-            if n is not None:
-                raise ValueError(f"line {lineno}: duplicate header")
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: malformed header")
-            n = int(parts[1])
-            continue
-        if n is None:
-            raise ValueError(f"line {lineno}: edge before `n` header")
-        if parts[0] not in ("E", "U") or len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected `E u v` or `U u v`")
-        e = normalize_edge(int(parts[1]), int(parts[2]))
-        if e in seen:
-            kind = "duplicate" if seen[e] == parts[0] else "E/U conflict"
-            raise ValueError(f"line {lineno}: {kind} for edge {e}")
-        seen[e] = parts[0]
-        (rel if parts[0] == "E" else unr).append(e)
-    if n is None:
-        raise ValueError("missing `n` header")
-    return DualGraph.from_parts(n, rel, unr)
 
 
 def transmit_counts(topology: RoundTopology, transmitters: Iterable[int]) -> list[int]:

@@ -16,6 +16,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .oracle import log_one_minus_p
+
 LN2 = math.log(2.0)
 LN_2E = math.log(2.0 * math.e)
 
@@ -70,6 +72,18 @@ class Schedule:
     def log_prob_array(self) -> np.ndarray:
         """`log_probs` as a float64 array, built once per schedule."""
         return np.array(self.log_probs, dtype=np.float64)
+
+    @cached_property
+    def prob_array(self) -> np.ndarray:
+        """The cycle as float64: exp of `log_prob_array`, never `linear`,
+        since exp(ln 2^-i) is not always 2^-i and the materialized engine's
+        coins are drawn against these values."""
+        return np.exp(self.log_prob_array)
+
+    @cached_property
+    def log1m_prob_array(self) -> np.ndarray:
+        """ln(1 - p) of each cycle entry; -inf where p = 1."""
+        return np.array([log_one_minus_p(lp) for lp in self.log_probs])
 
 
 def decay_schedule(delta: int) -> Schedule:

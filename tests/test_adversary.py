@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualradio.adversary import (DegreeWalkState, ObservableHistory, argmin_degree,
-                                 gap_plan, make_policy, phase_cycle_probs, shift_plan,
-                                 uniform_subsets, walk_degrees)
-from dualradio.engine import _NEVER, trial_rngs
+from dualradio.adversary import (ADVERSARY_KEYS, DegreeWalkState, ObservableHistory,
+                                 argmin_degree, gap_plan, make_policy, phase_cycle_probs,
+                                 shift_plan, uniform_subsets, walk_degrees)
+from dualradio.engine import _NEVER, TrialConfig, run_trial, trial_rngs
 from dualradio.gadgets import build_gadget, chained_gadgets, double_star, star_gadget
 from dualradio.oracle import (exact_success_logprob, exact_success_prob, phase_success_sum,
                               success_peak_degree)
@@ -403,6 +403,38 @@ class TestPolicies:
         with pytest.raises(ValueError, match="chained gadget has no designated receiver"):
             make_policy({"kind": kind, "tau": 1, "l": 2}, g, frlb_schedule(2 ** 8 + 1, 1),
                         *rngs())
+
+    @pytest.mark.parametrize("kind", sorted(ADVERSARY_KEYS))
+    def test_make_policy_reads_every_key_in_the_table(self, kind):
+        class ReadKeys(dict):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.read = set()
+
+            def get(self, key, default=None):
+                self.read.add(key)
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                self.read.add(key)
+                return super().__getitem__(key)
+
+        values = {"edges": [0], "extra_degree": 1, "edge_prob": 0.5, "strict": False,
+                  "shift": 1, "l": 2, "walk_mode": "random", "start_degree": 3}
+        delta = 2 ** 8 + 1
+        problem, gadget = "local", star_gadget(delta, delta + 2)
+        if kind == "chained_gap":
+            problem, gadget = "global", chained_gadgets(delta, 24)
+        elif kind == "correlated_shift":
+            gadget = double_star(delta)
+        keys = ADVERSARY_KEYS[kind]
+        # static reads edges or extra_degree, never both
+        for chosen in [(key,) for key in keys] if kind == "static" else [keys]:
+            spec = ReadKeys({"kind": kind, "tau": 1}, **{key: values[key] for key in chosen})
+            run_trial(TrialConfig(problem=problem, gadget=gadget,
+                                  schedule=frlb_schedule(delta, 1),
+                                  adversary=spec, seed=1, max_rounds=50, rgb_reps=2))
+            assert set(chosen) <= spec.read
 
     def test_static_empty_keeps_reliable_graph(self):
         g = star_gadget(8, 10)

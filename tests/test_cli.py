@@ -204,15 +204,51 @@ class TestRunCommand:
         ({"gadget": {"kind": "double_star", "delta": 64},
           "adversary": {"kind": "correlated_shift", "shift": True}},
          "adversary.shift: must be an integer, got True"),
+        ({"adversary": {"kind": "iid_subset", "edge_probability": 0.3}},
+         "adversary.edge_probability: iid_subset reads only tau, edge_prob"),
+        ({"adversary": {"kind": "gap", "edge_prob": 0.3}},
+         "adversary.edge_prob: gap reads only tau, strict"),
+        ({"adversary": {"kind": "iid_subset", "tau": "2"}},
+         "adversary.tau: must be a positive integer or null, got '2'"),
+        ({"adversary": {"kind": "iid_subset", "tau": True}},
+         "adversary.tau: must be a positive integer or null, got True"),
     ], ids=["adversary", "sweep-adversary", "edge-prob-string", "l-string",
             "start-degree-string", "strict-string", "edges-string", "edges-bool",
-            "extra-degree-string", "shift-bool"])
+            "extra-degree-string", "shift-bool", "unknown-key", "key-of-another-kind",
+            "tau-string", "tau-bool"])
     def test_bad_adversary_is_a_config_error(self, tmp_path, capsys, overrides, message):
         out = tmp_path / "t.csv"
         path = write_config(tmp_path, base_config(out=str(out), **overrides))
         assert main(["run", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"trails": 1000}, "trails: unknown config key"),
+        ({"max_round": 5}, "max_round: unknown config key"),
+        ({"gadget": {"kind": "star", "delta": 64, "nn": 66}},
+         "gadget.nn: not a key of star gadgets"),
+        ({"gadget": {"kind": "double_star", "delta": 64, "n": 66}},
+         "gadget.n: not a key of double_star gadgets"),
+        ({"gadget": {"kind": "star", "delta": 64, "n": "66"}},
+         "gadget.n: must be an integer, got '66'"),
+        ({"engine": "materialized", "problem": "global",
+          "gadget": {"kind": "chained", "delta": 10, "diameter": "24"}},
+         "gadget.diameter: must be an integer, got '24'"),
+        ({"tau": True}, "tau: must be a positive integer or null, got True"),
+        ({"sweep": {"tau": [1, True]}}, "tau: must be a positive integer or null, got True"),
+        ({"trials": True}, "trials: must be a positive integer, got True"),
+        ({"seed": True}, "seed: must be an integer, got True"),
+        ({"max_rounds": True}, "max_rounds: must be 'auto' or a positive integer, got True"),
+    ], ids=["top-level-key", "top-level-near-miss", "gadget-key", "gadget-key-of-another-kind",
+            "gadget-n-string", "gadget-diameter-string", "tau-bool", "sweep-tau-bool",
+            "trials-bool", "seed-bool", "max-rounds-bool"])
+    def test_bad_config_key_is_a_config_error(self, tmp_path, capsys, overrides, message):
+        out = tmp_path / "t.csv"
+        path = write_config(tmp_path, base_config(out=str(out), **overrides))
+        assert main(["run", path]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_no_partial_left_behind(self, tmp_path):

@@ -287,6 +287,18 @@ class TestAdversaryFit:
         assert run_trial(TrialConfig(**point, engine_mode="analytic_star")).completed
 
 
+    @pytest.mark.parametrize("adversary, message", [
+        ({"kind": "iid_subset", "tau": 2, "edge_prob": "0.3"},
+         "adversary.edge_prob: must be a number or null, got '0.3'"),
+        ({"kind": "iid_subset", "tau": 2, "edge_probability": 0.3},
+         "adversary.edge_probability: iid_subset reads only tau, edge_prob"),
+    ], ids=["edge-prob-string", "unknown-key"])
+    def test_bad_spec_rejected_at_construction(self, adversary, message):
+        with pytest.raises(ValueError) as exc:
+            star_config(adversary=adversary)
+        assert str(exc.value) == message
+
+
 class TestGlobalTrial:
     def test_three_node_line(self):
         g = DualGraph.from_parts(3, [(0, 1), (1, 2)], [])
@@ -321,11 +333,14 @@ class TestGlobalTrial:
     @pytest.mark.parametrize("kind", ["gap", "argmin", "degree_walk_restricted"])
     def test_receiver_kinds_rejected_on_chained_gadget(self, problem, engine, message, kind):
         g = chained_gadgets(2 ** 8 + 1, 24)
-        cfg = TrialConfig(problem=problem, gadget=g, schedule=frlb_schedule(2 ** 8 + 1, 1),
-                          adversary={"kind": kind, "tau": 1, "l": 2}, seed=3,
-                          max_rounds=100, engine_mode=engine)
+        adversary = {"kind": kind, "tau": 1}
+        if kind.startswith("degree_walk"):
+            adversary["l"] = 2
         with pytest.raises(ValueError, match=message):
-            run_trial(cfg)
+            run_trial(TrialConfig(problem=problem, gadget=g,
+                                  schedule=frlb_schedule(2 ** 8 + 1, 1),
+                                  adversary=adversary, seed=3, max_rounds=100,
+                                  engine_mode=engine))
 
     def test_budget_exhaustion_halts(self):
         g = DualGraph.from_parts(3, [(0, 1)], [(1, 2)])  # node 2 unreachable

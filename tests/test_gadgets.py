@@ -40,7 +40,7 @@ class TestStarGadget:
     def test_receiver_reliable_degree_exactly_one(self):
         for delta, n in ((4, 6), (8, 12), (16, 40)):
             g = star_gadget(delta, n)
-            assert g.graph.reliable_degree(g.receiver) == 1
+            assert len(g.graph.reliable_neighbors(g.receiver)) == 1
 
     def test_every_unreliable_edge_touches_receiver(self):
         g = star_gadget(8, 12)
@@ -64,7 +64,9 @@ class TestDoubleStar:
     def test_counts(self):
         g = double_star(4)
         assert g.node_count == 6
-        assert len(g.graph.potential_neighbors(g.receiver)) == 4
+        recv = g.receiver
+        assert (len(g.graph.reliable_neighbors(recv))
+                + len(g.graph.unreliable_incident(recv))) == 4
 
     def test_reliable_graph_connected(self):
         g = double_star(6)
@@ -98,7 +100,7 @@ class TestChained:
 
     def test_source_degree(self):
         g = chained_gadgets(10, 24)
-        assert g.graph.reliable_degree(0) == 9
+        assert len(g.graph.reliable_neighbors(0)) == 9
 
     def test_leftover_path_appended(self):
         g = chained_gadgets(10, 25)
