@@ -9,7 +9,8 @@ from .oracle import (exact_success_prob, exact_success_logprob, prosing_bound,
                      brute_force_delivery_prob)
 from .adversary import (AdversaryPolicy, ObservableHistory, GapPhasePlan,
                         ShiftPlan, DegreeWalkState, gap_plan, argmin_degree,
-                        shift_plan, walk_degrees, make_policy)
+                        shift_plan, walk_degrees, compile_adversary,
+                        make_policy)
 from .gadgets import Gadget, star_gadget, double_star, chained_gadgets, build_gadget
 from .engine import (TrialConfig, TrialResult, Stats, run_trial, run_trials,
                      run_materialized_trial, run_analytic_star_trial,

@@ -16,9 +16,12 @@ engines' calls go through, and every distribution change is appended to
 rule, `walk_degrees`, and every random edge subset comes from
 `draw_subsets`, one generator call per round.
 
-`make_policy` binds a policy to its trial's adversary streams, so node
-coins cannot reach it.  Every kind but the adaptive `chained_gap` is
-oblivious; that one also keeps the engine's public `ObservableHistory`.
+`compile_adversary` turns a spec into a sweep point's plan once, when
+the point's `TrialConfig` is built: it makes every config check and
+builds what the point's trials share.  `make_policy` builds a trial's
+policy from the plan and binds it to the trial's adversary streams, so
+node coins cannot reach it.  Every kind but the adaptive `chained_gap` is
+oblivious; that one also reads the engine's public `ObservableHistory`.
 """
 
 from __future__ import annotations
@@ -26,11 +29,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .gadgets import Gadget
+from .gadgets import Gadget, GadgetSection
 from .oracle import exact_success_logprob, log_phase_success_sum, success_peak_degree
 from .schedules import Schedule
 
@@ -271,6 +275,10 @@ class ShiftPlan:
     def cycle_length(self) -> int:
         return len(self.cycle_probs)
 
+    def redrawn(self, rng) -> ShiftPlan:
+        """This plan with its shift drawn uniformly from 1..l."""
+        return replace(self, shift=int(rng.integers(1, self.cycle_length + 1)))
+
     def degree_at(self, t):
         """Receiver degree in (1-based) step t, or a float64 array of them
         for an int64 array of steps; s = cycle_length pairs p_i with its own
@@ -304,21 +312,18 @@ def shift_plan(cycle_probs: Sequence[float], delta: int, rng,
         e = min(inv, float(delta)) if math.isfinite(inv) else float(delta)
         estimates.append(e)
         responses.append(1 if e >= sqrt_delta else delta)
-    if forced_shift is not None:
-        if not 1 <= forced_shift <= l:
-            raise ValueError(f"shift must be in 1..{l}")
-        s = forced_shift
-    else:
-        s = int(rng.integers(1, l + 1))
-    return ShiftPlan(
+    if forced_shift is not None and not 1 <= forced_shift <= l:
+        raise ValueError(f"shift must be in 1..{l}")
+    plan = ShiftPlan(
         cycle_probs=tuple(cycle_probs),
         delta=delta,
         sqrt_delta=sqrt_delta,
         perfect_square=perfect,
         estimates=tuple(estimates),
         responses=tuple(responses),
-        shift=s,
+        shift=forced_shift or 1,
     )
+    return plan if forced_shift is not None else plan.redrawn(rng)
 
 
 @dataclass(frozen=True)
@@ -433,8 +438,9 @@ _WHOLE_RUN = 2 ** 62  # block length standing for tau = infinity
 
 
 class AdversaryPolicy:
-    """Per-trial mutable policy instance; it draws only from the adversary
-    streams `np_rng` and `py_rng` that `make_policy` binds.
+    """Per-trial mutable policy instance, built from its point's plan by
+    `make_policy`, which binds the only streams it draws from: `np_rng` and
+    `py_rng`.
 
     The distribution may change only where a tau-round block starts (tau
     None: the whole run is one block).  `pre_round` enters the blocks of a
@@ -448,11 +454,9 @@ class AdversaryPolicy:
     are asked for in order.
     """
 
-    def __init__(self, tau: int | None, receiver_edges: Sequence[int] = ()):
-        if tau is not None and tau < 1:
-            raise ValueError("tau must be >= 1 (or None for infinity)")
+    def __init__(self, tau: int | None, receiver_edges: np.ndarray | None = None):
         self.tau = tau
-        self.receiver_edges = receiver_edges  # an array from the first sample_edges on
+        self.receiver_edges = receiver_edges  # the receiver's unreliable arms, int64
         self.change_log: list[tuple[int, object]] = []
         self.block_values: np.ndarray | None = None  # of blocks _values_from.._block
         self._values_from = 0
@@ -494,7 +498,7 @@ class AdversaryPolicy:
         (d-1)-subset of the receiver's unreliable arms for the round's
         degree d.  `pre_round` has entered the round's block."""
         d = int(self._degrees(round_index))
-        arms = self.receiver_edges = np.asarray(self.receiver_edges, dtype=np.int64)
+        arms = self.receiver_edges
         return arms[uniform_subsets(self.np_rng, (len(arms),), (d - 1,))]
 
     # -- hooks
@@ -515,18 +519,14 @@ class AdversaryPolicy:
 
 
 class StaticPolicy(AdversaryPolicy):
-    """Point distribution on one fixed subset of unreliable edges, under
-    which the receiver has effective degree `degree`.  A fixed distribution
-    is one block whatever tau is; `named` is the subset as configured, its
-    change-log fingerprint."""
+    """Point distribution on one fixed subset of unreliable edges (sorted
+    int64 indices), under which the receiver has effective degree
+    `degree`.  A fixed distribution is one block whatever tau is; `named`
+    is the subset as configured, its change-log fingerprint."""
 
-    def __init__(self, edge_indices: Sequence[int], degree: int, named: object,
-                 tau: int | None = None):
-        super().__init__(tau)
-        self.tau = None
-        self.edge_indices = np.asarray(sorted(edge_indices), dtype=np.int64)
-        self.degree = float(degree)
-        self.named = named
+    def __init__(self, edge_indices: np.ndarray, degree: float, named: object):
+        super().__init__(None)
+        self.edge_indices, self.degree, self.named = edge_indices, degree, named
 
     def _blocks(self, blocks):
         return np.array([self.degree]), [(0, self.named)]
@@ -547,11 +547,7 @@ class IidSubsetPolicy(AdversaryPolicy):
 
     def __init__(self, tau, edge_prob: float | None, n_unreliable: int,
                  receiver_unreliable: int):
-        super().__init__(tau)
-        if edge_prob is not None and not 0.0 <= edge_prob <= 1.0:
-            raise ValueError("edge_prob must lie in [0,1]")
-        if edge_prob is not None:
-            self.tau = None
+        super().__init__(tau if edge_prob is None else None)
         self.edge_prob = edge_prob
         self.n_unreliable = n_unreliable
         self.receiver_unreliable = receiver_unreliable
@@ -578,42 +574,44 @@ def phase_cycle_probs(schedule: Schedule, tau: int, phase: int) -> list[float]:
 
 
 class PhaseDegrees:
-    """rule(phase_cycle_probs(schedule, tau, phase)) for 0-based phases.
+    """The receiver degree that `kind`'s construction places in each 0-based
+    phase, given its probabilities `phase_cycle_probs(schedule, tau,
+    phase)`: 2^argmin_degree for argmin, the `gap_plan` degree (`strict` as
+    there) for gap and chained_gap.
 
     A phase's degree depends only on where it starts in the probability
     cycle, phase * tau mod k, so the degrees repeat every k / gcd(tau, k)
     phases: phase p has degree `ints[p % period]`, and `floats` holds the
-    same as float64.  Each is computed once, in phase order, when first
-    asked for.
+    same as float64.  Each is computed once per sweep point, in phase
+    order, when first asked for.
     """
 
-    def __init__(self, schedule: Schedule, tau: int, rule: Callable[[list[float]], int]):
-        if tau is None:
-            raise ValueError("phase degrees need a finite tau")
+    def __init__(self, schedule: Schedule, tau: int, kind: str, delta: int, strict: bool):
         k = schedule.cycle_length
         self.period = k // math.gcd(tau, k)
-        self._probs = lambda phase: phase_cycle_probs(schedule, tau, phase)
-        self._rule = rule
+        self.schedule, self.tau, self.kind, self.delta, self.strict = \
+            schedule, tau, kind, delta, strict
         self.ints: list[int] = []
         self.floats = np.empty(0)
 
     def __call__(self, phase: int) -> int:
         if len(self.ints) < min(phase + 1, self.period):
             for ph in range(len(self.ints), min(phase + 1, self.period)):
-                self.ints.append(self._rule(self._probs(ph)))
+                probs = phase_cycle_probs(self.schedule, self.tau, ph)
+                self.ints.append(1 << argmin_degree(probs, self.delta) if self.kind == "argmin"
+                                 else gap_plan(probs, self.delta, strict=self.strict).degree)
             self.floats = np.array(self.ints, dtype=np.float64)
         return self.ints[phase % self.period]
 
 
 class PhaseDegreePolicy(AdversaryPolicy):
-    """One receiver degree per tau-round phase: `rule` of the phase's
-    probabilities (the gap or the argmin construction).  The degrees are a
+    """One receiver degree per tau-round phase, looked up in the point's
+    table (the gap or the argmin construction).  The degrees are a
     function of the round, so the blocks keep no values."""
 
-    def __init__(self, tau: int, schedule: Schedule, rule: Callable[[list[float]], int],
-                 receiver_edges: Sequence[int]):
+    def __init__(self, tau: int, table: PhaseDegrees, receiver_edges: np.ndarray):
         super().__init__(tau, receiver_edges)
-        self._phase_degree = PhaseDegrees(schedule, tau, rule)
+        self._phase_degree = table
 
     def _blocks(self, blocks):
         table = self._phase_degree
@@ -632,19 +630,16 @@ class PhaseDegreePolicy(AdversaryPolicy):
 
 class CorrelatedShiftPolicy(AdversaryPolicy):
     """One distribution for the whole run (tau = infinity) whose per-round
-    degrees become deterministic once the shift is drawn."""
+    degrees become deterministic once the shift is drawn: the point's
+    `plan`, its shift drawn in the trial unless `draw_shift` is false."""
 
-    def __init__(self, schedule: Schedule, delta: int, receiver_edges: Sequence[int],
-                 forced_shift: int | None = None):
+    def __init__(self, plan: ShiftPlan, draw_shift: bool, receiver_edges: np.ndarray):
         super().__init__(None, receiver_edges)
-        self.schedule = schedule
-        self.delta = delta
-        self.forced_shift = forced_shift
-        self.plan: ShiftPlan | None = None
+        self.plan, self.draw_shift = plan, draw_shift
 
     def _blocks(self, blocks):
-        self.plan = shift_plan(self.schedule.cycle, self.delta, self.np_rng,
-                               forced_shift=self.forced_shift)
+        if self.draw_shift:
+            self.plan = self.plan.redrawn(self.np_rng)
         return None, [(0, ("shift", self.plan.shift))]
 
     def _degrees(self, rounds):
@@ -654,15 +649,10 @@ class CorrelatedShiftPolicy(AdversaryPolicy):
 class DegreeWalkPolicy(AdversaryPolicy):
     """Correlated walk on the receiver degree with a per-round change budget."""
 
-    def __init__(self, tau, schedule: Schedule, step_budget: int, max_degree: int,
-                 receiver_edges: Sequence[int] = (),
-                 mode: str = "dodging", restricted: bool = True,
-                 start_degree: int = 1):
+    def __init__(self, tau, schedule: Schedule, start: DegreeWalkState,
+                 receiver_edges: np.ndarray):
         super().__init__(tau, receiver_edges)
-        self.schedule = schedule
-        self.state = DegreeWalkState(
-            degree=start_degree, step_budget=step_budget, max_degree=max_degree,
-            mode=mode, restricted=restricted)
+        self.schedule, self.state = schedule, start
         self._round = 1  # the round whose degree `state` holds
 
     def _blocks(self, blocks):
@@ -705,27 +695,20 @@ class ChainedGapPolicy(AdversaryPolicy):
     all from one generator call.
     """
 
-    def __init__(self, tau: int, schedule: Schedule, gadget: Gadget,
-                 rule: Callable[[list[float]], int], history: ObservableHistory | None):
+    def __init__(self, tau: int, sections: Sequence[GadgetSection], table: PhaseDegrees,
+                 edges: np.ndarray, sizes: list[int]):
         super().__init__(tau)
-        if gadget.kind != "chained" or history is None:
-            raise ValueError("chained_gap needs a chained gadget and the engine's history")
-        self.gadget = gadget
-        self.history = history
-        # one section's degree per phase is the single-receiver rule
-        self._phase_degree = PhaseDegrees(schedule, tau, rule)
-        count = len(gadget.sections)
-        self.section_phase = [1] * count
-        self.section_degree = [self._phase_degree(0)] * count
-        self.section_frozen = [False] * count
-        self._edges = np.array([e for s in gadget.sections for e in s.unreliable_indices],
-                               dtype=np.int64)
-        self._sizes = [len(s.unreliable_indices) for s in gadget.sections]
+        # table: a section's degree per phase; edges: all sections' arms, in order
+        self.sections, self._phase_degree = sections, table
+        self._edges, self._sizes = edges, sizes
+        self.section_phase = [1] * len(sections)
+        self.section_degree = [table(0)] * len(sections)
+        self.section_frozen = [False] * len(sections)
         self._layout: SubsetLayout | None = None
 
     def pre_round(self, round_index):
         changed = self._fingerprint is None
-        for i, section in enumerate(self.gadget.sections):
+        for i, section in enumerate(self.sections):
             if self.section_frozen[i]:
                 continue
             if section.receiver in self.history.first_delivery:
@@ -763,8 +746,8 @@ _KEY_TYPES = {
     "tau": (lambda v: v is None or is_int(v) and v >= 1, "a positive integer or null"),
     "edges": (lambda v: isinstance(v, list) and all(map(is_int, v)), "a list of integers"),
     "extra_degree": (is_int, "an integer"),
-    "edge_prob": (lambda v: v is None or is_int(v) or isinstance(v, float),
-                  "a number or null"),
+    "edge_prob": (lambda v: v is None or (is_int(v) or isinstance(v, float)) and 0 <= v <= 1,
+                  "a number in [0, 1] or null"),  # NaN fails the range
     "strict": (lambda v: isinstance(v, bool), "true or false"),
     "shift": (is_int, "an integer"),
     "l": (is_int, "an integer"),
@@ -788,8 +771,9 @@ ADVERSARY_KEYS = {
 def check_spec(spec: dict) -> None:
     """Raise ValueError naming the key unless `spec` has a known kind
     (default static), only keys that kind reads, each holding its type, a
-    positive integer or None as `tau`, and `l` for a walk.  Checks that
-    depend on the gadget are left to `make_policy`."""
+    positive integer or None as `tau` (finite for the phase kinds), and `l`
+    for a walk.  Checks that depend on the gadget are left to
+    `compile_adversary`."""
     kind = spec.get("kind", "static")
     if not isinstance(kind, str) or kind not in ADVERSARY_KEYS:
         raise ValueError(f"adversary.kind: unknown kind {kind!r}")
@@ -805,27 +789,41 @@ def check_spec(spec: dict) -> None:
             raise ValueError(f"adversary.{key}: must be {what}, got {value!r}")
     if "l" in reads and "l" not in spec:
         raise ValueError("adversary.l: required for degree walks")
+    if kind in ("gap", "argmin", "chained_gap") and spec.get("tau") is None:
+        raise ValueError(f"adversary.tau: {kind} needs a finite tau")
 
 
-def make_policy(spec: dict, gadget: Gadget, schedule: Schedule, np_rng, py_rng,
-                history: ObservableHistory | None = None) -> AdversaryPolicy:
-    """Fresh per-trial policy from a config mapping (`kind` plus parameters),
-    bound to the trial's adversary streams; only `chained_gap` reads `history`."""
+def compile_adversary(spec: dict, gadget: Gadget,
+                      schedule: Schedule) -> Callable[[], AdversaryPolicy]:
+    """A sweep point's plan: a callable that builds each trial a fresh,
+    unbound policy from what the trials share.  Every config check is made
+    here, once per point: `check_spec`'s, then those that need the gadget,
+    down to the gap construction's feasibility in every phase."""
+    check_spec(spec)
     kind = spec.get("kind", "static")
     tau = spec.get("tau")
     graph = gadget.graph
     recv = gadget.receiver
-    recv_edges = () if recv is None else graph.unreliable_incident(recv)
+    recv_edges = np.array(() if recv is None else graph.unreliable_incident(recv), np.int64)
     # a virtual star keeps no edges; its receiver has delta - 2 unreliable arms
     arms = gadget.delta - 2 if gadget.meta.get("virtual") else len(recv_edges)
-
-    def gap_rule(probs):
-        return gap_plan(probs, gadget.delta, strict=spec.get("strict", False)).degree
 
     if kind in ("gap", "argmin", "degree_walk_deterministic", "degree_walk_restricted") \
             and recv is None:
         raise ValueError(f"{kind} acts on a designated receiver's unreliable arms; "
                          f"a {gadget.kind} gadget has no designated receiver")
+    if kind == "chained_gap" and gadget.kind != "chained":
+        raise ValueError(f"chained_gap needs a chained gadget; got a {gadget.kind} gadget")
+    if kind in ("gap", "argmin", "chained_gap"):
+        table = PhaseDegrees(schedule, tau, kind, gadget.delta, spec.get("strict", False))
+        if kind != "argmin":
+            table(table.period - 1)  # an infeasible phase raises here
+        if kind != "chained_gap":
+            return partial(PhaseDegreePolicy, tau, table, recv_edges)
+        sections = gadget.sections
+        edges = np.array([e for s in sections for e in s.unreliable_indices], dtype=np.int64)
+        return partial(ChainedGapPolicy, tau, sections, table, edges,
+                       [len(s.unreliable_indices) for s in sections])
     if kind == "static":
         # one subset for both engines: the listed `edges`, or the receiver's
         # first `extra_degree` unreliable arms
@@ -833,8 +831,7 @@ def make_policy(spec: dict, gadget: Gadget, schedule: Schedule, np_rng, py_rng,
             raise ValueError("static takes either edges or extra_degree, not both")
         edges = list(spec.get("edges", ()))
         n_unreliable = len(graph.unreliable_edges)
-        bad = [e for e in edges
-               if not isinstance(e, (int, np.integer)) or not 0 <= e < n_unreliable]
+        bad = [e for e in edges if not 0 <= e < n_unreliable]
         if bad:
             raise ValueError(f"static edges {bad} are not unreliable edge indices "
                              f"0..{n_unreliable - 1} of the {gadget.kind} gadget")
@@ -843,46 +840,39 @@ def make_policy(spec: dict, gadget: Gadget, schedule: Schedule, np_rng, py_rng,
             raise ValueError(f"static edges {repeated} are listed more than once")
         extra = spec.get("extra_degree", 0)
         if "extra_degree" in spec:
-            if not isinstance(extra, int) or not 0 <= extra <= arms:
+            if not 0 <= extra <= arms:
                 raise ValueError(f"static extra_degree {extra!r} is not in 0..{arms}, the "
                                  f"receiver's unreliable arm count on the {gadget.kind} gadget")
             subset, degree = recv_edges[:extra], 1 + extra
         else:
-            subset, degree = edges, 1 + len(set(edges).intersection(recv_edges))
-        policy = StaticPolicy(subset, degree, ("static", tuple(sorted(edges)), extra), tau=tau)
-    elif kind == "iid_subset":
+            subset, degree = edges, 1 + len(set(edges).intersection(recv_edges.tolist()))
+        return partial(StaticPolicy, np.sort(np.asarray(subset, dtype=np.int64)),
+                       float(degree), ("static", tuple(sorted(edges)), extra))
+    if kind == "iid_subset":
         if arms >= 2 ** 63:
             raise ValueError(f"iid_subset draws the receiver's active arm count as a 64-bit "
                              f"binomial, so its {arms} unreliable arms (delta - 2 on a "
                              f"virtual star) must be fewer than 2^63")
-        policy = IidSubsetPolicy(tau=tau, edge_prob=spec.get("edge_prob"),
-                                 n_unreliable=len(graph.unreliable_edges),
-                                 receiver_unreliable=arms)
-    elif kind == "gap":
-        policy = PhaseDegreePolicy(tau, schedule, gap_rule, recv_edges)
-    elif kind == "argmin":
-        policy = PhaseDegreePolicy(tau, schedule,
-                                   lambda probs: 1 << argmin_degree(probs, gadget.delta),
-                                   recv_edges)
-    elif kind == "correlated_shift":
+        return partial(IidSubsetPolicy, tau, spec.get("edge_prob"),
+                       len(graph.unreliable_edges), arms)
+    if kind == "correlated_shift":
         if gadget.kind != "double_star":
             raise ValueError(
                 f"correlated_shift needs a double_star gadget, where the receiver can "
                 f"reach degree delta; got a {gadget.kind} gadget")
-        policy = CorrelatedShiftPolicy(schedule=schedule, delta=gadget.delta,
-                                       receiver_edges=recv_edges,
-                                       forced_shift=spec.get("shift"))
-    elif kind in ("degree_walk_deterministic", "degree_walk_restricted"):
-        policy = DegreeWalkPolicy(
-            tau=tau, schedule=schedule,
-            step_budget=spec["l"], max_degree=arms + 1,
-            receiver_edges=recv_edges,
-            mode=spec.get("walk_mode", "dodging"),
-            restricted=(kind == "degree_walk_restricted"),
-            start_degree=spec.get("start_degree", 1))
-    elif kind == "chained_gap":
-        policy = ChainedGapPolicy(tau, schedule, gadget, gap_rule, history)
-    else:
-        raise ValueError(f"unknown adversary kind {kind!r}")
-    policy.np_rng, policy.py_rng = np_rng, py_rng
+        plan = shift_plan(schedule.cycle, gadget.delta, None, spec.get("shift", 1))
+        return partial(CorrelatedShiftPolicy, plan, "shift" not in spec, recv_edges)
+    # a degree walk
+    start = DegreeWalkState(degree=spec.get("start_degree", 1), step_budget=spec["l"],
+                            max_degree=arms + 1, mode=spec.get("walk_mode", "dodging"),
+                            restricted=kind == "degree_walk_restricted")
+    return partial(DegreeWalkPolicy, tau, schedule, start, recv_edges)
+
+
+def make_policy(plan: Callable[[], AdversaryPolicy], np_rng, py_rng,
+                history: ObservableHistory | None = None) -> AdversaryPolicy:
+    """A trial's fresh policy from its point's plan, bound to the trial's
+    adversary streams and, for `chained_gap`, to the engine's `history`."""
+    policy = plan()
+    policy.np_rng, policy.py_rng, policy.history = np_rng, py_rng, history
     return policy

@@ -161,12 +161,17 @@ def validate_point(point: dict) -> None:
     if tau is not None and (not is_int(tau) or tau < 1):
         raise ConfigError(f"tau: must be a positive integer or null, got {tau!r}")
     try:
-        check_spec(point["adversary"])
+        check_spec(point_adversary(point))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     mr = point["max_rounds"]
     if mr != "auto" and (not is_int(mr) or mr < 1):
         raise ConfigError(f"max_rounds: must be 'auto' or a positive integer, got {mr!r}")
+
+
+def point_adversary(point: dict) -> dict:
+    """A point's adversary spec: kind defaults to static, tau to the point's tau."""
+    return {"kind": "static", "tau": point["tau"], **point["adversary"]}
 
 
 def build_trial_config(point: dict) -> tuple[TrialConfig, int]:
@@ -178,9 +183,6 @@ def build_trial_config(point: dict) -> tuple[TrialConfig, int]:
         diameter=gspec.get("diameter"))
     tau = point["tau"]
     schedule = schedules.build_schedule(point["algo"], delta, tau if tau else 1)
-    adv = dict(point["adversary"])
-    adv.setdefault("kind", "static")
-    adv.setdefault("tau", tau)
     max_rounds = point["max_rounds"]
     if max_rounds == "auto":
         max_rounds = engine.default_max_rounds(
@@ -191,7 +193,7 @@ def build_trial_config(point: dict) -> tuple[TrialConfig, int]:
         problem=point["problem"],
         gadget=gadget,
         schedule=schedule,
-        adversary=adv,
+        adversary=point_adversary(point),
         seed=point["seed"],
         max_rounds=max_rounds,
         engine_mode=point["engine"],

@@ -22,10 +22,14 @@ log2 values keep working).
 Randomness: each trial t uses seed `config.seed + t`.  Inside a trial,
 streams are derived by `split_seed` (SHA-256 over the labeled seed), with
 disjoint labels for node coins ("nodes") and adversary draws ("adversary"),
-so adversary outputs cannot depend on node coins even accidentally.  The
-node and adversary generators are `PCG64(split_seed(...))`; `run_trials`
-turns a point's stream seeds into PCG64 seed words in one batch
-(`seed_words`), which gives the same generators as seeding each alone.
+so adversary outputs cannot depend on node coins even accidentally.  A
+point's adversary is compiled once, when its `TrialConfig` is built
+(`compile_adversary`, which makes every config check); each trial's
+`make_policy` builds its policy from that plan and binds it to the
+trial's adversary streams.  The node and adversary generators are
+`PCG64(split_seed(...))`; `run_trials` turns a point's stream seeds into
+PCG64 seed words in one batch (`seed_words`), which gives the same
+generators as seeding each alone.
 Every node that may transmit owns one node-stream double per round, in
 node order.  The materialized engine draws only the relevant ones (see
 above) and skips the coins of the others by advancing the stream one
@@ -39,12 +43,12 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .adversary import ObservableHistory, check_spec, make_policy
+from .adversary import ObservableHistory, compile_adversary, make_policy
 from .gadgets import Gadget
 from .model import DualGraph
 from .oracle import exact_success_logprob
@@ -174,13 +178,14 @@ class TrialConfig:
     epsilon: float = 0.1
     rgb_reps: int | None = None  # global: per-node repetition budget in double cycles
     receivers: tuple[int, ...] | None = None
+    # the point's adversary plan, compiled once from `adversary`
+    plan: Callable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.problem not in ("local", "global"):
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.engine_mode not in ("materialized", "analytic_star"):
             raise ValueError(f"unknown engine {self.engine_mode!r}")
-        check_spec(self.adversary)
         gadget = self.gadget
         if self.engine_mode == "materialized" and gadget.meta.get("virtual"):
             raise ValueError("a virtual star (delta >= 2^24) has no edges to simulate; "
@@ -198,6 +203,8 @@ class TrialConfig:
             raise ValueError("local broadcast needs a nonempty broadcaster set")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
+        object.__setattr__(self, "plan",
+                           compile_adversary(self.adversary, gadget, self.schedule))
 
 
 @dataclass(frozen=True)
@@ -414,8 +421,7 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     first_delivery: dict[int, int] = {}
 
     np_nodes, np_adv, py_adv = trial_rngs(config.seed, trial, words)
-    policy = make_policy(config.adversary, gadget, schedule, np_adv, py_adv,
-                         ObservableHistory(first_delivery, act))
+    policy = make_policy(config.plan, np_adv, py_adv, ObservableHistory(first_delivery, act))
     cycle = schedule.prob_array
 
     # The transmitter window `cand` changes only in a round where some
@@ -495,7 +501,7 @@ def run_analytic_star_trial(config: TrialConfig, trial: int = 0,
     gadget = config.gadget
     schedule = config.schedule
     np_nodes, np_adv, py_adv = trial_rngs(config.seed, trial, words)
-    policy = make_policy(config.adversary, gadget, schedule, np_adv, py_adv)
+    policy = make_policy(config.plan, np_adv, py_adv)
 
     recv = gadget.receiver
     flag = recv in gadget.broadcasters

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualradio.adversary import (ADVERSARY_KEYS, DegreeWalkState, ObservableHistory,
-                                 argmin_degree, gap_plan, make_policy, phase_cycle_probs,
-                                 shift_plan, uniform_subsets, walk_degrees)
+                                 argmin_degree, compile_adversary, gap_plan, make_policy,
+                                 phase_cycle_probs, shift_plan, uniform_subsets,
+                                 walk_degrees)
 from dualradio.engine import _NEVER, TrialConfig, run_trial, trial_rngs
 from dualradio.gadgets import build_gadget, chained_gadgets, double_star, star_gadget
 from dualradio.oracle import (exact_success_logprob, exact_success_prob, phase_success_sum,
@@ -21,6 +22,11 @@ from dualradio.schedules import (decay_schedule, frlb_schedule, rlb_schedule,
 
 def rngs(seed=0):
     return trial_rngs(seed)[1], trial_rngs(seed)[2]
+
+
+def policy_for(spec, gadget, schedule, seed=0, history=None):
+    """A trial's policy for `spec`: compiled, then bound to seed's adversary streams."""
+    return make_policy(compile_adversary(spec, gadget, schedule), *rngs(seed), history)
 
 
 def unreached(gadget):
@@ -325,10 +331,9 @@ class TestVectorWalk:
     def test_criterion_10_walk_warns_nothing(self):
         # subnormal and underflowed p at delta = 2^4885 must not warn
         sched = rlbc_schedule(2 ** 4885, 1000)
-        np_rng, py_rng = rngs(3)
-        policy = make_policy({"kind": "degree_walk_restricted", "tau": 1000, "l": 22,
-                              "walk_mode": "dodging"}, build_gadget("star", 2 ** 4885), sched,
-                             np_rng, py_rng)
+        policy = policy_for({"kind": "degree_walk_restricted", "tau": 1000, "l": 22,
+                             "walk_mode": "dodging"},
+                            build_gadget("star", 2 ** 4885), sched, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             start = 1
@@ -337,7 +342,7 @@ class TestVectorWalk:
                 assert len(degs) == count and (degs >= 1).all()
                 start += count
             walk_degrees(DegreeWalkState(2 ** 40, 22, 2 ** 4885, restricted=True),
-                         sched.log_prob_array, np_rng)
+                         sched.log_prob_array, policy.np_rng)
 
 
 class TestPolicies:
@@ -345,20 +350,20 @@ class TestPolicies:
         ([3, 3], r"\[3\] are listed more than once"),
         ([-1], r"\[-1\] are not unreliable edge indices 0\.\.5"),
         ([0, 6], r"\[6\] are not unreliable edge indices 0\.\.5"),
-        ([1.5], r"\[1\.5\] are not unreliable edge indices 0\.\.5"),
+        ([1.5], r"adversary\.edges: must be a list of integers"),
     ])
     def test_static_rejects_bad_edges(self, edges, message):
         g = star_gadget(8, 10)  # six unreliable arms
         with pytest.raises(ValueError, match=message):
-            make_policy({"kind": "static", "tau": 3, "edges": edges}, g, rlb_schedule(8, 3),
-                        *rngs())
+            compile_adversary({"kind": "static", "tau": 3, "edges": edges}, g,
+                              rlb_schedule(8, 3))
 
     @pytest.mark.parametrize("spec", [{"edges": list(range(10))}, {"extra_degree": 10}],
                              ids=["edges", "extra-degree"])
     def test_static_subset_is_the_same_on_both_engines(self, spec):
         g = star_gadget(16, 18)
         sched = rlb_schedule(16, 4)
-        policy = make_policy(dict(spec, kind="static", tau=4), g, sched, *rngs())
+        policy = policy_for(dict(spec, kind="static", tau=4), g, sched)
         assert policy.degrees(1, 9).tolist() == [11.0] * 9
         active = set(policy.sample_edges(1).tolist())
         assert len(active & set(g.graph.unreliable_incident(g.receiver))) == 10
@@ -373,18 +378,18 @@ class TestPolicies:
     ], ids=["both-keys", "above-arms", "negative", "no-receiver", "virtual-above-arms"])
     def test_static_rejects_bad_extra_degree(self, gadget, spec, message):
         with pytest.raises(ValueError, match=message):
-            make_policy(dict(spec, kind="static", tau=4), gadget, rlb_schedule(16, 4),
-                        *rngs())
+            compile_adversary(dict(spec, kind="static", tau=4), gadget,
+                              rlb_schedule(16, 4))
 
     def test_iid_arm_count_must_fit_a_binomial(self):
         # a virtual star's receiver has delta - 2 arms, drawn as an int64 count
         sched = rlb_schedule(16, 2)
-        fits = make_policy({"kind": "iid_subset", "tau": 2}, build_gadget("star", 2 ** 63 + 1),
-                           sched, *rngs())
+        fits = policy_for({"kind": "iid_subset", "tau": 2}, build_gadget("star", 2 ** 63 + 1),
+                          sched)
         assert (fits.degrees(1, 4) >= 1).all()
         with pytest.raises(ValueError, match=r"fewer than 2\^63"):
-            make_policy({"kind": "iid_subset", "tau": 2}, build_gadget("star", 2 ** 63 + 2),
-                        sched, *rngs())
+            compile_adversary({"kind": "iid_subset", "tau": 2},
+                              build_gadget("star", 2 ** 63 + 2), sched)
 
     @pytest.mark.parametrize("kind, gadget", [
         ("gap", star_gadget(2 ** 8 + 1, 2 ** 8 + 3)),
@@ -393,16 +398,18 @@ class TestPolicies:
     ], ids=["gap", "argmin", "chained-gap"])
     def test_phase_kinds_need_finite_tau(self, kind, gadget):
         with pytest.raises(ValueError, match="finite tau"):
-            make_policy({"kind": kind, "tau": None}, gadget, frlb_schedule(2 ** 8 + 1, 1),
-                        *rngs(), unreached(gadget))
+            compile_adversary({"kind": kind, "tau": None}, gadget,
+                              frlb_schedule(2 ** 8 + 1, 1))
 
     @pytest.mark.parametrize("kind", ["gap", "argmin", "degree_walk_deterministic",
                                       "degree_walk_restricted"])
     def test_receiver_kinds_rejected_on_chained_gadget(self, kind):
         g = chained_gadgets(2 ** 8 + 1, 24)
+        spec = {"kind": kind, "tau": 1}
+        if kind.startswith("degree_walk"):
+            spec["l"] = 2
         with pytest.raises(ValueError, match="chained gadget has no designated receiver"):
-            make_policy({"kind": kind, "tau": 1, "l": 2}, g, frlb_schedule(2 ** 8 + 1, 1),
-                        *rngs())
+            compile_adversary(spec, g, frlb_schedule(2 ** 8 + 1, 1))
 
     @pytest.mark.parametrize("kind", sorted(ADVERSARY_KEYS))
     def test_make_policy_reads_every_key_in_the_table(self, kind):
@@ -439,15 +446,14 @@ class TestPolicies:
     def test_static_empty_keeps_reliable_graph(self):
         g = star_gadget(8, 10)
         sched = rlb_schedule(8, 3)
-        policy = make_policy({"kind": "static", "tau": 3}, g, sched, *rngs())
+        policy = policy_for({"kind": "static", "tau": 3}, g, sched)
         policy.pre_round(1)
         assert len(policy.sample_edges(1)) == 0
 
     def test_iid_full_probability_gives_potential_graph(self):
         g = star_gadget(8, 10)
         sched = rlb_schedule(8, 3)
-        policy = make_policy({"kind": "iid_subset", "tau": 3, "edge_prob": 1.0}, g, sched,
-                             *rngs())
+        policy = policy_for({"kind": "iid_subset", "tau": 3, "edge_prob": 1.0}, g, sched)
         policy.pre_round(1)
         got = policy.sample_edges(1)
         assert len(got) == len(g.graph.unreliable_edges)
@@ -456,8 +462,7 @@ class TestPolicies:
         # receiver with 4 unreliable arms at inclusion probability 1/2
         g = star_gadget(6, 8)
         sched = rlb_schedule(6, 2)
-        policy = make_policy({"kind": "iid_subset", "tau": 2, "edge_prob": 0.5}, g, sched,
-                             *rngs(23))
+        policy = policy_for({"kind": "iid_subset", "tau": 2, "edge_prob": 0.5}, g, sched, 23)
         degs = policy.degrees(1, 100_000)
         extra = degs - 1.0
         assert extra.mean() == pytest.approx(2.0, abs=4 * extra.std() / math.sqrt(len(extra)))
@@ -466,7 +471,7 @@ class TestPolicies:
         delta = 2 ** 12 + 1
         g = star_gadget(delta, delta + 2)
         sched = rlb_schedule(delta, 1)
-        policy = make_policy({"kind": "gap", "tau": 1}, g, sched, *rngs(2))
+        policy = policy_for({"kind": "gap", "tau": 1}, g, sched, 2)
         policy.pre_round(1)
         edges = policy.sample_edges(1)
         plan = gap_plan([sched.cycle[0]], delta)
@@ -475,7 +480,7 @@ class TestPolicies:
     def test_stability_bookkeeping_every_tau(self):
         g = star_gadget(64, 66)
         sched = rlb_schedule(64, 3)
-        policy = make_policy({"kind": "iid_subset", "tau": 3}, g, sched, *rngs(9))
+        policy = policy_for({"kind": "iid_subset", "tau": 3}, g, sched, 9)
         for r in range(1, 31):
             policy.pre_round(r)
             policy.sample_edges(r)
@@ -494,7 +499,8 @@ class TestPolicies:
             _ = trial_rngs(node_seed)  # node streams exist but never reach policies
             np_adv = np.random.Generator(np.random.PCG64(1234))
             py_adv = random.Random(1234)
-            policy = make_policy({"kind": "iid_subset", "tau": 2}, g, sched, np_adv, py_adv)
+            policy = make_policy(compile_adversary({"kind": "iid_subset", "tau": 2}, g, sched),
+                                 np_adv, py_adv)
             seq = []
             for r in range(1, 13):
                 policy.pre_round(r)
@@ -525,9 +531,9 @@ class TestPolicies:
         else:
             g, sched = star_gadget(64, 66), rlb_schedule(64, 4)
 
-        whole = make_policy(spec, g, sched, *rngs(7))
+        whole = policy_for(spec, g, sched, 7)
         degs = whole.degrees(1, 200)
-        split = make_policy(spec, g, sched, *rngs(7))
+        split = policy_for(spec, g, sched, 7)
         parts, start = [], 1
         for count in (7, 50, 1, 64, 78):
             parts.append(split.degrees(start, count))
@@ -587,7 +593,7 @@ class TestChainedController:
         g = chained_gadgets(delta, 24)
         sched = frlb_schedule(delta, tau)
         hist = unreached(g)
-        policy = make_policy({"kind": "chained_gap", "tau": tau}, g, sched, *rngs(), hist)
+        policy = policy_for({"kind": "chained_gap", "tau": tau}, g, sched, history=hist)
         return g, sched, policy, hist
 
     def test_all_sections_start_at_first_plan(self):
@@ -631,7 +637,7 @@ class TestChainedController:
         g = chained_gadgets(2 ** 12 + 1, 24)
         sched = frlb_schedule(2 ** 12 + 1, 3)
         hist = unreached(g)
-        policy = make_policy({"kind": "chained_gap", "tau": 2}, g, sched, *rngs(), hist)
+        policy = policy_for({"kind": "chained_gap", "tau": 2}, g, sched, history=hist)
         hist.act[[g.sections[0].arms[0], g.sections[1].arms[0]]] = [0, 4]
         for r in range(1, 11):
             policy.pre_round(r)
@@ -651,9 +657,3 @@ class TestChainedController:
                 policy.sample_edges(r)
         assert policy.section_phase == [1] * 8
         assert len(policy.change_log) == 1
-
-    def test_needs_the_history(self):
-        g = chained_gadgets(2 ** 8 + 1, 24)
-        with pytest.raises(ValueError, match="history"):
-            make_policy({"kind": "chained_gap", "tau": 1}, g, frlb_schedule(2 ** 8 + 1, 1),
-                        *rngs())

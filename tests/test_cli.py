@@ -5,6 +5,7 @@ import math
 import pytest
 import yaml
 
+from dualradio import engine
 from dualradio.cli import (ConfigError, build_trial_config, expand_sweep,
                            fit_scaling, main, normalize_config, parse_delta,
                            read_trials_csv)
@@ -187,7 +188,7 @@ class TestRunCommand:
         ({"sweep": {"adversary": [{"kind": "static"}, "gap"]}},
          "sweep.adversary[1]: must be a mapping"),
         ({"adversary": {"kind": "iid_subset", "edge_prob": "0.5"}},
-         "adversary.edge_prob: must be a number or null, got '0.5'"),
+         "adversary.edge_prob: must be a number in [0, 1] or null, got '0.5'"),
         ({"adversary": {"kind": "degree_walk_restricted", "l": "2"}},
          "adversary.l: must be an integer, got '2'"),
         ({"sweep": {"adversary": [{"kind": "degree_walk_deterministic", "l": 2,
@@ -212,10 +213,14 @@ class TestRunCommand:
          "adversary.tau: must be a positive integer or null, got '2'"),
         ({"adversary": {"kind": "iid_subset", "tau": True}},
          "adversary.tau: must be a positive integer or null, got True"),
+        ({"adversary": {"kind": "iid_subset", "edge_prob": float("nan")}},
+         "adversary.edge_prob: must be a number in [0, 1] or null, got nan"),
+        ({"tau": None, "adversary": {"kind": "argmin"}},
+         "adversary.tau: argmin needs a finite tau"),
     ], ids=["adversary", "sweep-adversary", "edge-prob-string", "l-string",
             "start-degree-string", "strict-string", "edges-string", "edges-bool",
             "extra-degree-string", "shift-bool", "unknown-key", "key-of-another-kind",
-            "tau-string", "tau-bool"])
+            "tau-string", "tau-bool", "edge-prob-nan", "phase-kind-point-tau-null"])
     def test_bad_adversary_is_a_config_error(self, tmp_path, capsys, overrides, message):
         out = tmp_path / "t.csv"
         path = write_config(tmp_path, base_config(out=str(out), **overrides))
@@ -250,6 +255,18 @@ class TestRunCommand:
         assert main(["run", path]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_bad_later_point_stops_the_run_before_any_point(self, tmp_path, capsys,
+                                                             monkeypatch):
+        runs = []
+        monkeypatch.setattr(engine, "run_trials", lambda *args: runs.append(args))
+        out = tmp_path / "t.csv"
+        path = write_config(tmp_path, base_config(out=str(out), sweep={"adversary": [
+            {"kind": "iid_subset"}, {"kind": "iid_subset", "edge_prob": 1.5}]}))
+        assert main(["run", path]) == 1
+        assert "adversary.edge_prob: must be a number in [0, 1] or null, got 1.5" \
+            in capsys.readouterr().err
+        assert runs == [] and not out.exists()
 
     def test_no_partial_left_behind(self, tmp_path):
         out = tmp_path / "t.csv"

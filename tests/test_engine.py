@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dualradio import engine
+from dualradio import adversary, engine
 from dualradio.adversary import ObservableHistory, make_policy
 from dualradio.engine import (_NEVER, CSV_COLUMNS, Stats, TrialConfig, TrialResult,
                               _SeedWords, _transmitter_window, aggregate, csv_header,
@@ -272,9 +272,8 @@ class TestAdversaryFit:
     def test_correlated_shift_needs_double_star(self, engine):
         # on a star the receiver's potential degree is delta - 1, so the
         # shift's degree-delta response cannot be realized
-        cfg = star_config(64, 2, engine=engine, adversary={"kind": "correlated_shift"})
         with pytest.raises(ValueError, match="star gadget"):
-            run_trial(cfg)
+            star_config(64, 2, engine=engine, adversary={"kind": "correlated_shift"})
 
     def test_virtual_star_rejected_on_materialized_engine(self):
         delta = 2 ** 30
@@ -286,10 +285,50 @@ class TestAdversaryFit:
             run_trial(TrialConfig(**point))
         assert run_trial(TrialConfig(**point, engine_mode="analytic_star")).completed
 
+    @pytest.mark.parametrize("gadget, spec, message", [
+        (star_gadget(64, 66), {"kind": "gap", "tau": 2}, "gap construction infeasible"),
+        (star_gadget(64, 66), {"kind": "gap", "tau": None}, "adversary.tau: .* finite tau"),
+        (star_gadget(64, 66), {"kind": "iid_subset", "tau": 2, "edge_prob": 1.5},
+         r"adversary.edge_prob: must be a number in \[0, 1\] or null, got 1.5"),
+        (star_gadget(64, 66), {"kind": "correlated_shift"}, "needs a double_star gadget"),
+        (double_star(64), {"kind": "correlated_shift", "shift": 99}, r"shift must be in 1\.\."),
+        (star_gadget(64, 66), {"kind": "degree_walk_restricted", "tau": 2, "l": -1},
+         "step budget must be >= 0"),
+        (star_gadget(64, 66),
+         {"kind": "degree_walk_deterministic", "tau": 2, "l": 2, "start_degree": 0},
+         r"degree out of \[1, max_degree\]"),
+        (star_gadget(64, 66), {"kind": "static", "tau": 2, "edges": [99]},
+         r"static edges \[99\] are not unreliable edge indices"),
+    ], ids=["gap-infeasible", "gap-tau-null", "edge-prob-above-one", "shift-on-star",
+            "shift-out-of-range", "walk-negative-l", "walk-start-degree-zero",
+            "static-edge-outside-gadget"])
+    def test_config_error_raised_when_config_is_built(self, gadget, spec, message):
+        with pytest.raises(ValueError, match=message):
+            TrialConfig(problem="local", gadget=gadget, schedule=decay_schedule(64),
+                        adversary=spec, seed=0, max_rounds=100, engine_mode="analytic_star")
+
+    def test_phase_table_built_once_per_point(self, monkeypatch):
+        # the gap table is computed over its whole period when the config
+        # is built, and every trial reads it
+        plans, compiles = [], []
+        gap_plan, compile_adversary = adversary.gap_plan, engine.compile_adversary
+        monkeypatch.setattr(adversary, "gap_plan",
+                            lambda *args, **kw: plans.append(args) or gap_plan(*args, **kw))
+        monkeypatch.setattr(engine, "compile_adversary",
+                            lambda *args: compiles.append(args) or compile_adversary(*args))
+        delta, tau = 2 ** 12 + 1, 2
+        schedule = decay_schedule(delta)
+        config = TrialConfig(problem="local", gadget=star_gadget(delta, delta + 2),
+                             schedule=schedule, adversary={"kind": "gap", "tau": tau},
+                             seed=5, max_rounds=400, engine_mode="analytic_star")
+        run_trials(config, 20)
+        assert schedule.cycle_length == 13  # 13 phases before the degrees repeat
+        assert len(plans) == 13 and len(compiles) == 1
+
 
     @pytest.mark.parametrize("adversary, message", [
         ({"kind": "iid_subset", "tau": 2, "edge_prob": "0.3"},
-         "adversary.edge_prob: must be a number or null, got '0.3'"),
+         "adversary.edge_prob: must be a number in [0, 1] or null, got '0.3'"),
         ({"kind": "iid_subset", "tau": 2, "edge_probability": 0.3},
          "adversary.edge_probability: iid_subset reads only tau, edge_prob"),
     ], ids=["edge-prob-string", "unknown-key"])
@@ -372,8 +411,7 @@ def reference_trial(config: TrialConfig, trial: int = 0) -> TrialResult:
     waiting = set(targets)
     first_delivery = {}
     np_nodes, np_adv, py_adv = trial_rngs(config.seed, trial)
-    policy = make_policy(config.adversary, gadget, schedule, np_adv, py_adv,
-                         ObservableHistory(first_delivery, act))
+    policy = make_policy(config.plan, np_adv, py_adv, ObservableHistory(first_delivery, act))
     completion, r = None, 0
     for r in range(1, config.max_rounds + 1):
         policy.pre_round(r)
