@@ -9,6 +9,13 @@ turning a degree d into edges: a uniform (d-1)-subset of the receiver's
 unreliable arms.  Only `static`, `iid_subset` and `chained_gap`, which
 name edges beyond one receiver's arms, pick their edges themselves.
 
+`sample_edges` is given the round's counted transmitters and returns
+every active edge that touches one of them; it may leave out the others,
+which cannot change a delivery.  The uniforms a left-out edge would have
+taken are skipped, not drawn: they are owed, and the adversary stream is
+advanced past them (`skip_doubles`) before the policy's next draw, so the
+stream and every result are the same as when every edge is drawn.
+
 Policies may change the distribution they draw from at most once every
 `tau` rounds: the rule lives in `AdversaryPolicy.pre_round`, which both
 engines' calls go through, and every distribution change is appended to
@@ -34,7 +41,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .gadgets import Gadget, GadgetSection
+from .gadgets import Gadget
 from .oracle import exact_success_logprob, log_phase_success_sum, success_peak_degree
 from .schedules import Schedule
 
@@ -144,6 +151,22 @@ def draw_subsets(np_rng, layout: SubsetLayout) -> np.ndarray:
     if len(layout.whole):
         return np.concatenate((keys, layout.whole))
     return keys
+
+
+def skip_doubles(np_rng, count: int) -> None:
+    """Move `np_rng` past `count` `random()` doubles without drawing them.
+
+    A PCG64 double consumes one 64-bit output, so this is one `advance`.
+    `advance` also drops the half output that a 32-bit `integers` draw
+    may have left buffered, which drawing the doubles would keep; it is
+    put back, so every later draw is the same as after drawing them."""
+    bit_generator = np_rng.bit_generator
+    before = bit_generator.state
+    bit_generator.advance(count)
+    if before["has_uint32"]:
+        after = bit_generator.state
+        after["has_uint32"], after["uinteger"] = 1, before["uinteger"]
+        bit_generator.state = after
 
 
 def uniform_subsets(np_rng, sizes: Sequence[int], picks: Sequence[int]) -> np.ndarray:
@@ -355,11 +378,12 @@ _NEAR_PEAK = 1e-6     # relative margin that sends a round near the peak to the 
 _VECTOR_MIN = 16      # shorter calls step by the scalar rule, drawing round by round
 
 
-def walk_degrees(state: DegreeWalkState, log_probs: Sequence[float], rng):
+def walk_degrees(state: DegreeWalkState, log_probs: Sequence[float], rng,
+                 degree: int | None = None):
     """Advance the walk one round per entry of `log_probs` (ln of the
-    probability the nodes use in that round); the degree after each step,
-    as a float64 array, or as a list of ints when some degree is 2^53 or
-    more.
+    probability the nodes use in that round), from `degree` (by default
+    `state.degree`); the degree after each step, as a float64 array, or as
+    a list of ints when some degree is 2^53 or more.
 
     Dodging picks whichever reachable extreme has the lower exact success
     (success is unimodal in the degree, so the interval minimum sits at an
@@ -376,7 +400,7 @@ def walk_degrees(state: DegreeWalkState, log_probs: Sequence[float], rng):
     budget, cap = state.step_budget, state.max_degree
     restricted, dodging = state.restricted, state.mode == "dodging"
     randint, coin = rng.integers, rng.random
-    d = state.degree
+    d = state.degree if degree is None else degree
     n = len(log_probs)
     head = ()
     if dodging and n >= _VECTOR_MIN and d + 2 * budget < _EXACT:
@@ -435,6 +459,7 @@ def walk_degrees(state: DegreeWalkState, log_probs: Sequence[float], rng):
 
 
 _WHOLE_RUN = 2 ** 62  # block length standing for tau = infinity
+_NO_EDGES = np.empty(0, dtype=np.int64)
 
 
 class AdversaryPolicy:
@@ -450,8 +475,11 @@ class AdversaryPolicy:
     records wherever they differ from the last.  `_degrees` maps rounds to
     the receiver's degrees.  The analytic engine calls `degrees`, which
     enters every block of a chunk of rounds at once; the materialized
-    engine calls `pre_round` and then `sample_edges` every round.  Rounds
-    are asked for in order.
+    engine calls `pre_round` and then `sample_edges` once every round.
+    Rounds are asked for in order.
+
+    Every draw from `np_rng` goes through `_stream`, which first skips the
+    uniforms `_owed` by draws `sample_edges` left out.
     """
 
     def __init__(self, tau: int | None, receiver_edges: np.ndarray | None = None):
@@ -462,6 +490,14 @@ class AdversaryPolicy:
         self._values_from = 0
         self._fingerprint: object = None
         self._block = -1  # the last block entered
+        self._owed = 0  # np_rng doubles skipped but not yet advanced past
+
+    def _stream(self):
+        """`np_rng`, moved past the owed doubles."""
+        if self._owed:
+            skip_doubles(self.np_rng, self._owed)
+            self._owed = 0
+        return self.np_rng
 
     # -- stability bookkeeping
 
@@ -493,13 +529,22 @@ class AdversaryPolicy:
         self.pre_round(start_round, through=start_round + count - 1)
         return self._degrees(np.arange(start_round, start_round + count))
 
-    def sample_edges(self, round_index: int) -> np.ndarray:
-        """Indices into graph.unreliable_edges active this round: a uniform
-        (d-1)-subset of the receiver's unreliable arms for the round's
-        degree d.  `pre_round` has entered the round's block."""
-        d = int(self._degrees(round_index))
+    def sample_edges(self, round_index: int, tx: np.ndarray) -> np.ndarray:
+        """Indices into graph.unreliable_edges active this round: every one
+        that touches a node of `tx`, the round's counted transmitters in
+        increasing order; any other may be left out.  The stream moves as
+        if every edge were drawn.  `pre_round` has entered the round's block.
+
+        By default the active edges are a uniform (d-1)-subset of the
+        receiver's unreliable arms for the round's degree d, drawn unless
+        `tx` is empty."""
+        k = int(self._degrees(round_index)) - 1
         arms = self.receiver_edges
-        return arms[uniform_subsets(self.np_rng, (len(arms),), (d - 1,))]
+        if not len(tx):
+            if 0 < k < len(arms):  # the uniforms `draw_subsets` would take
+                self._owed += k
+            return _NO_EDGES
+        return arms[uniform_subsets(self._stream(), (len(arms),), (k,))]
 
     # -- hooks
 
@@ -531,7 +576,7 @@ class StaticPolicy(AdversaryPolicy):
     def _blocks(self, blocks):
         return np.array([self.degree]), [(0, self.named)]
 
-    def sample_edges(self, round_index):
+    def sample_edges(self, round_index, tx):
         return self.edge_indices
 
 
@@ -559,12 +604,16 @@ class IidSubsetPolicy(AdversaryPolicy):
             qs = [self.py_rng.random() for _ in range(len(blocks))]
         return np.array(qs, dtype=np.float64), [(i, ("iid", q)) for i, q in enumerate(qs)]
 
-    def sample_edges(self, round_index):
-        mask = self.np_rng.random(self.n_unreliable) < self.block_values[-1]
+    def sample_edges(self, round_index, tx):
+        if not len(tx):
+            self._owed += self.n_unreliable
+            return _NO_EDGES
+        mask = self._stream().random(self.n_unreliable) < self.block_values[-1]
         return np.flatnonzero(mask)
 
     def _degrees(self, rounds):
-        return 1.0 + self.np_rng.binomial(self.receiver_unreliable, self._block_value(rounds))
+        return 1.0 + self._stream().binomial(self.receiver_unreliable,
+                                             self._block_value(rounds))
 
 
 def phase_cycle_probs(schedule: Schedule, tau: int, phase: int) -> list[float]:
@@ -639,7 +688,7 @@ class CorrelatedShiftPolicy(AdversaryPolicy):
 
     def _blocks(self, blocks):
         if self.draw_shift:
-            self.plan = self.plan.redrawn(self.np_rng)
+            self.plan = self.plan.redrawn(self._stream())
         return None, [(0, ("shift", self.plan.shift))]
 
     def _degrees(self, rounds):
@@ -647,13 +696,15 @@ class CorrelatedShiftPolicy(AdversaryPolicy):
 
 
 class DegreeWalkPolicy(AdversaryPolicy):
-    """Correlated walk on the receiver degree with a per-round change budget."""
+    """Correlated walk on the receiver degree with a per-round change budget:
+    `walk` as checked at compile time, its current degree in `degree`."""
 
-    def __init__(self, tau, schedule: Schedule, start: DegreeWalkState,
+    def __init__(self, tau, schedule: Schedule, walk: DegreeWalkState,
                  receiver_edges: np.ndarray):
         super().__init__(tau, receiver_edges)
-        self.schedule, self.state = schedule, start
-        self._round = 1  # the round whose degree `state` holds
+        self.schedule, self.walk = schedule, walk
+        self.degree = walk.degree
+        self._round = 1  # the round whose degree `degree` holds
 
     def _blocks(self, blocks):
         # the walk's blocks draw nothing
@@ -663,24 +714,51 @@ class DegreeWalkPolicy(AdversaryPolicy):
         # round r's degree is the walk after r - 1 steps; rounds come in order
         one = not isinstance(rounds, np.ndarray)
         last = int(rounds) if one else int(rounds[-1])
-        before = self.state.degree
+        before = self.degree
         k = self.schedule.cycle_length
         if one:  # the materialized engine steps one round per call
             log_p = [self.schedule.log_probs[r % k] for r in range(self._round, last)]
         else:
             log_p = self.schedule.log_prob_array[np.arange(self._round, last) % k]
-        steps = walk_degrees(self.state, log_p, self.np_rng)
+        steps = walk_degrees(self.walk, log_p, self._stream(), before)
         if len(steps):
-            self.state = replace(self.state, degree=int(steps[-1]))
+            self.degree = int(steps[-1])
             self._round = last
         if one:
-            return self.state.degree
+            return self.degree
         if len(rounds) == len(steps):
             return steps
         # the first call also asks for round 1, which no step reaches
         if isinstance(steps, list) or before >= _EXACT:
             return [before, *map(int, steps)]
         return np.concatenate(([float(before)], steps))
+
+
+class ChainSections(NamedTuple):
+    """What every `chained_gap` trial of a chain shares, built once per point."""
+
+    edges: np.ndarray      # every section's unreliable arms, section by section
+    sizes: list[int]       # each section's unreliable arm count
+    offsets: list[int]     # section s's arms are edges[offsets[s]:offsets[s + 1]]
+    heads: np.ndarray      # each section's first arm, whose activation starts its phases
+    receivers: list[int]   # each section's local receiver
+    section_of: list[int]  # each node's section (past the last section: the last)
+
+
+def chain_sections(gadget: Gadget) -> ChainSections:
+    """The sections of a chain, whose section s holds the nodes from its hub
+    up to the next section's hub."""
+    sections = gadget.sections
+    sizes = [len(s.unreliable_indices) for s in sections]
+    hubs = [s.hub for s in sections]
+    nodes = np.arange(gadget.graph.node_count)
+    return ChainSections(
+        edges=np.array([e for s in sections for e in s.unreliable_indices], dtype=np.int64),
+        sizes=sizes,
+        offsets=[0, *itertools.accumulate(sizes)],
+        heads=np.array([s.arms[0] for s in sections], dtype=np.int64),
+        receivers=[s.receiver for s in sections],
+        section_of=(np.searchsorted(hubs, nodes, side="right") - 1).tolist())
 
 
 class ChainedGapPolicy(AdversaryPolicy):
@@ -690,46 +768,71 @@ class ChainedGapPolicy(AdversaryPolicy):
     frontier gadget advances to the next phase's degree only after its
     relay arms have transmitted a full phase of probabilities; a gadget
     whose local receiver has the message keeps its final degree forever.
-    Advancement is therefore never faster than once per tau rounds.  Each
-    round draws a fresh uniform subset of every gadget's unreliable arms,
-    all from one generator call.
+    Advancement is therefore never faster than once per tau rounds.
+
+    Each round every gadget's unreliable arms get a fresh uniform subset,
+    in section order from one stream (see `draw_subsets`), but only the
+    sections from the first to the last that a counted transmitter lies in
+    are drawn: an unreliable edge joins two nodes of one section.  The
+    other sections' uniforms are skipped.
     """
 
-    def __init__(self, tau: int, sections: Sequence[GadgetSection], table: PhaseDegrees,
-                 edges: np.ndarray, sizes: list[int]):
+    def __init__(self, tau: int, table: PhaseDegrees, chain: ChainSections):
         super().__init__(tau)
-        # table: a section's degree per phase; edges: all sections' arms, in order
-        self.sections, self._phase_degree = sections, table
-        self._edges, self._sizes = edges, sizes
-        self.section_phase = [1] * len(sections)
-        self.section_degree = [table(0)] * len(sections)
-        self.section_frozen = [False] * len(sections)
-        self._layout: SubsetLayout | None = None
+        # table: a section's degree per phase
+        self._phase_degree, self.chain = table, chain
+        count = len(chain.sizes)
+        self.section_phase = [1] * count
+        self.section_degree = [table(0)] * count
+        self.section_frozen = [False] * count
+        self._live = list(range(count))  # the sections not frozen
+        self._live_heads = chain.heads
+        self._first: list[int] = []  # uniforms a full draw takes before section s
 
     def pre_round(self, round_index):
         changed = self._fingerprint is None
-        for i, section in enumerate(self.sections):
-            if self.section_frozen[i]:
-                continue
-            if section.receiver in self.history.first_delivery:
-                self.section_frozen[i] = changed = True
-                continue
-            # a Python int: an unreached head's int64 max + 1 must not wrap
-            start = self.history.act.item(section.arms[0]) + 1
-            if round_index <= start:
-                continue
-            phase = 1 + (round_index - start) // self.tau
-            if phase != self.section_phase[i]:
-                self.section_phase[i] = phase
-                self.section_degree[i] = self._phase_degree(phase - 1)
-                changed = True
+        delivered, receivers = self.history.first_delivery, self.chain.receivers
+        # Python ints: an unreached head's int64 max + 1 must not wrap
+        acts = self.history.act[self._live_heads].tolist()
+        froze = False
+        for i, act in zip(self._live, acts):
+            if receivers[i] in delivered:
+                self.section_frozen[i] = changed = froze = True
+            elif round_index > act + 1:
+                phase = 1 + (round_index - act - 1) // self.tau
+                if phase != self.section_phase[i]:
+                    self.section_phase[i] = phase
+                    degree = self._phase_degree(phase - 1)
+                    if degree != self.section_degree[i]:
+                        self.section_degree[i] = degree
+                        changed = True
+        if froze:
+            self._live = [i for i in self._live if not self.section_frozen[i]]
+            self._live_heads = self.chain.heads[self._live]
         if changed:
-            self._layout = subset_layout(self._sizes, [d - 1 for d in self.section_degree])
+            self._enter_degrees()
             self._record(round_index, ("chained", tuple(zip(self.section_degree,
                                                             self.section_frozen))))
 
-    def sample_edges(self, round_index):
-        return self._edges[draw_subsets(self.np_rng, self._layout)]
+    def _enter_degrees(self) -> None:
+        """Count, for `section_degree`, the uniforms a full draw takes before
+        each section (a section picking none or all of its arms takes none)."""
+        self._first = [0, *itertools.accumulate(
+            d - 1 if 1 < d <= m else 0 for d, m in zip(self.section_degree, self.chain.sizes))]
+
+    def sample_edges(self, round_index, tx):
+        first = self._first
+        if not len(tx):
+            self._owed += first[-1]
+            return _NO_EDGES
+        chain = self.chain
+        lo, hi = chain.section_of[tx[0]], chain.section_of[tx[-1]]
+        layout = subset_layout(chain.sizes[lo:hi + 1],
+                               [d - 1 for d in self.section_degree[lo:hi + 1]])
+        self._owed += first[lo]
+        positions = draw_subsets(self._stream(), layout)
+        self._owed = first[-1] - first[hi + 1]
+        return chain.edges[chain.offsets[lo]:chain.offsets[hi + 1]][positions]
 
 
 # ---------------------------------------------------------------------------
@@ -820,10 +923,7 @@ def compile_adversary(spec: dict, gadget: Gadget,
             table(table.period - 1)  # an infeasible phase raises here
         if kind != "chained_gap":
             return partial(PhaseDegreePolicy, tau, table, recv_edges)
-        sections = gadget.sections
-        edges = np.array([e for s in sections for e in s.unreliable_indices], dtype=np.int64)
-        return partial(ChainedGapPolicy, tau, sections, table, edges,
-                       [len(s.unreliable_indices) for s in sections])
+        return partial(ChainedGapPolicy, tau, table, chain_sections(gadget))
     if kind == "static":
         # one subset for both engines: the listed `edges`, or the receiver's
         # first `extra_degree` unreliable arms

@@ -35,6 +35,10 @@ node order.  The materialized engine draws only the relevant ones (see
 above) and skips the coins of the others by advancing the stream one
 64-bit output per coin, which is what a PCG64 `random()` double consumes,
 so the stream and every result are the same as when all coins are drawn.
+The adversary's edge draws are narrowed the same way: each round the
+policy is given the counted transmitters, draws only the edges that can
+reach one of them, and skips the uniforms of the others by advancing the
+adversary stream (see `adversary.AdversaryPolicy.sample_edges`).
 """
 
 from __future__ import annotations
@@ -430,33 +434,34 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     # Only candidates cand[lo:hi + 1] draw coins and are counted (see
     # `_relevant_span`), recomputed when the window or `waiting` changes;
     # `skip` is the coins owed to the others, one 64-bit output each, taken
-    # by advancing the stream before the next draw.
+    # by advancing the stream before the next draw.  The adversary is asked
+    # every round, after the coins, for the active edges at the counted
+    # transmitters `tx` alone.
     table = _neighbors(graph)
     completion = None
-    cand = np.empty(0, dtype=np.int64)
+    cand = empty = np.empty(0, dtype=np.int64)
     lo, hi, skip = 0, -1, 0
     next_event = 1
     r = 0
     for r in range(1, config.max_rounds + 1):
         policy.pre_round(r)
-        extra = policy.sample_edges(r)
         if r >= next_event:
             cand, next_event = _transmitter_window(act, r, budget)
             lo, hi = _relevant_span(table, cand, waiting)
-        if len(cand) == 0:
-            # no transmitter now; stop when no activation is pending either
-            # (every node is unreached forever or past its budget)
-            if next_event == _NEVER:
-                break
-            continue
-        if hi < lo:
+        if hi < lo:  # no candidate, or none that can change a delivery
             skip += len(cand)
-            continue
-        np_nodes.bit_generator.advance(skip + lo)
-        skip = len(cand) - 1 - hi
-        p = cycle[(r - 1) % k]
-        tx = cand[lo:hi + 1][np_nodes.random(hi + 1 - lo) < p]
+            tx = empty
+        else:
+            np_nodes.bit_generator.advance(skip + lo)
+            skip = len(cand) - 1 - hi
+            p = cycle[(r - 1) % k]
+            tx = cand[lo:hi + 1][np_nodes.random(hi + 1 - lo) < p]
+        extra = policy.sample_edges(r, tx)
         if len(tx) == 0:
+            # stop when no node transmits now and no activation is pending
+            # (every node is unreached forever or past its budget)
+            if len(cand) == 0 and next_event == _NEVER:
+                break
             continue
         counts = round_counts(graph, extra, tx)
         counts[tx] = 0  # half duplex: a transmitter hears nothing

@@ -112,6 +112,8 @@ def chained_gadgets(delta: int, diameter: int) -> Gadget:
     When the requested diameter is not divisible by 3 the chain is built at
     3*floor(D/3) and the remaining one or two nodes are appended as a path
     off the last receiver.  Every unreliable edge stays inside one gadget.
+    Gadget i holds the consecutive nodes i*(delta+1), its hub, to
+    i*(delta+1) + delta, its receiver.
     """
     if diameter < 24:
         raise ValueError("chained construction needs diameter >= 24")

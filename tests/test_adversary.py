@@ -29,6 +29,11 @@ def policy_for(spec, gadget, schedule, seed=0, history=None):
     return make_policy(compile_adversary(spec, gadget, schedule), *rngs(seed), history)
 
 
+def every_node(gadget):
+    """`tx` naming every node, so `sample_edges` draws every edge."""
+    return np.arange(gadget.graph.node_count)
+
+
 def unreached(gadget):
     """A materialized engine's history before any node is reached."""
     return ObservableHistory({}, np.full(gadget.graph.node_count, _NEVER, dtype=np.int64))
@@ -365,7 +370,7 @@ class TestPolicies:
         sched = rlb_schedule(16, 4)
         policy = policy_for(dict(spec, kind="static", tau=4), g, sched)
         assert policy.degrees(1, 9).tolist() == [11.0] * 9
-        active = set(policy.sample_edges(1).tolist())
+        active = set(policy.sample_edges(1, every_node(g)).tolist())
         assert len(active & set(g.graph.unreliable_incident(g.receiver))) == 10
 
     @pytest.mark.parametrize("gadget, spec, message", [
@@ -448,14 +453,14 @@ class TestPolicies:
         sched = rlb_schedule(8, 3)
         policy = policy_for({"kind": "static", "tau": 3}, g, sched)
         policy.pre_round(1)
-        assert len(policy.sample_edges(1)) == 0
+        assert len(policy.sample_edges(1, every_node(g))) == 0
 
     def test_iid_full_probability_gives_potential_graph(self):
         g = star_gadget(8, 10)
         sched = rlb_schedule(8, 3)
         policy = policy_for({"kind": "iid_subset", "tau": 3, "edge_prob": 1.0}, g, sched)
         policy.pre_round(1)
-        got = policy.sample_edges(1)
+        got = policy.sample_edges(1, every_node(g))
         assert len(got) == len(g.graph.unreliable_edges)
 
     def test_iid_binomial_mean(self):
@@ -473,7 +478,7 @@ class TestPolicies:
         sched = rlb_schedule(delta, 1)
         policy = policy_for({"kind": "gap", "tau": 1}, g, sched, 2)
         policy.pre_round(1)
-        edges = policy.sample_edges(1)
+        edges = policy.sample_edges(1, every_node(g))
         plan = gap_plan([sched.cycle[0]], delta)
         assert len(edges) == plan.degree - 1
 
@@ -483,7 +488,7 @@ class TestPolicies:
         policy = policy_for({"kind": "iid_subset", "tau": 3}, g, sched, 9)
         for r in range(1, 31):
             policy.pre_round(r)
-            policy.sample_edges(r)
+            policy.sample_edges(r, every_node(g))
         rounds = [r for r, _ in policy.change_log]
         assert rounds == [1, 4, 7, 10, 13, 16, 19, 22, 25, 28]
 
@@ -504,7 +509,7 @@ class TestPolicies:
             seq = []
             for r in range(1, 13):
                 policy.pre_round(r)
-                seq.append(policy.sample_edges(r).tolist())
+                seq.append(policy.sample_edges(r, every_node(g)).tolist())
             outs.append(seq)
         assert outs[0] == outs[1]
 
@@ -654,6 +659,70 @@ class TestChainedController:
             warnings.simplefilter("error")
             for r in range(1, 40):
                 policy.pre_round(r)
-                policy.sample_edges(r)
+                policy.sample_edges(r, every_node(g))
         assert policy.section_phase == [1] * 8
         assert len(policy.change_log) == 1
+
+
+class TestNarrowedDraws:
+    """`sample_edges(r, tx)` returns every active edge at a node of `tx`,
+    and leaves the stream where drawing every edge would."""
+
+    @staticmethod
+    def touching(graph, edges, nodes):
+        return {e for e in edges if not nodes.isdisjoint(graph.unreliable_edges[e])}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(33, 40), st.integers(24, 26), st.integers(0, 2 ** 32))
+    def test_chained_draw_matches_full_draw(self, data, delta, diameter, seed):
+        g = chained_gadgets(delta, diameter)
+        n, m = g.graph.node_count, delta - 2  # m unreliable arms per section
+        plan = compile_adversary({"kind": "chained_gap", "tau": 1}, g, frlb_schedule(delta, 1))
+        narrow, full = (make_policy(plan, np.random.Generator(np.random.PCG64(seed)), None,
+                                    unreached(g)) for _ in range(2))
+        for r in range(1, data.draw(st.integers(1, 6), label="rounds") + 1):
+            degrees = data.draw(st.lists(st.integers(1, m + 1), min_size=8, max_size=8),
+                                label="degrees")  # picks k = d - 1 from 0 to m
+            for policy in (narrow, full):
+                policy.section_degree = list(degrees)
+                policy._enter_degrees()
+            nodes = data.draw(st.sets(st.integers(0, n - 1)), label="tx")
+            tx = np.array(sorted(nodes), dtype=np.int64)
+            got = set(narrow.sample_edges(r, tx).tolist())
+            drawn = set(full.sample_edges(r, every_node(g)).tolist())
+            assert got <= drawn
+            assert self.touching(g.graph, got, nodes) == self.touching(g.graph, drawn, nodes)
+        narrow._stream()
+        assert narrow.np_rng.bit_generator.state == full.np_rng.bit_generator.state
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "static", "tau": 3, "extra_degree": 5},
+        {"kind": "iid_subset", "tau": 2},
+        {"kind": "gap", "tau": 1},
+        {"kind": "argmin", "tau": 2},
+        {"kind": "degree_walk_deterministic", "tau": 4, "l": 3, "start_degree": 20},
+        {"kind": "degree_walk_deterministic", "tau": 4, "l": 300, "walk_mode": "random"},
+        {"kind": "degree_walk_restricted", "tau": 4, "l": 2, "walk_mode": "random"},
+        {"kind": "degree_walk_restricted", "tau": 10, "l": 32, "start_degree": 600},
+    ], ids=["static", "iid", "gap", "argmin", "walk-deterministic", "walk-random-whole",
+            "walk-restricted-random", "walk-restricted-dodging"])
+    def test_skipped_rounds_keep_the_stream(self, spec):
+        # rounds with no counted transmitter draw nothing; the other rounds
+        # draw what a policy that drew every round draws.  The restricted
+        # walks' 32-bit magnitudes leave half outputs buffered across skips
+        delta = 2 ** 10 + 1
+        g = star_gadget(delta, delta + 2)
+        schedule = rlb_schedule(delta, 1 if spec["kind"] == "gap" else 4)
+        narrow, full = (policy_for(spec, g, schedule, 5) for _ in range(2))
+        skip = np.random.default_rng(3).random(300) < 0.6
+        for r, skipped in enumerate(skip.tolist(), start=1):
+            for policy in (narrow, full):
+                policy.pre_round(r)
+            drawn = full.sample_edges(r, every_node(g))
+            got = narrow.sample_edges(r, np.empty(0, dtype=np.int64) if skipped
+                                      else every_node(g))
+            if not skipped:
+                assert sorted(got.tolist()) == sorted(drawn.tolist()), r
+        narrow._stream()
+        assert narrow.np_rng.bit_generator.state == full.np_rng.bit_generator.state
+        assert narrow.change_log == full.change_log

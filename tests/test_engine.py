@@ -415,7 +415,7 @@ def reference_trial(config: TrialConfig, trial: int = 0) -> TrialResult:
     completion, r = None, 0
     for r in range(1, config.max_rounds + 1):
         policy.pre_round(r)
-        extra = policy.sample_edges(r)
+        extra = policy.sample_edges(r, np.arange(n))  # every edge, drawn in full
         window = [v for v in range(n) if act[v] != _NEVER and act[v] < r <= act[v] + budget]
         if not window:
             if not any(r <= a < _NEVER for a in act.tolist()):
@@ -443,12 +443,18 @@ def reference_trial(config: TrialConfig, trial: int = 0) -> TrialResult:
 def random_trial_config(rng, problem, kind, seed):
     """A random small dual graph and a trial on it.  Gap needs a designated
     receiver with enough unreliable arms, so it runs on a 33-star with a
-    random tail, broadcaster set and receiver set instead."""
+    random tail, broadcaster set and receiver set instead; chained gap runs
+    on a chain of 33-stars with a random leftover path and source."""
     if kind == "gap":
         gadget = star_gadget(33, int(rng.integers(35, 39)))
         n = gadget.node_count
         schedule = decay_schedule(33)
         adversary = {"kind": "gap", "tau": 1}
+    elif kind == "chained_gap":
+        gadget = chained_gadgets(33, int(rng.integers(24, 27)))
+        n = gadget.node_count
+        schedule = decay_schedule(33)
+        adversary = {"kind": "chained_gap", "tau": 1}
     else:
         n = int(rng.integers(2, 11))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -481,14 +487,16 @@ def random_trial_config(rng, problem, kind, seed):
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("kind", ["static", "iid_subset", "gap"])
-    @pytest.mark.parametrize("problem", ["local", "global"])
+    @pytest.mark.parametrize("problem, kind", [
+        (problem, kind) for kind in ("static", "iid_subset", "gap")
+        for problem in ("local", "global")] + [("global", "chained_gap")])
     def test_materialized_trial_matches_reference(self, problem, kind, monkeypatch):
         # the engine draws coins only for candidates cand[lo:hi + 1] that can
         # change a delivery and advances the node stream past the rest; the
-        # reference draws every coin.  Record the spans it used: each case
-        # must see spans that start past the first candidate, end before the
-        # last, end at the last, and hold no candidate
+        # reference draws every coin, and every adversary edge.  Record the
+        # spans it used: each case must see spans that start past the first
+        # candidate, end before the last, end at the last, and hold no
+        # candidate
         spans = []
         relevant_span = engine._relevant_span
 
@@ -500,7 +508,8 @@ class TestEngineEquivalence:
 
         monkeypatch.setattr(engine, "_relevant_span", recording)
         rng = np.random.default_rng([20261018, len(problem), len(kind)])
-        for case in range(60):
+        # a chain of 8 stars runs long trials on 272 or more nodes
+        for case in range(12 if kind == "chained_gap" else 60):
             cfg = random_trial_config(rng, problem, kind, seed=1000 * case)
             for trial in range(3):
                 assert run_trial(cfg, trial) == reference_trial(cfg, trial), (case, trial)

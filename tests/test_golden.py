@@ -17,6 +17,7 @@ import hashlib
 
 import pytest
 
+from dualradio import engine
 from dualradio.engine import TrialConfig, derived_receivers, run_trials, trial_csv_row
 from dualradio.gadgets import (Gadget, build_gadget, chained_gadgets, double_star,
                                star_gadget)
@@ -184,6 +185,11 @@ def _configs():
         "g-chained-small-reps": (glob(chain10, frlb_schedule(10, 4),
                                       {"kind": "iid_subset", "tau": 4}, 50_000,
                                       rgb_reps=3), 100),
+        # chained gap on the benchmark chain with a budget small enough that
+        # 13 of the 20 trials stop when every reached node has used it up
+        "g-chained-gap-small-reps": (glob(chain257, frlb_schedule(2 ** 8 + 1, 1),
+                                          {"kind": "chained_gap", "tau": 1}, 100_000,
+                                          rgb_reps=100), 20),
     }
 
 
@@ -241,6 +247,8 @@ GOLDEN = {
     'g-path-k1-reps1': '96de54510c3e6932a9c03cf570b81b0f98b3574ec2ddb1745bb87a49d599ccf6',
     'g-mesh-small-reps': '2d8a87ec72f334d22f1ca242aba12ecd0cc19b4ab9cc11829ecb7fdb49a4d94e',
     'g-chained-small-reps': 'f404ebfdf442072d5d9d9af67bcb434bcb90eca541c01c7bf5da10a80c16e201',
+    'g-chained-gap-small-reps':
+        'd5958478aba630a7c18ca9ffc9ff6777c171558d178c556b73125b31a18d65d4',
 }
 
 CONFIGS = _configs()
@@ -254,6 +262,31 @@ def test_golden_hash(name):
 
 def test_every_config_is_pinned():
     assert sorted(GOLDEN) == sorted(CONFIGS)
+
+
+@pytest.mark.parametrize("name", ["g-chained-gap-small-reps", "g-budget-exhausted"])
+def test_adversary_asked_once_per_round(name, monkeypatch):
+    # every round a trial runs enters the adversary and samples it once,
+    # the round that ends the trial included
+    config, trials = CONFIGS[name]
+    calls = []
+    bind = engine.make_policy
+
+    def counted(*args):
+        policy = bind(*args)
+        count = {"pre_round": 0, "sample_edges": 0}
+        calls.append(count)
+        for method in count:
+            def call(*a, _method=method, _real=getattr(policy, method)):
+                count[_method] += 1
+                return _real(*a)
+            setattr(policy, method, call)
+        return policy
+
+    monkeypatch.setattr(engine, "make_policy", counted)
+    rounds = [res.rounds_executed for res in run_trials(config, trials).results]
+    assert [c["pre_round"] for c in calls] == rounds
+    assert [c["sample_edges"] for c in calls] == rounds
 
 
 if __name__ == "__main__":
