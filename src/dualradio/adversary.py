@@ -11,9 +11,9 @@ name edges beyond one receiver's arms, pick their edges themselves.
 
 `sample_edges` is given the round's counted transmitters and returns
 every active edge that touches one of them; it may leave out the others,
-which cannot change a delivery.  The uniforms a left-out edge would have
-taken are skipped, not drawn: they are owed, and the adversary stream is
-advanced past them (`skip_doubles`) before the policy's next draw, so the
+which cannot change a delivery.  Only `chained_gap` leaves edges out: the
+uniforms of the sections it leaves out are skipped, not drawn, by
+advancing the adversary stream past them before its next draw, so the
 stream and every result are the same as when every edge is drawn.
 
 Policies may change the distribution they draw from at most once every
@@ -151,22 +151,6 @@ def draw_subsets(np_rng, layout: SubsetLayout) -> np.ndarray:
     if len(layout.whole):
         return np.concatenate((keys, layout.whole))
     return keys
-
-
-def skip_doubles(np_rng, count: int) -> None:
-    """Move `np_rng` past `count` `random()` doubles without drawing them.
-
-    A PCG64 double consumes one 64-bit output, so this is one `advance`.
-    `advance` also drops the half output that a 32-bit `integers` draw
-    may have left buffered, which drawing the doubles would keep; it is
-    put back, so every later draw is the same as after drawing them."""
-    bit_generator = np_rng.bit_generator
-    before = bit_generator.state
-    bit_generator.advance(count)
-    if before["has_uint32"]:
-        after = bit_generator.state
-        after["has_uint32"], after["uinteger"] = 1, before["uinteger"]
-        bit_generator.state = after
 
 
 def uniform_subsets(np_rng, sizes: Sequence[int], picks: Sequence[int]) -> np.ndarray:
@@ -358,7 +342,7 @@ class DegreeWalkState:
     uniformly from 0..2*step_budget).
     """
 
-    degree: int
+    degree: int  # the start degree; `walk_degrees` is given the current one
     step_budget: int
     max_degree: int
     mode: str = "dodging"  # or "random"
@@ -378,11 +362,10 @@ _NEAR_PEAK = 1e-6     # relative margin that sends a round near the peak to the 
 _VECTOR_MIN = 16      # shorter calls step by the scalar rule, drawing round by round
 
 
-def walk_degrees(state: DegreeWalkState, log_probs: Sequence[float], rng,
-                 degree: int | None = None):
+def walk_degrees(state: DegreeWalkState, degree: int, log_probs: Sequence[float], rng):
     """Advance the walk one round per entry of `log_probs` (ln of the
-    probability the nodes use in that round), from `degree` (by default
-    `state.degree`); the degree after each step, as a float64 array, or as
+    probability the nodes use in that round) from `degree`, by the rules
+    of `state`; the degree after each step, as a float64 array, or as
     a list of ints when some degree is 2^53 or more.
 
     Dodging picks whichever reachable extreme has the lower exact success
@@ -400,7 +383,7 @@ def walk_degrees(state: DegreeWalkState, log_probs: Sequence[float], rng,
     budget, cap = state.step_budget, state.max_degree
     restricted, dodging = state.restricted, state.mode == "dodging"
     randint, coin = rng.integers, rng.random
-    d = state.degree if degree is None else degree
+    d = degree
     n = len(log_probs)
     head = ()
     if dodging and n >= _VECTOR_MIN and d + 2 * budget < _EXACT:
@@ -477,9 +460,6 @@ class AdversaryPolicy:
     enters every block of a chunk of rounds at once; the materialized
     engine calls `pre_round` and then `sample_edges` once every round.
     Rounds are asked for in order.
-
-    Every draw from `np_rng` goes through `_stream`, which first skips the
-    uniforms `_owed` by draws `sample_edges` left out.
     """
 
     def __init__(self, tau: int | None, receiver_edges: np.ndarray | None = None):
@@ -490,14 +470,6 @@ class AdversaryPolicy:
         self._values_from = 0
         self._fingerprint: object = None
         self._block = -1  # the last block entered
-        self._owed = 0  # np_rng doubles skipped but not yet advanced past
-
-    def _stream(self):
-        """`np_rng`, moved past the owed doubles."""
-        if self._owed:
-            skip_doubles(self.np_rng, self._owed)
-            self._owed = 0
-        return self.np_rng
 
     # -- stability bookkeeping
 
@@ -536,15 +508,10 @@ class AdversaryPolicy:
         if every edge were drawn.  `pre_round` has entered the round's block.
 
         By default the active edges are a uniform (d-1)-subset of the
-        receiver's unreliable arms for the round's degree d, drawn unless
-        `tx` is empty."""
-        k = int(self._degrees(round_index)) - 1
+        receiver's unreliable arms for the round's degree d, drawn in full."""
+        d = int(self._degrees(round_index))
         arms = self.receiver_edges
-        if not len(tx):
-            if 0 < k < len(arms):  # the uniforms `draw_subsets` would take
-                self._owed += k
-            return _NO_EDGES
-        return arms[uniform_subsets(self._stream(), (len(arms),), (k,))]
+        return arms[uniform_subsets(self.np_rng, (len(arms),), (d - 1,))]
 
     # -- hooks
 
@@ -605,15 +572,11 @@ class IidSubsetPolicy(AdversaryPolicy):
         return np.array(qs, dtype=np.float64), [(i, ("iid", q)) for i, q in enumerate(qs)]
 
     def sample_edges(self, round_index, tx):
-        if not len(tx):
-            self._owed += self.n_unreliable
-            return _NO_EDGES
-        mask = self._stream().random(self.n_unreliable) < self.block_values[-1]
+        mask = self.np_rng.random(self.n_unreliable) < self.block_values[-1]
         return np.flatnonzero(mask)
 
     def _degrees(self, rounds):
-        return 1.0 + self._stream().binomial(self.receiver_unreliable,
-                                             self._block_value(rounds))
+        return 1.0 + self.np_rng.binomial(self.receiver_unreliable, self._block_value(rounds))
 
 
 def phase_cycle_probs(schedule: Schedule, tau: int, phase: int) -> list[float]:
@@ -688,7 +651,7 @@ class CorrelatedShiftPolicy(AdversaryPolicy):
 
     def _blocks(self, blocks):
         if self.draw_shift:
-            self.plan = self.plan.redrawn(self._stream())
+            self.plan = self.plan.redrawn(self.np_rng)
         return None, [(0, ("shift", self.plan.shift))]
 
     def _degrees(self, rounds):
@@ -720,7 +683,7 @@ class DegreeWalkPolicy(AdversaryPolicy):
             log_p = [self.schedule.log_probs[r % k] for r in range(self._round, last)]
         else:
             log_p = self.schedule.log_prob_array[np.arange(self._round, last) % k]
-        steps = walk_degrees(self.walk, log_p, self._stream(), before)
+        steps = walk_degrees(self.walk, before, log_p, self.np_rng)
         if len(steps):
             self.degree = int(steps[-1])
             self._round = last
@@ -774,7 +737,8 @@ class ChainedGapPolicy(AdversaryPolicy):
     in section order from one stream (see `draw_subsets`), but only the
     sections from the first to the last that a counted transmitter lies in
     are drawn: an unreliable edge joins two nodes of one section.  The
-    other sections' uniforms are skipped.
+    other sections' uniforms are owed and skipped with one `advance` of
+    `np_rng` (a PCG64 double is one 64-bit output) before the next draw.
     """
 
     def __init__(self, tau: int, table: PhaseDegrees, chain: ChainSections):
@@ -788,6 +752,7 @@ class ChainedGapPolicy(AdversaryPolicy):
         self._live = list(range(count))  # the sections not frozen
         self._live_heads = chain.heads
         self._first: list[int] = []  # uniforms a full draw takes before section s
+        self._owed = 0  # uniforms skipped but not yet advanced past
 
     def pre_round(self, round_index):
         changed = self._fingerprint is None
@@ -829,8 +794,8 @@ class ChainedGapPolicy(AdversaryPolicy):
         lo, hi = chain.section_of[tx[0]], chain.section_of[tx[-1]]
         layout = subset_layout(chain.sizes[lo:hi + 1],
                                [d - 1 for d in self.section_degree[lo:hi + 1]])
-        self._owed += first[lo]
-        positions = draw_subsets(self._stream(), layout)
+        self.np_rng.bit_generator.advance(self._owed + first[lo])
+        positions = draw_subsets(self.np_rng, layout)
         self._owed = first[-1] - first[hi + 1]
         return chain.edges[chain.offsets[lo]:chain.offsets[hi + 1]][positions]
 

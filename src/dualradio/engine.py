@@ -35,10 +35,10 @@ node order.  The materialized engine draws only the relevant ones (see
 above) and skips the coins of the others by advancing the stream one
 64-bit output per coin, which is what a PCG64 `random()` double consumes,
 so the stream and every result are the same as when all coins are drawn.
-The adversary's edge draws are narrowed the same way: each round the
-policy is given the counted transmitters, draws only the edges that can
-reach one of them, and skips the uniforms of the others by advancing the
-adversary stream (see `adversary.AdversaryPolicy.sample_edges`).
+The adversary's edge draws may be narrowed the same way: each round the
+policy is given the counted transmitters, and `chained_gap` draws only the
+edges that can reach one of them and skips the uniforms of the others by
+advancing the adversary stream (see `adversary.AdversaryPolicy.sample_edges`).
 """
 
 from __future__ import annotations

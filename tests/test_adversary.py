@@ -191,7 +191,7 @@ class TestDegreeWalk:
     def test_moves_away_from_peak(self):
         np_rng, _ = rngs()
         state = DegreeWalkState(degree=100, step_budget=10, max_degree=10 ** 6)
-        [nxt] = walk_degrees(state, [math.log(0.01)], np_rng)
+        [nxt] = walk_degrees(state, state.degree, [math.log(0.01)], np_rng)
         assert nxt in (90, 110)
         worse = min((90, 110), key=lambda d: exact_success_prob(d, 0.01))
         assert nxt == worse
@@ -199,19 +199,20 @@ class TestDegreeWalk:
     def test_zero_budget_is_constant(self):
         np_rng, _ = rngs()
         state = DegreeWalkState(degree=5, step_budget=0, max_degree=100)
-        assert list(walk_degrees(state, [math.log(0.2)] * 3, np_rng)) == [5, 5, 5]
+        assert list(walk_degrees(state, state.degree, [math.log(0.2)] * 3, np_rng)) == [5, 5, 5]
 
     def test_deterministic_budget_respected(self):
         np_rng, _ = rngs(5)
         state = DegreeWalkState(degree=50, step_budget=7, max_degree=1000)
-        path = [50, *walk_degrees(state, [math.log(0.03)] * 200, np_rng)]
+        path = [50, *walk_degrees(state, state.degree, [math.log(0.03)] * 200, np_rng)]
         assert all(abs(b - a) <= 7 for a, b in zip(path, path[1:]))
 
     def test_clamped_to_range(self):
         np_rng, _ = rngs()
         state = DegreeWalkState(degree=2, step_budget=10, max_degree=6,
                                 mode="random", restricted=True)
-        assert all(1 <= d <= 6 for d in walk_degrees(state, [math.log(0.5)] * 100, np_rng))
+        path = walk_degrees(state, state.degree, [math.log(0.5)] * 100, np_rng)
+        assert all(1 <= d <= 6 for d in path)
 
     def test_restricted_mean_step_budget(self):
         # sampler check: mean |change| for the unclamped random walk is ~l
@@ -219,7 +220,8 @@ class TestDegreeWalk:
         l = 5
         state = DegreeWalkState(degree=500_000, step_budget=l, max_degree=10 ** 9,
                                 mode="random", restricted=True)
-        path = [500_000, *walk_degrees(state, [math.log(0.001)] * 100_000, np_rng)]
+        path = [500_000, *walk_degrees(state, state.degree, [math.log(0.001)] * 100_000,
+                                            np_rng)]
         steps = [abs(b - a) for a, b in zip(path, path[1:])]
         mean = sum(steps) / len(steps)
         sigma = np.std(steps) / math.sqrt(len(steps))
@@ -260,7 +262,7 @@ NEAR_ONE = math.log(0.4)  # peak 1.5: every step with mag > 0 and lo < hi crosse
 def assert_walk_matches(state, log_probs, seed):
     fast = np.random.Generator(np.random.PCG64(seed))
     slow = np.random.Generator(np.random.PCG64(seed))
-    got = walk_degrees(state, np.array(log_probs), fast)
+    got = walk_degrees(state, state.degree, np.array(log_probs), fast)
     want = scalar_walk(state, log_probs, slow)
     assert [int(x) for x in got] == want
     # float64 exactly when every degree is below 2^53, else plain ints
@@ -346,7 +348,7 @@ class TestVectorWalk:
                 degs = policy.degrees(start, count)
                 assert len(degs) == count and (degs >= 1).all()
                 start += count
-            walk_degrees(DegreeWalkState(2 ** 40, 22, 2 ** 4885, restricted=True),
+            walk_degrees(DegreeWalkState(2 ** 40, 22, 2 ** 4885, restricted=True), 2 ** 40,
                          sched.log_prob_array, policy.np_rng)
 
 
@@ -692,37 +694,5 @@ class TestNarrowedDraws:
             drawn = set(full.sample_edges(r, every_node(g)).tolist())
             assert got <= drawn
             assert self.touching(g.graph, got, nodes) == self.touching(g.graph, drawn, nodes)
-        narrow._stream()
+        narrow.np_rng.bit_generator.advance(narrow._owed)
         assert narrow.np_rng.bit_generator.state == full.np_rng.bit_generator.state
-
-    @pytest.mark.parametrize("spec", [
-        {"kind": "static", "tau": 3, "extra_degree": 5},
-        {"kind": "iid_subset", "tau": 2},
-        {"kind": "gap", "tau": 1},
-        {"kind": "argmin", "tau": 2},
-        {"kind": "degree_walk_deterministic", "tau": 4, "l": 3, "start_degree": 20},
-        {"kind": "degree_walk_deterministic", "tau": 4, "l": 300, "walk_mode": "random"},
-        {"kind": "degree_walk_restricted", "tau": 4, "l": 2, "walk_mode": "random"},
-        {"kind": "degree_walk_restricted", "tau": 10, "l": 32, "start_degree": 600},
-    ], ids=["static", "iid", "gap", "argmin", "walk-deterministic", "walk-random-whole",
-            "walk-restricted-random", "walk-restricted-dodging"])
-    def test_skipped_rounds_keep_the_stream(self, spec):
-        # rounds with no counted transmitter draw nothing; the other rounds
-        # draw what a policy that drew every round draws.  The restricted
-        # walks' 32-bit magnitudes leave half outputs buffered across skips
-        delta = 2 ** 10 + 1
-        g = star_gadget(delta, delta + 2)
-        schedule = rlb_schedule(delta, 1 if spec["kind"] == "gap" else 4)
-        narrow, full = (policy_for(spec, g, schedule, 5) for _ in range(2))
-        skip = np.random.default_rng(3).random(300) < 0.6
-        for r, skipped in enumerate(skip.tolist(), start=1):
-            for policy in (narrow, full):
-                policy.pre_round(r)
-            drawn = full.sample_edges(r, every_node(g))
-            got = narrow.sample_edges(r, np.empty(0, dtype=np.int64) if skipped
-                                      else every_node(g))
-            if not skipped:
-                assert sorted(got.tolist()) == sorted(drawn.tolist()), r
-        narrow._stream()
-        assert narrow.np_rng.bit_generator.state == full.np_rng.bit_generator.state
-        assert narrow.change_log == full.change_log
