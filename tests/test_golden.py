@@ -87,6 +87,10 @@ def _configs():
                                    {"kind": "argmin", "tau": 3}, 2000, a), 10),
         "a-iid-random-q-virtual": (local(virtual, rlb_schedule(2 ** 24 + 1, 2),
                                          {"kind": "iid_subset", "tau": 2}, 2000, a), 100),
+        # every trial runs past round 16, where the first degree chunk ends
+        # inside a 3-round block, so the next chunk reuses the block's q
+        "a-iid-random-q-tau3-virtual": (local(virtual, decay_schedule(2 ** 24 + 1),
+                                              {"kind": "iid_subset", "tau": 3}, 2000, a), 60),
         "a-iid-fixed-q-virtual": (local(virtual, frlb_schedule(2 ** 24 + 1, 3),
                                         {"kind": "iid_subset", "tau": 3, "edge_prob": 0.3},
                                         2000, a), 100),
@@ -212,6 +216,8 @@ GOLDEN = {
     'a-argmin': 'e408e533e8250717e5968dc9d34d2b39ce98c1f2115bf09eb0fb396ce6cffda6',
     'a-argmin-virtual': 'f2637e3f1c17d15d8fef433e07851118e44fe247f485a547fe7062bbce3ebcbd',
     'a-iid-random-q-virtual': 'b95921d2973c2a9d49c37091b18eff92eab6458e18c8269441d0363b430a53d4',
+    'a-iid-random-q-tau3-virtual':
+        '6d6564dda048d15e1febaf4076f20a5fbf7da0628b182ac6dd6a10dce13b13c4',
     'a-iid-fixed-q-virtual': '11aa7f1a8fda7649299ad9a7acc507ff9c1400eef407db3f4bbaeb16fc808c88',
     'a-static-virtual': '7ae11f2acdfdff309a09fd522e7c7e4995eadae9686bd65e92ba985f68d3c5d3',
     'a-shift': '0a11bc0825d28e4118c14afe2bc31ff0f9ba23fa03b785422982d154e242c46c',
