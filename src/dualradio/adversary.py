@@ -21,7 +21,7 @@ Policies may change the distribution they draw from at most once every
 engines' calls go through, and every distribution change is appended to
 `change_log` so the engine can audit it.  The degree walk has one step
 rule, `walk_degrees`, and every random edge subset comes from
-`draw_subsets`, one generator call per round.
+`uniform_subsets`, one generator call per round.
 
 `compile_adversary` turns a spec into a sweep point's plan once, when
 the point's `TrialConfig` is built: it makes every config check and
@@ -83,45 +83,13 @@ class GapPhasePlan:
     hypothesis_ok: bool
 
 
-class SubsetLayout(NamedTuple):
-    """Where each subset of a `draw_subsets` call sits in its draw."""
-
-    total: int            # uniforms drawn
-    span: np.ndarray      # j + 1 for each uniform, as a float
-    base: np.ndarray      # offset of each uniform's pool among the concatenated pools
-    offsets: np.ndarray   # pool offset of each subset that draws
-    drawn: tuple[tuple[int, int, int, int], ...]  # (first uniform, pool offset, m, k)
-    whole: np.ndarray     # positions of the pools taken whole
+_NO_EDGES = np.empty(0, dtype=np.int64)
 
 
-def subset_layout(sizes: Sequence[int], picks: Sequence[int]) -> SubsetLayout:
-    """The layout of drawing a uniform picks[i]-subset of range(sizes[i])
-    for every i; pool i starts at sum(sizes[:i])."""
-    span, base, drawn, whole = [], [], [], []
-    offset = first = 0
-    for m, k in zip(sizes, picks):
-        if not 0 <= k <= m:
-            raise ValueError(f"cannot pick {k} of {m}")
-        if k == m:
-            whole.append(np.arange(offset, offset + m, dtype=np.int64))
-        elif k:
-            span.append(np.arange(m - k + 1, m + 1, dtype=np.float64))
-            base.append(np.full(k, offset, dtype=np.int64))
-            drawn.append((first, offset, m, k))
-            first += k
-        offset += m
-
-    def joined(parts, dtype):
-        return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
-
-    return SubsetLayout(first, joined(span, np.float64), joined(base, np.int64),
-                        np.array([d[1] for d in drawn], dtype=np.int64), tuple(drawn),
-                        joined(whole, np.int64))
-
-
-def draw_subsets(np_rng, layout: SubsetLayout) -> np.ndarray:
-    """One uniform subset per pool of `layout`, as positions into the
-    concatenated pools.  The order of the positions carries no meaning.
+def uniform_subsets(np_rng, sizes: Sequence[int], picks: Sequence[int]) -> np.ndarray:
+    """A uniform picks[i]-subset of range(sizes[i]) for every i, without
+    replacement, as positions into the concatenated pools (pool i starts at
+    sum(sizes[:i])).  The order of the positions carries no meaning.
 
     Floyd's algorithm picks k of m with one uniform u_j per j = m-k..m-1:
     it takes t_j = floor(u_j (j+1)), or j itself when t_j is already taken.
@@ -131,32 +99,37 @@ def draw_subsets(np_rng, layout: SubsetLayout) -> np.ndarray:
     subset whose t's collide replays the insertion loop on its own
     uniforms.  A subset with k == m is its whole pool and draws nothing.
     """
-    if not layout.total:
-        return layout.whole
-    u = np_rng.random(layout.total)
-    keys = (u * layout.span).astype(np.int64)
-    keys += layout.base
+    span, base, drawn, whole = [], [], [], []
+    offset = total = 0
+    for m, k in zip(sizes, picks):
+        if not 0 <= k <= m:
+            raise ValueError(f"cannot pick {k} of {m}")
+        if k == m:
+            whole.append(np.arange(offset, offset + m, dtype=np.int64))
+        elif k:
+            span.append(np.arange(m - k + 1, m + 1, dtype=np.float64))
+            base.append(np.full(k, offset, dtype=np.int64))
+            drawn.append((total, offset, m, k))
+            total += k
+        offset += m
+    if not total:
+        return np.concatenate(whole) if whole else _NO_EDGES
+    u = np_rng.random(total)
+    keys = (u * np.concatenate(span)).astype(np.int64)
+    keys += np.concatenate(base)
     ordered = np.sort(keys)
     repeated = ordered[1:][ordered[1:] == ordered[:-1]]
     if len(repeated):
         # pools are disjoint ranges, so a repeated key names its subset
-        owners = np.searchsorted(layout.offsets, repeated, side="right") - 1
+        owners = np.searchsorted([d[1] for d in drawn], repeated, side="right") - 1
         for s in set(owners.tolist()):
-            first, offset, m, k = layout.drawn[s]
+            first, offset, m, k = drawn[s]
             chosen: set[int] = set()
             for j, x in zip(range(m - k, m), u[first:first + k].tolist()):
                 t = int(x * (j + 1))
                 chosen.add(j if t in chosen else t)
             keys[first:first + k] = np.fromiter(chosen, dtype=np.int64, count=k) + offset
-    if len(layout.whole):
-        return np.concatenate((keys, layout.whole))
-    return keys
-
-
-def uniform_subsets(np_rng, sizes: Sequence[int], picks: Sequence[int]) -> np.ndarray:
-    """Uniform picks[i]-subsets of range(sizes[i]) without replacement, for
-    every i, from one generator call (see `draw_subsets`)."""
-    return draw_subsets(np_rng, subset_layout(sizes, picks))
+    return np.concatenate((keys, *whole)) if whole else keys
 
 
 def _circular_runs(occupied: set[int], n_bins: int) -> list[tuple[int, int]]:
@@ -442,7 +415,6 @@ def walk_degrees(state: DegreeWalkState, degree: int, log_probs: Sequence[float]
 
 
 _WHOLE_RUN = 2 ** 62  # block length standing for tau = infinity
-_NO_EDGES = np.empty(0, dtype=np.int64)
 
 
 class AdversaryPolicy:
@@ -453,21 +425,18 @@ class AdversaryPolicy:
     The distribution may change only where a tau-round block starts (tau
     None: the whole run is one block).  `pre_round` enters the blocks of a
     range of rounds, in order, through one hook, `_blocks`: given the new
-    blocks' indices it draws their distributions and returns their values
-    (kept in `block_values`) and their fingerprints, which `change_log`
-    records wherever they differ from the last.  `_degrees` maps rounds to
-    the receiver's degrees.  The analytic engine calls `degrees`, which
-    enters every block of a chunk of rounds at once; the materialized
-    engine calls `pre_round` and then `sample_edges` once every round.
-    Rounds are asked for in order.
+    blocks' indices it draws their distributions and returns their
+    fingerprints, which `change_log` records wherever they differ from the
+    last.  `_degrees` maps rounds to the receiver's degrees.  The analytic
+    engine calls `degrees`, which enters every block of a chunk of rounds
+    at once; the materialized engine calls `pre_round` and then
+    `sample_edges` once every round.  Rounds are asked for in order.
     """
 
     def __init__(self, tau: int | None, receiver_edges: np.ndarray | None = None):
         self.tau = tau
         self.receiver_edges = receiver_edges  # the receiver's unreliable arms, int64
         self.change_log: list[tuple[int, object]] = []
-        self.block_values: np.ndarray | None = None  # of blocks _values_from.._block
-        self._values_from = 0
         self._fingerprint: object = None
         self._block = -1  # the last block entered
 
@@ -485,16 +454,11 @@ class AdversaryPolicy:
         last = ((through or round_index) - 1) // span
         if last <= self._block:
             return
-        start = (round_index - 1) // span
-        first = max(start, self._block + 1)
-        values, changes = self._blocks(range(first, last + 1))
+        first = max((round_index - 1) // span, self._block + 1)
         begin = first * span + 1  # block `first` may have begun before round_index
-        for i, fp in changes:
+        for i, fp in self._blocks(range(first, last + 1)):
             self._record(begin + i * span if i else max(round_index, begin), fp)
-        if values is not None and start < first:  # round_index's block was entered before
-            values = np.concatenate((self.block_values[-1:], values))
-            first -= 1
-        self.block_values, self._values_from, self._block = values, first, last
+        self._block = last
 
     def degrees(self, start_round: int, count: int):
         """Receiver effective degrees for rounds start..start+count-1."""
@@ -515,19 +479,16 @@ class AdversaryPolicy:
 
     # -- hooks
 
-    def _blocks(self, blocks: range) -> tuple[np.ndarray | None, list]:
-        """Enter `blocks`, in order: their values (None if the degrees do
-        not need them), and (i, fingerprint) for block blocks[i] wherever
-        the fingerprint may differ from the block before (always for i = 0)."""
+    def _blocks(self, blocks: range) -> list[tuple[int, object]]:
+        """Enter `blocks`, in order: (i, fingerprint) for block blocks[i]
+        wherever the fingerprint may differ from the block before (always
+        for i = 0)."""
         raise NotImplementedError
-
-    def _block_value(self, rounds):
-        return self.block_values[(rounds - 1) // (self.tau or _WHOLE_RUN) - self._values_from]
 
     def _degrees(self, rounds):
         """Degrees for an int64 array of rounds, or for one int round (then
-        one degree); by default a round's block value is its degree."""
-        return self._block_value(rounds)
+        one degree)."""
+        raise NotImplementedError
 
 
 class StaticPolicy(AdversaryPolicy):
@@ -541,7 +502,10 @@ class StaticPolicy(AdversaryPolicy):
         self.edge_indices, self.degree, self.named = edge_indices, degree, named
 
     def _blocks(self, blocks):
-        return np.array([self.degree]), [(0, self.named)]
+        return [(0, self.named)]
+
+    def _degrees(self, rounds):
+        return np.full(np.shape(rounds), self.degree)
 
     def sample_edges(self, round_index, tx):
         return self.edge_indices
@@ -554,7 +518,9 @@ class IidSubsetPolicy(AdversaryPolicy):
     boundary, which is the strongest re-randomizing member of the family;
     q comes from the scalar adversary stream, one draw per block in block
     order, so it does not depend on how the numpy draws are batched.  A
-    fixed q is one block whatever tau is.
+    fixed q is one block whatever tau is.  `_qs` holds the q of each block
+    from `_qs_from` to the last entered: the blocks the last `_blocks` call
+    entered, after the block before them, in which a chunk may begin.
     """
 
     def __init__(self, tau, edge_prob: float | None, n_unreliable: int,
@@ -563,20 +529,25 @@ class IidSubsetPolicy(AdversaryPolicy):
         self.edge_prob = edge_prob
         self.n_unreliable = n_unreliable
         self.receiver_unreliable = receiver_unreliable
+        self._qs: Sequence[float] = (math.nan,)  # no block before the first
+        self._qs_from = -1
 
     def _blocks(self, blocks):
         if self.edge_prob is not None:
             qs = [self.edge_prob]
         else:
             qs = [self.py_rng.random() for _ in range(len(blocks))]
-        return np.array(qs, dtype=np.float64), [(i, ("iid", q)) for i, q in enumerate(qs)]
+        self._qs = np.array([self._qs[-1], *qs])
+        self._qs_from = blocks.start - 1
+        return [(i, ("iid", q)) for i, q in enumerate(qs)]
 
     def sample_edges(self, round_index, tx):
-        mask = self.np_rng.random(self.n_unreliable) < self.block_values[-1]
+        mask = self.np_rng.random(self.n_unreliable) < self._qs[-1]
         return np.flatnonzero(mask)
 
     def _degrees(self, rounds):
-        return 1.0 + self.np_rng.binomial(self.receiver_unreliable, self._block_value(rounds))
+        q = self._qs[(rounds - 1) // (self.tau or _WHOLE_RUN) - self._qs_from]
+        return 1.0 + self.np_rng.binomial(self.receiver_unreliable, q)
 
 
 def phase_cycle_probs(schedule: Schedule, tau: int, phase: int) -> list[float]:
@@ -618,8 +589,7 @@ class PhaseDegrees:
 
 class PhaseDegreePolicy(AdversaryPolicy):
     """One receiver degree per tau-round phase, looked up in the point's
-    table (the gap or the argmin construction).  The degrees are a
-    function of the round, so the blocks keep no values."""
+    table (the gap or the argmin construction)."""
 
     def __init__(self, tau: int, table: PhaseDegrees, receiver_edges: np.ndarray):
         super().__init__(tau, receiver_edges)
@@ -632,8 +602,7 @@ class PhaseDegreePolicy(AdversaryPolicy):
         if len(blocks) > 1:
             values = table.floats[np.arange(blocks.start, blocks.stop) % table.period]
             changed += (np.flatnonzero(values[1:] != values[:-1]) + 1).tolist()
-        return None, [(i, ("fixed-degree", table.ints[blocks[i] % table.period]))
-                      for i in changed]
+        return [(i, ("fixed-degree", table.ints[blocks[i] % table.period])) for i in changed]
 
     def _degrees(self, rounds):
         table = self._phase_degree
@@ -652,7 +621,7 @@ class CorrelatedShiftPolicy(AdversaryPolicy):
     def _blocks(self, blocks):
         if self.draw_shift:
             self.plan = self.plan.redrawn(self.np_rng)
-        return None, [(0, ("shift", self.plan.shift))]
+        return [(0, ("shift", self.plan.shift))]
 
     def _degrees(self, rounds):
         return self.plan.degree_at(rounds)
@@ -671,7 +640,7 @@ class DegreeWalkPolicy(AdversaryPolicy):
 
     def _blocks(self, blocks):
         # the walk's blocks draw nothing
-        return None, [(i, ("walk-block", b)) for i, b in enumerate(blocks)]
+        return [(i, ("walk-block", b)) for i, b in enumerate(blocks)]
 
     def _degrees(self, rounds):
         # round r's degree is the walk after r - 1 steps; rounds come in order
@@ -734,7 +703,7 @@ class ChainedGapPolicy(AdversaryPolicy):
     Advancement is therefore never faster than once per tau rounds.
 
     Each round every gadget's unreliable arms get a fresh uniform subset,
-    in section order from one stream (see `draw_subsets`), but only the
+    in section order from one stream (see `uniform_subsets`), but only the
     sections from the first to the last that a counted transmitter lies in
     are drawn: an unreliable edge joins two nodes of one section.  The
     other sections' uniforms are owed and skipped with one `advance` of
@@ -792,10 +761,9 @@ class ChainedGapPolicy(AdversaryPolicy):
             return _NO_EDGES
         chain = self.chain
         lo, hi = chain.section_of[tx[0]], chain.section_of[tx[-1]]
-        layout = subset_layout(chain.sizes[lo:hi + 1],
-                               [d - 1 for d in self.section_degree[lo:hi + 1]])
         self.np_rng.bit_generator.advance(self._owed + first[lo])
-        positions = draw_subsets(self.np_rng, layout)
+        positions = uniform_subsets(self.np_rng, chain.sizes[lo:hi + 1],
+                                    [d - 1 for d in self.section_degree[lo:hi + 1]])
         self._owed = first[-1] - first[hi + 1]
         return chain.edges[chain.offsets[lo]:chain.offsets[hi + 1]][positions]
 
@@ -883,6 +851,15 @@ def compile_adversary(spec: dict, gadget: Gadget,
     if kind == "chained_gap" and gadget.kind != "chained":
         raise ValueError(f"chained_gap needs a chained gadget; got a {gadget.kind} gadget")
     if kind in ("gap", "argmin", "chained_gap"):
+        # degrees up to 2^floor(log2(delta - 1)) and the phase probabilities
+        # are doubles; argmin's table is filled mid-run, so decide it here
+        least = min(schedule.log_probs) / math.log(2)  # log2 of the smallest probability
+        if gadget.delta - 1 >= 2 ** 1024 or least < -1074:
+            raise ValueError(
+                f"{kind} computes its phase degrees and probabilities as doubles, so it "
+                f"needs delta - 1 < 2^1024 and every schedule probability at least "
+                f"2^-1074; got delta - 1 = 2^{math.log2(gadget.delta - 1):.6g} and a "
+                f"smallest probability of 2^{least:.6g}")
         table = PhaseDegrees(schedule, tau, kind, gadget.delta, spec.get("strict", False))
         if kind != "argmin":
             table(table.period - 1)  # an infeasible phase raises here

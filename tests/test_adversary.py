@@ -408,6 +408,26 @@ class TestPolicies:
             compile_adversary({"kind": kind, "tau": None}, gadget,
                               frlb_schedule(2 ** 8 + 1, 1))
 
+    @pytest.mark.parametrize("kind, log2_delta, tau", [
+        ("gap", 1050, 40), ("gap", 1100, 1), ("argmin", 1100, 1),
+    ], ids=["gap-degree", "gap-probability", "argmin-probability"])
+    def test_phase_kinds_stay_in_the_double_range(self, kind, log2_delta, tau):
+        # a degree of 2^1024 overflows a double and a probability below
+        # 2^-1074 underflows to 0; argmin would meet either only mid-run
+        def config(delta):
+            return TrialConfig(problem="local", gadget=build_gadget("star", delta),
+                               schedule=rlb_schedule(delta, tau),
+                               adversary={"kind": kind, "tau": tau}, seed=0,
+                               max_rounds=100, engine_mode="analytic_star")
+
+        with pytest.raises(ValueError, match=rf"^{kind} computes .* needs delta - 1 < "
+                                             rf"2\^1024 and every schedule probability at "
+                                             rf"least 2\^-1074; got delta - 1 = "
+                                             rf"2\^{log2_delta} "):
+            config(2 ** log2_delta)
+        # the largest delta they accept runs
+        assert run_trial(config(2 ** 1024)).rounds_executed >= 1
+
     @pytest.mark.parametrize("kind", ["gap", "argmin", "degree_walk_deterministic",
                                       "degree_walk_restricted"])
     def test_receiver_kinds_rejected_on_chained_gadget(self, kind):

@@ -174,6 +174,21 @@ class TestRunCommand:
         assert "chained gadget has no designated receiver" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, delta, tau", [
+        ("gap", "log2:1050", 40), ("gap", "log2:1100", 1), ("argmin", "log2:1100", 1),
+    ], ids=["gap-degree", "gap-probability", "argmin-probability"])
+    def test_phase_kind_beyond_the_double_range_rejected(self, tmp_path, capsys, kind,
+                                                         delta, tau):
+        out = tmp_path / "t.csv"
+        path = write_config(tmp_path, base_config(
+            out=str(out), gadget={"kind": "star", "delta": delta}, tau=tau,
+            adversary={"kind": kind}))
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {kind} computes") and err.count("\n") == 1
+        assert "delta - 1 < 2^1024 and every schedule probability at least 2^-1074" in err
+        assert not out.exists() and not (tmp_path / "t.csv.partial").exists()
+
     def test_virtual_star_on_materialized_engine_rejected(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         path = write_config(tmp_path, base_config(
