@@ -885,6 +885,11 @@ def compile_adversary(spec: dict, gadget: Gadget,
             if not 0 <= extra <= arms:
                 raise ValueError(f"static extra_degree {extra!r} is not in 0..{arms}, the "
                                  f"receiver's unreliable arm count on the {gadget.kind} gadget")
+            if 1 + extra >= 2 ** 1024 - 2 ** 970:  # would round past the largest double
+                raise ValueError(
+                    f"static computes the receiver's degree 1 + extra_degree as a double, so "
+                    f"it needs 1 + extra_degree < 2^1024 - 2^970; got 1 + extra_degree = "
+                    f"2^{math.log2(1 + extra):.6g}")
             subset, degree = recv_edges[:extra], 1 + extra
         else:
             subset, degree = edges, 1 + len(set(edges).intersection(recv_edges.tolist()))

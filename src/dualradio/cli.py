@@ -30,7 +30,6 @@ from . import engine, gadgets, oracle, schedules
 from .adversary import check_spec, is_int
 from .engine import TrialConfig, csv_header, trial_csv_row
 
-ALGOS = ("decay", "rlb", "frlb", "rlbc")
 _DEFAULTS = {"problem": "local", "engine": "materialized", "algo": "frlb", "tau": 1,
              "epsilon": 0.1, "trials": 100, "seed": 0, "max_rounds": "auto",
              "adversary": {"kind": "static"}, "sweep": {}, "out": "trials.csv"}
@@ -83,9 +82,10 @@ def normalize_config(doc: dict) -> dict:
         if key != "gadget" and key not in _DEFAULTS:
             raise ConfigError(f"{key}: unknown config key")
     cfg = {**_DEFAULTS, **doc}
-    if cfg["problem"] not in ("local", "global"):
-        raise ConfigError(f"problem: must be local or global, got {cfg['problem']!r}")
-    if cfg["engine"] not in ("materialized", "analytic_star"):
+    if cfg["problem"] not in engine.PROBLEMS:
+        raise ConfigError(f"problem: must be {' or '.join(engine.PROBLEMS)}, "
+                          f"got {cfg['problem']!r}")
+    if cfg["engine"] not in engine.ENGINES:
         raise ConfigError(f"engine: unknown engine {cfg['engine']!r}")
     gadget = cfg.get("gadget")
     if not isinstance(gadget, dict) or "kind" not in gadget:
@@ -125,7 +125,9 @@ def normalize_config(doc: dict) -> dict:
 
 
 def expand_sweep(cfg: dict) -> list[dict]:
-    """Cartesian expansion over delta x tau x algo x adversary, in order."""
+    """Cartesian expansion over delta x tau x algo x adversary, in order.
+    Each point holds its delta as an integer and its adversary spec with
+    `kind` (default static) and `tau` (default the point's) filled in."""
     sweep = cfg["sweep"]
     deltas = sweep.get("delta", [cfg["gadget"].get("delta")])
     taus = sweep.get("tau", [cfg["tau"]])
@@ -133,16 +135,17 @@ def expand_sweep(cfg: dict) -> list[dict]:
     adversaries = sweep.get("adversary", [cfg["adversary"]])
     points = []
     for d in deltas:
+        delta = parse_delta(d, key="gadget.delta")
         for t in taus:
             for alg in algos:
                 for adv in adversaries:
                     p = {
                         "problem": cfg["problem"],
                         "engine": cfg["engine"],
-                        "gadget": dict(cfg["gadget"], delta=d),
+                        "gadget": dict(cfg["gadget"], delta=delta),
                         "algo": alg,
                         "tau": t,
-                        "adversary": dict(adv),
+                        "adversary": {"kind": "static", "tau": t, **adv},
                         "epsilon": cfg["epsilon"],
                         "trials": cfg["trials"],
                         "seed": cfg["seed"],
@@ -154,14 +157,13 @@ def expand_sweep(cfg: dict) -> list[dict]:
 
 
 def validate_point(point: dict) -> None:
-    parse_delta(point["gadget"]["delta"], key="gadget.delta")
-    if point["algo"] not in ALGOS:
+    if point["algo"] not in schedules.ALGOS:
         raise ConfigError(f"algo: unknown algorithm {point['algo']!r}")
     tau = point["tau"]
     if tau is not None and (not is_int(tau) or tau < 1):
         raise ConfigError(f"tau: must be a positive integer or null, got {tau!r}")
     try:
-        check_spec(point_adversary(point))
+        check_spec(point["adversary"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     mr = point["max_rounds"]
@@ -169,14 +171,9 @@ def validate_point(point: dict) -> None:
         raise ConfigError(f"max_rounds: must be 'auto' or a positive integer, got {mr!r}")
 
 
-def point_adversary(point: dict) -> dict:
-    """A point's adversary spec: kind defaults to static, tau to the point's tau."""
-    return {"kind": "static", "tau": point["tau"], **point["adversary"]}
-
-
 def build_trial_config(point: dict) -> tuple[TrialConfig, int]:
-    delta = parse_delta(point["gadget"]["delta"], key="gadget.delta")
     gspec = point["gadget"]
+    delta = gspec["delta"]
     gadget = gadgets.build_gadget(
         gspec["kind"], delta,
         n=gspec.get("n"),
@@ -193,7 +190,7 @@ def build_trial_config(point: dict) -> tuple[TrialConfig, int]:
         problem=point["problem"],
         gadget=gadget,
         schedule=schedule,
-        adversary=point_adversary(point),
+        adversary=point["adversary"],
         seed=point["seed"],
         max_rounds=max_rounds,
         engine_mode=point["engine"],
@@ -207,11 +204,12 @@ def _run_point(point: dict, first_id: int):
     config, trials = build_trial_config(point)
     stats = engine.run_trials(config, trials)
     rows = [trial_csv_row(first_id + i, config, res) for i, res in enumerate(stats.results)]
+    tau = config.adversary["tau"]
     summary = {
-        "algo": point["algo"],
-        "delta_log2": f"{math.log2(parse_delta(point['gadget']['delta'])):.6g}",
-        "tau": "inf" if point["tau"] is None else str(point["tau"]),
-        "adversary": point["adversary"].get("kind", "static"),
+        "algo": config.schedule.label,
+        "delta_log2": f"{math.log2(config.gadget.delta):.6g}",
+        "tau": "inf" if tau is None else str(tau),
+        "adversary": config.adversary["kind"],
         "trials": stats.trial_count,
         "success_rate": stats.success_rate,
         "wilson_low": stats.wilson_low,
@@ -504,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_g.set_defaults(func=cmd_gadget)
 
     p_s = sub.add_parser("schedule", help="dump a probability cycle as CSV")
-    p_s.add_argument("algo", choices=ALGOS)
+    p_s.add_argument("algo", choices=schedules.ALGOS)
     p_s.add_argument("--delta", required=True)
     p_s.add_argument("--tau", type=int, default=1)
     p_s.set_defaults(func=cmd_schedule)

@@ -169,6 +169,9 @@ def trial_rngs(seed: int, trial: int = 0, words: np.ndarray | None = None):
 # ---------------------------------------------------------------------------
 # configuration and results
 
+PROBLEMS = ("local", "global")
+ENGINES = ("materialized", "analytic_star")
+
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -181,15 +184,16 @@ class TrialConfig:
     engine_mode: str = "materialized"   # | "analytic_star"
     epsilon: float = 0.1
     rgb_reps: int | None = None  # global: per-node repetition budget in double cycles
-    receivers: tuple[int, ...] | None = None
     # the point's adversary plan, compiled once from `adversary`
     plan: Callable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.problem not in ("local", "global"):
+        if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
-        if self.engine_mode not in ("materialized", "analytic_star"):
+        if self.engine_mode not in ENGINES:
             raise ValueError(f"unknown engine {self.engine_mode!r}")
+        if not (isinstance(self.epsilon, (int, float)) and 0 < self.epsilon < 1):
+            raise ValueError(f"epsilon: must be in (0,1), got {self.epsilon!r}")
         gadget = self.gadget
         if self.engine_mode == "materialized" and gadget.meta.get("virtual"):
             raise ValueError("a virtual star (delta >= 2^24) has no edges to simulate; "
@@ -205,6 +209,8 @@ class TrialConfig:
             raise ValueError("global broadcast needs a gadget with a source")
         if self.problem == "local" and not gadget.broadcasters:
             raise ValueError("local broadcast needs a nonempty broadcaster set")
+        if self.problem == "local" and not gadget.receivers:
+            raise ValueError("local broadcast needs a nonempty receiver set")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         object.__setattr__(self, "plan",
@@ -351,15 +357,6 @@ def round_counts(graph: DualGraph, extra_edge_indices: np.ndarray,
                        minlength=graph.node_count)
 
 
-def derived_receivers(gadget: Gadget) -> tuple[int, ...]:
-    """Nodes reliably adjacent to some broadcaster (the problem's R)."""
-    graph = gadget.graph
-    out = set()
-    for b in gadget.broadcasters:
-        out.update(graph.reliable_neighbors(b))
-    return tuple(sorted(out))
-
-
 def _transmitter_window(act: np.ndarray, r: int, budget: int):
     """(nodes that transmit in round r, in order; the next round after r in
     which that set changes, or _NEVER if it never does)."""
@@ -386,7 +383,7 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     (trial and words as in `run_trial`).
 
     The problems differ only in data.  Local broadcast starts every
-    broadcaster with no budget and must reach the receivers; global
+    broadcaster with no budget and must reach the gadget's receivers; global
     broadcast starts the source with `rgb_reps` double cycles and must reach
     every node, and a reached node relays from the next double-cycle
     boundary with the same budget.
@@ -399,17 +396,12 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     align = 2 * k
     if config.problem == "local":
         starters = sorted(gadget.broadcasters)
-        if config.receivers is not None:
-            targets = tuple(config.receivers)
-        elif gadget.receivers:
-            targets = tuple(sorted(gadget.receivers))
-        else:
-            targets = derived_receivers(gadget)
+        targets = sorted(gadget.receivers)
         budget = config.max_rounds
         relay = False
     else:
         starters = [gadget.source]
-        targets = tuple(v for v in range(n) if v != gadget.source)
+        targets = [v for v in range(n) if v != gadget.source]
         reps = config.rgb_reps
         if reps is None:
             reps = rgb_repetitions(gadget.delta, config.adversary.get("tau") or k,
@@ -420,7 +412,7 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     act = np.full(n, _NEVER, dtype=np.int64)
     act[starters] = 0
     waiting = np.zeros(n, dtype=bool)
-    waiting[list(targets)] = True
+    waiting[targets] = True
     left = int(waiting.sum())
     first_delivery: dict[int, int] = {}
 

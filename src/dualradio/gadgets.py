@@ -123,7 +123,7 @@ def chained_gadgets(delta: int, diameter: int) -> Gadget:
     leftover = diameter - 3 * count
     rel: list[Edge] = []
     unr: list[Edge] = []
-    sections: list[dict] = []
+    sections: list[tuple[int, tuple[int, ...], int]] = []  # (hub, arms, receiver)
     for i in range(count):
         base = i * (delta + 1)
         hub = base
@@ -131,10 +131,8 @@ def chained_gadgets(delta: int, diameter: int) -> Gadget:
         recv = base + delta
         rel.extend((hub, a) for a in arms)
         rel.append((arms[0], recv))
-        unr_start = len(unr)
         unr.extend((a, recv) for a in arms[1:])
-        sections.append({"hub": hub, "arms": arms, "receiver": recv,
-                         "unr_range": (unr_start, len(unr))})
+        sections.append((hub, arms, recv))
         if i + 1 < count:
             rel.append((recv, (i + 1) * (delta + 1)))
     n = count * (delta + 1)
@@ -148,11 +146,10 @@ def chained_gadgets(delta: int, diameter: int) -> Gadget:
 
     # unreliable_edges is sorted, so recover each section's dense indices
     index_of = {e: i for i, e in enumerate(graph.unreliable_edges)}
-    built_sections = []
-    for s in sections:
-        idx = tuple(sorted(index_of[(min(a, s["receiver"]), max(a, s["receiver"]))]
-                           for a in s["arms"][1:]))
-        built_sections.append(GadgetSection(s["hub"], s["arms"], s["receiver"], idx))
+    built_sections = [
+        GadgetSection(hub, arms, recv,
+                      tuple(sorted(index_of[(min(a, recv), max(a, recv))] for a in arms[1:])))
+        for hub, arms, recv in sections]
 
     return Gadget(
         kind="chained",

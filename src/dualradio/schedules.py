@@ -194,6 +194,7 @@ _BUILDERS = {
     "frlb": frlb_schedule,
     "rlbc": rlbc_schedule,
 }
+ALGOS = tuple(_BUILDERS)
 
 
 def build_schedule(name: str, delta: int, tau: int) -> Schedule:

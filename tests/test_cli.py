@@ -68,6 +68,14 @@ class TestConfigParsing:
         points = expand_sweep(normalize_config(base_config()))
         assert len(points) == 1
 
+    def test_points_hold_parsed_delta_and_full_adversary(self):
+        points = expand_sweep(normalize_config(base_config(
+            gadget={"kind": "star", "delta": "log2:30"},
+            sweep={"adversary": [{"kind": "iid_subset"}, {"tau": 4}]})))
+        assert [p["gadget"]["delta"] for p in points] == [2 ** 30, 2 ** 30]
+        assert [p["adversary"] for p in points] == [{"kind": "iid_subset", "tau": 2},
+                                                   {"kind": "static", "tau": 4}]
+
     def test_build_trial_config(self):
         points = expand_sweep(normalize_config(base_config()))
         trial_cfg, trials = build_trial_config(points[0])
@@ -119,6 +127,18 @@ class TestRunCommand:
         rows = out.read_text().strip().split("\n")[1:]
         assert len(rows) == 20
         assert [r.split(",")[0] for r in rows] == [str(i) for i in range(20)]
+
+    def test_summary_tau_is_the_adversary_tau(self, tmp_path, capsys):
+        # the adversary's own tau overrides the point's, in the CSV rows and
+        # in the summary line alike
+        out = tmp_path / "t.csv"
+        path = write_config(tmp_path, base_config(
+            out=str(out), tau=1, trials=5, adversary={"kind": "iid_subset", "tau": 4}))
+        assert main(["run", path]) == 0
+        summary = capsys.readouterr().out.splitlines()[2].split()
+        rows = [r.split(",") for r in out.read_text().strip().split("\n")[1:]]
+        assert {r[6] for r in rows} == {"4"}
+        assert summary[:4] == ["rlb", "6", "4", "iid_subset"]
 
     def test_print_config_round_trips(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(sweep={"tau": [1, 2]}))
@@ -187,6 +207,18 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {kind} computes") and err.count("\n") == 1
         assert "delta - 1 < 2^1024 and every schedule probability at least 2^-1074" in err
+        assert not out.exists() and not (tmp_path / "t.csv.partial").exists()
+
+    def test_static_degree_beyond_the_double_range_rejected(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        path = write_config(tmp_path, base_config(
+            out=str(out), gadget={"kind": "star", "delta": "log2:1100"},
+            adversary={"kind": "static", "extra_degree": 2 ** 1050}))
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: static computes the receiver's degree 1 + extra_degree as a "
+                       "double, so it needs 1 + extra_degree < 2^1024 - 2^970; got "
+                       "1 + extra_degree = 2^1050\n")
         assert not out.exists() and not (tmp_path / "t.csv.partial").exists()
 
     def test_virtual_star_on_materialized_engine_rejected(self, tmp_path, capsys):

@@ -11,7 +11,7 @@ from dualradio import adversary, engine
 from dualradio.adversary import ObservableHistory, make_policy
 from dualradio.engine import (_NEVER, CSV_COLUMNS, Stats, TrialConfig, TrialResult,
                               _SeedWords, _transmitter_window, aggregate, csv_header,
-                              default_max_rounds, derived_receivers, frlb_repetitions,
+                              default_max_rounds, frlb_repetitions,
                               pcg64_seed_words, rlb_repetitions, round_counts,
                               run_analytic_star_trial, run_trial, run_trials, seed_words,
                               split_seed, trial_csv_row, trial_rngs, verify_stability,
@@ -163,9 +163,18 @@ class TestLocalTrial:
             assert res.completion_round is None
             assert res.rounds_executed == 1
 
+    def test_local_broadcast_needs_receivers(self):
+        g = replace(star_gadget(8, 10), receivers=frozenset())
+        for engine_mode in ("materialized", "analytic_star"):
+            with pytest.raises(ValueError, match="local broadcast needs a nonempty receiver set"):
+                TrialConfig(problem="local", gadget=g, schedule=rlb_schedule(8, 2),
+                            adversary={"kind": "static", "tau": 2}, seed=0, max_rounds=10,
+                            engine_mode=engine_mode)
+
     def test_receivers_default_to_designation(self):
         g = star_gadget(8, 10)
-        assert derived_receivers(g) != tuple(sorted(g.receivers))
+        # the broadcasters reliably reach more nodes than the receiver
+        assert {v for b in g.broadcasters for v in g.graph.reliable_neighbors(b)} != g.receivers
         cfg = star_config(8, 2)
         res = run_trial(cfg)
         assert set(res.first_delivery) <= {cfg.gadget.receiver}
@@ -307,6 +316,20 @@ class TestAdversaryFit:
             TrialConfig(problem="local", gadget=gadget, schedule=decay_schedule(64),
                         adversary=spec, seed=0, max_rounds=100, engine_mode="analytic_star")
 
+    def test_static_degree_beyond_the_double_range_rejected(self):
+        # the receiver's degree 1 + extra_degree is kept as a double, so it
+        # must round to a finite one
+        delta, limit = 2 ** 1100, 2 ** 1024 - 2 ** 970
+        point = dict(problem="local", gadget=build_gadget("star", delta),
+                     schedule=rlb_schedule(delta, 2), seed=0, max_rounds=50,
+                     engine_mode="analytic_star")
+        run_trial(TrialConfig(**point, adversary={"kind": "static", "extra_degree": limit - 2}))
+        for extra in (limit - 1, 2 ** 1050):
+            with pytest.raises(ValueError, match=r"^static computes the receiver's degree "
+                               r"1 \+ extra_degree as a double, so it needs "
+                               r"1 \+ extra_degree < 2\^1024 - 2\^970; got"):
+                TrialConfig(**point, adversary={"kind": "static", "extra_degree": extra})
+
     def test_phase_table_built_once_per_point(self, monkeypatch):
         # the gap table is computed over its whole period when the config
         # is built, and every trial reads it
@@ -401,7 +424,7 @@ def reference_trial(config: TrialConfig, trial: int = 0) -> TrialResult:
     gadget, graph, schedule = config.gadget, config.gadget.graph, config.schedule
     n, k = graph.node_count, schedule.cycle_length
     if config.problem == "local":
-        starters, targets = sorted(gadget.broadcasters), config.receivers
+        starters, targets = sorted(gadget.broadcasters), sorted(gadget.receivers)
         budget = config.max_rounds
     else:
         starters, budget = [gadget.source], config.rgb_reps * 2 * k
@@ -476,10 +499,11 @@ def random_trial_config(rng, problem, kind, seed):
         return tuple(np.flatnonzero(rng.random(n) < share).tolist() or [int(rng.integers(n))])
 
     if problem == "local":
-        gadget = replace(gadget, broadcasters=frozenset(subset(0.4)))
+        broadcasters, max_rounds = subset(0.4), int(rng.integers(1, 300))
+        gadget = replace(gadget, broadcasters=frozenset(broadcasters),
+                         receivers=frozenset(subset(0.3)))
         return TrialConfig(problem="local", gadget=gadget, schedule=schedule,
-                           adversary=adversary, seed=seed, max_rounds=int(rng.integers(1, 300)),
-                           receivers=subset(0.3))
+                           adversary=adversary, seed=seed, max_rounds=max_rounds)
     gadget = replace(gadget, source=int(rng.integers(n)))
     return TrialConfig(problem="global", gadget=gadget, schedule=schedule,
                        adversary=adversary, seed=seed, max_rounds=int(rng.integers(1, 2000)),
@@ -599,16 +623,17 @@ class TestRepetitionContracts:
         assert fail <= eps + 3 * sigma
 
     def test_multi_receiver_union_bound(self):
-        # FRLB with per-receiver error eps/n covers every derived receiver
+        # FRLB with per-receiver error eps/n covers every node reliably
+        # adjacent to a broadcaster: all n of them on the double star
         delta, tau, eps = 16, 2, 0.3
         g = double_star(delta)
         n = g.node_count
+        g = replace(g, receivers=frozenset(range(n)))
         sched = frlb_schedule(delta, tau)
         reps = frlb_repetitions(delta, tau, eps / n)
         cfg = TrialConfig(problem="local", gadget=g, schedule=sched,
                           adversary={"kind": "iid_subset", "tau": tau},
-                          seed=60, max_rounds=reps * sched.cycle_length,
-                          receivers=derived_receivers(g))
+                          seed=60, max_rounds=reps * sched.cycle_length)
         stats = run_trials(cfg, 1500)
         fail = 1.0 - stats.success_rate
         sigma = math.sqrt(eps * (1 - eps) / 1500)
@@ -682,3 +707,12 @@ class TestDefaults:
             TrialConfig(problem="local", gadget=g,
                         schedule=rlb_schedule(8, 2), adversary={},
                         seed=0, max_rounds=0)
+
+    @pytest.mark.parametrize("epsilon", [0, 1, -0.5, 1.5, float("nan"), "0.1", None])
+    def test_epsilon_outside_unit_interval_rejected(self, epsilon):
+        # a global run's default repetition budget divides by epsilon
+        with pytest.raises(ValueError) as exc:
+            TrialConfig(problem="global", gadget=chained_gadgets(10, 24),
+                        schedule=frlb_schedule(10, 1), adversary={"kind": "static", "tau": 1},
+                        seed=0, max_rounds=100, epsilon=epsilon)
+        assert str(exc.value) == f"epsilon: must be in (0,1), got {epsilon!r}"
