@@ -6,14 +6,19 @@ and global broadcast differ only in who starts transmitting, for how long,
 who must be reached, and whether a reached node relays.  It counts
 collisions from a neighbor table in CSR form cached on the graph: each
 node's slice lists its reliable and unreliable neighbors with the
-unreliable edge each goes through.  A round gathers the transmitters'
-slices with a fixed number of numpy calls, however many transmit, and
-its counts are one `bincount` over them, keeping an unreliable neighbor
-only when the adversary activated that edge this round.  It counts only
-the relevant transmitters, those that wait themselves or have a waiting
-potential neighbor: the others cannot change a delivery.  The set of
-nodes that may transmit is recomputed only in rounds where some node
-starts or exhausts its budget.
+unreliable edge each goes through.  Only waiting nodes can receive, so it
+counts only at them.  Each node's count of waiting potential neighbors is
+built once per trial and lowered by the delivered nodes' slices at each
+delivery.  The relevant transmitters are those that wait themselves or
+have a waiting potential neighbor: the others cannot change a delivery.
+Only the span from the first to the last relevant candidate draws coins
+and is counted.  Its frontier, the table entries from the span to waiting
+nodes in CSR form, is rebuilt only when the set of nodes that may
+transmit changes (some node starts or exhausts its budget) or a delivery
+is made.  A round gathers the transmitters' frontier slices with a fixed
+number of numpy calls, however many transmit, and its counts are one
+`bincount` over them, keeping an unreliable entry only when the adversary
+activated that edge this round.
 The analytic engine exploits the star gadgets' structure and tracks only
 the designated receiver's effective degree, sampling its per-round success
 from the closed-form probability (in log space, so degree bounds given as
@@ -157,11 +162,15 @@ class _SeedWords(ISeedSequence):
 def trial_rngs(seed: int, trial: int = 0, words: np.ndarray | None = None):
     """(node-coin generator, adversary generator, adversary python Random)
     of trial `trial` of a point whose first seed is `seed`.  `words` is the
-    point's `seed_words`; a lone call derives its trial's row alone."""
+    point's `seed_words`; a lone call seeds its PCG64s from the stream seeds
+    directly, which gives the same generators."""
     seed += trial
-    row = seed_words(seed, 1)[0] if words is None else words[trial]
-    np_nodes = np.random.Generator(np.random.PCG64(_SeedWords(row[0])))
-    np_adv = np.random.Generator(np.random.PCG64(_SeedWords(row[1])))
+    if words is None:
+        nodes, adv = split_seed(seed, "nodes"), split_seed(seed, "adversary")
+    else:
+        nodes, adv = _SeedWords(words[trial, 0]), _SeedWords(words[trial, 1])
+    np_nodes = np.random.Generator(np.random.PCG64(nodes))
+    np_adv = np.random.Generator(np.random.PCG64(adv))
     py_adv = random.Random(split_seed(seed, "adversary", "py"))
     return np_nodes, np_adv, py_adv
 
@@ -183,7 +192,9 @@ class TrialConfig:
     max_rounds: int
     engine_mode: str = "materialized"   # | "analytic_star"
     epsilon: float = 0.1
-    rgb_reps: int | None = None  # global: per-node repetition budget in double cycles
+    # global: per-node repetition budget in double cycles; by default
+    # `rgb_repetitions` at the schedule's tau
+    rgb_reps: int | None = None
     # the point's adversary plan, compiled once from `adversary`
     plan: Callable = field(init=False, compare=False, repr=False)
 
@@ -213,6 +224,12 @@ class TrialConfig:
             raise ValueError("local broadcast needs a nonempty receiver set")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
+        if self.problem == "global" and self.rgb_reps is None:
+            # the budget the algorithm was built for: sized from the tau its
+            # schedule names (its cycle length if none), not the adversary's
+            tau = self.schedule.params.get("tau") or self.schedule.cycle_length
+            object.__setattr__(self, "rgb_reps", rgb_repetitions(
+                gadget.delta, tau, self.epsilon, gadget.node_count))
         object.__setattr__(self, "plan",
                            compile_adversary(self.adversary, gadget, self.schedule))
 
@@ -326,35 +343,91 @@ def _neighbors(graph: DualGraph) -> _Neighbors:
     return table
 
 
-def _slice_positions(table: _Neighbors, nodes: np.ndarray):
-    """(table positions of the nodes' slices, concatenated in order; the end
-    of each node's slice in that concatenation)."""
+def _slice_positions(table: _Neighbors, nodes: np.ndarray) -> np.ndarray:
+    """Table positions of the nodes' slices, concatenated in order.  A round
+    passes only a few nodes, so this avoids numpy's Python-level wrappers
+    (np.cumsum, np.repeat), whose dispatch costs more than that work."""
     lens = table.deg[nodes]
-    ends = np.cumsum(lens)
+    ends = np.add.accumulate(lens)
     # slice i starts at ptr[nodes[i]] and sits at ends[i] - lens[i] in `pos`
     shift = table.ptr[nodes] - ends
     shift += lens
-    pos = np.repeat(shift, lens)
+    pos = shift.repeat(lens)
     pos += np.arange(len(pos))
-    return pos, ends
+    return pos
 
 
-def round_counts(graph: DualGraph, extra_edge_indices: np.ndarray,
-                 transmitters: np.ndarray) -> np.ndarray:
-    """Transmitting active-topology neighbors per node (reliable edges plus
-    the chosen unreliable ones, each counted once however often it is
-    named).  Mirrors model.deliver's counting rule.
+def _waiting_neighbors(table: _Neighbors, waiting: np.ndarray) -> np.ndarray:
+    """Each node's count of waiting potential neighbors: the table is
+    symmetric, so the count of entries naming it in waiting nodes' slices."""
+    heard = table.heard[_slice_positions(table, np.flatnonzero(waiting))]
+    return np.bincount(heard, minlength=len(waiting))
 
-    The round loop passes only the transmitters that wait or have a waiting
-    potential neighbor, so its counts are exact at every waiting node, the
-    only nodes it reads them at."""
-    table = _neighbors(graph)
-    pos, _ = _slice_positions(table, transmitters)
-    active = np.zeros(len(graph.unreliable_edges) + 1, dtype=bool)
-    active[-1] = True
+
+class _Frontier(NamedTuple):
+    """The counted candidates cand[lo:hi + 1] (`span`; none when lo > hi)
+    and the only table entries a delivery can come through, those from
+    them to waiting nodes: `entries` is a neighbor table over span
+    positions whose `heard` indexes `listeners`, the waiting nodes in node
+    order.  A listener that is itself a candidate, listener duplex[j] at
+    span position duplex_at[j], hears nothing when it transmits."""
+
+    lo: int
+    hi: int
+    span: np.ndarray
+    entries: _Neighbors
+    listeners: np.ndarray
+    duplex: np.ndarray
+    duplex_at: np.ndarray
+
+
+def _frontier(table: _Neighbors, cand: np.ndarray, waiting: np.ndarray,
+              near: np.ndarray) -> _Frontier:
+    """The frontier of the candidates `cand` given who waits and each node's
+    count of waiting potential neighbors `near`.  Its span runs from the
+    first to the last candidate that waits or has a waiting potential
+    neighbor; the other candidates cannot change a delivery, whether they
+    transmit or not."""
+    fan = near[cand]
+    relevant = np.flatnonzero(waiting[cand] | (fan > 0))
+    if not len(relevant):
+        none = cand[:0]
+        return _Frontier(0, -1, none, _Neighbors(none, none, none, none), none, none, none)
+    lo, hi = int(relevant[0]), int(relevant[-1])
+    span, fan = cand[lo:hi + 1], fan[lo:hi + 1]
+    pos = _slice_positions(table, span[np.flatnonzero(fan)])
+    pos = pos[waiting[table.heard[pos]]]
+    heard = table.heard[pos]
+    # listeners numbered in node order, without sorting the entries
+    rank = np.zeros(len(waiting), dtype=np.int64)
+    rank[heard] = 1
+    listeners = np.flatnonzero(rank)
+    rank[listeners] = np.arange(len(listeners))
+    waits = np.flatnonzero(waiting[span])
+    _, duplex, at = np.intersect1d(listeners, span[waits], assume_unique=True,
+                                   return_indices=True)
+    # the entries come grouped by span position, fan[i] of them for span[i]
+    entries = _Neighbors(np.cumsum(fan) - fan, fan, rank[heard], table.through[pos])
+    return _Frontier(lo, hi, span, entries, listeners, duplex, waits[at])
+
+
+def round_counts(frontier: _Frontier, coins: np.ndarray, extra_edge_indices: np.ndarray,
+                 edge_count: int) -> np.ndarray:
+    """Transmitting active-topology neighbors of each frontier listener, the
+    span's transmitters being those whose coin is True (reliable edges plus
+    the chosen unreliable ones, of `edge_count`, each counted once however
+    often it is named), and 0 at a transmitting listener (half duplex).
+    Mirrors model.deliver's counting rule at every waiting node."""
+    active = np.zeros(edge_count + 1, dtype=bool)
+    active[edge_count] = True
     active[extra_edge_indices] = True
-    return np.bincount(table.heard[pos[active[table.through[pos]]]],
-                       minlength=graph.node_count)
+    entries = frontier.entries
+    pos = _slice_positions(entries, coins.nonzero()[0])
+    pos = pos[active[entries.through[pos]]]
+    counts = np.bincount(entries.heard[pos], minlength=len(frontier.listeners))
+    if len(frontier.duplex):
+        counts[frontier.duplex[coins[frontier.duplex_at]]] = 0
+    return counts
 
 
 def _transmitter_window(act: np.ndarray, r: int, budget: int):
@@ -365,16 +438,6 @@ def _transmitter_window(act: np.ndarray, r: int, budget: int):
     starts = int(later.min()) + 1 if len(later) else _NEVER
     ends = int(act[cand].min()) + budget + 1 if len(cand) else _NEVER
     return cand, min(starts, ends)
-
-
-def _relevant_span(table: _Neighbors, cand: np.ndarray, waiting: np.ndarray):
-    """(lo, hi): the first and last positions in `cand` of a candidate that
-    waits or has a waiting potential neighbor; lo > hi when none does.  The
-    other candidates cannot change a delivery, whether they transmit or not."""
-    pos, ends = _slice_positions(table, cand)
-    seen = np.concatenate(([0], np.cumsum(waiting[table.heard[pos]])))[ends]
-    relevant = np.flatnonzero(waiting[cand] | (np.diff(seen, prepend=0) > 0))
-    return (int(relevant[0]), int(relevant[-1])) if len(relevant) else (0, -1)
 
 
 def run_materialized_trial(config: TrialConfig, trial: int = 0,
@@ -402,11 +465,7 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     else:
         starters = [gadget.source]
         targets = [v for v in range(n) if v != gadget.source]
-        reps = config.rgb_reps
-        if reps is None:
-            reps = rgb_repetitions(gadget.delta, config.adversary.get("tau") or k,
-                                   config.epsilon, n)
-        budget = reps * align
+        budget = config.rgb_reps * align
         relay = True
     # node v transmits in rounds act[v] < r <= act[v] + budget
     act = np.full(n, _NEVER, dtype=np.int64)
@@ -423,31 +482,37 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     # The transmitter window `cand` changes only in a round where some
     # node starts (act[v] + 1) or runs out of budget (act[v] + budget + 1),
     # so it is recomputed only then; `next_event` is the next such round.
-    # Only candidates cand[lo:hi + 1] draw coins and are counted (see
-    # `_relevant_span`), recomputed when the window or `waiting` changes;
-    # `skip` is the coins owed to the others, one 64-bit output each, taken
-    # by advancing the stream before the next draw.  The adversary is asked
-    # every round, after the coins, for the active edges at the counted
-    # transmitters `tx` alone.
+    # Only the frontier's span cand[lo:hi + 1] draws coins and is counted
+    # (see `_frontier`).  The frontier is rebuilt when the window or
+    # `waiting` changes, from `near`, each node's count of waiting potential
+    # neighbors, which is kept for the whole trial.  `skip` is the coins
+    # owed to the others, one 64-bit output each, taken by advancing the
+    # stream before the next draw.  The adversary is asked every round,
+    # after the coins, for the active edges at the counted transmitters `tx`
+    # alone.
     table = _neighbors(graph)
+    edge_count = len(graph.unreliable_edges)
+    near = _waiting_neighbors(table, waiting)
     completion = None
     cand = empty = np.empty(0, dtype=np.int64)
-    lo, hi, skip = 0, -1, 0
+    frontier = _frontier(table, cand, waiting, near)
+    skip = 0
     next_event = 1
     r = 0
     for r in range(1, config.max_rounds + 1):
         policy.pre_round(r)
         if r >= next_event:
             cand, next_event = _transmitter_window(act, r, budget)
-            lo, hi = _relevant_span(table, cand, waiting)
+            frontier = _frontier(table, cand, waiting, near)
+        lo, hi = frontier.lo, frontier.hi
         if hi < lo:  # no candidate, or none that can change a delivery
             skip += len(cand)
             tx = empty
         else:
             np_nodes.bit_generator.advance(skip + lo)
             skip = len(cand) - 1 - hi
-            p = cycle[(r - 1) % k]
-            tx = cand[lo:hi + 1][np_nodes.random(hi + 1 - lo) < p]
+            coins = np_nodes.random(hi + 1 - lo) < cycle[(r - 1) % k]
+            tx = frontier.span[coins]
         extra = policy.sample_edges(r, tx)
         if len(tx) == 0:
             # stop when no node transmits now and no activation is pending
@@ -455,9 +520,8 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
             if len(cand) == 0 and next_event == _NEVER:
                 break
             continue
-        counts = round_counts(graph, extra, tx)
-        counts[tx] = 0  # half duplex: a transmitter hears nothing
-        newly = np.flatnonzero((counts == 1) & waiting)
+        counts = round_counts(frontier, coins, extra, edge_count)
+        newly = frontier.listeners[counts == 1]
         if len(newly):
             waiting[newly] = False
             left -= len(newly)
@@ -470,7 +534,9 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
             if left == 0:
                 completion = r
                 break
-            lo, hi = _relevant_span(table, cand, waiting)
+            # a delivered node no longer waits next to its potential neighbors
+            np.subtract.at(near, table.heard[_slice_positions(table, newly)], 1)
+            frontier = _frontier(table, cand, waiting, near)
 
     return TrialResult(
         completed=completion is not None,

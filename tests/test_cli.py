@@ -88,6 +88,26 @@ class TestConfigParsing:
         trial_cfg, _ = build_trial_config(points[0])
         assert trial_cfg.max_rounds > 1000
 
+    @pytest.mark.parametrize("adversary_tau", [1, 8])
+    def test_global_cap_and_budget_share_the_algorithm_tau(self, adversary_tau):
+        # an adversary tau override changes neither the round cap nor the
+        # per-node budget: both are sized for the tau the schedule was built for
+        points = expand_sweep(normalize_config(base_config(
+            problem="global", engine="materialized",
+            gadget={"kind": "chained", "delta": 257, "diameter": 24}, algo="frlb",
+            tau=8, adversary={"kind": "static", "tau": adversary_tau},
+            max_rounds="auto")))
+        trial_cfg, _ = build_trial_config(points[0])
+        n, k = trial_cfg.gadget.node_count, trial_cfg.schedule.cycle_length
+        assert trial_cfg.adversary["tau"] == adversary_tau
+        assert trial_cfg.rgb_reps == engine.rgb_repetitions(257, 8, 0.1, n)
+        assert trial_cfg.max_rounds == 100 * (24 // 3 + 2) * trial_cfg.rgb_reps * 2 * k
+        # a config built without the CLI sizes its budget the same way
+        direct = engine.TrialConfig(problem="global", gadget=trial_cfg.gadget,
+                                    schedule=trial_cfg.schedule,
+                                    adversary=trial_cfg.adversary, seed=1, max_rounds=10)
+        assert direct.rgb_reps == trial_cfg.rgb_reps
+
 
 class TestRunCommand:
     def test_run_writes_csv_and_summary(self, tmp_path, capsys):

@@ -522,15 +522,15 @@ class TestEngineEquivalence:
         # candidate, end before the last, end at the last, and hold no
         # candidate
         spans = []
-        relevant_span = engine._relevant_span
+        frontier = engine._frontier
 
-        def recording(table, cand, waiting):
-            lo, hi = relevant_span(table, cand, waiting)
+        def recording(table, cand, waiting, near):
+            front = frontier(table, cand, waiting, near)
             if len(cand):
-                spans.append((lo, hi, len(cand)))
-            return lo, hi
+                spans.append((front.lo, front.hi, len(cand)))
+            return front
 
-        monkeypatch.setattr(engine, "_relevant_span", recording)
+        monkeypatch.setattr(engine, "_frontier", recording)
         rng = np.random.default_rng([20261018, len(problem), len(kind)])
         # a chain of 8 stars runs long trials on 272 or more nodes
         for case in range(12 if kind == "chained_gap" else 60):
@@ -544,8 +544,11 @@ class TestEngineEquivalence:
         assert all(seen.values()), seen
 
     def test_round_counts_match_model(self):
+        # every node a candidate, all of them listening or a random subset;
+        # the frontier's counts must be model.transmit_counts at every
+        # waiting node, 0 at a transmitting one
         rng = np.random.default_rng(5)
-        for _ in range(100):
+        for case in range(200):
             n = int(rng.integers(2, 9))
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             take = rng.random(len(pairs))
@@ -556,12 +559,65 @@ class TestEngineEquivalence:
             m = len(g.unreliable_edges)
             extra_idx = rng.integers(0, m, size=int(rng.integers(0, 2 * m + 1))) if m \
                 else np.empty(0, dtype=np.int64)
-            tx = np.flatnonzero(rng.random(n) < 0.4)
+            waiting = np.ones(n, dtype=bool) if case % 2 else rng.random(n) < 0.5
+            table = engine._neighbors(g)
+            cand = np.arange(n)
+            front = engine._frontier(table, cand, waiting,
+                                     engine._waiting_neighbors(table, waiting))
+            coins = rng.random(front.hi + 1 - front.lo) < 0.4
+            tx = front.span[coins]
             topo = build_round_topology(
                 g, [g.unreliable_edges[i] for i in extra_idx], 1)
             expected = transmit_counts(topo, tx.tolist())
-            got = round_counts(g, extra_idx, tx)
-            assert got.tolist() == expected
+            got = dict(zip(front.listeners.tolist(),
+                           round_counts(front, coins, extra_idx, m).tolist()))
+            for v in np.flatnonzero(waiting).tolist():
+                assert got.get(v, 0) == (0 if v in tx else expected[v]), (case, v)
+
+    def test_kept_counts_and_frontier_match_recount(self, monkeypatch):
+        # after every delivery and window event, the kept waiting-neighbor
+        # counts, the span and the frontier equal a recount from scratch
+        checked = []
+        frontier = engine._frontier
+
+        def recounting(table, cand, waiting, near):
+            front = frontier(table, cand, waiting, near)
+            heard = [table.heard[table.ptr[v]:table.ptr[v] + table.deg[v]]
+                     for v in range(len(waiting))]
+            assert near.tolist() == [int(waiting[h].sum()) for h in heard]
+            relevant = [i for i, c in enumerate(cand.tolist())
+                        if waiting[c] or waiting[heard[c]].any()]
+            assert (front.lo, front.hi) == ((relevant[0], relevant[-1]) if relevant
+                                            else (0, -1))
+            assert front.span.tolist() == cand[front.lo:front.hi + 1].tolist()
+            entries = sorted(
+                (i, int(w), int(e)) for i, c in enumerate(front.span.tolist())
+                for w, e in zip(heard[c], table.through[table.ptr[c]:table.ptr[c] + table.deg[c]])
+                if waiting[w])
+            kept = front.entries
+            assert kept.ptr.tolist() == (np.cumsum(kept.deg) - kept.deg).tolist()
+            owner = np.repeat(np.arange(len(front.span)), kept.deg)
+            got = sorted(zip(owner.tolist(), front.listeners[kept.heard].tolist(),
+                             kept.through.tolist()))
+            assert got == entries
+            assert front.listeners.tolist() == sorted({w for _, w, _ in entries})
+            duplex = [(j, i) for j, w in enumerate(front.listeners.tolist())
+                      for i, c in enumerate(front.span.tolist()) if c == w]
+            assert list(zip(front.duplex.tolist(), front.duplex_at.tolist())) == duplex
+            checked.append((len(entries), len(duplex)))
+            return front
+
+        monkeypatch.setattr(engine, "_frontier", recounting)
+        rng = np.random.default_rng(20261019)
+        for case in range(40):
+            for problem in ("local", "global"):
+                cfg = random_trial_config(rng, problem, ("static", "iid_subset")[case % 2],
+                                          seed=case)
+                run_trial(cfg)
+        # frontiers with entries, without any, and with a listener that is
+        # a candidate itself
+        assert all(any(pred(e, d) for e, d in checked) for pred in (
+            lambda e, d: e > 0, lambda e, d: e == 0, lambda e, d: d > 0))
 
     def test_transmitter_window_holds_until_next_event(self):
         # the window at r stays exact through next_event - 1 and changes at
