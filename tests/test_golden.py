@@ -36,6 +36,7 @@ def _custom(n, reliable, unreliable, broadcasters=(), receivers=()):
 def _configs():
     star64 = star_gadget(64, 66)
     star16 = star_gadget(16, 18)
+    star8 = star_gadget(8, 10)
     ds16 = double_star(16)
     ds64 = double_star(64)
     ds256 = double_star(256)
@@ -134,7 +135,15 @@ def _configs():
         "a-walk-criterion-10": (local(extreme, rlbc_schedule(2 ** 4885, 1000),
                                       {"kind": "degree_walk_restricted", "tau": 1000,
                                        "l": 22, "walk_mode": "dodging"}, 5000, a), 4),
+        # criterion 11's shape: one round per trial on both engines, and
+        # star-short's longest tau
+        "a-criterion-11": (local(star8, rlb_schedule(8, 3),
+                                 {"kind": "iid_subset", "tau": 3}, 1, a), 2000),
+        "a-iid-random-q-tau6": (local(star64, rlb_schedule(64, 6),
+                                      {"kind": "iid_subset", "tau": 6}, 2000, a), 600),
         # materialized engine, local broadcast
+        "m-criterion-11": (local(star8, rlb_schedule(8, 3),
+                                 {"kind": "iid_subset", "tau": 3}, 1, m), 2000),
         "m-static": (local(star16, rlb_schedule(16, 4),
                            {"kind": "static", "tau": 4, "edges": [0, 2, 5]}, 300, m), 200),
         "m-iid": (local(star16, rlb_schedule(16, 2),
@@ -234,6 +243,9 @@ GOLDEN = {
     'a-walk-restricted-dodging-cross':
         '86c557695f47497fb99c2780b94909064fb5e6bf40dd9024b6129d0c8d5ca82b',
     'a-walk-criterion-10': '5ba1154e97502bf92736a942541a64344e19c6aa6768d825574bd224b940a26c',
+    'a-criterion-11': 'd0a259d8853a787bd93dace2d9c582227fad93e732f2d60711482a35c5e89819',
+    'a-iid-random-q-tau6': 'ea9f279600794c9ac1d1c464ae35267c92a7da3e300b888e3cf1e67e193ce395',
+    'm-criterion-11': '80ec43aec726757be9d66efbe1e5fdd48b53b33e78698dcde786d8ada611349d',
     'm-static': 'd1853816db70d394a5f444861bdfe573b70b0e95c85dd79f2d75fa62d7b3ebbe',
     'm-iid': '71bb3ff8805b3032b81451b2ad89d60f29bdd74b968a58f39a7d763f563705db',
     'm-iid-all-receivers': '5f9ead23051c02de00dc4519ad8682e8ae869bf6ac8f5180db465ea7d015db0e',
