@@ -99,7 +99,7 @@ def uniform_subsets(np_rng, sizes: Sequence[int], picks: Sequence[int]) -> np.nd
     subset whose t's collide replays the insertion loop on its own
     uniforms.  A subset with k == m is its whole pool and draws nothing.
     """
-    span, base, drawn, whole = [], [], [], []
+    drawn, whole = [], []  # drawn: (first uniform, pool start, m, k)
     offset = total = 0
     for m, k in zip(sizes, picks):
         if not 0 <= k <= m:
@@ -107,29 +107,42 @@ def uniform_subsets(np_rng, sizes: Sequence[int], picks: Sequence[int]) -> np.nd
         if k == m:
             whole.append(np.arange(offset, offset + m, dtype=np.int64))
         elif k:
-            span.append(np.arange(m - k + 1, m + 1, dtype=np.float64))
-            base.append(np.full(k, offset, dtype=np.int64))
             drawn.append((total, offset, m, k))
             total += k
         offset += m
     if not total:
         return np.concatenate(whole) if whole else _NO_EDGES
+    # the j-th uniform of a subset, uniform first + j, scales by
+    # m - k + 1 + j; its key is shifted by the pool's start
+    if len(drawn) == 1:
+        _, _, m, k = drawn[0]
+        spans = np.arange(m - k + 1, m + 1, dtype=np.float64)
+    else:
+        spans = np.arange(total, dtype=np.float64)
+        for first, _, m, k in drawn:
+            spans[first:first + k] += m - k + 1 - first
     u = np_rng.random(total)
-    keys = (u * np.concatenate(span)).astype(np.int64)
-    keys += np.concatenate(base)
-    ordered = np.sort(keys)
-    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-    if len(repeated):
-        # pools are disjoint ranges, so a repeated key names its subset
-        owners = np.searchsorted([d[1] for d in drawn], repeated, side="right") - 1
-        for s in set(owners.tolist()):
-            first, offset, m, k = drawn[s]
-            chosen: set[int] = set()
-            for j, x in zip(range(m - k, m), u[first:first + k].tolist()):
-                t = int(x * (j + 1))
-                chosen.add(j if t in chosen else t)
-            keys[first:first + k] = np.fromiter(chosen, dtype=np.int64, count=k) + offset
+    keys = (u * spans).astype(np.int64)
+    for first, offset, _, k in drawn:
+        if offset:
+            keys[first:first + k] += offset
+    if _has_repeat(keys):
+        for first, offset, m, k in drawn:
+            if _has_repeat(keys[first:first + k]):
+                chosen: set[int] = set()
+                for j, x in zip(range(m - k, m), u[first:first + k].tolist()):
+                    t = int(x * (j + 1))
+                    chosen.add(j if t in chosen else t)
+                keys[first:first + k] = np.fromiter(chosen, dtype=np.int64, count=k) + offset
     return np.concatenate((keys, *whole)) if whole else keys
+
+
+def _has_repeat(keys: np.ndarray) -> bool:
+    """Whether some key repeats; on a few keys a set is cheaper than a sort."""
+    if len(keys) <= 64:
+        return len(set(keys.tolist())) < len(keys)
+    ordered = np.sort(keys)
+    return bool((ordered[1:] == ordered[:-1]).any())
 
 
 def _circular_runs(occupied: set[int], n_bins: int) -> list[tuple[int, int]]:
@@ -455,10 +468,17 @@ class AdversaryPolicy:
         if last <= self._block:
             return
         first = max((round_index - 1) // span, self._block + 1)
-        begin = first * span + 1  # block `first` may have begun before round_index
-        for i, fp in self._blocks(range(first, last + 1)):
-            self._record(begin + i * span if i else max(round_index, begin), fp)
         self._block = last
+        begin = first * span + 1
+        changes = self._blocks(range(first, last + 1))
+        log = self.change_log
+        _, fp = changes[0]
+        if fp != self._fingerprint:
+            # block `first` may have begun before round_index
+            log.append((max(round_index, begin), fp))
+        for i, fp in changes[1:]:
+            log.append((begin + i * span, fp))
+        self._fingerprint = fp
 
     def degrees(self, start_round: int, count: int):
         """Receiver effective degrees for rounds start..start+count-1."""
@@ -481,8 +501,8 @@ class AdversaryPolicy:
 
     def _blocks(self, blocks: range) -> list[tuple[int, object]]:
         """Enter `blocks`, in order: (i, fingerprint) for block blocks[i]
-        wherever the fingerprint may differ from the block before (always
-        for i = 0)."""
+        for i = 0 and wherever the fingerprint differs from the block
+        before; `pre_round` compares only the first with the last recorded."""
         raise NotImplementedError
 
     def _degrees(self, rounds):
@@ -521,7 +541,15 @@ class IidSubsetPolicy(AdversaryPolicy):
     fixed q is one block whatever tau is.  `_qs` holds the q of each block
     from `_qs_from` to the last entered: the blocks the last `_blocks` call
     entered, after the block before them, in which a chunk may begin.
+
+    A chunk of rounds draws its arm counts block by block, one scalar-q
+    `binomial` call per block, when it spans fewer than `_BLOCKWISE`
+    blocks, and in one call with an array of q's otherwise: numpy spends
+    more on checking an array of q's than on a few calls, and both forms
+    take the same draws from the stream.
     """
+
+    _BLOCKWISE = 8
 
     def __init__(self, tau, edge_prob: float | None, n_unreliable: int,
                  receiver_unreliable: int):
@@ -529,25 +557,43 @@ class IidSubsetPolicy(AdversaryPolicy):
         self.edge_prob = edge_prob
         self.n_unreliable = n_unreliable
         self.receiver_unreliable = receiver_unreliable
-        self._qs: Sequence[float] = (math.nan,)  # no block before the first
+        self._qs: list[float] = [math.nan]  # no block before the first
         self._qs_from = -1
 
     def _blocks(self, blocks):
         if self.edge_prob is not None:
             qs = [self.edge_prob]
         else:
-            qs = [self.py_rng.random() for _ in range(len(blocks))]
-        self._qs = np.array([self._qs[-1], *qs])
+            draw = self.py_rng.random
+            qs = [draw() for _ in blocks]
+        self._qs = [self._qs[-1], *qs]
         self._qs_from = blocks.start - 1
-        return [(i, ("iid", q)) for i, q in enumerate(qs)]
+        return [(i, ("iid", q)) for i, q in enumerate(qs) if not i or q != qs[i - 1]]
 
     def sample_edges(self, round_index, tx):
         mask = self.np_rng.random(self.n_unreliable) < self._qs[-1]
         return np.flatnonzero(mask)
 
     def _degrees(self, rounds):
-        q = self._qs[(rounds - 1) // (self.tau or _WHOLE_RUN) - self._qs_from]
-        return 1.0 + self.np_rng.binomial(self.receiver_unreliable, q)
+        # rounds: a chunk of consecutive rounds, within the blocks entered
+        span = self.tau or _WHOLE_RUN
+        arms, binomial = self.receiver_unreliable, self.np_rng.binomial
+        start, count = int(rounds[0]) - 1, len(rounds)
+        first, last = start // span, (start + count - 1) // span
+        if last - first >= self._BLOCKWISE:
+            q = np.array(self._qs)[(rounds - 1) // span - self._qs_from]
+            return 1.0 + binomial(arms, q)
+        qs = self._qs[first - self._qs_from:last + 1 - self._qs_from]
+        if len(qs) == 1:
+            return 1.0 + binomial(arms, qs[0], count)
+        degrees = np.empty(count)
+        at = 0
+        for block, q in enumerate(qs, first):
+            end = min((block + 1) * span - start, count)
+            degrees[at:end] = binomial(arms, q, end - at)
+            at = end
+        degrees += 1.0
+        return degrees
 
 
 def phase_cycle_probs(schedule: Schedule, tau: int, phase: int) -> list[float]:
@@ -564,9 +610,9 @@ class PhaseDegrees:
 
     A phase's degree depends only on where it starts in the probability
     cycle, phase * tau mod k, so the degrees repeat every k / gcd(tau, k)
-    phases: phase p has degree `ints[p % period]`, and `floats` holds the
-    same as float64.  Each is computed once per sweep point, in phase
-    order, when first asked for.
+    phases: phase p has degree `ints[p % period]`, `floats` holds the
+    same as float64 and `fingerprints` as change-log fingerprints.  Each is
+    computed once per sweep point, in phase order, when first asked for.
     """
 
     def __init__(self, schedule: Schedule, tau: int, kind: str, delta: int, strict: bool):
@@ -576,6 +622,7 @@ class PhaseDegrees:
             schedule, tau, kind, delta, strict
         self.ints: list[int] = []
         self.floats = np.empty(0)
+        self.fingerprints: list[tuple[str, int]] = []
 
     def __call__(self, phase: int) -> int:
         if len(self.ints) < min(phase + 1, self.period):
@@ -584,6 +631,7 @@ class PhaseDegrees:
                 self.ints.append(1 << argmin_degree(probs, self.delta) if self.kind == "argmin"
                                  else gap_plan(probs, self.delta, strict=self.strict).degree)
             self.floats = np.array(self.ints, dtype=np.float64)
+            self.fingerprints = [("fixed-degree", d) for d in self.ints]
         return self.ints[phase % self.period]
 
 
@@ -598,11 +646,12 @@ class PhaseDegreePolicy(AdversaryPolicy):
     def _blocks(self, blocks):
         table = self._phase_degree
         table(blocks[-1])
-        changed = [0]
-        if len(blocks) > 1:
-            values = table.floats[np.arange(blocks.start, blocks.stop) % table.period]
-            changed += (np.flatnonzero(values[1:] != values[:-1]) + 1).tolist()
-        return [(i, ("fixed-degree", table.ints[blocks[i] % table.period])) for i in changed]
+        fingerprints, period = table.fingerprints, table.period
+        if len(blocks) == 1:
+            return [(0, fingerprints[blocks.start % period])]
+        values = table.floats[np.arange(blocks.start, blocks.stop) % period]
+        changed = [0, *(np.flatnonzero(values[1:] != values[:-1]) + 1).tolist()]
+        return [(i, fingerprints[blocks[i] % period]) for i in changed]
 
     def _degrees(self, rounds):
         table = self._phase_degree

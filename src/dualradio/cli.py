@@ -20,7 +20,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -243,6 +242,9 @@ def cmd_run(args) -> int:
 
     first_ids = list(accumulate((p["trials"] for p in points[:-1]), initial=0))
     if args.jobs > 1 and len(points) > 1:
+        # imported here: a run without a pool should not pay for the import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outputs = list(pool.map(_run_point, points, first_ids))
     else:

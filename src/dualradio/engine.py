@@ -32,9 +32,17 @@ point's adversary is compiled once, when its `TrialConfig` is built
 (`compile_adversary`, which makes every config check); each trial's
 `make_policy` builds its policy from that plan and binds it to the
 trial's adversary streams.  The node and adversary generators are
-`PCG64(split_seed(...))`; `run_trials` turns a point's stream seeds into
-PCG64 seed words in one batch (`seed_words`), which gives the same
-generators as seeding each alone.
+`PCG64(split_seed(...))`, the adversary's scalar stream
+`random.Random(split_seed(...))`.  `run_trials` builds once per point what
+each of its trials starts from (`point_start`) and hands it to every
+`run_trial`: all three stream seeds of every trial, derived in one batch
+with the PCG64 seeds turned into seed words in one vectorized pass
+(`stream_seeds`, which gives the same generators as seeding each alone),
+and the engine's start state: on the analytic engine the cycle's
+probabilities over the first degree chunk, on the materialized engine the
+node state before round 1 and round 1's transmitter window and frontier.
+Trials only read it, and copy the arrays they change.  A lone `run_trial`
+builds its own.
 Every node that may transmit owns one node-stream double per round, in
 node order.  The materialized engine draws only the relevant ones (see
 above) and skips the coins of the others by advancing the stream one
@@ -138,12 +146,23 @@ def pcg64_seed_words(seeds) -> np.ndarray:
     return out[..., 0::2] | out[..., 1::2] << 32
 
 
-def seed_words(first_seed: int, count: int) -> np.ndarray:
-    """PCG64 seed words of the node and adversary streams of the trials
-    seeded first_seed, ..., first_seed + count - 1: shape (count, 2, 4)."""
-    stream_seeds = [split_seed(first_seed + t, label)
-                    for t in range(count) for label in ("nodes", "adversary")]
-    return pcg64_seed_words(np.array(stream_seeds, dtype=np.uint64).reshape(count, 2))
+class StreamSeeds(NamedTuple):
+    """The stream seeds of a point's trials: `words[t]` holds the PCG64
+    seed words of trial t's node and adversary streams, `py[t]` the seed
+    of its adversary python Random."""
+
+    words: np.ndarray
+    py: list[int]
+
+
+def stream_seeds(first_seed: int, count: int) -> StreamSeeds:
+    """The stream seeds of the trials seeded first_seed, ...,
+    first_seed + count - 1, each derived as `split_seed` derives it."""
+    sha = hashlib.sha256
+    digests = b"".join(sha(f"{first_seed + t}:{label}".encode()).digest()[:8]
+                       for t in range(count) for label in ("nodes", "adversary", "adversary:py"))
+    seeds = np.frombuffer(digests, dtype=">u8").reshape(count, 3)
+    return StreamSeeds(pcg64_seed_words(seeds[:, :2]), seeds[:, 2].tolist())
 
 
 class _SeedWords(ISeedSequence):
@@ -159,20 +178,21 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def trial_rngs(seed: int, trial: int = 0, words: np.ndarray | None = None):
+def trial_rngs(seed: int, trial: int = 0, seeds: StreamSeeds | None = None):
     """(node-coin generator, adversary generator, adversary python Random)
-    of trial `trial` of a point whose first seed is `seed`.  `words` is the
-    point's `seed_words`; a lone call seeds its PCG64s from the stream seeds
-    directly, which gives the same generators."""
+    of trial `trial` of a point whose first seed is `seed`.  `seeds` is the
+    point's `stream_seeds`; a lone call derives the stream seeds itself,
+    which gives the same generators."""
     seed += trial
-    if words is None:
+    if seeds is None:
         nodes, adv = split_seed(seed, "nodes"), split_seed(seed, "adversary")
+        py = split_seed(seed, "adversary", "py")
     else:
-        nodes, adv = _SeedWords(words[trial, 0]), _SeedWords(words[trial, 1])
+        words = seeds.words[trial]
+        nodes, adv, py = _SeedWords(words[0]), _SeedWords(words[1]), seeds.py[trial]
     np_nodes = np.random.Generator(np.random.PCG64(nodes))
     np_adv = np.random.Generator(np.random.PCG64(adv))
-    py_adv = random.Random(split_seed(seed, "adversary", "py"))
-    return np_nodes, np_adv, py_adv
+    return np_nodes, np_adv, random.Random(py)
 
 
 # ---------------------------------------------------------------------------
@@ -440,42 +460,67 @@ def _transmitter_window(act: np.ndarray, r: int, budget: int):
     return cand, min(starts, ends)
 
 
-def run_materialized_trial(config: TrialConfig, trial: int = 0,
-                           words: np.ndarray | None = None) -> TrialResult:
-    """Simulate every node and edge round by round, for either problem
-    (trial and words as in `run_trial`).
+class _MaterializedStart(NamedTuple):
+    """What every materialized trial of a point starts from (see
+    `point_start`): the per-node budget, whether a reached node relays,
+    `act`, `waiting` and `near` before round 1 (each trial copies them),
+    the count of waiting nodes, and round 1's transmitter window and
+    frontier."""
 
-    The problems differ only in data.  Local broadcast starts every
-    broadcaster with no budget and must reach the gadget's receivers; global
-    broadcast starts the source with `rgb_reps` double cycles and must reach
-    every node, and a reached node relays from the next double-cycle
-    boundary with the same budget.
-    """
+    seeds: StreamSeeds | None
+    budget: int
+    relay: bool
+    act: np.ndarray
+    waiting: np.ndarray
+    near: np.ndarray
+    left: int
+    cand: np.ndarray
+    next_event: int
+    frontier: _Frontier
+
+
+def _materialized_start(config: TrialConfig, seeds: StreamSeeds | None) -> _MaterializedStart:
+    """The problems differ only in this data.  Local broadcast starts every
+    broadcaster with no budget and must reach the gadget's receivers;
+    global broadcast starts the source with `rgb_reps` double cycles and
+    must reach every node, and a reached node relays from the next
+    double-cycle boundary with the same budget."""
     gadget = config.gadget
-    graph = gadget.graph
-    schedule = config.schedule
-    n = graph.node_count
-    k = schedule.cycle_length
-    align = 2 * k
+    n = gadget.graph.node_count
     if config.problem == "local":
-        starters = sorted(gadget.broadcasters)
-        targets = sorted(gadget.receivers)
-        budget = config.max_rounds
-        relay = False
+        starters, targets = sorted(gadget.broadcasters), sorted(gadget.receivers)
+        budget, relay = config.max_rounds, False
     else:
         starters = [gadget.source]
         targets = [v for v in range(n) if v != gadget.source]
-        budget = config.rgb_reps * align
-        relay = True
+        budget, relay = config.rgb_reps * 2 * config.schedule.cycle_length, True
     # node v transmits in rounds act[v] < r <= act[v] + budget
     act = np.full(n, _NEVER, dtype=np.int64)
     act[starters] = 0
     waiting = np.zeros(n, dtype=bool)
     waiting[targets] = True
-    left = int(waiting.sum())
+    table = _neighbors(gadget.graph)
+    near = _waiting_neighbors(table, waiting)
+    cand, next_event = _transmitter_window(act, 1, budget)
+    return _MaterializedStart(seeds, budget, relay, act, waiting, near, len(targets),
+                              cand, next_event, _frontier(table, cand, waiting, near))
+
+
+def run_materialized_trial(config: TrialConfig, trial: int = 0,
+                           start: _MaterializedStart | None = None) -> TrialResult:
+    """Simulate every node and edge round by round, for either problem
+    (trial and start as in `run_trial`; see `_materialized_start`)."""
+    graph = config.gadget.graph
+    schedule = config.schedule
+    k = schedule.cycle_length
+    align = 2 * k
+    if start is None:
+        start = _materialized_start(config, None)
+    budget, relay, left = start.budget, start.relay, start.left
+    act, waiting, near = start.act.copy(), start.waiting.copy(), start.near.copy()
     first_delivery: dict[int, int] = {}
 
-    np_nodes, np_adv, py_adv = trial_rngs(config.seed, trial, words)
+    np_nodes, np_adv, py_adv = trial_rngs(config.seed, trial, start.seeds)
     policy = make_policy(config.plan, np_adv, py_adv, ObservableHistory(first_delivery, act))
     cycle = schedule.prob_array
 
@@ -492,12 +537,10 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     # alone.
     table = _neighbors(graph)
     edge_count = len(graph.unreliable_edges)
-    near = _waiting_neighbors(table, waiting)
     completion = None
-    cand = empty = np.empty(0, dtype=np.int64)
-    frontier = _frontier(table, cand, waiting, near)
+    empty = np.empty(0, dtype=np.int64)
+    cand, next_event, frontier = start.cand, start.next_event, start.frontier
     skip = 0
-    next_event = 1
     r = 0
     for r in range(1, config.max_rounds + 1):
         policy.pre_round(r)
@@ -552,10 +595,25 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
 # analytic engine
 
 
+class _AnalyticStart(NamedTuple):
+    """What every analytic trial of a point starts from (see `point_start`):
+    the ln p and ln(1 - p) of the rounds of the first degree chunk."""
+
+    seeds: StreamSeeds | None
+    log_p: np.ndarray
+    log1m_p: np.ndarray
+
+
+def _analytic_start(config: TrialConfig, seeds: StreamSeeds | None) -> _AnalyticStart:
+    schedule = config.schedule
+    idx = np.arange(min(_FIRST_CHUNK, config.max_rounds)) % schedule.cycle_length
+    return _AnalyticStart(seeds, schedule.log_prob_array[idx], schedule.log1m_prob_array[idx])
+
+
 def run_analytic_star_trial(config: TrialConfig, trial: int = 0,
-                            words: np.ndarray | None = None) -> TrialResult:
+                            start: _AnalyticStart | None = None) -> TrialResult:
     """Degree-only fast path for a single-receiver star or double star
-    (trial and words as in `run_trial`).
+    (trial and start as in `run_trial`).
 
     The adversary supplies the receiver's effective degree per round; the
     round succeeds with the exact closed-form probability, sampled by
@@ -563,14 +621,16 @@ def run_analytic_star_trial(config: TrialConfig, trial: int = 0,
     """
     gadget = config.gadget
     schedule = config.schedule
-    np_nodes, np_adv, py_adv = trial_rngs(config.seed, trial, words)
+    if start is None:
+        start = _analytic_start(config, None)
+    np_nodes, np_adv, py_adv = trial_rngs(config.seed, trial, start.seeds)
     policy = make_policy(config.plan, np_adv, py_adv)
 
     recv = gadget.receiver
     flag = recv in gadget.broadcasters
 
     k = schedule.cycle_length
-    log_p, l1mp = schedule.log_prob_array, schedule.log1m_prob_array
+    log_p, l1mp = start.log_p, start.log1m_p
     exp_off = 0.0 if flag else 1.0
 
     completion = None
@@ -583,11 +643,14 @@ def run_analytic_star_trial(config: TrialConfig, trial: int = 0,
         degs = policy.degrees(r, cnt)
         u = np_nodes.random(cnt)
         if isinstance(degs, np.ndarray):
-            idx = (np.arange(r - 1, r - 1 + cnt)) % k
-            log_s = np.log(degs) + log_p[idx] + (degs - exp_off) * l1mp[idx]
+            if r > 1:
+                idx = np.arange(r - 1, r - 1 + cnt) % k
+                log_p, l1mp = schedule.log_prob_array[idx], schedule.log1m_prob_array[idx]
+            log_s = np.log(degs) + log_p + (degs - exp_off) * l1mp
             hits = np.log(u) < log_s
-            if hits.any():
-                completion = r + int(np.argmax(hits))
+            first = int(hits.argmax())
+            if hits[first]:
+                completion = r + first
         else:  # arbitrary-precision degrees
             for j, d in enumerate(degs):
                 lp = schedule.log_probs[(r - 1 + j) % k]
@@ -611,13 +674,23 @@ def run_analytic_star_trial(config: TrialConfig, trial: int = 0,
     )
 
 
-def run_trial(config: TrialConfig, trial: int = 0,
-              words: np.ndarray | None = None) -> TrialResult:
-    """Trial `trial` of `config`'s point, seeded config.seed + trial.
-    `words` is the point's `seed_words`; a lone trial derives its own."""
+def point_start(config: TrialConfig, trial_count: int = 0):
+    """What every trial of `config`'s point starts from, built once per
+    point: the stream seeds of its first `trial_count` trials (none for 0:
+    a trial then derives its own) and its engine's start state.  Trials
+    only read it."""
+    seeds = stream_seeds(config.seed, trial_count) if trial_count else None
     if config.engine_mode == "analytic_star":
-        return run_analytic_star_trial(config, trial, words)
-    return run_materialized_trial(config, trial, words)
+        return _analytic_start(config, seeds)
+    return _materialized_start(config, seeds)
+
+
+def run_trial(config: TrialConfig, trial: int = 0, start=None) -> TrialResult:
+    """Trial `trial` of `config`'s point, seeded config.seed + trial.
+    `start` is the point's `point_start`; a lone trial builds its own."""
+    if config.engine_mode == "analytic_star":
+        return run_analytic_star_trial(config, trial, start)
+    return run_materialized_trial(config, trial, start)
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +753,8 @@ def run_trials(config: TrialConfig, trial_count: int) -> Stats:
     """Run trials under seeds seed, seed+1, ... and fold deterministically."""
     if trial_count < 1:
         raise ValueError("trial_count must be >= 1")
-    words = seed_words(config.seed, trial_count)
-    results = [run_trial(config, t, words) for t in range(trial_count)]
+    start = point_start(config, trial_count)
+    results = [run_trial(config, t, start) for t in range(trial_count)]
     return aggregate(results)
 
 

@@ -1,16 +1,18 @@
 """Adversary constructions and policy behavior."""
 
+import itertools
 import math
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualradio.adversary import (ADVERSARY_KEYS, DegreeWalkState, ObservableHistory,
-                                 argmin_degree, compile_adversary, gap_plan, make_policy,
-                                 phase_cycle_probs, shift_plan, uniform_subsets,
+from dualradio.adversary import (ADVERSARY_KEYS, DegreeWalkState, IidSubsetPolicy,
+                                 ObservableHistory, argmin_degree, compile_adversary, gap_plan,
+                                 make_policy, phase_cycle_probs, shift_plan, uniform_subsets,
                                  walk_degrees)
 from dualradio.engine import _NEVER, TrialConfig, run_trial, trial_rngs
 from dualradio.gadgets import build_gadget, chained_gadgets, double_star, star_gadget
@@ -589,6 +591,44 @@ subset_specs = st.lists(
         st.tuples(st.integers(1, 4), st.integers(0, 1)),
     ),
     min_size=1, max_size=40)
+
+
+class QStream:
+    """A scalar adversary stream whose draws cycle through given q's."""
+
+    def __init__(self, qs):
+        self.draws = itertools.cycle(qs)
+
+    def random(self):
+        return next(self.draws)
+
+
+class TestIidBlockwiseDegrees:
+    @pytest.mark.parametrize("arms", [62, 2 ** 20])
+    @pytest.mark.parametrize("qs", [(1e-9, 4e-9, 2e-9), (0.49, 0.5, 0.51, 0.5),
+                                    (0.93, 1 - 1e-9, 0.97)],
+                             ids=["near-0", "near-half", "near-1"])
+    def test_blockwise_degrees_match_one_array_call(self, arms, qs):
+        # the analytic engine's chunks of 16, 64 and 256 rounds, drawn by the
+        # policy (one scalar-q call per block below 8 blocks) and by one
+        # array-q binomial call per chunk on a twin stream
+        spanned = set()
+        for tau, fixed in itertools.product((1, 2, 3, 6, 40, 400, None), (False, True)):
+            policy = make_policy(partial(IidSubsetPolicy, tau, qs[0] if fixed else None, 0, arms),
+                                 np.random.Generator(np.random.PCG64(5)), QStream(qs))
+            twin = np.random.Generator(np.random.PCG64(5))
+            r = 1
+            for count in (16, 64, 256):
+                rounds = np.arange(r, r + count)
+                block = (rounds - 1) // (tau or 2 ** 62)
+                spanned.add(int(block[-1] - block[0]) + 1)
+                q = np.full(count, qs[0]) if fixed else np.array(qs)[block % len(qs)]
+                expected = 1.0 + twin.binomial(arms, q)
+                assert policy.degrees(r, count).tolist() == expected.tolist(), (tau, fixed, r)
+                r += count
+            assert policy.np_rng.random() == twin.random()
+        # one block, a few (block by block) and many (one array call)
+        assert {1, 2, 3, 6, 7, 8, 22, 256} <= spanned
 
 
 class TestUniformSubsets:

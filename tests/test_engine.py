@@ -13,8 +13,8 @@ from dualradio.engine import (_NEVER, CSV_COLUMNS, Stats, TrialConfig, TrialResu
                               _SeedWords, _transmitter_window, aggregate, csv_header,
                               default_max_rounds, frlb_repetitions,
                               pcg64_seed_words, rlb_repetitions, round_counts,
-                              run_analytic_star_trial, run_trial, run_trials, seed_words,
-                              split_seed, trial_csv_row, trial_rngs, verify_stability,
+                              run_analytic_star_trial, run_trial, run_trials, split_seed,
+                              stream_seeds, trial_csv_row, trial_rngs, verify_stability,
                               wilson_interval)
 from dualradio.gadgets import (Gadget, build_gadget, chained_gadgets, double_star,
                                star_gadget)
@@ -61,8 +61,8 @@ class TestSeeding:
 
     def test_trial_streams_are_seeded_from_split_seeds(self):
         # a point's batch and a lone call give every trial the same streams
-        words = seed_words(40, 3)
-        cases = [(40 + t, trial_rngs(40, t, words)) for t in range(3)]
+        seeds = stream_seeds(40, 3)
+        cases = [(40 + t, trial_rngs(40, t, seeds)) for t in range(3)]
         cases += [(42, trial_rngs(42)), (42, trial_rngs(40, 2))]
         for seed, (nodes, adv, py_adv) in cases:
             assert nodes.bit_generator.state == \
@@ -105,6 +105,38 @@ class TestReproducibility:
         assert batched == [run_trial(cfg, t) for t in range(5)]
         assert batched == [run_trial(replace(cfg, seed=cfg.seed + t)) for t in range(5)]
         assert [r.seed for r in batched] == [cfg.seed + t for t in range(5)]
+
+    @pytest.mark.parametrize("make", [
+        lambda: star_config(engine="analytic_star", adversary={"kind": "iid_subset", "tau": 1}),
+        lambda: star_config(engine="analytic_star", adversary={"kind": "iid_subset", "tau": 3}),
+        lambda: star_config(engine="analytic_star",
+                            adversary={"kind": "iid_subset", "tau": None}),
+        lambda: star_config(engine="analytic_star",
+                            adversary={"kind": "iid_subset", "tau": 3, "edge_prob": 0.3}),
+        lambda: star_config(adversary={"kind": "iid_subset", "tau": 2}),
+        lambda: TrialConfig(problem="global", gadget=chained_gadgets(65, 24),
+                            schedule=frlb_schedule(65, 1),
+                            adversary={"kind": "chained_gap", "tau": 1},
+                            seed=5, max_rounds=100_000),
+    ], ids=["analytic-tau-1", "analytic-tau-3", "analytic-tau-inf", "analytic-fixed-q",
+            "materialized-local", "materialized-global-chained-gap"])
+    def test_trials_leave_their_point_start_unchanged(self, make):
+        # trials run out of order and repeated through one shared start equal
+        # lone trials, and leave the start as it was built
+        cfg = make()
+        start = engine.point_start(cfg, 4)
+
+        def leaves(x):
+            if isinstance(x, np.ndarray):
+                return [x.dtype.str, x.tolist()]
+            if isinstance(x, (tuple, list)):
+                return [leaves(y) for y in x]
+            return x
+
+        built = leaves(start)
+        order = (3, 0, 3, 1)
+        assert [run_trial(cfg, t, start) for t in order] == [run_trial(cfg, t) for t in order]
+        assert leaves(start) == built
 
     def test_different_seeds_differ(self):
         cfg = star_config(adversary={"kind": "iid_subset", "tau": 4})
