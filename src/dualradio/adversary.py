@@ -113,36 +113,24 @@ def uniform_subsets(np_rng, sizes: Sequence[int], picks: Sequence[int]) -> np.nd
     if not total:
         return np.concatenate(whole) if whole else _NO_EDGES
     # the j-th uniform of a subset, uniform first + j, scales by
-    # m - k + 1 + j; its key is shifted by the pool's start
-    if len(drawn) == 1:
-        _, _, m, k = drawn[0]
-        spans = np.arange(m - k + 1, m + 1, dtype=np.float64)
-    else:
-        spans = np.arange(total, dtype=np.float64)
-        for first, _, m, k in drawn:
-            spans[first:first + k] += m - k + 1 - first
+    # m - k + 1 + j: the first subset's range, continued, and shifted for
+    # each later subset; a key is then shifted by its pool's start
+    _, _, m0, k0 = drawn[0]
+    spans = np.arange(m0 - k0 + 1, m0 - k0 + 1 + total, dtype=np.float64)
+    for first, _, m, k in drawn[1:]:
+        spans[first:first + k] += m - k - (m0 - k0) - first
     u = np_rng.random(total)
     keys = (u * spans).astype(np.int64)
-    for first, offset, _, k in drawn:
+    for first, offset, m, k in drawn:
+        if len(set(keys[first:first + k].tolist())) < k:
+            chosen: set[int] = set()
+            for j, x in zip(range(m - k, m), u[first:first + k].tolist()):
+                t = int(x * (j + 1))
+                chosen.add(j if t in chosen else t)
+            keys[first:first + k] = np.fromiter(chosen, dtype=np.int64, count=k)
         if offset:
             keys[first:first + k] += offset
-    if _has_repeat(keys):
-        for first, offset, m, k in drawn:
-            if _has_repeat(keys[first:first + k]):
-                chosen: set[int] = set()
-                for j, x in zip(range(m - k, m), u[first:first + k].tolist()):
-                    t = int(x * (j + 1))
-                    chosen.add(j if t in chosen else t)
-                keys[first:first + k] = np.fromiter(chosen, dtype=np.int64, count=k) + offset
     return np.concatenate((keys, *whole)) if whole else keys
-
-
-def _has_repeat(keys: np.ndarray) -> bool:
-    """Whether some key repeats; on a few keys a set is cheaper than a sort."""
-    if len(keys) <= 64:
-        return len(set(keys.tolist())) < len(keys)
-    ordered = np.sort(keys)
-    return bool((ordered[1:] == ordered[:-1]).any())
 
 
 def _circular_runs(occupied: set[int], n_bins: int) -> list[tuple[int, int]]:
@@ -543,8 +531,8 @@ class IidSubsetPolicy(AdversaryPolicy):
     entered, after the block before them, in which a chunk may begin.
 
     A chunk of rounds draws its arm counts block by block, one scalar-q
-    `binomial` call per block, when it spans fewer than `_BLOCKWISE`
-    blocks, and in one call with an array of q's otherwise: numpy spends
+    `binomial` call per block, when it spans at most `_BLOCKWISE` blocks,
+    and in one call with an array of q's otherwise: numpy spends
     more on checking an array of q's than on a few calls, and both forms
     take the same draws from the stream.
     """
@@ -580,7 +568,7 @@ class IidSubsetPolicy(AdversaryPolicy):
         arms, binomial = self.receiver_unreliable, self.np_rng.binomial
         start, count = int(rounds[0]) - 1, len(rounds)
         first, last = start // span, (start + count - 1) // span
-        if last - first >= self._BLOCKWISE:
+        if last - first + 1 > self._BLOCKWISE:
             q = np.array(self._qs)[(rounds - 1) // span - self._qs_from]
             return 1.0 + binomial(arms, q)
         qs = self._qs[first - self._qs_from:last + 1 - self._qs_from]

@@ -83,8 +83,18 @@ def split_seed(root: int, *labels) -> int:
     """Derive a 64-bit stream seed from a root seed and labels (documented
     split function: SHA-256 over the colon-joined decimal/string parts)."""
     text = ":".join([str(root), *map(str, labels)])
-    digest = hashlib.sha256(text.encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+    return int.from_bytes(_seed_bytes([text]), "big")
+
+
+def _seed_bytes(texts) -> bytes:
+    """The first 8 bytes of SHA-256 over each text, joined: each text's
+    seed as `split_seed` derives it, big-endian."""
+    sha = hashlib.sha256
+    return b"".join(sha(text.encode()).digest()[:8] for text in texts)
+
+
+# a trial's node, adversary and adversary python Random stream labels
+_STREAM_LABELS = (("nodes",), ("adversary",), ("adversary", "py"))
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -158,9 +168,8 @@ class StreamSeeds(NamedTuple):
 def stream_seeds(first_seed: int, count: int) -> StreamSeeds:
     """The stream seeds of the trials seeded first_seed, ...,
     first_seed + count - 1, each derived as `split_seed` derives it."""
-    sha = hashlib.sha256
-    digests = b"".join(sha(f"{first_seed + t}:{label}".encode()).digest()[:8]
-                       for t in range(count) for label in ("nodes", "adversary", "adversary:py"))
+    labels = [":".join(parts) for parts in _STREAM_LABELS]
+    digests = _seed_bytes(f"{first_seed + t}:{label}" for t in range(count) for label in labels)
     seeds = np.frombuffer(digests, dtype=">u8").reshape(count, 3)
     return StreamSeeds(pcg64_seed_words(seeds[:, :2]), seeds[:, 2].tolist())
 
@@ -185,8 +194,7 @@ def trial_rngs(seed: int, trial: int = 0, seeds: StreamSeeds | None = None):
     which gives the same generators."""
     seed += trial
     if seeds is None:
-        nodes, adv = split_seed(seed, "nodes"), split_seed(seed, "adversary")
-        py = split_seed(seed, "adversary", "py")
+        nodes, adv, py = (split_seed(seed, *labels) for labels in _STREAM_LABELS)
     else:
         words = seeds.words[trial]
         nodes, adv, py = _SeedWords(words[0]), _SeedWords(words[1]), seeds.py[trial]

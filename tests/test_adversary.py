@@ -610,7 +610,7 @@ class TestIidBlockwiseDegrees:
                              ids=["near-0", "near-half", "near-1"])
     def test_blockwise_degrees_match_one_array_call(self, arms, qs):
         # the analytic engine's chunks of 16, 64 and 256 rounds, drawn by the
-        # policy (one scalar-q call per block below 8 blocks) and by one
+        # policy (one scalar-q call per block up to 8 blocks) and by one
         # array-q binomial call per chunk on a twin stream
         spanned = set()
         for tau, fixed in itertools.product((1, 2, 3, 6, 40, 400, None), (False, True)):
