@@ -205,6 +205,15 @@ def _configs():
         "g-chained-gap-small-reps": (glob(chain257, frlb_schedule(2 ** 8 + 1, 1),
                                           {"kind": "chained_gap", "tau": 1}, 100_000,
                                           rgb_reps=100), 20),
+        # chained gap whose phase degree changes every phase (decay's 9-entry
+        # cycle at tau 1), and the benign static chain with unreliable edges
+        # kept active in several sections
+        "g-chained-gap-decay": (glob(chain257, decay_schedule(2 ** 8 + 1),
+                                     {"kind": "chained_gap", "tau": 1}, 100_000), 12),
+        "g-chained-static-edges": (glob(chain257, frlb_schedule(2 ** 8 + 1, 1),
+                                        {"kind": "static", "tau": 1,
+                                         "edges": [3, 100, 254, 300, 520, 1100, 1790, 2039]},
+                                        100_000), 6),
     }
 
 
@@ -269,6 +278,9 @@ GOLDEN = {
     'g-chained-small-reps': 'f404ebfdf442072d5d9d9af67bcb434bcb90eca541c01c7bf5da10a80c16e201',
     'g-chained-gap-small-reps':
         'd5958478aba630a7c18ca9ffc9ff6777c171558d178c556b73125b31a18d65d4',
+    'g-chained-gap-decay': '14095f4799bc8ad4b1ca0a781cc653ec7d157c1bd6b2f22ed47235c79320a857',
+    'g-chained-static-edges':
+        '4cef5d2628f44dd04526a3caf7289a110991af6c002a993a1681de48b33a2bfb',
 }
 
 CONFIGS = _configs()
