@@ -24,8 +24,11 @@ rule, `walk_degrees`, and every random edge subset comes from
 `uniform_subsets`, one generator call per round.
 
 `compile_adversary` turns a spec into a sweep point's plan once, when
-the point's `TrialConfig` is built: it makes every config check and
-builds what the point's trials share.  `make_policy` builds a trial's
+the point's `TrialConfig` is built: it makes every config check, builds
+what the point's trials share, and states the plan's reach, the only
+unreliable edges its policies' `sample_edges` can ever return, so the
+materialized engine never looks at an edge that cannot be active.
+`make_policy` builds a trial's
 policy from the plan and binds it to the trial's adversary streams, so
 node coins cannot reach it.  Every kind but the adaptive `chained_gap` is
 oblivious; that one also reads the engine's public `ObservableHistory`.
@@ -50,7 +53,10 @@ from .schedules import Schedule
 class ObservableHistory:
     """The materialized engine's public state, held by reference: each
     node's first delivery round, and `act`, the round after which each node
-    transmits (int64 max while unreached).  Contains no private coins."""
+    transmits (int64 max while unreached).  `act` changes only together
+    with a delivery: the engine sets a node's entry when the node is first
+    reached, in the round it enters `first_delivery`.  Contains no private
+    coins."""
 
     first_delivery: dict[int, int]
     act: np.ndarray
@@ -611,6 +617,7 @@ class PhaseDegrees:
         self.ints: list[int] = []
         self.floats = np.empty(0)
         self.fingerprints: list[tuple[str, int]] = []
+        self._until: list[int | None] = []
 
     def __call__(self, phase: int) -> int:
         if len(self.ints) < min(phase + 1, self.period):
@@ -621,6 +628,23 @@ class PhaseDegrees:
             self.floats = np.array(self.ints, dtype=np.float64)
             self.fingerprints = [("fixed-degree", d) for d in self.ints]
         return self.ints[phase % self.period]
+
+    def until_change(self, phase: int) -> int | None:
+        """How many phases after `phase` the first phase whose degree
+        differs from its degree comes, or None if every phase has one
+        degree.  Built over the whole period when first asked for."""
+        if not self._until:
+            self(self.period - 1)
+            ints, n = self.ints, self.period
+            self._until = [None] * n
+            if len(set(ints)) > 1:
+                # backwards over two periods: a phase's next differing one
+                # is at most n - 1 phases on
+                until = [0] * (2 * n)
+                for j in range(2 * n - 2, -1, -1):
+                    until[j] = 1 if ints[(j + 1) % n] != ints[j % n] else until[j + 1] + 1
+                self._until = until[:n]
+        return self._until[phase % self.period]
 
 
 class PhaseDegreePolicy(AdversaryPolicy):
@@ -739,6 +763,16 @@ class ChainedGapPolicy(AdversaryPolicy):
     whose local receiver has the message keeps its final degree forever.
     Advancement is therefore never faster than once per tau rounds.
 
+    Section s's phase j begins in round act + 1 + (j - 1) tau, act being
+    its first arm's activation round (see `ObservableHistory`).
+
+    `pre_round` rescans the sections only in a round where one can change:
+    the first round, the round after a delivery (`act` changes only with
+    one, so only then can a section start its phases or freeze), and the
+    round where a live, reached section enters the next phase whose degree
+    differs from its own (never, when every phase has one degree).  In any
+    other round it returns at once.
+
     Each round every gadget's unreliable arms get a fresh uniform subset,
     in section order from one stream (see `uniform_subsets`), but only the
     sections from the first to the last that a counted transmitter lies in
@@ -752,31 +786,53 @@ class ChainedGapPolicy(AdversaryPolicy):
         # table: a section's degree per phase
         self._phase_degree, self.chain = table, chain
         count = len(chain.sizes)
-        self.section_phase = [1] * count
         self.section_degree = [table(0)] * count
         self.section_frozen = [False] * count
+        self._frozen_phase = [1] * count  # the phase each section froze in
         self._live = list(range(count))  # the sections not frozen
         self._live_heads = chain.heads
         self._first: list[int] = []  # uniforms a full draw takes before section s
         self._owed = 0  # uniforms skipped but not yet advanced past
+        self._round = 0  # the last round entered
+        self._seen = -1  # the deliveries made before the last rescan
+        self._rescan: float = 0  # the next round in which a live degree changes
+
+    def _phase_at(self, round_index: int, act: int) -> int:
+        # Python ints: an unreached head's int64 max + 1 must not wrap
+        return 1 + max(0, round_index - act - 1) // self.tau
+
+    @property
+    def section_phase(self) -> list[int]:
+        """Each section's phase in the last round entered; a frozen section
+        keeps the phase it was in before it froze."""
+        acts = self.history.act[self.chain.heads].tolist()
+        return [self._frozen_phase[i] if frozen else self._phase_at(self._round, act)
+                for i, (frozen, act) in enumerate(zip(self.section_frozen, acts))]
 
     def pre_round(self, round_index):
+        delivered = self.history.first_delivery
+        if round_index < self._rescan and len(delivered) == self._seen:
+            self._round = round_index
+            return
         changed = self._fingerprint is None
-        delivered, receivers = self.history.first_delivery, self.chain.receivers
-        # Python ints: an unreached head's int64 max + 1 must not wrap
+        receivers, table, tau = self.chain.receivers, self._phase_degree, self.tau
         acts = self.history.act[self._live_heads].tolist()
         froze = False
+        rescan = math.inf
         for i, act in zip(self._live, acts):
             if receivers[i] in delivered:
                 self.section_frozen[i] = changed = froze = True
-            elif round_index > act + 1:
-                phase = 1 + (round_index - act - 1) // self.tau
-                if phase != self.section_phase[i]:
-                    self.section_phase[i] = phase
-                    degree = self._phase_degree(phase - 1)
-                    if degree != self.section_degree[i]:
-                        self.section_degree[i] = degree
-                        changed = True
+                self._frozen_phase[i] = self._phase_at(self._round, act)
+                continue
+            phase = self._phase_at(round_index, act)
+            degree = table(phase - 1)
+            if degree != self.section_degree[i]:
+                self.section_degree[i] = degree
+                changed = True
+            steps = table.until_change(phase - 1)
+            if steps is not None:
+                rescan = min(rescan, act + 1 + (phase - 1 + steps) * tau)
+        self._round, self._seen, self._rescan = round_index, len(delivered), rescan
         if froze:
             self._live = [i for i in self._live if not self.section_frozen[i]]
             self._live_heads = self.chain.heads[self._live]
@@ -866,12 +922,25 @@ def check_spec(spec: dict) -> None:
         raise ValueError(f"adversary.tau: {kind} needs a finite tau")
 
 
-def compile_adversary(spec: dict, gadget: Gadget,
-                      schedule: Schedule) -> Callable[[], AdversaryPolicy]:
-    """A sweep point's plan: a callable that builds each trial a fresh,
-    unbound policy from what the trials share.  Every config check is made
-    here, once per point: `check_spec`'s, then those that need the gadget,
-    down to the gap construction's feasibility in every phase."""
+class AdversaryPlan(NamedTuple):
+    """A sweep point's compiled adversary: called, it builds a trial a
+    fresh, unbound policy from what the trials share; `reach` holds,
+    sorted, every unreliable edge index that policy's `sample_edges` can
+    return (None: any edge)."""
+
+    build: Callable[[], AdversaryPolicy]
+    reach: np.ndarray | None
+
+    def __call__(self) -> AdversaryPolicy:
+        return self.build()
+
+
+def compile_adversary(spec: dict, gadget: Gadget, schedule: Schedule) -> AdversaryPlan:
+    """A sweep point's plan.  Every config check is made here, once per
+    point: `check_spec`'s, then those that need the gadget, down to the gap
+    construction's feasibility in every phase.  A `static` policy reaches
+    its subset, `iid_subset` and `chained_gap` every edge, and every other
+    kind the receiver's unreliable arms."""
     check_spec(spec)
     kind = spec.get("kind", "static")
     tau = spec.get("tau")
@@ -901,8 +970,8 @@ def compile_adversary(spec: dict, gadget: Gadget,
         if kind != "argmin":
             table(table.period - 1)  # an infeasible phase raises here
         if kind != "chained_gap":
-            return partial(PhaseDegreePolicy, tau, table, recv_edges)
-        return partial(ChainedGapPolicy, tau, table, chain_sections(gadget))
+            return AdversaryPlan(partial(PhaseDegreePolicy, tau, table, recv_edges), recv_edges)
+        return AdversaryPlan(partial(ChainedGapPolicy, tau, table, chain_sections(gadget)), None)
     if kind == "static":
         # one subset for both engines: the listed `edges`, or the receiver's
         # first `extra_degree` unreliable arms
@@ -930,27 +999,29 @@ def compile_adversary(spec: dict, gadget: Gadget,
             subset, degree = recv_edges[:extra], 1 + extra
         else:
             subset, degree = edges, 1 + len(set(edges).intersection(recv_edges.tolist()))
-        return partial(StaticPolicy, np.sort(np.asarray(subset, dtype=np.int64)),
-                       float(degree), ("static", tuple(sorted(edges)), extra))
+        subset = np.sort(np.asarray(subset, dtype=np.int64))
+        return AdversaryPlan(partial(StaticPolicy, subset, float(degree),
+                                     ("static", tuple(sorted(edges)), extra)), subset)
     if kind == "iid_subset":
         if arms >= 2 ** 63:
             raise ValueError(f"iid_subset draws the receiver's active arm count as a 64-bit "
                              f"binomial, so its {arms} unreliable arms (delta - 2 on a "
                              f"virtual star) must be fewer than 2^63")
-        return partial(IidSubsetPolicy, tau, spec.get("edge_prob"),
-                       len(graph.unreliable_edges), arms)
+        return AdversaryPlan(partial(IidSubsetPolicy, tau, spec.get("edge_prob"),
+                                     len(graph.unreliable_edges), arms), None)
     if kind == "correlated_shift":
         if gadget.kind != "double_star":
             raise ValueError(
                 f"correlated_shift needs a double_star gadget, where the receiver can "
                 f"reach degree delta; got a {gadget.kind} gadget")
         plan = shift_plan(schedule.cycle, gadget.delta, None, spec.get("shift", 1))
-        return partial(CorrelatedShiftPolicy, plan, "shift" not in spec, recv_edges)
+        return AdversaryPlan(partial(CorrelatedShiftPolicy, plan, "shift" not in spec,
+                                     recv_edges), recv_edges)
     # a degree walk
     start = DegreeWalkState(degree=spec.get("start_degree", 1), step_budget=spec["l"],
                             max_degree=arms + 1, mode=spec.get("walk_mode", "dodging"),
                             restricted=kind == "degree_walk_restricted")
-    return partial(DegreeWalkPolicy, tau, schedule, start, recv_edges)
+    return AdversaryPlan(partial(DegreeWalkPolicy, tau, schedule, start, recv_edges), recv_edges)
 
 
 def make_policy(plan: Callable[[], AdversaryPolicy], np_rng, py_rng,

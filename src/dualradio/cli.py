@@ -227,6 +227,19 @@ def _run_point(point: dict, first_id: int):
     return rows, summary
 
 
+def _check_out(out_path: str) -> None:
+    """Raise ConfigError unless the run can write `out_path`, through its
+    `.partial` file, so a run that cannot write fails before any point runs."""
+    if os.path.isdir(out_path):
+        raise ConfigError(f"out: {out_path} is a directory")
+    partial = out_path + ".partial"
+    try:
+        open(partial, "w").close()
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {out_path}: {exc.strerror}") from None
+    os.remove(partial)
+
+
 def cmd_run(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
@@ -239,6 +252,8 @@ def cmd_run(args) -> int:
     if args.print_config:
         print(yaml.safe_dump(cfg, sort_keys=True), end="")
         return 0
+    out_path = cfg["out"]
+    _check_out(out_path)
 
     first_ids = list(accumulate((p["trials"] for p in points[:-1]), initial=0))
     if args.jobs > 1 and len(points) > 1:
@@ -250,7 +265,6 @@ def cmd_run(args) -> int:
     else:
         outputs = list(map(_run_point, points, first_ids))
 
-    out_path = cfg["out"]
     partial = out_path + ".partial"
     with open(partial, "w") as fh:
         fh.write(csv_header() + "\n")

@@ -4,13 +4,15 @@ Two engines share one contract.  The materialized engine simulates every
 node and edge of the dual graph in one round loop for both problems: local
 and global broadcast differ only in who starts transmitting, for how long,
 who must be reached, and whether a reached node relays.  It counts
-collisions from a neighbor table in CSR form cached on the graph: each
-node's slice lists its reliable and unreliable neighbors with the
-unreliable edge each goes through.  Only waiting nodes can receive, so it
-counts only at them.  Each node's count of waiting potential neighbors is
-built once per trial and lowered by the delivered nodes' slices at each
-delivery.  The relevant transmitters are those that wait themselves or
-have a waiting potential neighbor: the others cannot change a delivery.
+collisions from a neighbor table in CSR form, built once per point over
+the reliable edges and the unreliable edges the point's adversary can
+activate (its plan's reach): each node's slice lists those neighbors with
+the unreliable edge each goes through.  Only waiting nodes can receive, so
+it counts only at them.  Each node's count of waiting neighbors in that
+table is built once per trial and lowered by the delivered nodes' slices
+at each delivery.  The relevant transmitters are those that wait
+themselves or have a waiting neighbor through an edge the adversary can
+activate or a reliable edge: the others cannot change a delivery.
 Only the span from the first to the last relevant candidate draws coins
 and is counted.  Its frontier, the table entries from the span to waiting
 nodes in CSR form, is rebuilt only when the set of nodes that may
@@ -60,12 +62,12 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .adversary import ObservableHistory, compile_adversary, make_policy
+from .adversary import AdversaryPlan, ObservableHistory, compile_adversary, make_policy
 from .gadgets import Gadget
 from .model import DualGraph
 from .oracle import exact_success_logprob
@@ -224,7 +226,7 @@ class TrialConfig:
     # `rgb_repetitions` at the schedule's tau
     rgb_reps: int | None = None
     # the point's adversary plan, compiled once from `adversary`
-    plan: Callable = field(init=False, compare=False, repr=False)
+    plan: AdversaryPlan = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.problem not in PROBLEMS:
@@ -343,7 +345,7 @@ def default_max_rounds(problem: str, schedule: Schedule, delta: int, tau: int,
 
 
 class _Neighbors(NamedTuple):
-    """Potential-graph adjacency in CSR form: node v's deg[v] neighbors are
+    """Adjacency in CSR form: node v's deg[v] neighbors are
     heard[ptr[v]:ptr[v] + deg[v]], and through[i] is the unreliable edge
     that heard[i] is reached by, or the extra slot len(graph.unreliable_edges)
     for a reliable neighbor."""
@@ -354,19 +356,25 @@ class _Neighbors(NamedTuple):
     through: np.ndarray
 
 
-def _neighbors(graph: DualGraph) -> _Neighbors:
-    table = graph.__dict__.get("_neighbors_cache")
-    if table is None:
-        m = len(graph.unreliable_edges)
-        rel = np.array(sorted(graph.reliable_edges), dtype=np.int64).reshape(-1, 2)
-        unr = np.array(graph.unreliable_edges, dtype=np.int64).reshape(-1, 2)
-        ends = np.concatenate((rel, rel[:, ::-1], unr, unr[:, ::-1]))
-        through = np.concatenate((np.full(2 * len(rel), m, dtype=np.int64),
-                                  np.arange(m, dtype=np.int64),
-                                  np.arange(m, dtype=np.int64)))
-        order = np.argsort(ends[:, 0], kind="stable")
-        deg = np.bincount(ends[:, 0], minlength=graph.node_count)
-        table = _Neighbors(np.cumsum(deg) - deg, deg, ends[order, 1], through[order])
+def _neighbors(graph: DualGraph, reach: np.ndarray | None = None) -> _Neighbors:
+    """The neighbor table over the reliable edges and the unreliable edges
+    `reach` (sorted indices; None: every one).  The potential graph's
+    table, over every edge, is cached on the graph."""
+    m = len(graph.unreliable_edges)
+    every = reach is None or len(reach) == m
+    if every:
+        table = graph.__dict__.get("_neighbors_cache")
+        if table is not None:
+            return table
+        reach = np.arange(m, dtype=np.int64)
+    rel = np.array(sorted(graph.reliable_edges), dtype=np.int64).reshape(-1, 2)
+    unr = np.array(graph.unreliable_edges, dtype=np.int64).reshape(-1, 2)[reach]
+    ends = np.concatenate((rel, rel[:, ::-1], unr, unr[:, ::-1]))
+    through = np.concatenate((np.full(2 * len(rel), m, dtype=np.int64), reach, reach))
+    order = np.argsort(ends[:, 0], kind="stable")
+    deg = np.bincount(ends[:, 0], minlength=graph.node_count)
+    table = _Neighbors(np.cumsum(deg) - deg, deg, ends[order, 1], through[order])
+    if every:
         graph.__dict__["_neighbors_cache"] = table
     return table
 
@@ -386,7 +394,7 @@ def _slice_positions(table: _Neighbors, nodes: np.ndarray) -> np.ndarray:
 
 
 def _waiting_neighbors(table: _Neighbors, waiting: np.ndarray) -> np.ndarray:
-    """Each node's count of waiting potential neighbors: the table is
+    """Each node's count of waiting neighbors in the table: the table is
     symmetric, so the count of entries naming it in waiting nodes' slices."""
     heard = table.heard[_slice_positions(table, np.flatnonzero(waiting))]
     return np.bincount(heard, minlength=len(waiting))
@@ -412,9 +420,9 @@ class _Frontier(NamedTuple):
 def _frontier(table: _Neighbors, cand: np.ndarray, waiting: np.ndarray,
               near: np.ndarray) -> _Frontier:
     """The frontier of the candidates `cand` given who waits and each node's
-    count of waiting potential neighbors `near`.  Its span runs from the
-    first to the last candidate that waits or has a waiting potential
-    neighbor; the other candidates cannot change a delivery, whether they
+    count of waiting neighbors in the table `near`.  Its span runs from the
+    first to the last candidate that waits or has a waiting neighbor in the
+    table; the other candidates cannot change a delivery, whether they
     transmit or not."""
     fan = near[cand]
     relevant = np.flatnonzero(waiting[cand] | (fan > 0))
@@ -470,12 +478,14 @@ def _transmitter_window(act: np.ndarray, r: int, budget: int):
 
 class _MaterializedStart(NamedTuple):
     """What every materialized trial of a point starts from (see
-    `point_start`): the per-node budget, whether a reached node relays,
-    `act`, `waiting` and `near` before round 1 (each trial copies them),
-    the count of waiting nodes, and round 1's transmitter window and
+    `point_start`): the neighbor table over the edges its adversary can
+    activate, the per-node budget, whether a reached node relays, `act`,
+    `waiting` and `near` before round 1 (each trial copies them), the
+    count of waiting nodes, and round 1's transmitter window and
     frontier."""
 
     seeds: StreamSeeds | None
+    table: _Neighbors
     budget: int
     relay: bool
     act: np.ndarray
@@ -507,10 +517,10 @@ def _materialized_start(config: TrialConfig, seeds: StreamSeeds | None) -> _Mate
     act[starters] = 0
     waiting = np.zeros(n, dtype=bool)
     waiting[targets] = True
-    table = _neighbors(gadget.graph)
+    table = _neighbors(gadget.graph, config.plan.reach)
     near = _waiting_neighbors(table, waiting)
     cand, next_event = _transmitter_window(act, 1, budget)
-    return _MaterializedStart(seeds, budget, relay, act, waiting, near, len(targets),
+    return _MaterializedStart(seeds, table, budget, relay, act, waiting, near, len(targets),
                               cand, next_event, _frontier(table, cand, waiting, near))
 
 
@@ -537,13 +547,13 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     # so it is recomputed only then; `next_event` is the next such round.
     # Only the frontier's span cand[lo:hi + 1] draws coins and is counted
     # (see `_frontier`).  The frontier is rebuilt when the window or
-    # `waiting` changes, from `near`, each node's count of waiting potential
-    # neighbors, which is kept for the whole trial.  `skip` is the coins
+    # `waiting` changes, from `near`, each node's count of waiting
+    # neighbors in `table`, which is kept for the whole trial.  `skip` is the coins
     # owed to the others, one 64-bit output each, taken by advancing the
     # stream before the next draw.  The adversary is asked every round,
     # after the coins, for the active edges at the counted transmitters `tx`
     # alone.
-    table = _neighbors(graph)
+    table = start.table
     edge_count = len(graph.unreliable_edges)
     completion = None
     empty = np.empty(0, dtype=np.int64)
@@ -585,7 +595,7 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
             if left == 0:
                 completion = r
                 break
-            # a delivered node no longer waits next to its potential neighbors
+            # a delivered node no longer waits next to its table neighbors
             np.subtract.at(near, table.heard[_slice_positions(table, newly)], 1)
             frontier = _frontier(table, cand, waiting, near)
 

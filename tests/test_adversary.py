@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualradio.adversary import (ADVERSARY_KEYS, DegreeWalkState, IidSubsetPolicy,
-                                 ObservableHistory, argmin_degree, compile_adversary, gap_plan,
-                                 make_policy, phase_cycle_probs, shift_plan, uniform_subsets,
-                                 walk_degrees)
+from dualradio.adversary import (ADVERSARY_KEYS, ChainedGapPolicy, DegreeWalkState,
+                                 IidSubsetPolicy, ObservableHistory, argmin_degree,
+                                 compile_adversary, gap_plan, make_policy, phase_cycle_probs,
+                                 shift_plan, uniform_subsets, walk_degrees)
 from dualradio.engine import _NEVER, TrialConfig, run_trial, trial_rngs
 from dualradio.gadgets import build_gadget, chained_gadgets, double_star, star_gadget
 from dualradio.oracle import (exact_success_logprob, exact_success_prob, phase_success_sum,
@@ -756,3 +756,85 @@ class TestNarrowedDraws:
             assert self.touching(g.graph, got, nodes) == self.touching(g.graph, drawn, nodes)
         narrow.np_rng.bit_generator.advance(narrow._owed)
         assert narrow.np_rng.bit_generator.state == full.np_rng.bit_generator.state
+
+
+class FullScanChainedGap(ChainedGapPolicy):
+    """The chained gap policy rescanning every live section every round, as
+    it did before rescans were made lazy; each section's phase is kept in
+    `phases`."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.phases = [1] * len(self.chain.sizes)
+
+    def pre_round(self, round_index):
+        changed = self._fingerprint is None
+        delivered, receivers = self.history.first_delivery, self.chain.receivers
+        acts = self.history.act[self._live_heads].tolist()
+        froze = False
+        for i, act in zip(self._live, acts):
+            if receivers[i] in delivered:
+                self.section_frozen[i] = changed = froze = True
+            elif round_index > act + 1:
+                phase = 1 + (round_index - act - 1) // self.tau
+                if phase != self.phases[i]:
+                    self.phases[i] = phase
+                    degree = self._phase_degree(phase - 1)
+                    if degree != self.section_degree[i]:
+                        self.section_degree[i] = degree
+                        changed = True
+        if froze:
+            self._live = [i for i in self._live if not self.section_frozen[i]]
+            self._live_heads = self.chain.heads[self._live]
+        if changed:
+            self._enter_degrees()
+            self._record(round_index, ("chained", tuple(zip(self.section_degree,
+                                                            self.section_frozen))))
+
+
+class TestLazyChainedRescan:
+    """Rescanning only after a delivery or at a live section's next degree
+    change reads, round by round, as rescanning every round."""
+
+    @pytest.mark.parametrize("delta, schedule, tau, period", [
+        (2 ** 8 + 1, frlb_schedule(2 ** 8 + 1, 1), 1, 1),
+        (2 ** 8 + 1, decay_schedule(2 ** 8 + 1), 1, 9),
+        (2 ** 12 + 1, decay_schedule(2 ** 12 + 1), 2, 13)],
+        ids=["period-1", "period-9", "period-13-tau-2"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lazy_rescan_matches_full_rescan(self, delta, schedule, tau, period, seed):
+        g = chained_gadgets(delta, 24)
+        plan = compile_adversary({"kind": "chained_gap", "tau": tau}, g, schedule)
+        assert plan.build.args[1].period == period
+        n, align = g.graph.node_count, 2 * schedule.cycle_length
+        hist = unreached(g)
+        hist.act[g.source] = 0
+        lazy = make_policy(plan, *rngs(seed), hist)
+        full = make_policy(partial(FullScanChainedGap, *plan.build.args), *rngs(seed), hist)
+        rng = np.random.default_rng(seed)
+        heads = [s.arms[0] for s in g.sections]
+        receivers = [s.receiver for s in g.sections]
+        for r in range(1, 400):
+            lazy.pre_round(r)
+            full.pre_round(r)
+            assert lazy.change_log == full.change_log, r
+            assert lazy.section_degree == full.section_degree, r
+            assert lazy.section_frozen == full.section_frozen, r
+            assert lazy.section_phase == full.phases, r
+            tx = np.flatnonzero(rng.random(n) < 0.01)
+            assert lazy.sample_edges(r, tx).tolist() == full.sample_edges(r, tx).tolist(), r
+            assert lazy._owed == full._owed, r
+            assert lazy.np_rng.bit_generator.state == full.np_rng.bit_generator.state, r
+            # deliveries as the engine makes them: heads early, receivers
+            # later, and other nodes now and then
+            pool = heads if r < 150 else heads + receivers
+            newly = {v for v in pool if rng.random() < 0.02}
+            if rng.random() < 0.2:
+                newly.add(int(rng.integers(n)))
+            for v in sorted(newly - hist.first_delivery.keys()):
+                hist.first_delivery[v] = r
+                hist.act[v] = align * math.ceil(r / align)
+        # both changed degrees and froze sections
+        assert any(any(f for _, f in fp[1]) for _, fp in full.change_log)
+        if period > 1:
+            assert len({d for _, fp in full.change_log for d, _ in fp[1]}) > 2

@@ -335,6 +335,20 @@ class TestRunCommand:
             in capsys.readouterr().err
         assert runs == [] and not out.exists()
 
+    @pytest.mark.parametrize("out, message", [
+        ("missing/t.csv", "cannot write {out}: No such file or directory"),
+        (".", "{out} is a directory")], ids=["missing-dir", "directory"])
+    def test_unwritable_out_stops_the_run_before_any_point(self, tmp_path, capsys,
+                                                           monkeypatch, out, message):
+        runs = []
+        monkeypatch.setattr(engine, "run_trials", lambda *args: runs.append(args))
+        out = tmp_path / out
+        path = write_config(tmp_path, base_config(out=str(out)))
+        assert main(["run", path]) == 1
+        assert capsys.readouterr().err == f"error: out: {message.format(out=out)}\n"
+        assert runs == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
     def test_no_partial_left_behind(self, tmp_path):
         out = tmp_path / "t.csv"
         path = write_config(tmp_path, base_config(out=str(out)))

@@ -685,6 +685,68 @@ class TestEngineEquivalence:
         assert abs(rates[0] - rates[1]) <= 3 * sigma
 
 
+def _reach_configs():
+    """A config for every kind on each gadget that takes it."""
+    star, double, chain = star_gadget(33, 36), double_star(33), chained_gadgets(33, 24)
+    walk = {"tau": 2, "l": 2, "start_degree": 5}
+    on_receiver = [{"kind": "static", "tau": 1, "extra_degree": 7},
+                   {"kind": "iid_subset", "tau": 2},
+                   {"kind": "gap", "tau": 1}, {"kind": "argmin", "tau": 2},
+                   dict(walk, kind="degree_walk_deterministic"),
+                   dict(walk, kind="degree_walk_restricted", walk_mode="random")]
+    edges = [0, 5, 40, 63, 100, 200, 247]  # in sections 0, 1, 3 and 7 of the chain
+    for gadget, specs in ((star, on_receiver + [{"kind": "static", "edges": [1, 4, 30]}]),
+                          (double, on_receiver + [{"kind": "correlated_shift"}])):
+        for spec in specs:
+            yield f"{gadget.kind}-{spec['kind']}", TrialConfig(
+                problem="local", gadget=gadget, schedule=decay_schedule(33), adversary=spec,
+                seed=1, max_rounds=100)
+    for spec in ({"kind": "chained_gap", "tau": 1}, {"kind": "static", "edges": edges},
+                 {"kind": "iid_subset", "tau": 1, "edge_prob": 0.3}):
+        yield f"chained-{spec['kind']}", TrialConfig(
+            problem="global", gadget=chain, schedule=decay_schedule(33), adversary=spec,
+            seed=1, max_rounds=100)
+    rng = np.random.default_rng(17)
+    for case in range(20):
+        kind, problem = ("static", "iid_subset")[case % 2], ("local", "global")[case // 2 % 2]
+        yield f"random-{case}-{kind}", random_trial_config(rng, problem, kind, seed=case)
+
+
+class TestAdversaryReach:
+    """A plan's reach holds every edge its policies' `sample_edges` can
+    return, and the materialized engine's neighbor table holds the
+    reliable edges and exactly those unreliable ones."""
+
+    @pytest.mark.parametrize("name, config", list(_reach_configs()),
+                             ids=[name for name, _ in _reach_configs()])
+    def test_sample_edges_stay_in_reach(self, name, config):
+        graph = config.gadget.graph
+        n, m = graph.node_count, len(graph.unreliable_edges)
+        reach = config.plan.reach
+        reach = set(range(m)) if reach is None else set(reach.tolist())
+        table = engine.point_start(config).table
+        assert sorted(table.through.tolist()) == sorted(
+            [m] * 2 * len(graph.reliable_edges) + 2 * list(reach))
+        if "edges" in config.adversary:
+            assert reach == set(config.adversary["edges"])
+        every = np.arange(n)
+        for seed in range(3):
+            act = np.full(n, _NEVER, dtype=np.int64)
+            history = ObservableHistory({}, act)
+            _, np_adv, py_adv = trial_rngs(seed)
+            policy = make_policy(config.plan, np_adv, py_adv, history)
+            rng = np.random.default_rng(seed)
+            for r in range(1, 60):
+                policy.pre_round(r)
+                tx = every if r % 2 else np.flatnonzero(rng.random(n) < 0.3)
+                assert set(policy.sample_edges(r, tx).tolist()) <= reach, (seed, r)
+                # a relay's delivery now and then, as the engine makes them
+                v = int(rng.integers(n))
+                if v not in history.first_delivery and rng.random() < 0.3:
+                    history.first_delivery[v] = r
+                    act[v] = r + 1
+
+
 class TestRepetitionContracts:
     def test_rlb_repetition_formula(self):
         # 2*ceil(ln(1/eps)) * ceil(4e delta^(1/tau_bar))
