@@ -345,10 +345,10 @@ def default_max_rounds(problem: str, schedule: Schedule, delta: int, tau: int,
 
 
 class _Neighbors(NamedTuple):
-    """Adjacency in CSR form: node v's deg[v] neighbors are
-    heard[ptr[v]:ptr[v] + deg[v]], and through[i] is the unreliable edge
-    that heard[i] is reached by, or the extra slot len(graph.unreliable_edges)
-    for a reliable neighbor."""
+    """Adjacency over some of a graph's edges in CSR form: node v's deg[v]
+    neighbors are heard[ptr[v]:ptr[v] + deg[v]], and through[i] is the
+    unreliable edge that heard[i] is reached by, or the extra slot
+    len(graph.unreliable_edges) for a reliable neighbor."""
 
     ptr: np.ndarray
     deg: np.ndarray
@@ -358,24 +358,22 @@ class _Neighbors(NamedTuple):
 
 def _neighbors(graph: DualGraph, reach: np.ndarray | None = None) -> _Neighbors:
     """The neighbor table over the reliable edges and the unreliable edges
-    `reach` (sorted indices; None: every one).  The potential graph's
-    table, over every edge, is cached on the graph."""
+    `reach` (sorted indices; None: every one), cached on the graph."""
     m = len(graph.unreliable_edges)
-    every = reach is None or len(reach) == m
-    if every:
-        table = graph.__dict__.get("_neighbors_cache")
-        if table is not None:
-            return table
-        reach = np.arange(m, dtype=np.int64)
-    rel = np.array(sorted(graph.reliable_edges), dtype=np.int64).reshape(-1, 2)
-    unr = np.array(graph.unreliable_edges, dtype=np.int64).reshape(-1, 2)[reach]
-    ends = np.concatenate((rel, rel[:, ::-1], unr, unr[:, ::-1]))
-    through = np.concatenate((np.full(2 * len(rel), m, dtype=np.int64), reach, reach))
-    order = np.argsort(ends[:, 0], kind="stable")
-    deg = np.bincount(ends[:, 0], minlength=graph.node_count)
-    table = _Neighbors(np.cumsum(deg) - deg, deg, ends[order, 1], through[order])
-    if every:
-        graph.__dict__["_neighbors_cache"] = table
+    key = None if reach is None or len(reach) == m else reach.tobytes()
+    cache = graph.__dict__.setdefault("_neighbors_cache", {})
+    table = cache.get(key)
+    if table is None:
+        if key is None:
+            reach = np.arange(m, dtype=np.int64)
+        rel = np.array(sorted(graph.reliable_edges), dtype=np.int64).reshape(-1, 2)
+        unr = np.array(graph.unreliable_edges, dtype=np.int64).reshape(-1, 2)[reach]
+        ends = np.concatenate((rel, rel[:, ::-1], unr, unr[:, ::-1]))
+        through = np.concatenate((np.full(2 * len(rel), m, dtype=np.int64), reach, reach))
+        order = np.argsort(ends[:, 0], kind="stable")
+        deg = np.bincount(ends[:, 0], minlength=graph.node_count)
+        table = cache[key] = _Neighbors(np.cumsum(deg) - deg, deg, ends[order, 1],
+                                        through[order])
     return table
 
 
@@ -547,8 +545,8 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     # so it is recomputed only then; `next_event` is the next such round.
     # Only the frontier's span cand[lo:hi + 1] draws coins and is counted
     # (see `_frontier`).  The frontier is rebuilt when the window or
-    # `waiting` changes, from `near`, each node's count of waiting
-    # neighbors in `table`, which is kept for the whole trial.  `skip` is the coins
+    # `waiting` changes, from `near`, each node's count of waiting neighbors
+    # in `table`, which is kept for the whole trial.  `skip` is the coins
     # owed to the others, one 64-bit output each, taken by advancing the
     # stream before the next draw.  The adversary is asked every round,
     # after the coins, for the active edges at the counted transmitters `tx`
