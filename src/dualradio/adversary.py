@@ -480,10 +480,11 @@ class AdversaryPolicy:
         return self._degrees(np.arange(start_round, start_round + count))
 
     def sample_edges(self, round_index: int, tx: np.ndarray) -> np.ndarray:
-        """Indices into graph.unreliable_edges active this round: every one
-        that touches a node of `tx`, the round's counted transmitters in
-        increasing order; any other may be left out.  The stream moves as
-        if every edge were drawn.  `pre_round` has entered the round's block.
+        """Indices into graph.unreliable_edges active this round, all in the
+        plan's reach: every one that touches a node of `tx`, the round's
+        counted transmitters in increasing order; any other may be left out.
+        The stream moves as if every edge were drawn.  `pre_round` has
+        entered the round's block.
 
         By default the active edges are a uniform (d-1)-subset of the
         receiver's unreliable arms for the round's degree d, drawn in full."""
@@ -923,16 +924,13 @@ def check_spec(spec: dict) -> None:
 
 
 class AdversaryPlan(NamedTuple):
-    """A sweep point's compiled adversary: called, it builds a trial a
-    fresh, unbound policy from what the trials share; `reach` holds,
-    sorted, every unreliable edge index that policy's `sample_edges` can
-    return (None: any edge)."""
+    """A sweep point's compiled adversary: `build()` makes a trial a fresh,
+    unbound policy from what the trials share, and `reach` holds, sorted,
+    every unreliable edge index that policy's `sample_edges` can return
+    (None: any edge)."""
 
     build: Callable[[], AdversaryPolicy]
     reach: np.ndarray | None
-
-    def __call__(self) -> AdversaryPolicy:
-        return self.build()
 
 
 def compile_adversary(spec: dict, gadget: Gadget, schedule: Schedule) -> AdversaryPlan:
@@ -1024,10 +1022,10 @@ def compile_adversary(spec: dict, gadget: Gadget, schedule: Schedule) -> Adversa
     return AdversaryPlan(partial(DegreeWalkPolicy, tau, schedule, start, recv_edges), recv_edges)
 
 
-def make_policy(plan: Callable[[], AdversaryPolicy], np_rng, py_rng,
+def make_policy(plan: AdversaryPlan, np_rng, py_rng,
                 history: ObservableHistory | None = None) -> AdversaryPolicy:
     """A trial's fresh policy from its point's plan, bound to the trial's
     adversary streams and, for `chained_gap`, to the engine's `history`."""
-    policy = plan()
+    policy = plan.build()
     policy.np_rng, policy.py_rng, policy.history = np_rng, py_rng, history
     return policy

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualradio.adversary import (ADVERSARY_KEYS, ChainedGapPolicy, DegreeWalkState,
-                                 IidSubsetPolicy, ObservableHistory, argmin_degree,
-                                 compile_adversary, gap_plan, make_policy, phase_cycle_probs,
-                                 shift_plan, uniform_subsets, walk_degrees)
+from dualradio.adversary import (ADVERSARY_KEYS, AdversaryPlan, ChainedGapPolicy,
+                                 DegreeWalkState, IidSubsetPolicy, ObservableHistory,
+                                 argmin_degree, compile_adversary, gap_plan, make_policy,
+                                 phase_cycle_probs, shift_plan, uniform_subsets, walk_degrees)
 from dualradio.engine import _NEVER, TrialConfig, run_trial, trial_rngs
 from dualradio.gadgets import build_gadget, chained_gadgets, double_star, star_gadget
 from dualradio.oracle import (exact_success_logprob, exact_success_prob, phase_success_sum,
@@ -614,7 +614,8 @@ class TestIidBlockwiseDegrees:
         # array-q binomial call per chunk on a twin stream
         spanned = set()
         for tau, fixed in itertools.product((1, 2, 3, 6, 40, 400, None), (False, True)):
-            policy = make_policy(partial(IidSubsetPolicy, tau, qs[0] if fixed else None, 0, arms),
+            policy = make_policy(AdversaryPlan(partial(IidSubsetPolicy, tau,
+                                                       qs[0] if fixed else None, 0, arms), None),
                                  np.random.Generator(np.random.PCG64(5)), QStream(qs))
             twin = np.random.Generator(np.random.PCG64(5))
             r = 1
@@ -810,7 +811,8 @@ class TestLazyChainedRescan:
         hist = unreached(g)
         hist.act[g.source] = 0
         lazy = make_policy(plan, *rngs(seed), hist)
-        full = make_policy(partial(FullScanChainedGap, *plan.build.args), *rngs(seed), hist)
+        full = make_policy(plan._replace(build=partial(FullScanChainedGap, *plan.build.args)),
+                           *rngs(seed), hist)
         rng = np.random.default_rng(seed)
         heads = [s.arms[0] for s in g.sections]
         receivers = [s.receiver for s in g.sections]
