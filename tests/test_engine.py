@@ -694,7 +694,7 @@ def _reach_configs():
                    {"kind": "gap", "tau": 1}, {"kind": "argmin", "tau": 2},
                    dict(walk, kind="degree_walk_deterministic"),
                    dict(walk, kind="degree_walk_restricted", walk_mode="random")]
-    edges = [0, 5, 40, 63, 100, 200, 247]  # in sections 0, 1, 3 and 7 of the chain
+    edges = [0, 5, 40, 63, 100, 200, 247]  # in sections 0, 1, 2, 3, 6 and 7 of the chain
     for gadget, specs in ((star, on_receiver + [{"kind": "static", "edges": [1, 4, 30]}]),
                           (double, on_receiver + [{"kind": "correlated_shift"}])):
         for spec in specs:
