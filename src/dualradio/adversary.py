@@ -618,7 +618,6 @@ class PhaseDegrees:
         self.ints: list[int] = []
         self.floats = np.empty(0)
         self.fingerprints: list[tuple[str, int]] = []
-        self._until: list[int | None] = []
 
     def __call__(self, phase: int) -> int:
         if len(self.ints) < min(phase + 1, self.period):
@@ -629,23 +628,6 @@ class PhaseDegrees:
             self.floats = np.array(self.ints, dtype=np.float64)
             self.fingerprints = [("fixed-degree", d) for d in self.ints]
         return self.ints[phase % self.period]
-
-    def until_change(self, phase: int) -> int | None:
-        """How many phases after `phase` the first phase whose degree
-        differs from its degree comes, or None if every phase has one
-        degree.  Built over the whole period when first asked for."""
-        if not self._until:
-            self(self.period - 1)
-            ints, n = self.ints, self.period
-            self._until = [None] * n
-            if len(set(ints)) > 1:
-                # backwards over two periods: a phase's next differing one
-                # is at most n - 1 phases on
-                until = [0] * (2 * n)
-                for j in range(2 * n - 2, -1, -1):
-                    until[j] = 1 if ints[(j + 1) % n] != ints[j % n] else until[j + 1] + 1
-                self._until = until[:n]
-        return self._until[phase % self.period]
 
 
 class PhaseDegreePolicy(AdversaryPolicy):
@@ -767,12 +749,11 @@ class ChainedGapPolicy(AdversaryPolicy):
     Section s's phase j begins in round act + 1 + (j - 1) tau, act being
     its first arm's activation round (see `ObservableHistory`).
 
-    `pre_round` rescans the sections only in a round where one can change:
-    the first round, the round after a delivery (`act` changes only with
-    one, so only then can a section start its phases or freeze), and the
-    round where a live, reached section enters the next phase whose degree
-    differs from its own (never, when every phase has one degree).  In any
-    other round it returns at once.
+    When every phase has one degree (a period-1 table), `pre_round`
+    rescans the sections only in the first round and in a round after a
+    delivery: `act` changes only with one, so only then can a section start
+    its phases or freeze; in any other round it returns at once.  With a
+    longer period it rescans every round.
 
     Each round every gadget's unreliable arms get a fresh uniform subset,
     in section order from one stream (see `uniform_subsets`), but only the
@@ -796,7 +777,6 @@ class ChainedGapPolicy(AdversaryPolicy):
         self._owed = 0  # uniforms skipped but not yet advanced past
         self._round = 0  # the last round entered
         self._seen = -1  # the deliveries made before the last rescan
-        self._rescan: float = 0  # the next round in which a live degree changes
 
     def _phase_at(self, round_index: int, act: int) -> int:
         # Python ints: an unreached head's int64 max + 1 must not wrap
@@ -812,14 +792,13 @@ class ChainedGapPolicy(AdversaryPolicy):
 
     def pre_round(self, round_index):
         delivered = self.history.first_delivery
-        if round_index < self._rescan and len(delivered) == self._seen:
+        if len(delivered) == self._seen and self._phase_degree.period == 1:
             self._round = round_index
             return
         changed = self._fingerprint is None
-        receivers, table, tau = self.chain.receivers, self._phase_degree, self.tau
+        receivers, table = self.chain.receivers, self._phase_degree
         acts = self.history.act[self._live_heads].tolist()
         froze = False
-        rescan = math.inf
         for i, act in zip(self._live, acts):
             if receivers[i] in delivered:
                 self.section_frozen[i] = changed = froze = True
@@ -830,10 +809,7 @@ class ChainedGapPolicy(AdversaryPolicy):
             if degree != self.section_degree[i]:
                 self.section_degree[i] = degree
                 changed = True
-            steps = table.until_change(phase - 1)
-            if steps is not None:
-                rescan = min(rescan, act + 1 + (phase - 1 + steps) * tau)
-        self._round, self._seen, self._rescan = round_index, len(delivered), rescan
+        self._round, self._seen = round_index, len(delivered)
         if froze:
             self._live = [i for i in self._live if not self.section_frozen[i]]
             self._live_heads = self.chain.heads[self._live]

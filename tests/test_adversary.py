@@ -794,8 +794,8 @@ class FullScanChainedGap(ChainedGapPolicy):
 
 
 class TestLazyChainedRescan:
-    """Rescanning only after a delivery or at a live section's next degree
-    change reads, round by round, as rescanning every round."""
+    """Rescanning a period-1 table only after a delivery, and a longer one
+    every round, reads, round by round, as rescanning every round."""
 
     @pytest.mark.parametrize("delta, schedule, tau, period", [
         (2 ** 8 + 1, frlb_schedule(2 ** 8 + 1, 1), 1, 1),
