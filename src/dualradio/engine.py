@@ -45,19 +45,29 @@ probabilities over the first degree chunk, on the materialized engine the
 node state before round 1 and round 1's transmitter window and frontier.
 Trials only read it, and copy the arrays they change.  A lone `run_trial`
 builds its own.
-Every node that may transmit owns one node-stream double per round, in
-node order.  The materialized engine draws only the relevant ones (see
-above) and skips the coins of the others by advancing the stream one
-64-bit output per coin, which is what a PCG64 `random()` double consumes,
-so the stream and every result are the same as when all coins are drawn.
-The adversary's edge draws may be narrowed the same way: each round the
-policy is given the counted transmitters, and `chained_gap` draws only the
-edges that can reach one of them and skips the uniforms of the others by
-advancing the adversary stream (see `adversary.AdversaryPolicy.sample_edges`).
+The materialized node stream (RNG layout 2) is drawn per counted span,
+not per coin: only the span's m candidates can change a delivery, each
+transmitting with the round's p.  When those m coins show a transmitter
+with probability 1/2 or more, the round's m doubles are drawn directly.
+Otherwise one double draws the first round in which a coin shows, by
+inverting the survival prod (1 - p_t)^m (geometric skipping), and that
+round's coins are drawn conditioned on one showing: m doubles again and
+again until one shows when that is likely, or else one double for the
+transmitter count K (a zero-truncated binomial, by inversion) and K for a
+uniform K-subset (`adversary.uniform_subsets`).  The rounds before it
+draw nothing.  This is the law of one independent coin per candidate per
+round; a new frontier (a window event or a delivery) drops a drawn round
+and draws again from the new span.
+The adversary's edge draws are narrowed without changing its stream: each
+round the policy is given the counted transmitters, and `iid_subset` and
+`chained_gap` draw only the uniforms of a run of edges that holds every
+edge at one of them, and skip the others' by advancing the adversary
+stream (see `adversary.AdversaryPolicy.sample_edges`).
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 import random
@@ -67,7 +77,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .adversary import AdversaryPlan, ObservableHistory, compile_adversary, make_policy
+from .adversary import (AdversaryPlan, ObservableHistory, compile_adversary, make_policy,
+                        uniform_subsets)
 from .gadgets import Gadget
 from .model import DualGraph
 from .oracle import exact_success_logprob
@@ -79,6 +90,7 @@ from .schedules import Schedule, ceil_log2, log2e_of
 _FIRST_CHUNK = 16
 _CHUNK = 4096
 _NEVER = np.iinfo(np.int64).max  # activation round of a node never reached
+_LN2 = math.log(2.0)
 
 
 def split_seed(root: int, *labels) -> int:
@@ -474,13 +486,89 @@ def _transmitter_window(act: np.ndarray, r: int, budget: int):
     return cand, min(starts, ends)
 
 
+class _Hazard(NamedTuple):
+    """A schedule's per-node hazards h = -ln(1 - p), from which the round
+    in which one of m counted candidates first transmits is drawn (see
+    `_first_firing`): `h` per cycle phase (inf where p = 1); `cum`, the
+    running sum of the finite ones over two cycles (cum[i] sums phases
+    0..i-1 mod k, a p = 1 phase adding 0); `cycle`, one cycle's finite
+    hazard; `sure[s]`, the rounds from a phase-s round to the next p = 1
+    phase, or -1 when the cycle has none.  They are taken from
+    `prob_array`, against which the coins are drawn, so h = 0 exactly where
+    p = 0 and h = inf exactly where p = 1."""
+
+    h: list[float]
+    cum: list[float]
+    cycle: float
+    sure: list[int]
+
+
+def _hazard(schedule: Schedule) -> _Hazard:
+    with np.errstate(divide="ignore"):  # p = 1 has infinite hazard
+        h = -np.log1p(-schedule.prob_array)
+    k = len(h)
+    certain = np.isinf(h)
+    finite = np.where(certain, 0.0, h)
+    cum = np.concatenate(([0.0], np.cumsum(np.tile(finite, 2))))
+    ones = np.flatnonzero(certain)
+    sure = np.full(k, -1, dtype=np.int64)
+    if len(ones):
+        ones = np.concatenate((ones, ones + k))
+        sure = ones[np.searchsorted(ones, np.arange(k))] - np.arange(k)
+    return _Hazard(h.tolist(), cum.tolist(), float(finite.sum()), sure.tolist())
+
+
+def _first_firing(hazard: _Hazard, r: int, m: int, u: float, last: int) -> int:
+    """The first round f >= r in which one of m counted candidates
+    transmits, each independently with its round's p, drawn by inverting
+    the survival prod_{t=r..f} (1 - p_t)^m with the uniform u in [0, 1);
+    _NEVER when no round qualifies, and it may stand for any round past
+    `last`."""
+    # f is the first round whose cumulative hazard from r exceeds
+    # -ln(1 - u) / m: whole cycles first, then a search within one
+    x = -math.log1p(-u) / m
+    k = len(hazard.h)
+    s = (r - 1) % k
+    cum = hazard.cum
+    sure = hazard.sure[s]
+    if sure >= 0 and x >= cum[s + sure] - cum[s]:
+        return r + sure
+    whole, x = divmod(x, hazard.cycle) if hazard.cycle else (math.inf, x)
+    if whole * k > last:
+        return _NEVER
+    i = bisect.bisect_right(cum, cum[s] + x, s + 1, s + k + 1)
+    return r + int(whole) * k + min(i - s - 1, k - 1)
+
+
+def _fired_coins(np_nodes, m: int, p: float, h: float) -> np.ndarray:
+    """m coins that are each True with probability p (h = -ln(1 - p) > 0),
+    conditioned on at least one being True."""
+    if m * h >= _LN2:  # P(some coin) >= 1/2: draw until one is True
+        while True:
+            coins = np_nodes.random(m) < p
+            if coins.any():
+                return coins
+    # K ~ Bin(m, p) given K >= 1, by inversion, then a uniform K-subset
+    fire = -math.expm1(-m * h)
+    u = np_nodes.random()
+    count, pmf = 1, m * p * math.exp(-(m - 1) * h) / fire
+    cdf, odds = pmf, p / (1.0 - p)
+    while cdf <= u and count < m:
+        pmf *= (m - count) / (count + 1) * odds
+        count += 1
+        cdf += pmf
+    coins = np.zeros(m, dtype=bool)
+    coins[uniform_subsets(np_nodes, (m,), (count,))] = True
+    return coins
+
+
 class _MaterializedStart(NamedTuple):
     """What every materialized trial of a point starts from (see
     `point_start`): the neighbor table over the edges its adversary can
     activate, the per-node budget, whether a reached node relays, `act`,
     `waiting` and `near` before round 1 (each trial copies them), the
-    count of waiting nodes, and round 1's transmitter window and
-    frontier."""
+    count of waiting nodes, round 1's transmitter window and frontier, and
+    the schedule's hazards."""
 
     seeds: StreamSeeds | None
     table: _Neighbors
@@ -493,6 +581,7 @@ class _MaterializedStart(NamedTuple):
     cand: np.ndarray
     next_event: int
     frontier: _Frontier
+    hazard: _Hazard
 
 
 def _materialized_start(config: TrialConfig, seeds: StreamSeeds | None) -> _MaterializedStart:
@@ -519,7 +608,8 @@ def _materialized_start(config: TrialConfig, seeds: StreamSeeds | None) -> _Mate
     near = _waiting_neighbors(table, waiting)
     cand, next_event = _transmitter_window(act, 1, budget)
     return _MaterializedStart(seeds, table, budget, relay, act, waiting, near, len(targets),
-                              cand, next_event, _frontier(table, cand, waiting, near))
+                              cand, next_event, _frontier(table, cand, waiting, near),
+                              _hazard(config.schedule))
 
 
 def run_materialized_trial(config: TrialConfig, trial: int = 0,
@@ -538,7 +628,8 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
 
     np_nodes, np_adv, py_adv = trial_rngs(config.seed, trial, start.seeds)
     policy = make_policy(config.plan, np_adv, py_adv, ObservableHistory(first_delivery, act))
-    cycle = schedule.prob_array
+    pre_round, sample_edges = policy.pre_round, policy.sample_edges
+    probs, hazard = schedule.prob_array.tolist(), start.hazard
 
     # The transmitter window `cand` changes only in a round where some
     # node starts (act[v] + 1) or runs out of budget (act[v] + budget + 1),
@@ -546,39 +637,57 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     # Only the frontier's span cand[lo:hi + 1] draws coins and is counted
     # (see `_frontier`).  The frontier is rebuilt when the window or
     # `waiting` changes, from `near`, each node's count of waiting neighbors
-    # in `table`, which is kept for the whole trial.  `skip` is the coins
-    # owed to the others, one 64-bit output each, taken by advancing the
-    # stream before the next draw.  The adversary is asked every round,
-    # after the coins, for the active edges at the counted transmitters `tx`
-    # alone.
+    # in `table`, which is kept for the whole trial.  `fire` is the round
+    # drawn for the span's next transmission (below r: none drawn).  With
+    # none drawn, a round in which the span's m coins show a transmitter
+    # with probability 1/2 or more draws them directly; otherwise the
+    # first round in which one shows is drawn (`_first_firing`), the
+    # rounds before it are idle, and its coins are drawn conditioned on
+    # one showing (`_fired_coins`).  A new frontier drops a drawn round:
+    # no coin showed before it, and later rounds' coins are independent of
+    # that.  The adversary is asked every round, after the coins, for the
+    # active edges at the counted transmitters `tx` alone.
     table = start.table
     edge_count = len(graph.unreliable_edges)
+    last = config.max_rounds
     completion = None
     empty = np.empty(0, dtype=np.int64)
     cand, next_event, frontier = start.cand, start.next_event, start.frontier
-    skip = 0
+    fire = 0
     r = 0
-    for r in range(1, config.max_rounds + 1):
-        policy.pre_round(r)
+    while r < last:
+        r += 1
+        pre_round(r)
         if r >= next_event:
             cand, next_event = _transmitter_window(act, r, budget)
             frontier = _frontier(table, cand, waiting, near)
-        lo, hi = frontier.lo, frontier.hi
-        if hi < lo:  # no candidate, or none that can change a delivery
-            skip += len(cand)
-            tx = empty
-        else:
-            np_nodes.bit_generator.advance(skip + lo)
-            skip = len(cand) - 1 - hi
-            coins = np_nodes.random(hi + 1 - lo) < cycle[(r - 1) % k]
+            fire = 0
+        m = len(frontier.span)
+        phase = (r - 1) % k
+        if fire < r and m and m * hazard.h[phase] >= _LN2:
+            coins = np_nodes.random(m) < probs[phase]
             tx = frontier.span[coins]
-        extra = policy.sample_edges(r, tx)
-        if len(tx) == 0:
+            fire = r if len(tx) else 0
+        else:
+            if fire < r:
+                fire = _first_firing(hazard, r, m, np_nodes.random(), last) if m else _NEVER
+            if fire == r:
+                coins = _fired_coins(np_nodes, m, probs[phase], hazard.h[phase])
+                tx = frontier.span[coins]
+        if fire != r:
+            # no counted candidate transmits: idle up to the drawn round,
+            # the next window event or the last round, whichever is first;
             # stop when no node transmits now and no activation is pending
             # (every node is unreached forever or past its budget)
-            if len(cand) == 0 and next_event == _NEVER:
+            sample_edges(r, empty)
+            if not len(cand) and next_event == _NEVER:
                 break
+            for r in range(r + 1, min(fire, next_event, last + 1)):
+                pre_round(r)
+                sample_edges(r, empty)
             continue
+        fire = 0
+        extra = sample_edges(r, tx)
         counts = round_counts(frontier, coins, extra, edge_count)
         newly = frontier.listeners[counts == 1]
         if len(newly):

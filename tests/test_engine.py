@@ -1,7 +1,9 @@
 """Trial execution: reproducibility, oracle cross-checks, and aggregation."""
 
+import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 from dualradio import adversary, engine
 from dualradio.adversary import ObservableHistory, make_policy
-from dualradio.engine import (_NEVER, CSV_COLUMNS, Stats, TrialConfig, TrialResult,
+from dualradio.engine import (_NEVER, CSV_COLUMNS, PROBLEMS, Stats, TrialConfig, TrialResult,
                               _SeedWords, _transmitter_window, aggregate, csv_header,
                               default_max_rounds, frlb_repetitions,
                               pcg64_seed_words, rlb_repetitions, round_counts,
@@ -449,10 +451,13 @@ class TestGlobalTrial:
         assert res.rounds_executed < 10 ** 6
 
 
-def reference_trial(config: TrialConfig, trial: int = 0) -> TrialResult:
+def reference_trial(config: TrialConfig, trial: int = 0,
+                    replay: dict[int, list[int]] | None = None) -> TrialResult:
     """The materialized engine's contract stated plainly: every node in its
     transmit window draws a coin every round, and `model.deliver` on the
-    round's topology decides who hears whom."""
+    round's topology decides who hears whom.  With `replay`, round r's
+    transmitters are replay.get(r, []) instead, each in the window, and no
+    coin is drawn."""
     gadget, graph, schedule = config.gadget, config.gadget.graph, config.schedule
     n, k = graph.node_count, schedule.cycle_length
     if config.problem == "local":
@@ -476,9 +481,13 @@ def reference_trial(config: TrialConfig, trial: int = 0) -> TrialResult:
             if not any(r <= a < _NEVER for a in act.tolist()):
                 break
             continue
-        coins = np_nodes.random(len(window))
-        p = math.exp(schedule.log_probs[(r - 1) % k])
-        tx = [v for v, c in zip(window, coins) if c < p]
+        if replay is None:
+            coins = np_nodes.random(len(window))
+            p = math.exp(schedule.log_probs[(r - 1) % k])
+            tx = [v for v, c in zip(window, coins) if c < p]
+        else:
+            tx = replay.get(r, [])
+            assert set(tx) <= set(window), r
         topology = build_round_topology(graph, [graph.unreliable_edges[i] for i in extra], r)
         newly = sorted(set(deliver(topology, tx).receivers()) & waiting)
         waiting.difference_update(newly)
@@ -548,13 +557,14 @@ class TestEngineEquivalence:
         for problem in ("local", "global")] + [("global", "chained_gap")])
     def test_materialized_trial_matches_reference(self, problem, kind, monkeypatch):
         # the engine draws coins only for candidates cand[lo:hi + 1] that can
-        # change a delivery and advances the node stream past the rest; the
-        # reference draws every coin, and every adversary edge.  Record the
-        # spans it used: each case must see spans that start past the first
+        # change a delivery; the reference, given the transmitters the
+        # engine drew each round, decides every delivery with
+        # `model.deliver` from every adversary edge.  Record the spans it
+        # used: each case must see spans that start past the first
         # candidate, end before the last, end at the last, and hold no
         # candidate
-        spans = []
-        frontier = engine._frontier
+        spans, sent = [], {}
+        frontier, bind = engine._frontier, engine.make_policy
 
         def recording(table, cand, waiting, near):
             front = frontier(table, cand, waiting, near)
@@ -562,18 +572,66 @@ class TestEngineEquivalence:
                 spans.append((front.lo, front.hi, len(cand)))
             return front
 
+        def recording_policy(*args):
+            policy = bind(*args)
+            sample = policy.sample_edges
+
+            def sample_edges(r, tx):
+                if len(tx):
+                    sent[r] = tx.tolist()
+                return sample(r, tx)
+
+            policy.sample_edges = sample_edges
+            return policy
+
         monkeypatch.setattr(engine, "_frontier", recording)
+        monkeypatch.setattr(engine, "make_policy", recording_policy)
         rng = np.random.default_rng([20261018, len(problem), len(kind)])
         # a chain of 8 stars runs long trials on 272 or more nodes
         for case in range(12 if kind == "chained_gap" else 60):
             cfg = random_trial_config(rng, problem, kind, seed=1000 * case)
             for trial in range(3):
-                assert run_trial(cfg, trial) == reference_trial(cfg, trial), (case, trial)
+                sent.clear()
+                got = run_trial(cfg, trial)
+                assert got == reference_trial(cfg, trial, replay=sent), (case, trial)
         seen = {"starts later": any(lo > 0 for lo, hi, _ in spans if lo <= hi),
                 "ends early": any(lo <= hi < last - 1 for lo, hi, last in spans),
                 "ends at last": any(lo <= hi == last - 1 for lo, hi, last in spans),
                 "empty": any(hi < lo for lo, hi, _ in spans)}
         assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("problem, kind, seed", [
+        ("local", "static", 1), ("global", "static", 2), ("local", "iid_subset", 3),
+        ("global", "iid_subset", 4), ("local", "gap", 5), ("global", "chain", 6)])
+    def test_completion_law_matches_every_coin_reference(self, problem, kind, seed):
+        # the engine draws its node coins by geometric skipping; the
+        # reference draws every window coin every round, so the two agree
+        # only in law.  Two-sample KS test on completion rounds (a trial
+        # that does not complete counts as max_rounds + 1), alpha = 0.001:
+        # D <= c sqrt(2 / n) with c = sqrt(ln(2 / alpha) / 2)
+        rng = np.random.default_rng([20261019, seed])
+        if kind == "chain":
+            cfg = TrialConfig(problem="global", gadget=chained_gadgets(10, 24),
+                              schedule=frlb_schedule(10, 1),
+                              adversary={"kind": "static", "tau": 1}, seed=0, max_rounds=10 ** 6)
+            n = 300
+        else:
+            while True:  # a config whose trials do not all end alike
+                cfg = random_trial_config(rng, problem, kind, seed=0)
+                probe = {run_trial(cfg, t).completion_round for t in range(20)}
+                if len(probe) > 3:
+                    break
+            n = 400
+
+        def completion(result):
+            return result.completion_round if result.completed else cfg.max_rounds + 1
+
+        ours = np.sort([completion(run_trial(cfg, t)) for t in range(n)])
+        theirs = np.sort([completion(reference_trial(cfg, n + t)) for t in range(n)])
+        grid = np.union1d(ours, theirs)
+        gap = np.abs(np.searchsorted(ours, grid, side="right")
+                     - np.searchsorted(theirs, grid, side="right")).max() / n
+        assert gap <= math.sqrt(math.log(2 / 0.001) / 2) * math.sqrt(2 / n), gap
 
     def test_round_counts_match_model(self):
         # every node a candidate, all of them listening or a random subset;
@@ -683,6 +741,224 @@ class TestEngineEquivalence:
         p = sum(rates) / 2
         sigma = math.sqrt(2 * p * (1 - p) / n)
         assert abs(rates[0] - rates[1]) <= 3 * sigma
+
+
+def chi2_critical(df: int) -> float:
+    """The 0.999 quantile of chi-square with df degrees of freedom
+    (Wilson-Hilferty), the threshold of every chi-square test here."""
+    z = 3.090232  # the standard normal's 0.999 quantile
+    return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+
+
+def chi2(observed: Counter, expected: dict, n: int) -> tuple[float, int]:
+    """Pearson's statistic and degrees of freedom for n draws counted in
+    `observed` against the cell probabilities `expected`.  No draw may fall
+    in a cell of probability 0; cells expecting fewer than 5 draws are
+    pooled, and the pool joins the smallest other cell if it expects fewer."""
+    support = {cell for cell, prob in expected.items() if prob > 0}
+    assert set(observed) <= support, set(observed) - support
+    kept, pool = [], [0, 0.0]
+    for cell in support:
+        o, e = observed[cell], n * expected[cell]
+        if e < 5:
+            pool[0] += o
+            pool[1] += e
+        else:
+            kept.append([o, e])
+    kept.sort(key=lambda oe: oe[1])
+    if pool[1] >= 5:
+        kept.append(pool)
+    elif pool[1] > 0:
+        kept[0][0] += pool[0]
+        kept[0][1] += pool[1]
+    return sum((o - e) ** 2 / e for o, e in kept), len(kept) - 1
+
+
+def custom_schedule(*probs) -> Schedule:
+    """A cycle of the given probabilities; 0 stands for one that underflows."""
+    return Schedule("custom", tuple(math.log(p) if p else -800.0 for p in probs))
+
+
+class _Zeros:
+    """A generator whose every uniform is 0."""
+
+    def random(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+
+class TestSkippedCoins:
+    """The materialized engine's node coins: the first round in which one of
+    m counted candidates transmits (`_first_firing`) and that round's coins
+    given that one does (`_fired_coins`) follow the law of m independent
+    coins per round.  Every chi-square test uses alpha = 0.001."""
+
+    @pytest.mark.parametrize("probs, m, r, horizon", [
+        ((0.3, 0.05, 0, 0.2), 3, 3, 12),        # p = 0; both sides of the 1/2 rule
+        ((0.02, 1.0, 0.1), 2, 3, 6),            # p = 1: infinite hazard
+        ((0.04, 0.01, 0.02), 1, 2, 60),         # m = 1 over many cycles
+        ((0.3, 0.05, 0, 0.2), 40, 1, 8),        # large m, mostly redrawn
+        ((0.0004, 0.0002, 0.001), 500, 2, 30),  # large m, zero-truncated binomial
+    ])
+    def test_first_firing_round_and_count_law(self, probs, m, r, horizon):
+        # cells: (F, K) for F = r..r + horizon - 1, and F past them
+        schedule = custom_schedule(*probs)
+        hazard, p, k = engine._hazard(schedule), schedule.prob_array.tolist(), len(probs)
+        rng = np.random.default_rng([20261019, m, r])
+        n = 20_000
+        observed = Counter()
+        for _ in range(n):
+            f = engine._first_firing(hazard, r, m, rng.random(), 10 ** 9)
+            if f >= r + horizon:
+                observed["later"] += 1
+                continue
+            phase = (f - 1) % k
+            coins = engine._fired_coins(rng, m, p[phase], hazard.h[phase])
+            observed[f, int(coins.sum())] += 1
+        expected, alive = {}, 1.0
+        for f in range(r, r + horizon):
+            q = p[(f - 1) % k]
+            for count in range(1, m + 1):
+                expected[f, count] = (alive * math.comb(m, count)
+                                      * q ** count * (1 - q) ** (m - count))
+            alive *= (1 - q) ** m
+        expected["later"] = alive
+        stat, df = chi2(observed, expected, n)
+        assert df == 0 or stat <= chi2_critical(df), (stat, df)
+
+    @pytest.mark.parametrize("m, p", [(1, 0.2), (5, 0.1), (5, 0.3), (2, 0.5), (600, 0.0005)])
+    def test_fired_coins_law(self, m, p):
+        # given that a coin shows, pattern v has probability
+        # p^|v| (1 - p)^(m - |v|) / (1 - (1 - p)^m); on a long span the
+        # cells are the count beyond 2, and for 1 or 2 transmitters the
+        # tenths of the span they lie in
+        h = -math.log1p(-p)
+        rng = np.random.default_rng([20261020, m])
+        n = 20_000
+        fire = 1 - (1 - p) ** m
+        observed = Counter()
+        if m <= 5:
+            for _ in range(n):
+                observed[tuple(engine._fired_coins(rng, m, p, h).tolist())] += 1
+            expected = {}
+            for v in itertools.product((False, True), repeat=m):
+                expected[v] = p ** sum(v) * (1 - p) ** (m - sum(v)) / fire if any(v) else 0.0
+        else:
+            tenth = m // 10
+            for _ in range(n):
+                at = np.flatnonzero(engine._fired_coins(rng, m, p, h))
+                observed[(len(at), *(at // tenth).tolist()) if len(at) <= 2 else "more"] += 1
+            one = m * p * (1 - p) ** (m - 1) / fire
+            two = math.comb(m, 2) * p ** 2 * (1 - p) ** (m - 2) / fire
+            expected = {"more": 1 - one - two}
+            for b in range(10):
+                expected[1, b] = one / 10
+                for c in range(b, 10):
+                    pairs = tenth * (tenth - 1) / 2 if b == c else tenth * tenth
+                    expected[2, b, c] = two * pairs / math.comb(m, 2)
+        stat, df = chi2(observed, expected, n)
+        assert df == 0 or stat <= chi2_critical(df), (stat, df)
+
+    def test_whole_cycle_jumps_match_a_round_by_round_search(self):
+        # the draw jumps whole cycles, then searches one; it picks the round
+        # that accumulating the hazard round by round picks, over jumps of
+        # no, one and several cycles
+        hazard = engine._hazard(custom_schedule(0.01, 0.02, 0.005, 0.0001, 0))
+        rng = np.random.default_rng(3)
+        jumps = Counter()
+        for _ in range(3000):
+            r, m, u = int(rng.integers(1, 50)), int(rng.integers(1, 4)), float(rng.random())
+            x, total, f = -math.log1p(-u), 0.0, r - 1
+            while total <= x:
+                f += 1
+                total += m * hazard.h[(f - 1) % 5]
+            assert engine._first_firing(hazard, r, m, u, 10 ** 6) == f, (r, m, u)
+            jumps[min((f - r) // 5, 2)] += 1
+        assert set(jumps) == {0, 1, 2}
+
+    def test_certain_round_caps_the_draw(self):
+        # p = 1 in phase 1: no draw passes the next round in that phase, and
+        # a uniform near 1 lands on it
+        hazard = engine._hazard(custom_schedule(0.01, 1.0, 0.02))
+        assert hazard.h[1] == math.inf and hazard.sure == [1, 0, 2]
+        for r in range(1, 7):
+            sure = r + hazard.sure[(r - 1) % 3]
+            for u in np.linspace(0, 1, 50, endpoint=False):
+                assert r <= engine._first_firing(hazard, r, 2, u, 10 ** 6) <= sure
+            assert engine._first_firing(hazard, r, 2, 1 - 1e-12, 10 ** 6) == sure
+
+    def test_zero_uniform(self):
+        # the first round that can fire, then one transmitter, the first
+        hazard = engine._hazard(custom_schedule(0, 0.1, 0, 0.5))
+        assert engine._first_firing(hazard, 1, 3, 0.0, 10 ** 6) == 2
+        assert engine._first_firing(hazard, 3, 3, 0.0, 10 ** 6) == 4
+        assert engine._fired_coins(_Zeros(), 4, 0.1, hazard.h[1]).tolist() == [
+            True, False, False, False]
+
+    def test_silent_cycle_never_fires(self, monkeypatch):
+        # every p underflows to 0: no round ever fires; a tiny p fires past
+        # the last round.  A trial then runs every round idle, and still
+        # enters and asks the adversary once a round
+        for probs in [(0,), (0, 0, 0)]:
+            hazard = engine._hazard(custom_schedule(*probs))
+            assert hazard.cycle == 0.0
+            for u in (0.0, 0.5, 1 - 1e-12):
+                assert engine._first_firing(hazard, 2, 7, u, 10 ** 6) == _NEVER
+        hazard = engine._hazard(custom_schedule(1e-300))
+        assert engine._first_firing(hazard, 1, 1, 0.5, 10 ** 9) == _NEVER
+        calls = Counter()
+        bind = engine.make_policy
+
+        def counted(*args):
+            policy = bind(*args)
+            for method in ("pre_round", "sample_edges"):
+                def call(*a, _method=method, _real=getattr(policy, method)):
+                    calls[_method] += 1
+                    return _real(*a)
+                setattr(policy, method, call)
+            return policy
+
+        monkeypatch.setattr(engine, "make_policy", counted)
+        for probs in [(0, 0), (1e-300,)]:
+            calls.clear()
+            cfg = TrialConfig(problem="local", gadget=star_gadget(8, 10),
+                              schedule=custom_schedule(*probs),
+                              adversary={"kind": "static", "tau": 1}, seed=3, max_rounds=50)
+            result = run_trial(cfg)
+            assert not result.completed and result.rounds_executed == 50
+            assert calls == {"pre_round": 50, "sample_edges": 50}
+
+    def test_drawn_round_past_window_event_or_last_round(self, monkeypatch):
+        # trials draw rounds that lie past the next window event (a node
+        # starts or runs out of budget) and past the last round; each such
+        # round is dropped, and the trial still matches the reference given
+        # its transmitters (see TestEngineEquivalence)
+        draws, windows = [], []
+        first_firing, window = engine._first_firing, engine._transmitter_window
+
+        def drawing(hazard, r, m, u, last):
+            draws.append((len(windows), r, first_firing(hazard, r, m, u, last), last))
+            return draws[-1][2]
+
+        def recording(act, r, budget):
+            windows.append(r)
+            return window(act, r, budget)
+
+        monkeypatch.setattr(engine, "_first_firing", drawing)
+        monkeypatch.setattr(engine, "_transmitter_window", recording)
+        rng = np.random.default_rng(20261021)
+        seen = Counter()
+        for case in range(40):
+            cfg = random_trial_config(rng, PROBLEMS[case % 2], "static", seed=case)
+            draws.clear()
+            windows.clear()
+            run_trial(cfg)
+            for built, r, f, last in draws:
+                event = windows[built] if built < len(windows) else _NEVER
+                if event <= min(f, last):
+                    seen["window event"] += 1
+                elif f > last:
+                    seen["last round"] += 1
+        assert seen["window event"] and seen["last round"], seen
 
 
 def _reach_configs():

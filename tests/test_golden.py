@@ -254,33 +254,33 @@ GOLDEN = {
     'a-walk-criterion-10': '5ba1154e97502bf92736a942541a64344e19c6aa6768d825574bd224b940a26c',
     'a-criterion-11': 'd0a259d8853a787bd93dace2d9c582227fad93e732f2d60711482a35c5e89819',
     'a-iid-random-q-tau6': 'ea9f279600794c9ac1d1c464ae35267c92a7da3e300b888e3cf1e67e193ce395',
-    'm-criterion-11': '80ec43aec726757be9d66efbe1e5fdd48b53b33e78698dcde786d8ada611349d',
-    'm-static': 'd1853816db70d394a5f444861bdfe573b70b0e95c85dd79f2d75fa62d7b3ebbe',
-    'm-iid': '71bb3ff8805b3032b81451b2ad89d60f29bdd74b968a58f39a7d763f563705db',
-    'm-iid-all-receivers': '5f9ead23051c02de00dc4519ad8682e8ae869bf6ac8f5180db465ea7d015db0e',
-    'm-gap': '7117c5af9a81017dc24bbe348f1a852d496afdf71fd05642634812a472c46b9c',
-    'm-argmin': 'f8e7ec8d968a55687d9a882cc8ae06a5de907fbfaae40dbd0cfc971486dd4b32',
-    'm-shift': '14b217e5e9875fb9db42c90e28eef3b218871917493203298ba30a0c57d5ae02',
-    'm-walk-deterministic': 'efa3758b3e4302ee591a26d5014a65a44e5e415d0b4e7d49c7761f73b96b5537',
-    'm-walk-restricted': '688b19f4194e290380bd901df8e5c1323d9da9ea0df40613535f36f9718029fa',
-    'm-walk-restricted-dodging': '4308afe7d0206c0b64c1c3fa178fe50f87da2fbe1fb4b0fbc09c06263cd85cc1',
-    'm-inert-broadcasters': '4f36bbb601b091f3e7701af070fff33da2fa6acfb016c88ae39e0419207011ec',
-    'm-receiver-broadcasts': 'b7ffcb881e3a07a6d534471dccdc76e858f72c8973cc1a8a3616a37e6a61b551',
-    'g-static': '019be678a64831aa12800e3ee579f3b7d58ba4c24a2f71604fa60b3325692a85',
-    'g-iid': 'ba604526442d5987776b237835679f2725b2ef33eb9b257ea69e3ac5dab66d09',
-    'g-chained-gap': '73d70937c93e2f378b3164928d062c8fb708adcb70fb0056660805224027f6ad',
-    'g-chained-static': '4ea631603f5fb1b6a3b41184b43f2cab34cf9a3fe67ea21ad80302bc8cd80ed4',
-    'g-line': '224d597f92c4799b5949ea74230999874a064b13596cee2d1a150711cfda7af3',
-    'g-budget-exhausted': '766792e811536def5fd8e733ce1aaf7d7867a9eacbcf20c8b645cd7cf07e526e',
-    'g-path-k1': 'ffb987e143fd847a04e8f49474763a2f7ccf57dc1e80b83499566b2566bd8294',
-    'g-path-k1-reps1': '96de54510c3e6932a9c03cf570b81b0f98b3574ec2ddb1745bb87a49d599ccf6',
-    'g-mesh-small-reps': '2d8a87ec72f334d22f1ca242aba12ecd0cc19b4ab9cc11829ecb7fdb49a4d94e',
-    'g-chained-small-reps': 'f404ebfdf442072d5d9d9af67bcb434bcb90eca541c01c7bf5da10a80c16e201',
+    'm-criterion-11': 'e31b51ff32e67e322fa17dc8de491e28101c04d58c02f330d2f03f786c148f95',
+    'm-static': '861102ff81559f4105d18b3fd8891440608eae3c4f95dce95448fde1952c1c26',
+    'm-iid': 'e48fd5cc6c97e4b368d3e7f1ad2664b44be6ba8b4c58427d0bb1693e32e1bd97',
+    'm-iid-all-receivers': 'dce65cd1643244fb63b9a29126937f28971a9cfbee7e7c3245bd40e9ea8d4f07',
+    'm-gap': 'aab66f047e36b874681cd7f79dd6b12b77a243671bd202552629425886fa3cc5',
+    'm-argmin': 'dad59d3fc2bd4f6a66c811f158ad4810b9655c4a510e0e6987e9dfd25aa45a6b',
+    'm-shift': 'db76df81c1848704e90ba3651395ca902f89976b5c21a8e59e840efb02cce95d',
+    'm-walk-deterministic': 'bfffb64970ef8880ff5185933a680d24a7d2254b6061ea748fe5f2a6363ed5d6',
+    'm-walk-restricted': '58f4e26bf88cdb6ab095e540984bad5d4a0b5af3fa5bfcd309911e2c2d051c7d',
+    'm-walk-restricted-dodging': 'ddb0d26418fd741ff1b6b8679a36c0ed415b7b50c145484e8431611e63e3946e',
+    'm-inert-broadcasters': 'cc047dae16bd793239aac8deafce708e7d6c0f0b873b9a26eda81df0af54e545',
+    'm-receiver-broadcasts': '7d962bfae89b996ee7367e04f6cbe9038ac7824d778b431cf5af2aa32e0babd8',
+    'g-static': 'd617debb5c77629581623dd3ede6120374c358d2afab5814866770bdfa1cb6ab',
+    'g-iid': 'cf9458317c7cb33489c5b9aa74ca812f63a2df498c2533362d3d571218a449ea',
+    'g-chained-gap': 'cb56887916013c2c83c3ae340143edc82620bf763ea13ab39a0ab33dd6e289c6',
+    'g-chained-static': '5a159d2ae43db7a3672bbfa80d08405d3a0a6181782387b523f55031125c685b',
+    'g-line': '831919a80f9b7ae7c9d0a1a8843fb034d928b56e0c0e824dccb75c6d22caba09',
+    'g-budget-exhausted': 'a506511e50334dae68e6c7c57c8a7e4e3b369dc316ddeabbff44d294316f0b35',
+    'g-path-k1': '3490932093b9e7f0076007fde2123280d0e970b2caaa963e45417aeb51c71b64',
+    'g-path-k1-reps1': 'af7837341fa1f359e9c91e2d4cc23938c724838e0d0e80315e7f7285f53831c7',
+    'g-mesh-small-reps': '0cd5060598c9c02072d7d41c5ca926d2764b0d961d08f3d9ece64bec1389eb06',
+    'g-chained-small-reps': 'dbd807addb9b178497f1eb809623c2210b2753c9f73d584e974c6634479647af',
     'g-chained-gap-small-reps':
-        'd5958478aba630a7c18ca9ffc9ff6777c171558d178c556b73125b31a18d65d4',
-    'g-chained-gap-decay': '14095f4799bc8ad4b1ca0a781cc653ec7d157c1bd6b2f22ed47235c79320a857',
+        '63be6c8e47ac0781f5bb8a1fa3e3aee6650bd9ce5b0776d27e1a383e368a5eb0',
+    'g-chained-gap-decay': '24fd7ccd640b01ea5bda33c7f525c0c9799715ffd640bfeacfdd17a27e53fe22',
     'g-chained-static-edges':
-        '4cef5d2628f44dd04526a3caf7289a110991af6c002a993a1681de48b33a2bfb',
+        '81005de5fe81a4dafb6314469a01dda40277e1977ace85f3b6325b436d136aaa',
 }
 
 CONFIGS = _configs()
