@@ -11,10 +11,10 @@ name edges beyond one receiver's arms, pick their edges themselves.
 
 `sample_edges` is given the round's counted transmitters and returns
 every active edge that touches one of them; it may leave out the others,
-which cannot change a delivery.  Only `iid_subset` and `chained_gap` leave
-edges out: the uniforms of the edges they leave out are skipped, not
-drawn, by advancing the adversary stream past them before the next draw,
-so the stream and every result are the same as when every edge is drawn.
+which cannot change a delivery.  Only `chained_gap` leaves edges out: the
+uniforms of the sections it leaves out are skipped, not drawn, by
+advancing the adversary stream past them before its next draw, so the
+stream and every result are the same as when every edge is drawn.
 
 Policies may change the distribution they draw from at most once every
 `tau` rounds: the rule lives in `AdversaryPolicy.pre_round`, which both
@@ -526,26 +526,6 @@ class StaticPolicy(AdversaryPolicy):
         return self.edge_indices
 
 
-class IncidentEdges(NamedTuple):
-    """Each node's lowest and highest incident unreliable edge index (the
-    edge count and -1 for a node with none)."""
-
-    first: np.ndarray
-    last: np.ndarray
-
-
-def incident_edges(graph) -> IncidentEdges:
-    count = len(graph.unreliable_edges)
-    ends = np.array(graph.unreliable_edges, dtype=np.int64).reshape(-1, 2)
-    first = np.full(graph.node_count, count, dtype=np.int64)
-    last = np.full(graph.node_count, -1, dtype=np.int64)
-    index = np.arange(count)
-    for column in ends.T:
-        np.minimum.at(first, column, index)
-        np.maximum.at(last, column, index)
-    return IncidentEdges(first, last)
-
-
 class IidSubsetPolicy(AdversaryPolicy):
     """Each unreliable edge independently present with probability q.
 
@@ -562,26 +542,18 @@ class IidSubsetPolicy(AdversaryPolicy):
     and in one call with an array of q's otherwise: numpy spends
     more on checking an array of q's than on a few calls, and both forms
     take the same draws from the stream.
-
-    On the materialized engine edge i owns the round's uniform i, but only
-    the uniforms from the lowest to the highest edge index at a counted
-    transmitter are drawn (`incident`, built once per point); the others
-    are owed and skipped with one `advance` of `np_rng` before the next
-    draw, as in `ChainedGapPolicy`, so a round without one draws nothing.
     """
 
     _BLOCKWISE = 8
 
     def __init__(self, tau, edge_prob: float | None, n_unreliable: int,
-                 receiver_unreliable: int, incident: IncidentEdges | None = None):
+                 receiver_unreliable: int):
         super().__init__(tau if edge_prob is None else None)
         self.edge_prob = edge_prob
         self.n_unreliable = n_unreliable
         self.receiver_unreliable = receiver_unreliable
-        self.incident = incident  # None: no edges to draw (the analytic engine)
         self._qs: list[float] = [math.nan]  # no block before the first
         self._qs_from = -1
-        self._owed = 0  # uniforms skipped but not yet advanced past
 
     def _blocks(self, blocks):
         if self.edge_prob is not None:
@@ -594,18 +566,8 @@ class IidSubsetPolicy(AdversaryPolicy):
         return [(i, ("iid", q)) for i, q in enumerate(qs) if not i or q != qs[i - 1]]
 
     def sample_edges(self, round_index, tx):
-        # edge i owns uniform i: draw those from the lowest to the highest
-        # edge at a node of tx, and owe the others
-        count = self.n_unreliable
-        lo = int(self.incident.first[tx].min()) if len(tx) else count
-        hi = int(self.incident.last[tx].max()) if len(tx) else -1
-        if hi < lo:
-            self._owed += count
-            return _NO_EDGES
-        self.np_rng.bit_generator.advance(self._owed + lo)
-        self._owed = count - 1 - hi
-        mask = self.np_rng.random(hi + 1 - lo) < self._qs[-1]
-        return np.flatnonzero(mask) + lo
+        mask = self.np_rng.random(self.n_unreliable) < self._qs[-1]
+        return np.flatnonzero(mask)
 
     def _degrees(self, rounds):
         # rounds: a chunk of consecutive rounds, within the blocks entered
@@ -1020,8 +982,7 @@ def compile_adversary(spec: dict, gadget: Gadget, schedule: Schedule) -> Adversa
                              f"binomial, so its {arms} unreliable arms (delta - 2 on a "
                              f"virtual star) must be fewer than 2^63")
         return AdversaryPlan(partial(IidSubsetPolicy, tau, spec.get("edge_prob"),
-                                     len(graph.unreliable_edges), arms,
-                                     incident_edges(graph)), None)
+                                     len(graph.unreliable_edges), arms), None)
     if kind == "correlated_shift":
         if gadget.kind != "double_star":
             raise ValueError(

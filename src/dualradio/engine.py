@@ -491,9 +491,9 @@ class _Hazard(NamedTuple):
     in which one of m counted candidates first transmits is drawn (see
     `_first_firing`): `h` per cycle phase (inf where p = 1); `cum`, the
     running sum of the finite ones over two cycles (cum[i] sums phases
-    0..i-1 mod k, a p = 1 phase adding 0); `cycle`, one cycle's finite
-    hazard; `sure[s]`, the rounds from a phase-s round to the next p = 1
-    phase, or -1 when the cycle has none.  They are taken from
+    0..i-1 mod k, a p = 1 phase adding 0); `cycle` = cum[k], one cycle's
+    finite hazard; `sure[s]`, the rounds from a phase-s round to the next
+    p = 1 phase, or -1 when the cycle has none.  They are taken from
     `prob_array`, against which the coins are drawn, so h = 0 exactly where
     p = 0 and h = inf exactly where p = 1."""
 
@@ -515,7 +515,7 @@ def _hazard(schedule: Schedule) -> _Hazard:
     if len(ones):
         ones = np.concatenate((ones, ones + k))
         sure = ones[np.searchsorted(ones, np.arange(k))] - np.arange(k)
-    return _Hazard(h.tolist(), cum.tolist(), float(finite.sum()), sure.tolist())
+    return _Hazard(h.tolist(), cum.tolist(), float(cum[k]), sure.tolist())
 
 
 def _first_firing(hazard: _Hazard, r: int, m: int, u: float, last: int) -> int:
@@ -534,10 +534,15 @@ def _first_firing(hazard: _Hazard, r: int, m: int, u: float, last: int) -> int:
     if sure >= 0 and x >= cum[s + sure] - cum[s]:
         return r + sure
     whole, x = divmod(x, hazard.cycle) if hazard.cycle else (math.inf, x)
+    i = bisect.bisect_right(cum, cum[s] + x, s + 1, s + k + 1)
+    if i > s + k:
+        # x fell in the rounding gap between `cycle` and this phase's
+        # cycle cum[s + k] - cum[s]: the next cycle's first round with h > 0
+        whole += 1
+        i = bisect.bisect_right(cum, cum[s], s + 1, s + k + 1)
     if whole * k > last:
         return _NEVER
-    i = bisect.bisect_right(cum, cum[s] + x, s + 1, s + k + 1)
-    return r + int(whole) * k + min(i - s - 1, k - 1)
+    return r + int(whole) * k + i - s - 1
 
 
 def _fired_coins(np_nodes, m: int, p: float, h: float) -> np.ndarray:

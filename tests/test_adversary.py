@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import random
 import warnings
 from fractions import Fraction
 from functools import partial
@@ -16,9 +15,7 @@ from dualradio.adversary import (ADVERSARY_KEYS, AdversaryPlan, ChainedGapPolicy
                                  argmin_degree, compile_adversary, gap_plan, make_policy,
                                  phase_cycle_probs, shift_plan, uniform_subsets, walk_degrees)
 from dualradio.engine import _NEVER, TrialConfig, run_trial, trial_rngs
-from dualradio.gadgets import (Gadget, build_gadget, chained_gadgets, double_star,
-                               star_gadget)
-from dualradio.model import DualGraph
+from dualradio.gadgets import build_gadget, chained_gadgets, double_star, star_gadget
 from dualradio.oracle import (exact_success_logprob, exact_success_prob, phase_success_sum,
                               success_peak_degree)
 from dualradio.schedules import (decay_schedule, frlb_schedule, rlb_schedule,
@@ -758,38 +755,6 @@ class TestNarrowedDraws:
             drawn = set(full.sample_edges(r, every_node(g)).tolist())
             assert got <= drawn
             assert self.touching(g.graph, got, nodes) == self.touching(g.graph, drawn, nodes)
-        narrow.np_rng.bit_generator.advance(narrow._owed)
-        assert narrow.np_rng.bit_generator.state == full.np_rng.bit_generator.state
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.data(), st.integers(2, 12), st.integers(0, 2 ** 32))
-    def test_iid_draw_matches_full_draw(self, data, n, seed):
-        # random graphs, fixed or per-block q, rounds without and with
-        # counted transmitters
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        kinds = data.draw(st.lists(st.sampled_from("ru-"), min_size=len(pairs),
-                                   max_size=len(pairs)), label="edges")
-        graph = DualGraph.from_parts(n, [e for e, c in zip(pairs, kinds) if c == "r"],
-                                     [e for e, c in zip(pairs, kinds) if c == "u"])
-        g = Gadget(kind="chained", graph=graph, delta=2, broadcasters=frozenset(),
-                   receivers=frozenset(), source=0)
-        spec = {"kind": "iid_subset", "tau": data.draw(st.sampled_from([1, 2, None])),
-                "edge_prob": data.draw(st.sampled_from([None, 0.0, 0.3, 1.0]))}
-        plan = compile_adversary(spec, g, rlb_schedule(4, 2))
-        narrow, full = (make_policy(plan, np.random.Generator(np.random.PCG64(seed)),
-                                    random.Random(seed)) for _ in range(2))
-        for r in range(1, data.draw(st.integers(1, 6), label="rounds") + 1):
-            nodes = data.draw(st.sets(st.integers(0, n - 1)), label="tx")
-            tx = np.array(sorted(nodes), dtype=np.int64)
-            for policy in (narrow, full):
-                policy.pre_round(r)
-            before = narrow.np_rng.bit_generator.state
-            got = set(narrow.sample_edges(r, tx).tolist())
-            if not self.touching(graph, range(len(graph.unreliable_edges)), nodes):
-                assert narrow.np_rng.bit_generator.state == before  # drew nothing
-            drawn = set(full.sample_edges(r, every_node(g)).tolist())
-            assert got <= drawn
-            assert self.touching(graph, got, nodes) == self.touching(graph, drawn, nodes)
         narrow.np_rng.bit_generator.advance(narrow._owed)
         assert narrow.np_rng.bit_generator.state == full.np_rng.bit_generator.state
 

@@ -894,6 +894,21 @@ class TestSkippedCoins:
         assert engine._fired_coins(_Zeros(), 4, 0.1, hazard.h[1]).tolist() == [
             True, False, False, False]
 
+    def test_rounding_gap_moves_to_the_next_cycle(self):
+        # a cycle ending in p = 0 whose `cycle` lies one ulp above its
+        # running sum cum[k]: a uniform whose hazard x is exactly cum[k]
+        # leaves a remainder at or past the cycle's end, and the draw must
+        # land on the next cycle's first round with h > 0, not on the p = 0
+        # phase, whose coins cannot show
+        u, m = 0.375, 3
+        x = -math.log1p(-u) / m
+        hazard = engine._Hazard([x, 0.0], [0.0, x, x, 2 * x, 2 * x],
+                                math.nextafter(x, math.inf), [-1, -1])
+        assert x < hazard.cycle and hazard.cum[2] == x
+        f = engine._first_firing(hazard, 1, m, u, 10 ** 6)
+        assert f == 3 and hazard.h[(f - 1) % 2] > 0
+        assert engine._first_firing(hazard, 1, m, u, 1) == _NEVER
+
     def test_silent_cycle_never_fires(self, monkeypatch):
         # every p underflows to 0: no round ever fires; a tiny p fires past
         # the last round.  A trial then runs every round idle, and still
