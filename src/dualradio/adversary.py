@@ -431,13 +431,15 @@ class AdversaryPolicy:
 
     The distribution may change only where a tau-round block starts (tau
     None: the whole run is one block).  `pre_round` enters the blocks of a
-    range of rounds, in order, through one hook, `_blocks`: given the new
-    blocks' indices it draws their distributions and returns their
-    fingerprints, which `change_log` records wherever they differ from the
-    last.  `_degrees` maps rounds to the receiver's degrees.  The analytic
-    engine calls `degrees`, which enters every block of a chunk of rounds
-    at once; the materialized engine calls `pre_round` and then
-    `sample_edges` once every round.  Rounds are asked for in order.
+    range of rounds, in order, through the hook `_blocks`, or `_enter_block`
+    for the one block of a single round: given the new blocks' indices they
+    draw their distributions and return their fingerprints, which
+    `change_log` records wherever they differ from the last.  `_degrees`
+    maps rounds to the receiver's degrees.  The analytic engine calls
+    `degrees`, which enters every block of a chunk of rounds at once, or
+    one round's block for a single round; the materialized engine calls
+    `pre_round` and then `sample_edges` once every round.  Rounds are asked
+    for in order.
     """
 
     def __init__(self, tau: int | None, receiver_edges: np.ndarray | None = None):
@@ -458,10 +460,16 @@ class AdversaryPolicy:
         """Enter the blocks of rounds round_index..through (by default
         round_index alone) that were not entered yet."""
         span = self.tau or _WHOLE_RUN
-        last = ((through or round_index) - 1) // span
+        block = (round_index - 1) // span
+        if through is None:  # one round: only its own block can be new
+            if block > self._block:
+                self._block = block
+                self._record(round_index, self._enter_block(block))
+            return
+        last = (through - 1) // span
         if last <= self._block:
             return
-        first = max((round_index - 1) // span, self._block + 1)
+        first = max(block, self._block + 1)
         self._block = last
         begin = first * span + 1
         changes = self._blocks(range(first, last + 1))
@@ -475,7 +483,11 @@ class AdversaryPolicy:
         self._fingerprint = fp
 
     def degrees(self, start_round: int, count: int):
-        """Receiver effective degrees for rounds start..start+count-1."""
+        """Receiver effective degrees for rounds start..start+count-1; for
+        one round, the one degree of `_degrees`' one-round form."""
+        if count == 1:
+            self.pre_round(start_round)
+            return self._degrees(start_round)
         self.pre_round(start_round, through=start_round + count - 1)
         return self._degrees(np.arange(start_round, start_round + count))
 
@@ -499,6 +511,12 @@ class AdversaryPolicy:
         for i = 0 and wherever the fingerprint differs from the block
         before; `pre_round` compares only the first with the last recorded."""
         raise NotImplementedError
+
+    def _enter_block(self, block: int) -> object:
+        """Enter the one block `block`: its fingerprint.  A round enters at
+        most one block, so a policy whose `_blocks` costs more than one
+        block needs gives a lean form here."""
+        return self._blocks(range(block, block + 1))[0][1]
 
     def _degrees(self, rounds):
         """Degrees for an int64 array of rounds, or for one int round (then
@@ -534,14 +552,15 @@ class IidSubsetPolicy(AdversaryPolicy):
     q comes from the scalar adversary stream, one draw per block in block
     order, so it does not depend on how the numpy draws are batched.  A
     fixed q is one block whatever tau is.  `_qs` holds the q of each block
-    from `_qs_from` to the last entered: the blocks the last `_blocks` call
-    entered, after the block before them, in which a chunk may begin.
+    from `_qs_from` to the last entered: the blocks the last `_blocks` or
+    `_enter_block` call entered, after the block before them, in which a
+    chunk may begin.
 
-    A chunk of rounds draws its arm counts block by block, one scalar-q
-    `binomial` call per block, when it spans at most `_BLOCKWISE` blocks,
-    and in one call with an array of q's otherwise: numpy spends
-    more on checking an array of q's than on a few calls, and both forms
-    take the same draws from the stream.
+    One round draws its arm count with one scalar `binomial` call.  A chunk
+    of rounds draws them block by block, one scalar-q call per block, when
+    it spans at most `_BLOCKWISE` blocks, and in one call with an array of
+    q's otherwise: numpy spends more on checking an array of q's than on a
+    few calls.  All three forms take the same draws from the stream.
     """
 
     _BLOCKWISE = 8
@@ -565,14 +584,23 @@ class IidSubsetPolicy(AdversaryPolicy):
         self._qs_from = blocks.start - 1
         return [(i, ("iid", q)) for i, q in enumerate(qs) if not i or q != qs[i - 1]]
 
+    def _enter_block(self, block):
+        q = self.edge_prob if self.edge_prob is not None else self.py_rng.random()
+        self._qs = [self._qs[-1], q]
+        self._qs_from = block - 1
+        return ("iid", q)
+
     def sample_edges(self, round_index, tx):
         mask = self.np_rng.random(self.n_unreliable) < self._qs[-1]
         return np.flatnonzero(mask)
 
     def _degrees(self, rounds):
-        # rounds: a chunk of consecutive rounds, within the blocks entered
-        span = self.tau or _WHOLE_RUN
+        # rounds: a chunk of consecutive rounds, within the blocks entered,
+        # or one round, in the last block entered
         arms, binomial = self.receiver_unreliable, self.np_rng.binomial
+        if not isinstance(rounds, np.ndarray):
+            return 1.0 + binomial(arms, self._qs[-1])
+        span = self.tau or _WHOLE_RUN
         start, count = int(rounds[0]) - 1, len(rounds)
         first, last = start // span, (start + count - 1) // span
         if last - first + 1 > self._BLOCKWISE:
@@ -641,12 +669,14 @@ class PhaseDegreePolicy(AdversaryPolicy):
     def _blocks(self, blocks):
         table = self._phase_degree
         table(blocks[-1])
-        fingerprints, period = table.fingerprints, table.period
-        if len(blocks) == 1:
-            return [(0, fingerprints[blocks.start % period])]
-        values = table.floats[np.arange(blocks.start, blocks.stop) % period]
+        values = table.floats[np.arange(blocks.start, blocks.stop) % table.period]
         changed = [0, *(np.flatnonzero(values[1:] != values[:-1]) + 1).tolist()]
-        return [(i, fingerprints[blocks[i] % period]) for i in changed]
+        return [(i, table.fingerprints[blocks[i] % table.period]) for i in changed]
+
+    def _enter_block(self, block):
+        table = self._phase_degree
+        table(block)
+        return table.fingerprints[block % table.period]
 
     def _degrees(self, rounds):
         table = self._phase_degree

@@ -24,7 +24,14 @@ activated that edge this round.
 The analytic engine exploits the star gadgets' structure and tracks only
 the designated receiver's effective degree, sampling its per-round success
 from the closed-form probability (in log space, so degree bounds given as
-log2 values keep working).
+log2 values keep working).  A trial steps its first rounds one at a time,
+with one degree (`AdversaryPolicy.degrees(r, 1)`), one uniform and one
+success test in float64 scalars, since most short trials end within them;
+only a trial that outlives them draws degree chunks, 16 rounds and then
+4x more each up to 4096.  Every stream is consumed in round order and a
+round alone computes what its lane of a chunk computes (`np.log`, never
+`math.log`, which may differ in the last bit), so where chunks begin does
+not change a result.
 
 Randomness: each trial t uses seed `config.seed + t`.  Inside a trial,
 streams are derived by `split_seed` (SHA-256 over the labeled seed), with
@@ -41,8 +48,8 @@ each of its trials starts from (`point_start`) and hands it to every
 with the PCG64 seeds turned into seed words in one vectorized pass
 (`stream_seeds`, which gives the same generators as seeding each alone),
 and the engine's start state: on the analytic engine the cycle's
-probabilities over the first degree chunk, on the materialized engine the
-node state before round 1 and round 1's transmitter window and frontier.
+ln(1 - p) values as floats, on the materialized engine the node state
+before round 1 and round 1's transmitter window and frontier.
 Trials only read it, and copy the arrays they change.  A lone `run_trial`
 builds its own.
 The materialized node stream (RNG layout 2) is drawn per counted span,
@@ -59,10 +66,10 @@ draw nothing.  This is the law of one independent coin per candidate per
 round; a new frontier (a window event or a delivery) drops a drawn round
 and draws again from the new span.
 The adversary's edge draws are narrowed without changing its stream: each
-round the policy is given the counted transmitters, and `iid_subset` and
-`chained_gap` draw only the uniforms of a run of edges that holds every
-edge at one of them, and skip the others' by advancing the adversary
-stream (see `adversary.AdversaryPolicy.sample_edges`).
+round the policy is given the counted transmitters, and `chained_gap`
+draws only the uniforms of a run of sections that holds every edge at one
+of them, and skips the others' by advancing the adversary stream (see
+`adversary.AdversaryPolicy.sample_edges`).
 """
 
 from __future__ import annotations
@@ -77,16 +84,17 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .adversary import (AdversaryPlan, ObservableHistory, compile_adversary, make_policy,
-                        uniform_subsets)
+from .adversary import (_EXACT, AdversaryPlan, ObservableHistory, compile_adversary,
+                        make_policy, uniform_subsets)
 from .gadgets import Gadget
 from .model import DualGraph
 from .oracle import exact_success_logprob
 from .schedules import Schedule, ceil_log2, log2e_of
 
-# analytic degree chunks: the first covers _FIRST_CHUNK rounds, each next
-# one 4x more up to _CHUNK; a short first chunk spares the many trials that
-# end within a few rounds from drawing degrees for rounds they never run
+# an analytic trial steps its first _STEPPED rounds one at a time with
+# scalar draws, which most trials do not outlive; the rest then draw degree
+# chunks, the first of _FIRST_CHUNK rounds, each next one 4x more up to _CHUNK
+_STEPPED = 8
 _FIRST_CHUNK = 16
 _CHUNK = 4096
 _NEVER = np.iinfo(np.int64).max  # activation round of a node never reached
@@ -727,17 +735,21 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
 
 class _AnalyticStart(NamedTuple):
     """What every analytic trial of a point starts from (see `point_start`):
-    the ln p and ln(1 - p) of the rounds of the first degree chunk."""
+    the ln(1 - p) of each cycle entry, as floats."""
 
     seeds: StreamSeeds | None
-    log_p: np.ndarray
-    log1m_p: np.ndarray
+    log1m_p: list[float]
 
 
 def _analytic_start(config: TrialConfig, seeds: StreamSeeds | None) -> _AnalyticStart:
-    schedule = config.schedule
-    idx = np.arange(min(_FIRST_CHUNK, config.max_rounds)) % schedule.cycle_length
-    return _AnalyticStart(seeds, schedule.log_prob_array[idx], schedule.log1m_prob_array[idx])
+    return _AnalyticStart(seeds, config.schedule.log1m_prob_array.tolist())
+
+
+def _exact_hit(d: int, log_p: float, flag: bool, u: float) -> bool:
+    """Whether a round of arbitrary-precision degree d succeeds against the
+    uniform u; a zero uniform is a hit, as np.log(0) = -inf is on the float
+    path."""
+    return u == 0.0 or math.log(u) < exact_success_logprob(d, log_p, flag)
 
 
 def run_analytic_star_trial(config: TrialConfig, trial: int = 0,
@@ -747,7 +759,11 @@ def run_analytic_star_trial(config: TrialConfig, trial: int = 0,
 
     The adversary supplies the receiver's effective degree per round; the
     round succeeds with the exact closed-form probability, sampled by
-    comparing log-probability against the log of a uniform draw.
+    comparing log-probability against the log of a uniform draw.  The
+    first `_STEPPED` rounds ask for one degree and one uniform at a time,
+    the later ones for a chunk of each; every stream is consumed in round
+    order either way, and a round alone makes the same float operations as
+    its lane of a chunk, so the result does not depend on the split.
     """
     gadget = config.gadget
     schedule = config.schedule
@@ -758,42 +774,51 @@ def run_analytic_star_trial(config: TrialConfig, trial: int = 0,
 
     recv = gadget.receiver
     flag = recv in gadget.broadcasters
-
-    k = schedule.cycle_length
-    log_p, l1mp = start.log_p, start.log1m_p
     exp_off = 0.0 if flag else 1.0
+    k = schedule.cycle_length
+    log_probs, log1m_p = schedule.log_probs, start.log1m_p
+    degrees, uniform, log = policy.degrees, np_nodes.random, np.log
+    last, stepped = config.max_rounds, _STEPPED
 
     completion = None
-    rounds_executed = 0
-    r = 1
+    r = 0  # rounds run
     chunk = _FIRST_CHUNK
-    while r <= config.max_rounds and completion is None:
-        cnt = min(chunk, config.max_rounds - r + 1)
-        chunk = min(chunk * 4, _CHUNK)
-        degs = policy.degrees(r, cnt)
+    while r < last and completion is None:
+        cnt = 1
+        if r >= stepped:
+            cnt = min(chunk, last - r)
+            chunk = min(chunk * 4, _CHUNK)
+        degs = degrees(r + 1, cnt)
+        if cnt == 1:  # a round alone: one degree and one uniform
+            u = uniform()
+            lp = log_probs[r % k]
+            if isinstance(degs, int) and degs >= _EXACT:  # as in a chunk of such degrees
+                hit = _exact_hit(degs, lp, flag, u)
+            else:
+                hit = log(u) < log(degs) + lp + (degs - exp_off) * log1m_p[r % k]
+            r += 1
+            if hit:
+                completion = r
+            continue
         u = np_nodes.random(cnt)
         if isinstance(degs, np.ndarray):
-            if r > 1:
-                idx = np.arange(r - 1, r - 1 + cnt) % k
-                log_p, l1mp = schedule.log_prob_array[idx], schedule.log1m_prob_array[idx]
-            log_s = np.log(degs) + log_p + (degs - exp_off) * l1mp
+            idx = np.arange(r, r + cnt) % k
+            log_s = (np.log(degs) + schedule.log_prob_array[idx]
+                     + (degs - exp_off) * schedule.log1m_prob_array[idx])
             hits = np.log(u) < log_s
             first = int(hits.argmax())
             if hits[first]:
-                completion = r + first
+                completion = r + 1 + first
         else:  # arbitrary-precision degrees
             for j, d in enumerate(degs):
-                lp = schedule.log_probs[(r - 1 + j) % k]
-                log_s = exact_success_logprob(d, lp, flag)
-                # a zero uniform is a hit, as np.log(0) = -inf is on the float path
-                if u[j] == 0.0 or math.log(u[j]) < log_s:
-                    completion = r + j
+                if _exact_hit(d, log_probs[(r + j) % k], flag, u[j]):
+                    completion = r + 1 + j
                     break
-        rounds_executed = completion if completion is not None else r + cnt - 1
         r += cnt
 
     # degrees() covers whole chunks; changes past the last round run are not
     # part of the trial
+    rounds_executed = r if completion is None else completion
     return TrialResult(
         completed=completion is not None,
         completion_round=completion,

@@ -337,6 +337,25 @@ class TestVectorWalk:
         assert got == [int(scalar.integers(0, high)) for _ in range(1000)]
         assert batched.bit_generator.state == scalar.bit_generator.state
 
+    @pytest.mark.parametrize("n, q", [(62, 0.3), (62, 0.97), (10 ** 4, 2e-3), (10 ** 4, 0.3),
+                                      (2 ** 40, 0.5), (10 ** 4, None), (62, None)],
+                             ids=["inversion", "inversion-high-q", "inversion-large-n",
+                                  "btpe", "btpe-huge-n", "mixed-q-large-n", "mixed-q"])
+    def test_scalar_binomials_match_batched_draws(self, n, q):
+        # an analytic trial draws its first rounds' arm counts one scalar
+        # `binomial` call at a time and later ones in one call per chunk, with
+        # one q or an array of q's (None: a fresh q per draw); numpy takes
+        # the same draws either way, by inversion (n q < 30) or by BTPE
+        qs = np.random.Generator(np.random.PCG64(3)).random(1000) if q is None else [q] * 1000
+        one, sized, arrayed = (np.random.Generator(np.random.PCG64(13)) for _ in range(3))
+        got = [one.binomial(n, p) for p in qs]
+        assert all(type(x) is int for x in got)
+        assert got == arrayed.binomial(n, np.array(qs)).tolist()
+        if q is not None:
+            assert got == sized.binomial(n, q, size=1000).tolist()
+            assert sized.bit_generator.state == one.bit_generator.state
+        assert arrayed.bit_generator.state == one.bit_generator.state
+
     def test_criterion_10_walk_warns_nothing(self):
         # subnormal and underflowed p at delta = 2^4885 must not warn
         sched = rlbc_schedule(2 ** 4885, 1000)
@@ -347,7 +366,8 @@ class TestVectorWalk:
             warnings.simplefilter("error")
             start = 1
             for count in (64, 256, 1024, 4096, 4096, 1, 7):
-                degs = policy.degrees(start, count)
+                # one round comes as its one degree
+                degs = np.atleast_1d(policy.degrees(start, count))
                 assert len(degs) == count and (degs >= 1).all()
                 start += count
             walk_degrees(DegreeWalkState(2 ** 40, 22, 2 ** 4885, restricted=True), 2 ** 40,
@@ -565,7 +585,8 @@ class TestPolicies:
         split = policy_for(spec, g, sched, 7)
         parts, start = [], 1
         for count in (7, 50, 1, 64, 78):
-            parts.append(split.degrees(start, count))
+            # one round comes as its one degree
+            parts.append(np.atleast_1d(split.degrees(start, count)))
             start += count
         assert np.array_equal(degs, np.concatenate(parts))
         assert whole.change_log == split.change_log

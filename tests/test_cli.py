@@ -7,7 +7,7 @@ import yaml
 
 from dualradio import engine
 from dualradio.cli import (ConfigError, build_trial_config, expand_sweep,
-                           fit_scaling, main, normalize_config, parse_delta,
+                           fit_scaling, load_config, main, normalize_config, parse_delta,
                            read_trials_csv)
 from dualradio.engine import csv_header
 
@@ -165,8 +165,7 @@ class TestRunCommand:
         assert main(["run", path, "--print-config"]) == 0
         echoed = yaml.safe_load(capsys.readouterr().out)
         again = normalize_config(echoed)
-        assert expand_sweep(again) == expand_sweep(normalize_config(
-            yaml.safe_load(open(path))))
+        assert expand_sweep(again) == expand_sweep(normalize_config(load_config(path)))
 
     def test_invalid_config_nonzero_exit(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(trials=-3))

@@ -219,10 +219,10 @@ class TestLocalTrial:
     def test_zero_uniform_is_a_hit(self, monkeypatch, delta, start_degree):
         # a node generator may return exactly 0.0; ln 0 = -inf lies below
         # every success log-probability, whether degrees are floats or, from
-        # 2^53 up, Python ints
+        # 2^53 up, Python ints, in a chunk of rounds or in a round alone
         class Zeros:
-            def random(self, size):
-                return np.zeros(size)
+            def random(self, size=None):
+                return 0.0 if size is None else np.zeros(size)
 
         real = engine.trial_rngs
         monkeypatch.setattr(engine, "trial_rngs", lambda *a: (Zeros(), *real(*a)[1:]))
@@ -231,8 +231,43 @@ class TestLocalTrial:
                           adversary={"kind": "degree_walk_deterministic", "tau": 2, "l": 1,
                                      "start_degree": start_degree},
                           seed=0, max_rounds=50, engine_mode="analytic_star")
-        res = run_trial(cfg)
-        assert res.completed and res.completion_round == 1
+        for stepped in (0, engine._STEPPED):  # round 1 in a chunk, then alone
+            monkeypatch.setattr(engine, "_STEPPED", stepped)
+            res = run_trial(cfg)
+            assert res.completed and res.completion_round == 1, stepped
+
+
+class TestOneRoundDraws:
+    """A round stepped alone draws and computes what its lane of a chunk
+    does (see `run_analytic_star_trial`)."""
+
+    def test_scalar_uniforms_match_batched_draws(self):
+        one, batched = (np.random.Generator(np.random.PCG64(21)) for _ in range(2))
+        got = [one.random() for _ in range(1000)]
+        assert all(type(u) is float for u in got)
+        assert got == batched.random(1000).tolist()
+        assert one.bit_generator.state == batched.bit_generator.state
+
+    def test_scalar_log_matches_array_lanes(self):
+        # np.log, not math.log: the two may differ in the last bit, and a
+        # stepped round must compute its lane of a chunk's np.log exactly
+        rng = np.random.Generator(np.random.PCG64(8))
+        uniforms = rng.random(10 ** 6)
+        ints = np.concatenate((np.arange(1, 2 ** 16),
+                               rng.integers(1, 2 ** 53, size=10 ** 6 - 2 ** 16 + 1)))
+        degrees = ints.astype(np.float64)  # 1.0 + binomial: integral floats
+        log = np.log
+        for values in (uniforms, degrees):
+            lanes = log(values).view(np.uint64)
+            # Python floats (uniforms, iid_subset degrees) and float64
+            # scalars (a phase table's degrees)
+            for scalar_values in (values.tolist(), values):
+                scalars = np.fromiter(map(log, scalar_values), np.float64, count=len(values))
+                assert np.array_equal(scalars.view(np.uint64), lanes)
+        # a walk's one degree comes as a Python int below 2^53
+        some = ints[:: 97]
+        scalars = np.fromiter(map(log, some.tolist()), np.float64, count=len(some))
+        assert np.array_equal(scalars.view(np.uint64), log(degrees[:: 97]).view(np.uint64))
 
 
 class TestStabilityAudit:
@@ -280,6 +315,7 @@ class TestStabilityAudit:
     @pytest.mark.parametrize("adversary", [
         {"kind": "static", "tau": 3, "extra_degree": 5},
         {"kind": "iid_subset", "tau": 2},
+        {"kind": "iid_subset", "tau": 3},
         {"kind": "iid_subset", "tau": 3, "edge_prob": 0.3},
         {"kind": "iid_subset", "tau": None},
         {"kind": "gap", "tau": 2},
@@ -287,27 +323,38 @@ class TestStabilityAudit:
         {"kind": "correlated_shift"},
         {"kind": "degree_walk_deterministic", "tau": 4, "l": 3, "start_degree": 20},
         {"kind": "degree_walk_restricted", "tau": 4, "l": 2, "walk_mode": "random"},
-    ], ids=["static", "iid-random-q", "iid-fixed-q", "iid-tau-inf", "gap", "argmin",
-            "shift", "walk-deterministic", "walk-restricted"])
+        {"kind": "degree_walk_deterministic", "tau": 5, "l": 2 ** 54, "start_degree": 2 ** 68},
+    ], ids=["static", "iid-random-q", "iid-random-q-tau3", "iid-fixed-q", "iid-tau-inf", "gap",
+            "argmin", "shift", "walk-deterministic", "walk-restricted", "walk-beyond-2^53"])
     def test_analytic_result_independent_of_chunk_cap(self, adversary, monkeypatch):
         # a schedule built for a far larger degree bound keeps most trials
-        # running past the first chunk, after which the growth from the
-        # first chunk and the cap decide how many rounds each degrees()
-        # call covers
+        # running past the rounds stepped one at a time and the first chunk,
+        # after which the count of stepped rounds, the first chunk and the
+        # cap decide how many rounds each degrees() call covers: none
+        # stepped (chunks only), one, the default, and every round; at
+        # tau = 3 the stepped rounds end inside a block
+        schedule, max_rounds = rlb_schedule(2 ** 24, 2), 2000
         if adversary["kind"] == "gap":
             g = star_gadget(2 ** 12 + 1, 2 ** 12 + 3)
         elif adversary["kind"] == "correlated_shift":
             g = double_star(64)
+        elif adversary.get("start_degree") == 2 ** 68:
+            # every degree is 2^53 or more, past int64 (the arbitrary-precision
+            # success test), and trials end from round 1 to about 50
+            g, schedule, max_rounds = build_gadget("star", 2 ** 200), rlb_schedule(2 ** 200, 3), 300
         else:
             g = star_gadget(64, 66)
-        cfg = TrialConfig(problem="local", gadget=g, schedule=rlb_schedule(2 ** 24, 2),
-                          adversary=adversary, seed=0, max_rounds=2000,
+        cfg = TrialConfig(problem="local", gadget=g, schedule=schedule,
+                          adversary=adversary, seed=0, max_rounds=max_rounds,
                           engine_mode="analytic_star")
         default = [run_trial(cfg, s) for s in range(20)]
-        for first, cap in ((1, 100), (64, 4096)):
+        chunks = ((engine._FIRST_CHUNK, engine._CHUNK), (1, 100), (64, 4096))
+        for stepped, (first, cap) in itertools.product(
+                (0, 1, engine._STEPPED, max_rounds + 1), chunks):
+            monkeypatch.setattr(engine, "_STEPPED", stepped)
             monkeypatch.setattr(engine, "_FIRST_CHUNK", first)
             monkeypatch.setattr(engine, "_CHUNK", cap)
-            assert [run_trial(cfg, s) for s in range(20)] == default, (first, cap)
+            assert [run_trial(cfg, s) for s in range(20)] == default, (stepped, first, cap)
 
 
 class TestAdversaryFit:

@@ -141,6 +141,13 @@ def _configs():
                                  {"kind": "iid_subset", "tau": 3}, 1, a), 2000),
         "a-iid-random-q-tau6": (local(star64, rlb_schedule(64, 6),
                                       {"kind": "iid_subset", "tau": 6}, 2000, a), 600),
+        # star-short's tau = 3 point, where trials that outlive the rounds
+        # stepped one at a time enter the degree chunks mid-block, and
+        # criterion 6's shape: a 2 * tau-bar round cap shorter than those rounds
+        "a-iid-random-q-tau3": (local(star64, rlb_schedule(64, 3),
+                                      {"kind": "iid_subset", "tau": 3}, 2000, a), 600),
+        "a-criterion-6": (local(star64, frlb_schedule(64, 2),
+                                {"kind": "iid_subset", "tau": 2}, 4, a), 2000),
         # materialized engine, local broadcast
         "m-criterion-11": (local(star8, rlb_schedule(8, 3),
                                  {"kind": "iid_subset", "tau": 3}, 1, m), 2000),
@@ -254,6 +261,8 @@ GOLDEN = {
     'a-walk-criterion-10': '5ba1154e97502bf92736a942541a64344e19c6aa6768d825574bd224b940a26c',
     'a-criterion-11': 'd0a259d8853a787bd93dace2d9c582227fad93e732f2d60711482a35c5e89819',
     'a-iid-random-q-tau6': 'ea9f279600794c9ac1d1c464ae35267c92a7da3e300b888e3cf1e67e193ce395',
+    'a-iid-random-q-tau3': '3f938bd8ebf8584406150965fdc71c803b332a1029f19982ecbfd4da3f60a5ee',
+    'a-criterion-6': 'abea1d7f5cb57a138779e497aed9eb8b3ba7045c3be6137d08e6047b9bd7b465',
     'm-criterion-11': 'e31b51ff32e67e322fa17dc8de491e28101c04d58c02f330d2f03f786c148f95',
     'm-static': '861102ff81559f4105d18b3fd8891440608eae3c4f95dce95448fde1952c1c26',
     'm-iid': 'e48fd5cc6c97e4b368d3e7f1ad2664b44be6ba8b4c58427d0bb1693e32e1bd97',
