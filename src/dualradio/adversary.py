@@ -513,9 +513,9 @@ class AdversaryPolicy:
         raise NotImplementedError
 
     def _enter_block(self, block: int) -> object:
-        """Enter the one block `block`: its fingerprint.  A round enters at
-        most one block, so a policy whose `_blocks` costs more than one
-        block needs gives a lean form here."""
+        """Enter the one block `block`, all that a single round can enter:
+        its fingerprint.  By default through `_blocks`; a policy whose
+        `_blocks` does more work than one block needs overrides it."""
         return self._blocks(range(block, block + 1))[0][1]
 
     def _degrees(self, rounds):
