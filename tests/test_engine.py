@@ -341,7 +341,8 @@ class TestStabilityAudit:
         elif adversary.get("start_degree") == 2 ** 68:
             # every degree is 2^53 or more, past int64 (the arbitrary-precision
             # success test), and trials end from round 1 to about 50
-            g, schedule, max_rounds = build_gadget("star", 2 ** 200), rlb_schedule(2 ** 200, 3), 300
+            g, schedule = build_gadget("star", 2 ** 200), rlb_schedule(2 ** 200, 3)
+            max_rounds = 300
         else:
             g = star_gadget(64, 66)
         cfg = TrialConfig(problem="local", gadget=g, schedule=schedule,
