@@ -427,7 +427,7 @@ _WHOLE_RUN = 2 ** 62  # block length standing for tau = infinity
 class AdversaryPolicy:
     """Per-trial mutable policy instance, built from its point's plan by
     `make_policy`, which binds the only streams it draws from: `np_rng` and
-    `py_rng`.
+    `q_rng`.
 
     The distribution may change only where a tau-round block starts (tau
     None: the whole run is one block).  `pre_round` enters the blocks of a
@@ -549,9 +549,9 @@ class IidSubsetPolicy(AdversaryPolicy):
 
     With `edge_prob=None` a fresh q ~ U(0,1) is drawn at every block
     boundary, which is the strongest re-randomizing member of the family;
-    q comes from the scalar adversary stream, one draw per block in block
-    order, so it does not depend on how the numpy draws are batched.  A
-    fixed q is one block whatever tau is.  `_qs` holds the q of each block
+    q comes from the adversary's q stream `q_rng`, one double per block in
+    block order, so it does not depend on how the blocks are batched or on
+    the degree and edge draws.  A fixed q is one block whatever tau is.  `_qs` holds the q of each block
     from `_qs_from` to the last entered: the blocks the last `_blocks` or
     `_enter_block` call entered, after the block before them, in which a
     chunk may begin.
@@ -578,14 +578,13 @@ class IidSubsetPolicy(AdversaryPolicy):
         if self.edge_prob is not None:
             qs = [self.edge_prob]
         else:
-            draw = self.py_rng.random
-            qs = [draw() for _ in blocks]
+            qs = self.q_rng.random(len(blocks)).tolist()
         self._qs = [self._qs[-1], *qs]
         self._qs_from = blocks.start - 1
         return [(i, ("iid", q)) for i, q in enumerate(qs) if not i or q != qs[i - 1]]
 
     def _enter_block(self, block):
-        q = self.edge_prob if self.edge_prob is not None else self.py_rng.random()
+        q = self.edge_prob if self.edge_prob is not None else self.q_rng.random()
         self._qs = [self._qs[-1], q]
         self._qs_from = block - 1
         return ("iid", q)
@@ -1028,10 +1027,10 @@ def compile_adversary(spec: dict, gadget: Gadget, schedule: Schedule) -> Adversa
     return AdversaryPlan(partial(DegreeWalkPolicy, tau, schedule, start, recv_edges), recv_edges)
 
 
-def make_policy(plan: AdversaryPlan, np_rng, py_rng,
+def make_policy(plan: AdversaryPlan, np_rng, q_rng,
                 history: ObservableHistory | None = None) -> AdversaryPolicy:
     """A trial's fresh policy from its point's plan, bound to the trial's
     adversary streams and, for `chained_gap`, to the engine's `history`."""
     policy = plan.build()
-    policy.np_rng, policy.py_rng, policy.history = np_rng, py_rng, history
+    policy.np_rng, policy.q_rng, policy.history = np_rng, q_rng, history
     return policy

@@ -35,21 +35,21 @@ not change a result.
 
 Randomness: each trial t uses seed `config.seed + t`.  Inside a trial,
 streams are derived by `split_seed` (SHA-256 over the labeled seed), with
-disjoint labels for node coins ("nodes") and adversary draws ("adversary"),
-so adversary outputs cannot depend on node coins even accidentally.  A
-point's adversary is compiled once, when its `TrialConfig` is built
-(`compile_adversary`, which makes every config check); each trial's
-`make_policy` builds its policy from that plan and binds it to the
-trial's adversary streams.  The node and adversary generators are
-`PCG64(split_seed(...))`, the adversary's scalar stream
-`random.Random(split_seed(...))`.  `run_trials` builds once per point what
-each of its trials starts from (`point_start`) and hands it to every
-`run_trial`: all three stream seeds of every trial, derived in one batch
-with the PCG64 seeds turned into seed words in one vectorized pass
-(`stream_seeds`, which gives the same generators as seeding each alone),
-and the engine's start state: on the analytic engine the cycle's
-ln(1 - p) values as floats, on the materialized engine the node state
-before round 1 and round 1's transmitter window and frontier.
+disjoint labels for node coins ("nodes"), adversary draws ("adversary")
+and the adversary's per-block q ("adversary", "q"), so adversary outputs
+cannot depend on node coins even accidentally.  A point's adversary is
+compiled once, when its `TrialConfig` is built (`compile_adversary`,
+which makes every config check); each trial's `make_policy` builds its
+policy from that plan and binds it to the trial's adversary streams.
+All three streams are `PCG64(split_seed(...))` generators (RNG layout 3),
+seeded through one path: `stream_seeds` derives the stream seeds of a
+range of trials in one batch and turns them into PCG64 seed words in one
+vectorized pass, which gives the same generators as seeding each alone.
+`run_trials` builds once per point what each of its trials starts from
+(`point_start`) and hands it to every `run_trial`: the seed words of
+every trial and the engine's start state: on the analytic engine the
+cycle's ln(1 - p) values as floats, on the materialized engine the node
+state before round 1 and round 1's transmitter window and frontier.
 Trials only read it, and copy the arrays they change.  A lone `run_trial`
 builds its own.
 The materialized node stream (RNG layout 2) is drawn per counted span,
@@ -77,7 +77,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
-import random
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -115,8 +114,8 @@ def _seed_bytes(texts) -> bytes:
     return b"".join(sha(text.encode()).digest()[:8] for text in texts)
 
 
-# a trial's node, adversary and adversary python Random stream labels
-_STREAM_LABELS = (("nodes",), ("adversary",), ("adversary", "py"))
+# a trial's node, adversary and adversary q stream labels
+_STREAM_LABELS = (("nodes",), ("adversary",), ("adversary", "q"))
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -178,22 +177,14 @@ def pcg64_seed_words(seeds) -> np.ndarray:
     return out[..., 0::2] | out[..., 1::2] << 32
 
 
-class StreamSeeds(NamedTuple):
-    """The stream seeds of a point's trials: `words[t]` holds the PCG64
-    seed words of trial t's node and adversary streams, `py[t]` the seed
-    of its adversary python Random."""
-
-    words: np.ndarray
-    py: list[int]
-
-
-def stream_seeds(first_seed: int, count: int) -> StreamSeeds:
-    """The stream seeds of the trials seeded first_seed, ...,
-    first_seed + count - 1, each derived as `split_seed` derives it."""
+def stream_seeds(first_seed: int, count: int) -> np.ndarray:
+    """The PCG64 seed words of the trials seeded first_seed, ...,
+    first_seed + count - 1, shape (count, 3, 4): `[t, i]` holds trial t's
+    stream i of `_STREAM_LABELS`, its seed derived as `split_seed` derives
+    it."""
     labels = [":".join(parts) for parts in _STREAM_LABELS]
     digests = _seed_bytes(f"{first_seed + t}:{label}" for t in range(count) for label in labels)
-    seeds = np.frombuffer(digests, dtype=">u8").reshape(count, 3)
-    return StreamSeeds(pcg64_seed_words(seeds[:, :2]), seeds[:, 2].tolist())
+    return pcg64_seed_words(np.frombuffer(digests, dtype=">u8").reshape(count, 3))
 
 
 class _SeedWords(ISeedSequence):
@@ -209,20 +200,13 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def trial_rngs(seed: int, trial: int = 0, seeds: StreamSeeds | None = None):
-    """(node-coin generator, adversary generator, adversary python Random)
-    of trial `trial` of a point whose first seed is `seed`.  `seeds` is the
-    point's `stream_seeds`; a lone call derives the stream seeds itself,
-    which gives the same generators."""
-    seed += trial
-    if seeds is None:
-        nodes, adv, py = (split_seed(seed, *labels) for labels in _STREAM_LABELS)
-    else:
-        words = seeds.words[trial]
-        nodes, adv, py = _SeedWords(words[0]), _SeedWords(words[1]), seeds.py[trial]
-    np_nodes = np.random.Generator(np.random.PCG64(nodes))
-    np_adv = np.random.Generator(np.random.PCG64(adv))
-    return np_nodes, np_adv, random.Random(py)
+def trial_rngs(seed: int, trial: int = 0, seeds: np.ndarray | None = None):
+    """(node-coin, adversary, adversary q) generators of trial `trial` of a
+    point whose first seed is `seed`.  `seeds` is the point's
+    `stream_seeds`; a lone call derives its own, which gives the same
+    generators."""
+    words = stream_seeds(seed + trial, 1)[0] if seeds is None else seeds[trial]
+    return tuple(np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +567,7 @@ class _MaterializedStart(NamedTuple):
     count of waiting nodes, round 1's transmitter window and frontier, and
     the schedule's hazards."""
 
-    seeds: StreamSeeds | None
+    seeds: np.ndarray | None
     table: _Neighbors
     budget: int
     relay: bool
@@ -597,7 +581,7 @@ class _MaterializedStart(NamedTuple):
     hazard: _Hazard
 
 
-def _materialized_start(config: TrialConfig, seeds: StreamSeeds | None) -> _MaterializedStart:
+def _materialized_start(config: TrialConfig, seeds: np.ndarray | None) -> _MaterializedStart:
     """The problems differ only in this data.  Local broadcast starts every
     broadcaster with no budget and must reach the gadget's receivers;
     global broadcast starts the source with `rgb_reps` double cycles and
@@ -639,8 +623,8 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     act, waiting, near = start.act.copy(), start.waiting.copy(), start.near.copy()
     first_delivery: dict[int, int] = {}
 
-    np_nodes, np_adv, py_adv = trial_rngs(config.seed, trial, start.seeds)
-    policy = make_policy(config.plan, np_adv, py_adv, ObservableHistory(first_delivery, act))
+    np_nodes, np_adv, q_adv = trial_rngs(config.seed, trial, start.seeds)
+    policy = make_policy(config.plan, np_adv, q_adv, ObservableHistory(first_delivery, act))
     pre_round, sample_edges = policy.pre_round, policy.sample_edges
     probs, hazard = schedule.prob_array.tolist(), start.hazard
 
@@ -737,11 +721,11 @@ class _AnalyticStart(NamedTuple):
     """What every analytic trial of a point starts from (see `point_start`):
     the ln(1 - p) of each cycle entry, as floats."""
 
-    seeds: StreamSeeds | None
+    seeds: np.ndarray | None
     log1m_p: list[float]
 
 
-def _analytic_start(config: TrialConfig, seeds: StreamSeeds | None) -> _AnalyticStart:
+def _analytic_start(config: TrialConfig, seeds: np.ndarray | None) -> _AnalyticStart:
     return _AnalyticStart(seeds, config.schedule.log1m_prob_array.tolist())
 
 
@@ -769,8 +753,8 @@ def run_analytic_star_trial(config: TrialConfig, trial: int = 0,
     schedule = config.schedule
     if start is None:
         start = _analytic_start(config, None)
-    np_nodes, np_adv, py_adv = trial_rngs(config.seed, trial, start.seeds)
-    policy = make_policy(config.plan, np_adv, py_adv)
+    np_nodes, np_adv, q_adv = trial_rngs(config.seed, trial, start.seeds)
+    policy = make_policy(config.plan, np_adv, q_adv)
 
     recv = gadget.receiver
     flag = recv in gadget.broadcasters

@@ -4,15 +4,13 @@ the lines as they print)."""
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dualradio.adversary import gap_plan, shift_plan
 from dualradio.engine import (TrialConfig, rlb_repetitions, rlbc_repetitions,
-                              rgb_repetitions, run_trial, run_trials,
-                              trial_rngs)
+                              rgb_repetitions, run_trial, run_trials)
 from dualradio.gadgets import (chained_gadgets, double_star, star_gadget,
                                virtual_star)
 from dualradio.model import DualGraph, build_round_topology
@@ -209,7 +207,6 @@ def test_criterion_08_correlated_shift():
                   frlb_schedule(delta, 2 ** 20))
         for sched in scheds:
             cycle = sched.cycle
-            np_rng, _, _ = (None, None, None)
             plan = shift_plan(cycle, delta, None, forced_shift=len(cycle))
             for t in range(1, len(cycle) + 1):
                 alpha = cycle[(t - 1) % len(cycle)] * plan.degree_at(t)

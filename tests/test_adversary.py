@@ -23,7 +23,7 @@ from dualradio.schedules import (decay_schedule, frlb_schedule, rlb_schedule,
 
 
 def rngs(seed=0):
-    return trial_rngs(seed)[1], trial_rngs(seed)[2]
+    return trial_rngs(seed)[1:]
 
 
 def policy_for(spec, gadget, schedule, seed=0, history=None):
@@ -541,15 +541,13 @@ class TestPolicies:
         # node randomness (which the API never exposes)
         g = star_gadget(32, 34)
         sched = rlb_schedule(32, 2)
-        import random
-
         outs = []
         for node_seed in (1, 999):  # node seed must be irrelevant
             _ = trial_rngs(node_seed)  # node streams exist but never reach policies
             np_adv = np.random.Generator(np.random.PCG64(1234))
-            py_adv = random.Random(1234)
+            q_adv = np.random.Generator(np.random.PCG64(4321))
             policy = make_policy(compile_adversary({"kind": "iid_subset", "tau": 2}, g, sched),
-                                 np_adv, py_adv)
+                                 np_adv, q_adv)
             seq = []
             for r in range(1, 13):
                 policy.pre_round(r)
@@ -615,13 +613,15 @@ subset_specs = st.lists(
 
 
 class QStream:
-    """A scalar adversary stream whose draws cycle through given q's."""
+    """An adversary q stream whose draws cycle through given q's."""
 
     def __init__(self, qs):
         self.draws = itertools.cycle(qs)
 
-    def random(self):
-        return next(self.draws)
+    def random(self, size=None):
+        if size is None:
+            return next(self.draws)
+        return np.array([next(self.draws) for _ in range(size)])
 
 
 class TestIidBlockwiseDegrees:

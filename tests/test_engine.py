@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import random
 from collections import Counter
 from dataclasses import replace
 
@@ -11,7 +10,7 @@ import pytest
 
 from dualradio import adversary, engine
 from dualradio.adversary import ObservableHistory, make_policy
-from dualradio.engine import (_NEVER, CSV_COLUMNS, PROBLEMS, Stats, TrialConfig, TrialResult,
+from dualradio.engine import (_NEVER, CSV_COLUMNS, PROBLEMS, TrialConfig, TrialResult,
                               _SeedWords, _transmitter_window, aggregate, csv_header,
                               default_max_rounds, frlb_repetitions,
                               pcg64_seed_words, rlb_repetitions, round_counts,
@@ -41,6 +40,24 @@ def star_config(delta=16, tau=4, adversary=None, seed=7, engine="materialized",
                        seed=seed, max_rounds=max_rounds, engine_mode=engine)
 
 
+def iid_random_q_done_prob(schedule, arms, rounds, tau, nodes=400):
+    """P(a star's receiver with `arms` unreliable arms is reached by round
+    `rounds`) under `iid_subset` with a fresh q ~ U(0,1) per tau-block,
+    integrated over q by Gauss-Legendre quadrature."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    q, w = (x + 1) / 2, w / 2
+    probs = schedule.prob_array.tolist()
+    miss = 1.0
+    for first in range(1, rounds + 1, tau):
+        survive = np.ones(nodes)
+        for r in range(first, min(first + tau - 1, rounds) + 1):
+            p = probs[(r - 1) % len(probs)]
+            stay = 1 - q * p
+            survive *= 1 - p * (stay ** arms + arms * q * (1 - p) * stay ** (arms - 1))
+        miss *= w @ survive
+    return 1 - miss
+
+
 class TestSeeding:
     def test_split_seed_is_stable(self):
         assert split_seed(1, "nodes") == split_seed(1, "nodes")
@@ -48,8 +65,8 @@ class TestSeeding:
         assert split_seed(1, "nodes") != split_seed(2, "nodes")
 
     def test_streams_disjoint(self):
-        n1, a1, p1 = trial_rngs(5)
-        assert n1.random() != a1.random()
+        for x, y in itertools.combinations(trial_rngs(5), 2):
+            assert x.random() != y.random()
 
     def test_batched_seed_words_match_seed_sequence(self):
         rng = np.random.default_rng(20261018)
@@ -66,13 +83,12 @@ class TestSeeding:
         seeds = stream_seeds(40, 3)
         cases = [(40 + t, trial_rngs(40, t, seeds)) for t in range(3)]
         cases += [(42, trial_rngs(42)), (42, trial_rngs(40, 2))]
-        for seed, (nodes, adv, py_adv) in cases:
-            assert nodes.bit_generator.state == \
-                np.random.PCG64(split_seed(seed, "nodes")).state
-            assert adv.bit_generator.state == \
-                np.random.PCG64(split_seed(seed, "adversary")).state
-            assert py_adv.getstate() == \
-                random.Random(split_seed(seed, "adversary", "py")).getstate()
+        labels = [("nodes",), ("adversary",), ("adversary", "q")]
+        for seed, streams in cases:
+            assert len(streams) == len(labels)
+            for rng, label in zip(streams, labels):
+                assert rng.bit_generator.state == \
+                    np.random.PCG64(split_seed(seed, *label)).state, (seed, label)
 
 
 class TestReproducibility:
@@ -174,6 +190,25 @@ class TestLocalTrial:
         predicted = 1.0 - predicted
         sigma = math.sqrt(predicted * (1 - predicted) / 20_000)
         assert stats.success_rate == pytest.approx(predicted, abs=3 * sigma)
+
+    @pytest.mark.parametrize("engine_mode", ["analytic_star", "materialized"])
+    @pytest.mark.parametrize("tau", [1, 2, 4])
+    def test_iid_random_q_matches_exact_law(self, engine_mode, tau):
+        # criterion 6's points on other seeds, against the exact law of a
+        # fresh q ~ U(0,1) per tau-block: given q, a round with p succeeds
+        # with s(q) = p [(1 - qp)^A + A q (1 - p)(1 - qp)^(A-1)] (degree
+        # 1 + Binomial(A, q), A = 62 unreliable arms), so
+        # P(done by R) = 1 - prod_blocks int_0^1 prod_{r in block} (1 - s_r(q)) dq
+        delta, trials = 64, 20_000
+        sched = frlb_schedule(delta, tau)
+        cfg = TrialConfig(problem="local", gadget=star_gadget(delta, delta + 2),
+                          schedule=sched, adversary={"kind": "iid_subset", "tau": tau},
+                          seed=(620_000 if engine_mode == "materialized" else 610_000)
+                          + 1000 * tau, max_rounds=2 * sched.cycle_length,
+                          engine_mode=engine_mode)
+        predicted = iid_random_q_done_prob(sched, delta - 2, cfg.max_rounds, tau)
+        sigma = math.sqrt(predicted * (1 - predicted) / trials)
+        assert run_trials(cfg, trials).success_rate == pytest.approx(predicted, abs=4.5 * sigma)
 
     def test_gap_adversary_median_bound(self):
         # defining trend of the construction at delta-1 = 2^12, tau = 2
@@ -518,8 +553,8 @@ def reference_trial(config: TrialConfig, trial: int = 0,
     act[starters] = 0
     waiting = set(targets)
     first_delivery = {}
-    np_nodes, np_adv, py_adv = trial_rngs(config.seed, trial)
-    policy = make_policy(config.plan, np_adv, py_adv, ObservableHistory(first_delivery, act))
+    np_nodes, np_adv, q_adv = trial_rngs(config.seed, trial)
+    policy = make_policy(config.plan, np_adv, q_adv, ObservableHistory(first_delivery, act))
     completion, r = None, 0
     for r in range(1, config.max_rounds + 1):
         policy.pre_round(r)
@@ -1072,8 +1107,8 @@ class TestAdversaryReach:
         for seed in range(3):
             act = np.full(n, _NEVER, dtype=np.int64)
             history = ObservableHistory({}, act)
-            _, np_adv, py_adv = trial_rngs(seed)
-            policy = make_policy(config.plan, np_adv, py_adv, history)
+            _, np_adv, q_adv = trial_rngs(seed)
+            policy = make_policy(config.plan, np_adv, q_adv, history)
             rng = np.random.default_rng(seed)
             for r in range(1, 60):
                 policy.pre_round(r)

@@ -235,16 +235,16 @@ def golden_digest(config: TrialConfig, trials: int) -> str:
 
 GOLDEN = {
     'a-static': '402491f41d07cad2609f8bbc744743f4ede92e2605f9cd03630463edb539e3de',
-    'a-iid-random-q': '8855f884e0534eaa6ce61ba92ed1a2aef5593a74ae591929e4de288165d3db88',
+    'a-iid-random-q': '2482db3753abb89c1fe6f5ba96c59c07d8b7be0afede732d1cc9aced21d80a6c',
     'a-iid-fixed-q': '773355e133f94456fd28737f2750e50e14bf3557f5362dd1e70e77f1efce86e4',
-    'a-iid-tau-inf': '57d1cd8505fde59592e4272df68bf156f3cd856df76f1aa13f879a2d589830fb',
+    'a-iid-tau-inf': '31d38524c4140a1fbc4ea43165ab049b056abc44bd521a889d60801debf4247d',
     'a-gap': '8867a78320ecf7a8cc425da60cf194ce366cbe9efdd2404d23ccb5e03d54c5ef',
     'a-gap-virtual': 'dffedd0d110bd94e55a502889272d41712c13bc06ed44175f0042aea0e38fe05',
     'a-argmin': 'e408e533e8250717e5968dc9d34d2b39ce98c1f2115bf09eb0fb396ce6cffda6',
     'a-argmin-virtual': 'f2637e3f1c17d15d8fef433e07851118e44fe247f485a547fe7062bbce3ebcbd',
-    'a-iid-random-q-virtual': 'b95921d2973c2a9d49c37091b18eff92eab6458e18c8269441d0363b430a53d4',
+    'a-iid-random-q-virtual': '3ac2abf5d513412b07700b9f01919ad7b549fe72a7f211104df184931da885f1',
     'a-iid-random-q-tau3-virtual':
-        '6d6564dda048d15e1febaf4076f20a5fbf7da0628b182ac6dd6a10dce13b13c4',
+        '6e50cab14586d48d99fb940b5a6b7c95419aca5298c8760508e43efb0377218b',
     'a-iid-fixed-q-virtual': '11aa7f1a8fda7649299ad9a7acc507ff9c1400eef407db3f4bbaeb16fc808c88',
     'a-static-virtual': '7ae11f2acdfdff309a09fd522e7c7e4995eadae9686bd65e92ba985f68d3c5d3',
     'a-shift': '0a11bc0825d28e4118c14afe2bc31ff0f9ba23fa03b785422982d154e242c46c',
@@ -259,14 +259,14 @@ GOLDEN = {
     'a-walk-restricted-dodging-cross':
         '86c557695f47497fb99c2780b94909064fb5e6bf40dd9024b6129d0c8d5ca82b',
     'a-walk-criterion-10': '5ba1154e97502bf92736a942541a64344e19c6aa6768d825574bd224b940a26c',
-    'a-criterion-11': 'd0a259d8853a787bd93dace2d9c582227fad93e732f2d60711482a35c5e89819',
-    'a-iid-random-q-tau6': 'ea9f279600794c9ac1d1c464ae35267c92a7da3e300b888e3cf1e67e193ce395',
-    'a-iid-random-q-tau3': '3f938bd8ebf8584406150965fdc71c803b332a1029f19982ecbfd4da3f60a5ee',
-    'a-criterion-6': 'abea1d7f5cb57a138779e497aed9eb8b3ba7045c3be6137d08e6047b9bd7b465',
-    'm-criterion-11': 'e31b51ff32e67e322fa17dc8de491e28101c04d58c02f330d2f03f786c148f95',
+    'a-criterion-11': '24c9645b9951860dfe8ff76e9d7b34044e78d7491d09d3c1e91d59da2b979c77',
+    'a-iid-random-q-tau6': '8b19fa7c3a2a7f34ec20d9c7f846563ad2b79961c03885bc2cab24049b694432',
+    'a-iid-random-q-tau3': 'eb9fa286a541d31cb22e18b8e926f2b9a29773dfca18a5ae607db0df6c7188c8',
+    'a-criterion-6': '0767504355bcdef633a504f3445cd90355c93eec64376c8a8a663e4d58ec213c',
+    'm-criterion-11': '25b603bb6e53db67cfeac4dcd8ea73aac8e0be3778fde38f95838f201a42e93e',
     'm-static': '861102ff81559f4105d18b3fd8891440608eae3c4f95dce95448fde1952c1c26',
-    'm-iid': 'e48fd5cc6c97e4b368d3e7f1ad2664b44be6ba8b4c58427d0bb1693e32e1bd97',
-    'm-iid-all-receivers': 'dce65cd1643244fb63b9a29126937f28971a9cfbee7e7c3245bd40e9ea8d4f07',
+    'm-iid': '320197b29ed489f30524fbc442814d6d3ec1fa3f3f75776bd8c376265beb86a5',
+    'm-iid-all-receivers': '70d5b8f7e8753cdb7b37ec4491a54025ec5b01a6b3e9d358055944b6b7b9e143',
     'm-gap': 'aab66f047e36b874681cd7f79dd6b12b77a243671bd202552629425886fa3cc5',
     'm-argmin': 'dad59d3fc2bd4f6a66c811f158ad4810b9655c4a510e0e6987e9dfd25aa45a6b',
     'm-shift': 'db76df81c1848704e90ba3651395ca902f89976b5c21a8e59e840efb02cce95d',
@@ -284,7 +284,7 @@ GOLDEN = {
     'g-path-k1': '3490932093b9e7f0076007fde2123280d0e970b2caaa963e45417aeb51c71b64',
     'g-path-k1-reps1': 'af7837341fa1f359e9c91e2d4cc23938c724838e0d0e80315e7f7285f53831c7',
     'g-mesh-small-reps': '0cd5060598c9c02072d7d41c5ca926d2764b0d961d08f3d9ece64bec1389eb06',
-    'g-chained-small-reps': 'dbd807addb9b178497f1eb809623c2210b2753c9f73d584e974c6634479647af',
+    'g-chained-small-reps': 'c1966dedfbed1b40a13e067f56137e3878b5df8caafc92e0011f2910b474d91e',
     'g-chained-gap-small-reps':
         '63be6c8e47ac0781f5bb8a1fa3e3aee6650bd9ce5b0776d27e1a383e368a5eb0',
     'g-chained-gap-decay': '24fd7ccd640b01ea5bda33c7f525c0c9799715ffd640bfeacfdd17a27e53fe22',
