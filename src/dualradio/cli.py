@@ -177,18 +177,11 @@ def build_trial_config(point: dict) -> tuple[TrialConfig, int]:
         gspec["kind"], delta,
         n=gspec.get("n"),
         diameter=gspec.get("diameter"))
-    tau = point["tau"]
-    schedule = schedules.build_schedule(point["algo"], delta, tau if tau else 1)
-    # the round cap and a global run's per-node budget are both sized from
-    # the algorithm's tau, never from an adversary override's
-    algo_tau = tau or schedule.cycle_length
-    rgb_reps = None
-    if point["problem"] == "global":
-        rgb_reps = engine.rgb_repetitions(delta, algo_tau, point["epsilon"], gadget.node_count)
+    schedule = schedules.build_schedule(point["algo"], delta, point["tau"] or 1)
     max_rounds = point["max_rounds"]
     if max_rounds == "auto":
         max_rounds = engine.default_max_rounds(
-            point["problem"], schedule, delta, algo_tau,
+            point["problem"], schedule, delta, engine.algorithm_tau(schedule),
             point["epsilon"], gadget.node_count,
             diameter=gadget.meta.get("diameter", 1))
     config = TrialConfig(
@@ -200,7 +193,6 @@ def build_trial_config(point: dict) -> tuple[TrialConfig, int]:
         max_rounds=max_rounds,
         engine_mode=point["engine"],
         epsilon=point["epsilon"],
-        rgb_reps=rgb_reps,
     )
     return config, point["trials"]
 

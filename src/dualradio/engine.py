@@ -227,7 +227,7 @@ class TrialConfig:
     engine_mode: str = "materialized"   # | "analytic_star"
     epsilon: float = 0.1
     # global: per-node repetition budget in double cycles; by default
-    # `rgb_repetitions` at the schedule's tau
+    # `rgb_repetitions` at the schedule's `algorithm_tau`
     rgb_reps: int | None = None
     # the point's adversary plan, compiled once from `adversary`
     plan: AdversaryPlan = field(init=False, compare=False, repr=False)
@@ -259,11 +259,9 @@ class TrialConfig:
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         if self.problem == "global" and self.rgb_reps is None:
-            # the budget the algorithm was built for: sized from the tau its
-            # schedule names (its cycle length if none), not the adversary's
-            tau = self.schedule.params.get("tau") or self.schedule.cycle_length
             object.__setattr__(self, "rgb_reps", rgb_repetitions(
-                gadget.delta, tau, self.epsilon, gadget.node_count))
+                gadget.delta, algorithm_tau(self.schedule), self.epsilon,
+                gadget.node_count))
         object.__setattr__(self, "plan",
                            compile_adversary(self.adversary, gadget, self.schedule))
 
@@ -298,6 +296,13 @@ def verify_stability(result: TrialResult, tau: int | None) -> None:
 
 # ---------------------------------------------------------------------------
 # repetition-count formulas
+
+
+def algorithm_tau(schedule: Schedule) -> int:
+    """The tau the algorithm was built for, which sizes a global run's
+    budget and the default round cap, never the adversary's: the tau the
+    schedule names, or its cycle length if it names none (decay)."""
+    return schedule.params.get("tau") or schedule.cycle_length
 
 
 def rlb_repetitions(delta: int, tau: int, epsilon: float) -> int:

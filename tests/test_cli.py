@@ -108,6 +108,23 @@ class TestConfigParsing:
                                     adversary=trial_cfg.adversary, seed=1, max_rounds=10)
         assert direct.rgb_reps == trial_cfg.rgb_reps
 
+    @pytest.mark.parametrize("tau", [1, None])
+    def test_decay_cap_and_budget_follow_its_cycle_length(self, tau):
+        # decay names no tau, so a point's tau sizes neither its budget nor
+        # its round cap: both follow the cycle length, as a direct config does
+        points = expand_sweep(normalize_config(base_config(
+            problem="global", engine="materialized",
+            gadget={"kind": "chained", "delta": 257, "diameter": 24}, algo="decay",
+            tau=tau, adversary={"kind": "static"}, max_rounds="auto")))
+        trial_cfg, _ = build_trial_config(points[0])
+        n, k = trial_cfg.gadget.node_count, trial_cfg.schedule.cycle_length
+        assert trial_cfg.rgb_reps == engine.rgb_repetitions(257, k, 0.1, n) == 220
+        assert trial_cfg.max_rounds == 100 * (24 // 3 + 2) * 220 * 2 * k
+        direct = engine.TrialConfig(problem="global", gadget=trial_cfg.gadget,
+                                    schedule=trial_cfg.schedule,
+                                    adversary=trial_cfg.adversary, seed=1, max_rounds=10)
+        assert direct.rgb_reps == trial_cfg.rgb_reps
+
 
 class TestRunCommand:
     def test_run_writes_csv_and_summary(self, tmp_path, capsys):
