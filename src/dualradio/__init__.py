@@ -14,6 +14,6 @@ from .adversary import (AdversaryPolicy, ObservableHistory, GapPhasePlan,
 from .gadgets import Gadget, star_gadget, double_star, chained_gadgets, build_gadget
 from .engine import (TrialConfig, TrialResult, Stats, run_trial, run_trials,
                      run_materialized_trial, run_analytic_star_trial,
-                     split_seed, aggregate, wilson_interval)
+                     aggregate, wilson_interval)
 
 __version__ = "0.1.0"

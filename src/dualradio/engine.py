@@ -33,18 +33,18 @@ round alone computes what its lane of a chunk computes (`np.log`, never
 `math.log`, which may differ in the last bit), so where chunks begin does
 not change a result.
 
-Randomness: each trial t uses seed `config.seed + t`.  Inside a trial,
-streams are derived by `split_seed` (SHA-256 over the labeled seed), with
-disjoint labels for node coins ("nodes"), adversary draws ("adversary")
-and the adversary's per-block q ("adversary", "q"), so adversary outputs
-cannot depend on node coins even accidentally.  A point's adversary is
+Randomness: each trial t uses seed s = `config.seed + t`.  Inside a
+trial, streams are seeded by SHA-256 over f"{s}:{label}", with disjoint
+labels for node coins ("nodes"), adversary draws ("adversary") and the
+adversary's per-block q ("adversary:q"), so adversary outputs cannot
+depend on node coins even accidentally.  A point's adversary is
 compiled once, when its `TrialConfig` is built (`compile_adversary`,
 which makes every config check); each trial's `make_policy` builds its
 policy from that plan and binds it to the trial's adversary streams.
-All three streams are `PCG64(split_seed(...))` generators (RNG layout 3),
-seeded through one path: `stream_seeds` derives the stream seeds of a
-range of trials in one batch and turns them into PCG64 seed words in one
-vectorized pass, which gives the same generators as seeding each alone.
+All three streams are PCG64 generators whose four 64-bit seed words (the
+initial state and increment) are that 32-byte digest read as
+little-endian words (RNG layout 4); `stream_seeds` derives them for a
+range of trials in one batch, and a lone trial for its own.
 `run_trials` builds once per point what each of its trials starts from
 (`point_start`) and hands it to every `run_trial`: the seed words of
 every trial and the engine's start state: on the analytic engine the
@@ -100,96 +100,25 @@ _NEVER = np.iinfo(np.int64).max  # activation round of a node never reached
 _LN2 = math.log(2.0)
 
 
-def split_seed(root: int, *labels) -> int:
-    """Derive a 64-bit stream seed from a root seed and labels (documented
-    split function: SHA-256 over the colon-joined decimal/string parts)."""
-    text = ":".join([str(root), *map(str, labels)])
-    return int.from_bytes(_seed_bytes([text]), "big")
-
-
-def _seed_bytes(texts) -> bytes:
-    """The first 8 bytes of SHA-256 over each text, joined: each text's
-    seed as `split_seed` derives it, big-endian."""
-    sha = hashlib.sha256
-    return b"".join(sha(text.encode()).digest()[:8] for text in texts)
-
-
 # a trial's node, adversary and adversary q stream labels
-_STREAM_LABELS = (("nodes",), ("adversary",), ("adversary", "q"))
-
-
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-def _hash_consts(value: int, mult: int, count: int) -> np.ndarray:
-    """A SeedSequence hash constant's first count + 1 values, mod 2^32."""
-    out = [value]
-    for _ in range(count):
-        out.append(out[-1] * mult & 0xFFFFFFFF)
-    return np.array(out, dtype=np.uint32)
-
-
-# SeedSequence hashes its 4 pool words, then each word s into the other 3
-# words d (12 calls, s-major), each call with the next constant
-_HASH_A = _hash_consts(_INIT_A, _MULT_A, 16)
-# lane d of row s: the call that mixes word s into word d; lane s keeps its
-# word and reads call 0
-_CROSS_CALL = np.array([[0 if d == s else 4 + 3 * s + d - (d > s) for d in range(4)]
-                        for s in range(4)])
-_CROSS_XOR, _CROSS_MUL = _HASH_A[_CROSS_CALL], _HASH_A[_CROSS_CALL + 1]
-_HASH_B = _hash_consts(_INIT_B, _MULT_B, 8)  # one per 32-bit output word
-
-
-def _hashed(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    value = value ^ xor
-    value *= mult
-    value ^= value >> 16
-    return value
-
-
-def pcg64_seed_words(seeds) -> np.ndarray:
-    """`SeedSequence(s).generate_state(4, np.uint64)` for every 64-bit seed
-    s in `seeds`, in one vectorized pass; shape `seeds.shape + (4,)`.
-
-    A seed's entropy is its 32-bit words (lo, hi).  SeedSequence pads
-    entropy shorter than its 4-word pool with hashed zeros, so a seed below
-    2^32 (entropy (lo,)) takes the same path as (lo, 0, 0, 0).
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    entropy = np.zeros(seeds.shape + (4,), dtype=np.uint32)
-    entropy[..., 0] = seeds & 0xFFFFFFFF
-    entropy[..., 1] = seeds >> 32
-    pool = _hashed(entropy, _HASH_A[:4], _HASH_A[1:5])
-    for src in range(4):
-        mixed = _MIX_MULT_L * pool
-        hashed = _hashed(pool[..., src:src + 1], _CROSS_XOR[src], _CROSS_MUL[src])
-        mixed -= _MIX_MULT_R * hashed
-        mixed ^= mixed >> 16
-        mixed[..., src] = pool[..., src]
-        pool = mixed
-    # 32-bit output word i hashes pool word i % 4; 64-bit word j is 32-bit
-    # words 2j (low half) and 2j + 1
-    out = _hashed(np.concatenate((pool, pool), axis=-1), _HASH_B[:8], _HASH_B[1:])
-    out = out.astype(np.uint64)
-    return out[..., 0::2] | out[..., 1::2] << 32
+_STREAM_LABELS = ("nodes", "adversary", "adversary:q")
 
 
 def stream_seeds(first_seed: int, count: int) -> np.ndarray:
     """The PCG64 seed words of the trials seeded first_seed, ...,
     first_seed + count - 1, shape (count, 3, 4): `[t, i]` holds trial t's
-    stream i of `_STREAM_LABELS`, its seed derived as `split_seed` derives
-    it."""
-    labels = [":".join(parts) for parts in _STREAM_LABELS]
-    digests = _seed_bytes(f"{first_seed + t}:{label}" for t in range(count) for label in labels)
-    return pcg64_seed_words(np.frombuffer(digests, dtype=">u8").reshape(count, 3))
+    stream i of `_STREAM_LABELS`, the SHA-256 digest of
+    f"{first_seed + t}:{label}" read as four little-endian 64-bit words, in
+    native byte order (PCG64 reads the words' memory)."""
+    sha = hashlib.sha256
+    digests = b"".join(sha(f"{first_seed + t}:{label}".encode()).digest()
+                       for t in range(count) for label in _STREAM_LABELS)
+    return np.frombuffer(digests, dtype="<u8").astype(np.uint64).reshape(count, 3, 4)
 
 
 class _SeedWords(ISeedSequence):
-    """Seeds a PCG64 with four precomputed SeedSequence words, skipping the
-    SeedSequence that PCG64(seed) would build, most of its seeding cost."""
+    """Seeds a PCG64 with four given 64-bit words, its initial state and
+    increment, in place of the SeedSequence that PCG64(seed) would build."""
 
     def __init__(self, words: np.ndarray):
         self.words = words

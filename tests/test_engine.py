@@ -1,20 +1,22 @@
 """Trial execution: reproducibility, oracle cross-checks, and aggregation."""
 
+import hashlib
 import itertools
 import math
+import struct
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.random.bit_generator import ISeedSequence
 
 from dualradio import adversary, engine
 from dualradio.adversary import ObservableHistory, make_policy
 from dualradio.engine import (_NEVER, CSV_COLUMNS, PROBLEMS, TrialConfig, TrialResult,
-                              _SeedWords, _transmitter_window, aggregate, csv_header,
-                              default_max_rounds, frlb_repetitions,
-                              pcg64_seed_words, rlb_repetitions, round_counts,
-                              run_analytic_star_trial, run_trial, run_trials, split_seed,
+                              _transmitter_window, aggregate, csv_header,
+                              default_max_rounds, frlb_repetitions, rlb_repetitions,
+                              round_counts, run_analytic_star_trial, run_trial, run_trials,
                               stream_seeds, trial_csv_row, trial_rngs, verify_stability,
                               wilson_interval)
 from dualradio.gadgets import (Gadget, build_gadget, chained_gadgets, double_star,
@@ -58,37 +60,47 @@ def iid_random_q_done_prob(schedule, arms, rounds, tau, nodes=400):
     return 1 - miss
 
 
+class _Words(ISeedSequence):
+    """Hands a PCG64 four given 64-bit seed words."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def digest_pcg64(seed, label):
+    """A PCG64 seeded, as the contract says, with the SHA-256 digest of
+    f"{seed}:{label}" read as four little-endian 64-bit words."""
+    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
+    return np.random.PCG64(_Words(np.array(struct.unpack("<4Q", digest), dtype=np.uint64)))
+
+
 class TestSeeding:
-    def test_split_seed_is_stable(self):
-        assert split_seed(1, "nodes") == split_seed(1, "nodes")
-        assert split_seed(1, "nodes") != split_seed(1, "adversary")
-        assert split_seed(1, "nodes") != split_seed(2, "nodes")
-
     def test_streams_disjoint(self):
-        for x, y in itertools.combinations(trial_rngs(5), 2):
-            assert x.random() != y.random()
+        # a trial's three streams, and those of its neighbouring trials
+        streams = [rng for t in range(3) for rng in trial_rngs(5, t)]
+        firsts = [rng.random() for rng in streams]
+        assert len(set(firsts)) == len(streams) == 9
 
-    def test_batched_seed_words_match_seed_sequence(self):
-        rng = np.random.default_rng(20261018)
-        seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
-        seeds += rng.integers(0, 2 ** 64, 1000, dtype=np.uint64).tolist()
-        words = pcg64_seed_words(np.array(seeds, dtype=np.uint64))
-        assert words.shape == (len(seeds), 4)
-        for s, w in zip(seeds, words):
-            assert (w == np.random.SeedSequence(s).generate_state(4, np.uint64)).all(), s
-            assert np.random.PCG64(_SeedWords(w)).state == np.random.PCG64(s).state, s
-
-    def test_trial_streams_are_seeded_from_split_seeds(self):
+    def test_trial_streams_are_seeded_from_digests(self):
         # a point's batch and a lone call give every trial the same streams
         seeds = stream_seeds(40, 3)
+        assert seeds.shape == (3, 3, 4) and seeds.dtype == np.uint64
         cases = [(40 + t, trial_rngs(40, t, seeds)) for t in range(3)]
-        cases += [(42, trial_rngs(42)), (42, trial_rngs(40, 2))]
-        labels = [("nodes",), ("adversary",), ("adversary", "q")]
+        cases += [(42, trial_rngs(42)), (42, trial_rngs(40, 2)), (2 ** 64, trial_rngs(2 ** 64))]
+        labels = ["nodes", "adversary", "adversary:q"]
         for seed, streams in cases:
             assert len(streams) == len(labels)
             for rng, label in zip(streams, labels):
-                assert rng.bit_generator.state == \
-                    np.random.PCG64(split_seed(seed, *label)).state, (seed, label)
+                assert rng.bit_generator.state == digest_pcg64(seed, label).state, (seed, label)
+
+    def test_node_stream_of_seed_0_is_pinned(self):
+        # fixes the digest's byte order and which words are state and increment
+        assert trial_rngs(0)[0].bit_generator.state["state"] == {
+            "state": 26013464911806258234398281563740791908,
+            "inc": 219467469376138316739730055681681071455}
 
 
 class TestReproducibility:

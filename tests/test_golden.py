@@ -135,6 +135,19 @@ def _configs():
         "a-walk-criterion-10": (local(extreme, rlbc_schedule(2 ** 4885, 1000),
                                       {"kind": "degree_walk_restricted", "tau": 1000,
                                        "l": 22, "walk_mode": "dodging"}, 5000, a), 4),
+        # no trial of the four walks above completes, so their hashes read no
+        # random draw; in these two most trials complete: criterion 10's walk
+        # given 600,000 rounds, and a random walk whose degrees of 2^53 and
+        # more pass the peak of the cycle's success, so the
+        # arbitrary-precision success test decides them
+        "a-walk-criterion-10-completes": (local(extreme, rlbc_schedule(2 ** 4885, 1000),
+                                                {"kind": "degree_walk_restricted",
+                                                 "tau": 1000, "l": 22,
+                                                 "walk_mode": "dodging"}, 600_000, a), 12),
+        "a-walk-beyond-2^53-completes": (local(huge, rlb_schedule(2 ** 200, 200),
+                                               {"kind": "degree_walk_restricted", "tau": 1,
+                                                "l": 2 ** 57, "walk_mode": "random",
+                                                "start_degree": 2 ** 62}, 600, a), 40),
         # criterion 11's shape: one round per trial on both engines, and
         # star-short's longest tau
         "a-criterion-11": (local(star8, rlb_schedule(8, 3),
@@ -234,62 +247,65 @@ def golden_digest(config: TrialConfig, trials: int) -> str:
 
 
 GOLDEN = {
-    'a-static': '402491f41d07cad2609f8bbc744743f4ede92e2605f9cd03630463edb539e3de',
-    'a-iid-random-q': '2482db3753abb89c1fe6f5ba96c59c07d8b7be0afede732d1cc9aced21d80a6c',
-    'a-iid-fixed-q': '773355e133f94456fd28737f2750e50e14bf3557f5362dd1e70e77f1efce86e4',
-    'a-iid-tau-inf': '31d38524c4140a1fbc4ea43165ab049b056abc44bd521a889d60801debf4247d',
-    'a-gap': '8867a78320ecf7a8cc425da60cf194ce366cbe9efdd2404d23ccb5e03d54c5ef',
-    'a-gap-virtual': 'dffedd0d110bd94e55a502889272d41712c13bc06ed44175f0042aea0e38fe05',
-    'a-argmin': 'e408e533e8250717e5968dc9d34d2b39ce98c1f2115bf09eb0fb396ce6cffda6',
-    'a-argmin-virtual': 'f2637e3f1c17d15d8fef433e07851118e44fe247f485a547fe7062bbce3ebcbd',
-    'a-iid-random-q-virtual': '3ac2abf5d513412b07700b9f01919ad7b549fe72a7f211104df184931da885f1',
+    'a-static': '2105e2a9094cb48fa941a81e5325cd994f4443b7b17aaec154617e0d35f47d78',
+    'a-iid-random-q': 'c5cce978af37f4e35fcf6ce69f7af8843b544269b5ae2bb43e5fda0d2df6f8ce',
+    'a-iid-fixed-q': 'bba312400cbce69b2ea76fb782b4bc77012ba09c9c41af1561a805b2fb9782be',
+    'a-iid-tau-inf': '4cd77f48c1963d3b9f82078108a797ad7586d66680a450d6ba301652c64150ee',
+    'a-gap': '3bc1e3a6a33ad53f262ab3ba8c92bb278fb80edb3016ef3fc1d9bba95bf95202',
+    'a-gap-virtual': '0dd0f0b379d4fa65575453f0327819a0519805e094349a8c072c7f9d25009855',
+    'a-argmin': '50467b30162d83a6b73f2a084d4b11ef1014b062cfd5ff600f0bbe51c094757c',
+    'a-argmin-virtual': '175f74a35e6107398d07fc227d2ba82df689290892e5368676b0662ebd3693aa',
+    'a-iid-random-q-virtual': 'e684b1bb91b261bb982fe66891af0e149ba8f1a068b7da0a3aff66187f349e7a',
     'a-iid-random-q-tau3-virtual':
-        '6e50cab14586d48d99fb940b5a6b7c95419aca5298c8760508e43efb0377218b',
-    'a-iid-fixed-q-virtual': '11aa7f1a8fda7649299ad9a7acc507ff9c1400eef407db3f4bbaeb16fc808c88',
-    'a-static-virtual': '7ae11f2acdfdff309a09fd522e7c7e4995eadae9686bd65e92ba985f68d3c5d3',
-    'a-shift': '0a11bc0825d28e4118c14afe2bc31ff0f9ba23fa03b785422982d154e242c46c',
-    'a-walk-deterministic': 'c888601dc6ca99b74aab206053de7f601662e0558c245c1b8ae639507805ca69',
-    'a-walk-restricted-random': 'ab562d722c865b20784e8532940eb308550cc8bb04c00c68491bcf54bacf5fb6',
+        'd5ffcad93d88f719e5eaa6056229a897e310559446bfe869ebbdc8160efcf89a',
+    'a-iid-fixed-q-virtual': '126cf64e33baa83a7128ee0fa02be4d05738b6d572e0c2f21eb8f73eb1eaaf85',
+    'a-static-virtual': '162ed4a6d3d846feec03d45e8987a6f2c1c9c6a89923f51c5a4419542526ef2c',
+    'a-shift': 'dfd68bb7fcf6bdb3316d61379c967e5e0d2d2e9e5f91d94182f1580b3827c241',
+    'a-walk-deterministic': '15f53f4c2d52a3937d965fde332305317b4e9b6461e6dde2a02f50c3cf6dc8e2',
+    'a-walk-restricted-random': '02a6305ba77eeff941367925ee9530a8056d0693033e627a38d7ca98c9a4ac46',
     'a-walk-restricted-dodging': 'bfe80f49af2cbfffd95917712077e84f95df29fc08c2551f0421d132a92a1de8',
     'a-walk-deterministic-long': '5a4af610f8501a2f5e8f38389f5ac34fe25e38ff5c3f6cd81f00746f09cb78b2',
     'a-walk-beyond-2^53': '9f6f82d72ad6100c449d74667bd0f5d8b3b5168336f108b3cf1cef25736edafa',
-    'a-gap-tau1': 'a79a45ff08d04200da54387a600629d9615396659f5e47e211eb4b7755105f06',
-    'a-gap-tau1-constant': '4ae92a578c7eaacca875b052b23842cf1734234ef1672ea0df38e1ca0f11e1c4',
-    'a-gap-tau3-virtual': 'b3418259e935c1a1ac525fbd5331c63f2ae515f81ffa7c8a358aa6a9960c3d93',
+    'a-gap-tau1': '531616ee3d8b2675485e628a46ac5f2c227a83a3b84e508f30b0134fec787aec',
+    'a-gap-tau1-constant': 'e4be6e64cf3fad4485e86cca988041f4ad3dfd43cfbcd90ea704cc9c17d62617',
+    'a-gap-tau3-virtual': '7b97250ca35e038903c2ff2348c6bff6aeec026d1c88f5c7f501a1c0e96d3047',
     'a-walk-restricted-dodging-cross':
-        '86c557695f47497fb99c2780b94909064fb5e6bf40dd9024b6129d0c8d5ca82b',
+        'e2d293f0592c00f061b522ae5589fdcce798d3377cfc465c938a94a698e23748',
     'a-walk-criterion-10': '5ba1154e97502bf92736a942541a64344e19c6aa6768d825574bd224b940a26c',
-    'a-criterion-11': '24c9645b9951860dfe8ff76e9d7b34044e78d7491d09d3c1e91d59da2b979c77',
-    'a-iid-random-q-tau6': '8b19fa7c3a2a7f34ec20d9c7f846563ad2b79961c03885bc2cab24049b694432',
-    'a-iid-random-q-tau3': 'eb9fa286a541d31cb22e18b8e926f2b9a29773dfca18a5ae607db0df6c7188c8',
-    'a-criterion-6': '0767504355bcdef633a504f3445cd90355c93eec64376c8a8a663e4d58ec213c',
-    'm-criterion-11': '25b603bb6e53db67cfeac4dcd8ea73aac8e0be3778fde38f95838f201a42e93e',
-    'm-static': '861102ff81559f4105d18b3fd8891440608eae3c4f95dce95448fde1952c1c26',
-    'm-iid': '320197b29ed489f30524fbc442814d6d3ec1fa3f3f75776bd8c376265beb86a5',
-    'm-iid-all-receivers': '70d5b8f7e8753cdb7b37ec4491a54025ec5b01a6b3e9d358055944b6b7b9e143',
-    'm-gap': 'aab66f047e36b874681cd7f79dd6b12b77a243671bd202552629425886fa3cc5',
-    'm-argmin': 'dad59d3fc2bd4f6a66c811f158ad4810b9655c4a510e0e6987e9dfd25aa45a6b',
-    'm-shift': 'db76df81c1848704e90ba3651395ca902f89976b5c21a8e59e840efb02cce95d',
-    'm-walk-deterministic': 'bfffb64970ef8880ff5185933a680d24a7d2254b6061ea748fe5f2a6363ed5d6',
-    'm-walk-restricted': '58f4e26bf88cdb6ab095e540984bad5d4a0b5af3fa5bfcd309911e2c2d051c7d',
-    'm-walk-restricted-dodging': 'ddb0d26418fd741ff1b6b8679a36c0ed415b7b50c145484e8431611e63e3946e',
-    'm-inert-broadcasters': 'cc047dae16bd793239aac8deafce708e7d6c0f0b873b9a26eda81df0af54e545',
-    'm-receiver-broadcasts': '7d962bfae89b996ee7367e04f6cbe9038ac7824d778b431cf5af2aa32e0babd8',
-    'g-static': 'd617debb5c77629581623dd3ede6120374c358d2afab5814866770bdfa1cb6ab',
-    'g-iid': 'cf9458317c7cb33489c5b9aa74ca812f63a2df498c2533362d3d571218a449ea',
-    'g-chained-gap': 'cb56887916013c2c83c3ae340143edc82620bf763ea13ab39a0ab33dd6e289c6',
-    'g-chained-static': '5a159d2ae43db7a3672bbfa80d08405d3a0a6181782387b523f55031125c685b',
-    'g-line': '831919a80f9b7ae7c9d0a1a8843fb034d928b56e0c0e824dccb75c6d22caba09',
-    'g-budget-exhausted': 'a506511e50334dae68e6c7c57c8a7e4e3b369dc316ddeabbff44d294316f0b35',
-    'g-path-k1': '3490932093b9e7f0076007fde2123280d0e970b2caaa963e45417aeb51c71b64',
-    'g-path-k1-reps1': 'af7837341fa1f359e9c91e2d4cc23938c724838e0d0e80315e7f7285f53831c7',
-    'g-mesh-small-reps': '0cd5060598c9c02072d7d41c5ca926d2764b0d961d08f3d9ece64bec1389eb06',
-    'g-chained-small-reps': 'c1966dedfbed1b40a13e067f56137e3878b5df8caafc92e0011f2910b474d91e',
-    'g-chained-gap-small-reps':
-        '63be6c8e47ac0781f5bb8a1fa3e3aee6650bd9ce5b0776d27e1a383e368a5eb0',
-    'g-chained-gap-decay': '24fd7ccd640b01ea5bda33c7f525c0c9799715ffd640bfeacfdd17a27e53fe22',
-    'g-chained-static-edges':
-        '81005de5fe81a4dafb6314469a01dda40277e1977ace85f3b6325b436d136aaa',
+    'a-walk-criterion-10-completes':
+        '608286d026aa769192bf64129a905766e3aa46c7c8d9ebab387d374df832a6a6',
+    'a-walk-beyond-2^53-completes':
+        'd1c7dce858a0abb9d132e06467111fe0b475c73431419b3c30a03760c0713388',
+    'a-criterion-11': '82445fd24a787162475c16145e9764a045b3c72bbb75d70054d3fdc64b396d40',
+    'a-iid-random-q-tau6': 'e6f06db0f21931d439bd487c6057bf107b069a576b4fb663161541ddea4fb809',
+    'a-iid-random-q-tau3': '83ac5f8e508aade0ce7f29bfba1004feb5631f319787647f4515f8dac80ce77c',
+    'a-criterion-6': '21b50ffdeebc92adafaaf374c21ac3a3287d8010d486a4410362ffed23d012f3',
+    'm-criterion-11': 'db3258ad016e519d3ab03fb8617bba5af0fadb4175dbbf2ba49c9a5c175fc428',
+    'm-static': 'f33a546a5135db0540a13b830ad948cfa72db30c2571e502ce160667b7f6abfe',
+    'm-iid': '120ed10008b63f7c49d382e2ba2e26a923db5fbfc6848813864ced2fed1c8797',
+    'm-iid-all-receivers': 'acf6de2664b831f6277f1760627780effc1391f0842753045a262d4e5085344c',
+    'm-gap': 'ca8afa1224639c0556f0ea6be4051dcdcc64b428e8c29350eaa7155e3e9996f8',
+    'm-argmin': '95afab790fa9fe2ea721ef8a7269aeccefaa4627875a3c3cc8164a23b506effc',
+    'm-shift': '3308e45dd47562fb0300d55e1c1b35734898476ac704b78f26d6773cf1fa4d5b',
+    'm-walk-deterministic': '66388db7e1501261f87ca1e0b919f710e76c82c130fb0f9f426cd87dbf554834',
+    'm-walk-restricted': '6424455b1e001f78e6d613c8f11df565f079e0749f5cb58156f023e92894ba5e',
+    'm-walk-restricted-dodging':
+        '5214b7b80ca72e7e993ed14283850dc4a64eb376f25c1dc1ca05dc28964fb540',
+    'm-inert-broadcasters': '621064024766d6db5256e810135dc846dff27aeb18bc204b2245997520f06340',
+    'm-receiver-broadcasts': '3e48a8dc8a9c0486108e7db994747585e3e40f1ce2bffd22f8593259264bc802',
+    'g-static': 'c0240b62ea6a7d624c54c3663369ff4b38c507f8a57098e49632e8572d51804e',
+    'g-iid': '82eec96c25af65e35cd70089cad9737050de1bf148606d4ee14ad4a5a25da0e3',
+    'g-chained-gap': 'b8a90509f42748df37dd39148d6591dbb3f95b3d4920031682cdebfbdbbb63ab',
+    'g-chained-static': '70d0171a79be1b8d64cb96a4d462092c17987e4ee2384d9f3f8e2f8be97fd2e2',
+    'g-line': '04974412043d7f9c01f216bc4bc47565717936e24eda40c3ec031f7981fe2d94',
+    'g-budget-exhausted': '0c6cf811cfd111cdb2faadb569c9e15bc80cfd087a2814695c012fd98bce9e7f',
+    'g-path-k1': '0b38c4a7475e8b16ca3f37d1a771b9b7547a3fe7b1045fcafd82a4cc0c1ece6b',
+    'g-path-k1-reps1': 'b87ea13debd008465552cbd05a5c29aa2c4917d88804d30c65f598ab801069a1',
+    'g-mesh-small-reps': '9460335ae093d8318472a896e92a8f27cde1b0c52800109d99b562d3c5bba579',
+    'g-chained-small-reps': 'bf56e24ef256ea7b252df11ba7928f592296ec17bf29967710f0a9691a9aa9cd',
+    'g-chained-gap-small-reps': '42ab1ffc14ea59d3acb8c1b0ca432b612ada4eda4b68e19c6dc42caf808fc0ca',
+    'g-chained-gap-decay': '41b5113acf32f893275b4c006edd0e8572537e490085ab3ad91c03184d572623',
+    'g-chained-static-edges': '7e496c4659c9c1c0b61cf74aac55b28e02c2b9bbfb16e5c4912435bb8a51a38d',
 }
 
 CONFIGS = _configs()
