@@ -4,8 +4,8 @@ Each config's trials are run in-process and folded into one SHA-256 over,
 per trial, the CSV row, the adversary's `distribution_changes` and the
 sorted `first_delivery` map.  The configs cover every adversary kind on
 each engine that accepts it, both problems on the materialized engine, and
-a deterministic walk whose degrees pass 2^53 (the analytic engine's
-arbitrary-precision path).
+walks whose degrees pass 2^53 (the analytic engine's arbitrary-precision
+path), in one of which most trials complete.
 
 A refactor that keeps behaviour keeps every hash.  A change that is meant
 to alter the random streams re-records them:
