@@ -14,13 +14,19 @@ at each delivery.  The relevant transmitters are those that wait
 themselves or have a waiting neighbor through an edge the adversary can
 activate or a reliable edge: the others cannot change a delivery.
 Only the span from the first to the last relevant candidate draws coins
-and is counted.  Its frontier, the table entries from the span to waiting
-nodes in CSR form, is rebuilt only when the set of nodes that may
-transmit changes (some node starts or exhausts its budget) or a delivery
-is made.  A round gathers the transmitters' frontier slices with a fixed
+and is counted.  The transmitter window is kept event by event: nodes
+that start later and nodes that transmit now sit in two queues of
+(activation round, nodes) pairs, and activation rounds never fall, so a
+window event (some node starts or exhausts its budget) moves or drops only
+the pairs at a queue's head.  The relevant candidates are kept as well:
+who waits and each node's count only fall, so a delivery only filters
+them, and a window event adds the started nodes that are relevant.  The
+span's frontier, the table entries from the span to waiting nodes in CSR
+form, is rebuilt once at the top of a round with a window event or after
+a delivery.  A round gathers the transmitters' frontier slices with a fixed
 number of numpy calls, however many transmit, and its counts are one
 `bincount` over them, keeping an unreliable entry only when the adversary
-activated that edge this round.
+activated that edge this round (a frontier without one skips that test).
 The analytic engine exploits the star gadgets' structure and tracks only
 the designated receiver's effective degree, sampling its per-round success
 from the closed-form probability (in log space, so degree bounds given as
@@ -49,7 +55,8 @@ range of trials in one batch, and a lone trial for its own.
 (`point_start`) and hands it to every `run_trial`: the seed words of
 every trial and the engine's start state: on the analytic engine the
 cycle's ln(1 - p) values as floats, on the materialized engine the node
-state before round 1 and round 1's transmitter window and frontier.
+state before round 1, round 1's transmitter window (its queues and
+relevant candidates) and its frontier.
 Trials only read it, and copy the arrays they change.  A lone `run_trial`
 builds its own.
 The materialized node stream (RNG layout 2) is drawn per counted span,
@@ -319,6 +326,9 @@ def _slice_positions(table: _Neighbors, nodes: np.ndarray) -> np.ndarray:
     """Table positions of the nodes' slices, concatenated in order.  A round
     passes only a few nodes, so this avoids numpy's Python-level wrappers
     (np.cumsum, np.repeat), whose dispatch costs more than that work."""
+    if len(nodes) == 1:  # most often: one slice, a plain range
+        first = table.ptr[nodes[0]]
+        return np.arange(first, first + table.deg[nodes[0]])
     lens = table.deg[nodes]
     ends = np.add.accumulate(lens)
     # slice i starts at ptr[nodes[i]] and sits at ends[i] - lens[i] in `pos`
@@ -342,7 +352,8 @@ class _Frontier(NamedTuple):
     them to waiting nodes: `entries` is a neighbor table over span
     positions whose `heard` indexes `listeners`, the waiting nodes in node
     order.  A listener that is itself a candidate, listener duplex[j] at
-    span position duplex_at[j], hears nothing when it transmits."""
+    span position duplex_at[j], hears nothing when it transmits.
+    `unreliable` tells whether some entry goes through an unreliable edge."""
 
     lo: int
     hi: int
@@ -351,36 +362,43 @@ class _Frontier(NamedTuple):
     listeners: np.ndarray
     duplex: np.ndarray
     duplex_at: np.ndarray
+    unreliable: bool
 
 
-def _frontier(table: _Neighbors, cand: np.ndarray, waiting: np.ndarray,
-              near: np.ndarray) -> _Frontier:
-    """The frontier of the candidates `cand` given who waits and each node's
-    count of waiting neighbors in the table `near`.  Its span runs from the
-    first to the last candidate that waits or has a waiting neighbor in the
-    table; the other candidates cannot change a delivery, whether they
-    transmit or not."""
-    fan = near[cand]
-    relevant = np.flatnonzero(waiting[cand] | (fan > 0))
+def _frontier(table: _Neighbors, cand: np.ndarray, relevant: np.ndarray,
+              waiting: np.ndarray, near: np.ndarray, edge_count: int) -> _Frontier:
+    """The frontier of the candidates `cand` given who waits, each node's
+    count of waiting neighbors in the table `near`, and `relevant`, the
+    candidates that wait or have a waiting neighbor in the table, in
+    order.  Its span runs from the first to the last relevant candidate;
+    the other candidates cannot change a delivery, whether they transmit
+    or not.  `edge_count` is the table's reliable slot."""
     if not len(relevant):
         none = cand[:0]
-        return _Frontier(0, -1, none, _Neighbors(none, none, none, none), none, none, none)
-    lo, hi = int(relevant[0]), int(relevant[-1])
-    span, fan = cand[lo:hi + 1], fan[lo:hi + 1]
-    pos = _slice_positions(table, span[np.flatnonzero(fan)])
+        return _Frontier(0, -1, none, _Neighbors(none, none, none, none), none, none, none,
+                         False)
+    lo, hi = int(cand.searchsorted(relevant[0])), int(cand.searchsorted(relevant[-1]))
+    span = cand[lo:hi + 1]
+    fan = near[span]
+    pos = _slice_positions(table, span[fan.nonzero()[0]])
     pos = pos[waiting[table.heard[pos]]]
     heard = table.heard[pos]
-    # listeners numbered in node order, without sorting the entries
-    rank = np.zeros(len(waiting), dtype=np.int64)
-    rank[heard] = 1
-    listeners = np.flatnonzero(rank)
-    rank[listeners] = np.arange(len(listeners))
-    waits = np.flatnonzero(waiting[span])
-    _, duplex, at = np.intersect1d(listeners, span[waits], assume_unique=True,
-                                   return_indices=True)
+    through = table.through[pos]
+    # listeners in node order, without sorting the entries (one n-byte mask)
+    seen = np.zeros(len(waiting), dtype=bool)
+    seen[heard] = True
+    listeners = seen.nonzero()[0]
+    duplex = at = span[:0]
+    waits = waiting[span].nonzero()[0]
+    if len(waits):
+        _, duplex, at = np.intersect1d(listeners, span[waits], assume_unique=True,
+                                       return_indices=True)
     # the entries come grouped by span position, fan[i] of them for span[i]
-    entries = _Neighbors(np.cumsum(fan) - fan, fan, rank[heard], table.through[pos])
-    return _Frontier(lo, hi, span, entries, listeners, duplex, waits[at])
+    entries = _Neighbors(np.add.accumulate(fan) - fan, fan, listeners.searchsorted(heard),
+                         through)
+    # the reliable slot is the largest `through`
+    unreliable = bool(len(through)) and np.minimum.reduce(through) < edge_count
+    return _Frontier(lo, hi, span, entries, listeners, duplex, waits[at], unreliable)
 
 
 def round_counts(frontier: _Frontier, coins: np.ndarray, extra_edge_indices: np.ndarray,
@@ -390,26 +408,113 @@ def round_counts(frontier: _Frontier, coins: np.ndarray, extra_edge_indices: np.
     the chosen unreliable ones, of `edge_count`, each counted once however
     often it is named), and 0 at a transmitting listener (half duplex).
     Mirrors model.deliver's counting rule at every waiting node."""
-    active = np.zeros(edge_count + 1, dtype=bool)
-    active[edge_count] = True
-    active[extra_edge_indices] = True
     entries = frontier.entries
     pos = _slice_positions(entries, coins.nonzero()[0])
-    pos = pos[active[entries.through[pos]]]
+    if frontier.unreliable:
+        active = np.zeros(edge_count + 1, dtype=bool)
+        active[edge_count] = True
+        active[extra_edge_indices] = True
+        pos = pos[active[entries.through[pos]]]
     counts = np.bincount(entries.heard[pos], minlength=len(frontier.listeners))
     if len(frontier.duplex):
         counts[frontier.duplex[coins[frontier.duplex_at]]] = 0
     return counts
 
 
-def _transmitter_window(act: np.ndarray, r: int, budget: int):
-    """(nodes that transmit in round r, in order; the next round after r in
-    which that set changes, or _NEVER if it never does)."""
-    cand = np.flatnonzero((act < r) & (act >= r - budget))
-    later = act[(act >= r) & (act != _NEVER)]
-    starts = int(later.min()) + 1 if len(later) else _NEVER
-    ends = int(act[cand].min()) + budget + 1 if len(cand) else _NEVER
-    return cand, min(starts, ends)
+class _Window(NamedTuple):
+    """The transmitter window, kept event by event (node v transmits in
+    rounds act[v] < r <= act[v] + budget): `cand`, the nodes that transmit
+    now, in order; `relevant`, those of them that wait or have a waiting
+    neighbor in the table, in order; `next_event`, the next round in which
+    `cand` changes (_NEVER if it never does); `pending` and `running`, the
+    nodes that start later and those that transmit now, as (activation,
+    nodes) pairs in activation order, one per activation round."""
+
+    cand: np.ndarray
+    relevant: np.ndarray
+    next_event: int
+    pending: tuple
+    running: tuple
+
+
+def _nodes(pairs: tuple) -> np.ndarray:
+    """The nodes of (activation, nodes) pairs."""
+    return pairs[0][1] if len(pairs) == 1 else np.concatenate([nodes for _, nodes in pairs])
+
+
+def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sorted union of sorted `a` and disjoint `b`."""
+    if not len(b):
+        return a
+    out = np.concatenate((a, b))
+    out.sort()
+    return out
+
+
+def _without(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted `a` without the nodes of `b`."""
+    if not len(a):
+        return a
+    at = a.searchsorted(b)
+    keep = np.ones(len(a), dtype=bool)
+    keep[at[a.take(at, mode="clip") == b]] = False
+    return a[keep]
+
+
+def _relevant(nodes: np.ndarray, waiting: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """Those of `nodes` that wait or have a waiting neighbor in the table."""
+    return nodes[waiting[nodes] | (near[nodes] > 0)]
+
+
+def _initial_window(act: np.ndarray, budget: int, waiting: np.ndarray,
+                    near: np.ndarray) -> _Window:
+    """The window at round 1 of nodes activated in rounds `act`."""
+    pending = tuple((a, np.flatnonzero(act == a))
+                    for a in sorted(set(act.tolist()) - {_NEVER}))
+    none = np.empty(0, dtype=np.int64)
+    return _window_event(_Window(none, none, 0, pending, ()), 1, budget, waiting, near)
+
+
+def _window_event(window: _Window, r: int, budget: int, waiting: np.ndarray,
+                  near: np.ndarray) -> _Window:
+    """The window at round r: the pending nodes activated before r start,
+    and the running ones activated before r - budget stop.  Activation
+    rounds never fall, so both happen at the heads of the queues."""
+    cand, relevant, _, pending, running = window
+    i = 0
+    while i < len(pending) and pending[i][0] < r:
+        i += 1
+    if i:
+        started = _nodes(pending[:i])
+        running, pending = running + pending[:i], pending[i:]
+        cand = _merged(cand, started)
+        relevant = _merged(relevant, _relevant(started, waiting, near))
+    i = 0
+    while i < len(running) and running[i][0] < r - budget:
+        i += 1
+    if i:
+        stopped = _nodes(running[:i])
+        running = running[i:]
+        cand, relevant = _without(cand, stopped), _without(relevant, stopped)
+    next_event = min(pending[0][0] + 1 if pending else _NEVER,
+                     running[0][0] + budget + 1 if running else _NEVER)
+    return _Window(cand, relevant, next_event, pending, running)
+
+
+def _window_delivered(window: _Window, newly: np.ndarray, activation: int | None,
+                      waiting: np.ndarray, near: np.ndarray) -> _Window:
+    """The window once `newly` are delivered (`waiting` and `near` already
+    lowered): fewer candidates are relevant, and a relay's nodes start
+    after `activation` (None: they do not relay)."""
+    cand, relevant, next_event, pending, running = window
+    relevant = _relevant(relevant, waiting, near)
+    if activation is not None:
+        if pending and pending[-1][0] == activation:
+            pending = pending[:-1] + ((activation, np.concatenate((pending[-1][1], newly))),)
+        else:
+            pending += ((activation, newly),)
+        next_event = min(next_event, activation + 1)
+    return _Window(cand, relevant, next_event, pending, running)
 
 
 class _Hazard(NamedTuple):
@@ -498,8 +603,9 @@ class _MaterializedStart(NamedTuple):
     `point_start`): the neighbor table over the edges its adversary can
     activate, the per-node budget, whether a reached node relays, `act`,
     `waiting` and `near` before round 1 (each trial copies them), the
-    count of waiting nodes, round 1's transmitter window and frontier, and
-    the schedule's hazards."""
+    count of waiting nodes, round 1's transmitter window (its queues and
+    relevant candidates, which trials replace and never change) and
+    frontier, and the schedule's hazards."""
 
     seeds: np.ndarray | None
     table: _Neighbors
@@ -509,8 +615,7 @@ class _MaterializedStart(NamedTuple):
     waiting: np.ndarray
     near: np.ndarray
     left: int
-    cand: np.ndarray
-    next_event: int
+    window: _Window
     frontier: _Frontier
     hazard: _Hazard
 
@@ -537,10 +642,11 @@ def _materialized_start(config: TrialConfig, seeds: np.ndarray | None) -> _Mater
     waiting[targets] = True
     table = _neighbors(gadget.graph, config.plan.reach)
     near = _waiting_neighbors(table, waiting)
-    cand, next_event = _transmitter_window(act, 1, budget)
+    window = _initial_window(act, budget, waiting, near)
+    frontier = _frontier(table, window.cand, window.relevant, waiting, near,
+                         len(gadget.graph.unreliable_edges))
     return _MaterializedStart(seeds, table, budget, relay, act, waiting, near, len(targets),
-                              cand, next_event, _frontier(table, cand, waiting, near),
-                              _hazard(config.schedule))
+                              window, frontier, _hazard(config.schedule))
 
 
 def run_materialized_trial(config: TrialConfig, trial: int = 0,
@@ -562,36 +668,42 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     pre_round, sample_edges = policy.pre_round, policy.sample_edges
     probs, hazard = schedule.prob_array.tolist(), start.hazard
 
-    # The transmitter window `cand` changes only in a round where some
-    # node starts (act[v] + 1) or runs out of budget (act[v] + budget + 1),
-    # so it is recomputed only then; `next_event` is the next such round.
-    # Only the frontier's span cand[lo:hi + 1] draws coins and is counted
-    # (see `_frontier`).  The frontier is rebuilt when the window or
-    # `waiting` changes, from `near`, each node's count of waiting neighbors
-    # in `table`, which is kept for the whole trial.  `fire` is the round
-    # drawn for the span's next transmission (below r: none drawn).  With
-    # none drawn, a round in which the span's m coins show a transmitter
-    # with probability 1/2 or more draws them directly; otherwise the
-    # first round in which one shows is drawn (`_first_firing`), the
-    # rounds before it are idle, and its coins are drawn conditioned on
-    # one showing (`_fired_coins`).  A new frontier drops a drawn round:
-    # no coin showed before it, and later rounds' coins are independent of
-    # that.  The adversary is asked every round, after the coins, for the
-    # active edges at the counted transmitters `tx` alone.
+    # The transmitter window changes only in a round where some node
+    # starts (act[v] + 1) or runs out of budget (act[v] + budget + 1), and
+    # its relevant candidates only then and at a delivery; both are kept
+    # from event to event (see `_Window`).  Only the frontier's span
+    # cand[lo:hi + 1] draws coins and is counted (see `_frontier`).  The
+    # frontier is rebuilt once at the top of `rebuild`, the next window
+    # event or the round after a delivery, from `near`, each node's count
+    # of waiting neighbors in `table`, which is kept for the whole trial.
+    # `fire` is the round drawn for the span's next transmission (below r:
+    # none drawn).  With none drawn, a round in which the span's m coins
+    # show a transmitter with probability 1/2 or more draws them directly;
+    # otherwise the first round in which one shows is drawn
+    # (`_first_firing`), the rounds before it are idle, and its coins are
+    # drawn conditioned on one showing (`_fired_coins`).  A new frontier
+    # drops a drawn round: no coin showed before it, and later rounds'
+    # coins are independent of that.  The adversary is asked every round,
+    # after the coins, for the active edges at the counted transmitters
+    # `tx` alone.
     table = start.table
     edge_count = len(graph.unreliable_edges)
     last = config.max_rounds
     completion = None
     empty = np.empty(0, dtype=np.int64)
-    cand, next_event, frontier = start.cand, start.next_event, start.frontier
+    window, frontier = start.window, start.frontier
+    rebuild = window.next_event
     fire = 0
     r = 0
     while r < last:
         r += 1
         pre_round(r)
-        if r >= next_event:
-            cand, next_event = _transmitter_window(act, r, budget)
-            frontier = _frontier(table, cand, waiting, near)
+        if r >= rebuild:
+            if r >= window.next_event:
+                window = _window_event(window, r, budget, waiting, near)
+            frontier = _frontier(table, window.cand, window.relevant, waiting, near,
+                                 edge_count)
+            rebuild = window.next_event
             fire = 0
         m = len(frontier.span)
         phase = (r - 1) % k
@@ -611,9 +723,9 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
             # stop when no node transmits now and no activation is pending
             # (every node is unreached forever or past its budget)
             sample_edges(r, empty)
-            if not len(cand) and next_event == _NEVER:
+            if not len(window.cand) and rebuild == _NEVER:
                 break
-            for r in range(r + 1, min(fire, next_event, last + 1)):
+            for r in range(r + 1, min(fire, rebuild, last + 1)):
                 pre_round(r)
                 sample_edges(r, empty)
             continue
@@ -626,16 +738,17 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
             left -= len(newly)
             for v in newly.tolist():
                 first_delivery[v] = r
+            activation = None
             if relay:
                 activation = align * math.ceil(r / align)
                 act[newly] = activation
-                next_event = min(next_event, activation + 1)
             if left == 0:
                 completion = r
                 break
             # a delivered node no longer waits next to its table neighbors
             np.subtract.at(near, table.heard[_slice_positions(table, newly)], 1)
-            frontier = _frontier(table, cand, waiting, near)
+            window = _window_delivered(window, newly, activation, waiting, near)
+            rebuild = r + 1
 
     return TrialResult(
         completed=completion is not None,

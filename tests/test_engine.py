@@ -14,7 +14,7 @@ from numpy.random.bit_generator import ISeedSequence
 from dualradio import adversary, engine
 from dualradio.adversary import ObservableHistory, make_policy
 from dualradio.engine import (_NEVER, CSV_COLUMNS, PROBLEMS, TrialConfig, TrialResult,
-                              _transmitter_window, aggregate, csv_header,
+                              aggregate, csv_header,
                               default_max_rounds, frlb_repetitions, rlb_repetitions,
                               round_counts, run_analytic_star_trial, run_trial, run_trials,
                               stream_seeds, trial_csv_row, trial_rngs, verify_stability,
@@ -599,6 +599,17 @@ def reference_trial(config: TrialConfig, trial: int = 0,
                        distribution_changes=tuple(policy.change_log))
 
 
+def transmitter_window(act, r, budget):
+    """(nodes that transmit in round r, in order; the next round after r in
+    which that set changes, or _NEVER if it never does), from every node's
+    activation round."""
+    cand = np.flatnonzero((act < r) & (act >= r - budget))
+    later = act[(act >= r) & (act != _NEVER)]
+    starts = int(later.min()) + 1 if len(later) else _NEVER
+    ends = int(act[cand].min()) + budget + 1 if len(cand) else _NEVER
+    return cand, min(starts, ends)
+
+
 def random_trial_config(rng, problem, kind, seed):
     """A random small dual graph and a trial on it.  Gap needs a designated
     receiver with enough unreliable arms, so it runs on a 33-star with a
@@ -661,8 +672,8 @@ class TestEngineEquivalence:
         spans, sent = [], {}
         frontier, bind = engine._frontier, engine.make_policy
 
-        def recording(table, cand, waiting, near):
-            front = frontier(table, cand, waiting, near)
+        def recording(table, cand, relevant, waiting, near, edge_count):
+            front = frontier(table, cand, relevant, waiting, near, edge_count)
             if len(cand):
                 spans.append((front.lo, front.hi, len(cand)))
             return front
@@ -747,8 +758,9 @@ class TestEngineEquivalence:
             waiting = np.ones(n, dtype=bool) if case % 2 else rng.random(n) < 0.5
             table = engine._neighbors(g)
             cand = np.arange(n)
-            front = engine._frontier(table, cand, waiting,
-                                     engine._waiting_neighbors(table, waiting))
+            near = engine._waiting_neighbors(table, waiting)
+            front = engine._frontier(table, cand, engine._relevant(cand, waiting, near),
+                                     waiting, near, m)
             coins = rng.random(front.hi + 1 - front.lo) < 0.4
             tx = front.span[coins]
             topo = build_round_topology(
@@ -765,8 +777,8 @@ class TestEngineEquivalence:
         checked = []
         frontier = engine._frontier
 
-        def recounting(table, cand, waiting, near):
-            front = frontier(table, cand, waiting, near)
+        def recounting(table, cand, relevant, waiting, near, edge_count):
+            front = frontier(table, cand, relevant, waiting, near, edge_count)
             heard = [table.heard[table.ptr[v]:table.ptr[v] + table.deg[v]]
                      for v in range(len(waiting))]
             assert near.tolist() == [int(waiting[h].sum()) for h in heard]
@@ -805,8 +817,9 @@ class TestEngineEquivalence:
             lambda e, d: e > 0, lambda e, d: e == 0, lambda e, d: d > 0))
 
     def test_transmitter_window_holds_until_next_event(self):
-        # the window at r stays exact through next_event - 1 and changes at
-        # next_event; a window that never changes reports _NEVER
+        # the window kept from round 1 to a window event at r stays exact
+        # through next_event - 1 and changes at next_event; a window that
+        # never changes reports _NEVER
         rng = np.random.default_rng(11)
         for _ in range(300):
             n = int(rng.integers(1, 8))
@@ -817,11 +830,82 @@ class TestEngineEquivalence:
             def window(t):
                 return [v for v in range(n) if act[v] < t <= act[v] + budget]
 
-            cand, next_event = _transmitter_window(act, r, budget)
+            waiting, near = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
+            kept = engine._window_event(engine._initial_window(act, budget, waiting, near),
+                                        r, budget, waiting, near)
+            cand, next_event = kept.cand, kept.next_event
             assert cand.tolist() == window(r)
             assert all(window(t) == window(r) for t in range(r, min(next_event, 40)))
             if next_event != _NEVER:
                 assert window(next_event) != window(r)
+
+    def test_kept_window_matches_recount(self, monkeypatch):
+        # after every window event and delivery in a trial, the kept
+        # window, its next event and its relevant candidates equal the
+        # window recomputed from every node's activation round and a
+        # relevance recount; the trials see budgets run out and a delivery
+        # followed by a window event in the next round
+        events = []
+        event, delivered, bind = engine._window_event, engine._window_delivered, engine.make_policy
+        trial = {}
+
+        def check(kept, r, budget, waiting, near):
+            act = trial["act"]
+            cand, next_event = transmitter_window(act, r, budget)
+            assert kept.cand.tolist() == cand.tolist() and kept.next_event == next_event
+            table = trial["table"]
+            heard = {c: table.heard[table.ptr[c]:table.ptr[c] + table.deg[c]]
+                     for c in cand.tolist()}
+            assert kept.relevant.tolist() == [c for c, h in heard.items()
+                                              if waiting[c] or waiting[h].any()]
+
+        def checked_event(kept, r, budget, waiting, near):
+            after = event(kept, r, budget, waiting, near)
+            if "act" in trial:  # not the point's start, built before the trial's policy
+                trial["budget"] = budget
+                check(after, r, budget, waiting, near)
+                stopped = set(kept.cand.tolist()) - set(after.cand.tolist())
+                events.append(("stop" if stopped else "event", r))
+            return after
+
+        def checked_delivery(kept, newly, activation, waiting, near):
+            after = delivered(kept, newly, activation, waiting, near)
+            check(after, trial["round"], trial["budget"], waiting, near)
+            events.append(("delivery", trial["round"]))
+            return after
+
+        def recording_policy(plan, np_adv, q_adv, history):
+            policy = bind(plan, np_adv, q_adv, history)
+            trial["act"] = history.act
+            pre_round = policy.pre_round
+
+            def entering(r):
+                trial["round"] = r
+                return pre_round(r)
+
+            policy.pre_round = entering
+            return policy
+
+        monkeypatch.setattr(engine, "_window_event", checked_event)
+        monkeypatch.setattr(engine, "_window_delivered", checked_delivery)
+        monkeypatch.setattr(engine, "make_policy", recording_policy)
+        rng = np.random.default_rng(20261022)
+        seen = Counter()
+        for case in range(40):
+            for problem in ("local", "global"):
+                cfg = random_trial_config(rng, problem, ("static", "iid_subset")[case % 2],
+                                          seed=case)
+                trial.clear()
+                start = engine.point_start(cfg)
+                trial.update(table=start.table, budget=start.budget)
+                events.clear()
+                run_trial(cfg, 0, start)
+                seen.update(kind for kind, _ in events)
+                seen["delivery, then event"] += any(
+                    a[0] == "delivery" != b[0] and b[1] == a[1] + 1
+                    for a, b in zip(events, events[1:]))
+        assert all(seen[kind] for kind in ("stop", "event", "delivery",
+                                           "delivery, then event")), seen
 
     def test_cross_engine_success_rates_agree(self):
         # same configuration measured by both engines over one-round trials
@@ -1043,18 +1127,18 @@ class TestSkippedCoins:
         # round is dropped, and the trial still matches the reference given
         # its transmitters (see TestEngineEquivalence)
         draws, windows = [], []
-        first_firing, window = engine._first_firing, engine._transmitter_window
+        first_firing, window = engine._first_firing, engine._window_event
 
         def drawing(hazard, r, m, u, last):
             draws.append((len(windows), r, first_firing(hazard, r, m, u, last), last))
             return draws[-1][2]
 
-        def recording(act, r, budget):
+        def recording(kept, r, budget, waiting, near):
             windows.append(r)
-            return window(act, r, budget)
+            return window(kept, r, budget, waiting, near)
 
         monkeypatch.setattr(engine, "_first_firing", drawing)
-        monkeypatch.setattr(engine, "_transmitter_window", recording)
+        monkeypatch.setattr(engine, "_window_event", recording)
         rng = np.random.default_rng(20261021)
         seen = Counter()
         for case in range(40):
