@@ -447,7 +447,7 @@ def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not len(b):
         return a
     out = np.concatenate((a, b))
-    out.sort()
+    out.sort(kind="stable")  # merges sorted runs, and maps no SIMD quicksort code
     return out
 
 
