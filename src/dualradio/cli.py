@@ -17,6 +17,7 @@ output byte for byte.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -526,6 +527,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    Called as the program (no `argv`: the `dualradio` console script and
+    `python -m dualradio.cli`), it calls `gc.freeze()` once the command has
+    returned or failed, after its output is written: the collections CPython
+    runs at exit then skip the objects the process is about to drop, and
+    atexit handlers and stream flushes still run.  A call with `argv` leaves
+    the collector as it was."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -533,6 +542,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

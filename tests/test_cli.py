@@ -1,6 +1,11 @@
 """CLI: config handling, experiment runs, fits, and calculator subcommands."""
 
+import gc
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -10,6 +15,8 @@ from dualradio.cli import (ConfigError, build_trial_config, expand_sweep,
                            fit_scaling, load_config, main, normalize_config, parse_delta,
                            read_trials_csv)
 from dualradio.engine import csv_header
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def base_config(**overrides):
@@ -370,6 +377,74 @@ class TestRunCommand:
         path = write_config(tmp_path, base_config(out=str(out)))
         main(["run", path])
         assert not (tmp_path / "t.csv.partial").exists()
+
+
+def run_program(argv):
+    """A fresh interpreter running `argv` with the package from `src/`."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+class TestProgram:
+    """`python -m dualradio.cli` as its own process: the only caller whose
+    `main` freezes the heap before the interpreter exits."""
+
+    MATERIALIZED = {"problem": "global", "engine": "materialized",
+                    "gadget": {"kind": "chained", "delta": 257, "diameter": 24},
+                    "algo": "frlb", "tau": 1, "adversary": {"kind": "chained_gap"},
+                    "trials": 2, "max_rounds": 1000000}
+
+    @pytest.mark.parametrize("overrides", [{}, MATERIALIZED],
+                             ids=["analytic", "materialized"])
+    def test_process_output_equals_in_process(self, tmp_path, capsys, overrides):
+        path = write_config(tmp_path, base_config(**overrides))
+        proc_out, here_out = tmp_path / "process.csv", tmp_path / "in-process.csv"
+        proc = run_program(["-m", "dualradio.cli", "run", path, "--seed", "7",
+                            "--out", str(proc_out)])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert main(["run", path, "--seed", "7", "--out", str(here_out)]) == 0
+        assert proc_out.read_bytes() == here_out.read_bytes()
+        here = capsys.readouterr().out.splitlines()
+        lines = proc.stdout.splitlines()
+        assert lines[0] == f"wrote {proc_out}" and here[0] == f"wrote {here_out}"
+        assert lines[1].split()[-4:] == ["rate", "median", "p90", "mean"]
+        assert lines[1:] == here[1:] and len(lines) == 3
+
+    def test_process_bad_config_leaves_no_csv(self, tmp_path):
+        out = tmp_path / "t.csv"
+        path = write_config(tmp_path, base_config(out=str(out), trials=0))
+        proc = run_program(["-m", "dualradio.cli", "run", path])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        errors = proc.stderr.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: trials")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+    @pytest.mark.parametrize("trials, code", [(25, 0), (0, 1)], ids=["ok", "error"])
+    def test_program_freezes_the_heap_after_the_command(self, tmp_path, trials, code):
+        path = write_config(tmp_path, base_config(out=str(tmp_path / "t.csv"), trials=trials))
+        script = ("import gc, sys\n"
+                  "from dualradio.cli import main\n"
+                  "before = gc.get_freeze_count()\n"
+                  f"sys.argv = ['dualradio', 'run', {path!r}]\n"
+                  "code = main()\n"
+                  "print('frozen', before, gc.get_freeze_count() > 0, code)\n")
+        proc = run_program(["-c", script])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"frozen 0 True {code}"
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{cfg}"], ["oracle", "exact", "4", "0.25"], ["run", "{bad}"]],
+        ids=["run", "oracle", "failing-run"])
+    def test_in_process_call_keeps_the_collector(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, base_config(out=str(tmp_path / "t.csv")))
+        bad = write_config(tmp_path, base_config(trials=0), name="bad.yaml")
+        argv = [a.format(cfg=cfg, bad=bad) for a in argv]
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert main(argv) == (1 if argv[-1] == bad else 0)
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 class TestFitCommand:
