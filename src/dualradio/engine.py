@@ -14,19 +14,17 @@ at each delivery.  The relevant transmitters are those that wait
 themselves or have a waiting neighbor through an edge the adversary can
 activate or a reliable edge: the others cannot change a delivery.
 Only the span from the first to the last relevant candidate draws coins
-and is counted.  The transmitter window is kept event by event: nodes
-that start later and nodes that transmit now sit in two queues of
-(activation round, nodes) pairs, and activation rounds never fall, so a
-window event (some node starts or exhausts its budget) moves or drops only
-the pairs at a queue's head.  The relevant candidates are kept as well:
-who waits and each node's count only fall, so a delivery only filters
-them, and a window event adds the started nodes that are relevant.  The
-span's frontier, the table entries from the span to waiting nodes in CSR
-form, is rebuilt once at the top of a round with a window event or after
-a delivery.  A round gathers the transmitters' frontier slices with a fixed
-number of numpy calls, however many transmit, and its counts are one
-`bincount` over them, keeping an unreliable entry only when the adversary
-activated that edge this round (a frontier without one skips that test).
+and is counted.  The transmitter window, the nodes that transmit now,
+changes only at a window event (some node starts or exhausts its budget);
+it is rescanned from every node's activation round then, and the next
+event is found by bisection in the sorted distinct activation rounds.
+The span's frontier, the table entries from the span to waiting nodes in
+CSR form, is rebuilt once at the top of a round with a window event or
+after a delivery.  A round gathers the transmitters' frontier slices with
+a fixed number of numpy calls, however many transmit, and its counts are
+one `bincount` over them, keeping an unreliable entry only when the
+adversary activated that edge this round (a frontier without one skips
+that test).
 The analytic engine exploits the star gadgets' structure and tracks only
 the designated receiver's effective degree, sampling its per-round success
 from the closed-form probability (in log space, so degree bounds given as
@@ -55,8 +53,7 @@ range of trials in one batch, and a lone trial for its own.
 (`point_start`) and hands it to every `run_trial`: the seed words of
 every trial and the engine's start state: on the analytic engine the
 cycle's ln(1 - p) values as floats, on the materialized engine the node
-state before round 1, round 1's transmitter window (its queues and
-relevant candidates) and its frontier.
+state before round 1, round 1's transmitter window and its frontier.
 Trials only read it, and copy the arrays they change.  A lone `run_trial`
 builds its own.
 The materialized node stream (RNG layout 2) is drawn per counted span,
@@ -365,21 +362,21 @@ class _Frontier(NamedTuple):
     unreliable: bool
 
 
-def _frontier(table: _Neighbors, cand: np.ndarray, relevant: np.ndarray,
-              waiting: np.ndarray, near: np.ndarray, edge_count: int) -> _Frontier:
-    """The frontier of the candidates `cand` given who waits, each node's
-    count of waiting neighbors in the table `near`, and `relevant`, the
-    candidates that wait or have a waiting neighbor in the table, in
-    order.  Its span runs from the first to the last relevant candidate;
-    the other candidates cannot change a delivery, whether they transmit
-    or not.  `edge_count` is the table's reliable slot."""
+def _frontier(table: _Neighbors, cand: np.ndarray, waiting: np.ndarray, near: np.ndarray,
+              edge_count: int) -> _Frontier:
+    """The frontier of the candidates `cand` given who waits and each node's
+    count of waiting neighbors in the table `near`.  Its span runs from the
+    first to the last candidate that waits or has a waiting neighbor in the
+    table; the other candidates cannot change a delivery, whether they
+    transmit or not.  `edge_count` is the table's reliable slot."""
+    fan = near[cand]
+    relevant = (waiting[cand] | (fan > 0)).nonzero()[0]
     if not len(relevant):
         none = cand[:0]
         return _Frontier(0, -1, none, _Neighbors(none, none, none, none), none, none, none,
                          False)
-    lo, hi = int(cand.searchsorted(relevant[0])), int(cand.searchsorted(relevant[-1]))
-    span = cand[lo:hi + 1]
-    fan = near[span]
+    lo, hi = int(relevant[0]), int(relevant[-1])
+    span, fan = cand[lo:hi + 1], fan[lo:hi + 1]
     pos = _slice_positions(table, span[fan.nonzero()[0]])
     pos = pos[waiting[table.heard[pos]]]
     heard = table.heard[pos]
@@ -421,100 +418,18 @@ def round_counts(frontier: _Frontier, coins: np.ndarray, extra_edge_indices: np.
     return counts
 
 
-class _Window(NamedTuple):
-    """The transmitter window, kept event by event (node v transmits in
-    rounds act[v] < r <= act[v] + budget): `cand`, the nodes that transmit
-    now, in order; `relevant`, those of them that wait or have a waiting
-    neighbor in the table, in order; `next_event`, the next round in which
-    `cand` changes (_NEVER if it never does); `pending` and `running`, the
-    nodes that start later and those that transmit now, as (activation,
-    nodes) pairs in activation order, one per activation round."""
-
-    cand: np.ndarray
-    relevant: np.ndarray
-    next_event: int
-    pending: tuple
-    running: tuple
-
-
-def _nodes(pairs: tuple) -> np.ndarray:
-    """The nodes of (activation, nodes) pairs."""
-    return pairs[0][1] if len(pairs) == 1 else np.concatenate([nodes for _, nodes in pairs])
-
-
-def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The sorted union of sorted `a` and disjoint `b`."""
-    if not len(b):
-        return a
-    out = np.concatenate((a, b))
-    out.sort(kind="stable")  # merges sorted runs, and maps no SIMD quicksort code
-    return out
-
-
-def _without(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sorted `a` without the nodes of `b`."""
-    if not len(a):
-        return a
-    at = a.searchsorted(b)
-    keep = np.ones(len(a), dtype=bool)
-    keep[at[a.take(at, mode="clip") == b]] = False
-    return a[keep]
-
-
-def _relevant(nodes: np.ndarray, waiting: np.ndarray, near: np.ndarray) -> np.ndarray:
-    """Those of `nodes` that wait or have a waiting neighbor in the table."""
-    return nodes[waiting[nodes] | (near[nodes] > 0)]
-
-
-def _initial_window(act: np.ndarray, budget: int, waiting: np.ndarray,
-                    near: np.ndarray) -> _Window:
-    """The window at round 1 of nodes activated in rounds `act`."""
-    pending = tuple((a, np.flatnonzero(act == a))
-                    for a in sorted(set(act.tolist()) - {_NEVER}))
-    none = np.empty(0, dtype=np.int64)
-    return _window_event(_Window(none, none, 0, pending, ()), 1, budget, waiting, near)
-
-
-def _window_event(window: _Window, r: int, budget: int, waiting: np.ndarray,
-                  near: np.ndarray) -> _Window:
-    """The window at round r: the pending nodes activated before r start,
-    and the running ones activated before r - budget stop.  Activation
-    rounds never fall, so both happen at the heads of the queues."""
-    cand, relevant, _, pending, running = window
-    i = 0
-    while i < len(pending) and pending[i][0] < r:
-        i += 1
-    if i:
-        started = _nodes(pending[:i])
-        running, pending = running + pending[:i], pending[i:]
-        cand = _merged(cand, started)
-        relevant = _merged(relevant, _relevant(started, waiting, near))
-    i = 0
-    while i < len(running) and running[i][0] < r - budget:
-        i += 1
-    if i:
-        stopped = _nodes(running[:i])
-        running = running[i:]
-        cand, relevant = _without(cand, stopped), _without(relevant, stopped)
-    next_event = min(pending[0][0] + 1 if pending else _NEVER,
-                     running[0][0] + budget + 1 if running else _NEVER)
-    return _Window(cand, relevant, next_event, pending, running)
-
-
-def _window_delivered(window: _Window, newly: np.ndarray, activation: int | None,
-                      waiting: np.ndarray, near: np.ndarray) -> _Window:
-    """The window once `newly` are delivered (`waiting` and `near` already
-    lowered): fewer candidates are relevant, and a relay's nodes start
-    after `activation` (None: they do not relay)."""
-    cand, relevant, next_event, pending, running = window
-    relevant = _relevant(relevant, waiting, near)
-    if activation is not None:
-        if pending and pending[-1][0] == activation:
-            pending = pending[:-1] + ((activation, np.concatenate((pending[-1][1], newly))),)
-        else:
-            pending += ((activation, newly),)
-        next_event = min(next_event, activation + 1)
-    return _Window(cand, relevant, next_event, pending, running)
+def _transmitter_window(act: np.ndarray, starts: list[int], r: int, budget: int):
+    """(nodes that transmit in round r, in order; the next round after r in
+    which that set changes, or _NEVER if it never does).  `starts` is the
+    sorted list of the distinct activation rounds in `act`: the next node
+    starts the round after the first of them >= r, and the next node
+    stops `budget` rounds after the first of them >= r - budget."""
+    cand = np.flatnonzero((act < r) & (act >= r - budget))
+    i = bisect.bisect_left(starts, r)
+    j = bisect.bisect_left(starts, r - budget, 0, i)
+    next_event = min(starts[i] + 1 if i < len(starts) else _NEVER,
+                     starts[j] + budget + 1 if j < i else _NEVER)
+    return cand, next_event
 
 
 class _Hazard(NamedTuple):
@@ -603,9 +518,10 @@ class _MaterializedStart(NamedTuple):
     `point_start`): the neighbor table over the edges its adversary can
     activate, the per-node budget, whether a reached node relays, `act`,
     `waiting` and `near` before round 1 (each trial copies them), the
-    count of waiting nodes, round 1's transmitter window (its queues and
-    relevant candidates, which trials replace and never change) and
-    frontier, and the schedule's hazards."""
+    count of waiting nodes, `starts`, the sorted distinct activation rounds
+    (each trial copies it, as a relay appends to it), round 1's transmitter
+    window `cand`, its `next_event` and its frontier, and the schedule's
+    hazards."""
 
     seeds: np.ndarray | None
     table: _Neighbors
@@ -615,7 +531,9 @@ class _MaterializedStart(NamedTuple):
     waiting: np.ndarray
     near: np.ndarray
     left: int
-    window: _Window
+    starts: list[int]
+    cand: np.ndarray
+    next_event: int
     frontier: _Frontier
     hazard: _Hazard
 
@@ -642,11 +560,11 @@ def _materialized_start(config: TrialConfig, seeds: np.ndarray | None) -> _Mater
     waiting[targets] = True
     table = _neighbors(gadget.graph, config.plan.reach)
     near = _waiting_neighbors(table, waiting)
-    window = _initial_window(act, budget, waiting, near)
-    frontier = _frontier(table, window.cand, window.relevant, waiting, near,
-                         len(gadget.graph.unreliable_edges))
+    starts = [0]  # the starters' activation round
+    cand, next_event = _transmitter_window(act, starts, 1, budget)
+    frontier = _frontier(table, cand, waiting, near, len(gadget.graph.unreliable_edges))
     return _MaterializedStart(seeds, table, budget, relay, act, waiting, near, len(targets),
-                              window, frontier, _hazard(config.schedule))
+                              starts, cand, next_event, frontier, _hazard(config.schedule))
 
 
 def run_materialized_trial(config: TrialConfig, trial: int = 0,
@@ -661,6 +579,7 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
         start = _materialized_start(config, None)
     budget, relay, left = start.budget, start.relay, start.left
     act, waiting, near = start.act.copy(), start.waiting.copy(), start.near.copy()
+    starts = start.starts.copy()
     first_delivery: dict[int, int] = {}
 
     np_nodes, np_adv, q_adv = trial_rngs(config.seed, trial, start.seeds)
@@ -668,14 +587,15 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     pre_round, sample_edges = policy.pre_round, policy.sample_edges
     probs, hazard = schedule.prob_array.tolist(), start.hazard
 
-    # The transmitter window changes only in a round where some node
-    # starts (act[v] + 1) or runs out of budget (act[v] + budget + 1), and
-    # its relevant candidates only then and at a delivery; both are kept
-    # from event to event (see `_Window`).  Only the frontier's span
-    # cand[lo:hi + 1] draws coins and is counted (see `_frontier`).  The
-    # frontier is rebuilt once at the top of `rebuild`, the next window
-    # event or the round after a delivery, from `near`, each node's count
-    # of waiting neighbors in `table`, which is kept for the whole trial.
+    # The transmitter window `cand` changes only in a round where some
+    # node starts (act[v] + 1) or runs out of budget (act[v] + budget + 1),
+    # so it is rescanned only then; `next_event` is the next such round,
+    # and a relay's delivery appends its activation round to `starts`.
+    # Only the frontier's span cand[lo:hi + 1] draws coins and is counted
+    # (see `_frontier`).  The frontier is rebuilt once at the top of
+    # `rebuild`, the next window event or the round after a delivery, from
+    # `near`, each node's count of waiting neighbors in `table`, which is
+    # kept for the whole trial.
     # `fire` is the round drawn for the span's next transmission (below r:
     # none drawn).  With none drawn, a round in which the span's m coins
     # show a transmitter with probability 1/2 or more draws them directly;
@@ -691,19 +611,18 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     last = config.max_rounds
     completion = None
     empty = np.empty(0, dtype=np.int64)
-    window, frontier = start.window, start.frontier
-    rebuild = window.next_event
+    cand, next_event, frontier = start.cand, start.next_event, start.frontier
+    rebuild = next_event
     fire = 0
     r = 0
     while r < last:
         r += 1
         pre_round(r)
         if r >= rebuild:
-            if r >= window.next_event:
-                window = _window_event(window, r, budget, waiting, near)
-            frontier = _frontier(table, window.cand, window.relevant, waiting, near,
-                                 edge_count)
-            rebuild = window.next_event
+            if r >= next_event:
+                cand, next_event = _transmitter_window(act, starts, r, budget)
+            frontier = _frontier(table, cand, waiting, near, edge_count)
+            rebuild = next_event
             fire = 0
         m = len(frontier.span)
         phase = (r - 1) % k
@@ -723,7 +642,7 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
             # stop when no node transmits now and no activation is pending
             # (every node is unreached forever or past its budget)
             sample_edges(r, empty)
-            if not len(window.cand) and rebuild == _NEVER:
+            if not len(cand) and rebuild == _NEVER:
                 break
             for r in range(r + 1, min(fire, rebuild, last + 1)):
                 pre_round(r)
@@ -738,16 +657,17 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
             left -= len(newly)
             for v in newly.tolist():
                 first_delivery[v] = r
-            activation = None
             if relay:
                 activation = align * math.ceil(r / align)
                 act[newly] = activation
+                if starts[-1] != activation:
+                    starts.append(activation)
+                next_event = min(next_event, activation + 1)
             if left == 0:
                 completion = r
                 break
             # a delivered node no longer waits next to its table neighbors
             np.subtract.at(near, table.heard[_slice_positions(table, newly)], 1)
-            window = _window_delivered(window, newly, activation, waiting, near)
             rebuild = r + 1
 
     return TrialResult(

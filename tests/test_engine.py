@@ -672,8 +672,8 @@ class TestEngineEquivalence:
         spans, sent = [], {}
         frontier, bind = engine._frontier, engine.make_policy
 
-        def recording(table, cand, relevant, waiting, near, edge_count):
-            front = frontier(table, cand, relevant, waiting, near, edge_count)
+        def recording(table, cand, waiting, near, edge_count):
+            front = frontier(table, cand, waiting, near, edge_count)
             if len(cand):
                 spans.append((front.lo, front.hi, len(cand)))
             return front
@@ -759,8 +759,7 @@ class TestEngineEquivalence:
             table = engine._neighbors(g)
             cand = np.arange(n)
             near = engine._waiting_neighbors(table, waiting)
-            front = engine._frontier(table, cand, engine._relevant(cand, waiting, near),
-                                     waiting, near, m)
+            front = engine._frontier(table, cand, waiting, near, m)
             coins = rng.random(front.hi + 1 - front.lo) < 0.4
             tx = front.span[coins]
             topo = build_round_topology(
@@ -777,8 +776,8 @@ class TestEngineEquivalence:
         checked = []
         frontier = engine._frontier
 
-        def recounting(table, cand, relevant, waiting, near, edge_count):
-            front = frontier(table, cand, relevant, waiting, near, edge_count)
+        def recounting(table, cand, waiting, near, edge_count):
+            front = frontier(table, cand, waiting, near, edge_count)
             heard = [table.heard[table.ptr[v]:table.ptr[v] + table.deg[v]]
                      for v in range(len(waiting))]
             assert near.tolist() == [int(waiting[h].sum()) for h in heard]
@@ -816,11 +815,14 @@ class TestEngineEquivalence:
         assert all(any(pred(e, d) for e, d in checked) for pred in (
             lambda e, d: e > 0, lambda e, d: e == 0, lambda e, d: d > 0))
 
-    def test_transmitter_window_holds_until_next_event(self):
-        # the window kept from round 1 to a window event at r stays exact
-        # through next_event - 1 and changes at next_event; a window that
-        # never changes reports _NEVER
+    def test_transmitter_window_matches_recount(self):
+        # the window and next event found by bisection in the distinct
+        # activation rounds equal a recount from every node's activation
+        # round; the window holds through next_event - 1 and changes at
+        # next_event, and a window that never changes reports _NEVER.  The
+        # cases see next events where nodes only start, only stop, and both
         rng = np.random.default_rng(11)
+        seen = Counter()
         for _ in range(300):
             n = int(rng.integers(1, 8))
             budget = int(rng.integers(1, 6))
@@ -830,53 +832,55 @@ class TestEngineEquivalence:
             def window(t):
                 return [v for v in range(n) if act[v] < t <= act[v] + budget]
 
-            waiting, near = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
-            kept = engine._window_event(engine._initial_window(act, budget, waiting, near),
-                                        r, budget, waiting, near)
-            cand, next_event = kept.cand, kept.next_event
-            assert cand.tolist() == window(r)
+            starts = sorted(set(act.tolist()) - {_NEVER})
+            cand, next_event = engine._transmitter_window(act, starts, r, budget)
+            want, want_next = transmitter_window(act, r, budget)
+            assert cand.tolist() == want.tolist() == window(r)
+            assert next_event == want_next
             assert all(window(t) == window(r) for t in range(r, min(next_event, 40)))
             if next_event != _NEVER:
                 assert window(next_event) != window(r)
+                seen[(bool(set(window(next_event)) - set(window(r))),
+                      bool(set(window(r)) - set(window(next_event))))] += 1
+        assert all(seen[kind] for kind in ((True, False), (False, True), (True, True))), seen
 
-    def test_kept_window_matches_recount(self, monkeypatch):
-        # after every window event and delivery in a trial, the kept
-        # window, its next event and its relevant candidates equal the
-        # window recomputed from every node's activation round and a
-        # relevance recount; the trials see budgets run out and a delivery
-        # followed by a window event in the next round
-        events = []
-        event, delivered, bind = engine._window_event, engine._window_delivered, engine.make_policy
+    def test_rescanned_window_matches_recount(self, monkeypatch):
+        # after every window event and delivery in a trial, the frontier is
+        # built from the window recomputed from every node's activation
+        # round, and the next rescan comes at the next event of that window
+        # (a later delivery's activation included), or past the trial's
+        # last round; the trials see events where nodes only start, only
+        # stop, and both, and a delivery followed by a window event in the
+        # next round
+        frontier, rescan, bind = engine._frontier, engine._transmitter_window, engine.make_policy
         trial = {}
+        seen = Counter()
 
-        def check(kept, r, budget, waiting, near):
-            act = trial["act"]
-            cand, next_event = transmitter_window(act, r, budget)
-            assert kept.cand.tolist() == cand.tolist() and kept.next_event == next_event
-            table = trial["table"]
-            heard = {c: table.heard[table.ptr[c]:table.ptr[c] + table.deg[c]]
-                     for c in cand.tolist()}
-            assert kept.relevant.tolist() == [c for c, h in heard.items()
-                                              if waiting[c] or waiting[h].any()]
-
-        def checked_event(kept, r, budget, waiting, near):
-            after = event(kept, r, budget, waiting, near)
+        def checked_frontier(table, cand, waiting, near, edge_count):
             if "act" in trial:  # not the point's start, built before the trial's policy
-                trial["budget"] = budget
-                check(after, r, budget, waiting, near)
-                stopped = set(kept.cand.tolist()) - set(after.cand.tolist())
-                events.append(("stop" if stopped else "event", r))
-            return after
+                r = trial["built"] = trial["round"]
+                want = transmitter_window(trial["act"], r, trial["budget"])[0]
+                assert cand.tolist() == want.tolist(), r
+                if trial.get("rescanned") != r:
+                    seen["delivery"] += 1
+                elif r - 1 in trial["delivered"].values():
+                    seen["delivery, then event"] += 1
+            return frontier(table, cand, waiting, near, edge_count)
 
-        def checked_delivery(kept, newly, activation, waiting, near):
-            after = delivered(kept, newly, activation, waiting, near)
-            check(after, trial["round"], trial["budget"], waiting, near)
-            events.append(("delivery", trial["round"]))
-            return after
+        def checked_rescan(act, starts, r, budget):
+            if "act" in trial:
+                assert r == transmitter_window(act, trial["built"], budget)[1]
+                before, after = (set(transmitter_window(act, t, budget)[0].tolist())
+                                 for t in (r - 1, r))
+                seen[{(True, False): "start", (False, True): "stop",
+                      (True, True): "start and stop"}[bool(after - before),
+                                                      bool(before - after)]] += 1
+                trial["rescanned"] = r
+            return rescan(act, starts, r, budget)
 
         def recording_policy(plan, np_adv, q_adv, history):
             policy = bind(plan, np_adv, q_adv, history)
-            trial["act"] = history.act
+            trial.update(act=history.act, delivered=history.first_delivery)
             pre_round = policy.pre_round
 
             def entering(r):
@@ -886,25 +890,23 @@ class TestEngineEquivalence:
             policy.pre_round = entering
             return policy
 
-        monkeypatch.setattr(engine, "_window_event", checked_event)
-        monkeypatch.setattr(engine, "_window_delivered", checked_delivery)
+        monkeypatch.setattr(engine, "_frontier", checked_frontier)
+        monkeypatch.setattr(engine, "_transmitter_window", checked_rescan)
         monkeypatch.setattr(engine, "make_policy", recording_policy)
         rng = np.random.default_rng(20261022)
-        seen = Counter()
         for case in range(40):
             for problem in ("local", "global"):
                 cfg = random_trial_config(rng, problem, ("static", "iid_subset")[case % 2],
                                           seed=case)
                 trial.clear()
                 start = engine.point_start(cfg)
-                trial.update(table=start.table, budget=start.budget)
-                events.clear()
-                run_trial(cfg, 0, start)
-                seen.update(kind for kind, _ in events)
-                seen["delivery, then event"] += any(
-                    a[0] == "delivery" != b[0] and b[1] == a[1] + 1
-                    for a, b in zip(events, events[1:]))
-        assert all(seen[kind] for kind in ("stop", "event", "delivery",
+                want, next_event = transmitter_window(start.act, 1, start.budget)
+                assert start.cand.tolist() == want.tolist() and start.next_event == next_event
+                trial.update(budget=start.budget, built=1)
+                result = run_trial(cfg, 0, start)
+                assert transmitter_window(trial["act"], trial["built"], start.budget)[1] \
+                    > result.rounds_executed
+        assert all(seen[kind] for kind in ("start", "stop", "start and stop", "delivery",
                                            "delivery, then event")), seen
 
     def test_cross_engine_success_rates_agree(self):
@@ -1127,18 +1129,18 @@ class TestSkippedCoins:
         # round is dropped, and the trial still matches the reference given
         # its transmitters (see TestEngineEquivalence)
         draws, windows = [], []
-        first_firing, window = engine._first_firing, engine._window_event
+        first_firing, window = engine._first_firing, engine._transmitter_window
 
         def drawing(hazard, r, m, u, last):
             draws.append((len(windows), r, first_firing(hazard, r, m, u, last), last))
             return draws[-1][2]
 
-        def recording(kept, r, budget, waiting, near):
+        def recording(act, starts, r, budget):
             windows.append(r)
-            return window(kept, r, budget, waiting, near)
+            return window(act, starts, r, budget)
 
         monkeypatch.setattr(engine, "_first_firing", drawing)
-        monkeypatch.setattr(engine, "_window_event", recording)
+        monkeypatch.setattr(engine, "_transmitter_window", recording)
         rng = np.random.default_rng(20261021)
         seen = Counter()
         for case in range(40):
