@@ -836,6 +836,8 @@ def aggregate(results: Sequence[TrialResult]) -> Stats:
     """Deterministic fold over trials sorted by seed (execution-order free)."""
     ordered = sorted(results, key=lambda t: t.seed)
     n = len(ordered)
+    if n == 0:
+        raise ValueError("aggregate needs at least one trial result")
     succ = sum(1 for t in ordered if t.completed)
     lo, hi = wilson_interval(succ, n)
     finished = [t.completion_round for t in ordered if t.completed]
@@ -846,7 +848,7 @@ def aggregate(results: Sequence[TrialResult]) -> Stats:
     return Stats(
         trial_count=n,
         success_count=succ,
-        success_rate=succ / n if n else 0.0,
+        success_rate=succ / n,
         wilson_low=lo,
         wilson_high=hi,
         mean_completion=mean,

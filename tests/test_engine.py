@@ -1274,6 +1274,11 @@ class TestAggregation:
         results = [run_trial(replace(cfg, seed=cfg.seed + i)) for i in range(20)]
         assert aggregate(results) == aggregate(list(reversed(results)))
 
+    def test_no_results_rejected(self):
+        # as run_trials rejects zero trials; an empty fold has no quantiles
+        with pytest.raises(ValueError, match="at least one trial result"):
+            aggregate([])
+
     def test_wilson_interval_basics(self):
         lo, hi = wilson_interval(50, 100)
         assert lo < 0.5 < hi
