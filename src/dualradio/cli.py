@@ -220,9 +220,11 @@ def _run_point(point: dict, first_id: int):
     return rows, summary
 
 
-def _check_out(out_path: str) -> None:
+def _check_out(out_path) -> None:
     """Raise ConfigError unless the run can write `out_path`, through its
     `.partial` file, so a run that cannot write fails before any point runs."""
+    if not isinstance(out_path, str) or not out_path:
+        raise ConfigError(f"out: expected a nonempty path, got {out_path!r}")
     if os.path.isdir(out_path):
         raise ConfigError(f"out: {out_path} is a directory")
     partial = out_path + ".partial"

@@ -372,6 +372,23 @@ class TestRunCommand:
         assert runs == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
 
+    @pytest.mark.parametrize("out, flag", [(5, None), (None, None), ("t.csv", "")],
+                             ids=["number", "null", "empty-flag"])
+    def test_bad_out_stops_the_run_before_any_point(self, tmp_path, capsys, monkeypatch,
+                                                    out, flag):
+        # `out` from the config, or `--out` over it; a relative path would
+        # write its `.partial` into the working directory
+        runs = []
+        monkeypatch.setattr(engine, "run_trials", lambda *args: runs.append(args))
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, base_config(out=out))
+        argv = ["run", path] + ([] if flag is None else ["--out", flag])
+        assert main(argv) == 1
+        got = out if flag is None else flag
+        assert capsys.readouterr().err == f"error: out: expected a nonempty path, got {got!r}\n"
+        assert runs == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
     def test_no_partial_left_behind(self, tmp_path):
         out = tmp_path / "t.csv"
         path = write_config(tmp_path, base_config(out=str(out)))
