@@ -63,10 +63,30 @@ def parse_delta(value, key: str = "delta") -> int:
     raise ConfigError(f"{key}: expected integer or log2:<e>, got {value!r}")
 
 
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """`yaml.SafeLoader` that rejects a key repeated in one mapping, at any
+    depth, where the safe loader would keep the last value.  Keys brought
+    in by a merge (`<<`) may still be overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if not isinstance(key_node, yaml.ScalarNode) or key_node.tag == _MERGE_TAG:
+                continue
+            key = self.construct_object(key_node)
+            if key in seen:
+                raise ConfigError(f"{key}: repeated key (line {key_node.start_mark.line + 1})")
+            seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_UniqueKeyLoader)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except yaml.YAMLError as exc:

@@ -28,11 +28,12 @@ that test).
 The analytic engine exploits the star gadgets' structure and tracks only
 the designated receiver's effective degree, sampling its per-round success
 from the closed-form probability (in log space, so degree bounds given as
-log2 values keep working).  A trial steps its first rounds one at a time,
-with one degree (`AdversaryPolicy.degrees(r, 1)`), one uniform and one
-success test in float64 scalars, since most short trials end within them;
-only a trial that outlives them draws degree chunks, 16 rounds and then
-4x more each up to 4096.  Every stream is consumed in round order and a
+log2 values keep working).  A trial steps its first 16 rounds one at a
+time, with one degree (`AdversaryPolicy.degrees(r, 1)`) and one success
+test in float64 scalars each, since most short trials end within them;
+their 16 uniforms are drawn in one call, the same doubles as one call per
+round.  Only a trial that outlives them draws degree chunks, 16 rounds and
+then 4x more each up to 4096.  Every stream is consumed in round order and a
 round alone computes what its lane of a chunk computes (`np.log`, never
 `math.log`, which may differ in the last bit), so where chunks begin does
 not change a result.
@@ -82,6 +83,7 @@ import bisect
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -94,10 +96,11 @@ from .model import DualGraph
 from .oracle import exact_success_logprob
 from .schedules import Schedule, ceil_log2, log2e_of
 
-# an analytic trial steps its first _STEPPED rounds one at a time with
-# scalar draws, which most trials do not outlive; the rest then draw degree
-# chunks, the first of _FIRST_CHUNK rounds, each next one 4x more up to _CHUNK
-_STEPPED = 8
+# an analytic trial steps its first _STEPPED rounds one at a time, with one
+# degree each and their uniforms drawn in one call, which most trials do not
+# outlive; the rest then draw degree chunks, the first of _FIRST_CHUNK
+# rounds, each next one 4x more up to _CHUNK
+_STEPPED = 16
 _FIRST_CHUNK = 16
 _CHUNK = 4096
 _NEVER = np.iinfo(np.int64).max  # activation round of a node never reached
@@ -138,8 +141,9 @@ def trial_rngs(seed: int, trial: int = 0, seeds: np.ndarray | None = None):
     point whose first seed is `seed`.  `seeds` is the point's
     `stream_seeds`; a lone call derives its own, which gives the same
     generators."""
-    words = stream_seeds(seed + trial, 1)[0] if seeds is None else seeds[trial]
-    return tuple(np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words)
+    nodes, adv, q = stream_seeds(seed + trial, 1)[0] if seeds is None else seeds[trial]
+    gen, pcg = np.random.Generator, np.random.PCG64
+    return gen(pcg(_SeedWords(nodes))), gen(pcg(_SeedWords(adv))), gen(pcg(_SeedWords(q)))
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +201,16 @@ class TrialConfig:
                 gadget.node_count))
         object.__setattr__(self, "plan",
                            compile_adversary(self.adversary, gadget, self.schedule))
+
+    @cached_property
+    def csv_point(self) -> str:
+        """The CSV columns problem..adversary, the same in every row of the
+        point, formatted once."""
+        tau = self.adversary.get("tau")
+        return ",".join((self.problem, self.schedule.label, self.engine_mode,
+                         f"{math.log2(self.gadget.delta):.17g}",
+                         "inf" if tau is None else str(tau),
+                         self.adversary.get("kind", "static")))
 
 
 @dataclass(frozen=True)
@@ -711,10 +725,11 @@ def run_analytic_star_trial(config: TrialConfig, trial: int = 0,
     The adversary supplies the receiver's effective degree per round; the
     round succeeds with the exact closed-form probability, sampled by
     comparing log-probability against the log of a uniform draw.  The
-    first `_STEPPED` rounds ask for one degree and one uniform at a time,
-    the later ones for a chunk of each; every stream is consumed in round
-    order either way, and a round alone makes the same float operations as
-    its lane of a chunk, so the result does not depend on the split.
+    first `_STEPPED` rounds ask for one degree at a time, their uniforms
+    drawn in one call, the later ones for a chunk of each; every stream is
+    consumed in round order either way, and a round alone makes the same
+    float operations as its lane of a chunk, so the result does not depend
+    on the split.
     """
     gadget = config.gadget
     schedule = config.schedule
@@ -728,29 +743,31 @@ def run_analytic_star_trial(config: TrialConfig, trial: int = 0,
     exp_off = 0.0 if flag else 1.0
     k = schedule.cycle_length
     log_probs, log1m_p = schedule.log_probs, start.log1m_p
-    degrees, uniform, log = policy.degrees, np_nodes.random, np.log
-    last, stepped = config.max_rounds, _STEPPED
+    degrees, log = policy.degrees, np.log
+    last = config.max_rounds
 
     completion = None
     r = 0  # rounds run
+    # the stepped rounds' uniforms in one draw, the same doubles as one
+    # random() per round; a chunk then draws the next ones
+    for u in np_nodes.random(min(_STEPPED, last)).tolist():
+        degs = degrees(r + 1, 1)
+        lp = log_probs[r % k]
+        if isinstance(degs, int) and degs >= _EXACT:  # as in a chunk of such degrees
+            hit = _exact_hit(degs, lp, flag, u)
+        else:
+            hit = log(u) < log(degs) + lp + (degs - exp_off) * log1m_p[r % k]
+        r += 1
+        if hit:
+            completion = r
+            break
     chunk = _FIRST_CHUNK
     while r < last and completion is None:
-        cnt = 1
-        if r >= stepped:
-            cnt = min(chunk, last - r)
-            chunk = min(chunk * 4, _CHUNK)
+        cnt = min(chunk, last - r)
+        chunk = min(chunk * 4, _CHUNK)
         degs = degrees(r + 1, cnt)
-        if cnt == 1:  # a round alone: one degree and one uniform
-            u = uniform()
-            lp = log_probs[r % k]
-            if isinstance(degs, int) and degs >= _EXACT:  # as in a chunk of such degrees
-                hit = _exact_hit(degs, lp, flag, u)
-            else:
-                hit = log(u) < log(degs) + lp + (degs - exp_off) * log1m_p[r % k]
-            r += 1
-            if hit:
-                completion = r
-            continue
+        if cnt == 1:  # degrees()' one-round form, as a chunk of one
+            degs = [degs] if isinstance(degs, int) and degs >= _EXACT else np.array([degs], float)
         u = np_nodes.random(cnt)
         if isinstance(degs, np.ndarray):
             idx = np.arange(r, r + cnt) % k
@@ -767,16 +784,18 @@ def run_analytic_star_trial(config: TrialConfig, trial: int = 0,
                     break
         r += cnt
 
-    # degrees() covers whole chunks; changes past the last round run are not
-    # part of the trial
     rounds_executed = r if completion is None else completion
+    changes = policy.change_log
+    if changes and changes[-1][0] > rounds_executed:
+        # a chunk entered blocks past the last round run: not part of the trial
+        changes = [c for c in changes if c[0] <= rounds_executed]
     return TrialResult(
         completed=completion is not None,
         completion_round=completion,
         first_delivery={} if completion is None else {recv: completion},
         rounds_executed=rounds_executed,
         seed=config.seed + trial,
-        distribution_changes=tuple(c for c in policy.change_log if c[0] <= rounds_executed),
+        distribution_changes=tuple(changes),
     )
 
 
@@ -879,17 +898,6 @@ def csv_header() -> str:
 
 
 def trial_csv_row(trial_id: int, config: TrialConfig, result: TrialResult) -> str:
-    tau = config.adversary.get("tau")
-    return ",".join([
-        str(trial_id),
-        str(result.seed),
-        config.problem,
-        config.schedule.label,
-        config.engine_mode,
-        f"{math.log2(config.gadget.delta):.17g}",
-        "inf" if tau is None else str(tau),
-        config.adversary.get("kind", "static"),
-        "1" if result.completed else "0",
-        "" if result.completion_round is None else str(result.completion_round),
-        str(result.rounds_executed),
-    ])
+    completion = result.completion_round
+    return (f"{trial_id},{result.seed},{config.csv_point},{1 if result.completed else 0},"
+            f"{'' if completion is None else completion},{result.rounds_executed}")

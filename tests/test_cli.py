@@ -346,6 +346,28 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("trials: 5\ntrials: 2\n", "trials: repeated key (line 8)"),
+        ("adversary: {kind: iid_subset, kind: static}\n", "kind: repeated key (line 7)"),
+        ("sweep:\n  adversary:\n    - {kind: iid_subset}\n    - kind: static\n"
+         "      tau: 2\n      kind: gap\n", "kind: repeated key (line 12)"),
+    ], ids=["top-level", "nested", "in-a-list"])
+    def test_repeated_key_is_a_config_error(self, tmp_path, capsys, text, message):
+        # a YAML mapping that names a key twice would keep the last value
+        out = tmp_path / "t.csv"
+        path = tmp_path / "cfg.yaml"
+        path.write_text("problem: local\nengine: analytic_star\n"
+                        "gadget: {kind: star, delta: 64, n: 66}\nalgo: rlb\nmax_rounds: 400\n"
+                        f"out: {out}\n" + text)
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_merged_keys_may_be_overridden(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("gadget:\n  <<: {kind: star, delta: 64, n: 70}\n  n: 66\n")
+        assert load_config(str(path)) == {"gadget": {"kind": "star", "delta": 64, "n": 66}}
+
     def test_bad_later_point_stops_the_run_before_any_point(self, tmp_path, capsys,
                                                              monkeypatch):
         runs = []

@@ -1300,6 +1300,71 @@ class TestAggregation:
         assert stats.quantiles[0.9] >= stats.quantiles[0.5]
 
 
+class TestResultInvariant:
+    """A completed trial ends in its completion round; an unfinished one
+    has no completion round and runs at most `max_rounds` rounds, exactly
+    that many for local broadcast (a global trial stops once nothing can
+    transmit again)."""
+
+    @staticmethod
+    def check(results, cfg):
+        for res in results:
+            if res.completed:
+                assert res.completion_round == res.rounds_executed, res
+            else:
+                assert res.completion_round is None, res
+                assert res.rounds_executed <= cfg.max_rounds, res
+                if cfg.problem == "local":
+                    assert res.rounds_executed == cfg.max_rounds, res
+
+    LOCAL = [
+        {"kind": "static", "tau": 2, "extra_degree": 5},
+        {"kind": "iid_subset", "tau": 2},
+        {"kind": "gap", "tau": 2},
+        {"kind": "argmin", "tau": 2},
+        {"kind": "correlated_shift"},
+        {"kind": "degree_walk_deterministic", "tau": 2, "l": 3, "start_degree": 20},
+        {"kind": "degree_walk_restricted", "tau": 2, "l": 2},
+    ]
+    GLOBAL = ["static", "iid_subset", "chained_gap"]
+
+    def test_every_kind_is_run(self):
+        kinds = {spec["kind"] for spec in self.LOCAL} | set(self.GLOBAL)
+        assert kinds == set(adversary.ADVERSARY_KEYS)
+
+    @pytest.mark.parametrize("engine", ["materialized", "analytic_star"])
+    @pytest.mark.parametrize("adversary", LOCAL, ids=lambda spec: spec["kind"])
+    def test_local(self, engine, adversary):
+        # a schedule built for degree bound 2^12 + 1 ends some trials within
+        # the stepped rounds, some in a chunk and some at the round cap
+        if adversary["kind"] == "gap":
+            g = star_gadget(2 ** 12 + 1, 2 ** 12 + 3)
+        elif adversary["kind"] == "correlated_shift":
+            g = double_star(64)
+        else:
+            g = star_gadget(64, 66)
+        done = []
+        for max_rounds in (4, 30):
+            cfg = TrialConfig(problem="local", gadget=g, schedule=rlb_schedule(2 ** 12 + 1, 2),
+                              adversary=adversary, seed=0, max_rounds=max_rounds,
+                              engine_mode=engine)
+            results = run_trials(cfg, 40).results
+            self.check(results, cfg)
+            done += [res.completed for res in results]
+        assert set(done) == {True, False}
+
+    @pytest.mark.parametrize("kind", GLOBAL)
+    def test_global(self, kind):
+        cfg = TrialConfig(problem="global", gadget=chained_gadgets(65, 24),
+                          schedule=frlb_schedule(65, 1), adversary={"kind": kind, "tau": 1},
+                          seed=0, max_rounds=600, rgb_reps=40)
+        results = run_trials(cfg, 30).results
+        self.check(results, cfg)
+        assert any(res.completed for res in results)
+        assert any(res.rounds_executed < cfg.max_rounds for res in results
+                   if not res.completed)
+
+
 class TestCsv:
     def test_header_is_pinned(self):
         assert csv_header() == ("trial_id,seed,problem,algo,engine,delta_log2,"
