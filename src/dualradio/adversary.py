@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .gadgets import Gadget
+from .gadgets import EDGE_LIMIT, Gadget
 from .oracle import exact_success_logprob, log_phase_success_sum, success_peak_degree
 from .schedules import Schedule
 
@@ -442,9 +442,9 @@ class AdversaryPolicy:
     for in order.
     """
 
-    def __init__(self, tau: int | None, receiver_edges: np.ndarray | None = None):
+    def __init__(self, tau: int | None, arms: int = 0):
         self.tau = tau
-        self.receiver_edges = receiver_edges  # the receiver's unreliable arms, int64
+        self.arms = arms  # the receiver's unreliable arms, unreliable edges 0..arms-1
         self.change_log: list[tuple[int, object]] = []
         self._fingerprint: object = None
         self._block = -1  # the last block entered
@@ -492,7 +492,7 @@ class AdversaryPolicy:
         return self._degrees(np.arange(start_round, start_round + count))
 
     def sample_edges(self, round_index: int, tx: np.ndarray) -> np.ndarray:
-        """Indices into graph.unreliable_edges active this round, all in the
+        """Indices of the gadget's unreliable edges active this round, all in the
         plan's reach: every one that touches a node of `tx`, the round's
         counted transmitters in increasing order; any other may be left out.
         The stream moves as if every edge were drawn.  `pre_round` has
@@ -501,8 +501,7 @@ class AdversaryPolicy:
         By default the active edges are a uniform (d-1)-subset of the
         receiver's unreliable arms for the round's degree d, drawn in full."""
         d = int(self._degrees(round_index))
-        arms = self.receiver_edges
-        return arms[uniform_subsets(self.np_rng, (len(arms),), (d - 1,))]
+        return uniform_subsets(self.np_rng, (self.arms,), (d - 1,))
 
     # -- hooks
 
@@ -565,12 +564,10 @@ class IidSubsetPolicy(AdversaryPolicy):
 
     _BLOCKWISE = 8
 
-    def __init__(self, tau, edge_prob: float | None, n_unreliable: int,
-                 receiver_unreliable: int):
-        super().__init__(tau if edge_prob is None else None)
+    def __init__(self, tau, edge_prob: float | None, n_unreliable: int, arms: int):
+        super().__init__(tau if edge_prob is None else None, arms)
         self.edge_prob = edge_prob
         self.n_unreliable = n_unreliable
-        self.receiver_unreliable = receiver_unreliable
         self._qs: list[float] = [math.nan]  # no block before the first
         self._qs_from = -1
 
@@ -596,7 +593,7 @@ class IidSubsetPolicy(AdversaryPolicy):
     def _degrees(self, rounds):
         # rounds: a chunk of consecutive rounds, within the blocks entered,
         # or one round, in the last block entered
-        arms, binomial = self.receiver_unreliable, self.np_rng.binomial
+        arms, binomial = self.arms, self.np_rng.binomial
         if not isinstance(rounds, np.ndarray):
             return 1.0 + binomial(arms, self._qs[-1])
         span = self.tau or _WHOLE_RUN
@@ -661,8 +658,8 @@ class PhaseDegreePolicy(AdversaryPolicy):
     """One receiver degree per tau-round phase, looked up in the point's
     table (the gap or the argmin construction)."""
 
-    def __init__(self, tau: int, table: PhaseDegrees, receiver_edges: np.ndarray):
-        super().__init__(tau, receiver_edges)
+    def __init__(self, tau: int, table: PhaseDegrees, arms: int):
+        super().__init__(tau, arms)
         self._phase_degree = table
 
     def _blocks(self, blocks):
@@ -687,8 +684,8 @@ class CorrelatedShiftPolicy(AdversaryPolicy):
     degrees become deterministic once the shift is drawn: the point's
     `plan`, its shift drawn in the trial unless `draw_shift` is false."""
 
-    def __init__(self, plan: ShiftPlan, draw_shift: bool, receiver_edges: np.ndarray):
-        super().__init__(None, receiver_edges)
+    def __init__(self, plan: ShiftPlan, draw_shift: bool, arms: int):
+        super().__init__(None, arms)
         self.plan, self.draw_shift = plan, draw_shift
 
     def _blocks(self, blocks):
@@ -704,9 +701,8 @@ class DegreeWalkPolicy(AdversaryPolicy):
     """Correlated walk on the receiver degree with a per-round change budget:
     `walk` as checked at compile time, its current degree in `degree`."""
 
-    def __init__(self, tau, schedule: Schedule, walk: DegreeWalkState,
-                 receiver_edges: np.ndarray):
-        super().__init__(tau, receiver_edges)
+    def __init__(self, tau, schedule: Schedule, walk: DegreeWalkState, arms: int):
+        super().__init__(tau, arms)
         self.schedule, self.walk = schedule, walk
         self.degree = walk.degree
         self._round = 1  # the round whose degree `degree` holds
@@ -742,9 +738,8 @@ class DegreeWalkPolicy(AdversaryPolicy):
 class ChainSections(NamedTuple):
     """What every `chained_gap` trial of a chain shares, built once per point."""
 
-    edges: np.ndarray      # every section's unreliable arms, section by section
     sizes: list[int]       # each section's unreliable arm count
-    offsets: list[int]     # section s's arms are edges[offsets[s]:offsets[s + 1]]
+    offsets: list[int]     # section s's arms are the edges offsets[s]..offsets[s + 1] - 1
     heads: np.ndarray      # each section's first arm, whose activation starts its phases
     receivers: list[int]   # each section's local receiver
     section_of: list[int]  # each node's section (past the last section: the last)
@@ -756,9 +751,8 @@ def chain_sections(gadget: Gadget) -> ChainSections:
     sections = gadget.sections
     sizes = [len(s.unreliable_indices) for s in sections]
     hubs = [s.hub for s in sections]
-    nodes = np.arange(gadget.graph.node_count)
+    nodes = np.arange(gadget.node_count)
     return ChainSections(
-        edges=np.array([e for s in sections for e in s.unreliable_indices], dtype=np.int64),
         sizes=sizes,
         offsets=[0, *itertools.accumulate(sizes)],
         heads=np.array([s.arms[0] for s in sections], dtype=np.int64),
@@ -864,7 +858,7 @@ class ChainedGapPolicy(AdversaryPolicy):
         positions = uniform_subsets(self.np_rng, chain.sizes[lo:hi + 1],
                                     [d - 1 for d in self.section_degree[lo:hi + 1]])
         self._owed = first[-1] - first[hi + 1]
-        return chain.edges[chain.offsets[lo]:chain.offsets[hi + 1]][positions]
+        return positions + chain.offsets[lo]
 
 
 # ---------------------------------------------------------------------------
@@ -942,16 +936,12 @@ def compile_adversary(spec: dict, gadget: Gadget, schedule: Schedule) -> Adversa
     """A sweep point's plan.  Every config check is made here, once per
     point: `check_spec`'s, then those that need the gadget, down to the gap
     construction's feasibility in every phase.  A `static` policy reaches
-    its subset, `iid_subset` and `chained_gap` every edge, and every other
-    kind the receiver's unreliable arms."""
+    its subset and every other kind every edge: on a star or double star
+    every unreliable edge is one of the receiver's arms, 0..arms-1."""
     check_spec(spec)
     kind = spec.get("kind", "static")
     tau = spec.get("tau")
-    graph = gadget.graph
-    recv = gadget.receiver
-    recv_edges = np.array(() if recv is None else graph.unreliable_incident(recv), np.int64)
-    # a virtual star keeps no edges; its receiver has delta - 2 unreliable arms
-    arms = gadget.delta - 2 if gadget.meta.get("virtual") else len(recv_edges)
+    recv, arms = gadget.receiver, gadget.arms
 
     if kind in ("gap", "argmin", "degree_walk_deterministic", "degree_walk_restricted") \
             and recv is None:
@@ -973,7 +963,7 @@ def compile_adversary(spec: dict, gadget: Gadget, schedule: Schedule) -> Adversa
         if kind != "argmin":
             table(table.period - 1)  # an infeasible phase raises here
         if kind != "chained_gap":
-            return AdversaryPlan(partial(PhaseDegreePolicy, tau, table, recv_edges), recv_edges)
+            return AdversaryPlan(partial(PhaseDegreePolicy, tau, table, arms), None)
         return AdversaryPlan(partial(ChainedGapPolicy, tau, table, chain_sections(gadget)), None)
     if kind == "static":
         # one subset for both engines: the listed `edges`, or the receiver's
@@ -981,11 +971,15 @@ def compile_adversary(spec: dict, gadget: Gadget, schedule: Schedule) -> Adversa
         if "edges" in spec and "extra_degree" in spec:
             raise ValueError("static takes either edges or extra_degree, not both")
         edges = list(spec.get("edges", ()))
-        n_unreliable = len(graph.unreliable_edges)
+        n_unreliable = gadget.unreliable_count
         bad = [e for e in edges if not 0 <= e < n_unreliable]
         if bad:
             raise ValueError(f"static edges {bad} are not unreliable edge indices "
                              f"0..{n_unreliable - 1} of the {gadget.kind} gadget")
+        wide = [e for e in edges if e >= 2 ** 63]
+        if wide:
+            raise ValueError(f"static keeps its edges as 64-bit indices, so it needs every "
+                             f"index < 2^63; got {wide}")
         repeated = sorted({e for e in edges if edges.count(e) > 1})
         if repeated:
             raise ValueError(f"static edges {repeated} are listed more than once")
@@ -999,9 +993,12 @@ def compile_adversary(spec: dict, gadget: Gadget, schedule: Schedule) -> Adversa
                     f"static computes the receiver's degree 1 + extra_degree as a double, so "
                     f"it needs 1 + extra_degree < 2^1024 - 2^970; got 1 + extra_degree = "
                     f"2^{math.log2(1 + extra):.6g}")
-            subset, degree = recv_edges[:extra], 1 + extra
+            # the receiver's first `extra` arms, never read on a gadget too
+            # large to simulate
+            subset = np.arange(extra if gadget.delta < EDGE_LIMIT else 0)
+            degree = 1 + extra
         else:
-            subset, degree = edges, 1 + len(set(edges).intersection(recv_edges.tolist()))
+            subset, degree = edges, 1 + sum(e < arms for e in edges)
         subset = np.sort(np.asarray(subset, dtype=np.int64))
         return AdversaryPlan(partial(StaticPolicy, subset, float(degree),
                                      ("static", tuple(sorted(edges)), extra)), subset)
@@ -1009,22 +1006,26 @@ def compile_adversary(spec: dict, gadget: Gadget, schedule: Schedule) -> Adversa
         if arms >= 2 ** 63:
             raise ValueError(f"iid_subset draws the receiver's active arm count as a 64-bit "
                              f"binomial, so its {arms} unreliable arms (delta - 2 on a "
-                             f"virtual star) must be fewer than 2^63")
+                             f"star, delta - 1 on a double star) must be fewer than 2^63")
         return AdversaryPlan(partial(IidSubsetPolicy, tau, spec.get("edge_prob"),
-                                     len(graph.unreliable_edges), arms), None)
+                                     gadget.unreliable_count, arms), None)
     if kind == "correlated_shift":
         if gadget.kind != "double_star":
             raise ValueError(
                 f"correlated_shift needs a double_star gadget, where the receiver can "
                 f"reach degree delta; got a {gadget.kind} gadget")
+        if gadget.delta >= _EXACT:
+            raise ValueError(
+                f"correlated_shift computes the receiver's degrees 1 and delta as doubles, so "
+                f"it needs delta < 2^53; got delta = 2^{math.log2(gadget.delta):.6g}")
         plan = shift_plan(schedule.cycle, gadget.delta, None, spec.get("shift", 1))
-        return AdversaryPlan(partial(CorrelatedShiftPolicy, plan, "shift" not in spec,
-                                     recv_edges), recv_edges)
+        return AdversaryPlan(partial(CorrelatedShiftPolicy, plan, "shift" not in spec, arms),
+                             None)
     # a degree walk
     start = DegreeWalkState(degree=spec.get("start_degree", 1), step_budget=spec["l"],
                             max_degree=arms + 1, mode=spec.get("walk_mode", "dodging"),
                             restricted=kind == "degree_walk_restricted")
-    return AdversaryPlan(partial(DegreeWalkPolicy, tau, schedule, start, recv_edges), recv_edges)
+    return AdversaryPlan(partial(DegreeWalkPolicy, tau, schedule, start, arms), None)
 
 
 def make_policy(plan: AdversaryPlan, np_rng, q_rng,

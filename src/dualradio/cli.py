@@ -21,6 +21,7 @@ import gc
 import math
 import os
 import sys
+from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -218,9 +219,8 @@ def build_trial_config(point: dict) -> tuple[TrialConfig, int]:
     return config, point["trials"]
 
 
-def _run_point(point: dict, first_id: int):
+def _run_point(config: TrialConfig, trials: int, first_id: int):
     """CSV rows (trial ids from `first_id` on) and summary of one sweep point."""
-    config, trials = build_trial_config(point)
     stats = engine.run_trials(config, trials)
     rows = [trial_csv_row(first_id + i, config, res) for i, res in enumerate(stats.results)]
     tau = config.adversary["tau"]
@@ -270,15 +270,20 @@ def cmd_run(args) -> int:
     out_path = cfg["out"]
     _check_out(out_path)
 
-    first_ids = list(accumulate((p["trials"] for p in points[:-1]), initial=0))
-    if args.jobs > 1 and len(points) > 1:
+    first_ids = accumulate((p["trials"] for p in points[:-1]), initial=0)
+    # every point's config is built, and checked, before the first point
+    # runs; each is let go once its point has run
+    pending = deque((*build_trial_config(p), first) for p, first in zip(points, first_ids))
+    if args.jobs > 1 and len(pending) > 1:
         # imported here: a run without a pool should not pay for the import
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outputs = list(pool.map(_run_point, points, first_ids))
+            futures = [pool.submit(_run_point, *pending.popleft())
+                       for _ in range(len(pending))]
+        outputs = [f.result() for f in futures]
     else:
-        outputs = list(map(_run_point, points, first_ids))
+        outputs = [_run_point(*pending.popleft()) for _ in range(len(pending))]
 
     partial = out_path + ".partial"
     with open(partial, "w") as fh:
@@ -438,11 +443,9 @@ ORACLE_VALUES = {
     "wpi": (1, None, "<x>..."),
     "phase-sum": (3, None, "<degree> <flag> <p>..."),
 }
-GADGET_VALUES = {
-    "star": (2, 2, "<delta> <n>"),
-    "double_star": (1, 1, "<delta>"),
-    "chained": (2, 2, "<delta> <diameter>"),
-}
+GADGET_VALUES = {kind: (1 + len(keys), 1 + len(keys),
+                        " ".join(f"<{key}>" for key in ("delta", *keys)))
+                 for kind, keys in _GADGET_KEYS.items()}
 
 
 def _check_values(command: str, values: list[str], spec: tuple) -> None:
@@ -492,12 +495,8 @@ def cmd_gadget(args) -> int:
 
     kind = args.kind
     _check_values(f"gadget {kind}", args.values, GADGET_VALUES[kind])
-    if kind == "star":
-        g = gadgets.star_gadget(int(args.values[0]), int(args.values[1]))
-    elif kind == "double_star":
-        g = gadgets.double_star(int(args.values[0]))
-    elif kind == "chained":
-        g = gadgets.chained_gadgets(int(args.values[0]), int(args.values[1]))
+    delta, *values = map(int, args.values)
+    g = gadgets.build_gadget(kind, delta, **dict(zip(_GADGET_KEYS[kind], values)))
     sys.stdout.write(graph_to_text(g.graph))
     return 0
 

@@ -91,8 +91,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .adversary import (_EXACT, AdversaryPlan, ObservableHistory, compile_adversary,
                         make_policy, uniform_subsets)
-from .gadgets import Gadget
-from .model import DualGraph
+from .gadgets import EDGE_LIMIT, Gadget
 from .oracle import exact_success_logprob
 from .schedules import Schedule, ceil_log2, log2e_of
 
@@ -177,7 +176,7 @@ class TrialConfig:
         if not (isinstance(self.epsilon, (int, float)) and 0 < self.epsilon < 1):
             raise ValueError(f"epsilon: must be in (0,1), got {self.epsilon!r}")
         gadget = self.gadget
-        if self.engine_mode == "materialized" and gadget.meta.get("virtual"):
+        if self.engine_mode == "materialized" and gadget.delta >= EDGE_LIMIT:
             raise ValueError("a virtual star (delta >= 2^24) has no edges to simulate; "
                              "run it on the analytic_star engine")
         if self.engine_mode == "analytic_star":
@@ -301,10 +300,10 @@ def default_max_rounds(problem: str, schedule: Schedule, delta: int, tau: int,
 
 
 class _Neighbors(NamedTuple):
-    """Adjacency over some of a graph's edges in CSR form: node v's deg[v]
+    """Adjacency over some of a gadget's edges in CSR form: node v's deg[v]
     neighbors are heard[ptr[v]:ptr[v] + deg[v]], and through[i] is the
     unreliable edge that heard[i] is reached by, or the extra slot
-    len(graph.unreliable_edges) for a reliable neighbor."""
+    `unreliable_count` for a reliable neighbor."""
 
     ptr: np.ndarray
     deg: np.ndarray
@@ -312,25 +311,19 @@ class _Neighbors(NamedTuple):
     through: np.ndarray
 
 
-def _neighbors(graph: DualGraph, reach: np.ndarray | None = None) -> _Neighbors:
-    """The neighbor table over the reliable edges and the unreliable edges
-    `reach` (sorted indices; None: every one), cached on the graph."""
-    m = len(graph.unreliable_edges)
-    key = None if reach is None or len(reach) == m else reach.tobytes()
-    cache = graph.__dict__.setdefault("_neighbors_cache", {})
-    table = cache.get(key)
-    if table is None:
-        if key is None:
-            reach = np.arange(m, dtype=np.int64)
-        rel = np.array(sorted(graph.reliable_edges), dtype=np.int64).reshape(-1, 2)
-        unr = np.array(graph.unreliable_edges, dtype=np.int64).reshape(-1, 2)[reach]
-        ends = np.concatenate((rel, rel[:, ::-1], unr, unr[:, ::-1]))
-        through = np.concatenate((np.full(2 * len(rel), m, dtype=np.int64), reach, reach))
-        order = np.argsort(ends[:, 0], kind="stable")
-        deg = np.bincount(ends[:, 0], minlength=graph.node_count)
-        table = cache[key] = _Neighbors(np.cumsum(deg) - deg, deg, ends[order, 1],
-                                        through[order])
-    return table
+def _neighbors(gadget: Gadget, reach: np.ndarray | None = None) -> _Neighbors:
+    """The neighbor table over the gadget's reliable edges and the
+    unreliable edges `reach` (sorted indices; None: every one)."""
+    rel, unr = gadget.edges
+    m = len(unr)
+    if reach is None:
+        reach = np.arange(m, dtype=np.int64)
+    unr = unr[reach]
+    ends = np.concatenate((rel, rel[:, ::-1], unr, unr[:, ::-1]))
+    through = np.concatenate((np.full(2 * len(rel), m, dtype=np.int64), reach, reach))
+    order = np.argsort(ends[:, 0], kind="stable")
+    deg = np.bincount(ends[:, 0], minlength=gadget.node_count)
+    return _Neighbors(np.cumsum(deg) - deg, deg, ends[order, 1], through[order])
 
 
 def _slice_positions(table: _Neighbors, nodes: np.ndarray) -> np.ndarray:
@@ -559,7 +552,7 @@ def _materialized_start(config: TrialConfig, seeds: np.ndarray | None) -> _Mater
     must reach every node, and a reached node relays from the next
     double-cycle boundary with the same budget."""
     gadget = config.gadget
-    n = gadget.graph.node_count
+    n = gadget.node_count
     if config.problem == "local":
         starters, targets = sorted(gadget.broadcasters), sorted(gadget.receivers)
         budget, relay = config.max_rounds, False
@@ -572,11 +565,11 @@ def _materialized_start(config: TrialConfig, seeds: np.ndarray | None) -> _Mater
     act[starters] = 0
     waiting = np.zeros(n, dtype=bool)
     waiting[targets] = True
-    table = _neighbors(gadget.graph, config.plan.reach)
+    table = _neighbors(gadget, config.plan.reach)
     near = _waiting_neighbors(table, waiting)
     starts = [0]  # the starters' activation round
     cand, next_event = _transmitter_window(act, starts, 1, budget)
-    frontier = _frontier(table, cand, waiting, near, len(gadget.graph.unreliable_edges))
+    frontier = _frontier(table, cand, waiting, near, gadget.unreliable_count)
     return _MaterializedStart(seeds, table, budget, relay, act, waiting, near, len(targets),
                               starts, cand, next_event, frontier, _hazard(config.schedule))
 
@@ -585,7 +578,6 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
                            start: _MaterializedStart | None = None) -> TrialResult:
     """Simulate every node and edge round by round, for either problem
     (trial and start as in `run_trial`; see `_materialized_start`)."""
-    graph = config.gadget.graph
     schedule = config.schedule
     k = schedule.cycle_length
     align = 2 * k
@@ -621,7 +613,7 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     # after the coins, for the active edges at the counted transmitters
     # `tx` alone.
     table = start.table
-    edge_count = len(graph.unreliable_edges)
+    edge_count = config.gadget.unreliable_count
     last = config.max_rounds
     completion = None
     empty = np.empty(0, dtype=np.int64)

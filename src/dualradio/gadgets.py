@@ -2,43 +2,98 @@
 
 All three constructions concentrate every unreliable edge on one designated
 receiver per gadget, which is what makes the worst-case adversary analyses
-(and the degree-only analytic engine) possible.
+(and the degree-only analytic engine) possible.  So a gadget is described by
+its shape alone: delta, the node count and a few indices, all in closed
+form.  Its edges are built only when first asked for, as sorted int64
+arrays (`Gadget.edges`, which the materialized engine reads) and as the
+reference model's `DualGraph` (`Gadget.graph`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .model import DualGraph, Edge
+import numpy as np
+
+from .model import DualGraph
+
+# the materialized engine simulates no gadget at this delta or above, so
+# nothing builds the edges of one
+EDGE_LIMIT = 2 ** 24
 
 
 @dataclass(frozen=True)
 class GadgetSection:
-    """One star inside a chain: hub, relay arms, and the local receiver."""
+    """One star inside a chain: hub, relay arms, the local receiver, and the
+    indices of its unreliable edges, those from arms[1:] to the receiver."""
 
     hub: int
-    arms: tuple[int, ...]
+    arms: range
     receiver: int
-    unreliable_indices: tuple[int, ...]
+    unreliable_indices: range
 
 
 @dataclass(frozen=True)
 class Gadget:
-    """A DualGraph with its designated broadcaster/receiver structure."""
+    """A dual graph by its shape, with its designated broadcaster/receiver
+    structure.
+
+    A gadget with a designated receiver has `arms` unreliable arms at it, and
+    they are its unreliable edges 0..arms-1; `unreliable_count` counts every
+    unreliable edge.  A chain's section s holds the unreliable edges
+    s(delta-2)..(s+1)(delta-2)-1.
+    """
 
     kind: str
-    graph: DualGraph
     delta: int
-    broadcasters: frozenset[int]
+    node_count: int
+    broadcasters: frozenset[int] | range
     receivers: frozenset[int]
     source: int | None = None
     receiver: int | None = None
+    arms: int = 0
+    unreliable_count: int = 0
     sections: tuple[GadgetSection, ...] = ()
     meta: dict = field(default_factory=dict)
 
-    @property
-    def node_count(self) -> int:
-        return self.graph.node_count
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(reliable, unreliable) edges, each an (m, 2) int64 array of pairs
+        (u, v), u < v, in sorted order.  Every gadget is a run of stars: hub
+        h reliably reaches its arms h+1..h+a, and the receiver h+a+1 reaches
+        arm h+1 reliably and the others unreliably; a reliable path adds the
+        rest (a star's tail off its hub, a chain's links and leftover)."""
+        d, n = self.delta, self.node_count
+        if self.kind == "chained":
+            hubs, a = np.array([s.hub for s in self.sections], dtype=np.int64), d - 1
+            # receiver to next hub, then the leftover path off the last receiver
+            tails = np.concatenate((hubs[1:] - 1, np.arange(hubs[-1] + d, n - 1)))
+            path = (tails, tails + 1)
+        else:
+            hubs = np.zeros(1, dtype=np.int64)
+            a = d - 1 if self.kind == "star" else d
+            tail = np.arange(a + 2, n)  # a double star has none
+            path = (np.concatenate(([0], tail))[:-1], tail)
+        arm = (hubs[:, None] + np.arange(1, a + 1)).ravel()
+        hub = np.repeat(hubs, a)
+        recv = np.repeat(hubs + a + 1, a)
+        first = arm == hub + 1
+        reliable = _sorted(np.concatenate((hub, arm[first], path[0])),
+                           np.concatenate((arm, recv[first], path[1])))
+        return reliable, _sorted(arm[~first], recv[~first])
+
+    @cached_property
+    def graph(self) -> DualGraph:
+        """The reference model's graph of these edges."""
+        reliable, unreliable = self.edges
+        return DualGraph.from_parts(self.node_count, reliable.tolist(), unreliable.tolist())
+
+
+def _sorted(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The pairs (u[i], v[i]) as an (m, 2) int64 array in sorted order."""
+    order = np.lexsort((v, u))
+    return np.stack((u[order], v[order]), axis=1).astype(np.int64)
 
 
 def star_gadget(delta: int, n: int) -> Gadget:
@@ -53,28 +108,9 @@ def star_gadget(delta: int, n: int) -> Gadget:
         raise ValueError("star gadget needs delta >= 3")
     if n < delta + 2:
         raise ValueError(f"size mismatch: star with delta={delta} needs n >= {delta + 2}")
-    hub = 0
-    arms = tuple(range(1, delta))
-    recv = delta
-    rel: list[Edge] = [(hub, a) for a in arms]
-    rel.append((1, recv))
-    tail = list(range(delta + 1, n))
-    prev = hub
-    for t in tail:
-        rel.append((prev, t))
-        prev = t
-    unr: list[Edge] = [(a, recv) for a in arms[1:]]
-    graph = DualGraph.from_parts(n, rel, unr)
-    assert graph.max_degree == delta
-    return Gadget(
-        kind="star",
-        graph=graph,
-        delta=delta,
-        broadcasters=frozenset({hub, *arms}),
-        receivers=frozenset({recv}),
-        receiver=recv,
-        meta={"hub": hub, "tail": tuple(tail)},
-    )
+    return Gadget(kind="star", delta=delta, node_count=n, broadcasters=range(delta),
+                  receivers=frozenset({delta}), receiver=delta, arms=delta - 2,
+                  unreliable_count=delta - 2)
 
 
 def double_star(delta: int) -> Gadget:
@@ -87,23 +123,10 @@ def double_star(delta: int) -> Gadget:
     """
     if delta < 4:
         raise ValueError("double star needs delta >= 4")
-    u = 0
-    arms = tuple(range(1, delta + 1))
     v = delta + 1
-    rel: list[Edge] = [(u, a) for a in arms]
-    rel.append((1, v))
-    unr: list[Edge] = [(a, v) for a in arms[1:]]
-    graph = DualGraph.from_parts(delta + 2, rel, unr)
-    assert graph.max_degree == delta
-    return Gadget(
-        kind="double_star",
-        graph=graph,
-        delta=delta,
-        broadcasters=frozenset(range(delta + 1)),
-        receivers=frozenset({v}),
-        receiver=v,
-        meta={"hub": u},
-    )
+    return Gadget(kind="double_star", delta=delta, node_count=delta + 2,
+                  broadcasters=range(delta + 1), receivers=frozenset({v}), receiver=v,
+                  arms=delta - 1, unreliable_count=delta - 1, meta={"hub": 0})
 
 
 def chained_gadgets(delta: int, diameter: int) -> Gadget:
@@ -121,74 +144,26 @@ def chained_gadgets(delta: int, diameter: int) -> Gadget:
         raise ValueError("chained construction needs delta >= 10")
     count = diameter // 3
     leftover = diameter - 3 * count
-    rel: list[Edge] = []
-    unr: list[Edge] = []
-    sections: list[tuple[int, tuple[int, ...], int]] = []  # (hub, arms, receiver)
-    for i in range(count):
-        base = i * (delta + 1)
-        hub = base
-        arms = tuple(range(base + 1, base + delta))
-        recv = base + delta
-        rel.extend((hub, a) for a in arms)
-        rel.append((arms[0], recv))
-        unr.extend((a, recv) for a in arms[1:])
-        sections.append((hub, arms, recv))
-        if i + 1 < count:
-            rel.append((recv, (i + 1) * (delta + 1)))
-    n = count * (delta + 1)
-    prev = n - 1  # last receiver
-    for _ in range(leftover):
-        rel.append((prev, n))
-        prev = n
-        n += 1
-    graph = DualGraph.from_parts(n, rel, unr)
-    assert graph.max_degree == delta
-
-    # unreliable_edges is sorted, so recover each section's dense indices
-    index_of = {e: i for i, e in enumerate(graph.unreliable_edges)}
-    built_sections = [
-        GadgetSection(hub, arms, recv,
-                      tuple(sorted(index_of[(min(a, recv), max(a, recv))] for a in arms[1:])))
-        for hub, arms, recv in sections]
-
+    m = delta - 2  # unreliable arms per section
+    sections = tuple(
+        GadgetSection(hub, range(hub + 1, hub + delta), hub + delta, range(i * m, (i + 1) * m))
+        for i, hub in enumerate(range(0, count * (delta + 1), delta + 1)))
     return Gadget(
         kind="chained",
-        graph=graph,
         delta=delta,
+        node_count=count * (delta + 1) + leftover,
         broadcasters=frozenset({0}),
-        receivers=frozenset(s.receiver for s in built_sections),
+        receivers=frozenset(s.receiver for s in sections),
         source=0,
-        sections=tuple(built_sections),
+        unreliable_count=count * m,
+        sections=sections,
         meta={"diameter": diameter, "gadget_count": count, "leftover": leftover},
-    )
-
-
-_VIRTUAL_THRESHOLD = 2 ** 24
-
-
-def virtual_star(delta: int) -> Gadget:
-    """Star spec for the analytic engine at degree bounds too large to
-    materialize (delta given as a log2 value); only the designated-receiver
-    structure exists, and the receiver's potential degree is delta - 1."""
-    if delta < 3:
-        raise ValueError("star needs delta >= 3")
-    graph = DualGraph.from_parts(2, [(0, 1)], [])
-    return Gadget(
-        kind="star",
-        graph=graph,
-        delta=delta,
-        broadcasters=frozenset({0}),
-        receivers=frozenset({1}),
-        receiver=1,
-        meta={"virtual": True},
     )
 
 
 def build_gadget(kind: str, delta: int, n: int | None = None,
                  diameter: int | None = None) -> Gadget:
     if kind == "star":
-        if delta >= _VIRTUAL_THRESHOLD:
-            return virtual_star(delta)
         return star_gadget(delta, n if n is not None else delta + 2)
     if kind == "double_star":
         return double_star(delta)

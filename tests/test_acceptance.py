@@ -11,8 +11,7 @@ import pytest
 from dualradio.adversary import gap_plan, shift_plan
 from dualradio.engine import (TrialConfig, rlb_repetitions, rlbc_repetitions,
                               rgb_repetitions, run_trial, run_trials)
-from dualradio.gadgets import (chained_gadgets, double_star, star_gadget,
-                               virtual_star)
+from dualradio.gadgets import build_gadget, chained_gadgets, double_star, star_gadget
 from dualradio.model import DualGraph, build_round_topology
 from dualradio.oracle import (brute_force_delivery_prob, exact_success_prob,
                               interval_min_bound, phase_success_sum,
@@ -268,7 +267,7 @@ def test_criterion_10_rlbc_restricted():
     sched = rlbc_schedule(delta, tau)
     l = int(math.floor(2.0 ** (4885 / (tau * (1.0 - 1.0 / log2e_of(tau)))))) // 4
     budget_cycles = rlbc_repetitions(delta, tau, eps)
-    g = virtual_star(delta)
+    g = build_gadget("star", delta)
     cfg = TrialConfig(problem="local", gadget=g, schedule=sched,
                       adversary={"kind": "degree_walk_restricted", "tau": tau,
                                  "l": l, "walk_mode": "dodging"},

@@ -410,6 +410,29 @@ class TestPolicies:
             compile_adversary(dict(spec, kind="static", tau=4), gadget,
                               rlb_schedule(16, 4))
 
+    def test_static_edges_on_a_huge_star(self):
+        # a star's unreliable edges are its receiver's delta - 2 arms, in
+        # closed form; an index past int64 is a config error
+        g = build_gadget("star", 2 ** 70)
+        sched = rlb_schedule(2 ** 70, 4)
+        policy = policy_for({"kind": "static", "tau": 4, "edges": [5, 2 ** 62]}, g, sched)
+        assert policy.degrees(1, 3).tolist() == [3.0] * 3
+        with pytest.raises(ValueError, match=r"64-bit indices, so it needs every index "
+                                             rf"< 2\^63; got \[{2 ** 64}\]"):
+            compile_adversary({"kind": "static", "tau": 4, "edges": [1, 2 ** 64]}, g, sched)
+        with pytest.raises(ValueError, match=rf"\[{2 ** 70 - 2}\] are not unreliable edge "
+                                             rf"indices 0\.\.{2 ** 70 - 3}"):
+            compile_adversary({"kind": "static", "tau": 4, "edges": [2 ** 70 - 2]}, g, sched)
+
+    def test_correlated_shift_degrees_must_be_exact_doubles(self):
+        sched = decay_schedule(2 ** 53)
+        fits = policy_for({"kind": "correlated_shift", "shift": 1},
+                          build_gadget("double_star", 2 ** 53 - 1), sched)
+        assert set(fits.degrees(1, sched.cycle_length).tolist()) == {1.0, 2.0 ** 53 - 1}
+        with pytest.raises(ValueError, match=r"needs delta < 2\^53; got delta = 2\^53"):
+            compile_adversary({"kind": "correlated_shift"}, build_gadget("double_star", 2 ** 53),
+                              sched)
+
     def test_iid_arm_count_must_fit_a_binomial(self):
         # a virtual star's receiver has delta - 2 arms, drawn as an int64 count
         sched = rlb_schedule(16, 2)

@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 import yaml
 
-from dualradio import engine
+from dualradio import cli, engine
 from dualradio.cli import (ConfigError, build_trial_config, expand_sweep,
                            fit_scaling, load_config, main, normalize_config, parse_delta,
                            read_trials_csv)
 from dualradio.engine import csv_header
+from dualradio.model import DualGraph
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -379,6 +380,48 @@ class TestRunCommand:
         assert "adversary.edge_prob: must be a number in [0, 1] or null, got 1.5" \
             in capsys.readouterr().err
         assert runs == [] and not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_infeasible_last_point_stops_the_run_before_any_point(self, tmp_path, capsys,
+                                                                  monkeypatch, jobs):
+        # the gap construction is feasible at delta 257 for tau 1, not for tau 2
+        runs = []
+        monkeypatch.setattr(engine, "run_trials", lambda *args: runs.append(args))
+        out = tmp_path / "t.csv"
+        path = write_config(tmp_path, base_config(
+            out=str(out), gadget={"kind": "star", "delta": 257}, adversary={"kind": "gap"},
+            sweep={"tau": [1, 2]}))
+        assert main(["run", path, "--jobs", jobs]) == 1
+        assert "gap construction infeasible: x = 0 < 1 for delta=257, tau=2" \
+            in capsys.readouterr().err
+        assert runs == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+    def test_workers_run_the_configs_built_up_front(self, tmp_path, monkeypatch):
+        built = []
+
+        def counted(point):
+            built.append(point["tau"])
+            return build_trial_config(point)
+
+        monkeypatch.setattr(cli, "build_trial_config", counted)
+        path = write_config(tmp_path, base_config(out=str(tmp_path / "t.csv"),
+                                                  sweep={"tau": [1, 2, 3]}))
+        assert main(["run", path, "--jobs", "2"]) == 0
+        assert built == [1, 2, 3]
+
+    def test_analytic_point_builds_no_graph(self, monkeypatch):
+        # gap-long's point: a 65,539-node star, described by its shape alone
+        cfg = normalize_config(load_config(str(ROOT / "bench/workloads/gap-long.yaml")))
+        [point] = expand_sweep(cfg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a DualGraph was built")
+
+        monkeypatch.setattr(DualGraph, "__init__", refuse)
+        config, _ = build_trial_config(point)
+        assert config.gadget.node_count == 65_539
+        assert engine.run_trials(config, 3).trial_count == 3
 
     @pytest.mark.parametrize("out, message", [
         ("missing/t.csv", "cannot write {out}: No such file or directory"),

@@ -5,7 +5,8 @@ import itertools
 import math
 import struct
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -26,11 +27,29 @@ from dualradio.oracle import exact_success_prob
 from dualradio.schedules import Schedule, decay_schedule, frlb_schedule, rlb_schedule
 
 
-def custom_gadget(graph, broadcasters, receivers, source=None, delta=None):
-    return Gadget(kind="star" if source is None else "chained",
-                  graph=graph, delta=delta or graph.max_degree,
-                  broadcasters=frozenset(broadcasters),
-                  receivers=frozenset(receivers), source=source)
+@dataclass(frozen=True)
+class GraphGadget(Gadget):
+    """A gadget over a given graph, without a designated receiver: its
+    edges are read from the graph, not built from a shape."""
+
+    given: DualGraph | None = None
+
+    @cached_property
+    def graph(self):
+        return self.given
+
+    @cached_property
+    def edges(self):
+        return (np.array(sorted(self.given.reliable_edges), dtype=np.int64).reshape(-1, 2),
+                np.array(self.given.unreliable_edges, dtype=np.int64).reshape(-1, 2))
+
+
+def custom_gadget(graph, broadcasters, receivers, source=None, delta=None, kind=None):
+    return GraphGadget(kind=kind or ("star" if source is None else "chained"),
+                       delta=delta or graph.max_degree, node_count=graph.node_count,
+                       broadcasters=frozenset(broadcasters), receivers=frozenset(receivers),
+                       source=source, unreliable_count=len(graph.unreliable_edges),
+                       given=graph)
 
 
 def star_config(delta=16, tau=4, adversary=None, seed=7, engine="materialized",
@@ -204,22 +223,30 @@ class TestLocalTrial:
         assert stats.success_rate == pytest.approx(predicted, abs=3 * sigma)
 
     @pytest.mark.parametrize("engine_mode", ["analytic_star", "materialized"])
-    @pytest.mark.parametrize("tau", [1, 2, 4])
-    def test_iid_random_q_matches_exact_law(self, engine_mode, tau):
+    @pytest.mark.parametrize("tau, rounds, apart", [(1, None, 0), (2, None, 0), (4, None, 0),
+                                                   (1, 10, 40)],
+                             ids=["1", "2", "4", "rlb-tau1-10-rounds"])
+    def test_iid_random_q_matches_exact_law(self, engine_mode, tau, rounds, apart):
         # criterion 6's points on other seeds, against the exact law of a
         # fresh q ~ U(0,1) per tau-block: given q, a round with p succeeds
         # with s(q) = p [(1 - qp)^A + A q (1 - p)(1 - qp)^(A-1)] (degree
         # 1 + Binomial(A, q), A = 62 unreliable arms), so
-        # P(done by R) = 1 - prod_blocks int_0^1 prod_{r in block} (1 - s_r(q)) dq
+        # P(done by R) = 1 - prod_blocks int_0^1 prod_{r in block} (1 - s_r(q)) dq.
+        # One q per trial (one block of R rounds) has another law, within
+        # 1.5 sigma of it at criterion 6's points; RLB at tau 1 over 10
+        # rounds sets the two `apart`: survival 0.044 against 0.106, 43 sigma
         delta, trials = 64, 20_000
-        sched = frlb_schedule(delta, tau)
+        sched = frlb_schedule(delta, tau) if rounds is None else rlb_schedule(delta, tau)
         cfg = TrialConfig(problem="local", gadget=star_gadget(delta, delta + 2),
                           schedule=sched, adversary={"kind": "iid_subset", "tau": tau},
                           seed=(620_000 if engine_mode == "materialized" else 610_000)
-                          + 1000 * tau, max_rounds=2 * sched.cycle_length,
+                          + 1000 * tau + (500 if rounds else 0),
+                          max_rounds=rounds or 2 * sched.cycle_length,
                           engine_mode=engine_mode)
         predicted = iid_random_q_done_prob(sched, delta - 2, cfg.max_rounds, tau)
         sigma = math.sqrt(predicted * (1 - predicted) / trials)
+        per_trial = iid_random_q_done_prob(sched, delta - 2, cfg.max_rounds, cfg.max_rounds)
+        assert abs(per_trial - predicted) >= apart * sigma
         assert run_trials(cfg, trials).success_rate == pytest.approx(predicted, abs=4.5 * sigma)
 
     def test_gap_adversary_median_bound(self):
@@ -756,7 +783,7 @@ class TestEngineEquivalence:
             extra_idx = rng.integers(0, m, size=int(rng.integers(0, 2 * m + 1))) if m \
                 else np.empty(0, dtype=np.int64)
             waiting = np.ones(n, dtype=bool) if case % 2 else rng.random(n) < 0.5
-            table = engine._neighbors(g)
+            table = engine._neighbors(custom_gadget(g, (), ()))
             cand = np.arange(n)
             near = engine._waiting_neighbors(table, waiting)
             front = engine._frontier(table, cand, waiting, near, m)

@@ -1,10 +1,11 @@
 """Benchmark topology constructions."""
 
+import hashlib
 from collections import deque
 
 import pytest
 
-from dualradio.gadgets import chained_gadgets, double_star, star_gadget
+from dualradio.gadgets import build_gadget, chained_gadgets, double_star, star_gadget
 from dualradio.model import graph_to_text
 
 
@@ -48,7 +49,7 @@ class TestStarGadget:
 
     def test_designated_sets(self):
         g = star_gadget(4, 6)
-        assert g.broadcasters == frozenset({0, 1, 2, 3})
+        assert set(g.broadcasters) == {0, 1, 2, 3}
         assert g.receivers == frozenset({g.receiver})
 
     def test_declared_delta_is_measured(self):
@@ -58,6 +59,9 @@ class TestStarGadget:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="size mismatch"):
             star_gadget(5, 6)
+        # at every delta, however large
+        with pytest.raises(ValueError, match="size mismatch"):
+            build_gadget("star", 2 ** 30, n=5)
 
 
 class TestDoubleStar:
@@ -79,7 +83,7 @@ class TestDoubleStar:
 
     def test_everyone_but_receiver_broadcasts(self):
         g = double_star(5)
-        assert g.broadcasters == frozenset(range(g.node_count)) - {g.receiver}
+        assert set(g.broadcasters) == set(range(g.node_count)) - {g.receiver}
 
 
 class TestChained:
@@ -121,3 +125,55 @@ class TestChained:
         a = graph_to_text(chained_gadgets(10, 24).graph)
         b = graph_to_text(chained_gadgets(10, 24).graph)
         assert a == b
+
+
+# SHA-256 of `graph_to_text` for each (kind, *values), as `dualradio gadget`
+# printed them when each gadget was built as Python edge sets
+TEXT_SHA256 = {
+    ("star", 4, 6): "d357fad508d409af14c377346a99225ff47ec599d9d04ed55735b1380d24a718",
+    ("star", 16, 40): "208ae3e00262259d759801ce2de047f79192d42b0b1a39de542941326076b566",
+    ("double_star", 6): "cc26d2d759024edc1d292c1999e7e285c8e9503857bd060a740dd30a448e9966",
+    ("chained", 10, 24): "a4a215720583ea1dd724e2819445d47ad26385050fb731730136813b02caaa71",
+    ("chained", 12, 26): "339107ab93e8a81eeb1ec764eb99805e5a6c371f02287d239188e6ec2df074c5",
+}
+BUILD = {"star": star_gadget, "double_star": double_star, "chained": chained_gadgets}
+
+
+class TestShape:
+    @pytest.mark.parametrize("key", sorted(TEXT_SHA256), ids=str)
+    def test_text_is_pinned(self, key):
+        text = graph_to_text(BUILD[key[0]](*key[1:]).graph)
+        assert hashlib.sha256(text.encode()).hexdigest() == TEXT_SHA256[key]
+
+    @pytest.mark.parametrize("key", sorted(TEXT_SHA256) + [("star", 257, 259),
+                                                        ("double_star", 257),
+                                                        ("chained", 257, 25)], ids=str)
+    def test_closed_forms_match_graph(self, key):
+        g = BUILD[key[0]](*key[1:])
+        graph = g.graph
+        assert g.node_count == graph.node_count
+        assert g.unreliable_count == len(graph.unreliable_edges)
+        assert g.graph.max_degree == g.delta
+        if g.receiver is not None:
+            # the receiver's arms are the unreliable edges 0..arms-1, here all of them
+            assert graph.unreliable_incident(g.receiver) == tuple(range(g.arms))
+            assert g.arms == g.unreliable_count
+        else:
+            assert g.arms == 0
+        for s, section in enumerate(g.sections):
+            m = g.delta - 2
+            assert section.unreliable_indices == range(s * m, (s + 1) * m)
+            assert graph.unreliable_incident(section.receiver) == tuple(section.unreliable_indices)
+            assert [graph.unreliable_edges[i] for i in section.unreliable_indices] == \
+                [(a, section.receiver) for a in section.arms[1:]]
+        rel, unr = g.edges
+        assert [tuple(e) for e in rel.tolist()] == sorted(graph.reliable_edges)
+        assert [tuple(e) for e in unr.tolist()] == list(graph.unreliable_edges)
+
+    @pytest.mark.parametrize("kind, delta, arms", [("star", 2 ** 4885, 2 ** 4885 - 2),
+                                                   ("double_star", 2 ** 70, 2 ** 70 - 1)])
+    def test_huge_shapes_in_closed_form(self, kind, delta, arms):
+        g = build_gadget(kind, delta)
+        assert g.arms == g.unreliable_count == arms
+        assert g.receiver not in g.broadcasters and g.receiver - 1 in g.broadcasters
+        assert g.node_count == delta + 2

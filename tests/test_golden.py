@@ -20,17 +20,27 @@ import pytest
 
 from dualradio import engine
 from dualradio.engine import TrialConfig, run_trials, trial_csv_row
-from dualradio.gadgets import (Gadget, build_gadget, chained_gadgets, double_star,
-                               star_gadget)
+from dualradio.gadgets import Gadget, build_gadget, chained_gadgets, double_star, star_gadget
 from dualradio.model import DualGraph
+from test_engine import custom_gadget
 from dualradio.schedules import (decay_schedule, frlb_schedule, rlb_schedule,
                                  rlbc_schedule)
 
 
 def _custom(n, reliable, unreliable, broadcasters=(), receivers=()):
-    return Gadget(kind="chained", graph=DualGraph.from_parts(n, reliable, unreliable),
-                  delta=2, broadcasters=frozenset(broadcasters),
-                  receivers=frozenset(receivers), source=0)
+    return custom_gadget(DualGraph.from_parts(n, reliable, unreliable), broadcasters,
+                         receivers, source=0, delta=2, kind="chained")
+
+
+def _degree_only_star(delta):
+    """A star as the analytic engine reads it, labeled as the hashes of the
+    configs on it were recorded: broadcaster node 0 and receiver node 1,
+    with delta - 2 unreliable arms.  `build_gadget("star", delta)` gives the
+    same runs, except that `first_delivery` names its receiver, node delta
+    (see `test_star_label_moves_only_the_receiver`)."""
+    return Gadget(kind="star", delta=delta, node_count=2, broadcasters=frozenset({0}),
+                  receivers=frozenset({1}), receiver=1, arms=delta - 2,
+                  unreliable_count=delta - 2)
 
 
 def _configs():
@@ -42,9 +52,9 @@ def _configs():
     ds256 = double_star(256)
     gap_star = star_gadget(2 ** 10 + 1, 2 ** 10 + 3)
     gap_star_big = star_gadget(2 ** 12 + 1, 2 ** 12 + 3)
-    virtual = build_gadget("star", 2 ** 24 + 1)
-    huge = build_gadget("star", 2 ** 200)
-    extreme = build_gadget("star", 2 ** 4885)
+    virtual = _degree_only_star(2 ** 24 + 1)
+    huge = _degree_only_star(2 ** 200)
+    extreme = _degree_only_star(2 ** 4885)
     chain10 = chained_gadgets(10, 24)
     chain257 = chained_gadgets(2 ** 8 + 1, 24)
     path8 = _custom(8, [(i, i + 1) for i in range(7)], [])
@@ -319,6 +329,22 @@ def test_golden_hash(name):
 
 def test_every_config_is_pinned():
     assert sorted(GOLDEN) == sorted(CONFIGS)
+
+
+@pytest.mark.parametrize("name", [
+    "a-gap-virtual", "a-iid-random-q-tau3-virtual", "a-static-virtual",
+    "a-walk-beyond-2^53-completes"])
+def test_star_label_moves_only_the_receiver(name):
+    # the configs on a degree-only star run the same on the star that
+    # build_gadget makes, but for the receiver's node in first_delivery
+    config, trials = CONFIGS[name]
+    built = replace(config, gadget=build_gadget("star", config.gadget.delta))
+    for old, new in zip(run_trials(config, trials).results,
+                        run_trials(built, trials).results):
+        assert trial_csv_row(0, config, old) == trial_csv_row(0, built, new)
+        assert old.distribution_changes == new.distribution_changes
+        assert list(old.first_delivery.values()) == list(new.first_delivery.values())
+        assert set(new.first_delivery) <= {config.gadget.delta}
 
 
 @pytest.mark.parametrize("name", ["g-chained-gap-small-reps", "g-budget-exhausted"])
