@@ -48,7 +48,7 @@ class Gadget:
     kind: str
     delta: int
     node_count: int
-    broadcasters: frozenset[int] | range
+    broadcasters: range
     receivers: frozenset[int]
     source: int | None = None
     receiver: int | None = None
@@ -126,7 +126,7 @@ def double_star(delta: int) -> Gadget:
     v = delta + 1
     return Gadget(kind="double_star", delta=delta, node_count=delta + 2,
                   broadcasters=range(delta + 1), receivers=frozenset({v}), receiver=v,
-                  arms=delta - 1, unreliable_count=delta - 1, meta={"hub": 0})
+                  arms=delta - 1, unreliable_count=delta - 1)
 
 
 def chained_gadgets(delta: int, diameter: int) -> Gadget:
@@ -152,7 +152,7 @@ def chained_gadgets(delta: int, diameter: int) -> Gadget:
         kind="chained",
         delta=delta,
         node_count=count * (delta + 1) + leftover,
-        broadcasters=frozenset({0}),
+        broadcasters=range(1),
         receivers=frozenset(s.receiver for s in sections),
         source=0,
         unreliable_count=count * m,

@@ -29,9 +29,11 @@ from dualradio.schedules import Schedule, decay_schedule, frlb_schedule, rlb_sch
 
 @dataclass(frozen=True)
 class GraphGadget(Gadget):
-    """A gadget over a given graph, without a designated receiver: its
-    edges are read from the graph, not built from a shape."""
+    """A gadget over a given graph and any broadcaster set, without a
+    designated receiver: its edges are read from the graph, not built from
+    a shape."""
 
+    broadcasters: frozenset[int]
     given: DualGraph | None = None
 
     @cached_property

@@ -49,7 +49,7 @@ class TestStarGadget:
 
     def test_designated_sets(self):
         g = star_gadget(4, 6)
-        assert set(g.broadcasters) == {0, 1, 2, 3}
+        assert g.broadcasters == range(4)
         assert g.receivers == frozenset({g.receiver})
 
     def test_declared_delta_is_measured(self):
@@ -83,7 +83,7 @@ class TestDoubleStar:
 
     def test_everyone_but_receiver_broadcasts(self):
         g = double_star(5)
-        assert set(g.broadcasters) == set(range(g.node_count)) - {g.receiver}
+        assert g.broadcasters == range(g.node_count - 1) and g.receiver == g.node_count - 1
 
 
 class TestChained:
@@ -104,6 +104,7 @@ class TestChained:
 
     def test_source_degree(self):
         g = chained_gadgets(10, 24)
+        assert g.source == 0 and g.broadcasters == range(1)
         assert len(g.graph.reliable_neighbors(0)) == 9
 
     def test_leftover_path_appended(self):
