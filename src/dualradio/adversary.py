@@ -19,7 +19,9 @@ stream and every result are the same as when every edge is drawn.
 Policies may change the distribution they draw from at most once every
 `tau` rounds: the rule lives in `AdversaryPolicy.pre_round`, which both
 engines' calls go through, and every distribution change is appended to
-`change_log` so the engine can audit it.  The degree walk has one step
+`change_log` so the engine can audit it.  `pre_round` returns the next
+round it must see, so the materialized engine calls it only at events: in
+that round and in the round after a delivery.  The degree walk has one step
 rule, `walk_degrees`, and every random edge subset comes from
 `uniform_subsets`, one generator call per round.
 
@@ -49,17 +51,28 @@ from .oracle import exact_success_logprob, log_phase_success_sum, success_peak_d
 from .schedules import Schedule
 
 
+_NEVER = int(np.iinfo(np.int64).max)  # a round that never comes
+
+
 @dataclass
 class ObservableHistory:
-    """The materialized engine's public state, held by reference: each
-    node's first delivery round, and `act`, the round after which each node
-    transmits (int64 max while unreached).  `act` changes only together
-    with a delivery: the engine sets a node's entry when the node is first
-    reached, in the round it enters `first_delivery`.  Contains no private
-    coins."""
+    """The materialized engine's public state, held by reference:
+    `delivery`, each node's first delivery round, `count`, the number of
+    nodes reached, and `act`, the round after which each node transmits
+    (both arrays int64, _NEVER while unreached).  `act` changes only
+    together with a delivery: the engine sets a node's entry when the node
+    is first reached, in the round `deliver` records it.  Contains no
+    private coins."""
 
-    first_delivery: dict[int, int]
+    delivery: np.ndarray
     act: np.ndarray
+    count: int = 0
+
+    def deliver(self, nodes, round_index: int) -> None:
+        """Record `nodes`, none of them reached before, as first reached in
+        round_index."""
+        self.delivery[nodes] = round_index
+        self.count += len(nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +447,14 @@ class AdversaryPolicy:
     range of rounds, in order, through the hook `_blocks`, or `_enter_block`
     for the one block of a single round: given the new blocks' indices they
     draw their distributions and return their fingerprints, which
-    `change_log` records wherever they differ from the last.  `_degrees`
+    `change_log` records wherever they differ from the last.  It returns
+    the next round it must see, the first of the next block.  `_degrees`
     maps rounds to the receiver's degrees.  The analytic engine calls
     `degrees`, which enters every block of a chunk of rounds at once, or
-    one round's block for a single round; the materialized engine calls
-    `pre_round` and then `sample_edges` once every round.  Rounds are asked
+    one round's block for a single round.  The materialized engine calls
+    `sample_edges` once every round, and before it `pre_round` in round 1,
+    in the round `pre_round` last returned and in each round after a
+    delivery; a call in any other round changes nothing.  Rounds are asked
     for in order.
     """
 
@@ -456,31 +472,32 @@ class AdversaryPolicy:
             self.change_log.append((round_index, fingerprint))
             self._fingerprint = fingerprint
 
-    def pre_round(self, round_index: int, through: int | None = None) -> None:
+    def pre_round(self, round_index: int, through: int | None = None) -> int:
         """Enter the blocks of rounds round_index..through (by default
-        round_index alone) that were not entered yet."""
+        round_index alone) that were not entered yet; the next round that
+        must be entered, the first of the next block (_NEVER for tau None)."""
         span = self.tau or _WHOLE_RUN
         block = (round_index - 1) // span
         if through is None:  # one round: only its own block can be new
             if block > self._block:
                 self._block = block
                 self._record(round_index, self._enter_block(block))
-            return
+            return (block + 1) * span + 1 if self.tau else _NEVER
         last = (through - 1) // span
-        if last <= self._block:
-            return
-        first = max(block, self._block + 1)
-        self._block = last
-        begin = first * span + 1
-        changes = self._blocks(range(first, last + 1))
-        log = self.change_log
-        _, fp = changes[0]
-        if fp != self._fingerprint:
-            # block `first` may have begun before round_index
-            log.append((max(round_index, begin), fp))
-        for i, fp in changes[1:]:
-            log.append((begin + i * span, fp))
-        self._fingerprint = fp
+        if last > self._block:
+            first = max(block, self._block + 1)
+            self._block = last
+            begin = first * span + 1
+            changes = self._blocks(range(first, last + 1))
+            log = self.change_log
+            _, fp = changes[0]
+            if fp != self._fingerprint:
+                # block `first` may have begun before round_index
+                log.append((max(round_index, begin), fp))
+            for i, fp in changes[1:]:
+                log.append((begin + i * span, fp))
+            self._fingerprint = fp
+        return (last + 1) * span + 1 if self.tau else _NEVER
 
     def degrees(self, start_round: int, count: int):
         """Receiver effective degrees for rounds start..start+count-1; for
@@ -741,7 +758,7 @@ class ChainSections(NamedTuple):
     sizes: list[int]       # each section's unreliable arm count
     offsets: list[int]     # section s's arms are the edges offsets[s]..offsets[s + 1] - 1
     heads: np.ndarray      # each section's first arm, whose activation starts its phases
-    receivers: list[int]   # each section's local receiver
+    receivers: np.ndarray  # each section's local receiver
     section_of: list[int]  # each node's section (past the last section: the last)
 
 
@@ -756,7 +773,7 @@ def chain_sections(gadget: Gadget) -> ChainSections:
         sizes=sizes,
         offsets=[0, *itertools.accumulate(sizes)],
         heads=np.array([s.arms[0] for s in sections], dtype=np.int64),
-        receivers=[s.receiver for s in sections],
+        receivers=np.array([s.receiver for s in sections], dtype=np.int64),
         section_of=(np.searchsorted(hubs, nodes, side="right") - 1).tolist())
 
 
@@ -772,11 +789,11 @@ class ChainedGapPolicy(AdversaryPolicy):
     Section s's phase j begins in round act + 1 + (j - 1) tau, act being
     its first arm's activation round (see `ObservableHistory`).
 
-    When every phase has one degree (a period-1 table), `pre_round`
-    rescans the sections only in the first round and in a round after a
-    delivery: `act` changes only with one, so only then can a section start
-    its phases or freeze; in any other round it returns at once.  With a
-    longer period it rescans every round.
+    When every phase has one degree (a period-1 table), a section's degree
+    changes only when it freezes, and `pre_round` looks for newly frozen
+    sections only in the first round and in a round after a delivery (it
+    returns at once in any other) and returns _NEVER.  With a longer period
+    it rescans every section's phase every round and returns the next.
 
     Each round every gadget's unreliable arms get a fresh uniform subset,
     in section order from one stream (see `uniform_subsets`), but only the
@@ -795,7 +812,7 @@ class ChainedGapPolicy(AdversaryPolicy):
         self.section_frozen = [False] * count
         self._frozen_phase = [1] * count  # the phase each section froze in
         self._live = list(range(count))  # the sections not frozen
-        self._live_heads = chain.heads
+        self._live_heads, self._live_receivers = chain.heads, chain.receivers
         self._first: list[int] = []  # uniforms a full draw takes before section s
         self._owed = 0  # uniforms skipped but not yet advanced past
         self._round = 0  # the last round entered
@@ -807,39 +824,41 @@ class ChainedGapPolicy(AdversaryPolicy):
 
     @property
     def section_phase(self) -> list[int]:
-        """Each section's phase in the last round entered; a frozen section
-        keeps the phase it was in before it froze."""
+        """Each section's phase in the last round `pre_round` saw; a frozen
+        section keeps the phase it was in before it froze."""
         acts = self.history.act[self.chain.heads].tolist()
         return [self._frozen_phase[i] if frozen else self._phase_at(self._round, act)
                 for i, (frozen, act) in enumerate(zip(self.section_frozen, acts))]
 
     def pre_round(self, round_index):
-        delivered = self.history.first_delivery
-        if len(delivered) == self._seen and self._phase_degree.period == 1:
+        history, table = self.history, self._phase_degree
+        if history.count == self._seen and table.period == 1:
             self._round = round_index
-            return
+            return _NEVER
         changed = self._fingerprint is None
-        receivers, table = self.chain.receivers, self._phase_degree
-        acts = self.history.act[self._live_heads].tolist()
-        froze = False
-        for i, act in zip(self._live, acts):
-            if receivers[i] in delivered:
-                self.section_frozen[i] = changed = froze = True
-                self._frozen_phase[i] = self._phase_at(self._round, act)
-                continue
-            phase = self._phase_at(round_index, act)
-            degree = table(phase - 1)
-            if degree != self.section_degree[i]:
-                self.section_degree[i] = degree
-                changed = True
-        self._round, self._seen = round_index, len(delivered)
-        if froze:
+        received = history.delivery[self._live_receivers] != _NEVER
+        if received.any():
+            acts = history.act[self._live_heads].tolist()
+            for j in received.nonzero()[0].tolist():
+                i = self._live[j]
+                self.section_frozen[i] = changed = True
+                self._frozen_phase[i] = self._phase_at(round_index - 1, acts[j])
             self._live = [i for i in self._live if not self.section_frozen[i]]
             self._live_heads = self.chain.heads[self._live]
+            self._live_receivers = self.chain.receivers[self._live]
+        if table.period > 1:  # under period 1 every phase has the first phase's degree
+            acts = history.act[self._live_heads].tolist()
+            for i, act in zip(self._live, acts):
+                degree = table(self._phase_at(round_index, act) - 1)
+                if degree != self.section_degree[i]:
+                    self.section_degree[i] = degree
+                    changed = True
+        self._round, self._seen = round_index, history.count
         if changed:
             self._enter_degrees()
             self._record(round_index, ("chained", tuple(zip(self.section_degree,
                                                             self.section_frozen))))
+        return _NEVER if table.period == 1 else round_index + 1
 
     def _enter_degrees(self) -> None:
         """Count, for `section_degree`, the uniforms a full draw takes before

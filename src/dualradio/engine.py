@@ -74,7 +74,12 @@ The adversary's edge draws are narrowed without changing its stream: each
 round the policy is given the counted transmitters, and `chained_gap`
 draws only the uniforms of a run of sections that holds every edge at one
 of them, and skips the others' by advancing the adversary stream (see
-`adversary.AdversaryPolicy.sample_edges`).
+`adversary.AdversaryPolicy.sample_edges`).  Its bookkeeping is asked for
+only at events: `pre_round` in round 1, in the round it named last and in
+the round after a delivery; idle stretches stop at that round.
+Each node's first delivery round is kept in an int64 array, _NEVER while
+unreached, as `act` is; the result's `first_delivery` reads it as a
+node -> round mapping (`FirstDelivery`).
 """
 
 from __future__ import annotations
@@ -82,6 +87,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -89,7 +95,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .adversary import (_EXACT, AdversaryPlan, ObservableHistory, compile_adversary,
+from .adversary import (_EXACT, _NEVER, AdversaryPlan, ObservableHistory, compile_adversary,
                         make_policy, uniform_subsets)
 from .gadgets import EDGE_LIMIT, Gadget
 from .oracle import exact_success_logprob
@@ -102,7 +108,6 @@ from .schedules import Schedule, ceil_log2, log2e_of
 _STEPPED = 16
 _FIRST_CHUNK = 16
 _CHUNK = 4096
-_NEVER = np.iinfo(np.int64).max  # activation round of a node never reached
 _LN2 = math.log(2.0)
 
 
@@ -177,8 +182,13 @@ class TrialConfig:
             raise ValueError(f"epsilon: must be in (0,1), got {self.epsilon!r}")
         gadget = self.gadget
         if self.engine_mode == "materialized" and gadget.delta >= EDGE_LIMIT:
-            raise ValueError("a virtual star (delta >= 2^24) has no edges to simulate; "
-                             "run it on the analytic_star engine")
+            hint = ("; run it on the analytic_star engine"
+                    if self.problem == "local" and gadget.kind in ("star", "double_star")
+                    else "")
+            raise ValueError(
+                f"the materialized engine builds every edge, so it needs delta < "
+                f"2^{EDGE_LIMIT.bit_length() - 1}; got a {gadget.kind} gadget with delta = "
+                f"2^{math.log2(gadget.delta):.6g}{hint}")
         if self.engine_mode == "analytic_star":
             if self.problem != "local":
                 raise ValueError("analytic engine only runs local broadcast")
@@ -212,11 +222,39 @@ class TrialConfig:
                          self.adversary.get("kind", "static")))
 
 
+class FirstDelivery(Mapping):
+    """Read-only node -> first delivery round over a materialized trial's
+    int64 array of delivery rounds (_NEVER: not reached) and the count of
+    nodes reached.  It yields Python ints, nodes in increasing order, and
+    compares equal to the dict of the same pairs."""
+
+    __slots__ = ("_rounds", "_count")
+
+    def __init__(self, rounds: np.ndarray, count: int):
+        self._rounds, self._count = rounds, count
+
+    def __getitem__(self, node) -> int:
+        if isinstance(node, (int, np.integer)) and 0 <= node < len(self._rounds):
+            round_ = int(self._rounds[node])
+            if round_ != _NEVER:
+                return round_
+        raise KeyError(node)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(np.flatnonzero(self._rounds != _NEVER).tolist())
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __repr__(self) -> str:
+        return f"FirstDelivery({dict(self)!r})"
+
+
 @dataclass(frozen=True)
 class TrialResult:
     completed: bool
     completion_round: int | None
-    first_delivery: dict[int, int]
+    first_delivery: Mapping[int, int]
     rounds_executed: int
     seed: int
     distribution_changes: tuple[tuple[int, object], ...]
@@ -586,10 +624,10 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     budget, relay, left = start.budget, start.relay, start.left
     act, waiting, near = start.act.copy(), start.waiting.copy(), start.near.copy()
     starts = start.starts.copy()
-    first_delivery: dict[int, int] = {}
+    history = ObservableHistory(np.full(len(act), _NEVER, dtype=np.int64), act)
 
     np_nodes, np_adv, q_adv = trial_rngs(config.seed, trial, start.seeds)
-    policy = make_policy(config.plan, np_adv, q_adv, ObservableHistory(first_delivery, act))
+    policy = make_policy(config.plan, np_adv, q_adv, history)
     pre_round, sample_edges = policy.pre_round, policy.sample_edges
     probs, hazard = schedule.prob_array.tolist(), start.hazard
 
@@ -611,7 +649,9 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     # drops a drawn round: no coin showed before it, and later rounds'
     # coins are independent of that.  The adversary is asked every round,
     # after the coins, for the active edges at the counted transmitters
-    # `tx` alone.
+    # `tx` alone; it is entered (`pre_round`) at the top of round `enter`,
+    # the round it named or the round after a delivery, at which idle
+    # stretches stop.
     table = start.table
     edge_count = config.gadget.unreliable_count
     last = config.max_rounds
@@ -619,11 +659,13 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     empty = np.empty(0, dtype=np.int64)
     cand, next_event, frontier = start.cand, start.next_event, start.frontier
     rebuild = next_event
+    enter = 1
     fire = 0
     r = 0
     while r < last:
         r += 1
-        pre_round(r)
+        if r >= enter:
+            enter = pre_round(r)
         if r >= rebuild:
             if r >= next_event:
                 cand, next_event = _transmitter_window(act, starts, r, budget)
@@ -644,14 +686,14 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
                 tx = frontier.span[coins]
         if fire != r:
             # no counted candidate transmits: idle up to the drawn round,
-            # the next window event or the last round, whichever is first;
-            # stop when no node transmits now and no activation is pending
-            # (every node is unreached forever or past its budget)
+            # the next window event, the adversary's next round or the last
+            # round, whichever is first; stop when no node transmits now and
+            # no activation is pending (every node is unreached forever or
+            # past its budget)
             sample_edges(r, empty)
             if not len(cand) and rebuild == _NEVER:
                 break
-            for r in range(r + 1, min(fire, rebuild, last + 1)):
-                pre_round(r)
+            for r in range(r + 1, min(fire, rebuild, enter, last + 1)):
                 sample_edges(r, empty)
             continue
         fire = 0
@@ -661,8 +703,7 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
         if len(newly):
             waiting[newly] = False
             left -= len(newly)
-            for v in newly.tolist():
-                first_delivery[v] = r
+            history.deliver(newly, r)
             if relay:
                 activation = align * math.ceil(r / align)
                 act[newly] = activation
@@ -674,12 +715,13 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
                 break
             # a delivered node no longer waits next to its table neighbors
             np.subtract.at(near, table.heard[_slice_positions(table, newly)], 1)
-            rebuild = r + 1
+            rebuild = enter = r + 1
 
+    history.delivery.flags.writeable = False
     return TrialResult(
         completed=completion is not None,
         completion_round=completion,
-        first_delivery=dict(first_delivery),
+        first_delivery=FirstDelivery(history.delivery, history.count),
         rounds_executed=r,
         seed=config.seed + trial,
         distribution_changes=tuple(policy.change_log),

@@ -38,7 +38,9 @@ def every_node(gadget):
 
 def unreached(gadget):
     """A materialized engine's history before any node is reached."""
-    return ObservableHistory({}, np.full(gadget.graph.node_count, _NEVER, dtype=np.int64))
+    n = gadget.graph.node_count
+    return ObservableHistory(np.full(n, _NEVER, dtype=np.int64),
+                             np.full(n, _NEVER, dtype=np.int64))
 
 
 class TestGapPlan:
@@ -737,7 +739,7 @@ class TestChainedController:
         for r in range(1, 6):
             policy.pre_round(r)
         frozen_phase = policy.section_phase[0]
-        hist.first_delivery[g.sections[0].receiver] = 5
+        hist.deliver([g.sections[0].receiver], 5)
         for r in range(6, 30):
             policy.pre_round(r)
         assert policy.section_frozen[0]
@@ -814,11 +816,11 @@ class FullScanChainedGap(ChainedGapPolicy):
 
     def pre_round(self, round_index):
         changed = self._fingerprint is None
-        delivered, receivers = self.history.first_delivery, self.chain.receivers
+        delivery, receivers = self.history.delivery, self.chain.receivers
         acts = self.history.act[self._live_heads].tolist()
         froze = False
         for i, act in zip(self._live, acts):
-            if receivers[i] in delivered:
+            if delivery[receivers[i]] != _NEVER:
                 self.section_frozen[i] = changed = froze = True
             elif round_index > act + 1:
                 phase = 1 + (round_index - act - 1) // self.tau
@@ -877,9 +879,9 @@ class TestLazyChainedRescan:
             newly = {v for v in pool if rng.random() < 0.02}
             if rng.random() < 0.2:
                 newly.add(int(rng.integers(n)))
-            for v in sorted(newly - hist.first_delivery.keys()):
-                hist.first_delivery[v] = r
-                hist.act[v] = align * math.ceil(r / align)
+            newly = sorted(v for v in newly if hist.delivery[v] == _NEVER)
+            hist.deliver(newly, r)
+            hist.act[newly] = align * math.ceil(r / align)
         # both changed degrees and froze sections
         assert any(any(f for _, f in fp[1]) for _, fp in full.change_log)
         if period > 1:

@@ -448,9 +448,34 @@ class TestAdversaryFit:
                      schedule=rlb_schedule(delta, 2),
                      adversary={"kind": "iid_subset", "tau": 2, "edge_prob": 1.0},
                      seed=0, max_rounds=2000)
-        with pytest.raises(ValueError, match="virtual star .* analytic_star engine"):
+        with pytest.raises(ValueError, match=r"^the materialized engine builds every edge, "
+                           r"so it needs delta < 2\^24; got a star gadget with delta = "
+                           r"2\^30; run it on the analytic_star engine$"):
             run_trial(TrialConfig(**point))
         assert run_trial(TrialConfig(**point, engine_mode="analytic_star")).completed
+
+    @pytest.mark.parametrize("problem, gadget, delta_log2, hint", [
+        ("local", lambda: double_star(2 ** 30), "30", True),
+        ("global", lambda: chained_gadgets(2 ** 24, 24), "24", False),
+        ("local", lambda: chained_gadgets(2 ** 24, 24), "24", False),
+    ], ids=["double-star", "chain-global", "chain-local"])
+    def test_huge_gadget_rejected_on_materialized_engine(self, problem, gadget, delta_log2,
+                                                         hint):
+        # the message names the gadget kind and the bound on delta; it
+        # offers the analytic engine only for a local run on a star or a
+        # double star, the only runs that engine takes
+        gadget = gadget()
+        point = dict(problem=problem, gadget=gadget, schedule=frlb_schedule(gadget.delta, 2),
+                     adversary={"kind": "iid_subset", "tau": 2}, seed=0, max_rounds=100)
+        message = (f"the materialized engine builds every edge, so it needs delta < 2^24; "
+                   f"got a {gadget.kind} gadget with delta = 2^{delta_log2}")
+        with pytest.raises(ValueError) as raised:
+            TrialConfig(**point)
+        assert str(raised.value) == message + ("; run it on the analytic_star engine"
+                                               if hint else "")
+        if not hint:
+            with pytest.raises(ValueError, match="analytic engine"):
+                TrialConfig(**point, engine_mode="analytic_star")
 
     @pytest.mark.parametrize("gadget, spec, message", [
         (star_gadget(64, 66), {"kind": "gap", "tau": 2}, "gap construction infeasible"),
@@ -594,8 +619,9 @@ def reference_trial(config: TrialConfig, trial: int = 0,
     act[starters] = 0
     waiting = set(targets)
     first_delivery = {}
+    history = ObservableHistory(np.full(n, _NEVER, dtype=np.int64), act)
     np_nodes, np_adv, q_adv = trial_rngs(config.seed, trial)
-    policy = make_policy(config.plan, np_adv, q_adv, ObservableHistory(first_delivery, act))
+    policy = make_policy(config.plan, np_adv, q_adv, history)
     completion, r = None, 0
     for r in range(1, config.max_rounds + 1):
         policy.pre_round(r)
@@ -615,6 +641,7 @@ def reference_trial(config: TrialConfig, trial: int = 0,
         topology = build_round_topology(graph, [graph.unreliable_edges[i] for i in extra], r)
         newly = sorted(set(deliver(topology, tx).receivers()) & waiting)
         waiting.difference_update(newly)
+        history.deliver(newly, r)
         for v in newly:
             first_delivery[v] = r
             if config.problem == "global":
@@ -892,7 +919,7 @@ class TestEngineEquivalence:
                 assert cand.tolist() == want.tolist(), r
                 if trial.get("rescanned") != r:
                     seen["delivery"] += 1
-                elif r - 1 in trial["delivered"].values():
+                elif (trial["delivered"] == r - 1).any():
                     seen["delivery, then event"] += 1
             return frontier(table, cand, waiting, near, edge_count)
 
@@ -909,12 +936,14 @@ class TestEngineEquivalence:
 
         def recording_policy(plan, np_adv, q_adv, history):
             policy = bind(plan, np_adv, q_adv, history)
-            trial.update(act=history.act, delivered=history.first_delivery)
+            trial.update(act=history.act, delivered=history.delivery)
             pre_round = policy.pre_round
 
             def entering(r):
+                # asked to be entered every round, so it sees every round
                 trial["round"] = r
-                return pre_round(r)
+                pre_round(r)
+                return r + 1
 
             policy.pre_round = entering
             return policy
@@ -951,6 +980,191 @@ class TestEngineEquivalence:
         p = sum(rates) / 2
         sigma = math.sqrt(2 * p * (1 - p) / n)
         assert abs(rates[0] - rates[1]) <= 3 * sigma
+
+
+class TestFirstDelivery:
+    """A materialized trial's `first_delivery` is a read-only node -> round
+    mapping over its delivery array; the analytic engine's is a dict."""
+
+    @staticmethod
+    def replayed(cfg, monkeypatch):
+        """The engine's trial 0 and the reference's, given the engine's
+        transmitters."""
+        sent, bind = {}, engine.make_policy
+
+        def recording(*args):
+            policy = bind(*args)
+            sample = policy.sample_edges
+
+            def sample_edges(r, tx):
+                if len(tx):
+                    sent[r] = tx.tolist()
+                return sample(r, tx)
+
+            policy.sample_edges = sample_edges
+            return policy
+
+        monkeypatch.setattr(engine, "make_policy", recording)
+        got = run_trial(cfg)
+        return got, reference_trial(cfg, replay=sent)
+
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    def test_equals_the_reference_dict(self, problem, monkeypatch):
+        rng = np.random.default_rng([20261020, len(problem)])
+        reached = 0
+        for case in range(30):
+            cfg = random_trial_config(rng, problem, "iid_subset", seed=case)
+            got, want = self.replayed(cfg, monkeypatch)
+            first, expected = got.first_delivery, want.first_delivery
+            assert isinstance(expected, dict) and not isinstance(first, dict)
+            assert first == expected and expected == first, case
+            assert not (first != expected or expected != first)
+            assert len(first) == len(expected)
+            reached += len(expected)
+            # yields Python ints, nodes in increasing order
+            assert list(first) == sorted(expected)
+            assert list(first.items()) == sorted(expected.items())
+            assert all(type(x) is int for pair in first.items() for x in pair)
+            for node in range(-1, cfg.gadget.node_count + 1):
+                assert (node in first) == (node in expected)
+                assert first.get(node) == expected.get(node)
+            assert first != {**expected, cfg.gadget.node_count: 1}
+            assert {**expected, cfg.gadget.node_count: 1} != first
+        assert reached
+
+    def test_read_only(self):
+        cfg = TrialConfig(problem="global", gadget=chained_gadgets(10, 24),
+                          schedule=frlb_schedule(10, 4), adversary={"kind": "static", "tau": 4},
+                          seed=9, max_rounds=100_000)
+        first = run_trial(cfg).first_delivery
+        node = next(iter(first))
+        with pytest.raises(TypeError):
+            first[node] = 0
+        with pytest.raises(KeyError):
+            first[cfg.gadget.source]
+        assert cfg.gadget.source not in first
+
+    def test_chained_point_keeps_no_per_node_dict(self):
+        cfg = TrialConfig(problem="global", gadget=chained_gadgets(33, 24),
+                          schedule=frlb_schedule(33, 1),
+                          adversary={"kind": "chained_gap", "tau": 1}, seed=4,
+                          max_rounds=100_000)
+        for res in run_trials(cfg, 3).results:
+            first = res.first_delivery
+            assert res.completed and len(first) == cfg.gadget.node_count - 1
+            assert isinstance(first, engine.FirstDelivery) and not hasattr(first, "__dict__")
+            assert not any(isinstance(getattr(first, slot), dict)
+                           for slot in engine.FirstDelivery.__slots__)
+
+    def test_analytic_engine_keeps_a_dict(self):
+        cfg = star_config(16, 2, engine="analytic_star")
+        res = run_trial(cfg)
+        assert res.completed and type(res.first_delivery) is dict
+        assert res.first_delivery == {cfg.gadget.receiver: res.completion_round}
+
+
+def event_cases():
+    """(id, config) for every adversary kind on the materialized engine at
+    tau 1, 3 and infinity where the kind takes it: static and iid_subset
+    in local trials on small random dual graphs and global ones on chains
+    of 33-stars; the kinds that act on a designated receiver in local
+    trials on a star (a double star for correlated_shift) with a few
+    broadcasters, so that most rounds are idle; chained_gap on chains with
+    a period-1 phase table (frlb at tau 1) and a longer one (decay's)."""
+    rng = np.random.default_rng(20261020)
+    star64 = replace(star_gadget(64, 66), broadcasters=range(40, 44))
+    for tau in (1, 3, None):
+        for kind in ("static", "iid_subset"):
+            for case in range(6):
+                cfg = random_trial_config(rng, "local", kind, seed=100 * case)
+                yield f"{kind}-local-{tau}", replace(cfg, adversary={**cfg.adversary,
+                                                                     "tau": tau})
+            yield f"{kind}-global-{tau}", TrialConfig(
+                problem="global", gadget=chained_gadgets(33, 25), schedule=decay_schedule(33),
+                adversary={"kind": kind, "tau": tau}, seed=7, max_rounds=4000, rgb_reps=2)
+        for kind in ("degree_walk_deterministic", "degree_walk_restricted"):
+            yield f"{kind}-{tau}", TrialConfig(
+                problem="local", gadget=star64, schedule=rlb_schedule(2 ** 10 + 1, 4),
+                adversary={"kind": kind, "tau": tau, "l": 2, "start_degree": 20}, seed=5,
+                max_rounds=600)
+        yield f"correlated_shift-{tau}", TrialConfig(
+            problem="local", gadget=replace(double_star(64), broadcasters=range(40, 43)),
+            schedule=decay_schedule(2 ** 8 + 1),
+            adversary={"kind": "correlated_shift", "tau": tau},
+            seed=3, max_rounds=600)
+    for tau in (1, 3):
+        yield f"argmin-{tau}", TrialConfig(
+            problem="local", gadget=star64, schedule=rlb_schedule(2 ** 8 + 1, 2),
+            adversary={"kind": "argmin", "tau": tau}, seed=9, max_rounds=600)
+        # the gap construction at tau 3 needs delta - 1 of 2^15 or more
+        delta = 2 ** 10 + 1 if tau == 1 else 2 ** 15 + 1
+        yield f"gap-{tau}", TrialConfig(
+            problem="local", gadget=replace(star_gadget(delta, delta + 2),
+                                            broadcasters=range(6)),
+            schedule=rlb_schedule(delta, 3), adversary={"kind": "gap", "tau": tau}, seed=11,
+            max_rounds=300)
+    for schedule, reps in ((frlb_schedule(33, 1), 40), (decay_schedule(33), 3)):
+        yield f"chained_gap-{schedule.label}", TrialConfig(
+            problem="global", gadget=chained_gadgets(33, 24), schedule=schedule,
+            adversary={"kind": "chained_gap", "tau": 1}, seed=13, max_rounds=20_000,
+            rgb_reps=reps)
+
+
+class TestEventDrivenEntries:
+    """The engine enters the adversary (`pre_round`) only in round 1, in
+    the round `pre_round` named and in the round after a delivery.  A
+    policy that names the next round every time, and so is entered every
+    round, gives the same trials."""
+
+    CASES = list(event_cases())
+
+    def test_cases_cover_every_kind(self):
+        kinds = {cfg.adversary["kind"] for _, cfg in self.CASES}
+        assert kinds == set(adversary.ADVERSARY_KEYS)
+        periods = {cfg.plan.build.args[1].period for _, cfg in self.CASES
+                   if cfg.adversary["kind"] == "chained_gap"}
+        assert 1 in periods and max(periods) > 1
+
+    @pytest.mark.parametrize("case", sorted({name for name, _ in CASES}))
+    def test_entered_every_round_gives_the_same_trials(self, case, monkeypatch):
+        bind = engine.make_policy
+        entries = Counter()
+
+        def every_round(*args):
+            policy = bind(*args)
+            enter = policy.pre_round
+
+            def pre_round(r):
+                enter(r)
+                return r + 1
+
+            policy.pre_round = pre_round
+            return policy
+
+        def counted(*args):
+            policy = bind(*args)
+            enter = policy.pre_round
+
+            def pre_round(r):
+                entries[r] += 1
+                return enter(r)
+
+            policy.pre_round = pre_round
+            return policy
+
+        rounds = 0
+        for name, cfg in self.CASES:
+            if name != case:
+                continue
+            for trial in range(3):
+                monkeypatch.setattr(engine, "make_policy", counted)
+                got = run_trial(cfg, trial)
+                monkeypatch.setattr(engine, "make_policy", every_round)
+                assert got == run_trial(cfg, trial), (name, trial)
+                rounds += got.rounds_executed
+        # a policy whose blocks outlast a round is entered in fewer rounds
+        if not case.endswith("-1") and case != "chained_gap-decay":
+            assert sum(entries.values()) < rounds, case
 
 
 def chi2_critical(df: int) -> float:
@@ -1122,7 +1336,8 @@ class TestSkippedCoins:
     def test_silent_cycle_never_fires(self, monkeypatch):
         # every p underflows to 0: no round ever fires; a tiny p fires past
         # the last round.  A trial then runs every round idle, and still
-        # enters and asks the adversary once a round
+        # asks the adversary once a round; it enters the static adversary,
+        # one block, only in round 1
         for probs in [(0,), (0, 0, 0)]:
             hazard = engine._hazard(custom_schedule(*probs))
             assert hazard.cycle == 0.0
@@ -1150,7 +1365,7 @@ class TestSkippedCoins:
                               adversary={"kind": "static", "tau": 1}, seed=3, max_rounds=50)
             result = run_trial(cfg)
             assert not result.completed and result.rounds_executed == 50
-            assert calls == {"pre_round": 50, "sample_edges": 50}
+            assert calls == {"pre_round": 1, "sample_edges": 50}
 
     def test_drawn_round_past_window_event_or_last_round(self, monkeypatch):
         # trials draw rounds that lie past the next window event (a node
@@ -1233,7 +1448,7 @@ class TestAdversaryReach:
         every = np.arange(n)
         for seed in range(3):
             act = np.full(n, _NEVER, dtype=np.int64)
-            history = ObservableHistory({}, act)
+            history = ObservableHistory(np.full(n, _NEVER, dtype=np.int64), act)
             _, np_adv, q_adv = trial_rngs(seed)
             policy = make_policy(config.plan, np_adv, q_adv, history)
             rng = np.random.default_rng(seed)
@@ -1243,8 +1458,8 @@ class TestAdversaryReach:
                 assert set(policy.sample_edges(r, tx).tolist()) <= reach, (seed, r)
                 # a relay's delivery now and then, as the engine makes them
                 v = int(rng.integers(n))
-                if v not in history.first_delivery and rng.random() < 0.3:
-                    history.first_delivery[v] = r
+                if history.delivery[v] == _NEVER and rng.random() < 0.3:
+                    history.deliver([v], r)
                     act[v] = r + 1
 
 

@@ -197,6 +197,11 @@ def _configs():
         "m-walk-restricted-dodging": (local(gap_star, rlb_schedule(2 ** 10 + 1, 10),
                                             {"kind": "degree_walk_restricted", "tau": 10,
                                              "l": 32, "start_degree": 600}, 1000, m), 20),
+        # rlb's small probabilities on a 16-broadcaster star leave rounds in
+        # which no coin shows, and some of those idle stretches cross the
+        # start of a 3-round block, which draws a new q
+        "m-iid-tau3-idle": (local(star16, rlb_schedule(2 ** 10 + 1, 3),
+                                  {"kind": "iid_subset", "tau": 3}, 2000, m), 60),
         "m-inert-broadcasters": (local(inert, frlb_schedule(4, 2),
                                        {"kind": "iid_subset", "tau": 2, "edge_prob": 0.5},
                                        500, m), 200),
@@ -244,6 +249,10 @@ def _configs():
                                         {"kind": "static", "tau": 1,
                                          "edges": [3, 100, 254, 300, 520, 1100, 1790, 2039]},
                                         100_000), 6),
+        # chained gap on a chain four times the benchmark's, its full budget
+        "g-chained-gap-1025": (glob(chained_gadgets(2 ** 10 + 1, 24),
+                                    frlb_schedule(2 ** 10 + 1, 1),
+                                    {"kind": "chained_gap", "tau": 1}, 1_000_000), 3),
     }
 
 
@@ -304,6 +313,7 @@ GOLDEN = {
     'm-walk-restricted': '6424455b1e001f78e6d613c8f11df565f079e0749f5cb58156f023e92894ba5e',
     'm-walk-restricted-dodging':
         '5214b7b80ca72e7e993ed14283850dc4a64eb376f25c1dc1ca05dc28964fb540',
+    'm-iid-tau3-idle': '338113036f4bbc8116f70b3d795b5f25bb98fe315bd497c1b7dba7aae9a4efcc',
     'm-inert-broadcasters': '621064024766d6db5256e810135dc846dff27aeb18bc204b2245997520f06340',
     'm-receiver-broadcasts': '3e48a8dc8a9c0486108e7db994747585e3e40f1ce2bffd22f8593259264bc802',
     'g-static': 'c0240b62ea6a7d624c54c3663369ff4b38c507f8a57098e49632e8572d51804e',
@@ -319,6 +329,7 @@ GOLDEN = {
     'g-chained-gap-small-reps': '42ab1ffc14ea59d3acb8c1b0ca432b612ada4eda4b68e19c6dc42caf808fc0ca',
     'g-chained-gap-decay': '41b5113acf32f893275b4c006edd0e8572537e490085ab3ad91c03184d572623',
     'g-chained-static-edges': '7e496c4659c9c1c0b61cf74aac55b28e02c2b9bbfb16e5c4912435bb8a51a38d',
+    'g-chained-gap-1025': '3d1165601b0f5214170b4cc03c5df5aee62ad8cf9c31f33859cce4b1366defe8',
 }
 
 CONFIGS = _configs()
@@ -352,29 +363,39 @@ def test_pinned_hash_holds_on_built_star(name):
     assert golden_digest(built, trials, relabel={delta: 1}) == GOLDEN[name]
 
 
-@pytest.mark.parametrize("name", ["g-chained-gap-small-reps", "g-budget-exhausted"])
+@pytest.mark.parametrize("name", ["g-chained-gap-small-reps", "g-budget-exhausted",
+                                  "m-iid-tau3-idle"])
 def test_adversary_asked_once_per_round(name, monkeypatch):
-    # every round a trial runs enters the adversary and samples it once,
-    # the round that ends the trial included
+    # every round a trial runs samples the adversary once, the round that
+    # ends the trial included; the adversary is entered in round 1, at the
+    # start of each tau-block that draws anew (iid_subset's 3-round blocks;
+    # static has one block, and a period-1 chained_gap table never names a
+    # round) and in each round after a delivery, and in no other round
     config, trials = CONFIGS[name]
+    block = 3 if name == "m-iid-tau3-idle" else None
     calls = []
     bind = engine.make_policy
 
-    def counted(*args):
+    def recorded(*args):
         policy = bind(*args)
-        count = {"pre_round": 0, "sample_edges": 0}
-        calls.append(count)
-        for method in count:
-            def call(*a, _method=method, _real=getattr(policy, method)):
-                count[_method] += 1
-                return _real(*a)
+        rounds = {"pre_round": [], "sample_edges": []}
+        calls.append(rounds)
+        for method in rounds:
+            def call(r, *a, _method=method, _real=getattr(policy, method)):
+                rounds[_method].append(r)
+                return _real(r, *a)
             setattr(policy, method, call)
         return policy
 
-    monkeypatch.setattr(engine, "make_policy", counted)
-    rounds = [res.rounds_executed for res in run_trials(config, trials).results]
-    assert [c["pre_round"] for c in calls] == rounds
-    assert [c["sample_edges"] for c in calls] == rounds
+    monkeypatch.setattr(engine, "make_policy", recorded)
+    results = run_trials(config, trials).results
+    assert len(calls) == len(results)
+    for res, rounds in zip(results, calls):
+        last = res.rounds_executed
+        assert rounds["sample_edges"] == list(range(1, last + 1))
+        entered = {1, *range(1, last + 1, block or last),
+                   *(r + 1 for r in res.first_delivery.values())}
+        assert rounds["pre_round"] == sorted(r for r in entered if r <= last)
 
 
 if __name__ == "__main__":

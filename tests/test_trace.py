@@ -11,6 +11,9 @@ from pathlib import Path
 import pytest
 import yaml
 
+from dualradio.cli import build_trial_config, expand_sweep, normalize_config
+from dualradio.engine import run_trials
+
 ROOT = Path(__file__).resolve().parents[1]
 
 ANALYTIC = {
@@ -53,7 +56,16 @@ def test_tracer_wraps_the_policy_api(tmp_path, config):
         assert counts["adversary.degrees.rounds"] >= counts["engine.rounds_executed"] > 0
     else:
         assert counts["adversary.sample_edges.calls"] == counts["engine.rounds_executed"] > 0
-        assert counts["adversary.pre_round.calls"] == counts["engine.rounds_executed"]
+        # the adversary is entered in round 1 and in each round after a
+        # delivery, as the same trials run in-process show: a period-1
+        # chained_gap table names no other round
+        cfg = normalize_config({**config, "seed": 5})
+        point_config, trials = build_trial_config(expand_sweep(cfg)[0])
+        entered = 0
+        for res in run_trials(point_config, trials).results:
+            later = {r + 1 for r in res.first_delivery.values() if r < res.rounds_executed}
+            entered += len(later | {1})
+        assert counts["adversary.pre_round.calls"] == entered < counts["engine.rounds_executed"]
         # bench/run.py requires collision counting to be seen, however few
         # transmitters the round loop counts
         assert counts["engine.round_counts.calls"] > 0
