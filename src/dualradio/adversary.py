@@ -23,7 +23,8 @@ engines' calls go through, and every distribution change is appended to
 round it must see, so the materialized engine calls it only at events: in
 that round and in the round after a delivery.  The degree walk has one step
 rule, `walk_degrees`, and every random edge subset comes from
-`uniform_subsets`, one generator call per round.
+`uniform_subsets`, one generator call per round (`uniform_subset` for one
+pool, the same draw).
 
 `compile_adversary` turns a spec into a sweep point's plan once, when
 the point's `TrialConfig` is built: it makes every config check, builds
@@ -142,14 +143,34 @@ def uniform_subsets(np_rng, sizes: Sequence[int], picks: Sequence[int]) -> np.nd
     keys = (u * spans).astype(np.int64)
     for first, offset, m, k in drawn:
         if len(set(keys[first:first + k].tolist())) < k:
-            chosen: set[int] = set()
-            for j, x in zip(range(m - k, m), u[first:first + k].tolist()):
-                t = int(x * (j + 1))
-                chosen.add(j if t in chosen else t)
-            keys[first:first + k] = np.fromiter(chosen, dtype=np.int64, count=k)
+            keys[first:first + k] = _floyd(u[first:first + k], m)
         if offset:
             keys[first:first + k] += offset
     return np.concatenate((keys, *whole)) if whole else keys
+
+
+def uniform_subset(np_rng, m: int, k: int) -> np.ndarray:
+    """`uniform_subsets(np_rng, (m,), (k,))` without its per-pool
+    bookkeeping: the same positions, in the same order, from the same k
+    uniforms."""
+    if not 0 <= k <= m:
+        raise ValueError(f"cannot pick {k} of {m}")
+    if k == m:
+        return np.arange(m, dtype=np.int64)
+    if not k:
+        return _NO_EDGES
+    u = np_rng.random(k)
+    keys = (u * np.arange(m - k + 1, m + 1, dtype=np.float64)).astype(np.int64)
+    return keys if len(set(keys.tolist())) == k else _floyd(u, m)
+
+
+def _floyd(u: np.ndarray, m: int) -> np.ndarray:
+    """Floyd's insertion loop picking len(u) of m with the uniforms u."""
+    chosen: set[int] = set()
+    for j, x in zip(range(m - len(u), m), u.tolist()):
+        t = int(x * (j + 1))
+        chosen.add(j if t in chosen else t)
+    return np.fromiter(chosen, dtype=np.int64, count=len(u))
 
 
 def _circular_runs(occupied: set[int], n_bins: int) -> list[tuple[int, int]]:
@@ -518,7 +539,7 @@ class AdversaryPolicy:
         By default the active edges are a uniform (d-1)-subset of the
         receiver's unreliable arms for the round's degree d, drawn in full."""
         d = int(self._degrees(round_index))
-        return uniform_subsets(self.np_rng, (self.arms,), (d - 1,))
+        return uniform_subset(self.np_rng, self.arms, d - 1)
 
     # -- hooks
 
@@ -795,12 +816,18 @@ class ChainedGapPolicy(AdversaryPolicy):
     returns at once in any other) and returns _NEVER.  With a longer period
     it rescans every section's phase every round and returns the next.
 
+    A rescan that finds newly reached receivers freezes their sections and
+    drops them from the live heads and receivers with one boolean mask; a
+    freeze keeps a section's degree, so the uniform counts of a full draw
+    (`_first`) are recounted only when a degree changes.
+
     Each round every gadget's unreliable arms get a fresh uniform subset,
     in section order from one stream (see `uniform_subsets`), but only the
     sections from the first to the last that a counted transmitter lies in
-    are drawn: an unreliable edge joins two nodes of one section.  The
-    other sections' uniforms are owed and skipped with one `advance` of
-    `np_rng` (a PCG64 double is one 64-bit output) before the next draw.
+    are drawn (one section, most often, through `uniform_subset`): an
+    unreliable edge joins two nodes of one section.  The other sections'
+    uniforms are owed and skipped with one `advance` of `np_rng` (a PCG64
+    double is one 64-bit output) before the next draw.
     """
 
     def __init__(self, tau: int, table: PhaseDegrees, chain: ChainSections):
@@ -835,27 +862,30 @@ class ChainedGapPolicy(AdversaryPolicy):
         if history.count == self._seen and table.period == 1:
             self._round = round_index
             return _NEVER
-        changed = self._fingerprint is None
+        changed = moved = self._fingerprint is None
         received = history.delivery[self._live_receivers] != _NEVER
-        if received.any():
+        froze = received.nonzero()[0].tolist()
+        if froze:
             acts = history.act[self._live_heads].tolist()
-            for j in received.nonzero()[0].tolist():
+            for j in froze:
                 i = self._live[j]
                 self.section_frozen[i] = changed = True
                 self._frozen_phase[i] = self._phase_at(round_index - 1, acts[j])
             self._live = [i for i in self._live if not self.section_frozen[i]]
-            self._live_heads = self.chain.heads[self._live]
-            self._live_receivers = self.chain.receivers[self._live]
+            kept = ~received
+            self._live_heads = self._live_heads[kept]
+            self._live_receivers = self._live_receivers[kept]
         if table.period > 1:  # under period 1 every phase has the first phase's degree
             acts = history.act[self._live_heads].tolist()
             for i, act in zip(self._live, acts):
                 degree = table(self._phase_at(round_index, act) - 1)
                 if degree != self.section_degree[i]:
                     self.section_degree[i] = degree
-                    changed = True
+                    changed = moved = True
         self._round, self._seen = round_index, history.count
-        if changed:
+        if moved:
             self._enter_degrees()
+        if changed:
             self._record(round_index, ("chained", tuple(zip(self.section_degree,
                                                             self.section_frozen))))
         return _NEVER if table.period == 1 else round_index + 1
@@ -873,11 +903,18 @@ class ChainedGapPolicy(AdversaryPolicy):
             return _NO_EDGES
         chain = self.chain
         lo, hi = chain.section_of[tx[0]], chain.section_of[tx[-1]]
-        self.np_rng.bit_generator.advance(self._owed + first[lo])
-        positions = uniform_subsets(self.np_rng, chain.sizes[lo:hi + 1],
-                                    [d - 1 for d in self.section_degree[lo:hi + 1]])
+        skip = self._owed + first[lo]
+        if skip:
+            self.np_rng.bit_generator.advance(skip)
+        if lo == hi:
+            positions = uniform_subset(self.np_rng, chain.sizes[lo], self.section_degree[lo] - 1)
+        else:
+            positions = uniform_subsets(self.np_rng, chain.sizes[lo:hi + 1],
+                                        [d - 1 for d in self.section_degree[lo:hi + 1]])
         self._owed = first[-1] - first[hi + 1]
-        return positions + chain.offsets[lo]
+        if lo:
+            positions += chain.offsets[lo]  # a fresh array, or an empty one
+        return positions
 
 
 # ---------------------------------------------------------------------------

@@ -7,24 +7,28 @@ who must be reached, and whether a reached node relays.  It counts
 collisions from a neighbor table in CSR form, built once per point over
 the reliable edges and the unreliable edges the point's adversary can
 activate (its plan's reach): each node's slice lists those neighbors with
-the unreliable edge each goes through.  Only waiting nodes can receive, so
-it counts only at them.  Each node's count of waiting neighbors in that
-table is built once per trial and lowered by the delivered nodes' slices
-at each delivery.  The relevant transmitters are those that wait
-themselves or have a waiting neighbor through an edge the adversary can
-activate or a reliable edge: the others cannot change a delivery.
-Only the span from the first to the last relevant candidate draws coins
-and is counted.  The transmitter window, the nodes that transmit now,
-changes only at a window event (some node starts or exhausts its budget);
-it is rescanned from every node's activation round then, and the next
-event is found by bisection in the sorted distinct activation rounds.
-The span's frontier, the table entries from the span to waiting nodes in
-CSR form, is rebuilt once at the top of a round with a window event or
-after a delivery.  A round gathers the transmitters' frontier slices with
-a fixed number of numpy calls, however many transmit, and its counts are
-one `bincount` over them, keeping an unreliable entry only when the
-adversary activated that edge this round (a frontier without one skips
-that test).
+the unreliable edge each goes through, in node order.  Only waiting nodes
+can receive, so it counts only at them.  Each node's count of waiting
+neighbors in that table is built once per point and lowered by the
+delivered nodes' slices at each delivery.  The relevant transmitters are
+those that wait themselves or have a waiting neighbor through an edge the
+adversary can activate or a reliable edge: the others cannot change a
+delivery.  The front, the sorted nodes that have an activation round and
+wait or have a waiting neighbor, holds every relevant transmitter; it is
+built once per point and changes only at a delivery, which adds the
+reached relays and drops the nodes left with neither.  The transmitter
+window, the nodes that transmit now, changes only at a window event (some
+node starts or exhausts its budget), which is found by bisection in the
+sorted distinct activation rounds, as is the end of the trial (no event
+left).  Only the span, the window's nodes from its first to its last node
+in the front, draws coins and is counted: a rebuild reads the front and
+the span, never every node.  The span's frontier, the table entries from
+the span to waiting nodes in CSR form, is rebuilt once at the top of a
+round with a window event or after a delivery.  A round gathers the
+transmitters' frontier slices with a fixed number of numpy calls, however
+many transmit, and its counts are one `bincount` over them, keeping an
+unreliable entry only when the adversary activated that edge this round
+(a frontier without one skips that test).
 The analytic engine exploits the star gadgets' structure and tracks only
 the designated receiver's effective degree, sampling its per-round success
 from the closed-form probability (in log space, so degree bounds given as
@@ -54,7 +58,7 @@ range of trials in one batch, and a lone trial for its own.
 (`point_start`) and hands it to every `run_trial`: the seed words of
 every trial and the engine's start state: on the analytic engine the
 cycle's ln(1 - p) values as floats, on the materialized engine the node
-state before round 1, round 1's transmitter window and its frontier.
+state before round 1, its front and round 1's frontier.
 Trials only read it, and copy the arrays they change.  A lone `run_trial`
 builds its own.
 The materialized node stream (RNG layout 2) is drawn per counted span,
@@ -66,7 +70,7 @@ inverting the survival prod (1 - p_t)^m (geometric skipping), and that
 round's coins are drawn conditioned on one showing: m doubles again and
 again until one shows when that is likely, or else one double for the
 transmitter count K (a zero-truncated binomial, by inversion) and K for a
-uniform K-subset (`adversary.uniform_subsets`).  The rounds before it
+uniform K-subset (`adversary.uniform_subset`).  The rounds before it
 draw nothing.  This is the law of one independent coin per candidate per
 round; a new frontier (a window event or a delivery) drops a drawn round
 and draws again from the new span.
@@ -96,7 +100,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .adversary import (_EXACT, _NEVER, AdversaryPlan, ObservableHistory, compile_adversary,
-                        make_policy, uniform_subsets)
+                        make_policy, uniform_subset)
 from .gadgets import EDGE_LIMIT, Gadget
 from .oracle import exact_success_logprob
 from .schedules import Schedule, ceil_log2, log2e_of
@@ -339,9 +343,10 @@ def default_max_rounds(problem: str, schedule: Schedule, delta: int, tau: int,
 
 class _Neighbors(NamedTuple):
     """Adjacency over some of a gadget's edges in CSR form: node v's deg[v]
-    neighbors are heard[ptr[v]:ptr[v] + deg[v]], and through[i] is the
-    unreliable edge that heard[i] is reached by, or the extra slot
-    `unreliable_count` for a reliable neighbor."""
+    neighbors are heard[ptr[v]:ptr[v] + deg[v]] (in node order in a
+    gadget's table, `_neighbors`), and through[i] is the unreliable edge
+    that heard[i] is reached by, or the extra slot `unreliable_count` for a
+    reliable neighbor."""
 
     ptr: np.ndarray
     deg: np.ndarray
@@ -359,8 +364,11 @@ def _neighbors(gadget: Gadget, reach: np.ndarray | None = None) -> _Neighbors:
     unr = unr[reach]
     ends = np.concatenate((rel, rel[:, ::-1], unr, unr[:, ::-1]))
     through = np.concatenate((np.full(2 * len(rel), m, dtype=np.int64), reach, reach))
-    order = np.argsort(ends[:, 0], kind="stable")
-    deg = np.bincount(ends[:, 0], minlength=gadget.node_count)
+    n = gadget.node_count
+    # by node, each slice by neighbor; every sort here is stable, as numpy's
+    # default quicksort would map about 0.6 MiB more code into the process
+    order = np.argsort(ends[:, 0] * n + ends[:, 1], kind="stable")
+    deg = np.bincount(ends[:, 0], minlength=n)
     return _Neighbors(np.cumsum(deg) - deg, deg, ends[order, 1], through[order])
 
 
@@ -389,16 +397,14 @@ def _waiting_neighbors(table: _Neighbors, waiting: np.ndarray) -> np.ndarray:
 
 
 class _Frontier(NamedTuple):
-    """The counted candidates cand[lo:hi + 1] (`span`; none when lo > hi)
-    and the only table entries a delivery can come through, those from
-    them to waiting nodes: `entries` is a neighbor table over span
-    positions whose `heard` indexes `listeners`, the waiting nodes in node
-    order.  A listener that is itself a candidate, listener duplex[j] at
-    span position duplex_at[j], hears nothing when it transmits.
-    `unreliable` tells whether some entry goes through an unreliable edge."""
+    """The counted candidates `span` and the only table entries a delivery
+    can come through, those from them to waiting nodes: `entries` is a
+    neighbor table over span positions whose `heard` indexes `listeners`,
+    the waiting nodes in node order.  A listener that is itself a
+    candidate, listener duplex[j] at span position duplex_at[j], hears
+    nothing when it transmits.  `unreliable` tells whether some entry goes
+    through an unreliable edge."""
 
-    lo: int
-    hi: int
     span: np.ndarray
     entries: _Neighbors
     listeners: np.ndarray
@@ -407,40 +413,58 @@ class _Frontier(NamedTuple):
     unreliable: bool
 
 
-def _frontier(table: _Neighbors, cand: np.ndarray, waiting: np.ndarray, near: np.ndarray,
+def _span(front: np.ndarray, act: np.ndarray, r: int, budget: int) -> np.ndarray:
+    """The counted candidates of round r: the nodes that transmit in round
+    r (act[v] < r <= act[v] + budget), from the first to the last of them
+    in the front, the sorted nodes that have an activation round and wait
+    or have a waiting neighbor in the table.  The other transmitters cannot
+    change a delivery, whether they transmit or not.  It reads the front
+    and the nodes between its first and last transmitter, no others."""
+    a = act[front]
+    inside = front[(a < r) & (a >= r - budget)]
+    if len(inside) < 2:
+        return inside
+    first = inside[0]
+    block = act[first:inside[-1] + 1]
+    span = ((block < r) & (block >= r - budget)).nonzero()[0]
+    span += first
+    return span
+
+
+def _frontier(table: _Neighbors, span: np.ndarray, waiting: np.ndarray, near: np.ndarray,
               edge_count: int) -> _Frontier:
-    """The frontier of the candidates `cand` given who waits and each node's
-    count of waiting neighbors in the table `near`.  Its span runs from the
-    first to the last candidate that waits or has a waiting neighbor in the
-    table; the other candidates cannot change a delivery, whether they
-    transmit or not.  `edge_count` is the table's reliable slot."""
-    fan = near[cand]
-    relevant = (waiting[cand] | (fan > 0)).nonzero()[0]
-    if not len(relevant):
-        none = cand[:0]
-        return _Frontier(0, -1, none, _Neighbors(none, none, none, none), none, none, none,
-                         False)
-    lo, hi = int(relevant[0]), int(relevant[-1])
-    span, fan = cand[lo:hi + 1], fan[lo:hi + 1]
-    pos = _slice_positions(table, span[fan.nonzero()[0]])
-    pos = pos[waiting[table.heard[pos]]]
-    heard = table.heard[pos]
-    through = table.through[pos]
-    # listeners in node order, without sorting the entries (one n-byte mask)
-    seen = np.zeros(len(waiting), dtype=bool)
-    seen[heard] = True
-    listeners = seen.nonzero()[0]
+    """The frontier of the counted candidates `span` (see `_span`) given who
+    waits and each node's count of waiting neighbors in the table `near`.
+    `edge_count` is the table's reliable slot."""
+    if not len(span):
+        return _Frontier(span, _Neighbors(span, span, span, span), span, span, span, False)
+    fan = near[span]
+    if len(span) == 1:  # one slice: its listeners in node order already
+        first = table.ptr[span[0]]
+        last = first + table.deg[span[0]]
+        heard = table.heard[first:last]
+        keep = waiting[heard]
+        heard, through = heard[keep], table.through[first:last][keep]
+        listeners, index = heard, np.arange(len(heard))
+    else:  # the listeners in node order, each once
+        pos = _slice_positions(table, span[fan.nonzero()[0]])
+        pos = pos[waiting[table.heard[pos]]]
+        heard = table.heard[pos]
+        through = table.through[pos]
+        listeners = np.sort(heard, kind="stable")
+        distinct = listeners[1:] != listeners[:-1]
+        listeners = np.concatenate((listeners[:1], listeners[1:][distinct]))
+        index = listeners.searchsorted(heard)
     duplex = at = span[:0]
     waits = waiting[span].nonzero()[0]
     if len(waits):
         _, duplex, at = np.intersect1d(listeners, span[waits], assume_unique=True,
                                        return_indices=True)
     # the entries come grouped by span position, fan[i] of them for span[i]
-    entries = _Neighbors(np.add.accumulate(fan) - fan, fan, listeners.searchsorted(heard),
-                         through)
+    entries = _Neighbors(np.add.accumulate(fan) - fan, fan, index, through)
     # the reliable slot is the largest `through`
     unreliable = bool(len(through)) and np.minimum.reduce(through) < edge_count
-    return _Frontier(lo, hi, span, entries, listeners, duplex, waits[at], unreliable)
+    return _Frontier(span, entries, listeners, duplex, waits[at], unreliable)
 
 
 def round_counts(frontier: _Frontier, coins: np.ndarray, extra_edge_indices: np.ndarray,
@@ -463,18 +487,17 @@ def round_counts(frontier: _Frontier, coins: np.ndarray, extra_edge_indices: np.
     return counts
 
 
-def _transmitter_window(act: np.ndarray, starts: list[int], r: int, budget: int):
-    """(nodes that transmit in round r, in order; the next round after r in
-    which that set changes, or _NEVER if it never does).  `starts` is the
-    sorted list of the distinct activation rounds in `act`: the next node
-    starts the round after the first of them >= r, and the next node
-    stops `budget` rounds after the first of them >= r - budget."""
-    cand = np.flatnonzero((act < r) & (act >= r - budget))
+def _window_event(starts: list[int], r: int, budget: int) -> int:
+    """The next round after r in which the set of transmitting nodes
+    changes, or _NEVER if it never does.  `starts` is the sorted list of
+    the distinct activation rounds: the next node starts the round after
+    the first of them >= r, and the next node stops `budget` rounds after
+    the first of them >= r - budget.  _NEVER also means that no node
+    transmits in round r: none started in the `budget` rounds before it."""
     i = bisect.bisect_left(starts, r)
     j = bisect.bisect_left(starts, r - budget, 0, i)
-    next_event = min(starts[i] + 1 if i < len(starts) else _NEVER,
-                     starts[j] + budget + 1 if j < i else _NEVER)
-    return cand, next_event
+    return min(starts[i] + 1 if i < len(starts) else _NEVER,
+               starts[j] + budget + 1 if j < i else _NEVER)
 
 
 class _Hazard(NamedTuple):
@@ -554,7 +577,7 @@ def _fired_coins(np_nodes, m: int, p: float, h: float) -> np.ndarray:
         count += 1
         cdf += pmf
     coins = np.zeros(m, dtype=bool)
-    coins[uniform_subsets(np_nodes, (m,), (count,))] = True
+    coins[uniform_subset(np_nodes, m, count)] = True
     return coins
 
 
@@ -564,9 +587,10 @@ class _MaterializedStart(NamedTuple):
     activate, the per-node budget, whether a reached node relays, `act`,
     `waiting` and `near` before round 1 (each trial copies them), the
     count of waiting nodes, `starts`, the sorted distinct activation rounds
-    (each trial copies it, as a relay appends to it), round 1's transmitter
-    window `cand`, its `next_event` and its frontier, and the schedule's
-    hazards."""
+    (each trial copies it, as a relay appends to it), the `front` (see
+    `_span`; a trial replaces it at each delivery, never changes it), the
+    next window event after round 1, round 1's frontier, and the
+    schedule's hazards."""
 
     seeds: np.ndarray | None
     table: _Neighbors
@@ -577,7 +601,7 @@ class _MaterializedStart(NamedTuple):
     near: np.ndarray
     left: int
     starts: list[int]
-    cand: np.ndarray
+    front: np.ndarray
     next_event: int
     frontier: _Frontier
     hazard: _Hazard
@@ -605,11 +629,13 @@ def _materialized_start(config: TrialConfig, seeds: np.ndarray | None) -> _Mater
     waiting[targets] = True
     table = _neighbors(gadget, config.plan.reach)
     near = _waiting_neighbors(table, waiting)
+    front = ((act != _NEVER) & (waiting | (near > 0))).nonzero()[0]
     starts = [0]  # the starters' activation round
-    cand, next_event = _transmitter_window(act, starts, 1, budget)
-    frontier = _frontier(table, cand, waiting, near, gadget.unreliable_count)
+    frontier = _frontier(table, _span(front, act, 1, budget), waiting, near,
+                         gadget.unreliable_count)
     return _MaterializedStart(seeds, table, budget, relay, act, waiting, near, len(targets),
-                              starts, cand, next_event, frontier, _hazard(config.schedule))
+                              starts, front, _window_event(starts, 1, budget), frontier,
+                              _hazard(config.schedule))
 
 
 def run_materialized_trial(config: TrialConfig, trial: int = 0,
@@ -631,15 +657,16 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     pre_round, sample_edges = policy.pre_round, policy.sample_edges
     probs, hazard = schedule.prob_array.tolist(), start.hazard
 
-    # The transmitter window `cand` changes only in a round where some
-    # node starts (act[v] + 1) or runs out of budget (act[v] + budget + 1),
-    # so it is rescanned only then; `next_event` is the next such round,
-    # and a relay's delivery appends its activation round to `starts`.
-    # Only the frontier's span cand[lo:hi + 1] draws coins and is counted
-    # (see `_frontier`).  The frontier is rebuilt once at the top of
-    # `rebuild`, the next window event or the round after a delivery, from
-    # `near`, each node's count of waiting neighbors in `table`, which is
-    # kept for the whole trial.
+    # The set of transmitting nodes changes only in a round where some
+    # node starts (act[v] + 1) or runs out of budget (act[v] + budget + 1);
+    # `next_event` is the next such round, found by bisection in `starts`,
+    # to which a relay's delivery appends its activation round.  Only the
+    # span, the transmitters from the first to the last in the `front`,
+    # draws coins and is counted (see `_span`); the front changes only at a
+    # delivery.  The frontier is rebuilt once at the top of `rebuild`, the
+    # next window event or the round after a delivery, from `near`, each
+    # node's count of waiting neighbors in `table`, which is kept for the
+    # whole trial.
     # `fire` is the round drawn for the span's next transmission (below r:
     # none drawn).  With none drawn, a round in which the span's m coins
     # show a transmitter with probability 1/2 or more draws them directly;
@@ -657,7 +684,7 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     last = config.max_rounds
     completion = None
     empty = np.empty(0, dtype=np.int64)
-    cand, next_event, frontier = start.cand, start.next_event, start.frontier
+    front, next_event, frontier = start.front, start.next_event, start.frontier
     rebuild = next_event
     enter = 1
     fire = 0
@@ -668,8 +695,9 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
             enter = pre_round(r)
         if r >= rebuild:
             if r >= next_event:
-                cand, next_event = _transmitter_window(act, starts, r, budget)
-            frontier = _frontier(table, cand, waiting, near, edge_count)
+                next_event = _window_event(starts, r, budget)
+            frontier = _frontier(table, _span(front, act, r, budget), waiting, near,
+                                 edge_count)
             rebuild = next_event
             fire = 0
         m = len(frontier.span)
@@ -687,11 +715,11 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
         if fire != r:
             # no counted candidate transmits: idle up to the drawn round,
             # the next window event, the adversary's next round or the last
-            # round, whichever is first; stop when no node transmits now and
-            # no activation is pending (every node is unreached forever or
-            # past its budget)
+            # round, whichever is first; stop when no window event is left:
+            # no node transmits now and no activation is pending (every node
+            # is unreached forever or past its budget)
             sample_edges(r, empty)
-            if not len(cand) and rebuild == _NEVER:
+            if rebuild == _NEVER:
                 break
             for r in range(r + 1, min(fire, rebuild, enter, last + 1)):
                 sample_edges(r, empty)
@@ -713,8 +741,14 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
             if left == 0:
                 completion = r
                 break
-            # a delivered node no longer waits next to its table neighbors
+            # a delivered node no longer waits next to its table neighbors;
+            # a relay joins the front, and a node that neither waits nor has
+            # a waiting neighbor leaves it
             np.subtract.at(near, table.heard[_slice_positions(table, newly)], 1)
+            if relay:
+                front = np.concatenate((front, newly))
+                front.sort(kind="stable")
+            front = front[waiting[front] | (near[front] > 0)]
             rebuild = enter = r + 1
 
     history.delivery.flags.writeable = False

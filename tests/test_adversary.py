@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from dualradio.adversary import (ADVERSARY_KEYS, AdversaryPlan, ChainedGapPolicy,
                                  DegreeWalkState, IidSubsetPolicy, ObservableHistory,
                                  argmin_degree, compile_adversary, gap_plan, make_policy,
-                                 phase_cycle_probs, shift_plan, uniform_subsets, walk_degrees)
+                                 phase_cycle_probs, shift_plan, uniform_subset, uniform_subsets,
+                                 walk_degrees)
 from dualradio.engine import _NEVER, TrialConfig, run_trial, trial_rngs
 from dualradio.gadgets import build_gadget, chained_gadgets, double_star, star_gadget
 from dualradio.oracle import (exact_success_logprob, exact_success_prob, phase_success_sum,
@@ -699,6 +701,28 @@ class TestUniformSubsets:
         np_rng = np.random.Generator(np.random.PCG64(0))
         with pytest.raises(ValueError, match="cannot pick 6 of 5"):
             uniform_subsets(np_rng, (3, 5), (1, 6))
+        with pytest.raises(ValueError, match="cannot pick 6 of 5"):
+            uniform_subset(np_rng, 5, 6)
+
+    def test_one_pool_form_matches_the_pools_draw(self):
+        # `uniform_subset` returns the positions, in order, that the pools'
+        # draw returns for one pool on the same stream, and leaves the
+        # stream where it does; the cases see distinct Floyd keys, keys
+        # that collide (Floyd's loop replayed), k == m and k == 0
+        seen = Counter()
+        for seed in range(600):
+            rng = np.random.default_rng([20261020, seed])
+            m = int(rng.integers(1, 24))
+            k = int(rng.integers(0, m + 1))
+            one, pools, twin = (np.random.Generator(np.random.PCG64(seed)) for _ in range(3))
+            got = uniform_subset(one, m, k)
+            assert got.dtype == np.int64
+            assert got.tolist() == uniform_subsets(pools, (m,), (k,)).tolist(), (m, k)
+            assert one.bit_generator.state == pools.bit_generator.state
+            keys = (twin.random(k) * np.arange(m - k + 1, m + 1)).astype(np.int64)
+            seen["k == m" if k == m else "k == 0" if not k
+                 else "collide" if len(set(keys.tolist())) < k else "distinct"] += 1
+        assert all(seen[c] for c in ("k == m", "k == 0", "collide", "distinct")), seen
 
 
 class TestChainedController:
@@ -862,8 +886,11 @@ class TestLazyChainedRescan:
         rng = np.random.default_rng(seed)
         heads = [s.arms[0] for s in g.sections]
         receivers = [s.receiver for s in g.sections]
+        frozen_at_once = Counter()
         for r in range(1, 400):
+            frozen = sum(lazy.section_frozen)
             lazy.pre_round(r)
+            frozen_at_once[sum(lazy.section_frozen) - frozen] += 1
             full.pre_round(r)
             assert lazy.change_log == full.change_log, r
             assert lazy.section_degree == full.section_degree, r
@@ -879,10 +906,13 @@ class TestLazyChainedRescan:
             newly = {v for v in pool if rng.random() < 0.02}
             if rng.random() < 0.2:
                 newly.add(int(rng.integers(n)))
+            if r == 150:  # three receivers at once: one rescan freezes them all
+                newly.update(receivers[seed:seed + 3])
             newly = sorted(v for v in newly if hist.delivery[v] == _NEVER)
             hist.deliver(newly, r)
             hist.act[newly] = align * math.ceil(r / align)
-        # both changed degrees and froze sections
+        # both changed degrees and froze sections, several in one rescan
         assert any(any(f for _, f in fp[1]) for _, fp in full.change_log)
+        assert max(frozen_at_once) >= 2, frozen_at_once
         if period > 1:
             assert len({d for _, fp in full.change_log for d, _ in fp[1]}) > 2

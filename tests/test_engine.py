@@ -666,6 +666,27 @@ def transmitter_window(act, r, budget):
     return cand, min(starts, ends)
 
 
+def span_bounds(span, act, r, budget):
+    """(lo, hi, m): the counted span of round r as cand[lo:hi + 1] of the
+    full window cand from every node's activation round, m = len(cand);
+    (0, -1, m) for an empty span."""
+    cand = transmitter_window(act, r, budget)[0]
+    if not len(span):
+        return 0, -1, len(cand)
+    lo = int(cand.searchsorted(span[0]))
+    hi = lo + len(span) - 1
+    assert cand[lo:hi + 1].tolist() == span.tolist(), r
+    return lo, hi, len(cand)
+
+
+def recounted_front(table, act, waiting):
+    """The front from scratch: the nodes with an activation round that wait
+    or have a waiting neighbor in the table."""
+    heard = [table.heard[table.ptr[v]:table.ptr[v] + table.deg[v]] for v in range(len(act))]
+    return [v for v in range(len(act))
+            if act[v] != _NEVER and (waiting[v] or waiting[heard[v]].any())]
+
+
 def random_trial_config(rng, problem, kind, seed):
     """A random small dual graph and a trial on it.  Gap needs a designated
     receiver with enough unreliable arms, so it runs on a 33-star with a
@@ -718,21 +739,22 @@ class TestEngineEquivalence:
         (problem, kind) for kind in ("static", "iid_subset", "gap")
         for problem in ("local", "global")] + [("global", "chained_gap")])
     def test_materialized_trial_matches_reference(self, problem, kind, monkeypatch):
-        # the engine draws coins only for candidates cand[lo:hi + 1] that can
-        # change a delivery; the reference, given the transmitters the
-        # engine drew each round, decides every delivery with
-        # `model.deliver` from every adversary edge.  Record the spans it
-        # used: each case must see spans that start past the first
-        # candidate, end before the last, end at the last, and hold no
-        # candidate
+        # the engine draws coins only for the span cand[lo:hi + 1] of the
+        # window cand whose candidates can change a delivery; the
+        # reference, given the transmitters the engine drew each round,
+        # decides every delivery with `model.deliver` from every adversary
+        # edge.  Record the spans it used: each case must see spans that
+        # start past the first candidate, end before the last, end at the
+        # last, and hold no candidate
         spans, sent = [], {}
-        frontier, bind = engine._frontier, engine.make_policy
+        span_of, bind = engine._span, engine.make_policy
 
-        def recording(table, cand, waiting, near, edge_count):
-            front = frontier(table, cand, waiting, near, edge_count)
-            if len(cand):
-                spans.append((front.lo, front.hi, len(cand)))
-            return front
+        def recording(front, act, r, budget):
+            span = span_of(front, act, r, budget)
+            lo, hi, m = span_bounds(span, act, r, budget)
+            if m:
+                spans.append((lo, hi, m))
+            return span
 
         def recording_policy(*args):
             policy = bind(*args)
@@ -746,7 +768,7 @@ class TestEngineEquivalence:
             policy.sample_edges = sample_edges
             return policy
 
-        monkeypatch.setattr(engine, "_frontier", recording)
+        monkeypatch.setattr(engine, "_span", recording)
         monkeypatch.setattr(engine, "make_policy", recording_policy)
         rng = np.random.default_rng([20261018, len(problem), len(kind)])
         # a chain of 8 stars runs long trials on 272 or more nodes
@@ -815,50 +837,61 @@ class TestEngineEquivalence:
             table = engine._neighbors(custom_gadget(g, (), ()))
             cand = np.arange(n)
             near = engine._waiting_neighbors(table, waiting)
-            front = engine._frontier(table, cand, waiting, near, m)
-            coins = rng.random(front.hi + 1 - front.lo) < 0.4
-            tx = front.span[coins]
+            frontier = engine._frontier(table, cand, waiting, near, m)
+            coins = rng.random(len(frontier.span)) < 0.4
+            tx = frontier.span[coins]
             topo = build_round_topology(
                 g, [g.unreliable_edges[i] for i in extra_idx], 1)
             expected = transmit_counts(topo, tx.tolist())
-            got = dict(zip(front.listeners.tolist(),
-                           round_counts(front, coins, extra_idx, m).tolist()))
+            got = dict(zip(frontier.listeners.tolist(),
+                           round_counts(frontier, coins, extra_idx, m).tolist()))
             for v in np.flatnonzero(waiting).tolist():
                 assert got.get(v, 0) == (0 if v in tx else expected[v]), (case, v)
 
     def test_kept_counts_and_frontier_match_recount(self, monkeypatch):
-        # after every delivery and window event, the kept waiting-neighbor
-        # counts, the span and the frontier equal a recount from scratch
+        # at every rebuild (the point's start, each window event and each
+        # delivery) the front, the kept waiting-neighbor counts, the span
+        # and the frontier equal a recount from scratch: the front from
+        # every node's state, the span from the first to the last relevant
+        # candidate of the full window
         checked = []
-        frontier = engine._frontier
+        span_of, frontier = engine._span, engine._frontier
+        built = {}
 
-        def recounting(table, cand, waiting, near, edge_count):
-            front = frontier(table, cand, waiting, near, edge_count)
+        def recorded_span(front, act, r, budget):
+            built.update(front=front.tolist(), act=act, r=r, budget=budget)
+            return span_of(front, act, r, budget)
+
+        def recounting(table, span, waiting, near, edge_count):
+            made = frontier(table, span, waiting, near, edge_count)
+            act, r, budget = built.pop("act"), built.pop("r"), built.pop("budget")
             heard = [table.heard[table.ptr[v]:table.ptr[v] + table.deg[v]]
                      for v in range(len(waiting))]
             assert near.tolist() == [int(waiting[h].sum()) for h in heard]
+            assert built.pop("front") == recounted_front(table, act, waiting)
+            cand = transmitter_window(act, r, budget)[0]
             relevant = [i for i, c in enumerate(cand.tolist())
                         if waiting[c] or waiting[heard[c]].any()]
-            assert (front.lo, front.hi) == ((relevant[0], relevant[-1]) if relevant
-                                            else (0, -1))
-            assert front.span.tolist() == cand[front.lo:front.hi + 1].tolist()
+            lo, hi = (relevant[0], relevant[-1]) if relevant else (0, -1)
+            assert made.span.tolist() == cand[lo:hi + 1].tolist()
             entries = sorted(
-                (i, int(w), int(e)) for i, c in enumerate(front.span.tolist())
+                (i, int(w), int(e)) for i, c in enumerate(made.span.tolist())
                 for w, e in zip(heard[c], table.through[table.ptr[c]:table.ptr[c] + table.deg[c]])
                 if waiting[w])
-            kept = front.entries
+            kept = made.entries
             assert kept.ptr.tolist() == (np.cumsum(kept.deg) - kept.deg).tolist()
-            owner = np.repeat(np.arange(len(front.span)), kept.deg)
-            got = sorted(zip(owner.tolist(), front.listeners[kept.heard].tolist(),
+            owner = np.repeat(np.arange(len(made.span)), kept.deg)
+            got = sorted(zip(owner.tolist(), made.listeners[kept.heard].tolist(),
                              kept.through.tolist()))
             assert got == entries
-            assert front.listeners.tolist() == sorted({w for _, w, _ in entries})
-            duplex = [(j, i) for j, w in enumerate(front.listeners.tolist())
-                      for i, c in enumerate(front.span.tolist()) if c == w]
-            assert list(zip(front.duplex.tolist(), front.duplex_at.tolist())) == duplex
-            checked.append((len(entries), len(duplex)))
-            return front
+            assert made.listeners.tolist() == sorted({w for _, w, _ in entries})
+            duplex = [(j, i) for j, w in enumerate(made.listeners.tolist())
+                      for i, c in enumerate(made.span.tolist()) if c == w]
+            assert list(zip(made.duplex.tolist(), made.duplex_at.tolist())) == duplex
+            checked.append((len(entries), len(duplex), len(made.span)))
+            return made
 
+        monkeypatch.setattr(engine, "_span", recorded_span)
         monkeypatch.setattr(engine, "_frontier", recounting)
         rng = np.random.default_rng(20261019)
         for case in range(40):
@@ -866,17 +899,21 @@ class TestEngineEquivalence:
                 cfg = random_trial_config(rng, problem, ("static", "iid_subset")[case % 2],
                                           seed=case)
                 run_trial(cfg)
-        # frontiers with entries, without any, and with a listener that is
-        # a candidate itself
-        assert all(any(pred(e, d) for e, d in checked) for pred in (
-            lambda e, d: e > 0, lambda e, d: e == 0, lambda e, d: d > 0))
+        # frontiers with entries, without any, with a listener that is a
+        # candidate itself, and spans of one node and of several
+        assert all(any(pred(e, d, m) for e, d, m in checked) for pred in (
+            lambda e, d, m: e > 0, lambda e, d, m: e == 0, lambda e, d, m: d > 0,
+            lambda e, d, m: m == 1, lambda e, d, m: m > 1))
 
-    def test_transmitter_window_matches_recount(self):
-        # the window and next event found by bisection in the distinct
-        # activation rounds equal a recount from every node's activation
-        # round; the window holds through next_event - 1 and changes at
-        # next_event, and a window that never changes reports _NEVER.  The
-        # cases see next events where nodes only start, only stop, and both
+    def test_window_event_and_span_match_recount(self):
+        # the next window event found by bisection in the distinct
+        # activation rounds equals a recount from every node's activation
+        # round: the window holds through next_event - 1 and changes at
+        # next_event, and a window that never changes reports _NEVER, which
+        # only an empty one does.  The span of any front runs through the
+        # window from its first to its last node in the front.  The cases
+        # see next events where nodes only start, only stop, and both, and
+        # spans that are empty, of one node and of several
         rng = np.random.default_rng(11)
         seen = Counter()
         for _ in range(300):
@@ -889,50 +926,61 @@ class TestEngineEquivalence:
                 return [v for v in range(n) if act[v] < t <= act[v] + budget]
 
             starts = sorted(set(act.tolist()) - {_NEVER})
-            cand, next_event = engine._transmitter_window(act, starts, r, budget)
+            next_event = engine._window_event(starts, r, budget)
             want, want_next = transmitter_window(act, r, budget)
-            assert cand.tolist() == want.tolist() == window(r)
+            assert want.tolist() == window(r)
             assert next_event == want_next
             assert all(window(t) == window(r) for t in range(r, min(next_event, 40)))
             if next_event != _NEVER:
                 assert window(next_event) != window(r)
                 seen[(bool(set(window(next_event)) - set(window(r))),
                       bool(set(window(r)) - set(window(next_event))))] += 1
-        assert all(seen[kind] for kind in ((True, False), (False, True), (True, True))), seen
+            else:
+                assert not window(r)
+            front = np.flatnonzero((act != _NEVER) & (rng.random(n) < 0.6))
+            inside = [i for i, v in enumerate(window(r)) if v in front.tolist()]
+            span = window(r)[inside[0]:inside[-1] + 1] if inside else []
+            assert engine._span(front, act, r, budget).tolist() == span
+            seen[f"span {min(len(span), 2)}"] += 1
+        assert all(seen[kind] for kind in ((True, False), (False, True), (True, True),
+                                           "span 0", "span 1", "span 2")), seen
 
     def test_rescanned_window_matches_recount(self, monkeypatch):
-        # after every window event and delivery in a trial, the frontier is
-        # built from the window recomputed from every node's activation
-        # round, and the next rescan comes at the next event of that window
-        # (a later delivery's activation included), or past the trial's
-        # last round; the trials see events where nodes only start, only
-        # stop, and both, and a delivery followed by a window event in the
-        # next round
-        frontier, rescan, bind = engine._frontier, engine._transmitter_window, engine.make_policy
+        # after every window event and delivery in a trial, the span is
+        # taken from the window recomputed from every node's activation
+        # round, and the next event is looked up at the next event of that
+        # window (a later delivery's activation included), or past the
+        # trial's last round; the trials see events where nodes only start,
+        # only stop, and both, and a delivery followed by a window event in
+        # the next round
+        span_of, event, bind = engine._span, engine._window_event, engine.make_policy
         trial = {}
         seen = Counter()
 
-        def checked_frontier(table, cand, waiting, near, edge_count):
+        def checked_span(front, act, r, budget):
+            span = span_of(front, act, r, budget)
             if "act" in trial:  # not the point's start, built before the trial's policy
-                r = trial["built"] = trial["round"]
-                want = transmitter_window(trial["act"], r, trial["budget"])[0]
-                assert cand.tolist() == want.tolist(), r
+                assert r == trial["round"] and act is trial["act"]
+                trial["built"] = r
+                span_bounds(span, act, r, budget)
                 if trial.get("rescanned") != r:
                     seen["delivery"] += 1
                 elif (trial["delivered"] == r - 1).any():
                     seen["delivery, then event"] += 1
-            return frontier(table, cand, waiting, near, edge_count)
+            return span
 
-        def checked_rescan(act, starts, r, budget):
+        def checked_event(starts, r, budget):
             if "act" in trial:
+                act = trial["act"]
                 assert r == transmitter_window(act, trial["built"], budget)[1]
+                assert starts == sorted(set(act.tolist()) - {_NEVER})
                 before, after = (set(transmitter_window(act, t, budget)[0].tolist())
                                  for t in (r - 1, r))
                 seen[{(True, False): "start", (False, True): "stop",
                       (True, True): "start and stop"}[bool(after - before),
                                                       bool(before - after)]] += 1
                 trial["rescanned"] = r
-            return rescan(act, starts, r, budget)
+            return event(starts, r, budget)
 
         def recording_policy(plan, np_adv, q_adv, history):
             policy = bind(plan, np_adv, q_adv, history)
@@ -948,8 +996,8 @@ class TestEngineEquivalence:
             policy.pre_round = entering
             return policy
 
-        monkeypatch.setattr(engine, "_frontier", checked_frontier)
-        monkeypatch.setattr(engine, "_transmitter_window", checked_rescan)
+        monkeypatch.setattr(engine, "_span", checked_span)
+        monkeypatch.setattr(engine, "_window_event", checked_event)
         monkeypatch.setattr(engine, "make_policy", recording_policy)
         rng = np.random.default_rng(20261022)
         for case in range(40):
@@ -958,8 +1006,10 @@ class TestEngineEquivalence:
                                           seed=case)
                 trial.clear()
                 start = engine.point_start(cfg)
-                want, next_event = transmitter_window(start.act, 1, start.budget)
-                assert start.cand.tolist() == want.tolist() and start.next_event == next_event
+                assert start.front.tolist() == recounted_front(start.table, start.act,
+                                                               start.waiting)
+                assert start.next_event == transmitter_window(start.act, 1, start.budget)[1]
+                span_bounds(start.frontier.span, start.act, 1, start.budget)
                 trial.update(budget=start.budget, built=1)
                 result = run_trial(cfg, 0, start)
                 assert transmitter_window(trial["act"], trial["built"], start.budget)[1] \
@@ -1373,18 +1423,18 @@ class TestSkippedCoins:
         # round is dropped, and the trial still matches the reference given
         # its transmitters (see TestEngineEquivalence)
         draws, windows = [], []
-        first_firing, window = engine._first_firing, engine._transmitter_window
+        first_firing, window_event = engine._first_firing, engine._window_event
 
         def drawing(hazard, r, m, u, last):
             draws.append((len(windows), r, first_firing(hazard, r, m, u, last), last))
             return draws[-1][2]
 
-        def recording(act, starts, r, budget):
+        def recording(starts, r, budget):
             windows.append(r)
-            return window(act, starts, r, budget)
+            return window_event(starts, r, budget)
 
         monkeypatch.setattr(engine, "_first_firing", drawing)
-        monkeypatch.setattr(engine, "_transmitter_window", recording)
+        monkeypatch.setattr(engine, "_window_event", recording)
         rng = np.random.default_rng(20261021)
         seen = Counter()
         for case in range(40):

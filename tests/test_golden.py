@@ -202,6 +202,10 @@ def _configs():
         # start of a 3-round block, which draws a new q
         "m-iid-tau3-idle": (local(star16, rlb_schedule(2 ** 10 + 1, 3),
                                   {"kind": "iid_subset", "tau": 3}, 2000, m), 60),
+        # a star whose 4,096 arms all neighbor the waiting receiver, so every
+        # arm is a counted candidate in every round
+        "m-iid-star-4097": (local(gap_star_big, rlb_schedule(2 ** 12 + 1, 2),
+                                  {"kind": "iid_subset", "tau": 2}, 2000, m), 10),
         "m-inert-broadcasters": (local(inert, frlb_schedule(4, 2),
                                        {"kind": "iid_subset", "tau": 2, "edge_prob": 0.5},
                                        500, m), 200),
@@ -253,6 +257,10 @@ def _configs():
         "g-chained-gap-1025": (glob(chained_gadgets(2 ** 10 + 1, 24),
                                     frlb_schedule(2 ** 10 + 1, 1),
                                     {"kind": "chained_gap", "tau": 1}, 1_000_000), 3),
+        # the benign chain sixteen times the benchmark's, its full budget
+        "g-chained-static-4097": (glob(chained_gadgets(2 ** 12 + 1, 24),
+                                       frlb_schedule(2 ** 12 + 1, 1),
+                                       {"kind": "static", "tau": 1}, 1_000_000), 2),
     }
 
 
@@ -314,6 +322,7 @@ GOLDEN = {
     'm-walk-restricted-dodging':
         '5214b7b80ca72e7e993ed14283850dc4a64eb376f25c1dc1ca05dc28964fb540',
     'm-iid-tau3-idle': '338113036f4bbc8116f70b3d795b5f25bb98fe315bd497c1b7dba7aae9a4efcc',
+    'm-iid-star-4097': '40a158aa09804b8241080f275260bc8fe32e960148cd1d9b8f81ddafde0bd5aa',
     'm-inert-broadcasters': '621064024766d6db5256e810135dc846dff27aeb18bc204b2245997520f06340',
     'm-receiver-broadcasts': '3e48a8dc8a9c0486108e7db994747585e3e40f1ce2bffd22f8593259264bc802',
     'g-static': 'c0240b62ea6a7d624c54c3663369ff4b38c507f8a57098e49632e8572d51804e',
@@ -330,6 +339,7 @@ GOLDEN = {
     'g-chained-gap-decay': '41b5113acf32f893275b4c006edd0e8572537e490085ab3ad91c03184d572623',
     'g-chained-static-edges': '7e496c4659c9c1c0b61cf74aac55b28e02c2b9bbfb16e5c4912435bb8a51a38d',
     'g-chained-gap-1025': '3d1165601b0f5214170b4cc03c5df5aee62ad8cf9c31f33859cce4b1366defe8',
+    'g-chained-static-4097': 'cb15857f83b56e7e6f9064cbadcefbed1d19b98ab2fa455f71730d89be81ef66',
 }
 
 CONFIGS = _configs()
