@@ -9,9 +9,10 @@ printer, schedule dump, and scaling-law fitting.
 
 Configs are YAML documents; every sweep point must expand to a valid trial
 configuration, and validation errors name the offending key.  Experiment
-CSVs are written atomically (a `.partial` file is renamed only once the
-sweep finished), so rerunning a config with the same seed reproduces the
-output byte for byte.
+CSVs are written atomically: rows are appended to a `.partial` file, in
+point order, as trials finish, and it is renamed only once the sweep
+finished (a failed run removes it), so rerunning a config with the same
+seed reproduces the output byte for byte.
 """
 
 from __future__ import annotations
@@ -219,12 +220,14 @@ def build_trial_config(point: dict) -> tuple[TrialConfig, int]:
     return config, point["trials"]
 
 
-def _run_point(config: TrialConfig, trials: int, first_id: int):
-    """CSV rows (trial ids from `first_id` on) and summary of one sweep point."""
-    stats = engine.run_trials(config, trials)
-    rows = [trial_csv_row(first_id + i, config, res) for i, res in enumerate(stats.results)]
+def _run_point(config: TrialConfig, trials: int, first_id: int, emit) -> dict:
+    """Run one sweep point, handing `emit` each trial's CSV line (trial ids
+    from `first_id` on) as the trial finishes; the point's summary."""
+    stats = engine.run_trials(
+        config, trials,
+        lambda t, res: emit(trial_csv_row(first_id + t, config, res) + "\n"))
     tau = config.adversary["tau"]
-    summary = {
+    return {
         "algo": config.schedule.label,
         "delta_log2": f"{math.log2(config.gadget.delta):.6g}",
         "tau": "inf" if tau is None else str(tau),
@@ -237,7 +240,12 @@ def _run_point(config: TrialConfig, trials: int, first_id: int):
         "p90": stats.quantiles[0.9],
         "mean": stats.mean_completion,
     }
-    return rows, summary
+
+
+def _point_lines(config: TrialConfig, trials: int, first_id: int):
+    """A worker's sweep point: its CSV lines and summary."""
+    lines = []
+    return lines, _run_point(config, trials, first_id, lines.append)
 
 
 def _check_out(out_path) -> None:
@@ -274,29 +282,37 @@ def cmd_run(args) -> int:
     # every point's config is built, and checked, before the first point
     # runs; each is let go once its point has run
     pending = deque((*build_trial_config(p), first) for p, first in zip(points, first_ids))
-    if args.jobs > 1 and len(pending) > 1:
-        # imported here: a run without a pool should not pay for the import
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_run_point, *pending.popleft())
-                       for _ in range(len(pending))]
-        outputs = [f.result() for f in futures]
-    else:
-        outputs = [_run_point(*pending.popleft()) for _ in range(len(pending))]
-
+    # rows go to .partial in point order as they are made; a run that fails
+    # or is interrupted removes it, so it leaves neither it nor the CSV
     partial = out_path + ".partial"
-    with open(partial, "w") as fh:
-        fh.write(csv_header() + "\n")
-        for rows, _ in outputs:
-            fh.writelines(row + "\n" for row in rows)
+    summaries = []
+    try:
+        with open(partial, "w") as fh:
+            fh.write(csv_header() + "\n")
+            if args.jobs > 1 and len(pending) > 1:
+                # imported here: a run without a pool should not pay for the import
+                from concurrent.futures import ProcessPoolExecutor
+
+                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                    futures = deque(pool.submit(_point_lines, *pending.popleft())
+                                    for _ in range(len(pending)))
+                    while futures:
+                        lines, summary = futures.popleft().result()
+                        fh.writelines(lines)
+                        summaries.append(summary)
+            else:
+                while pending:
+                    summaries.append(_run_point(*pending.popleft(), fh.write))
+    except BaseException:
+        os.remove(partial)
+        raise
     os.replace(partial, out_path)
 
     print(f"wrote {out_path}")
     hdr = f"{'algo':>6} {'dlog2':>8} {'tau':>4} {'adversary':>22} {'ok':>6} " \
           f"{'rate':>7} {'median':>10} {'p90':>10} {'mean':>10}"
     print(hdr)
-    for _, s in outputs:
+    for s in summaries:
         med = s["median"] if s["median"] != math.inf else "inf"
         p90 = s["p90"] if s["p90"] != math.inf else "inf"
         mean = f"{s['mean']:.1f}" if s["mean"] is not None else "-"

@@ -55,12 +55,15 @@ initial state and increment) are that 32-byte digest read as
 little-endian words (RNG layout 4); `stream_seeds` derives them for a
 range of trials in one batch, and a lone trial for its own.
 `run_trials` builds once per point what each of its trials starts from
-(`point_start`) and hands it to every `run_trial`: the seed words of
-every trial and the engine's start state: on the analytic engine the
-cycle's ln(1 - p) values as floats, on the materialized engine the node
-state before round 1, its front and round 1's frontier.
-Trials only read it, and copy the arrays they change.  A lone `run_trial`
-builds its own.
+(`point_start`) and hands it to every `run_trial`: the trials' seed words,
+derived a block of trials at a time, and the engine's start state: on the
+analytic engine the cycle's ln(1 - p) values as floats, on the
+materialized engine the node state before round 1, its front and round
+1's frontier.  Trials only read it, and copy the arrays they change.  A
+lone `run_trial` builds its own.  `run_trials` runs a point's trials in
+seed order, hands each result to its caller's hook as it finishes and
+keeps only its completion round, so a point's memory does not grow with
+its trial count.
 The materialized node stream (RNG layout 2) is drawn per counted span,
 not per coin: only the span's m candidates can change a delivery, each
 transmitting with the round's p.  When those m coins show a transmitter
@@ -91,7 +94,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -144,10 +147,37 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def trial_rngs(seed: int, trial: int = 0, seeds: np.ndarray | None = None):
+# a point derives its trials' stream seeds this many trials at a time
+_SEED_BLOCK = 1024
+
+
+class _PointSeeds:
+    """The stream seeds of a point's trials 0..count-1, whose first seed
+    is `first_seed`: `seeds[t]` is `stream_seeds(first_seed + t, 1)[0]`.
+    They are derived `_SEED_BLOCK` trials at a time, as trials ask for
+    them, and only the block asked for last is kept, so a point holds the
+    same whatever its trial count."""
+
+    __slots__ = ("first_seed", "count", "lo", "words")
+
+    def __init__(self, first_seed: int, count: int):
+        self.first_seed, self.count = first_seed, count
+        self.lo, self.words = 0, stream_seeds(first_seed, min(count, _SEED_BLOCK))
+
+    def __getitem__(self, trial: int) -> np.ndarray:
+        if not 0 <= trial < self.count:
+            raise IndexError(f"trial {trial} outside the point's {self.count}")
+        lo = trial - trial % _SEED_BLOCK
+        if lo != self.lo:
+            self.lo, self.words = lo, stream_seeds(self.first_seed + lo,
+                                                   min(self.count - lo, _SEED_BLOCK))
+        return self.words[trial - lo]
+
+
+def trial_rngs(seed: int, trial: int = 0, seeds: _PointSeeds | None = None):
     """(node-coin, adversary, adversary q) generators of trial `trial` of a
     point whose first seed is `seed`.  `seeds` is the point's
-    `stream_seeds`; a lone call derives its own, which gives the same
+    `_PointSeeds`; a lone call derives its own, which gives the same
     generators."""
     nodes, adv, q = stream_seeds(seed + trial, 1)[0] if seeds is None else seeds[trial]
     gen, pcg = np.random.Generator, np.random.PCG64
@@ -468,19 +498,20 @@ def _frontier(table: _Neighbors, span: np.ndarray, waiting: np.ndarray, near: np
 
 
 def round_counts(frontier: _Frontier, coins: np.ndarray, extra_edge_indices: np.ndarray,
-                 edge_count: int) -> np.ndarray:
+                 active: np.ndarray) -> np.ndarray:
     """Transmitting active-topology neighbors of each frontier listener, the
     span's transmitters being those whose coin is True (reliable edges plus
-    the chosen unreliable ones, of `edge_count`, each counted once however
-    often it is named), and 0 at a transmitting listener (half duplex).
+    the chosen unreliable ones, each counted once however often it is
+    named), and 0 at a transmitting listener (half duplex).  `active` is
+    the trial's edge mask, True only at its last entry, the reliable slot;
+    the chosen edges are set in it for the count and cleared after it.
     Mirrors model.deliver's counting rule at every waiting node."""
     entries = frontier.entries
     pos = _slice_positions(entries, coins.nonzero()[0])
     if frontier.unreliable:
-        active = np.zeros(edge_count + 1, dtype=bool)
-        active[edge_count] = True
         active[extra_edge_indices] = True
         pos = pos[active[entries.through[pos]]]
+        active[extra_edge_indices] = False
     counts = np.bincount(entries.heard[pos], minlength=len(frontier.listeners))
     if len(frontier.duplex):
         counts[frontier.duplex[coins[frontier.duplex_at]]] = 0
@@ -592,7 +623,7 @@ class _MaterializedStart(NamedTuple):
     next window event after round 1, round 1's frontier, and the
     schedule's hazards."""
 
-    seeds: np.ndarray | None
+    seeds: _PointSeeds | None
     table: _Neighbors
     budget: int
     relay: bool
@@ -607,7 +638,7 @@ class _MaterializedStart(NamedTuple):
     hazard: _Hazard
 
 
-def _materialized_start(config: TrialConfig, seeds: np.ndarray | None) -> _MaterializedStart:
+def _materialized_start(config: TrialConfig, seeds: _PointSeeds | None) -> _MaterializedStart:
     """The problems differ only in this data.  Local broadcast starts every
     broadcaster with no budget and must reach the gadget's receivers;
     global broadcast starts the source with `rgb_reps` double cycles and
@@ -681,6 +712,9 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
     # stretches stop.
     table = start.table
     edge_count = config.gadget.unreliable_count
+    # `round_counts`' edge mask: every unreliable edge, then the reliable slot
+    active = np.zeros(edge_count + 1, dtype=bool)
+    active[edge_count] = True
     last = config.max_rounds
     completion = None
     empty = np.empty(0, dtype=np.int64)
@@ -726,7 +760,7 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
             continue
         fire = 0
         extra = sample_edges(r, tx)
-        counts = round_counts(frontier, coins, extra, edge_count)
+        counts = round_counts(frontier, coins, extra, active)
         newly = frontier.listeners[counts == 1]
         if len(newly):
             waiting[newly] = False
@@ -770,11 +804,11 @@ class _AnalyticStart(NamedTuple):
     """What every analytic trial of a point starts from (see `point_start`):
     the ln(1 - p) of each cycle entry, as floats."""
 
-    seeds: np.ndarray | None
+    seeds: _PointSeeds | None
     log1m_p: list[float]
 
 
-def _analytic_start(config: TrialConfig, seeds: np.ndarray | None) -> _AnalyticStart:
+def _analytic_start(config: TrialConfig, seeds: _PointSeeds | None) -> _AnalyticStart:
     return _AnalyticStart(seeds, config.schedule.log1m_prob_array.tolist())
 
 
@@ -870,9 +904,10 @@ def run_analytic_star_trial(config: TrialConfig, trial: int = 0,
 def point_start(config: TrialConfig, trial_count: int = 0):
     """What every trial of `config`'s point starts from, built once per
     point: the stream seeds of its first `trial_count` trials (none for 0:
-    a trial then derives its own) and its engine's start state.  Trials
-    only read it."""
-    seeds = stream_seeds(config.seed, trial_count) if trial_count else None
+    a trial then derives its own; see `_PointSeeds`, which derives the
+    block a trial asks for) and its engine's start state.  Trials only
+    read it."""
+    seeds = _PointSeeds(config.seed, trial_count) if trial_count else None
     if config.engine_mode == "analytic_star":
         return _analytic_start(config, seeds)
     return _materialized_start(config, seeds)
@@ -912,26 +947,27 @@ class Stats:
     wilson_high: float
     mean_completion: float | None
     quantiles: dict[float, float]
-    results: tuple[TrialResult, ...] = field(repr=False, default=())
 
     @property
     def median_completion(self) -> float:
         return self.quantiles[0.5]
 
 
-def aggregate(results: Sequence[TrialResult]) -> Stats:
-    """Deterministic fold over trials sorted by seed (execution-order free)."""
-    ordered = sorted(results, key=lambda t: t.seed)
-    n = len(ordered)
+def aggregate(completions: Sequence[int | None]) -> Stats:
+    """Fold a point's completion rounds, one per trial (None: the trial did
+    not complete), in any order: no statistic depends on it."""
+    n = len(completions)
     if n == 0:
-        raise ValueError("aggregate needs at least one trial result")
-    succ = sum(1 for t in ordered if t.completed)
+        raise ValueError("aggregate needs at least one trial's completion round")
+    finished = sorted(c for c in completions if c is not None)
+    succ = len(finished)
     lo, hi = wilson_interval(succ, n)
-    finished = [t.completion_round for t in ordered if t.completed]
-    mean = (sum(finished) / len(finished)) if finished else None
-    effective = sorted((t.completion_round if t.completed else math.inf)
-                       for t in ordered)
-    quants = {q: effective[min(n - 1, int(q * (n - 1)))] for q in _QUANTS}
+    mean = sum(finished) / succ if succ else None
+    # the unfinished trials rank last, at completion round inf
+    quants = {}
+    for q in _QUANTS:
+        i = min(n - 1, int(q * (n - 1)))
+        quants[q] = finished[i] if i < succ else math.inf
     return Stats(
         trial_count=n,
         success_count=succ,
@@ -940,17 +976,24 @@ def aggregate(results: Sequence[TrialResult]) -> Stats:
         wilson_high=hi,
         mean_completion=mean,
         quantiles=quants,
-        results=tuple(ordered),
     )
 
 
-def run_trials(config: TrialConfig, trial_count: int) -> Stats:
-    """Run trials under seeds seed, seed+1, ... and fold deterministically."""
+def run_trials(config: TrialConfig, trial_count: int,
+               on_trial: Callable[[int, TrialResult], object] | None = None) -> Stats:
+    """Run trials 0, 1, ... under seeds seed, seed+1, ..., in that order,
+    hand each result to `on_trial(trial, result)` as it finishes, and fold
+    their completion rounds, the only thing kept of a trial."""
     if trial_count < 1:
         raise ValueError("trial_count must be >= 1")
     start = point_start(config, trial_count)
-    results = [run_trial(config, t, start) for t in range(trial_count)]
-    return aggregate(results)
+    completions = []
+    for t in range(trial_count):
+        result = run_trial(config, t, start)
+        if on_trial is not None:
+            on_trial(t, result)
+        completions.append(result.completion_round)
+    return aggregate(completions)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -468,6 +469,93 @@ def run_program(argv):
                           text=True, timeout=120)
 
 
+class TestStreamingRun:
+    """`run` formats each trial's row as the trial finishes and appends it
+    to `.partial`, and keeps of a point only its completion rounds."""
+
+    CHAIN = {"problem": "global", "engine": "materialized",
+             "gadget": {"kind": "chained", "delta": 1025, "diameter": 24},
+             "algo": "frlb", "tau": 1, "adversary": {"kind": "static"},
+             "max_rounds": 1000000}
+
+    @staticmethod
+    def traced_peak(tmp_path, cfg):
+        """Peak traced memory of an in-process run of `cfg`."""
+        path = write_config(tmp_path, cfg, name=f"cfg-{cfg['trials']}.yaml")
+        out = tmp_path / "t.csv"
+        if out.exists():
+            out.unlink()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(["run", path, "--out", str(out)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_analytic_point_memory_does_not_grow_with_trials(self, tmp_path, capsys):
+        cfg = base_config(max_rounds=2000)
+        self.traced_peak(tmp_path, dict(cfg, trials=10))  # first-use caches
+        low = self.traced_peak(tmp_path, dict(cfg, trials=1000))
+        high = self.traced_peak(tmp_path, dict(cfg, trials=10_000))
+        assert (high - low) / 9000 < 64, (low, high)
+
+    def test_materialized_point_keeps_no_delivery_array(self, tmp_path, capsys):
+        # a kept result holds an int64 delivery round per node
+        n = cli.gadgets.build_gadget("chained", 1025, diameter=24).node_count
+        self.traced_peak(tmp_path, dict(self.CHAIN, trials=1))
+        low = self.traced_peak(tmp_path, dict(self.CHAIN, trials=4))
+        high = self.traced_peak(tmp_path, dict(self.CHAIN, trials=16))
+        assert high - low < 8 * n, (low, high, n)
+
+    def test_rows_are_made_as_trials_finish(self, tmp_path, monkeypatch):
+        events = []
+        run_trial, trial_csv_row = engine.run_trial, cli.trial_csv_row
+
+        def traced_trial(config, trial=0, start=None):
+            events.append(("trial", trial))
+            return run_trial(config, trial, start)
+
+        def traced_row(trial_id, config, result):
+            events.append(("row", trial_id))
+            return trial_csv_row(trial_id, config, result)
+
+        monkeypatch.setattr(engine, "run_trial", traced_trial)
+        monkeypatch.setattr(cli, "trial_csv_row", traced_row)
+        path = write_config(tmp_path, base_config(out=str(tmp_path / "t.csv"), trials=3,
+                                                  sweep={"tau": [1, 2]}))
+        assert main(["run", path]) == 0
+        assert events == [(kind, i) for t in range(6)
+                          for kind, i in (("trial", t % 3), ("row", t))]
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_failed_run_removes_partial_and_keeps_the_old_csv(self, tmp_path, capsys,
+                                                              monkeypatch, error):
+        out = tmp_path / "t.csv"
+        out.write_bytes(b"an earlier run's rows\n")
+        partial = tmp_path / "t.csv.partial"
+        run_trial = engine.run_trial
+        opened = []
+
+        def fails_on_second_point(config, trial=0, start=None):
+            if config.adversary["tau"] == 2:
+                opened.append(partial.exists())
+                raise error("trial failed")
+            return run_trial(config, trial, start)
+
+        monkeypatch.setattr(engine, "run_trial", fails_on_second_point)
+        path = write_config(tmp_path, base_config(out=str(out), sweep={"tau": [1, 2]}))
+        if error is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                main(["run", path])
+        else:
+            assert main(["run", path]) == 1
+            assert capsys.readouterr().err == "error: trial failed\n"
+        assert opened == [True]
+        assert out.read_bytes() == b"an earlier run's rows\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "t.csv"]
+
+
 class TestProgram:
     """`python -m dualradio.cli` as its own process: the only caller whose
     `main` freezes the heap before the interpreter exits."""
@@ -612,12 +700,9 @@ class TestScalingSweeps:
         from dualradio.engine import run_trials, trial_csv_row
 
         rows = []
-        tid = 0
         for cfg in configs:
-            stats = run_trials(cfg, trials)
-            for res in stats.results:
-                rows.append(trial_csv_row(tid, cfg, res))
-                tid += 1
+            run_trials(cfg, trials,
+                       lambda t, res: rows.append(trial_csv_row(len(rows), cfg, res)))
         return rows
 
     def test_frlb_vs_worst_stable_adversary_trend(self, tmp_path):

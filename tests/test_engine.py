@@ -63,6 +63,13 @@ def star_config(delta=16, tau=4, adversary=None, seed=7, engine="materialized",
                        seed=seed, max_rounds=max_rounds, engine_mode=engine)
 
 
+def trial_results(config, trials):
+    """The results `run_trials` hands its per-trial hook, in trial order."""
+    results = []
+    run_trials(config, trials, lambda t, res: results.append(res))
+    return results
+
+
 def iid_random_q_done_prob(schedule, arms, rounds, tau, nodes=400):
     """P(a star's receiver with `arms` unreliable arms is reached by round
     `rounds`) under `iid_subset` with a fresh q ~ U(0,1) per tau-block,
@@ -117,6 +124,16 @@ class TestSeeding:
             for rng, label in zip(streams, labels):
                 assert rng.bit_generator.state == digest_pcg64(seed, label).state, (seed, label)
 
+    def test_point_seeds_come_a_block_at_a_time(self, monkeypatch):
+        # a point keeps one block of seed words, whichever trial asks
+        monkeypatch.setattr(engine, "_SEED_BLOCK", 4)
+        seeds = engine._PointSeeds(40, 10)
+        for t in (0, 9, 3, 4, 8, 1, 9):
+            assert seeds[t].tolist() == stream_seeds(40 + t, 1)[0].tolist(), t
+            assert len(seeds.words) == (2 if t >= 8 else 4)
+        with pytest.raises(IndexError):
+            seeds[10]
+
     def test_node_stream_of_seed_0_is_pinned(self):
         # fixes the digest's byte order and which words are state and increment
         assert trial_rngs(0)[0].bit_generator.state["state"] == {
@@ -150,9 +167,11 @@ class TestReproducibility:
                             adversary={"kind": "chained_gap", "tau": 1},
                             seed=5, max_rounds=100_000),
     ], ids=["analytic", "materialized-local", "materialized-global-chained-gap"])
-    def test_batched_trials_match_lone_trials(self, make):
+    def test_batched_trials_match_lone_trials(self, make, monkeypatch):
+        # the point's seed words come in blocks of two trials here
+        monkeypatch.setattr(engine, "_SEED_BLOCK", 2)
         cfg = make()
-        batched = list(run_trials(cfg, 5).results)
+        batched = trial_results(cfg, 5)
         assert batched == [run_trial(cfg, t) for t in range(5)]
         assert batched == [run_trial(replace(cfg, seed=cfg.seed + t)) for t in range(5)]
         assert [r.seed for r in batched] == [cfg.seed + t for t in range(5)]
@@ -835,6 +854,8 @@ class TestEngineEquivalence:
                 else np.empty(0, dtype=np.int64)
             waiting = np.ones(n, dtype=bool) if case % 2 else rng.random(n) < 0.5
             table = engine._neighbors(custom_gadget(g, (), ()))
+            active = np.zeros(m + 1, dtype=bool)
+            active[m] = True
             cand = np.arange(n)
             near = engine._waiting_neighbors(table, waiting)
             frontier = engine._frontier(table, cand, waiting, near, m)
@@ -844,7 +865,9 @@ class TestEngineEquivalence:
                 g, [g.unreliable_edges[i] for i in extra_idx], 1)
             expected = transmit_counts(topo, tx.tolist())
             got = dict(zip(frontier.listeners.tolist(),
-                           round_counts(frontier, coins, extra_idx, m).tolist()))
+                           round_counts(frontier, coins, extra_idx, active).tolist()))
+            # the trial's mask is left as it was found, for the next round
+            assert active.nonzero()[0].tolist() == [m]
             for v in np.flatnonzero(waiting).tolist():
                 assert got.get(v, 0) == (0 if v in tx else expected[v]), (case, v)
 
@@ -1099,7 +1122,7 @@ class TestFirstDelivery:
                           schedule=frlb_schedule(33, 1),
                           adversary={"kind": "chained_gap", "tau": 1}, seed=4,
                           max_rounds=100_000)
-        for res in run_trials(cfg, 3).results:
+        for res in trial_results(cfg, 3):
             first = res.first_delivery
             assert res.completed and len(first) == cfg.gadget.node_count - 1
             assert isinstance(first, engine.FirstDelivery) and not hasattr(first, "__dict__")
@@ -1559,18 +1582,36 @@ class TestRepetitionContracts:
 class TestAggregation:
     def test_single_trial_stats(self):
         cfg = star_config(8, 2, seed=3)
-        stats = run_trials(cfg, 1)
+        seen = []
+        stats = run_trials(cfg, 1, lambda t, res: seen.append((t, res)))
         assert stats.trial_count == 1
-        assert stats.results[0] == run_trial(replace(cfg, seed=3))
+        assert seen == [(0, run_trial(replace(cfg, seed=3)))]
+        assert stats == aggregate([seen[0][1].completion_round])
+
+    def test_hook_sees_every_trial_in_seed_order(self):
+        # the hook gets each trial as it finishes; the stats fold only
+        # their completion rounds
+        cfg = star_config(8, 2, max_rounds=3, adversary={"kind": "iid_subset", "tau": 2})
+        seen = []
+        stats = run_trials(cfg, 20, lambda t, res: seen.append((t, res)))
+        assert seen == [(t, run_trial(cfg, t)) for t in range(20)]
+        rounds = [res.completion_round for _, res in seen]
+        assert None in rounds and stats == aggregate(rounds)
+        assert not hasattr(stats, "results")
 
     def test_order_invariant_fold(self):
-        cfg = star_config(8, 2, adversary={"kind": "iid_subset", "tau": 2})
-        results = [run_trial(replace(cfg, seed=cfg.seed + i)) for i in range(20)]
-        assert aggregate(results) == aggregate(list(reversed(results)))
+        rounds = [3, None, 1, 7, 3, None, 2, 12, 5]
+        stats = aggregate(rounds)
+        for order in (rounds[::-1], sorted(rounds, key=lambda c: (c is None, c)),
+                      rounds[4:] + rounds[:4]):
+            assert aggregate(order) == stats
+        assert (stats.trial_count, stats.success_count) == (9, 7)
+        assert stats.mean_completion == 33 / 7
+        assert stats.quantiles == {0.25: 3, 0.5: 5, 0.75: 12, 0.9: math.inf}
 
     def test_no_results_rejected(self):
         # as run_trials rejects zero trials; an empty fold has no quantiles
-        with pytest.raises(ValueError, match="at least one trial result"):
+        with pytest.raises(ValueError, match="at least one trial's completion round"):
             aggregate([])
 
     def test_wilson_interval_basics(self):
@@ -1642,7 +1683,7 @@ class TestResultInvariant:
             cfg = TrialConfig(problem="local", gadget=g, schedule=rlb_schedule(2 ** 12 + 1, 2),
                               adversary=adversary, seed=0, max_rounds=max_rounds,
                               engine_mode=engine)
-            results = run_trials(cfg, 40).results
+            results = trial_results(cfg, 40)
             self.check(results, cfg)
             done += [res.completed for res in results]
         assert set(done) == {True, False}
@@ -1652,7 +1693,7 @@ class TestResultInvariant:
         cfg = TrialConfig(problem="global", gadget=chained_gadgets(65, 24),
                           schedule=frlb_schedule(65, 1), adversary={"kind": kind, "tau": 1},
                           seed=0, max_rounds=600, rgb_reps=40)
-        results = run_trials(cfg, 30).results
+        results = trial_results(cfg, 30)
         self.check(results, cfg)
         assert any(res.completed for res in results)
         assert any(res.rounds_executed < cfg.max_rounds for res in results

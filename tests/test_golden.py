@@ -268,11 +268,14 @@ def golden_digest(config: TrialConfig, trials: int, relabel: dict | None = None)
     """The config's hash; `relabel` renames nodes in `first_delivery`."""
     relabel = relabel or {}
     h = hashlib.sha256()
-    for i, res in enumerate(run_trials(config, trials).results):
+
+    def digest(i, res):
         h.update(trial_csv_row(i, config, res).encode())
         h.update(repr(res.distribution_changes).encode())
         first = {relabel.get(node, node): r for node, r in res.first_delivery.items()}
         h.update(repr(sorted(first.items())).encode())
+
+    run_trials(config, trials, digest)
     return h.hexdigest()
 
 
@@ -398,7 +401,8 @@ def test_adversary_asked_once_per_round(name, monkeypatch):
         return policy
 
     monkeypatch.setattr(engine, "make_policy", recorded)
-    results = run_trials(config, trials).results
+    results = []
+    run_trials(config, trials, lambda t, res: results.append(res))
     assert len(calls) == len(results)
     for res, rounds in zip(results, calls):
         last = res.rounds_executed

@@ -62,9 +62,13 @@ def test_tracer_wraps_the_policy_api(tmp_path, config):
         cfg = normalize_config({**config, "seed": 5})
         point_config, trials = build_trial_config(expand_sweep(cfg)[0])
         entered = 0
-        for res in run_trials(point_config, trials).results:
+
+        def count_entries(t, res):
+            nonlocal entered
             later = {r + 1 for r in res.first_delivery.values() if r < res.rounds_executed}
             entered += len(later | {1})
+
+        run_trials(point_config, trials, count_entries)
         assert counts["adversary.pre_round.calls"] == entered < counts["engine.rounds_executed"]
         # bench/run.py requires collision counting to be seen, however few
         # transmitters the round loop counts
