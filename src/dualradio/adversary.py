@@ -2,8 +2,9 @@
 
 In the star gadgets an adversary acts only through the designated
 receiver's effective degree: 1 plus the unreliable arms it activates.
-Each receiver-degree policy states that degree once, in `_degrees`.  The
-analytic engine reads it through `AdversaryPolicy.degrees`; the
+Each receiver-degree policy states that degree in `_degrees`, for a chunk
+of rounds, and in `_degree`, for one round.  The analytic engine reads it
+through `AdversaryPolicy.degrees`; the
 materialized engine calls `AdversaryPolicy.sample_edges`, the one way of
 turning a degree d into edges: a uniform (d-1)-subset of the receiver's
 unreliable arms.  Only `static`, `iid_subset` and `chained_gap`, which
@@ -465,18 +466,20 @@ class AdversaryPolicy:
 
     The distribution may change only where a tau-round block starts (tau
     None: the whole run is one block).  `pre_round` enters the blocks of a
-    range of rounds, in order, through the hook `_blocks`, or `_enter_block`
-    for the one block of a single round: given the new blocks' indices they
-    draw their distributions and return their fingerprints, which
-    `change_log` records wherever they differ from the last.  It returns
-    the next round it must see, the first of the next block.  `_degrees`
-    maps rounds to the receiver's degrees.  The analytic engine calls
+    range of rounds, in order, through the hook `_blocks`; a single round
+    whose block is new, from round `_next` on, is entered by `_enter`,
+    through the hook `_enter_block`.  Given the new blocks' indices the
+    hooks draw their distributions and return their fingerprints, which
+    `change_log` records wherever they differ from the last.  `pre_round`
+    returns the next round it must see, `_next`, the first of the next
+    block.  `_degrees` maps a chunk of rounds to the receiver's degrees and
+    `_degree` one round to its degree.  The analytic engine calls
     `degrees`, which enters every block of a chunk of rounds at once, or
-    one round's block for a single round.  The materialized engine calls
-    `sample_edges` once every round, and before it `pre_round` in round 1,
-    in the round `pre_round` last returned and in each round after a
-    delivery; a call in any other round changes nothing.  Rounds are asked
-    for in order.
+    for a single round calls `_enter` itself when the round's block is new.
+    The materialized engine calls `sample_edges` once every round, and
+    before it `pre_round` in round 1, in the round `pre_round` last
+    returned and in each round after a delivery; a call in any other round
+    changes nothing.  Rounds are asked for in order.
     """
 
     def __init__(self, tau: int | None, arms: int = 0):
@@ -484,7 +487,9 @@ class AdversaryPolicy:
         self.arms = arms  # the receiver's unreliable arms, unreliable edges 0..arms-1
         self.change_log: list[tuple[int, object]] = []
         self._fingerprint: object = None
+        self._span = tau or _WHOLE_RUN
         self._block = -1  # the last block entered
+        self._next = 1  # the first round of the block after it
 
     # -- stability bookkeeping
 
@@ -493,21 +498,32 @@ class AdversaryPolicy:
             self.change_log.append((round_index, fingerprint))
             self._fingerprint = fingerprint
 
+    def _enter(self, round_index: int) -> None:
+        """Enter the block of round_index, a round from `_next` on, the one
+        block a single round can enter (`pre_round`'s and `degrees`' one
+        round)."""
+        span = self._span
+        block = self._block = (round_index - 1) // span
+        self._next = (block + 1) * span + 1 if self.tau else _NEVER
+        fingerprint = self._enter_block(block)
+        # `_record` inline: at tau = 1 every stepped round enters a block
+        if fingerprint != self._fingerprint:
+            self.change_log.append((round_index, fingerprint))
+            self._fingerprint = fingerprint
+
     def pre_round(self, round_index: int, through: int | None = None) -> int:
         """Enter the blocks of rounds round_index..through (by default
         round_index alone) that were not entered yet; the next round that
         must be entered, the first of the next block (_NEVER for tau None)."""
-        span = self.tau or _WHOLE_RUN
-        block = (round_index - 1) // span
         if through is None:  # one round: only its own block can be new
-            if block > self._block:
-                self._block = block
-                self._record(round_index, self._enter_block(block))
-            return (block + 1) * span + 1 if self.tau else _NEVER
-        last = (through - 1) // span
-        if last > self._block:
-            first = max(block, self._block + 1)
-            self._block = last
+            if round_index >= self._next:
+                self._enter(round_index)
+            return self._next
+        if through >= self._next:
+            span = self._span
+            first = max((round_index - 1) // span, self._block + 1)
+            last = self._block = (through - 1) // span
+            self._next = (last + 1) * span + 1 if self.tau else _NEVER
             begin = first * span + 1
             changes = self._blocks(range(first, last + 1))
             log = self.change_log
@@ -518,14 +534,16 @@ class AdversaryPolicy:
             for i, fp in changes[1:]:
                 log.append((begin + i * span, fp))
             self._fingerprint = fp
-        return (last + 1) * span + 1 if self.tau else _NEVER
+        return self._next
 
     def degrees(self, start_round: int, count: int):
         """Receiver effective degrees for rounds start..start+count-1; for
-        one round, the one degree of `_degrees`' one-round form."""
+        one round, the one degree of `_degree`, its block entered without
+        a call to `pre_round`."""
         if count == 1:
-            self.pre_round(start_round)
-            return self._degrees(start_round)
+            if start_round >= self._next:
+                self._enter(start_round)
+            return self._degree(start_round)
         self.pre_round(start_round, through=start_round + count - 1)
         return self._degrees(np.arange(start_round, start_round + count))
 
@@ -538,7 +556,7 @@ class AdversaryPolicy:
 
         By default the active edges are a uniform (d-1)-subset of the
         receiver's unreliable arms for the round's degree d, drawn in full."""
-        d = int(self._degrees(round_index))
+        d = int(self._degree(round_index))
         return uniform_subset(self.np_rng, self.arms, d - 1)
 
     # -- hooks
@@ -556,8 +574,13 @@ class AdversaryPolicy:
         return self._blocks(range(block, block + 1))[0][1]
 
     def _degrees(self, rounds):
-        """Degrees for an int64 array of rounds, or for one int round (then
-        one degree)."""
+        """Degrees for an int64 array of consecutive rounds, within the
+        blocks entered."""
+        raise NotImplementedError
+
+    def _degree(self, round_index: int):
+        """The degree of one round, in the last block entered: a float, or
+        an int of 2^53 or more, which a float would round."""
         raise NotImplementedError
 
 
@@ -575,7 +598,10 @@ class StaticPolicy(AdversaryPolicy):
         return [(0, self.named)]
 
     def _degrees(self, rounds):
-        return np.full(np.shape(rounds), self.degree)
+        return np.full(len(rounds), self.degree)
+
+    def _degree(self, round_index):
+        return self.degree
 
     def sample_edges(self, round_index, tx):
         return self.edge_indices
@@ -588,10 +614,10 @@ class IidSubsetPolicy(AdversaryPolicy):
     boundary, which is the strongest re-randomizing member of the family;
     q comes from the adversary's q stream `q_rng`, one double per block in
     block order, so it does not depend on how the blocks are batched or on
-    the degree and edge draws.  A fixed q is one block whatever tau is.  `_qs` holds the q of each block
-    from `_qs_from` to the last entered: the blocks the last `_blocks` or
-    `_enter_block` call entered, after the block before them, in which a
-    chunk may begin.
+    the degree and edge draws.  A fixed q is one block whatever tau is.
+    `_q` is the q of the last block entered.  `_qs` holds the q of each
+    block from `_qs_from` to the last that `_blocks` entered: the blocks it
+    entered, after the block before them, in which a chunk may begin.
 
     One round draws its arm count with one scalar `binomial` call.  A chunk
     of rounds draws them block by block, one scalar-q call per block, when
@@ -606,43 +632,45 @@ class IidSubsetPolicy(AdversaryPolicy):
         super().__init__(tau if edge_prob is None else None, arms)
         self.edge_prob = edge_prob
         self.n_unreliable = n_unreliable
-        self._qs: list[float] = [math.nan]  # no block before the first
-        self._qs_from = -1
+        self._q = math.nan  # no block before the first
+        self._qs: list[float] = []
+        self._qs_from = 0
 
     def _blocks(self, blocks):
         if self.edge_prob is not None:
             qs = [self.edge_prob]
         else:
             qs = self.q_rng.random(len(blocks)).tolist()
-        self._qs = [self._qs[-1], *qs]
+        self._qs = [self._q, *qs]
         self._qs_from = blocks.start - 1
+        self._q = qs[-1]
         return [(i, ("iid", q)) for i, q in enumerate(qs) if not i or q != qs[i - 1]]
 
     def _enter_block(self, block):
-        q = self.edge_prob if self.edge_prob is not None else self.q_rng.random()
-        self._qs = [self._qs[-1], q]
-        self._qs_from = block - 1
+        q = self._q = self.edge_prob if self.edge_prob is not None else self.q_rng.random()
         return ("iid", q)
 
     def sample_edges(self, round_index, tx):
-        mask = self.np_rng.random(self.n_unreliable) < self._qs[-1]
+        mask = self.np_rng.random(self.n_unreliable) < self._q
         return np.flatnonzero(mask)
 
+    def _degree(self, round_index):
+        return 1.0 + self.np_rng.binomial(self.arms, self._q)
+
     def _degrees(self, rounds):
-        # rounds: a chunk of consecutive rounds, within the blocks entered,
-        # or one round, in the last block entered
+        # a chunk in one block lies in the last block entered; one that
+        # spans more lies in the blocks `_blocks` entered for it, and the
+        # block before them
         arms, binomial = self.arms, self.np_rng.binomial
-        if not isinstance(rounds, np.ndarray):
-            return 1.0 + binomial(arms, self._qs[-1])
-        span = self.tau or _WHOLE_RUN
+        span = self._span
         start, count = int(rounds[0]) - 1, len(rounds)
         first, last = start // span, (start + count - 1) // span
+        if first == last:
+            return 1.0 + binomial(arms, self._q, count)
         if last - first + 1 > self._BLOCKWISE:
             q = np.array(self._qs)[(rounds - 1) // span - self._qs_from]
             return 1.0 + binomial(arms, q)
         qs = self._qs[first - self._qs_from:last + 1 - self._qs_from]
-        if len(qs) == 1:
-            return 1.0 + binomial(arms, qs[0], count)
         degrees = np.empty(count)
         at = 0
         for block, q in enumerate(qs, first):
@@ -716,6 +744,10 @@ class PhaseDegreePolicy(AdversaryPolicy):
         table = self._phase_degree
         return table.floats[(rounds - 1) // self.tau % table.period]
 
+    def _degree(self, round_index):
+        table = self._phase_degree
+        return float(table.ints[(round_index - 1) // self.tau % table.period])
+
 
 class CorrelatedShiftPolicy(AdversaryPolicy):
     """One distribution for the whole run (tau = infinity) whose per-round
@@ -734,6 +766,9 @@ class CorrelatedShiftPolicy(AdversaryPolicy):
     def _degrees(self, rounds):
         return self.plan.degree_at(rounds)
 
+    def _degree(self, round_index):
+        return float(self.plan.degree_at(round_index))
+
 
 class DegreeWalkPolicy(AdversaryPolicy):
     """Correlated walk on the receiver degree with a per-round change budget:
@@ -749,22 +784,26 @@ class DegreeWalkPolicy(AdversaryPolicy):
         # the walk's blocks draw nothing
         return [(i, ("walk-block", b)) for i, b in enumerate(blocks)]
 
-    def _degrees(self, rounds):
+    def _degree(self, round_index):
         # round r's degree is the walk after r - 1 steps; rounds come in order
-        one = not isinstance(rounds, np.ndarray)
-        last = int(rounds) if one else int(rounds[-1])
+        k = self.schedule.cycle_length
+        log_p = [self.schedule.log_probs[r % k] for r in range(self._round, round_index)]
+        steps = walk_degrees(self.walk, self.degree, log_p, self.np_rng)
+        if len(steps):
+            self.degree = int(steps[-1])
+            self._round = round_index
+        return self.degree if self.degree >= _EXACT else float(self.degree)
+
+    def _degrees(self, rounds):
+        last = int(rounds[-1])
         before = self.degree
         k = self.schedule.cycle_length
-        if one:  # the materialized engine steps one round per call
-            log_p = [self.schedule.log_probs[r % k] for r in range(self._round, last)]
-        else:
-            log_p = self.schedule.log_prob_array[np.arange(self._round, last) % k]
-        steps = walk_degrees(self.walk, before, log_p, self.np_rng)
+        steps = walk_degrees(self.walk, before,
+                             self.schedule.log_prob_array[np.arange(self._round, last) % k],
+                             self.np_rng)
         if len(steps):
             self.degree = int(steps[-1])
             self._round = last
-        if one:
-            return self.degree
         if len(rounds) == len(steps):
             return steps
         # the first call also asks for round 1, which no step reaches

@@ -34,13 +34,14 @@ the designated receiver's effective degree, sampling its per-round success
 from the closed-form probability (in log space, so degree bounds given as
 log2 values keep working).  A trial steps its first 16 rounds one at a
 time, with one degree (`AdversaryPolicy.degrees(r, 1)`) and one success
-test in float64 scalars each, since most short trials end within them;
+test in Python floats each, since most short trials end within them;
 their 16 uniforms are drawn in one call, the same doubles as one call per
-round.  Only a trial that outlives them draws degree chunks, 16 rounds and
-then 4x more each up to 4096.  Every stream is consumed in round order and a
-round alone computes what its lane of a chunk computes (`np.log`, never
-`math.log`, which may differ in the last bit), so where chunks begin does
-not change a result.
+round, and their logs taken in one `np.log` call.  Only a trial that
+outlives them draws degree chunks, 16 rounds and then 4x more each up to
+4096.  Every stream is consumed in round order and a round alone makes the
+float64 operations of its lane of a chunk (`np.log`, never `math.log`,
+which may differ in the last bit), so where chunks begin does not change a
+result.
 
 Randomness: each trial t uses seed s = `config.seed + t`.  Inside a
 trial, streams are seeded by SHA-256 over f"{s}:{label}", with disjoint
@@ -57,10 +58,11 @@ range of trials in one batch, and a lone trial for its own.
 `run_trials` builds once per point what each of its trials starts from
 (`point_start`) and hands it to every `run_trial`: the trials' seed words,
 derived a block of trials at a time, and the engine's start state: on the
-analytic engine the cycle's ln(1 - p) values as floats, on the
-materialized engine the node state before round 1, its front and round
-1's frontier.  Trials only read it, and copy the arrays they change.  A
-lone `run_trial` builds its own.  `run_trials` runs a point's trials in
+analytic engine the receiver, whether it broadcasts, the cycle length and
+the cycle's ln p and ln(1 - p) values as floats, on the materialized
+engine the node state before round 1, its front and round 1's frontier.
+Trials only read it, and copy the arrays they change.  A lone
+`run_trial` builds its own.  `run_trials` runs a point's trials in
 seed order, hands each result to its caller's hook as it finishes and
 keeps only its completion round, so a point's memory does not grow with
 its trial count.
@@ -102,7 +104,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .adversary import (_EXACT, _NEVER, AdversaryPlan, ObservableHistory, compile_adversary,
+from .adversary import (_NEVER, AdversaryPlan, ObservableHistory, compile_adversary,
                         make_policy, uniform_subset)
 from .gadgets import EDGE_LIMIT, Gadget
 from .oracle import exact_success_logprob
@@ -120,6 +122,8 @@ _LN2 = math.log(2.0)
 
 # a trial's node, adversary and adversary q stream labels
 _STREAM_LABELS = ("nodes", "adversary", "adversary:q")
+# each label as it follows the seed in a digested text
+_LABEL_SUFFIXES = tuple(f":{label}".encode() for label in _STREAM_LABELS)
 
 
 def stream_seeds(first_seed: int, count: int) -> np.ndarray:
@@ -129,8 +133,10 @@ def stream_seeds(first_seed: int, count: int) -> np.ndarray:
     f"{first_seed + t}:{label}" read as four little-endian 64-bit words, in
     native byte order (PCG64 reads the words' memory)."""
     sha = hashlib.sha256
-    digests = b"".join(sha(f"{first_seed + t}:{label}".encode()).digest()
-                       for t in range(count) for label in _STREAM_LABELS)
+    # a seed's decimal digits are formatted once for its three streams
+    digests = b"".join(sha(seed + suffix).digest()
+                       for seed in map(b"%d".__mod__, range(first_seed, first_seed + count))
+                       for suffix in _LABEL_SUFFIXES)
     return np.frombuffer(digests, dtype="<u8").astype(np.uint64).reshape(count, 3, 4)
 
 
@@ -179,9 +185,11 @@ def trial_rngs(seed: int, trial: int = 0, seeds: _PointSeeds | None = None):
     point whose first seed is `seed`.  `seeds` is the point's
     `_PointSeeds`; a lone call derives its own, which gives the same
     generators."""
-    nodes, adv, q = stream_seeds(seed + trial, 1)[0] if seeds is None else seeds[trial]
+    words = stream_seeds(seed + trial, 1)[0] if seeds is None else seeds[trial]
     gen, pcg = np.random.Generator, np.random.PCG64
-    return gen(pcg(_SeedWords(nodes))), gen(pcg(_SeedWords(adv))), gen(pcg(_SeedWords(q)))
+    # three index reads, not an unpacking, which iterates the (3, 4) array
+    return (gen(pcg(_SeedWords(words[0]))), gen(pcg(_SeedWords(words[1]))),
+            gen(pcg(_SeedWords(words[2]))))
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +292,11 @@ class FirstDelivery(Mapping):
         return f"FirstDelivery({dict(self)!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TrialResult:
+    """One trial's result: built once by its engine, never changed after
+    (slotted, not frozen, as a frozen dataclass costs more to build)."""
+
     completed: bool
     completion_round: int | None
     first_delivery: Mapping[int, int]
@@ -802,14 +813,25 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
 
 class _AnalyticStart(NamedTuple):
     """What every analytic trial of a point starts from (see `point_start`):
-    the ln(1 - p) of each cycle entry, as floats."""
+    the receiver, whether it is a broadcaster (`flag`), the offset of its
+    degree in the success exponent (0 if so, else 1), the cycle length and
+    the ln p and ln(1 - p) of each cycle entry, as floats."""
 
     seeds: _PointSeeds | None
+    receiver: int
+    flag: bool
+    exp_off: float
+    k: int
+    log_probs: list[float]
     log1m_p: list[float]
 
 
 def _analytic_start(config: TrialConfig, seeds: _PointSeeds | None) -> _AnalyticStart:
-    return _AnalyticStart(seeds, config.schedule.log1m_prob_array.tolist())
+    gadget, schedule = config.gadget, config.schedule
+    flag = gadget.receiver in gadget.broadcasters
+    return _AnalyticStart(seeds, gadget.receiver, flag, 0.0 if flag else 1.0,
+                          schedule.cycle_length, schedule.log_probs,
+                          schedule.log1m_prob_array.tolist())
 
 
 def _exact_hit(d: int, log_p: float, flag: bool, u: float) -> bool:
@@ -828,37 +850,35 @@ def run_analytic_star_trial(config: TrialConfig, trial: int = 0,
     round succeeds with the exact closed-form probability, sampled by
     comparing log-probability against the log of a uniform draw.  The
     first `_STEPPED` rounds ask for one degree at a time, their uniforms
-    drawn in one call, the later ones for a chunk of each; every stream is
+    drawn and their logs taken in one call each, and test each hit in
+    Python floats; the later ones ask for a chunk of each.  Every stream is
     consumed in round order either way, and a round alone makes the same
-    float operations as its lane of a chunk, so the result does not depend
-    on the split.
+    float64 operations as its lane of a chunk, so the result does not
+    depend on the split.
     """
-    gadget = config.gadget
     schedule = config.schedule
     if start is None:
         start = _analytic_start(config, None)
     np_nodes, np_adv, q_adv = trial_rngs(config.seed, trial, start.seeds)
     policy = make_policy(config.plan, np_adv, q_adv)
 
-    recv = gadget.receiver
-    flag = recv in gadget.broadcasters
-    exp_off = 0.0 if flag else 1.0
-    k = schedule.cycle_length
-    log_probs, log1m_p = schedule.log_probs, start.log1m_p
+    _, recv, flag, exp_off, k, log_probs, log1m_p = start
     degrees, log = policy.degrees, np.log
     last = config.max_rounds
 
     completion = None
     r = 0  # rounds run
     # the stepped rounds' uniforms in one draw, the same doubles as one
-    # random() per round; a chunk then draws the next ones
-    for u in np_nodes.random(min(_STEPPED, last)).tolist():
+    # random() per round, and their logs in one call, each its lane of a
+    # chunk's; a chunk then draws the next ones
+    uniforms = np_nodes.random(_STEPPED if last > _STEPPED else last)
+    for log_u in log(uniforms).tolist():
         degs = degrees(r + 1, 1)
-        lp = log_probs[r % k]
-        if isinstance(degs, int) and degs >= _EXACT:  # as in a chunk of such degrees
-            hit = _exact_hit(degs, lp, flag, u)
-        else:
-            hit = log(u) < log(degs) + lp + (degs - exp_off) * log1m_p[r % k]
+        j = r % k
+        if isinstance(degs, int):  # 2^53 or more: as in a chunk of such degrees
+            hit = _exact_hit(degs, log_probs[j], flag, uniforms[r])
+        else:  # in Python floats, the float64 operations of a chunk's lane
+            hit = log_u < float(log(degs)) + log_probs[j] + (degs - exp_off) * log1m_p[j]
         r += 1
         if hit:
             completion = r
@@ -869,7 +889,7 @@ def run_analytic_star_trial(config: TrialConfig, trial: int = 0,
         chunk = min(chunk * 4, _CHUNK)
         degs = degrees(r + 1, cnt)
         if cnt == 1:  # degrees()' one-round form, as a chunk of one
-            degs = [degs] if isinstance(degs, int) and degs >= _EXACT else np.array([degs], float)
+            degs = [degs] if isinstance(degs, int) else np.array([degs])
         u = np_nodes.random(cnt)
         if isinstance(degs, np.ndarray):
             idx = np.arange(r, r + cnt) % k
@@ -891,14 +911,10 @@ def run_analytic_star_trial(config: TrialConfig, trial: int = 0,
     if changes and changes[-1][0] > rounds_executed:
         # a chunk entered blocks past the last round run: not part of the trial
         changes = [c for c in changes if c[0] <= rounds_executed]
-    return TrialResult(
-        completed=completion is not None,
-        completion_round=completion,
-        first_delivery={} if completion is None else {recv: completion},
-        rounds_executed=rounds_executed,
-        seed=config.seed + trial,
-        distribution_changes=tuple(changes),
-    )
+    # by position: a keyword call costs about twice as much
+    return TrialResult(completion is not None, completion,
+                       {} if completion is None else {recv: completion},
+                       rounds_executed, config.seed + trial, tuple(changes))
 
 
 def point_start(config: TrialConfig, trial_count: int = 0):

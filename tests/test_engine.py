@@ -409,25 +409,29 @@ class TestStabilityAudit:
 
     @pytest.mark.parametrize("adversary", [
         {"kind": "static", "tau": 3, "extra_degree": 5},
+        {"kind": "iid_subset", "tau": 1},
         {"kind": "iid_subset", "tau": 2},
         {"kind": "iid_subset", "tau": 3},
         {"kind": "iid_subset", "tau": 3, "edge_prob": 0.3},
         {"kind": "iid_subset", "tau": None},
+        {"kind": "gap", "tau": 1},
         {"kind": "gap", "tau": 2},
         {"kind": "argmin", "tau": 2},
         {"kind": "correlated_shift"},
         {"kind": "degree_walk_deterministic", "tau": 4, "l": 3, "start_degree": 20},
         {"kind": "degree_walk_restricted", "tau": 4, "l": 2, "walk_mode": "random"},
         {"kind": "degree_walk_deterministic", "tau": 5, "l": 2 ** 54, "start_degree": 2 ** 68},
-    ], ids=["static", "iid-random-q", "iid-random-q-tau3", "iid-fixed-q", "iid-tau-inf", "gap",
-            "argmin", "shift", "walk-deterministic", "walk-restricted", "walk-beyond-2^53"])
+    ], ids=["static", "iid-random-q-tau1", "iid-random-q", "iid-random-q-tau3", "iid-fixed-q",
+            "iid-tau-inf", "gap-tau1", "gap", "argmin", "shift", "walk-deterministic",
+            "walk-restricted", "walk-beyond-2^53"])
     def test_analytic_result_independent_of_chunk_cap(self, adversary, monkeypatch):
         # a schedule built for a far larger degree bound keeps most trials
         # running past the rounds stepped one at a time and the first chunk,
         # after which the count of stepped rounds, the first chunk and the
         # cap decide how many rounds each degrees() call covers: none
         # stepped (chunks only), one, the default, and every round; at
-        # tau = 3 the stepped rounds end inside a block
+        # tau = 1 every stepped round enters a new block, and at tau = 3 the
+        # stepped rounds end inside a block
         schedule, max_rounds = rlb_schedule(2 ** 24, 2), 2000
         if adversary["kind"] == "gap":
             g = star_gadget(2 ** 12 + 1, 2 ** 12 + 3)
