@@ -257,6 +257,12 @@ def _configs():
         "g-chained-gap-1025": (glob(chained_gadgets(2 ** 10 + 1, 24),
                                     frlb_schedule(2 ** 10 + 1, 1),
                                     {"kind": "chained_gap", "tau": 1}, 1_000_000), 3),
+        # chained gap from a source inside the chain, which sends out two
+        # fronts: the only golden whose rounds draw several sections at once
+        # (2,638 such draws, of 2 to 8 sections)
+        "g-chained-gap-mid-source": (glob(replace(chain257, source=1500),
+                                          frlb_schedule(2 ** 8 + 1, 1),
+                                          {"kind": "chained_gap", "tau": 1}, 100_000), 10),
         # the benign chain sixteen times the benchmark's, its full budget
         "g-chained-static-4097": (glob(chained_gadgets(2 ** 12 + 1, 24),
                                        frlb_schedule(2 ** 12 + 1, 1),
@@ -343,6 +349,7 @@ GOLDEN = {
     'g-chained-static-edges': '7e496c4659c9c1c0b61cf74aac55b28e02c2b9bbfb16e5c4912435bb8a51a38d',
     'g-chained-gap-1025': '3d1165601b0f5214170b4cc03c5df5aee62ad8cf9c31f33859cce4b1366defe8',
     'g-chained-static-4097': 'cb15857f83b56e7e6f9064cbadcefbed1d19b98ab2fa455f71730d89be81ef66',
+    'g-chained-gap-mid-source': '78ea2dbb65bd2e8f951f9ee9759a2eadbc047886d9cda4eede6177df4aa60108',
 }
 
 CONFIGS = _configs()
