@@ -23,9 +23,8 @@ engines' calls go through, and every distribution change is appended to
 `change_log` so the engine can audit it.  `pre_round` returns the next
 round it must see, so the materialized engine calls it only at events: in
 that round and in the round after a delivery.  The degree walk has one step
-rule, `walk_degrees`, and every random edge subset comes from
-`uniform_subsets`, one generator call per round (`uniform_subset` for one
-pool, the same draw).
+rule, `walk_degrees`, and every uniform edge subset comes from one draw,
+`uniform_subset` (Floyd's algorithm), one generator call per pool.
 
 `compile_adversary` turns a spec into a sweep point's plan once, when
 the point's `TrialConfig` is built: it makes every config check, builds
@@ -107,53 +106,17 @@ class GapPhasePlan:
 _NO_EDGES = np.empty(0, dtype=np.int64)
 
 
-def uniform_subsets(np_rng, sizes: Sequence[int], picks: Sequence[int]) -> np.ndarray:
-    """A uniform picks[i]-subset of range(sizes[i]) for every i, without
-    replacement, as positions into the concatenated pools (pool i starts at
-    sum(sizes[:i])).  The order of the positions carries no meaning.
+def uniform_subset(np_rng, m: int, k: int) -> np.ndarray:
+    """A uniform k-subset of range(m), without replacement, as positions
+    whose order carries no meaning.
 
     Floyd's algorithm picks k of m with one uniform u_j per j = m-k..m-1:
     it takes t_j = floor(u_j (j+1)), or j itself when t_j is already taken.
-    Every subset's uniforms come from one `random(total)` call, which
-    consumes the stream exactly as one `random(k)` call per subset, in
-    order, would.  A subset whose t's are distinct took them all; only a
-    subset whose t's collide replays the insertion loop on its own
-    uniforms.  A subset with k == m is its whole pool and draws nothing.
+    The k uniforms come from one `random(k)` call.  When the t's are
+    distinct it took them all; only when some collide is the insertion loop
+    replayed on the same uniforms.  k == m is the whole pool and draws
+    nothing.
     """
-    drawn, whole = [], []  # drawn: (first uniform, pool start, m, k)
-    offset = total = 0
-    for m, k in zip(sizes, picks):
-        if not 0 <= k <= m:
-            raise ValueError(f"cannot pick {k} of {m}")
-        if k == m:
-            whole.append(np.arange(offset, offset + m, dtype=np.int64))
-        elif k:
-            drawn.append((total, offset, m, k))
-            total += k
-        offset += m
-    if not total:
-        return np.concatenate(whole) if whole else _NO_EDGES
-    # the j-th uniform of a subset, uniform first + j, scales by
-    # m - k + 1 + j: the first subset's range, continued, and shifted for
-    # each later subset; a key is then shifted by its pool's start
-    _, _, m0, k0 = drawn[0]
-    spans = np.arange(m0 - k0 + 1, m0 - k0 + 1 + total, dtype=np.float64)
-    for first, _, m, k in drawn[1:]:
-        spans[first:first + k] += m - k - (m0 - k0) - first
-    u = np_rng.random(total)
-    keys = (u * spans).astype(np.int64)
-    for first, offset, m, k in drawn:
-        if len(set(keys[first:first + k].tolist())) < k:
-            keys[first:first + k] = _floyd(u[first:first + k], m)
-        if offset:
-            keys[first:first + k] += offset
-    return np.concatenate((keys, *whole)) if whole else keys
-
-
-def uniform_subset(np_rng, m: int, k: int) -> np.ndarray:
-    """`uniform_subsets(np_rng, (m,), (k,))` without its per-pool
-    bookkeeping: the same positions, in the same order, from the same k
-    uniforms."""
     if not 0 <= k <= m:
         raise ValueError(f"cannot pick {k} of {m}")
     if k == m:
@@ -311,14 +274,13 @@ class ShiftPlan:
         return self.responses[step]
 
 
-def shift_plan(cycle_probs: Sequence[float], delta: int, rng,
-               forced_shift: int | None = None) -> ShiftPlan:
-    """Build the correlated-shift plan for a probability cycle.
+def shift_plan(cycle_probs: Sequence[float], delta: int, shift: int = 1) -> ShiftPlan:
+    """Build the correlated-shift plan for a probability cycle, with the
+    given shift in 1..l (`ShiftPlan.redrawn` draws one).
 
     Estimates are e_i = min(1/p_i, delta); the response is degree 1 when
     e_i >= sqrt(delta) (the guess is already small enough) and the full
-    degree delta otherwise (drowning the guess in collisions).  The shift
-    is drawn uniformly from 1..l once per execution unless forced.
+    degree delta otherwise (drowning the guess in collisions).
     """
     l = len(cycle_probs)
     if l < 1:
@@ -334,18 +296,17 @@ def shift_plan(cycle_probs: Sequence[float], delta: int, rng,
         e = min(inv, float(delta)) if math.isfinite(inv) else float(delta)
         estimates.append(e)
         responses.append(1 if e >= sqrt_delta else delta)
-    if forced_shift is not None and not 1 <= forced_shift <= l:
+    if not 1 <= shift <= l:
         raise ValueError(f"shift must be in 1..{l}")
-    plan = ShiftPlan(
+    return ShiftPlan(
         cycle_probs=tuple(cycle_probs),
         delta=delta,
         sqrt_delta=sqrt_delta,
         perfect_square=perfect,
         estimates=tuple(estimates),
         responses=tuple(responses),
-        shift=forced_shift or 1,
+        shift=shift,
     )
-    return plan if forced_shift is not None else plan.redrawn(rng)
 
 
 @dataclass(frozen=True)
@@ -619,14 +580,11 @@ class IidSubsetPolicy(AdversaryPolicy):
     block from `_qs_from` to the last that `_blocks` entered: the blocks it
     entered, after the block before them, in which a chunk may begin.
 
-    One round draws its arm count with one scalar `binomial` call.  A chunk
-    of rounds draws them block by block, one scalar-q call per block, when
-    it spans at most `_BLOCKWISE` blocks, and in one call with an array of
-    q's otherwise: numpy spends more on checking an array of q's than on a
-    few calls.  All three forms take the same draws from the stream.
+    One round draws its arm count with one scalar-q `binomial` call, a chunk
+    of rounds in one block all of them with one scalar-q call, and a chunk
+    that spans several blocks with one call given each round's q.  All
+    three forms take the same draws from the stream.
     """
-
-    _BLOCKWISE = 8
 
     def __init__(self, tau, edge_prob: float | None, n_unreliable: int, arms: int):
         super().__init__(tau if edge_prob is None else None, arms)
@@ -661,24 +619,12 @@ class IidSubsetPolicy(AdversaryPolicy):
         # a chunk in one block lies in the last block entered; one that
         # spans more lies in the blocks `_blocks` entered for it, and the
         # block before them
-        arms, binomial = self.arms, self.np_rng.binomial
         span = self._span
         start, count = int(rounds[0]) - 1, len(rounds)
-        first, last = start // span, (start + count - 1) // span
-        if first == last:
-            return 1.0 + binomial(arms, self._q, count)
-        if last - first + 1 > self._BLOCKWISE:
-            q = np.array(self._qs)[(rounds - 1) // span - self._qs_from]
-            return 1.0 + binomial(arms, q)
-        qs = self._qs[first - self._qs_from:last + 1 - self._qs_from]
-        degrees = np.empty(count)
-        at = 0
-        for block, q in enumerate(qs, first):
-            end = min((block + 1) * span - start, count)
-            degrees[at:end] = binomial(arms, q, end - at)
-            at = end
-        degrees += 1.0
-        return degrees
+        if start // span == (start + count - 1) // span:
+            return 1.0 + self.np_rng.binomial(self.arms, self._q, count)
+        q = np.array(self._qs)[(rounds - 1) // span - self._qs_from]
+        return 1.0 + self.np_rng.binomial(self.arms, q)
 
 
 def phase_cycle_probs(schedule: Schedule, tau: int, phase: int) -> list[float]:
@@ -861,12 +807,12 @@ class ChainedGapPolicy(AdversaryPolicy):
     (`_first`) are recounted only when a degree changes.
 
     Each round every gadget's unreliable arms get a fresh uniform subset,
-    in section order from one stream (see `uniform_subsets`), but only the
-    sections from the first to the last that a counted transmitter lies in
-    are drawn (one section, most often, through `uniform_subset`): an
-    unreliable edge joins two nodes of one section.  The other sections'
-    uniforms are owed and skipped with one `advance` of `np_rng` (a PCG64
-    double is one 64-bit output) before the next draw.
+    one `uniform_subset` per section, in section order from one stream, but
+    only the sections from the first to the last that a counted transmitter
+    lies in are drawn (most often one): an unreliable edge joins two nodes
+    of one section.  The other sections' uniforms are owed and skipped with
+    one `advance` of `np_rng` (a PCG64 double is one 64-bit output) before
+    the next draw.
     """
 
     def __init__(self, tau: int, table: PhaseDegrees, chain: ChainSections):
@@ -947,12 +893,13 @@ class ChainedGapPolicy(AdversaryPolicy):
             self.np_rng.bit_generator.advance(skip)
         if lo == hi:
             positions = uniform_subset(self.np_rng, chain.sizes[lo], self.section_degree[lo] - 1)
+            if lo:
+                positions += chain.offsets[lo]  # a fresh array, or an empty one
         else:
-            positions = uniform_subsets(self.np_rng, chain.sizes[lo:hi + 1],
-                                        [d - 1 for d in self.section_degree[lo:hi + 1]])
+            positions = np.concatenate([
+                uniform_subset(self.np_rng, chain.sizes[s], self.section_degree[s] - 1)
+                + chain.offsets[s] for s in range(lo, hi + 1)])
         self._owed = first[-1] - first[hi + 1]
-        if lo:
-            positions += chain.offsets[lo]  # a fresh array, or an empty one
         return positions
 
 
@@ -1113,7 +1060,7 @@ def compile_adversary(spec: dict, gadget: Gadget, schedule: Schedule) -> Adversa
             raise ValueError(
                 f"correlated_shift computes the receiver's degrees 1 and delta as doubles, so "
                 f"it needs delta < 2^53; got delta = 2^{math.log2(gadget.delta):.6g}")
-        plan = shift_plan(schedule.cycle, gadget.delta, None, spec.get("shift", 1))
+        plan = shift_plan(schedule.cycle, gadget.delta, spec.get("shift", 1))
         return AdversaryPlan(partial(CorrelatedShiftPolicy, plan, "shift" not in spec, arms),
                              None)
     # a degree walk

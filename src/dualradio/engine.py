@@ -64,8 +64,8 @@ engine the node state before round 1, its front and round 1's frontier.
 Trials only read it, and copy the arrays they change.  A lone
 `run_trial` builds its own.  `run_trials` runs a point's trials in
 seed order, hands each result to its caller's hook as it finishes and
-keeps only its completion round, so a point's memory does not grow with
-its trial count.
+keeps only a count of trials per completion round, so a point's memory
+grows with its distinct completion rounds, not with its trial count.
 The materialized node stream (RNG layout 2) is drawn per counted span,
 not per coin: only the span's m candidates can change a delivery, each
 transmitting with the round's p.  When those m coins show a transmitter
@@ -95,11 +95,12 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import itertools
 import math
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -969,21 +970,23 @@ class Stats:
         return self.quantiles[0.5]
 
 
-def aggregate(completions: Sequence[int | None]) -> Stats:
-    """Fold a point's completion rounds, one per trial (None: the trial did
-    not complete), in any order: no statistic depends on it."""
-    n = len(completions)
+def aggregate(counts: Mapping[int | None, int]) -> Stats:
+    """Fold a point's completion rounds, given as the number of trials that
+    completed in each round (None: the trials that did not complete)."""
+    n = sum(counts.values())
     if n == 0:
         raise ValueError("aggregate needs at least one trial's completion round")
-    finished = sorted(c for c in completions if c is not None)
-    succ = len(finished)
+    finished = sorted(c for c in counts if c is not None)
+    succ = n - counts.get(None, 0)
     lo, hi = wilson_interval(succ, n)
-    mean = sum(finished) / succ if succ else None
-    # the unfinished trials rank last, at completion round inf
+    mean = sum(c * counts[c] for c in finished) / succ if succ else None
+    # the i-th trial in completion order: the first round whose cumulative
+    # count passes i; the unfinished trials rank last, at round inf
+    ranks = list(itertools.accumulate(counts[c] for c in finished))
     quants = {}
     for q in _QUANTS:
         i = min(n - 1, int(q * (n - 1)))
-        quants[q] = finished[i] if i < succ else math.inf
+        quants[q] = finished[bisect.bisect_right(ranks, i)] if i < succ else math.inf
     return Stats(
         trial_count=n,
         success_count=succ,
@@ -999,17 +1002,19 @@ def run_trials(config: TrialConfig, trial_count: int,
                on_trial: Callable[[int, TrialResult], object] | None = None) -> Stats:
     """Run trials 0, 1, ... under seeds seed, seed+1, ..., in that order,
     hand each result to `on_trial(trial, result)` as it finishes, and fold
-    their completion rounds, the only thing kept of a trial."""
+    their completion rounds, the only thing kept of a trial, as a count of
+    trials per round."""
     if trial_count < 1:
         raise ValueError("trial_count must be >= 1")
     start = point_start(config, trial_count)
-    completions = []
+    counts: dict[int | None, int] = {}
     for t in range(trial_count):
         result = run_trial(config, t, start)
         if on_trial is not None:
             on_trial(t, result)
-        completions.append(result.completion_round)
-    return aggregate(completions)
+        c = result.completion_round
+        counts[c] = counts.get(c, 0) + 1
+    return aggregate(counts)
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def test_criterion_08_correlated_shift():
                   frlb_schedule(delta, 2 ** 20))
         for sched in scheds:
             cycle = sched.cycle
-            plan = shift_plan(cycle, delta, None, forced_shift=len(cycle))
+            plan = shift_plan(cycle, delta, shift=len(cycle))
             for t in range(1, len(cycle) + 1):
                 alpha = cycle[(t - 1) % len(cycle)] * plan.degree_at(t)
                 if not (alpha >= root - 1e-9 or alpha <= 1.0 / root + 1e-9):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from dualradio.adversary import (ADVERSARY_KEYS, AdversaryPlan, ChainedGapPolicy,
                                  DegreeWalkState, IidSubsetPolicy, ObservableHistory,
                                  argmin_degree, compile_adversary, gap_plan, make_policy,
-                                 phase_cycle_probs, shift_plan, uniform_subset, uniform_subsets,
+                                 phase_cycle_probs, shift_plan, uniform_subset,
                                  walk_degrees)
 from dualradio.engine import _NEVER, TrialConfig, run_trial, trial_rngs
 from dualradio.gadgets import build_gadget, chained_gadgets, double_star, star_gadget
@@ -142,16 +142,14 @@ class TestArgminDegree:
 
 class TestShiftPlan:
     def test_worked_example(self):
-        np_rng, _ = rngs()
-        plan = shift_plan([0.5, 1.0 / 16], 16, np_rng, forced_shift=2)
+        plan = shift_plan([0.5, 1.0 / 16], 16, shift=2)
         assert plan.estimates == (2.0, 16.0)
         assert plan.responses == (16, 1)
         # s = l pairing: step 1 uses p=1/2 against degree 16, step 2 degree 1
         assert plan.degree_at(1) == 16 and plan.degree_at(2) == 1
 
     def test_large_estimate_gives_degree_one(self):
-        np_rng, _ = rngs()
-        plan = shift_plan([0.001, 0.9], 100, np_rng, forced_shift=2)
+        plan = shift_plan([0.001, 0.9], 100, shift=2)
         assert plan.responses[0] == 1 and plan.responses[1] == 100
 
     def test_adversarial_pairing_extremes(self):
@@ -160,8 +158,7 @@ class TestShiftPlan:
             for sched in (decay_schedule(delta), rlb_schedule(delta, 4),
                           frlb_schedule(delta, 3)):
                 cycle = sched.cycle
-                np_rng, _ = rngs()
-                plan = shift_plan(cycle, delta, np_rng, forced_shift=len(cycle))
+                plan = shift_plan(cycle, delta, shift=len(cycle))
                 root = math.sqrt(delta)
                 for t in range(1, len(cycle) + 1):
                     alpha = cycle[(t - 1) % len(cycle)] * plan.degree_at(t)
@@ -169,7 +166,7 @@ class TestShiftPlan:
 
     def test_degree_sequence_deterministic_given_shift(self):
         np_rng, _ = rngs(3)
-        plan = shift_plan([0.5, 0.25, 0.125], 64, np_rng)
+        plan = shift_plan([0.5, 0.25, 0.125], 64).redrawn(np_rng)
         seq1 = [plan.degree_at(t) for t in range(1, 10)]
         seq2 = [plan.degree_at(t) for t in range(1, 10)]
         assert seq1 == seq2
@@ -177,20 +174,19 @@ class TestShiftPlan:
     def test_degree_at_an_array_of_steps(self):
         # one rule for both engines: an int64 array of steps gives the same
         # degrees as float64
-        plan = shift_plan([0.5, 0.25, 0.125], 64, rngs(3)[0])
+        plan = shift_plan([0.5, 0.25, 0.125], 64).redrawn(rngs(3)[0])
         got = plan.degree_at(np.arange(1, 10))
         assert got.dtype == np.float64
         assert got.tolist() == [plan.degree_at(t) for t in range(1, 10)]
 
     def test_shift_uniform_over_cycle(self):
         np_rng, _ = rngs(11)
-        seen = {shift_plan([0.5, 0.25], 16, np_rng).shift for _ in range(200)}
+        seen = {shift_plan([0.5, 0.25], 16).redrawn(np_rng).shift for _ in range(200)}
         assert seen == {1, 2}
 
     def test_perfect_square_recorded(self):
-        np_rng, _ = rngs()
-        assert shift_plan([0.5], 16, np_rng, forced_shift=1).perfect_square
-        assert not shift_plan([0.5], 17, np_rng, forced_shift=1).perfect_square
+        assert shift_plan([0.5], 16).perfect_square
+        assert not shift_plan([0.5], 17).perfect_square
 
 
 class TestDegreeWalk:
@@ -628,17 +624,6 @@ def floyd_subset(np_rng, m, k):
     return chosen
 
 
-subset_specs = st.lists(
-    st.one_of(
-        st.integers(1, 400).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
-        # k close to m: t's collide for certain
-        st.integers(2, 60).flatmap(
-            lambda m: st.tuples(st.just(m), st.integers(max(0, m - 3), m))),
-        st.tuples(st.integers(1, 4), st.integers(0, 1)),
-    ),
-    min_size=1, max_size=40)
-
-
 class QStream:
     """An adversary q stream whose draws cycle through given q's."""
 
@@ -651,15 +636,14 @@ class QStream:
         return np.array([next(self.draws) for _ in range(size)])
 
 
-class TestIidBlockwiseDegrees:
+class TestIidChunkDegrees:
     @pytest.mark.parametrize("arms", [62, 2 ** 20])
     @pytest.mark.parametrize("qs", [(1e-9, 4e-9, 2e-9), (0.49, 0.5, 0.51, 0.5),
                                     (0.93, 1 - 1e-9, 0.97)],
                              ids=["near-0", "near-half", "near-1"])
-    def test_blockwise_degrees_match_one_array_call(self, arms, qs):
+    def test_chunk_degrees_match_one_array_call(self, arms, qs):
         # the analytic engine's chunks of 16, 64 and 256 rounds, drawn by the
-        # policy (one scalar-q call per block up to 8 blocks) and by one
-        # array-q binomial call per chunk on a twin stream
+        # policy and by one array-q binomial call per chunk on a twin stream
         spanned = set()
         for tau, fixed in itertools.product((1, 2, 3, 6, 40, 400, None), (False, True)):
             policy = make_policy(AdversaryPlan(partial(IidSubsetPolicy, tau,
@@ -676,53 +660,43 @@ class TestIidBlockwiseDegrees:
                 assert policy.degrees(r, count).tolist() == expected.tolist(), (tau, fixed, r)
                 r += count
             assert policy.np_rng.random() == twin.random()
-        # one block, a few (block by block) and many (one array call)
+        # one block, a few and many
         assert {1, 2, 3, 6, 7, 8, 22, 256} <= spanned
 
 
 class TestUniformSubsets:
-    @settings(max_examples=300, deadline=None)
-    @given(subset_specs, st.integers(0, 2 ** 32))
-    def test_matches_sequential_floyd(self, specs, seed):
-        sizes = [m for m, _ in specs]
-        picks = [k for _, k in specs]
-        batched = np.random.Generator(np.random.PCG64(seed))
-        sequential = np.random.Generator(np.random.PCG64(seed))
-        got = uniform_subsets(batched, sizes, picks).tolist()
-        assert len(got) == len(set(got)) == sum(picks)
-        offset = 0
-        for m, k in specs:
-            mine = {p - offset for p in got if offset <= p < offset + m}
-            assert mine == floyd_subset(sequential, m, k)
-            offset += m
-        assert batched.bit_generator.state == sequential.bit_generator.state
+    def test_matches_sequential_floyd(self):
+        # successive draws on one stream give, pool by pool, Floyd's subset
+        # drawn one uniform per step on a twin stream, and leave the stream
+        # where it does; the pools see distinct Floyd keys, keys that
+        # collide (Floyd's loop replayed), k == m and k == 0
+        seen = Counter()
+        for seed in range(300):
+            rng = np.random.default_rng([20261020, seed])
+            pools = []
+            for _ in range(int(rng.integers(1, 7))):
+                m = int(rng.integers(1, rng.choice((4, 60, 400)) + 1))
+                k = int(rng.integers(max(0, m - 3), m + 1) if rng.random() < 0.3
+                        else rng.integers(0, m + 1))
+                pools.append((m, k))
+            one, sequential, twin = (np.random.Generator(np.random.PCG64(seed))
+                                     for _ in range(3))
+            for m, k in pools:
+                got = uniform_subset(one, m, k)
+                assert got.dtype == np.int64
+                assert len(got) == len(set(got.tolist())) == k, (m, k)
+                assert set(got.tolist()) == floyd_subset(sequential, m, k), (m, k)
+                if k < m:
+                    keys = (twin.random(k) * np.arange(m - k + 1, m + 1)).astype(np.int64)
+                seen["k == m" if k == m else "k == 0" if not k
+                     else "collide" if len(set(keys.tolist())) < k else "distinct"] += 1
+            assert one.bit_generator.state == sequential.bit_generator.state
+        assert all(seen[c] for c in ("k == m", "k == 0", "collide", "distinct")), seen
 
     def test_more_than_the_pool_raises(self):
         np_rng = np.random.Generator(np.random.PCG64(0))
         with pytest.raises(ValueError, match="cannot pick 6 of 5"):
-            uniform_subsets(np_rng, (3, 5), (1, 6))
-        with pytest.raises(ValueError, match="cannot pick 6 of 5"):
             uniform_subset(np_rng, 5, 6)
-
-    def test_one_pool_form_matches_the_pools_draw(self):
-        # `uniform_subset` returns the positions, in order, that the pools'
-        # draw returns for one pool on the same stream, and leaves the
-        # stream where it does; the cases see distinct Floyd keys, keys
-        # that collide (Floyd's loop replayed), k == m and k == 0
-        seen = Counter()
-        for seed in range(600):
-            rng = np.random.default_rng([20261020, seed])
-            m = int(rng.integers(1, 24))
-            k = int(rng.integers(0, m + 1))
-            one, pools, twin = (np.random.Generator(np.random.PCG64(seed)) for _ in range(3))
-            got = uniform_subset(one, m, k)
-            assert got.dtype == np.int64
-            assert got.tolist() == uniform_subsets(pools, (m,), (k,)).tolist(), (m, k)
-            assert one.bit_generator.state == pools.bit_generator.state
-            keys = (twin.random(k) * np.arange(m - k + 1, m + 1)).astype(np.int64)
-            seen["k == m" if k == m else "k == 0" if not k
-                 else "collide" if len(set(keys.tolist())) < k else "distinct"] += 1
-        assert all(seen[c] for c in ("k == m", "k == 0", "collide", "distinct")), seen
 
 
 class TestChainedController:
@@ -813,6 +787,7 @@ class TestNarrowedDraws:
         plan = compile_adversary({"kind": "chained_gap", "tau": 1}, g, frlb_schedule(delta, 1))
         narrow, full = (make_policy(plan, np.random.Generator(np.random.PCG64(seed)), None,
                                     unreached(g)) for _ in range(2))
+        twin, chain = np.random.Generator(np.random.PCG64(seed)), full.chain
         for r in range(1, data.draw(st.integers(1, 6), label="rounds") + 1):
             degrees = data.draw(st.lists(st.integers(1, m + 1), min_size=8, max_size=8),
                                 label="degrees")  # picks k = d - 1 from 0 to m
@@ -822,11 +797,18 @@ class TestNarrowedDraws:
             nodes = data.draw(st.sets(st.integers(0, n - 1)), label="tx")
             tx = np.array(sorted(nodes), dtype=np.int64)
             got = set(narrow.sample_edges(r, tx).tolist())
-            drawn = set(full.sample_edges(r, every_node(g)).tolist())
+            drawn = full.sample_edges(r, every_node(g)).tolist()
+            # the full draw is Floyd's subset of each section, in section
+            # order, shifted by the section's first arm
+            assert len(drawn) == len(set(drawn))
+            assert set(drawn) == {offset + p for offset, size, d in zip(
+                chain.offsets, chain.sizes, degrees) for p in floyd_subset(twin, size, d - 1)}
+            drawn = set(drawn)
             assert got <= drawn
             assert self.touching(g.graph, got, nodes) == self.touching(g.graph, drawn, nodes)
         narrow.np_rng.bit_generator.advance(narrow._owed)
         assert narrow.np_rng.bit_generator.state == full.np_rng.bit_generator.state
+        assert full.np_rng.bit_generator.state == twin.bit_generator.state
 
 
 class FullScanChainedGap(ChainedGapPolicy):

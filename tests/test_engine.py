@@ -1590,7 +1590,7 @@ class TestAggregation:
         stats = run_trials(cfg, 1, lambda t, res: seen.append((t, res)))
         assert stats.trial_count == 1
         assert seen == [(0, run_trial(replace(cfg, seed=3)))]
-        assert stats == aggregate([seen[0][1].completion_round])
+        assert stats == aggregate({seen[0][1].completion_round: 1})
 
     def test_hook_sees_every_trial_in_seed_order(self):
         # the hook gets each trial as it finishes; the stats fold only
@@ -1600,23 +1600,41 @@ class TestAggregation:
         stats = run_trials(cfg, 20, lambda t, res: seen.append((t, res)))
         assert seen == [(t, run_trial(cfg, t)) for t in range(20)]
         rounds = [res.completion_round for _, res in seen]
-        assert None in rounds and stats == aggregate(rounds)
+        assert None in rounds and stats == aggregate(Counter(rounds))
         assert not hasattr(stats, "results")
 
     def test_order_invariant_fold(self):
+        # the counts per completion round, in whatever order the trials
+        # met them
         rounds = [3, None, 1, 7, 3, None, 2, 12, 5]
-        stats = aggregate(rounds)
+        stats = aggregate(Counter(rounds))
         for order in (rounds[::-1], sorted(rounds, key=lambda c: (c is None, c)),
                       rounds[4:] + rounds[:4]):
-            assert aggregate(order) == stats
+            assert aggregate(dict(Counter(order))) == stats
         assert (stats.trial_count, stats.success_count) == (9, 7)
         assert stats.mean_completion == 33 / 7
         assert stats.quantiles == {0.25: 3, 0.5: 5, 0.75: 12, 0.9: math.inf}
 
+    def test_counts_fold_as_the_rounds_they_stand_for(self):
+        # quantiles by cumulative counts and the mean from an exact integer
+        # sum: as sorting the rounds, one per trial, and summing them
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            rounds = [None if rng.random() < 0.2 else int(rng.integers(1, 6)) * 2 ** 50 + 1
+                      for _ in range(int(rng.integers(1, 40)))]
+            stats = aggregate(Counter(rounds))
+            finished = sorted(c for c in rounds if c is not None)
+            n = len(rounds)
+            assert stats.mean_completion == (sum(finished) / len(finished) if finished
+                                             else None)
+            ranked = finished + [math.inf] * (n - len(finished))
+            assert stats.quantiles == {q: ranked[min(n - 1, int(q * (n - 1)))]
+                                       for q in (0.25, 0.5, 0.75, 0.9)}
+
     def test_no_results_rejected(self):
         # as run_trials rejects zero trials; an empty fold has no quantiles
         with pytest.raises(ValueError, match="at least one trial's completion round"):
-            aggregate([])
+            aggregate({})
 
     def test_wilson_interval_basics(self):
         lo, hi = wilson_interval(50, 100)
