@@ -3,12 +3,13 @@
 In the star gadgets an adversary acts only through the designated
 receiver's effective degree: 1 plus the unreliable arms it activates.
 Each receiver-degree policy states that degree in `_degrees`, for a chunk
-of rounds, and in `_degree`, for one round.  The analytic engine reads it
-through `AdversaryPolicy.degrees`; the
-materialized engine calls `AdversaryPolicy.sample_edges`, the one way of
-turning a degree d into edges: a uniform (d-1)-subset of the receiver's
-unreliable arms.  Only `static`, `iid_subset` and `chained_gap`, which
-name edges beyond one receiver's arms, pick their edges themselves.
+of rounds; `_degree`, for one round, takes it from there, and only the
+policies whose single rounds are hot paths state it again.  The analytic
+engine reads it through `AdversaryPolicy.degrees`; the materialized engine
+calls `AdversaryPolicy.sample_edges`, the one way of turning a degree d
+into edges: a uniform (d-1)-subset of the receiver's unreliable arms.
+Only `static`, `iid_subset` and `chained_gap`, which name edges beyond one
+receiver's arms, pick their edges themselves.
 
 `sample_edges` is given the round's counted transmitters and returns
 every active edge that touches one of them; it may leave out the others,
@@ -434,9 +435,10 @@ class AdversaryPolicy:
     `change_log` records wherever they differ from the last.  `pre_round`
     returns the next round it must see, `_next`, the first of the next
     block.  `_degrees` maps a chunk of rounds to the receiver's degrees and
-    `_degree` one round to its degree.  The analytic engine calls
-    `degrees`, which enters every block of a chunk of rounds at once, or
-    for a single round calls `_enter` itself when the round's block is new.
+    `_degree` one round to its degree, by default through `_degrees`.  The
+    analytic engine calls `degrees`, which enters every block of a chunk of
+    rounds at once, or for a single round calls `_enter` itself when the
+    round's block is new.
     The materialized engine calls `sample_edges` once every round, and
     before it `pre_round` in round 1, in the round `pre_round` last
     returned and in each round after a delivery; a call in any other round
@@ -541,8 +543,9 @@ class AdversaryPolicy:
 
     def _degree(self, round_index: int):
         """The degree of one round, in the last block entered: a float, or
-        an int of 2^53 or more, which a float would round."""
-        raise NotImplementedError
+        an int of 2^53 or more, which a float would round.  By default the
+        last entry of `_degrees` over that one round."""
+        return self._degrees(np.arange(round_index, round_index + 1))[-1]
 
 
 class StaticPolicy(AdversaryPolicy):
@@ -560,9 +563,6 @@ class StaticPolicy(AdversaryPolicy):
 
     def _degrees(self, rounds):
         return np.full(len(rounds), self.degree)
-
-    def _degree(self, round_index):
-        return self.degree
 
     def sample_edges(self, round_index, tx):
         return self.edge_indices
@@ -712,9 +712,6 @@ class CorrelatedShiftPolicy(AdversaryPolicy):
     def _degrees(self, rounds):
         return self.plan.degree_at(rounds)
 
-    def _degree(self, round_index):
-        return float(self.plan.degree_at(round_index))
-
 
 class DegreeWalkPolicy(AdversaryPolicy):
     """Correlated walk on the receiver degree with a per-round change budget:
@@ -822,40 +819,25 @@ class ChainedGapPolicy(AdversaryPolicy):
         count = len(chain.sizes)
         self.section_degree = [table(0)] * count
         self.section_frozen = [False] * count
-        self._frozen_phase = [1] * count  # the phase each section froze in
         self._live = list(range(count))  # the sections not frozen
         self._live_heads, self._live_receivers = chain.heads, chain.receivers
         self._first: list[int] = []  # uniforms a full draw takes before section s
         self._owed = 0  # uniforms skipped but not yet advanced past
-        self._round = 0  # the last round entered
         self._seen = -1  # the deliveries made before the last rescan
 
     def _phase_at(self, round_index: int, act: int) -> int:
         # Python ints: an unreached head's int64 max + 1 must not wrap
         return 1 + max(0, round_index - act - 1) // self.tau
 
-    @property
-    def section_phase(self) -> list[int]:
-        """Each section's phase in the last round `pre_round` saw; a frozen
-        section keeps the phase it was in before it froze."""
-        acts = self.history.act[self.chain.heads].tolist()
-        return [self._frozen_phase[i] if frozen else self._phase_at(self._round, act)
-                for i, (frozen, act) in enumerate(zip(self.section_frozen, acts))]
-
     def pre_round(self, round_index):
         history, table = self.history, self._phase_degree
         if history.count == self._seen and table.period == 1:
-            self._round = round_index
             return _NEVER
         changed = moved = self._fingerprint is None
         received = history.delivery[self._live_receivers] != _NEVER
-        froze = received.nonzero()[0].tolist()
-        if froze:
-            acts = history.act[self._live_heads].tolist()
-            for j in froze:
-                i = self._live[j]
-                self.section_frozen[i] = changed = True
-                self._frozen_phase[i] = self._phase_at(round_index - 1, acts[j])
+        if received.any():
+            for j in received.nonzero()[0].tolist():
+                self.section_frozen[self._live[j]] = changed = True
             self._live = [i for i in self._live if not self.section_frozen[i]]
             kept = ~received
             self._live_heads = self._live_heads[kept]
@@ -867,7 +849,7 @@ class ChainedGapPolicy(AdversaryPolicy):
                 if degree != self.section_degree[i]:
                     self.section_degree[i] = degree
                     changed = moved = True
-        self._round, self._seen = round_index, history.count
+        self._seen = history.count
         if moved:
             self._enter_degrees()
         if changed:

@@ -394,27 +394,28 @@ def read_trials_csv(path: str) -> list[dict]:
 def fit_scaling(rows: list[dict], predictor: str, params: dict) -> ScalingFit:
     import numpy as np
 
-    groups: dict[tuple, list[float]] = {}
+    # each point's trials per completion round (None: not completed)
+    groups: dict[tuple, dict[int | None, int]] = {}
     meta: dict[tuple, tuple] = {}
     for row in rows:
         key = (row["problem"], row["algo"], row["engine"], row["delta_log2"],
                row["tau"], row["adversary"])
-        comp = float(row["completion_round"]) if row["completed"] == "1" else math.inf
-        groups.setdefault(key, []).append(comp)
+        comp = int(row["completion_round"]) if row["completed"] == "1" else None
+        counts = groups.setdefault(key, {})
+        counts[comp] = counts.get(comp, 0) + 1
         meta[key] = (float(row["delta_log2"]),
                      math.inf if row["tau"] == "inf" else float(row["tau"]),
                      row["algo"])
     if len(groups) < 4:
         raise ConfigError(f"need >= 4 sweep points for a fit, got {len(groups)}")
     pts = []
-    for key, comps in sorted(groups.items()):
-        comps.sort()
-        median = comps[min(len(comps) - 1, int(0.5 * (len(comps) - 1)))]
+    for key, counts in sorted(groups.items()):
+        median = engine.aggregate(counts).quantiles[0.5]
         if not math.isfinite(median):
             raise ConfigError(f"sweep point {key} completed in fewer than half its trials")
         dl2, tau, algo = meta[key]
         pred = predictor_value(predictor, dl2, tau, algo, params)
-        pts.append((pred, median))
+        pts.append((pred, float(median)))
     xs = np.log([p for p, _ in pts])
     ys = np.log([m for _, m in pts])
     slope, intercept = np.polyfit(xs, ys, 1)

@@ -108,7 +108,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .adversary import (_NEVER, AdversaryPlan, ObservableHistory, compile_adversary,
                         make_policy, uniform_subset)
 from .gadgets import EDGE_LIMIT, Gadget
-from .oracle import exact_success_logprob
+from .oracle import LN2, exact_success_logprob
 from .schedules import Schedule, ceil_log2, log2e_of
 
 # an analytic trial steps its first _STEPPED rounds one at a time, with one
@@ -118,7 +118,6 @@ from .schedules import Schedule, ceil_log2, log2e_of
 _STEPPED = 16
 _FIRST_CHUNK = 16
 _CHUNK = 4096
-_LN2 = math.log(2.0)
 
 
 # a trial's node, adversary and adversary q stream labels
@@ -176,6 +175,7 @@ class _PointSeeds:
             raise IndexError(f"trial {trial} outside the point's {self.count}")
         lo = trial - trial % _SEED_BLOCK
         if lo != self.lo:
+            self.words = None  # the old block goes before the next is derived
             self.lo, self.words = lo, stream_seeds(self.first_seed + lo,
                                                    min(self.count - lo, _SEED_BLOCK))
         return self.words[trial - lo]
@@ -605,7 +605,7 @@ def _first_firing(hazard: _Hazard, r: int, m: int, u: float, last: int) -> int:
 def _fired_coins(np_nodes, m: int, p: float, h: float) -> np.ndarray:
     """m coins that are each True with probability p (h = -ln(1 - p) > 0),
     conditioned on at least one being True."""
-    if m * h >= _LN2:  # P(some coin) >= 1/2: draw until one is True
+    if m * h >= LN2:  # P(some coin) >= 1/2: draw until one is True
         while True:
             coins = np_nodes.random(m) < p
             if coins.any():
@@ -748,7 +748,7 @@ def run_materialized_trial(config: TrialConfig, trial: int = 0,
             fire = 0
         m = len(frontier.span)
         phase = (r - 1) % k
-        if fire < r and m and m * hazard.h[phase] >= _LN2:
+        if fire < r and m and m * hazard.h[phase] >= LN2:
             coins = np_nodes.random(m) < probs[phase]
             tx = frontier.span[coins]
             fire = r if len(tx) else 0

@@ -16,10 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .oracle import log_one_minus_p
-
-LN2 = math.log(2.0)
-LN_2E = math.log(2.0 * math.e)
+from .oracle import LOG_2E, log_one_minus_p
 
 
 def ceil_log2(delta: int) -> int:
@@ -31,7 +28,7 @@ def ceil_log2(delta: int) -> int:
 
 def log2e_of(value) -> float:
     """log base 2e; accepts arbitrary-size integers."""
-    return math.log(value) / LN_2E
+    return math.log(value) / LOG_2E
 
 
 @dataclass(frozen=True)

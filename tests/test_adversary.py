@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from dualradio.adversary import (ADVERSARY_KEYS, AdversaryPlan, ChainedGapPolicy,
                                  DegreeWalkState, IidSubsetPolicy, ObservableHistory,
-                                 argmin_degree, compile_adversary, gap_plan, make_policy,
-                                 phase_cycle_probs, shift_plan, uniform_subset,
+                                 PhaseDegrees, argmin_degree, compile_adversary, gap_plan,
+                                 make_policy, phase_cycle_probs, shift_plan, uniform_subset,
                                  walk_degrees)
 from dualradio.engine import _NEVER, TrialConfig, run_trial, trial_rngs
 from dualradio.gadgets import build_gadget, chained_gadgets, double_star, star_gadget
@@ -701,47 +701,60 @@ class TestUniformSubsets:
 
 class TestChainedController:
     @staticmethod
-    def setup_policy(tau=1, delta=2 ** 8 + 1):
+    def setup_policy(tau=1, delta=2 ** 8 + 1, schedule=None):
         g = chained_gadgets(delta, 24)
-        sched = frlb_schedule(delta, tau)
+        sched = frlb_schedule(delta, tau) if schedule is None else schedule
         hist = unreached(g)
         policy = policy_for({"kind": "chained_gap", "tau": tau}, g, sched, history=hist)
         return g, sched, policy, hist
 
+    @classmethod
+    def setup_moving(cls):
+        """A policy whose sections' degrees move every phase: the decay
+        cycle at delta 2^12 + 1 under tau = 2, a table of period 13 whose
+        consecutive phases all differ; and that table."""
+        delta, tau = 2 ** 12 + 1, 2
+        g, sched, policy, hist = cls.setup_policy(tau, delta, decay_schedule(delta))
+        table = PhaseDegrees(sched, tau, "chained_gap", delta, False)
+        assert table.period == 13
+        assert all(table(p) != table(p + 1) for p in range(13))
+        return g, table, policy, hist
+
     def test_all_sections_start_at_first_plan(self):
         g, sched, policy, hist = self.setup_policy()
         policy.pre_round(1)
-        assert policy.section_phase == [1] * 8
         first = gap_plan(phase_cycle_probs(sched, 1, 0), g.delta).degree
         assert policy.section_degree == [first] * 8
 
     def test_frontier_advances_once_per_tau(self):
-        tau = 2
-        g, sched, policy, hist = self.setup_policy(tau, delta=2 ** 12 + 1)
-        arms0 = g.sections[0].arms
-        hist.act[arms0[0]] = 4  # transmits from round 5
-        for r in range(1, 20):
+        g, table, policy, hist = self.setup_moving()
+        tau = policy.tau
+        hist.act[g.sections[0].arms[0]] = 4  # transmits from round 5
+        for r in range(1, 40):
             policy.pre_round(r)
-            if r < 5 + tau:
-                assert policy.section_phase[0] == 1
-        # after tau transmission rounds the frontier moved one phase
-        assert policy.section_phase[0] == 1 + (19 - 5) // tau
-        assert all(ph == 1 for ph in policy.section_phase[1:])
+            # phase j begins in round 5 + (j - 1) tau; before round 5, phase 1
+            assert policy.section_degree[0] == table(max(0, r - 5) // tau), r
+            assert policy.section_degree[1:] == [table(0)] * 7, r
         changes = [r for r, _ in policy.change_log]
+        assert len(changes) > 10
         assert all(b - a >= tau for a, b in zip(changes[1:], changes[2:]))
 
     def test_delivered_section_freezes(self):
-        g, sched, policy, hist = self.setup_policy()
-        arms0 = g.sections[0].arms
-        hist.act[arms0[0]] = 0
-        for r in range(1, 6):
+        # sections 0 and 1 start their phases together; section 0's
+        # receiver is reached in round 5, so from round 6 it keeps its
+        # round-5 degree while section 1 moves on
+        g, table, policy, hist = self.setup_moving()
+        tau = policy.tau
+        hist.act[[g.sections[0].arms[0], g.sections[1].arms[0]]] = 0
+        for r in range(1, 40):
+            if r == 6:
+                hist.deliver([g.sections[0].receiver], 5)
             policy.pre_round(r)
-        frozen_phase = policy.section_phase[0]
-        hist.deliver([g.sections[0].receiver], 5)
-        for r in range(6, 30):
-            policy.pre_round(r)
-        assert policy.section_frozen[0]
-        assert policy.section_phase[0] == frozen_phase
+            # phase j begins in round 1 + (j - 1) tau
+            assert policy.section_degree[0] == table((min(r, 5) - 1) // tau), r
+            assert policy.section_degree[1] == table((r - 1) // tau), r
+            assert policy.section_frozen[0] == (r >= 6), r
+        assert not any(policy.section_frozen[1:])
 
     def test_sections_follow_their_own_phase(self):
         # frontier sections take the degree of their phase; unreached ones
@@ -753,21 +766,22 @@ class TestChainedController:
         hist.act[[g.sections[0].arms[0], g.sections[1].arms[0]]] = [0, 4]
         for r in range(1, 11):
             policy.pre_round(r)
-        assert policy.section_phase[:3] == [5, 3, 1]
-        for phase, degree in zip(policy.section_phase, policy.section_degree):
+        # in round 10 section 0 is in phase 5, section 1 in phase 3
+        for phase, degree in zip([5, 3] + [1] * 6, policy.section_degree):
             assert degree == gap_plan(phase_cycle_probs(sched, 2, phase - 1), g.delta).degree
         degrees = policy.section_degree
         assert degrees[:2] == [256, 16] and set(degrees[2:]) == {4096}
 
     def test_unreached_sections_do_not_overflow(self):
-        # an unreached head holds int64 max; its start must not wrap around
-        g, sched, policy, hist = self.setup_policy()
+        # an unreached head holds int64 max; its start must not wrap around,
+        # which would move its section past phase 1
+        g, table, policy, hist = self.setup_moving()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for r in range(1, 40):
                 policy.pre_round(r)
                 policy.sample_edges(r, every_node(g))
-        assert policy.section_phase == [1] * 8
+        assert policy.section_degree == [table(0)] * 8
         assert len(policy.change_log) == 1
 
 
@@ -877,7 +891,6 @@ class TestLazyChainedRescan:
             assert lazy.change_log == full.change_log, r
             assert lazy.section_degree == full.section_degree, r
             assert lazy.section_frozen == full.section_frozen, r
-            assert lazy.section_phase == full.phases, r
             tx = np.flatnonzero(rng.random(n) < 0.01)
             assert lazy.sample_edges(r, tx).tolist() == full.sample_edges(r, tx).tolist(), r
             assert lazy._owed == full._owed, r

@@ -496,12 +496,21 @@ class TestStreamingRun:
     def test_analytic_point_memory_does_not_grow_with_trials(self, tmp_path, capsys):
         # a point keeps a count per completion round, at most max_rounds + 1
         # of them, where a list of rounds would take 8 bytes a trial; both
-        # runs pass a seed block boundary, whose rebuild holds two blocks
+        # runs pass a seed block boundary, where one block is held at a time
         cfg = base_config(max_rounds=2000)
         self.traced_peak(tmp_path, dict(cfg, trials=10))  # first-use caches
         low = self.traced_peak(tmp_path, dict(cfg, trials=3000))
         high = self.traced_peak(tmp_path, dict(cfg, trials=10_000))
         assert (high - low) / 7000 < 4, (low, high)
+
+    def test_seed_block_boundary_holds_one_block(self, tmp_path, capsys):
+        # a 1,024-trial seed block takes about 110 KB while it is derived;
+        # 2,000 trials cross one block boundary, 1,000 none
+        cfg = base_config(max_rounds=2000)
+        self.traced_peak(tmp_path, dict(cfg, trials=10))  # first-use caches
+        low = self.traced_peak(tmp_path, dict(cfg, trials=1000))
+        high = self.traced_peak(tmp_path, dict(cfg, trials=2000))
+        assert high - low < 32 * 1024, (low, high)
 
     def test_materialized_point_keeps_no_delivery_array(self, tmp_path, capsys):
         # a kept result holds an int64 delivery round per node
@@ -693,6 +702,19 @@ class TestFitCommand:
             fit_scaling(rows, "global-tau2", {})
         fit = fit_scaling(rows, "global-tau2", {"D": "24"})
         assert math.isfinite(fit.exponent)
+
+    def test_fit_of_a_run_takes_each_summary_median(self, tmp_path, capsys):
+        # max_rounds 5 leaves some trials of every point unfinished, fewer
+        # than half of them
+        out = tmp_path / "t.csv"
+        path = write_config(tmp_path, base_config(out=str(out), max_rounds=5,
+                                                  sweep={"tau": [1, 2, 3, 4]}))
+        assert main(["run", path]) == 0
+        table = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+        assert len(table) == 4
+        assert all(0.5 < float(row[5]) < 1 for row in table)
+        fit = fit_scaling(read_trials_csv(str(out)), "local-tau", {})
+        assert [m for _, m in fit.points] == [float(row[6]) for row in table]
 
 
 class TestScalingSweeps:
