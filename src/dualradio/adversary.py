@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
@@ -56,7 +55,6 @@ from .schedules import Schedule
 _NEVER = int(np.iinfo(np.int64).max)  # a round that never comes
 
 
-@dataclass
 class ObservableHistory:
     """The materialized engine's public state, held by reference:
     `delivery`, each node's first delivery round, `count`, the number of
@@ -66,9 +64,10 @@ class ObservableHistory:
     is first reached, in the round `deliver` records it.  Contains no
     private coins."""
 
-    delivery: np.ndarray
-    act: np.ndarray
-    count: int = 0
+    __slots__ = ("delivery", "act", "count")
+
+    def __init__(self, delivery: np.ndarray, act: np.ndarray, count: int = 0):
+        self.delivery, self.act, self.count = delivery, act, count
 
     def deliver(self, nodes, round_index: int) -> None:
         """Record `nodes`, none of them reached before, as first reached in
@@ -81,8 +80,7 @@ class ObservableHistory:
 # lower-bound constructions
 
 
-@dataclass(frozen=True)
-class GapPhasePlan:
+class GapPhasePlan(NamedTuple):
     """Receiver degree placed in the largest gap of one phase's log-estimates.
 
     Built by the ball/bin procedure: for each phase probability p, balls
@@ -244,8 +242,7 @@ def argmin_degree(phase_probs: Sequence[float], delta: int) -> int:
     return best_l
 
 
-@dataclass(frozen=True)
-class ShiftPlan:
+class ShiftPlan(NamedTuple):
     """Correlated double-star plan: a random cyclic shift pairs each cycle
     probability with a pre-computed extreme degree response (1 or delta)."""
 
@@ -263,16 +260,13 @@ class ShiftPlan:
 
     def redrawn(self, rng) -> ShiftPlan:
         """This plan with its shift drawn uniformly from 1..l."""
-        return replace(self, shift=int(rng.integers(1, self.cycle_length + 1)))
+        return self._replace(shift=int(rng.integers(1, self.cycle_length + 1)))
 
-    def degree_at(self, t):
-        """Receiver degree in (1-based) step t, or a float64 array of them
-        for an int64 array of steps; s = cycle_length pairs p_i with its own
-        response."""
+    def degree_at(self, t: np.ndarray) -> np.ndarray:
+        """Receiver degrees, as float64, in the (1-based) steps of the int64
+        array t; s = cycle_length pairs p_i with its own response."""
         step = (t - 1 + self.shift) % self.cycle_length
-        if isinstance(step, np.ndarray):
-            return np.array(self.responses, dtype=np.float64)[step]
-        return self.responses[step]
+        return np.array(self.responses, dtype=np.float64)[step]
 
 
 def shift_plan(cycle_probs: Sequence[float], delta: int, shift: int = 1) -> ShiftPlan:
@@ -310,28 +304,28 @@ def shift_plan(cycle_probs: Sequence[float], delta: int, shift: int = 1) -> Shif
     )
 
 
-@dataclass(frozen=True)
 class DegreeWalkState:
     """Receiver degree moved a bounded amount per round.
 
     deterministic variant: |change| <= step_budget every round;
     restricted variant: expected |change| <= step_budget (magnitude drawn
-    uniformly from 0..2*step_budget).
+    uniformly from 0..2*step_budget).  `degree` is the start degree;
+    `walk_degrees` is given the current one.  `mode` is "dodging" or
+    "random".
     """
 
-    degree: int  # the start degree; `walk_degrees` is given the current one
-    step_budget: int
-    max_degree: int
-    mode: str = "dodging"  # or "random"
-    restricted: bool = False
+    __slots__ = ("degree", "step_budget", "max_degree", "mode", "restricted")
 
-    def __post_init__(self):
-        if not 1 <= self.degree <= self.max_degree:
+    def __init__(self, degree: int, step_budget: int, max_degree: int,
+                 mode: str = "dodging", restricted: bool = False):
+        if not 1 <= degree <= max_degree:
             raise ValueError("degree out of [1, max_degree]")
-        if self.step_budget < 0:
+        if step_budget < 0:
             raise ValueError("step budget must be >= 0")
-        if self.mode not in ("dodging", "random"):
-            raise ValueError(f"unknown walk mode {self.mode!r}")
+        if mode not in ("dodging", "random"):
+            raise ValueError(f"unknown walk mode {mode!r}")
+        self.degree, self.step_budget, self.max_degree = degree, step_budget, max_degree
+        self.mode, self.restricted = mode, restricted
 
 
 _EXACT = 2 ** 53      # integers below this are exact as float64

@@ -23,8 +23,8 @@ import math
 import os
 import sys
 from collections import deque
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import yaml
 
@@ -326,8 +326,7 @@ def cmd_run(args) -> int:
 # scaling fits
 
 
-@dataclass(frozen=True)
-class ScalingFit:
+class ScalingFit(NamedTuple):
     predictor: str
     exponent: float
     intercept: float

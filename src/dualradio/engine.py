@@ -955,8 +955,7 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
 _QUANTS = (0.25, 0.5, 0.75, 0.9)
 
 
-@dataclass(frozen=True)
-class Stats:
+class Stats(NamedTuple):
     trial_count: int
     success_count: int
     success_rate: float

@@ -13,18 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .model import DualGraph
+if TYPE_CHECKING:
+    from .model import DualGraph
 
 # the materialized engine simulates no gadget at this delta or above, so
 # nothing builds the edges of one
 EDGE_LIMIT = 2 ** 24
 
 
-@dataclass(frozen=True)
-class GadgetSection:
+class GadgetSection(NamedTuple):
     """One star inside a chain: hub, relay arms, the local receiver, and the
     indices of its unreliable edges, those from arms[1:] to the receiver."""
 
@@ -86,6 +87,8 @@ class Gadget:
     @cached_property
     def graph(self) -> DualGraph:
         """The reference model's graph of these edges."""
+        from .model import DualGraph
+
         reliable, unreliable = self.edges
         return DualGraph.from_parts(self.node_count, reliable.tolist(), unreliable.tolist())
 

@@ -16,11 +16,12 @@ success events by comparing log-probabilities against log(uniform).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model import DualGraph, RoundTopology
+if TYPE_CHECKING:
+    from .model import DualGraph, RoundTopology
 
 LN2 = math.log(2.0)
 LOG_2E = math.log(2.0 * math.e)

@@ -207,8 +207,9 @@ def test_criterion_08_correlated_shift():
         for sched in scheds:
             cycle = sched.cycle
             plan = shift_plan(cycle, delta, shift=len(cycle))
-            for t in range(1, len(cycle) + 1):
-                alpha = cycle[(t - 1) % len(cycle)] * plan.degree_at(t)
+            degrees = plan.degree_at(np.arange(1, len(cycle) + 1)).tolist()
+            for p, degree in zip(cycle, degrees):
+                alpha = p * degree
                 if not (alpha >= root - 1e-9 or alpha <= 1.0 / root + 1e-9):
                     det_ok = False
 

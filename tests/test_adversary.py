@@ -146,7 +146,7 @@ class TestShiftPlan:
         assert plan.estimates == (2.0, 16.0)
         assert plan.responses == (16, 1)
         # s = l pairing: step 1 uses p=1/2 against degree 16, step 2 degree 1
-        assert plan.degree_at(1) == 16 and plan.degree_at(2) == 1
+        assert plan.degree_at(np.arange(1, 3)).tolist() == [16, 1]
 
     def test_large_estimate_gives_degree_one(self):
         plan = shift_plan([0.001, 0.9], 100, shift=2)
@@ -160,24 +160,25 @@ class TestShiftPlan:
                 cycle = sched.cycle
                 plan = shift_plan(cycle, delta, shift=len(cycle))
                 root = math.sqrt(delta)
-                for t in range(1, len(cycle) + 1):
-                    alpha = cycle[(t - 1) % len(cycle)] * plan.degree_at(t)
+                degrees = plan.degree_at(np.arange(1, len(cycle) + 1)).tolist()
+                for p, degree in zip(cycle, degrees):
+                    alpha = p * degree
                     assert alpha >= root - 1e-9 or alpha <= 1.0 / root + 1e-9
 
     def test_degree_sequence_deterministic_given_shift(self):
         np_rng, _ = rngs(3)
         plan = shift_plan([0.5, 0.25, 0.125], 64).redrawn(np_rng)
-        seq1 = [plan.degree_at(t) for t in range(1, 10)]
-        seq2 = [plan.degree_at(t) for t in range(1, 10)]
+        seq1 = plan.degree_at(np.arange(1, 10)).tolist()
+        seq2 = plan.degree_at(np.arange(1, 10)).tolist()
         assert seq1 == seq2
 
     def test_degree_at_an_array_of_steps(self):
-        # one rule for both engines: an int64 array of steps gives the same
-        # degrees as float64
+        # one rule for both engines: step t pairs with response
+        # (t - 1 + shift) mod l, as float64
         plan = shift_plan([0.5, 0.25, 0.125], 64).redrawn(rngs(3)[0])
         got = plan.degree_at(np.arange(1, 10))
         assert got.dtype == np.float64
-        assert got.tolist() == [plan.degree_at(t) for t in range(1, 10)]
+        assert got.tolist() == [plan.responses[(t - 1 + plan.shift) % 3] for t in range(1, 10)]
 
     def test_shift_uniform_over_cycle(self):
         np_rng, _ = rngs(11)

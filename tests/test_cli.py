@@ -469,6 +469,24 @@ def run_program(argv):
                           text=True, timeout=120)
 
 
+@pytest.mark.parametrize("collecting", [True, False])
+def test_program_import_leaves_model_and_collector_alone(collecting):
+    # every run starts with `import dualradio.cli`: it imports no reference
+    # model and leaves the collector on or off as the caller set it;
+    # `gadget`, which prints the model's graph text, imports the model itself
+    code = "\n".join([
+        "import gc, sys",
+        "gc.enable()" if collecting else "gc.disable()",
+        "import dualradio.cli",
+        "print('dualradio.model' in sys.modules, gc.isenabled())",
+        "dualradio.cli.main(['gadget', 'star', '4', '6'])",
+    ])
+    proc = run_program(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (f"False {collecting}\n"
+                           "n 6\nE 0 1\nE 0 2\nE 0 3\nE 0 5\nE 1 4\nU 2 4\nU 3 4\n")
+
+
 class TestStreamingRun:
     """`run` formats each trial's row as the trial finishes and appends it
     to `.partial`, and keeps of a point only its completion rounds."""
