@@ -29,7 +29,7 @@ from typing import NamedTuple
 import yaml
 
 from . import engine, gadgets, oracle, schedules
-from .adversary import check_spec, is_int
+from .adversary import is_int
 from .engine import TrialConfig, csv_header, trial_csv_row
 
 _DEFAULTS = {"problem": "local", "engine": "materialized", "algo": "frlb", "tau": 1,
@@ -104,11 +104,6 @@ def normalize_config(doc: dict) -> dict:
         if key != "gadget" and key not in _DEFAULTS:
             raise ConfigError(f"{key}: unknown config key")
     cfg = {**_DEFAULTS, **doc}
-    if cfg["problem"] not in engine.PROBLEMS:
-        raise ConfigError(f"problem: must be {' or '.join(engine.PROBLEMS)}, "
-                          f"got {cfg['problem']!r}")
-    if cfg["engine"] not in engine.ENGINES:
-        raise ConfigError(f"engine: unknown engine {cfg['engine']!r}")
     gadget = cfg.get("gadget")
     if not isinstance(gadget, dict) or "kind" not in gadget:
         raise ConfigError("gadget.kind: required")
@@ -128,8 +123,8 @@ def normalize_config(doc: dict) -> dict:
         raise ConfigError(f"trials: must be a positive integer, got {cfg['trials']!r}")
     if not is_int(cfg["seed"]):
         raise ConfigError(f"seed: must be an integer, got {cfg['seed']!r}")
-    if not (isinstance(cfg["epsilon"], (int, float)) and 0 < cfg["epsilon"] < 1):
-        raise ConfigError(f"epsilon: must be in (0,1), got {cfg['epsilon']!r}")
+    if not isinstance(cfg["out"], str) or not cfg["out"]:
+        raise ConfigError(f"out: expected a nonempty path, got {cfg['out']!r}")
     if not isinstance(cfg["adversary"], dict):
         raise ConfigError(f"adversary: must be a mapping, got {cfg['adversary']!r}")
     sweep = cfg["sweep"]
@@ -143,6 +138,12 @@ def normalize_config(doc: dict) -> dict:
     for i, adv in enumerate(sweep.get("adversary", ())):
         if not isinstance(adv, dict):
             raise ConfigError(f"sweep.adversary[{i}]: must be a mapping, got {adv!r}")
+    for algo in sweep.get("algo", [cfg["algo"]]):
+        if algo not in schedules.ALGOS:
+            raise ConfigError(f"algo: unknown algorithm {algo!r}")
+    for tau in sweep.get("tau", [cfg["tau"]]):
+        if tau is not None and (not is_int(tau) or tau < 1):
+            raise ConfigError(f"tau: must be a positive integer or null, got {tau!r}")
     return cfg
 
 
@@ -161,7 +162,7 @@ def expand_sweep(cfg: dict) -> list[dict]:
         for t in taus:
             for alg in algos:
                 for adv in adversaries:
-                    p = {
+                    points.append({
                         "problem": cfg["problem"],
                         "engine": cfg["engine"],
                         "gadget": dict(cfg["gadget"], delta=delta),
@@ -172,25 +173,8 @@ def expand_sweep(cfg: dict) -> list[dict]:
                         "trials": cfg["trials"],
                         "seed": cfg["seed"],
                         "max_rounds": cfg["max_rounds"],
-                    }
-                    validate_point(p)
-                    points.append(p)
+                    })
     return points
-
-
-def validate_point(point: dict) -> None:
-    if point["algo"] not in schedules.ALGOS:
-        raise ConfigError(f"algo: unknown algorithm {point['algo']!r}")
-    tau = point["tau"]
-    if tau is not None and (not is_int(tau) or tau < 1):
-        raise ConfigError(f"tau: must be a positive integer or null, got {tau!r}")
-    try:
-        check_spec(point["adversary"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    mr = point["max_rounds"]
-    if mr != "auto" and (not is_int(mr) or mr < 1):
-        raise ConfigError(f"max_rounds: must be 'auto' or a positive integer, got {mr!r}")
 
 
 def build_trial_config(point: dict) -> tuple[TrialConfig, int]:
@@ -202,92 +186,71 @@ def build_trial_config(point: dict) -> tuple[TrialConfig, int]:
         diameter=gspec.get("diameter"))
     schedule = schedules.build_schedule(point["algo"], delta, point["tau"] or 1)
     max_rounds = point["max_rounds"]
-    if max_rounds == "auto":
-        max_rounds = engine.default_max_rounds(
-            point["problem"], schedule, delta, engine.algorithm_tau(schedule),
-            point["epsilon"], gadget.node_count,
-            diameter=gadget.meta.get("diameter", 1))
     config = TrialConfig(
         problem=point["problem"],
         gadget=gadget,
         schedule=schedule,
         adversary=point["adversary"],
         seed=point["seed"],
-        max_rounds=max_rounds,
+        max_rounds=None if max_rounds == "auto" else max_rounds,
         engine_mode=point["engine"],
         epsilon=point["epsilon"],
     )
     return config, point["trials"]
 
 
-def _run_point(config: TrialConfig, trials: int, first_id: int, emit) -> dict:
+def _run_point(config: TrialConfig, trials: int, first_id: int, emit) -> str:
     """Run one sweep point, handing `emit` each trial's CSV line (trial ids
-    from `first_id` on) as the trial finishes; the point's summary."""
+    from `first_id` on) as the trial finishes; the point's summary line."""
     stats = engine.run_trials(
         config, trials,
         lambda t, res: emit(trial_csv_row(first_id + t, config, res) + "\n"))
     tau = config.adversary["tau"]
-    return {
-        "algo": config.schedule.label,
-        "delta_log2": f"{math.log2(config.gadget.delta):.6g}",
-        "tau": "inf" if tau is None else str(tau),
-        "adversary": config.adversary["kind"],
-        "trials": stats.trial_count,
-        "success_rate": stats.success_rate,
-        "wilson_low": stats.wilson_low,
-        "wilson_high": stats.wilson_high,
-        "median": stats.quantiles[0.5],
-        "p90": stats.quantiles[0.9],
-        "mean": stats.mean_completion,
-    }
+    median, p90 = ("inf" if stats.quantiles[q] == math.inf else stats.quantiles[q]
+                   for q in (0.5, 0.9))
+    mean = "-" if stats.mean_completion is None else f"{stats.mean_completion:.1f}"
+    return (f"{config.schedule.label:>6} {math.log2(config.gadget.delta):>8.6g} "
+            f"{'inf' if tau is None else tau!s:>4} {config.adversary['kind']:>22} "
+            f"{stats.trial_count:>6} {stats.success_rate:>7.3f} "
+            f"{median!s:>10} {p90!s:>10} {mean:>10}")
 
 
 def _point_lines(config: TrialConfig, trials: int, first_id: int):
-    """A worker's sweep point: its CSV lines and summary."""
+    """A worker's sweep point: its CSV lines and summary line."""
     lines = []
     return lines, _run_point(config, trials, first_id, lines.append)
-
-
-def _check_out(out_path) -> None:
-    """Raise ConfigError unless the run can write `out_path`, through its
-    `.partial` file, so a run that cannot write fails before any point runs."""
-    if not isinstance(out_path, str) or not out_path:
-        raise ConfigError(f"out: expected a nonempty path, got {out_path!r}")
-    if os.path.isdir(out_path):
-        raise ConfigError(f"out: {out_path} is a directory")
-    partial = out_path + ".partial"
-    try:
-        open(partial, "w").close()
-    except OSError as exc:
-        raise ConfigError(f"out: cannot write {out_path}: {exc.strerror}") from None
-    os.remove(partial)
 
 
 def cmd_run(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
-    cfg = normalize_config(load_config(args.config))
+    doc = load_config(args.config)
     if args.seed is not None:
-        cfg["seed"] = args.seed
+        doc["seed"] = args.seed
     if args.out is not None:
-        cfg["out"] = args.out
+        doc["out"] = args.out
+    cfg = normalize_config(doc)
     points = expand_sweep(cfg)
+    first_ids = accumulate((p["trials"] for p in points[:-1]), initial=0)
+    # every point's config is built, and checked, before the config is
+    # echoed or the first point runs; each is let go once its point has run
+    pending = deque((*build_trial_config(p), first) for p, first in zip(points, first_ids))
     if args.print_config:
         print(yaml.safe_dump(cfg, sort_keys=True), end="")
         return 0
     out_path = cfg["out"]
-    _check_out(out_path)
-
-    first_ids = accumulate((p["trials"] for p in points[:-1]), initial=0)
-    # every point's config is built, and checked, before the first point
-    # runs; each is let go once its point has run
-    pending = deque((*build_trial_config(p), first) for p, first in zip(points, first_ids))
+    if os.path.isdir(out_path):
+        raise ConfigError(f"out: {out_path} is a directory")
     # rows go to .partial in point order as they are made; a run that fails
     # or is interrupted removes it, so it leaves neither it nor the CSV
     partial = out_path + ".partial"
+    try:
+        fh = open(partial, "w")
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {out_path}: {exc.strerror}") from None
     summaries = []
     try:
-        with open(partial, "w") as fh:
+        with fh:
             fh.write(csv_header() + "\n")
             if args.jobs > 1 and len(pending) > 1:
                 # imported here: a run without a pool should not pay for the import
@@ -309,16 +272,9 @@ def cmd_run(args) -> int:
     os.replace(partial, out_path)
 
     print(f"wrote {out_path}")
-    hdr = f"{'algo':>6} {'dlog2':>8} {'tau':>4} {'adversary':>22} {'ok':>6} " \
-          f"{'rate':>7} {'median':>10} {'p90':>10} {'mean':>10}"
-    print(hdr)
-    for s in summaries:
-        med = s["median"] if s["median"] != math.inf else "inf"
-        p90 = s["p90"] if s["p90"] != math.inf else "inf"
-        mean = f"{s['mean']:.1f}" if s["mean"] is not None else "-"
-        print(f"{s['algo']:>6} {s['delta_log2']:>8} {s['tau']:>4} "
-              f"{s['adversary']:>22} {s['trials']:>6} {s['success_rate']:>7.3f} "
-              f"{med!s:>10} {p90!s:>10} {mean:>10}")
+    print(f"{'algo':>6} {'dlog2':>8} {'tau':>4} {'adversary':>22} {'trials':>6} "
+          f"{'rate':>7} {'median':>10} {'p90':>10} {'mean':>10}")
+    print(*summaries, sep="\n")
     return 0
 
 

@@ -106,7 +106,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .adversary import (_NEVER, AdversaryPlan, ObservableHistory, compile_adversary,
-                        make_policy, uniform_subset)
+                        is_int, make_policy, uniform_subset)
 from .gadgets import EDGE_LIMIT, Gadget
 from .oracle import LN2, exact_success_logprob
 from .schedules import Schedule, ceil_log2, log2e_of
@@ -207,7 +207,9 @@ class TrialConfig:
     schedule: Schedule
     adversary: dict
     seed: int
-    max_rounds: int
+    # the round cap; None sizes it (`default_max_rounds`) at the schedule's
+    # `algorithm_tau`, as the global budget is
+    max_rounds: int | None = None
     engine_mode: str = "materialized"   # | "analytic_star"
     epsilon: float = 0.1
     # global: per-node repetition budget in double cycles; by default
@@ -218,9 +220,9 @@ class TrialConfig:
 
     def __post_init__(self):
         if self.problem not in PROBLEMS:
-            raise ValueError(f"unknown problem {self.problem!r}")
+            raise ValueError(f"problem: must be {' or '.join(PROBLEMS)}, got {self.problem!r}")
         if self.engine_mode not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine_mode!r}")
+            raise ValueError(f"engine: unknown engine {self.engine_mode!r}")
         if not (isinstance(self.epsilon, (int, float)) and 0 < self.epsilon < 1):
             raise ValueError(f"epsilon: must be in (0,1), got {self.epsilon!r}")
         gadget = self.gadget
@@ -245,12 +247,17 @@ class TrialConfig:
             raise ValueError("local broadcast needs a nonempty broadcaster set")
         if self.problem == "local" and not gadget.receivers:
             raise ValueError("local broadcast needs a nonempty receiver set")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
+        tau = algorithm_tau(self.schedule)
+        if self.max_rounds is None:
+            object.__setattr__(self, "max_rounds", default_max_rounds(
+                self.problem, self.schedule, gadget.delta, tau, self.epsilon,
+                gadget.node_count, diameter=gadget.meta.get("diameter", 1)))
+        elif not is_int(self.max_rounds) or self.max_rounds < 1:
+            raise ValueError(f"max_rounds: must be a positive integer or None (auto), "
+                             f"got {self.max_rounds!r}")
         if self.problem == "global" and self.rgb_reps is None:
             object.__setattr__(self, "rgb_reps", rgb_repetitions(
-                gadget.delta, algorithm_tau(self.schedule), self.epsilon,
-                gadget.node_count))
+                gadget.delta, tau, self.epsilon, gadget.node_count))
         object.__setattr__(self, "plan",
                            compile_adversary(self.adversary, gadget, self.schedule))
 

@@ -8,9 +8,9 @@ import time
 import numpy as np
 import pytest
 
-from dualradio.adversary import gap_plan, shift_plan
+from dualradio.adversary import gap_plan, make_policy, shift_plan
 from dualradio.engine import (TrialConfig, rlb_repetitions, rlbc_repetitions,
-                              rgb_repetitions, run_trial, run_trials)
+                              rgb_repetitions, run_trial, run_trials, trial_rngs)
 from dualradio.gadgets import build_gadget, chained_gadgets, double_star, star_gadget
 from dualradio.model import DualGraph, build_round_topology
 from dualradio.oracle import (brute_force_delivery_prob, exact_success_prob,
@@ -282,6 +282,29 @@ def test_criterion_10_rlbc_restricted():
            stats.success_rate >= need and in_time,
            f"rate {stats.success_rate:.3f} >= {need:.3f}, l={l}, "
            f"budget {budget_cycles} cycles, {dt:.0f}s")
+
+
+@pytest.mark.parametrize("ramp_entry", [1, 2, 6])
+def test_rlbc_restricted_walk_that_moves(ramp_entry):
+    # criterion 10's walk starts at degree 1 and never leaves it; started at
+    # floor(1/p_i) for the ramp entry p_i = k^-i (2^9.6, 2^19.2 and, past
+    # 2^53, 2^57.7), it moves, and RLBC still meets criterion 10's bar
+    delta, tau, eps, trials = 2 ** 4885, 1000, 0.2, 40
+    sched = rlbc_schedule(delta, tau)
+    l = int(math.floor(2.0 ** (4885 / (tau * (1.0 - 1.0 / log2e_of(tau)))))) // 4
+    start = sched.params["k_base"] ** ramp_entry
+    assert math.log(start) == pytest.approx(-sched.log_probs[ramp_entry - 1])
+    cfg = TrialConfig(problem="local", gadget=build_gadget("star", delta), schedule=sched,
+                      adversary={"kind": "degree_walk_restricted", "tau": tau, "l": l,
+                                 "walk_mode": "dodging", "start_degree": start},
+                      seed=100_000,
+                      max_rounds=rlbc_repetitions(delta, tau, eps) * sched.cycle_length,
+                      engine_mode="analytic_star", epsilon=eps)
+    walk = make_policy(cfg.plan, *trial_rngs(cfg.seed)[1:])
+    assert len({int(d) for d in walk.degrees(1, 2000)}) > 1
+    stats = run_trials(cfg, trials)
+    need = 1.0 - eps - 3 * math.sqrt(eps * (1 - eps) / trials)
+    assert stats.success_rate >= need, (stats.success_rate, need)
 
 
 def test_criterion_11_cross_engine():

@@ -61,12 +61,14 @@ class TestConfigParsing:
             normalize_config(base_config(trials=0))
         with pytest.raises(ConfigError, match="sweep.bogus"):
             normalize_config(base_config(sweep={"bogus": [1]}))
-        with pytest.raises(ConfigError, match="adversary.kind"):
-            expand_sweep(normalize_config(
-                base_config(adversary={"kind": "nope"})))
-        with pytest.raises(ConfigError, match="adversary.l"):
-            expand_sweep(normalize_config(
-                base_config(adversary={"kind": "degree_walk_restricted"})))
+        # an adversary spec is checked once, when its point's config is built
+        [point] = expand_sweep(normalize_config(base_config(adversary={"kind": "nope"})))
+        with pytest.raises(ValueError, match="adversary.kind"):
+            build_trial_config(point)
+        [point] = expand_sweep(normalize_config(
+            base_config(adversary={"kind": "degree_walk_restricted"})))
+        with pytest.raises(ValueError, match="adversary.l"):
+            build_trial_config(point)
 
     def test_sweep_expansion_order(self):
         cfg = normalize_config(base_config(sweep={"tau": [1, 2, 4, 8]}))
@@ -174,6 +176,16 @@ class TestRunCommand:
         assert len(rows) == 20
         assert [r.split(",")[0] for r in rows] == [str(i) for i in range(20)]
 
+    def test_summary_count_column_is_the_trial_count(self, tmp_path, capsys):
+        # max_rounds 5 leaves some trials unfinished: the column counts every
+        # trial of the point, finished or not, and its header says so
+        out = tmp_path / "t.csv"
+        path = write_config(tmp_path, base_config(out=str(out), max_rounds=5))
+        assert main(["run", path]) == 0
+        header, row = (line.split() for line in capsys.readouterr().out.splitlines()[1:])
+        assert float(row[5]) < 1
+        assert header[4] == "trials" and row[4] == "25"
+
     def test_summary_tau_is_the_adversary_tau(self, tmp_path, capsys):
         # the adversary's own tau overrides the point's, in the CSV rows and
         # in the summary line alike
@@ -192,6 +204,17 @@ class TestRunCommand:
         echoed = yaml.safe_load(capsys.readouterr().out)
         again = normalize_config(echoed)
         assert expand_sweep(again) == expand_sweep(normalize_config(load_config(path)))
+
+    def test_print_config_builds_every_point(self, tmp_path, capsys):
+        # the gap construction is infeasible on the second point (delta 257,
+        # tau 2): the config is not echoed, as the run would not start
+        path = write_config(tmp_path, base_config(
+            gadget={"kind": "star", "delta": 257}, adversary={"kind": "gap"},
+            sweep={"tau": [1, 2]}))
+        assert main(["run", path, "--print-config"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "gap construction infeasible" in captured.err
 
     def test_invalid_config_nonzero_exit(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(trials=-3))
@@ -337,16 +360,23 @@ class TestRunCommand:
         ({"sweep": {"tau": [1, True]}}, "tau: must be a positive integer or null, got True"),
         ({"trials": True}, "trials: must be a positive integer, got True"),
         ({"seed": True}, "seed: must be an integer, got True"),
-        ({"max_rounds": True}, "max_rounds: must be 'auto' or a positive integer, got True"),
+        ({"max_rounds": True}, "max_rounds: must be a positive integer or None (auto), got True"),
+        ({"max_rounds": 0}, "max_rounds: must be a positive integer or None (auto), got 0"),
+        ({"problem": "sideways"}, "problem: must be local or global, got 'sideways'"),
+        ({"engine": "analytic"}, "engine: unknown engine 'analytic'"),
+        ({"epsilon": 1.5}, "epsilon: must be in (0,1), got 1.5"),
+        ({"sweep": {"tau": [2, 0]}}, "tau: must be a positive integer or null, got 0"),
+        ({"sweep": {"algo": ["rlb", "rlbx"]}}, "algo: unknown algorithm 'rlbx'"),
     ], ids=["top-level-key", "top-level-near-miss", "gadget-key", "gadget-key-of-another-kind",
             "gadget-n-string", "gadget-diameter-string", "tau-bool", "sweep-tau-bool",
-            "trials-bool", "seed-bool", "max-rounds-bool"])
+            "trials-bool", "seed-bool", "max-rounds-bool", "max-rounds-zero", "problem",
+            "engine", "epsilon", "sweep-tau-entry", "sweep-algo-entry"])
     def test_bad_config_key_is_a_config_error(self, tmp_path, capsys, overrides, message):
         out = tmp_path / "t.csv"
         path = write_config(tmp_path, base_config(out=str(out), **overrides))
         assert main(["run", path]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
 
     @pytest.mark.parametrize("text, message", [
         ("trials: 5\ntrials: 2\n", "trials: repeated key (line 8)"),
